@@ -185,6 +185,55 @@ func TestGetMultiBudget(t *testing.T) {
 	}
 }
 
+// TestGetMultiBudgetAvoidsOpenBreaker is the regression test for the
+// budgeted path planning without the breaker view: it used to hand the
+// set-cover planner every server, so a dead one kept winning a slot of
+// the hard cap and the request came back short. The victim is the server
+// the budget-1 plan itself picks, which makes the outcome independent of
+// the port-derived ring.
+func TestGetMultiBudgetAvoidsOpenBreaker(t *testing.T) {
+	cl, servers := newTestClient(t, 6, WithReplicas(2), WithFailureCooldown(time.Minute))
+	ks := keys(60)
+	for _, k := range ks {
+		if err := cl.Set(&Item{Key: k, Value: []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := cl.GetMultiBudget(ks, 1); err != nil {
+		t.Fatal(err)
+	}
+	rtts := cl.RecentRequests()[0].RTTs // newest span first
+	if len(rtts) != 1 {
+		t.Fatalf("budget-1 request made %d round trips", len(rtts))
+	}
+	victim := rtts[0].Server
+	servers[victim].Close()
+	// One failed transaction opens the breaker (threshold 1).
+	if _, stats, _ := cl.GetMultiBudget(ks, 1); stats.Failed != 1 {
+		t.Fatalf("request against the killed server: %+v", stats)
+	}
+	if st := cl.ServerStates()[victim]; st.State != BreakerOpen {
+		t.Fatalf("victim breaker is %v, want open", st.State)
+	}
+	for budget := 1; budget <= 3; budget++ {
+		items, stats, err := cl.GetMultiBudget(ks, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Failed != 0 || stats.Transactions != budget {
+			t.Fatalf("budget %d: %+v, want %d transactions and none failed", budget, stats, budget)
+		}
+		if len(items) == 0 {
+			t.Fatalf("budget %d fetched nothing", budget)
+		}
+		for _, rtt := range cl.RecentRequests()[0].RTTs {
+			if rtt.Server == victim {
+				t.Fatalf("budget %d spent a transaction on the dead server", budget)
+			}
+		}
+	}
+}
+
 func TestLoaderFetchesTrueMisses(t *testing.T) {
 	var loaderCalls int
 	var loadedKeys []string

@@ -247,12 +247,14 @@ func (p *Planner) BuildExcluding(items []uint64, target int, exclude map[int]boo
 // BuildBudget plans a fetch that maximizes item coverage within at most
 // maxTransactions round-1 transactions — the "fetch as many items as
 // possible within a budget" request form (§III-F, thesis variant).
-// maxTransactions <= 0 yields an empty plan.
-func (p *Planner) BuildBudget(items []uint64, maxTransactions int) (*Plan, error) {
+// maxTransactions <= 0 yields an empty plan. avoid filters candidate
+// servers as in BuildAvoiding, so the budget is never spent on a server
+// known to be down.
+func (p *Planner) BuildBudget(items []uint64, maxTransactions int, avoid func(server int) bool) (*Plan, error) {
 	if maxTransactions <= 0 {
 		return &Plan{Items: items}, nil
 	}
-	return p.buildFiltered(items, len(items), maxTransactions, nil)
+	return p.buildFiltered(items, len(items), maxTransactions, avoid)
 }
 
 func (p *Planner) buildFiltered(items []uint64, target, budget int, avoid func(int) bool) (*Plan, error) {
@@ -469,7 +471,13 @@ func (p *Planner) redirectSingles(plan *Plan, sc *buildScratch, allowNew bool, a
 			continue // already fetching the distinguished copy
 		}
 		// The acting distinguished server holds a non-avoided replica, so
-		// it is a candidate server and sc.txnOf covers its id.
+		// it is a candidate server and sc.txnOf covers its id — unless
+		// avoid, which reads live breaker state, rejected it during the
+		// candidate pass and accepts it now. Such a server has no table
+		// entry; the single stays where it was assigned.
+		if dist >= len(sc.byServer) || sc.byServer[dist] == nil {
+			continue
+		}
 		if dj := sc.txnOf[dist]; dj > 0 {
 			t.Primary = t.Primary[:0]
 			plan.ItemServer[i] = dist

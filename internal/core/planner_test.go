@@ -189,6 +189,29 @@ func TestDistinguishedSinglesRedirect(t *testing.T) {
 	}
 }
 
+// TestDistinguishedSinglesAvoidFlipsMidBuild: avoid reads live breaker
+// state, so it can reject a server while candidates are collected and
+// accept it by the time singles are redirected. The redirect used to
+// index its server table with that non-candidate id and panic (seen as a
+// rare crash in the resize e2e suite).
+func TestDistinguishedSinglesAvoidFlipsMidBuild(t *testing.T) {
+	const victim = 999 // beyond any table a pooled scratch has grown to
+	fp := &fixedPlacement{servers: 1000, replicas: 2, sets: map[uint64][]int{1: {victim, 0}}}
+	p := NewPlanner(fp, Options{DistinguishedSingles: true})
+	calls := 0
+	avoid := func(s int) bool {
+		calls++
+		return calls <= 2 && s == victim // the candidate pass asks once per replica
+	}
+	plan, err := p.BuildAvoiding([]uint64{1}, 0, avoid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Transactions) != 1 || plan.Transactions[0].Server != 0 || !fullCover(plan, []uint64{1}) {
+		t.Fatalf("plan %+v, want the single left on server 0", plan.Transactions)
+	}
+}
+
 func TestDistinguishedSinglesMergesIntoExistingTxn(t *testing.T) {
 	// Item 5 would be fetched alone from server 1; its distinguished
 	// server 0 already has a planned transaction, so it must merge.
@@ -437,7 +460,7 @@ func TestBuildBudget(t *testing.T) {
 	}
 	prevAssigned := -1
 	for _, budget := range []int{1, 2, 4, 8} {
-		plan, err := p.BuildBudget(items, budget)
+		plan, err := p.BuildBudget(items, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +488,7 @@ func TestBuildBudget(t *testing.T) {
 		}
 	}
 	// Zero/negative budget yields an empty plan.
-	plan, err := p.BuildBudget(items, 0)
+	plan, err := p.BuildBudget(items, 0, nil)
 	if err != nil || plan.NumTransactions() != 0 {
 		t.Fatalf("zero budget: %+v %v", plan, err)
 	}
@@ -482,7 +505,7 @@ func TestBuildBudgetWithDistinguishedSinglesKeepsBudget(t *testing.T) {
 		items[i] = uint64(i*977 + 13)
 	}
 	for _, budget := range []int{1, 2, 3} {
-		plan, err := p.BuildBudget(items, budget)
+		plan, err := p.BuildBudget(items, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,13 +38,13 @@ func TestAllocBudgetEncode(t *testing.T) {
 	it := &Item{Key: "alloc:key", Value: bytes.Repeat([]byte("v"), 100), Flags: 7, Expiration: 60}
 
 	allocGate(t, "text get encode", 0, func() {
-		if err := writeGetCmd(w, "get", keys); err != nil {
+		if err := writeKeysCmd(w, "get", keys); err != nil {
 			t.Fatal(err)
 		}
 		w.Reset(io.Discard)
 	})
 	allocGate(t, "text set encode", 0, func() {
-		if err := writeStoreCmd(w, "set", it, 0); err != nil {
+		if err := writeStoreCmd(w, "set", it); err != nil {
 			t.Fatal(err)
 		}
 		w.Reset(io.Discard)
@@ -132,7 +132,7 @@ func TestAllocBudgetDecode(t *testing.T) {
 	allocGate(t, "text store reply decode", 0, func() {
 		rd.Reset(stored)
 		br.Reset(rd)
-		if err := readStoreReply(br); err != nil {
+		if err := readStatusReply(br, "STORED"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -146,24 +146,30 @@ func TestAllocBudgetDecode(t *testing.T) {
 	})
 }
 
-// TestAllocBudgetPoolRoundTrip bounds the whole pooled multiget path —
-// routing, queueing, batched flush, demux — end to end against a live
-// server. The budget is per GetMulti of 8 keys, all hits, and covers
-// every goroutine (AllocsPerRun counts globally), so it gates the
-// writer-loop flush path too.
-func TestAllocBudgetPoolRoundTrip(t *testing.T) {
+// TestAllocBudgetRoundTrip bounds whole transactions end to end against
+// a live server, on both exchangers and both codecs: a 1-key and an
+// 8-key GetMulti (all hits) and a Set. AllocsPerRun counts globally, so
+// each budget covers the server's parse/exec/flush and, on the pooled
+// lanes, the writer and reader goroutines too. The single-connection
+// text lane is the path most benchmark workloads run on; its budgets are
+// exact, because one extra allocation per transaction there is a
+// measurable end-to-end regression.
+func TestAllocBudgetRoundTrip(t *testing.T) {
 	for _, lane := range []struct {
-		name   string
-		binary bool
-		budget float64
+		name           string
+		pooled, binary bool
+		get1, get8     float64
+		set            float64
 	}{
-		// Measured 44 allocs/op (text) and 42 (binary) per 8-key
-		// multiget: 3 per hit for the escaping items, ~1 per key of
-		// server-side parsing, plus fixed request plumbing (poolRequest,
-		// closures, done channel, result map). The slack absorbs map
-		// growth jitter without letting a per-key regression through.
-		{"text", false, 45},
-		{"binary", true, 44},
+		// Measured values. An 8-key multiget pays 3 per hit for the
+		// escaping items, ~1 per key of server-side parsing, and the
+		// result map; the pooled lanes add the poolRequest and its done
+		// channel. The 8-key budgets carry one alloc of slack for map
+		// growth jitter, not enough to let a per-key regression through.
+		{name: "single text", get1: 11, get8: 40, set: 6},
+		{name: "single binary", binary: true, get1: 9, get8: 38, set: 4},
+		{name: "pooled text", pooled: true, get1: 14, get8: 43, set: 9},
+		{name: "pooled binary", pooled: true, binary: true, get1: 12, get8: 41, set: 7},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
 			srv := NewServer(NewStore(0))
@@ -173,25 +179,43 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 			}
 			go srv.Serve(ln)
 			defer srv.Close()
-			p, err := NewPool(ln.Addr().String(), 2*time.Second, PoolConfig{Size: 1, Binary: lane.binary})
+			var c Conn
+			switch {
+			case lane.pooled:
+				c, err = NewPool(ln.Addr().String(), 2*time.Second, PoolConfig{Size: 1, Binary: lane.binary})
+			case lane.binary:
+				c, err = DialBinary(ln.Addr().String(), 2*time.Second)
+			default:
+				c, err = Dial(ln.Addr().String(), 2*time.Second)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer p.Close()
+			defer c.Close()
 			keys := make([]string, 8)
 			for i := range keys {
 				keys[i] = fmt.Sprintf("alloc:%03d", i)
-				if err := p.Set(&Item{Key: keys[i], Value: bytes.Repeat([]byte("v"), 100)}); err != nil {
+				if err := c.Set(&Item{Key: keys[i], Value: bytes.Repeat([]byte("v"), 100)}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			allocGate(t, lane.name+" pooled multiget", lane.budget, func() {
-				items, err := p.GetMulti(keys)
-				if err != nil {
-					t.Fatal(err)
+			multiget := func(keys []string) func() {
+				return func() {
+					items, err := c.GetMulti(keys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(items) != len(keys) {
+						t.Fatalf("%d items", len(items))
+					}
 				}
-				if len(items) != len(keys) {
-					t.Fatalf("%d items", len(items))
+			}
+			allocGate(t, lane.name+" 1-key multiget", lane.get1, multiget(keys[:1]))
+			allocGate(t, lane.name+" 8-key multiget", lane.get8, multiget(keys))
+			it := &Item{Key: "alloc:set", Value: bytes.Repeat([]byte("v"), 100)}
+			allocGate(t, lane.name+" set", lane.set, func() {
+				if err := c.Set(it); err != nil {
+					t.Fatal(err)
 				}
 			})
 		})

@@ -1,15 +1,17 @@
 package memcache
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
 )
 
-func startBinServer(t *testing.T, capacity int64) (*Server, *BinClient) {
+func startBinServer(t *testing.T, capacity int64) (*Server, *Client) {
 	t.Helper()
 	srv := NewServer(NewStore(capacity))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -108,7 +110,7 @@ func TestBinaryAddReplaceDelete(t *testing.T) {
 	}
 }
 
-func TestBinaryCASViaSet(t *testing.T) {
+func TestBinaryCAS(t *testing.T) {
 	_, cl := startBinServer(t, 0)
 	_ = cl.Set(&Item{Key: "k", Value: []byte("a")})
 	it, err := cl.Get("k")
@@ -116,16 +118,21 @@ func TestBinaryCASViaSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	it.Value = []byte("b")
-	if err := cl.Set(it); err != nil { // CAS != 0 -> conditional store
-		t.Fatalf("cas-set with fresh token: %v", err)
+	if err := cl.CompareAndSwap(it); err != nil {
+		t.Fatalf("cas with fresh token: %v", err)
 	}
 	it.Value = []byte("c")
-	if err := cl.Set(it); !errors.Is(err, ErrCASConflict) {
-		t.Fatalf("stale cas-set: %v", err)
+	if err := cl.CompareAndSwap(it); !errors.Is(err, ErrCASConflict) {
+		t.Fatalf("stale cas: %v", err)
 	}
-	// Unconditional set (CAS 0) always works.
-	if err := cl.Set(&Item{Key: "k", Value: []byte("d")}); err != nil {
+	// Set is unconditional whatever token the item carries, exactly like
+	// the text protocol's set.
+	it.Value = []byte("d")
+	if err := cl.Set(it); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := cl.Get("k"); err != nil || string(got.Value) != "d" {
+		t.Fatalf("unconditional set: %v %v", got, err)
 	}
 }
 
@@ -268,30 +275,29 @@ func TestBinaryGarbageHeaderDropsConn(t *testing.T) {
 
 func TestBinaryQuitClosesConn(t *testing.T) {
 	srv, _ := startBinServer(t, 0)
-	cl, err := DialBinary(srv.Addr(), 2*time.Second)
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	// Issue quit manually through the client internals.
-	err = cl.roundTrip(func() error {
-		if err := cl.writeReq(binOpQuit, 1, 0, nil, "", nil); err != nil {
-			return err
-		}
-		if err := cl.w.Flush(); err != nil {
-			return err
-		}
-		res, err := cl.readRes()
-		if err != nil {
-			return err
-		}
-		if res.opcode != binOpQuit {
-			return fmt.Errorf("unexpected opcode %d", res.opcode)
-		}
-		return nil
-	})
-	if err != nil {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	// No client command issues quit, so drive the raw frame codec.
+	w, r := bufio.NewWriter(conn), bufio.NewReader(conn)
+	if err := writeBinFrame(w, binOpQuit, 1, 0, nil, "", nil); err != nil {
 		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var h binHeader
+	if err := readBinHeader(r, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.opcode != binOpQuit {
+		t.Fatalf("unexpected opcode %d", h.opcode)
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		t.Fatalf("server kept the connection after quit: %v", err)
 	}
 }
 

@@ -5,26 +5,105 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"rnb/internal/obs"
 )
 
-// This file is the binary-protocol request codec for the pooled
-// transport: one write half and one read half per command, operating on
-// bare bufio endpoints, exactly mirroring the text codec in codec.go.
-// The split is what lets memcache.Pool pipeline binary requests with
-// the same writer/reader machinery it uses for text — a request is
-// fully described by (write, read), responses arrive strictly in
-// request order, and FIFO demux is exact.
+// This file is the binary codec: the only client code that knows
+// binary wire bytes. binCodec maps each command onto one write half and
+// one read half on bare bufio endpoints, exactly mirroring the text
+// codec in codec.go, so either exchanger drives it unchanged — responses
+// arrive strictly in request order and FIFO demux is exact.
 //
 // Multi-get is the paper's case for the binary protocol: N quiet gets
 // (GetKQ) plus one terminating Noop form ONE transaction on the wire
 // (the server batches the quiet run into a single backend multi-get),
 // where the text protocol spends one parsed "get k1 k2 ..." line and N
-// "VALUE ..." header parses. Misses cost zero response bytes.
+// "VALUE ..." header parses. Misses cost zero response bytes. Binary
+// frames always carry the CAS token, so get and gets share that
+// pipeline.
 //
 // Error taxonomy matches the text codec: a malformed or out-of-sequence
 // frame leaves the stream position unknown and is conn-fatal, while a
 // fully consumed negative status (not found, not stored, CAS conflict)
 // keeps the connection usable.
+
+// binCodec speaks the memcached binary protocol.
+type binCodec struct{}
+
+// binOpcodes are the request opcodes of the single-frame commands. A
+// cas store rides a Set frame carrying the token: the server routes
+// cas != 0 to CompareAndSwap.
+var binOpcodes = [...]byte{
+	cmdSet: binOpSet, cmdSetPinned: binOpSetP, cmdAdd: binOpAdd, cmdReplace: binOpReplace, cmdCAS: binOpSet,
+	cmdAppend: binOpAppend, cmdPrepend: binOpPrepend,
+	cmdIncr: binOpIncrement, cmdDecr: binOpDecrement,
+	cmdDelete: binOpDelete, cmdTouch: binOpTouch,
+	cmdFlushAll: binOpFlush, cmdVersion: binOpVersion, cmdStats: binOpStat,
+}
+
+// check rejects a cas store with token zero: zero means "unconditional"
+// on the binary wire, and silently demoting a conditional store to a
+// plain set would be wrong — zero is never a token the store hands out.
+func (binCodec) check(q request) error {
+	if q.cmd == cmdCAS && q.item.CAS == 0 {
+		return ErrCASConflict
+	}
+	return nil
+}
+
+func (binCodec) encode(w *bufio.Writer, q *request) error {
+	opcode := binOpcodes[q.cmd]
+	switch q.cmd {
+	case cmdGet, cmdGets:
+		if q.traced {
+			if err := writeBinTraceCmd(w, q.tc); err != nil {
+				return err
+			}
+		}
+		var one [1]string
+		return writeBinMultiGetCmd(w, q.keyList(&one))
+	case cmdSet, cmdSetPinned, cmdAdd, cmdReplace:
+		return writeBinStoreCmd(w, opcode, q.item, 0)
+	case cmdCAS:
+		return writeBinStoreCmd(w, opcode, q.item, q.item.CAS)
+	case cmdAppend, cmdPrepend:
+		return writeBinFrame(w, opcode, 0, 0, nil, q.item.Key, q.item.Value)
+	case cmdIncr, cmdDecr:
+		return writeBinIncrDecrCmd(w, opcode, q.key, q.delta)
+	case cmdTouch:
+		return writeBinTouchCmd(w, q.key, q.exp)
+	default: // delete, flush, version, stat: a bare header plus key
+		return writeBinFrame(w, opcode, 0, 0, nil, q.key, nil)
+	}
+}
+
+func (binCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
+	opcode := binOpcodes[q.cmd]
+	switch q.cmd {
+	case cmdGet, cmdGets:
+		var one [1]string
+		if err := readBinMultiGetInto(r, len(q.keyList(&one)), q.items); err != nil || !q.traced {
+			return err
+		}
+		st := new(obs.ServerTimings)
+		if err := readBinTraceReply(r, st); err != nil {
+			return err
+		}
+		p.st = st
+		return nil
+	case cmdIncr, cmdDecr:
+		p.value, err = readBinCounterReply(r, opcode)
+		return err
+	case cmdVersion:
+		p.banner, err = readBinVersionReply(r)
+		return err
+	case cmdStats:
+		return readBinStatsInto(r, q.stats)
+	default:
+		return readBinStatusReply(r, opcode)
+	}
+}
 
 // errBinDesync builds the canonical conn-fatal framing error.
 func errBinDesync(format string, args ...interface{}) error {
@@ -92,13 +171,8 @@ func readBinHeader(r *bufio.Reader, h *binHeader) error {
 
 // discardBinBody consumes a frame's body without retaining it.
 func discardBinBody(r *bufio.Reader, h *binHeader) error {
-	if h.bodyLen == 0 {
-		return nil
-	}
-	if _, err := r.Discard(int(h.bodyLen)); err != nil {
-		return err
-	}
-	return nil
+	_, err := r.Discard(int(h.bodyLen))
+	return err
 }
 
 // --- multi-get: GetKQ pipeline + Noop terminator ---------------------
@@ -218,11 +292,6 @@ func writeBinStoreCmd(w *bufio.Writer, opcode byte, it *Item, cas uint64) error 
 	binary.BigEndian.PutUint32(extras[0:4], it.Flags)
 	binary.BigEndian.PutUint32(extras[4:8], uint32(it.Expiration))
 	return writeBinFrame(w, opcode, 0, cas, extras[:], it.Key, it.Value)
-}
-
-// writeBinConcatCmd emits an append/prepend frame (no extras).
-func writeBinConcatCmd(w *bufio.Writer, opcode byte, key string, data []byte) error {
-	return writeBinFrame(w, opcode, 0, 0, nil, key, data)
 }
 
 // binNoAutoCreate in the incr/decr expiration field means "do not

@@ -120,10 +120,11 @@ func FuzzBinaryDemux(f *testing.F) {
 }
 
 // FuzzCrossProtocol decodes the fuzz input as an operation script and
-// replays it over a text pool and a binary pool, each against its own
-// server. Whatever the script, every op must land in the same result
-// bucket on both wires and the final store states must be identical —
-// the fuzz-shaped version of TestThreeWayDifferential.
+// replays it over a text pool, a binary pool and a binary single
+// connection, each against its own server. Whatever the script, every op
+// must land in the same result bucket on every lane and the final store
+// states must be identical — the fuzz-shaped version of
+// TestTransportDifferential.
 func FuzzCrossProtocol(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 9, 1, 0, 5, 0, 0, 6, 1, 99})
 	f.Add([]byte{2, 3, 0, 3, 3, 0, 4, 3, 0, 9, 0, 0})
@@ -133,10 +134,21 @@ func FuzzCrossProtocol(f *testing.F) {
 		if len(script) > 300 {
 			t.Skip()
 		}
-		textAddr, textStore := startLaneServer(t)
-		binAddr, binStore := startLaneServer(t)
-		tp := newTestPool(t, textAddr, PoolConfig{Size: 1})
-		bp := newBinPool(t, binAddr, PoolConfig{Size: 1})
+		lanes := make([]transportLane, 3)
+		for i, name := range []string{"text-pooled", "binary-pooled", "binary-single"} {
+			addr, store := startLaneServer(t)
+			var conn Conn
+			switch i {
+			case 0:
+				conn = newTestPool(t, addr, PoolConfig{Size: 1})
+			case 1:
+				conn = newBinPool(t, addr, PoolConfig{Size: 1})
+			case 2:
+				conn = newSingleConn(t, addr, true)
+			}
+			lanes[i] = transportLane{name: name, conn: conn, store: store}
+		}
+		ref := lanes[0]
 
 		const population = 8
 		key := func(b byte) string { return fmt.Sprintf("fz:%d", b%population) }
@@ -188,35 +200,38 @@ func FuzzCrossProtocol(f *testing.F) {
 		for i := 0; i+3 <= len(script); i += 3 {
 			var op [3]byte
 			copy(op[:], script[i:i+3])
-			tb, tpay := apply(tp, op)
-			bb, bpay := apply(bp, op)
-			if tb != bb || tpay != bpay {
-				t.Fatalf("op %d %v: text (%s, %q) vs binary (%s, %q)", i/3, op, tb, tpay, bb, bpay)
+			tb, tpay := apply(ref.conn, op)
+			for _, lane := range lanes[1:] {
+				if bb, bpay := apply(lane.conn, op); tb != bb || tpay != bpay {
+					t.Fatalf("op %d %v: %s (%s, %q) vs %s (%s, %q)", i/3, op, ref.name, tb, tpay, lane.name, bb, bpay)
+				}
 			}
-		}
-		if textStore.Len() != binStore.Len() || textStore.Bytes() != binStore.Bytes() {
-			t.Fatalf("store state diverged: text %d items/%d bytes, binary %d items/%d bytes",
-				textStore.Len(), textStore.Bytes(), binStore.Len(), binStore.Bytes())
 		}
 		allKeys := make([]string, population)
 		for i := range allKeys {
 			allKeys[i] = key(byte(i))
 		}
-		want, err := tp.GetMulti(allKeys)
+		want, err := ref.conn.GetMulti(allKeys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bp.GetMulti(allKeys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("final sweep: text %d keys, binary %d", len(want), len(got))
-		}
-		for k, w := range want {
-			g, ok := got[k]
-			if !ok || !bytes.Equal(g.Value, w.Value) || g.Flags != w.Flags {
-				t.Fatalf("final state diverged on %s", k)
+		for _, lane := range lanes[1:] {
+			if ref.store.Len() != lane.store.Len() || ref.store.Bytes() != lane.store.Bytes() {
+				t.Fatalf("store state diverged: %s %d items/%d bytes, %s %d items/%d bytes", ref.name,
+					ref.store.Len(), ref.store.Bytes(), lane.name, lane.store.Len(), lane.store.Bytes())
+			}
+			got, err := lane.conn.GetMulti(allKeys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("final sweep: %s %d keys, %s %d", ref.name, len(want), lane.name, len(got))
+			}
+			for k, w := range want {
+				g, ok := got[k]
+				if !ok || !bytes.Equal(g.Value, w.Value) || g.Flags != w.Flags {
+					t.Fatalf("final state: %s diverged on %s", lane.name, k)
+				}
 			}
 		}
 	})

@@ -305,31 +305,45 @@ func startLaneServer(t *testing.T) (string, *Store) {
 	return ln.Addr().String(), store
 }
 
-// TestThreeWayDifferential is the matrix oracle: one seeded op sequence
-// covering the full grammar (set/add/replace/cas/append/prepend/incr/
-// decr/delete/touch/get/gets multiget) replayed over three transports —
-// text single-connection, text pooled, binary pooled — each against its
-// own server. Every op must land in the same result bucket with the
-// same payload on all three, and the final store states must be
-// identical (same keys, values, flags, byte counts).
-func TestThreeWayDifferential(t *testing.T) {
+// newSingleConn dials a single-connection client speaking either wire
+// format, closed with the test.
+func newSingleConn(t *testing.T, addr string, binary bool) *Client {
+	t.Helper()
+	dial := Dial
+	if binary {
+		dial = DialBinary
+	}
+	cl, err := dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// TestTransportDifferential is the matrix oracle: one seeded op
+// sequence covering the full grammar (set/add/replace/cas/append/
+// prepend/incr/decr/delete/touch/get/gets multiget) replayed over every
+// exchanger × codec combination — text and binary, single-connection
+// and pooled — each against its own server. Every op must land in the
+// same result bucket with the same payload on all four, and the final
+// store states must be identical (same keys, values, flags, byte
+// counts).
+func TestTransportDifferential(t *testing.T) {
 	leakcheck.Check(t)
-	lanes := make([]transportLane, 3)
-	for i, name := range []string{"text-single", "text-pooled", "binary-pooled"} {
+	lanes := make([]transportLane, 4)
+	for i, name := range []string{"text-single", "text-pooled", "binary-pooled", "binary-single"} {
 		addr, store := startLaneServer(t)
 		var conn Conn
 		switch i {
 		case 0:
-			cl, err := Dial(addr, time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { cl.Close() })
-			conn = cl
+			conn = newSingleConn(t, addr, false)
 		case 1:
 			conn = newTestPool(t, addr, PoolConfig{Size: 2, Depth: 8})
 		case 2:
 			conn = newBinPool(t, addr, PoolConfig{Size: 2, Depth: 8})
+		case 3:
+			conn = newSingleConn(t, addr, true)
 		}
 		lanes[i] = transportLane{name: name, conn: conn, store: store}
 	}
@@ -516,17 +530,17 @@ func TestThreeWayDifferential(t *testing.T) {
 }
 
 // TestBinaryPoolDifferentialLargeValues pushes values past the bufio
-// buffer through the quiet-get path and cross-checks against the text
-// client, including deliberate misses interleaved mid-run.
+// buffer through the quiet-get path of both exchangers and cross-checks
+// against the text client, including deliberate misses interleaved
+// mid-run.
 func TestBinaryPoolDifferentialLargeValues(t *testing.T) {
 	leakcheck.Check(t)
 	addr, _ := startLaneServer(t)
-	pool := newBinPool(t, addr, PoolConfig{Size: 3, Depth: 8})
-	cl, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	binLanes := []transportLane{
+		{name: "binary pool", conn: newBinPool(t, addr, PoolConfig{Size: 3, Depth: 8})},
+		{name: "binary single", conn: newSingleConn(t, addr, true)},
 	}
-	t.Cleanup(func() { cl.Close() })
+	cl := newSingleConn(t, addr, false)
 
 	rng := rand.New(rand.NewSource(43))
 	sizes := []int{0, 1, 5, 128, 4096, 70_000}
@@ -557,26 +571,28 @@ func TestBinaryPoolDifferentialLargeValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: client: %v", round, err)
 		}
-		got, err := pool.GetMulti(keys)
-		if err != nil {
-			t.Fatalf("round %d: binary pool: %v", round, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("round %d: binary pool returned %d items, client %d", round, len(got), len(want))
-		}
-		for k, w := range want {
-			g, ok := got[k]
-			if !ok {
-				t.Fatalf("round %d: binary pool missing %s", round, k)
+		for _, lane := range binLanes {
+			got, err := lane.conn.GetMulti(keys)
+			if err != nil {
+				t.Fatalf("round %d: %s: %v", round, lane.name, err)
 			}
-			if !bytes.Equal(g.Value, w.Value) {
-				t.Fatalf("round %d: %s: binary %d bytes, client %d bytes", round, k, len(g.Value), len(w.Value))
+			if len(got) != len(want) {
+				t.Fatalf("round %d: %s returned %d items, client %d", round, lane.name, len(got), len(want))
 			}
-			if g.Flags != w.Flags {
-				t.Fatalf("round %d: %s: flags %d vs %d", round, k, g.Flags, w.Flags)
-			}
-			if g.CAS == 0 {
-				t.Fatalf("round %d: %s: binary multiget lost the CAS token", round, k)
+			for k, w := range want {
+				g, ok := got[k]
+				if !ok {
+					t.Fatalf("round %d: %s missing %s", round, lane.name, k)
+				}
+				if !bytes.Equal(g.Value, w.Value) {
+					t.Fatalf("round %d: %s: %s %d bytes, client %d bytes", round, k, lane.name, len(g.Value), len(w.Value))
+				}
+				if g.Flags != w.Flags {
+					t.Fatalf("round %d: %s: %s flags %d vs %d", round, k, lane.name, g.Flags, w.Flags)
+				}
+				if g.CAS == 0 {
+					t.Fatalf("round %d: %s: %s multiget lost the CAS token", round, k, lane.name)
+				}
 			}
 		}
 	}

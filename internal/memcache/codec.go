@@ -7,23 +7,90 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+
+	"rnb/internal/obs"
 )
 
-// This file is the text-protocol request codec: one write function and
-// one read function per command, operating on bare bufio endpoints.
-// Both transports are built on it — the single-connection Client wraps
-// each write/read pair in a locked round trip, while the pipelined Pool
-// lets a writer goroutine issue many write halves back to back and a
-// reader goroutine demultiplex the read halves in request order. The
-// split is what makes pipelining sound: a request is fully described by
-// (write, read), so in-order execution against one connection needs no
-// other shared state.
+// This file is the text codec: the only client code that knows text
+// wire bytes. textCodec maps each command onto one write half and one
+// read half operating on bare bufio endpoints. A request is fully
+// described by that (write, read) pair, which is what makes pipelining
+// sound: in-order execution against one connection needs no other
+// shared state, so Client runs the halves inline under its lock while
+// Pool issues many write halves back to back from a writer goroutine
+// and demultiplexes the read halves in request order on a reader.
 //
 // The codec is written to stay off the allocator on the steady-state
 // path: command lines are assembled in pooled scratch buffers, response
 // lines are borrowed from the bufio buffer via ReadSlice instead of
 // copied out, and numeric fields parse straight from bytes. The
 // allocation-budget tests in alloc_test.go gate these properties.
+
+// textCodec speaks the memcached text protocol.
+type textCodec struct{}
+
+// textVerbs are the command words (touch assembles its own line).
+var textVerbs = [...]string{
+	cmdGet: "get", cmdGets: "gets",
+	cmdSet: "set", cmdSetPinned: "setp", cmdAdd: "add", cmdReplace: "replace", cmdCAS: "cas",
+	cmdAppend: "append", cmdPrepend: "prepend",
+	cmdIncr: "incr", cmdDecr: "decr", cmdDelete: "delete",
+	cmdFlushAll: "flush_all", cmdVersion: "version", cmdStats: "stats",
+}
+
+func (textCodec) check(request) error { return nil }
+
+func (textCodec) encode(w *bufio.Writer, q *request) error {
+	switch q.cmd {
+	case cmdGet, cmdGets, cmdDelete:
+		if q.traced { // gets only
+			if err := writeTraceCmd(w, q.tc); err != nil {
+				return err
+			}
+		}
+		var one [1]string
+		return writeKeysCmd(w, textVerbs[q.cmd], q.keyList(&one))
+	case cmdFlushAll, cmdVersion, cmdStats:
+		return writeKeysCmd(w, textVerbs[q.cmd], nil)
+	case cmdIncr, cmdDecr:
+		return writeIncrDecrCmd(w, textVerbs[q.cmd], q.key, q.delta)
+	case cmdTouch:
+		return writeTouchCmd(w, q.key, q.exp)
+	default:
+		return writeStoreCmd(w, textVerbs[q.cmd], q.item)
+	}
+}
+
+func (textCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
+	switch q.cmd {
+	case cmdGet, cmdGets:
+		if err := readValuesInto(r, q.cmd == cmdGets, q.items); err != nil || !q.traced {
+			return err
+		}
+		st := new(obs.ServerTimings)
+		if err := readTraceReply(r, st); err != nil {
+			return err
+		}
+		p.st = st
+		return nil
+	case cmdIncr, cmdDecr:
+		p.value, err = readIncrDecrReply(r, textVerbs[q.cmd])
+		return err
+	case cmdDelete:
+		return readStatusReply(r, "DELETED")
+	case cmdTouch:
+		return readStatusReply(r, "TOUCHED")
+	case cmdFlushAll:
+		return readStatusReply(r, "OK")
+	case cmdVersion:
+		p.banner, err = readVersionReply(r)
+		return err
+	case cmdStats:
+		return readStatsInto(r, q.stats)
+	default:
+		return readStatusReply(r, "STORED")
+	}
+}
 
 // replyError is a well-formed but negative or unexpected server reply
 // ("SERVER_ERROR ...", an unknown status line, ...). The response was
@@ -120,9 +187,11 @@ func nextField(line []byte) (tok, rest []byte) {
 	return line[:i], line[i:]
 }
 
-// --- get / gets -------------------------------------------------------
+// --- get / gets / delete / flush_all / version / stats ---------------
 
-func writeGetCmd(w *bufio.Writer, verb string, keys []string) error {
+// writeKeysCmd emits a command line made of a verb and zero or more
+// keys: get, gets and delete, and the bare flush_all, version and stats.
+func writeKeysCmd(w *bufio.Writer, verb string, keys []string) error {
 	if _, err := w.WriteString(verb); err != nil {
 		return err
 	}
@@ -223,7 +292,7 @@ func readFull(r *bufio.Reader, buf []byte) (int, error) {
 
 // --- storage commands -------------------------------------------------
 
-func writeStoreCmd(w *bufio.Writer, verb string, it *Item, cas uint64) error {
+func writeStoreCmd(w *bufio.Writer, verb string, it *Item) error {
 	scratch := lineScratch.Get().(*[320]byte)
 	b := scratch[:0]
 	b = append(b, verb...)
@@ -237,7 +306,7 @@ func writeStoreCmd(w *bufio.Writer, verb string, it *Item, cas uint64) error {
 	b = strconv.AppendInt(b, int64(len(it.Value)), 10)
 	if verb == "cas" {
 		b = append(b, ' ')
-		b = strconv.AppendUint(b, cas, 10)
+		b = strconv.AppendUint(b, it.CAS, 10)
 	}
 	b = append(b, '\r', '\n')
 	_, err := w.Write(b)
@@ -252,13 +321,17 @@ func writeStoreCmd(w *bufio.Writer, verb string, it *Item, cas uint64) error {
 	return err
 }
 
-func readStoreReply(r *bufio.Reader) error {
+// readStatusReply consumes the one-line reply of a command that returns
+// no data. ok is the command's success word; the negative words are the
+// same across commands, and anything else is an answered error that
+// leaves the connection in sync.
+func readStatusReply(r *bufio.Reader, ok string) error {
 	line, err := readClientLine(r)
 	if err != nil {
 		return err
 	}
 	switch {
-	case bytes.Equal(line, []byte("STORED")):
+	case string(line) == ok:
 		return nil
 	case bytes.Equal(line, []byte("NOT_STORED")):
 		return ErrNotStored
@@ -305,33 +378,7 @@ func readIncrDecrReply(r *bufio.Reader, verb string) (uint64, error) {
 	return v, nil
 }
 
-// --- delete / touch / flush_all --------------------------------------
-
-func writeDeleteCmd(w *bufio.Writer, key string) error {
-	if _, err := w.WriteString("delete "); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(key); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-func readDeleteReply(r *bufio.Reader) error {
-	line, err := readClientLine(r)
-	if err != nil {
-		return err
-	}
-	switch {
-	case bytes.Equal(line, []byte("DELETED")):
-		return nil
-	case bytes.Equal(line, []byte("NOT_FOUND")):
-		return ErrCacheMiss
-	default:
-		return answeredError(string(line))
-	}
-}
+// --- touch -----------------------------------------------------------
 
 func writeTouchCmd(w *bufio.Writer, key string, exp int32) error {
 	scratch := lineScratch.Get().(*[320]byte)
@@ -346,43 +393,7 @@ func writeTouchCmd(w *bufio.Writer, key string, exp int32) error {
 	return err
 }
 
-func readTouchReply(r *bufio.Reader) error {
-	line, err := readClientLine(r)
-	if err != nil {
-		return err
-	}
-	switch {
-	case bytes.Equal(line, []byte("TOUCHED")):
-		return nil
-	case bytes.Equal(line, []byte("NOT_FOUND")):
-		return ErrCacheMiss
-	default:
-		return answeredError(string(line))
-	}
-}
-
-func writeFlushAllCmd(w *bufio.Writer) error {
-	_, err := w.WriteString("flush_all\r\n")
-	return err
-}
-
-func readFlushAllReply(r *bufio.Reader) error {
-	line, err := readClientLine(r)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(line, []byte("OK")) {
-		return answeredError(string(line))
-	}
-	return nil
-}
-
 // --- version / stats --------------------------------------------------
-
-func writeVersionCmd(w *bufio.Writer) error {
-	_, err := w.WriteString("version\r\n")
-	return err
-}
 
 func readVersionReply(r *bufio.Reader) (string, error) {
 	line, err := readClientLine(r)
@@ -390,11 +401,6 @@ func readVersionReply(r *bufio.Reader) (string, error) {
 		return "", err
 	}
 	return string(bytes.TrimPrefix(line, []byte("VERSION "))), nil
-}
-
-func writeStatsCmd(w *bufio.Writer) error {
-	_, err := w.WriteString("stats\r\n")
-	return err
 }
 
 func readStatsInto(r *bufio.Reader, out map[string]string) error {

@@ -3,13 +3,15 @@ package memcache
 import "rnb/internal/obs"
 
 // Conn is the per-server transport handle: everything the RnB client
-// (and the proxy behind it) needs from a memcached connection,
-// satisfied both by the single-connection Client and by the pooled,
-// pipelined Pool. Callers choose the transport at construction and
-// treat the handle uniformly afterwards; in particular, error semantics
-// are identical — a network-level failure surfaces as an error on the
-// operation that hit it (feeding the caller's circuit breaker), and
-// only idempotent reads are ever replayed transparently.
+// (and the proxy behind it) needs from a memcached connection. The
+// commands are implemented once (command.go) over a codec — text or
+// binary — and an exchanger: the single-connection Client (Dial,
+// DialBinary) or the pooled, pipelined Pool (NewPool). Callers choose
+// exchanger and codec at construction and treat the handle uniformly
+// afterwards; in particular, error semantics are identical — a
+// network-level failure surfaces as an error on the operation that hit
+// it (feeding the caller's circuit breaker), and only idempotent reads
+// are ever replayed transparently.
 type Conn interface {
 	// Addr returns the server address the handle is bound to.
 	Addr() string

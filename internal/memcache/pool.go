@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"rnb/internal/metrics"
-	"rnb/internal/obs"
 )
 
-// Pool is a pooled, pipelined client for a single server, replacing
-// the one-mutex-one-connection Client on hot paths. It speaks the text
-// protocol by default and the binary protocol (quiet-get pipelining)
-// when PoolConfig.Binary is set; both formats answer strictly in
-// request order, so the same FIFO machinery drives either.
+// Pool is the pooled, pipelined exchanger for a single server,
+// replacing the one-mutex-one-connection Client on hot paths. Every
+// Conn command (see commands) is routed to a connection, encoded by a
+// writer goroutine and decoded by a reader goroutine; the codec is the
+// text protocol by default and the binary protocol (quiet-get
+// pipelining) when PoolConfig.Binary is set. Both formats answer
+// strictly in request order, so the same FIFO machinery drives either.
 //
 // Why it exists: RnB's premise (paper §II, §V) is that per-transaction
 // server cost dominates, so the client must drive many servers
@@ -43,12 +44,13 @@ import (
 // wire are rerouted to another connection regardless of idempotence,
 // because nothing was applied server-side.
 type Pool struct {
+	commands
+
 	addr    string
 	timeout time.Duration
 	size    int
 	depth   int
 	idle    time.Duration
-	bin     bool
 	gauges  *metrics.PoolGauges
 	rttObs  func(time.Duration)
 
@@ -63,14 +65,6 @@ type Pool struct {
 	reapDone chan struct{}
 
 	transactions atomic.Uint64
-
-	// tracing enables wire-level trace propagation; traceOK caches the
-	// handshake outcome pool-wide (0 unknown, 1 negotiated, 2 plain
-	// server) — one address speaks one banner, so the answer holds for
-	// every connection. With tracing off the wire carries zero extra
-	// bytes.
-	tracing atomic.Bool
-	traceOK atomic.Int32
 }
 
 // PoolConfig parameterizes a Pool. The zero value picks the defaults.
@@ -140,9 +134,12 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Pool, error) 
 		size:    cfg.Size,
 		depth:   cfg.Depth,
 		idle:    cfg.IdleTimeout,
-		bin:     cfg.Binary,
 		gauges:  cfg.Gauges,
 		rttObs:  cfg.RTTObserver,
+	}
+	p.commands.via, p.commands.codec = p, textCodec{}
+	if cfg.Binary {
+		p.commands.codec = binCodec{}
 	}
 	p.cond = sync.NewCond(&p.mu)
 	c, err := p.dial()
@@ -383,40 +380,43 @@ func (p *Pool) connClosed(c *pconn) {
 	p.notify()
 }
 
-// poolRequest is one pipelined request: a write half, a read half, and
-// a completion channel. written flips before the request's first byte
-// can hit the wire; a request that failed with written=false is safe
-// to reroute even if it is a mutation.
+// poolRequest is one pipelined request: the command descriptor the
+// writer goroutine encodes, the reply the reader goroutine decodes
+// into, and a completion channel. written flips before the request's
+// first byte can hit the wire; a request that failed with written=false
+// is safe to reroute even if it is a mutation.
 type poolRequest struct {
-	write      func(w *bufio.Writer) error
-	read       func(r *bufio.Reader) error
-	idempotent bool
-	written    bool
-	done       chan error
+	request
+	reply
+	written bool
+	done    chan error
 
 	// Traced requests measure their pool queue wait: submitted is
-	// stamped at submission and queueNS (when non-nil) receives the
+	// stamped at submission (zero otherwise) and queueNS receives the
 	// submit-to-wire delay, written by the writer goroutine just before
 	// the request's bytes go out. The completion channel orders that
 	// write before the caller's read.
 	submitted time.Time
-	queueNS   *int64
 }
 
 func (r *poolRequest) complete(err error) { r.done <- err }
 
 // connDeadError marks request failures caused by the connection dying
-// (as opposed to the request's own I/O), so do() can distinguish
+// (as opposed to the request's own I/O), so submit can distinguish
 // "this request's socket broke" for replay accounting.
 type connDeadError struct{ cause error }
 
 func (e *connDeadError) Error() string { return "memcache: connection failed: " + e.cause.Error() }
 func (e *connDeadError) Unwrap() error { return e.cause }
 
-// do submits one request and waits for its completion, handling
-// rerouting and the per-request idempotent replay rule.
-func (p *Pool) do(idempotent bool, write func(w *bufio.Writer) error, read func(r *bufio.Reader) error) error {
-	return p.submit(&poolRequest{write: write, read: read, idempotent: idempotent, done: make(chan error, 1)})
+// exchange submits one request and waits for its completion.
+func (p *Pool) exchange(q request) (reply, error) {
+	req := &poolRequest{request: q, done: make(chan error, 1)}
+	if q.tc.Valid() {
+		req.submitted = time.Now()
+	}
+	err := p.submit(req)
+	return req.reply, err
 }
 
 // submit routes req until it completes, applying the resubmit and
@@ -426,7 +426,7 @@ func (p *Pool) submit(req *poolRequest) error {
 		start := time.Now()
 		defer func() { p.rttObs(time.Since(start)) }()
 	}
-	idempotent := req.idempotent
+	idempotent := req.cmd.idempotent()
 	replayed := false
 	resubmits := 0
 	for {
@@ -543,11 +543,11 @@ func (c *pconn) writeLoop() {
 			c.queued.Add(-1)
 			c.pool.gauges.Queued.Add(-1)
 			req.written = true
-			if req.queueNS != nil {
-				*req.queueNS = time.Since(req.submitted).Nanoseconds()
+			if !req.submitted.IsZero() {
+				req.queueNS = time.Since(req.submitted).Nanoseconds()
 			}
 			c.pool.transactions.Add(1)
-			if err := req.write(c.w); err != nil {
+			if err := c.pool.codec.encode(c.w, &req.request); err != nil {
 				req.complete(err)
 				c.teardown(err)
 				return
@@ -598,7 +598,7 @@ func (c *pconn) readLoop() {
 		if c.pool.timeout > 0 {
 			c.conn.SetReadDeadline(time.Now().Add(c.pool.timeout))
 		}
-		err := req.read(c.r)
+		err := c.pool.codec.decode(c.r, &req.request, &req.reply)
 		c.pending.Add(-1)
 		c.pool.gauges.InFlight.Add(-1)
 		c.lastDone.Store(time.Now().UnixNano())
@@ -655,361 +655,4 @@ func (c *pconn) drain(cause error) {
 			return
 		}
 	}
-}
-
-// --- Conn implementation ---------------------------------------------
-
-// Get fetches a single key.
-func (p *Pool) Get(key string) (*Item, error) {
-	items, err := p.GetMulti([]string{key})
-	if err != nil {
-		return nil, err
-	}
-	it, ok := items[key]
-	if !ok {
-		return nil, ErrCacheMiss
-	}
-	return it, nil
-}
-
-// GetMulti fetches any number of keys in one pipelined transaction.
-func (p *Pool) GetMulti(keys []string) (map[string]*Item, error) {
-	return p.getMulti("get", keys)
-}
-
-// GetsMulti is GetMulti with CAS tokens populated.
-func (p *Pool) GetsMulti(keys []string) (map[string]*Item, error) {
-	return p.getMulti("gets", keys)
-}
-
-func (p *Pool) getMulti(verb string, keys []string) (map[string]*Item, error) {
-	if len(keys) == 0 {
-		return map[string]*Item{}, nil
-	}
-	for _, k := range keys {
-		if !validKey(k) {
-			return nil, ErrBadKey
-		}
-	}
-	out := make(map[string]*Item, len(keys))
-	var err error
-	if p.bin {
-		// Binary frames always carry the CAS token, so "get" and "gets"
-		// collapse onto the same quiet-get pipeline.
-		err = p.do(true,
-			func(w *bufio.Writer) error { return writeBinMultiGetCmd(w, keys) },
-			func(r *bufio.Reader) error { return readBinMultiGetInto(r, len(keys), out) })
-	} else {
-		err = p.do(true,
-			func(w *bufio.Writer) error { return writeGetCmd(w, verb, keys) },
-			func(r *bufio.Reader) error { return readValuesInto(r, verb == "gets", out) })
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SetTracing enables (or disables) wire-level trace propagation. The
-// first traced request probes the server's version banner — once, pool
-// wide — and only a server announcing rnb-memcache support ever sees a
-// trace frame; plain memcached keeps receiving stock protocol bytes.
-func (p *Pool) SetTracing(on bool) {
-	p.tracing.Store(on)
-	if on {
-		p.traceOK.Store(0)
-	}
-}
-
-// probeTracing resolves the tracing handshake with one version round
-// trip. A failure leaves the outcome unknown so a later traced request
-// retries; concurrent probes are harmless (version is idempotent).
-func (p *Pool) probeTracing() {
-	banner, err := p.Version()
-	if err != nil {
-		return
-	}
-	if bannerSupportsTracing(banner) {
-		p.traceOK.Store(1)
-	} else {
-		p.traceOK.Store(2)
-	}
-}
-
-// TracedGetMulti is GetMulti carrying a distributed-trace context. It
-// returns the items, the client-side queue wait (submission to the
-// wire, in nanoseconds), and the server's phase timings — nil when the
-// server did not negotiate tracing, in which case the request degraded
-// to a stock multi-get.
-func (p *Pool) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]*Item, int64, *obs.ServerTimings, error) {
-	if len(keys) == 0 {
-		return map[string]*Item{}, 0, nil, nil
-	}
-	for _, k := range keys {
-		if !validKey(k) {
-			return nil, 0, nil, ErrBadKey
-		}
-	}
-	if p.tracing.Load() && p.traceOK.Load() == 0 {
-		p.probeTracing()
-	}
-	traced := p.tracing.Load() && p.traceOK.Load() == 1 && tc.Valid()
-	out := make(map[string]*Item, len(keys))
-	var queueNS int64
-	var st *obs.ServerTimings
-	var write func(w *bufio.Writer) error
-	var read func(r *bufio.Reader) error
-	if p.bin {
-		write = func(w *bufio.Writer) error {
-			if traced {
-				if err := writeBinTraceCmd(w, tc); err != nil {
-					return err
-				}
-			}
-			return writeBinMultiGetCmd(w, keys)
-		}
-		read = func(r *bufio.Reader) error {
-			if err := readBinMultiGetInto(r, len(keys), out); err != nil {
-				return err
-			}
-			if traced {
-				st = new(obs.ServerTimings)
-				if err := readBinTraceReply(r, st); err != nil {
-					st = nil
-					return err
-				}
-			}
-			return nil
-		}
-	} else {
-		write = func(w *bufio.Writer) error {
-			if traced {
-				if err := writeTraceCmd(w, tc); err != nil {
-					return err
-				}
-			}
-			return writeGetCmd(w, "get", keys)
-		}
-		read = func(r *bufio.Reader) error {
-			if err := readValuesInto(r, false, out); err != nil {
-				return err
-			}
-			if traced {
-				st = new(obs.ServerTimings)
-				if err := readTraceReply(r, st); err != nil {
-					st = nil
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	req := &poolRequest{
-		write: write, read: read, idempotent: true,
-		done: make(chan error, 1), submitted: time.Now(), queueNS: &queueNS,
-	}
-	if err := p.submit(req); err != nil {
-		return nil, queueNS, nil, err
-	}
-	return out, queueNS, st, nil
-}
-
-// Set stores an item unconditionally.
-func (p *Pool) Set(it *Item) error { return p.store("set", it, 0) }
-
-// SetPinned stores an item exempt from LRU eviction ("setp").
-func (p *Pool) SetPinned(it *Item) error { return p.store("setp", it, 0) }
-
-// Add stores an item only if absent.
-func (p *Pool) Add(it *Item) error { return p.store("add", it, 0) }
-
-// Replace stores an item only if present.
-func (p *Pool) Replace(it *Item) error { return p.store("replace", it, 0) }
-
-// CompareAndSwap stores an item only if its CAS token still matches.
-func (p *Pool) CompareAndSwap(it *Item) error { return p.store("cas", it, it.CAS) }
-
-// Append concatenates data after an existing value.
-func (p *Pool) Append(key string, data []byte) error {
-	return p.store("append", &Item{Key: key, Value: data}, 0)
-}
-
-// Prepend concatenates data before an existing value.
-func (p *Pool) Prepend(key string, data []byte) error {
-	return p.store("prepend", &Item{Key: key, Value: data}, 0)
-}
-
-func (p *Pool) store(verb string, it *Item, cas uint64) error {
-	if !validKey(it.Key) {
-		return ErrBadKey
-	}
-	if len(it.Value) > MaxValueLen {
-		return ErrTooLarge
-	}
-	if p.bin {
-		return p.binStore(verb, it, cas)
-	}
-	return p.do(false,
-		func(w *bufio.Writer) error { return writeStoreCmd(w, verb, it, cas) },
-		func(r *bufio.Reader) error { return readStoreReply(r) })
-}
-
-// binStore maps the text storage verbs onto binary frames. A cas store
-// rides a Set frame carrying the token (the server routes cas != 0 to
-// CompareAndSwap); token zero means "unconditional" on the binary wire,
-// so it is rejected client-side rather than silently demoted to a plain
-// set — zero is never a token the store hands out.
-func (p *Pool) binStore(verb string, it *Item, cas uint64) error {
-	var opcode byte
-	switch verb {
-	case "set":
-		opcode = binOpSet
-	case "setp":
-		opcode = binOpSetP
-	case "add":
-		opcode = binOpAdd
-	case "replace":
-		opcode = binOpReplace
-	case "cas":
-		if cas == 0 {
-			return ErrCASConflict
-		}
-		opcode = binOpSet
-	case "append", "prepend":
-		opcode = binOpAppend
-		if verb == "prepend" {
-			opcode = binOpPrepend
-		}
-		return p.do(false,
-			func(w *bufio.Writer) error { return writeBinConcatCmd(w, opcode, it.Key, it.Value) },
-			func(r *bufio.Reader) error { return readBinStatusReply(r, opcode) })
-	}
-	return p.do(false,
-		func(w *bufio.Writer) error { return writeBinStoreCmd(w, opcode, it, cas) },
-		func(r *bufio.Reader) error { return readBinStatusReply(r, opcode) })
-}
-
-// Incr adds delta to a decimal value, returning the new value.
-func (p *Pool) Incr(key string, delta uint64) (uint64, error) {
-	return p.incrDecr("incr", key, delta)
-}
-
-// Decr subtracts delta from a decimal value (clamped at zero).
-func (p *Pool) Decr(key string, delta uint64) (uint64, error) {
-	return p.incrDecr("decr", key, delta)
-}
-
-func (p *Pool) incrDecr(verb, key string, delta uint64) (uint64, error) {
-	if !validKey(key) {
-		return 0, ErrBadKey
-	}
-	var out uint64
-	var err error
-	if p.bin {
-		opcode := byte(binOpIncrement)
-		if verb == "decr" {
-			opcode = binOpDecrement
-		}
-		err = p.do(false,
-			func(w *bufio.Writer) error { return writeBinIncrDecrCmd(w, opcode, key, delta) },
-			func(r *bufio.Reader) error {
-				var rerr error
-				out, rerr = readBinCounterReply(r, opcode)
-				return rerr
-			})
-	} else {
-		err = p.do(false,
-			func(w *bufio.Writer) error { return writeIncrDecrCmd(w, verb, key, delta) },
-			func(r *bufio.Reader) error {
-				var rerr error
-				out, rerr = readIncrDecrReply(r, verb)
-				return rerr
-			})
-	}
-	return out, err
-}
-
-// Delete removes a key.
-func (p *Pool) Delete(key string) error {
-	if !validKey(key) {
-		return ErrBadKey
-	}
-	if p.bin {
-		return p.do(false,
-			func(w *bufio.Writer) error { return writeBinFrame(w, binOpDelete, 0, 0, nil, key, nil) },
-			func(r *bufio.Reader) error { return readBinStatusReply(r, binOpDelete) })
-	}
-	return p.do(false,
-		func(w *bufio.Writer) error { return writeDeleteCmd(w, key) },
-		func(r *bufio.Reader) error { return readDeleteReply(r) })
-}
-
-// Touch updates a key's expiration time.
-func (p *Pool) Touch(key string, exp int32) error {
-	if !validKey(key) {
-		return ErrBadKey
-	}
-	if p.bin {
-		return p.do(false,
-			func(w *bufio.Writer) error { return writeBinTouchCmd(w, key, exp) },
-			func(r *bufio.Reader) error { return readBinStatusReply(r, binOpTouch) })
-	}
-	return p.do(false,
-		func(w *bufio.Writer) error { return writeTouchCmd(w, key, exp) },
-		func(r *bufio.Reader) error { return readTouchReply(r) })
-}
-
-// FlushAll wipes the server.
-func (p *Pool) FlushAll() error {
-	if p.bin {
-		return p.do(false,
-			func(w *bufio.Writer) error { return writeBinFrame(w, binOpFlush, 0, 0, nil, "", nil) },
-			func(r *bufio.Reader) error { return readBinStatusReply(r, binOpFlush) })
-	}
-	return p.do(false,
-		func(w *bufio.Writer) error { return writeFlushAllCmd(w) },
-		func(r *bufio.Reader) error { return readFlushAllReply(r) })
-}
-
-// Version returns the server version banner.
-func (p *Pool) Version() (string, error) {
-	var banner string
-	var err error
-	if p.bin {
-		err = p.do(true,
-			func(w *bufio.Writer) error { return writeBinFrame(w, binOpVersion, 0, 0, nil, "", nil) },
-			func(r *bufio.Reader) error {
-				var rerr error
-				banner, rerr = readBinVersionReply(r)
-				return rerr
-			})
-	} else {
-		err = p.do(true,
-			func(w *bufio.Writer) error { return writeVersionCmd(w) },
-			func(r *bufio.Reader) error {
-				var rerr error
-				banner, rerr = readVersionReply(r)
-				return rerr
-			})
-	}
-	return banner, err
-}
-
-// Stats fetches the server's stats map.
-func (p *Pool) Stats() (map[string]string, error) {
-	out := map[string]string{}
-	var err error
-	if p.bin {
-		err = p.do(true,
-			func(w *bufio.Writer) error { return writeBinFrame(w, binOpStat, 0, 0, nil, "", nil) },
-			func(r *bufio.Reader) error { return readBinStatsInto(r, out) })
-	} else {
-		err = p.do(true,
-			func(w *bufio.Writer) error { return writeStatsCmd(w) },
-			func(r *bufio.Reader) error { return readStatsInto(r, out) })
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

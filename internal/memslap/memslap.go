@@ -53,16 +53,9 @@ type Config struct {
 	Binary bool
 }
 
-// kvConn is the protocol-independent slice of client behavior the load
-// generator needs; both memcache.Client and memcache.BinClient satisfy
-// it.
-type kvConn interface {
-	GetMulti(keys []string) (map[string]*memcache.Item, error)
-	Set(it *memcache.Item) error
-	Close() error
-}
-
-func dial(cfg Config) (kvConn, error) {
+// dial connects one worker's own single-connection client, speaking
+// the configured wire format.
+func dial(cfg Config) (*memcache.Client, error) {
 	if cfg.Binary {
 		return memcache.DialBinary(cfg.Addr, cfg.Timeout)
 	}

@@ -274,10 +274,11 @@ func (b *TraceBuffer) Finish(sp *Span) {
 		b.mu.Unlock()
 		return
 	}
+	b.mu.Lock()
 	if cap(b.res) == 0 {
+		b.mu.Unlock()
 		return
 	}
-	b.mu.Lock()
 	b.resSeen++
 	if len(b.res) < cap(b.res) {
 		b.res = append(b.res, cp)

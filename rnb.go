@@ -1077,7 +1077,7 @@ type Stats struct {
 // distinguished server are simply absent) plus the transaction stats.
 // Duplicate keys are rejected.
 func (c *Client) GetMulti(keys []string) (map[string]*Item, Stats, error) {
-	return c.getMulti(keys, 0, obs.TraceContext{})
+	return c.getMulti(keys, 0, 0, obs.TraceContext{})
 }
 
 // GetMultiTraced is GetMulti joining an externally supplied distributed
@@ -1085,7 +1085,7 @@ func (c *Client) GetMulti(keys []string) (map[string]*Item, Stats, error) {
 // and records tc.Parent as its parent span, so a proxy can continue a
 // trace that arrived on its server side down into the cache tier.
 func (c *Client) GetMultiTraced(tc obs.TraceContext, keys []string) (map[string]*Item, Stats, error) {
-	return c.getMulti(keys, 0, tc)
+	return c.getMulti(keys, 0, 0, tc)
 }
 
 // GetMultiLimit is GetMulti for "fetch at least minItems of these"
@@ -1097,45 +1097,20 @@ func (c *Client) GetMultiLimit(keys []string, minItems int) (map[string]*Item, S
 	if minItems < 0 {
 		return nil, Stats{}, fmt.Errorf("rnb: negative minItems %d", minItems)
 	}
-	return c.getMulti(keys, minItems, obs.TraceContext{})
+	return c.getMulti(keys, minItems, 0, obs.TraceContext{})
 }
 
 // GetMultiBudget fetches as many of the given keys as possible using at
 // most maxTransactions round trips — "fetch as many items as you can
 // within a budget" (§III-F, thesis variant). No second round is issued:
 // the budget is a hard cap, so replica misses simply reduce the result.
-func (c *Client) GetMultiBudget(keys []string, maxTransactions int) (out map[string]*Item, stats Stats, err error) {
-	if len(keys) == 0 || maxTransactions <= 0 {
-		return map[string]*Item{}, stats, nil
+// Servers whose breaker is open are planned around, so the budget is
+// spent only where it can return items.
+func (c *Client) GetMultiBudget(keys []string, maxTransactions int) (map[string]*Item, Stats, error) {
+	if maxTransactions <= 0 {
+		return map[string]*Item{}, Stats{}, nil
 	}
-	sp := &obs.Span{ID: c.tracer.NextID(), Op: "get_multi_budget", Start: time.Now(), Keys: len(keys)}
-	c.armSpanTrace(sp, obs.TraceContext{})
-	trips0 := c.resilience.BreakerOpened.Load()
-	defer func() {
-		sp.BreakerTrips = int(c.resilience.BreakerOpened.Load() - trips0)
-		c.finishSpan(sp, out, &stats, err)
-	}()
-	t := c.cur.Load()
-	ids, keyOf, err := c.keyIDs(keys)
-	if err != nil {
-		return nil, stats, err
-	}
-	c.observeHeat(ids, keys)
-	planStart := time.Now()
-	plan, err := t.planner.BuildBudget(ids, maxTransactions)
-	sp.PlanNS = int64(time.Since(planStart))
-	if err != nil {
-		return nil, stats, err
-	}
-	out = make(map[string]*Item, len(keys))
-	for _, txn := range plan.Transactions {
-		stats.Hitchhikers += len(txn.Hitchhikers)
-	}
-	stats.Transactions += len(plan.Transactions)
-	fanStart := time.Now()
-	stats.Failed += len(c.fanout(t, plan.Transactions, keyOf, out, sp, "fanout", 0))
-	sp.FanoutNS = int64(time.Since(fanStart))
-	return out, stats, nil
+	return c.getMulti(keys, 0, maxTransactions, obs.TraceContext{})
 }
 
 // observeHeat feeds a request's keys to the hotspot tracker and
@@ -1308,7 +1283,8 @@ func jitteredBackoff(base time.Duration, round int) time.Duration {
 
 // execTxn issues one planned transaction as a single multi-get. When tc
 // is valid the multi-get carries the trace context and the returned
-// rttTrace holds the client queue wait and the server's phase timings.
+// rttTrace holds the client queue wait and the server's phase timings;
+// a zero tc makes it a stock multi-get.
 func (c *Client) execTxn(t *tier, txn *core.Transaction, keyOf map[uint64]string, tc obs.TraceContext) (map[string]*Item, rttTrace, error) {
 	reqKeys := make([]string, 0, len(txn.Primary)+len(txn.Hitchhikers))
 	for _, id := range txn.Primary {
@@ -1321,11 +1297,7 @@ func (c *Client) execTxn(t *tier, txn *core.Transaction, keyOf map[uint64]string
 	var tr rttTrace
 	err := t.slots[txn.Server].do(func(conn memcache.Conn) error {
 		var err error
-		if tc.Valid() {
-			items, tr.queueNS, tr.st, err = conn.TracedGetMulti(tc, reqKeys)
-		} else {
-			items, err = conn.GetMulti(reqKeys)
-		}
+		items, tr.queueNS, tr.st, err = conn.TracedGetMulti(tc, reqKeys)
 		return err
 	})
 	if err != nil {
@@ -1377,7 +1349,11 @@ func (c *Client) armSpanTrace(sp *obs.Span, ext obs.TraceContext) {
 	}
 }
 
-func (c *Client) getMulti(keys []string, target int, ext obs.TraceContext) (out map[string]*Item, stats Stats, err error) {
+// getMulti is the one read pipeline: plan → fan-out → re-plan → round 2
+// → loader. target > 0 is a LIMIT request; budget > 0 is a budgeted
+// request, which stops after the fan-out — its transaction cap is hard,
+// so nothing that would add a round trip runs.
+func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContext) (out map[string]*Item, stats Stats, err error) {
 	if len(keys) == 0 {
 		return map[string]*Item{}, stats, nil
 	}
@@ -1386,7 +1362,10 @@ func (c *Client) getMulti(keys []string, target int, ext obs.TraceContext) (out 
 	// what failed. It lands in the flight recorder and, when slow, in
 	// the slow-request log.
 	op := "get_multi"
-	if target > 0 {
+	switch {
+	case budget > 0:
+		op = "get_multi_budget"
+	case target > 0:
 		op = "get_multi_limit"
 	}
 	sp := &obs.Span{ID: c.tracer.NextID(), Op: op, Start: time.Now(), Keys: len(keys)}
@@ -1416,7 +1395,12 @@ func (c *Client) getMulti(keys []string, target int, ext obs.TraceContext) (out 
 		avoid = t.isDown
 	}
 	planStart := time.Now()
-	plan, err := t.planner.BuildAvoiding(ids, target, avoid)
+	var plan *core.Plan
+	if budget > 0 {
+		plan, err = t.planner.BuildBudget(ids, budget, avoid)
+	} else {
+		plan, err = t.planner.BuildAvoiding(ids, target, avoid)
+	}
 	sp.PlanNS = int64(time.Since(planStart))
 	if err != nil {
 		return nil, stats, err
@@ -1434,6 +1418,10 @@ func (c *Client) getMulti(keys []string, target int, ext obs.TraceContext) (out 
 	fanStart := time.Now()
 	failedSrvs := c.fanout(t, plan.Transactions, keyOf, out, sp, "fanout", 0)
 	stats.Failed += len(failedSrvs)
+	if budget > 0 {
+		sp.FanoutNS = int64(time.Since(fanStart))
+		return out, stats, nil
+	}
 
 	// Re-plan rounds: re-cover the still-missing planned keys over the
 	// surviving servers. The servers that failed *this request* are
@@ -1510,25 +1498,11 @@ func (c *Client) getMulti(keys []string, target int, ext obs.TraceContext) (out 
 	}
 	round2Start := time.Now()
 	for _, txn := range core.SecondRound(missIDs, missReplicas) {
-		reqKeys := make([]string, 0, len(txn.Primary))
-		for _, id := range txn.Primary {
-			reqKeys = append(reqKeys, keyOf[id])
-		}
 		stats.Transactions++
 		stats.Round2++
 		spanID, tc := c.armRTTTrace(sp)
 		txnStart := time.Now()
-		var items map[string]*Item
-		var tr rttTrace
-		err := t.slots[txn.Server].do(func(conn memcache.Conn) error {
-			var err error
-			if tc.Valid() {
-				items, tr.queueNS, tr.st, err = conn.TracedGetMulti(tc, reqKeys)
-			} else {
-				items, err = conn.GetMulti(reqKeys)
-			}
-			return err
-		})
+		items, tr, err := c.execTxn(t, &txn, keyOf, tc)
 		tr.spanID = spanID
 		c.stampRTT(t, sp, &txn, "round2", 0, txnStart, err, tr)
 		if err != nil {
@@ -1539,18 +1513,22 @@ func (c *Client) getMulti(keys []string, target int, ext obs.TraceContext) (out 
 			continue
 		}
 		c.markUp(t, txn.Server)
-		for k, it := range items {
-			out[k] = it
+		// Walk the transaction's keys, not the reply map, so write-backs
+		// (and the evictions they cause) happen in a seed-determined
+		// order.
+		for _, id := range txn.Primary {
+			it, ok := items[keyOf[id]]
+			if !ok {
+				continue
+			}
+			out[it.Key] = it
 			// Write-back: repopulate the replica the planner assigned.
 			// A "not stored" refusal is overbooking at work, not a
 			// failure.
-			if c.cfg.writeBack {
-				if s, ok := missAssigned[keyID(k)]; ok && s != txn.Server && !avoidsServer(avoidNow, s) {
-					it := it
-					err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Set(it) })
-					if err != nil && !errors.Is(err, memcache.ErrNotStored) {
-						c.markDown(t, s)
-					}
+			if s := missAssigned[id]; c.cfg.writeBack && s != txn.Server && !avoidsServer(avoidNow, s) {
+				err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Set(it) })
+				if err != nil && !errors.Is(err, memcache.ErrNotStored) {
+					c.markDown(t, s)
 				}
 			}
 		}
