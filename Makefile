@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc obs-smoke trace-smoke smoke-placement ci bench-skew bench-pool bench-topology bench-placement bench-trace
+.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-pool bench-topology bench-placement bench-trace
 
 build:
 	$(GO) build ./...
@@ -72,12 +72,27 @@ stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
-# transport and planner hot paths: text/binary encode+decode, the
-# end-to-end pooled multiget, and core's Plan build. Run without -race —
-# the race runtime's shadow allocations distort the counts, so the
-# gates are build-tagged !race.
+# transport, planner and client hot paths: text/binary encode+decode,
+# the end-to-end pooled multiget, core's Plan build, and the root
+# client's Get / GetMulti / Set. Run without -race — the race runtime's
+# shadow allocations distort the counts, so the gates are build-tagged
+# !race.
 bench-alloc:
-	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/memcache ./internal/core
+	$(GO) test -count=1 -run 'TestAllocBudget' -v . ./internal/memcache ./internal/core
+
+# bench/ is its own module, so `go test ./...` at the root never
+# compiles it: an API the benchmark uses could be deleted without any
+# root target noticing. Vet it and run its own tests (~5 s).
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# Non-test line counts of the packages ROADMAP's "smaller client" item
+# tracks, so simplicity PRs quote the same numbers.
+loc:
+	@for d in . internal/memcache internal/core internal/lint; do \
+		printf '%-18s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done
 
 # Observability smoke: boot rnbmemd backends + rnbproxy -debug-addr,
 # drive traffic, and assert /metrics serves the promised families and
@@ -100,7 +115,7 @@ smoke-placement:
 	$(GO) run ./cmd/rnbbench -requests 400 -warmup 400 -scale 40 placement
 	$(GO) test -run 'CBC|Balanced|Adversarial' ./internal/cbc ./internal/core ./internal/workload
 
-ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc obs-smoke trace-smoke smoke-placement
+ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc bench-smoke obs-smoke trace-smoke smoke-placement
 	# Transport smoke: a tiny pooled-vs-single sweep proving the pool
 	# mode still runs end to end (full sweep lives in bench-pool).
 	$(GO) run ./cmd/rnbbench -ops 60 pool

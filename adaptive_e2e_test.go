@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rnb/internal/leakcheck"
@@ -113,8 +114,8 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 	)
 
 	const hot = "celebrity:9:profile"
-	current := cl.replicaServers(hot)
-	maxSet := cl.invalidationServers(cl.cur.Load(), hot)
+	current := cl.cur.Load().replicas(hot)
+	maxSet, _, _ := cl.cur.Load().writeSet(hot)
 	if len(maxSet) <= len(current) {
 		t.Fatalf("max-boost set %v does not extend the current set %v", maxSet, current)
 	}
@@ -123,7 +124,7 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 	// copies materialized during an earlier promotion that survived
 	// demotion.
 	for _, s := range maxSet {
-		if containsServer(current, s) {
+		if slices.Contains(current, s) {
 			continue
 		}
 		err := servers[s].Store().Set(&memcache.Item{Key: hot, Value: []byte("v0-stale")})
@@ -136,7 +137,7 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range maxSet {
-		if containsServer(current, s) {
+		if slices.Contains(current, s) {
 			continue
 		}
 		if _, err := servers[s].Store().Peek(hot); !errors.Is(err, memcache.ErrCacheMiss) {
@@ -179,6 +180,77 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 		}
 		if got := items[hot]; got == nil || !bytes.Equal(got.Value, []byte("v1")) {
 			t.Fatalf("bundled read %d after re-promotion: got %v, want v1", i, got)
+		}
+	}
+}
+
+// TestTouchReachesLingeringBoostedCopy: a key is promoted, stored while
+// boosted (so the boosted replicas hold real copies), then left to
+// demote — the copies linger on servers outside its replica set. A
+// Touch must still reach them, exactly as Delete does: when the key
+// re-heats the deterministic boost walk hands the same servers back,
+// and a copy that kept its old deadline would expire under (or outlive)
+// the rest.
+func TestTouchReachesLingeringBoostedCopy(t *testing.T) {
+	leakcheck.Check(t)
+	cl, servers := newTestClient(t, 8,
+		WithReplicas(2),
+		WithAdaptiveReplication(AdaptiveConfig{
+			MaxBoost:    2,
+			PromoteFrac: 0.05,
+			ColdEpochs:  1,
+			EpochOps:    1 << 30, // epochs rotate only when forced below
+		}),
+	)
+	for _, srv := range servers {
+		srv.Store().SetClock(func() int64 { return 1000 })
+	}
+	const hot = "celebrity:7:profile"
+	id := keyID(hot)
+	base := cl.cur.Load().replicas(hot)
+
+	for i := 0; i < 1000; i++ {
+		cl.adaptive.Observe([]uint64{id})
+	}
+	cl.adaptive.ForceEpoch()
+	if cl.adaptive.Boost(id) == 0 {
+		t.Fatalf("hot key never promoted: %v", cl.Hotspot().Snapshot())
+	}
+	boosted := cl.cur.Load().replicas(hot)[len(base):]
+	if err := cl.Set(&Item{Key: hot, Value: []byte("v1"), Expiration: 10}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Other traffic only: the key goes cold and is demoted.
+	for epoch := 0; epoch < 16 && cl.adaptive.Boost(id) > 0; epoch++ {
+		for i := 0; i < 4000; i++ {
+			cl.adaptive.Observe([]uint64{keyID(fmt.Sprintf("other:%d:%d", epoch, i%7))})
+		}
+		cl.adaptive.ForceEpoch()
+	}
+	if cl.adaptive.Boost(id) > 0 {
+		t.Fatalf("hot key never demoted: %v", cl.Hotspot().Snapshot())
+	}
+	if got := cl.cur.Load().replicas(hot); !slices.Equal(got, base) {
+		t.Fatalf("replica set after demotion = %v, want the baseline %v", got, base)
+	}
+	for _, s := range boosted {
+		it, err := servers[s].Store().Peek(hot)
+		if err != nil || it.Expiration != 1010 {
+			t.Fatalf("boosted copy on server %d not lingering with its Set deadline: %+v, %v", s, it, err)
+		}
+	}
+
+	if err := cl.Touch(hot, 60); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append(slices.Clone(base), boosted...) {
+		it, err := servers[s].Store().Peek(hot)
+		if err != nil {
+			t.Fatalf("copy on server %d gone after Touch: %v", s, err)
+		}
+		if it.Expiration != 1060 {
+			t.Errorf("copy on server %d has deadline %d after Touch, want 1060", s, it.Expiration)
 		}
 	}
 }

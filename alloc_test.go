@@ -1,0 +1,87 @@
+//go:build !race
+
+// Allocation-budget regression gates for the client's per-server call
+// paths (run via `make bench-alloc`; excluded under -race because the
+// race runtime's shadow allocations distort testing.AllocsPerRun).
+package rnb
+
+import (
+	"bytes"
+	"testing"
+)
+
+// allocGate fails when fn's steady-state allocation count exceeds the
+// budget. The measured value is logged so regressions show their size.
+func allocGate(t *testing.T, name string, budget float64, fn func()) {
+	t.Helper()
+	fn() // warm lazily initialized pools outside the measured window
+	got := testing.AllocsPerRun(200, fn)
+	t.Logf("%s: %.1f allocs/op (budget %.1f)", name, got, budget)
+	if got > budget {
+		t.Errorf("%s: %.1f allocs/op, budget %.1f", name, got, budget)
+	}
+}
+
+// TestAllocBudgetClient pins the whole-process cost of the calls the
+// benchmark workloads are made of — client and in-process servers
+// together, since AllocsPerRun counts every goroutine — at the numbers
+// measured on the commit before the per-server call path was unified
+// (slot.do's verdict, roundTrip, apply): the shared routines must not
+// cost a hot path a single allocation. At r=3 over three servers every
+// key lives everywhere, so the plan is one transaction whatever ring
+// the ephemeral ports produce; the goroutine fan-out is pinned on a
+// six-server tier by searching for a key set that plans to exactly two
+// transactions (hitchhiking off: a hitchhiker's decoded duplicate would
+// make the count depend on the ring too). That one measures 73, or up
+// to 75 when the two server goroutines overlap and one finds its
+// sync.Pool scratch taken — the same spread before and after — so the
+// single-transaction gate is the exact one for roundTrip itself.
+func TestAllocBudgetClient(t *testing.T) {
+	value := bytes.Repeat([]byte("v"), 100)
+	cl, _ := newTestClient(t, 3, WithReplicas(3))
+	ks := keys(8)
+	for _, k := range ks {
+		if err := cl.Set(&Item{Key: k, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocGate(t, "Get", 14, func() {
+		if _, err := cl.Get(ks[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocGate(t, "GetMulti 8 keys r=3, 1 transaction", 57, func() {
+		items, stats, err := cl.GetMulti(ks)
+		if err != nil || len(items) != len(ks) || stats.Transactions != 1 {
+			t.Fatalf("%d items, %+v, err %v", len(items), stats, err)
+		}
+	})
+	it := &Item{Key: ks[0], Value: value}
+	allocGate(t, "Set r=3", 21, func() {
+		if err := cl.Set(it); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	wide, _ := newTestClient(t, 6, WithReplicas(3), WithHitchhiking(false))
+	pool := keys(64)
+	for _, k := range pool {
+		if err := wide.Set(&Item{Key: k, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i+8 <= len(pool); i++ {
+		ks = pool[i : i+8]
+		if _, stats, err := wide.GetMulti(ks); err != nil {
+			t.Fatal(err)
+		} else if stats.Transactions == 2 && stats.Round2 == 0 {
+			allocGate(t, "GetMulti 8 keys r=3, 2 transactions", 75, func() {
+				if items, _, err := wide.GetMulti(ks); err != nil || len(items) != len(ks) {
+					t.Fatalf("%d items, err %v", len(items), err)
+				}
+			})
+			return
+		}
+	}
+	t.Skip("no 8-key window of the pool plans to exactly two transactions on this ring")
+}

@@ -148,7 +148,7 @@ func TestBinaryPooledClientChaosKillMidPipeline(t *testing.T) {
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
-	victim := 0
+	victim := plannedServer(t, cl, ks[:16])
 	start := time.Now()
 	injectors[victim].Kill()
 	deadline := time.Now().Add(5 * time.Second)

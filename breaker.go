@@ -104,14 +104,9 @@ func (b *breaker) onFailure() {
 	if b.cooldown <= 0 {
 		return
 	}
-	if b.state == BreakerHalfOpen {
-		// A regular operation (e.g. a write, which does not consult
-		// the breaker) failed while waiting on the probe: re-open.
-		b.openedAt = time.Now()
-		b.transitionLocked(BreakerOpen)
-		return
-	}
-	if b.state == BreakerClosed && b.fails >= b.threshold {
+	// Half-open re-opens at once: a regular operation (e.g. a write,
+	// which does not consult the breaker) failed ahead of the probe.
+	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.fails >= b.threshold) {
 		b.openedAt = time.Now()
 		b.transitionLocked(BreakerOpen)
 	}

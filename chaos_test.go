@@ -159,7 +159,7 @@ func TestChaosKillReviveBreakerLifecycle(t *testing.T) {
 	// after the kill and proves re-admission after the revive.
 	var homed []string
 	for _, k := range ks {
-		if cl.replicaServers(k)[0] == victim {
+		if cl.cur.Load().replicas(k)[0] == victim {
 			homed = append(homed, k)
 		}
 	}
@@ -195,7 +195,7 @@ func TestChaosKillReviveBreakerLifecycle(t *testing.T) {
 	if st := cl.ServerStates()[victim]; st.State != BreakerHalfOpen {
 		t.Fatalf("state after cooldown: %+v", st)
 	}
-	if !cl.isDown(victim) {
+	if !cl.cur.Load().isDown(victim) {
 		t.Fatal("half-open server admitted to plans before its probe")
 	}
 
@@ -262,7 +262,7 @@ func TestChaosFlappingBackendFullRecovery(t *testing.T) {
 	// (a batch cover over 3-replica data may legally bypass one server).
 	var homed []string
 	for _, k := range ks {
-		if cl.replicaServers(k)[0] == victim {
+		if cl.cur.Load().replicas(k)[0] == victim {
 			homed = append(homed, k)
 		}
 	}

@@ -3,9 +3,13 @@ package rnb
 import (
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rnb/internal/memcache"
 )
@@ -109,6 +113,275 @@ func TestUpdateCASLostRaces(t *testing.T) {
 		wg.Wait()
 		if got := wins.Load(); got != 1 {
 			t.Fatalf("round %d: %d CAS winners, want exactly 1", round, got)
+		}
+	}
+}
+
+// opLog is the global, ordered record of every mutation the recording
+// servers below applied to their stores.
+type opLog struct {
+	mu  sync.Mutex
+	ops []loggedOp
+}
+
+type loggedOp struct {
+	server int
+	op     string
+}
+
+// recBackend serves one Store and logs each mutation that reaches it.
+type recBackend struct {
+	store  *memcache.Store
+	server int
+	log    *opLog
+}
+
+func (b recBackend) rec(op string) {
+	b.log.mu.Lock()
+	b.log.ops = append(b.log.ops, loggedOp{b.server, op})
+	b.log.mu.Unlock()
+}
+
+func (b recBackend) GetMulti(keys []string) (map[string]*memcache.Item, error) {
+	out := make(map[string]*memcache.Item, len(keys))
+	for _, k := range keys {
+		if it, err := b.store.Get(k); err == nil {
+			out[k] = it
+		}
+	}
+	return out, nil
+}
+func (b recBackend) GetsMulti(keys []string) (map[string]*memcache.Item, error) {
+	return b.GetMulti(keys)
+}
+func (b recBackend) Set(it *memcache.Item) error { b.rec("set"); return b.store.Set(it) }
+func (b recBackend) SetPinned(it *memcache.Item) error {
+	b.rec("setp")
+	return b.store.SetPinned(it, true)
+}
+func (b recBackend) Add(it *memcache.Item) error     { b.rec("add"); return b.store.Add(it) }
+func (b recBackend) Replace(it *memcache.Item) error { b.rec("replace"); return b.store.Replace(it) }
+func (b recBackend) CompareAndSwap(it *memcache.Item) error {
+	b.rec("cas")
+	return b.store.CompareAndSwap(it)
+}
+func (b recBackend) Append(key string, data []byte) error {
+	b.rec("append")
+	return b.store.Append(key, data)
+}
+func (b recBackend) Prepend(key string, data []byte) error {
+	b.rec("prepend")
+	return b.store.Prepend(key, data)
+}
+func (b recBackend) Increment(key string, delta int64) (uint64, error) {
+	b.rec("incr")
+	return b.store.Increment(key, delta)
+}
+func (b recBackend) Delete(key string) error { b.rec("delete"); return b.store.Delete(key) }
+func (b recBackend) Touch(key string, exp int32) error {
+	b.rec("touch")
+	return b.store.Touch(key, exp)
+}
+func (b recBackend) FlushAll() error                 { b.store.FlushAll(); return nil }
+func (b recBackend) BackendStats() map[string]string { return nil }
+
+// startRecServers launches n recording servers sharing one log. Server
+// i logs under index i, which is also its slot index when the client is
+// built (and grown) in address order.
+func startRecServers(t *testing.T, n int) ([]string, *opLog) {
+	t.Helper()
+	log := &opLog{}
+	addrs := make([]string, n)
+	for i := range addrs {
+		srv := memcache.NewServerBackend(recBackend{store: memcache.NewStore(0), server: i, log: log})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs, log
+}
+
+// TestWriteSetTable pins down the write path's contract — which server
+// an operation reaches, with what, and on which side of the
+// distinguished write — for every mutator over the three shapes a write
+// set takes: a static tier, an adaptive tier where a demoted key's
+// boosted copy may linger outside the current replica set, and an open
+// transition window where the newest epoch has its own distinguished
+// server. Roles come from the placement primitives, not from writeSet.
+func TestWriteSetTable(t *testing.T) {
+	type shape struct {
+		name string
+		cl   *Client
+		log  *opLog
+		key  string
+	}
+	var shapes []shape
+
+	addrs, log := startRecServers(t, 4)
+	cl, err := NewClient(addrs, WithReplicas(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	shapes = append(shapes, shape{"static", cl, log, "ws:static"})
+
+	addrs, log = startRecServers(t, 8)
+	cl, err = NewClient(addrs, WithReplicas(2),
+		WithAdaptiveReplication(AdaptiveConfig{MaxBoost: 2, PromoteFrac: 0.05, EpochOps: 1 << 30}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	shapes = append(shapes, shape{"adaptive-lingering", cl, log, "ws:adaptive"})
+
+	addrs, log = startRecServers(t, 5)
+	cl, err = NewClient(addrs[:4], WithReplicas(2), WithTransitionWindow(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if err := cl.AddServer(addrs[4]); err != nil {
+		t.Fatal(err)
+	}
+	moved := ""
+	for i := 0; i < 10000 && moved == ""; i++ {
+		k := fmt.Sprintf("ws:moved:%d", i)
+		tr := cl.cur.Load()
+		if tr.newest.Replicas(keyID(k), nil)[0] != tr.replicas(k)[0] {
+			moved = k
+		}
+	}
+	if moved == "" {
+		t.Fatal("no key changes distinguished server when the fifth server joins")
+	}
+	shapes = append(shapes, shape{"transition", cl, log, moved})
+
+	ops := []struct {
+		name string
+		run  func(cl *Client, key string, cas uint64) error
+		// dist is the distinguished copy's op; newest the newest epoch's
+		// distinguished copy's ops; replica a current replica's; and
+		// lingering that of a copy outside the current replica set.
+		dist              string
+		newest            []string
+		replica, lingerer string
+		othersFirst       bool
+	}{
+		{"Set", func(cl *Client, k string, _ uint64) error { return cl.Set(&Item{Key: k, Value: []byte("11")}) },
+			"setp", []string{"setp"}, "set", "delete", false},
+		{"Update", func(cl *Client, k string, _ uint64) error { return cl.Update(&Item{Key: k, Value: []byte("12")}) },
+			"setp", []string{"delete", "setp"}, "delete", "delete", true},
+		{"UpdateCAS", func(cl *Client, k string, cas uint64) error {
+			return cl.UpdateCAS(&Item{Key: k, Value: []byte("13"), CAS: cas})
+		}, "cas", []string{"delete"}, "delete", "delete", false},
+		{"Append", func(cl *Client, k string, _ uint64) error { return cl.Append(k, []byte("0")) },
+			"append", []string{"delete"}, "delete", "delete", false},
+		{"Prepend", func(cl *Client, k string, _ uint64) error { return cl.Prepend(k, []byte("1")) },
+			"prepend", []string{"delete"}, "delete", "delete", false},
+		{"Increment", func(cl *Client, k string, _ uint64) error { _, err := cl.Increment(k, 5); return err },
+			"incr", []string{"delete"}, "delete", "delete", false},
+		{"Delete", func(cl *Client, k string, _ uint64) error { return cl.Delete(k) },
+			"delete", []string{"delete"}, "delete", "delete", false},
+		{"Touch", func(cl *Client, k string, _ uint64) error { return cl.Touch(k, 60) },
+			"touch", []string{"touch"}, "touch", "touch", false},
+	}
+
+	for _, sh := range shapes {
+		tr := sh.cl.cur.Load()
+		live := tr.replicas(sh.key)
+		all := live
+		if tr.adaptive != nil {
+			all = tr.adaptive.MaxReplicas(keyID(sh.key), nil)
+		}
+		newest := -1
+		if tr.union != nil {
+			newest = tr.newest.Replicas(keyID(sh.key), nil)[0]
+		}
+		switch sh.name {
+		case "adaptive-lingering":
+			if len(all) <= len(live) {
+				t.Fatalf("%s: max-boost set %v does not extend the replica set %v", sh.name, all, live)
+			}
+		case "transition":
+			if newest < 0 || newest == live[0] || !slices.Contains(live, newest) {
+				t.Fatalf("%s: newest distinguished %d not a distinct member of the union %v", sh.name, newest, live)
+			}
+		}
+		for _, op := range ops {
+			// Every copy present and the log empty before the operation.
+			if err := sh.cl.Set(&Item{Key: sh.key, Value: []byte("10")}); err != nil {
+				t.Fatalf("%s/%s: seeding: %v", sh.name, op.name, err)
+			}
+			for _, s := range all[len(live):] {
+				if err := sh.cl.cur.Load().slots[s].do(func(conn memcache.Conn) error {
+					return conn.Set(&Item{Key: sh.key, Value: []byte("10")})
+				}); err != nil {
+					t.Fatalf("%s/%s: planting lingering copy on %d: %v", sh.name, op.name, s, err)
+				}
+			}
+			items, err := sh.cl.GetsDistinguished([]string{sh.key})
+			if err != nil || items[sh.key] == nil {
+				t.Fatalf("%s/%s: gets: %v %v", sh.name, op.name, items, err)
+			}
+			sh.log.mu.Lock()
+			sh.log.ops = nil
+			sh.log.mu.Unlock()
+
+			if err := op.run(sh.cl, sh.key, items[sh.key].CAS); err != nil {
+				t.Fatalf("%s/%s: %v", sh.name, op.name, err)
+			}
+
+			want := map[int][]string{}
+			for i, s := range all {
+				switch {
+				case i == 0:
+					want[s] = []string{op.dist}
+				case s == newest:
+					want[s] = op.newest
+				case i < len(live):
+					want[s] = []string{op.replica}
+				default:
+					want[s] = []string{op.lingerer}
+				}
+			}
+			sh.log.mu.Lock()
+			logged := slices.Clone(sh.log.ops)
+			sh.log.mu.Unlock()
+			got := map[int][]string{}
+			distAt, lastNewest := -1, -1
+			firstAt := map[int]int{}
+			for i, lo := range logged {
+				if _, seen := firstAt[lo.server]; !seen {
+					firstAt[lo.server] = i
+				}
+				switch lo.server {
+				case all[0]:
+					distAt = i
+				case newest:
+					lastNewest = i
+				}
+				got[lo.server] = append(got[lo.server], lo.op)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: servers got %v, want %v (dist %d, live %v, all %v, newest %d)",
+					sh.name, op.name, got, want, all[0], live, all, newest)
+				continue
+			}
+			for _, s := range all[1:] {
+				if before := firstAt[s] < distAt; before != op.othersFirst {
+					t.Errorf("%s/%s: server %d handled before the distinguished write = %v, want %v: %v",
+						sh.name, op.name, s, before, op.othersFirst, logged)
+				}
+			}
+			// The newest epoch's distinguished copy is written after the
+			// transition-wide one, never before.
+			if newest >= 0 && op.newest[len(op.newest)-1] == "setp" && lastNewest < distAt {
+				t.Errorf("%s/%s: newest distinguished written before the distinguished copy: %v", sh.name, op.name, logged)
+			}
 		}
 	}
 }

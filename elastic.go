@@ -3,6 +3,7 @@ package rnb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +53,8 @@ type slot struct {
 	addr    string
 	conn    memcache.Conn
 	breaker *breaker
+	// failures is the client-wide network-error count (Client.Failures).
+	failures *atomic.Uint64
 	// inflight counts operations currently inside conn. The janitor
 	// closes a draining slot's connection only once this reaches zero
 	// (or the drain timeout forces it), so pipelined requests already
@@ -62,18 +65,48 @@ type slot struct {
 	closed atomic.Bool
 }
 
-// do runs one operation against the slot's connection, tracked by the
+// newSlot wires a dialed server to the client-wide breaker hook and failure count.
+func (c *Client) newSlot(addr string, conn memcache.Conn) *slot {
+	return &slot{
+		addr:     addr,
+		conn:     conn,
+		breaker:  newBreaker(c.cfg.breakerThreshold, c.cfg.cooldown, c.onBreaker),
+		failures: &c.failures,
+	}
+}
+
+// call runs one operation against the slot's connection, tracked by the
 // in-flight counter. The closed check and the increment race benignly
 // with the janitor: at worst an operation reaches a just-closed
 // connection and gets its error, which feeds the breaker like any
 // other network failure.
-func (s *slot) do(fn func(memcache.Conn) error) error {
+func (s *slot) call(fn func(memcache.Conn) error) error {
 	if s.closed.Load() {
 		return errServerGone
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	return fn(s.conn)
+}
+
+// do is call plus the breaker verdict: every per-server operation goes
+// through it, and it is the only place an operation's error becomes a
+// statement about the server's health. A connection-fatal error
+// (memcache.IsConnFatal: I/O failure, corrupt frame, a server gone from
+// the tier) is a failure. Anything the server answered — miss, not
+// stored, CAS conflict, bad key, too large, SERVER_ERROR — shows it
+// alive, and a request refused before the wire (bad key, too large)
+// counts the same: it says nothing against the server. Only the
+// half-open probe uses call directly; its verdict is onProbeResult.
+func (s *slot) do(fn func(memcache.Conn) error) error {
+	err := s.call(fn)
+	if memcache.IsConnFatal(err) {
+		s.failures.Add(1)
+		s.breaker.onFailure()
+	} else {
+		s.breaker.onSuccess()
+	}
+	return err
 }
 
 // tier is one immutable routing snapshot: everything a request needs,
@@ -270,7 +303,7 @@ func (c *Client) janitorTick(now time.Time) {
 			kept = append(kept, d)
 			continue
 		}
-		c.closeSlotLocked(d.slot)
+		_ = c.closeSlotLocked(d.slot) // nobody left to report a drained connection's close error to
 		c.machine.Finish(d.addr)
 		if inflight > 0 {
 			c.topo.DrainsForced.Add(1)
@@ -302,12 +335,12 @@ func (c *Client) anyEpochHasLocked(addr string) bool {
 // closeSlotLocked tears a slot down exactly once, folding its
 // transaction count into the client-lifetime total so Transactions()
 // stays monotonic across membership changes. Caller holds topoMu.
-func (c *Client) closeSlotLocked(s *slot) {
+func (c *Client) closeSlotLocked(s *slot) error {
 	if s.closed.Swap(true) {
-		return
+		return nil
 	}
 	c.closedTxns.Add(s.conn.Transactions())
-	s.conn.Close()
+	return s.conn.Close()
 }
 
 // pushEpochLocked opens a new membership epoch: the previous newest
@@ -436,7 +469,7 @@ func (c *Client) AddServer(addr string) error {
 		c.topoMu.Unlock()
 		return fmt.Errorf("rnb: add %s: machine/ring index mismatch", addr)
 	}
-	s := &slot{addr: addr, conn: conn, breaker: newBreaker(c.cfg.breakerThreshold, c.cfg.cooldown, c.onBreaker)}
+	s := c.newSlot(addr, conn)
 	if idx < len(c.slots) {
 		// Revived index: the old slot was closed when the drain
 		// finished (Join refuses draining members), so nothing still
@@ -605,12 +638,12 @@ func (c *Client) prewarmHotKeys(idx int, joining bool) {
 		newSet := t.newest.Replicas(id, nil)
 		var targets []int
 		if joining {
-			if !containsServer(newSet, idx) {
+			if !slices.Contains(newSet, idx) {
 				continue
 			}
 			targets = []int{idx}
 		} else {
-			if !containsServer(t.placement.Replicas(id, nil), idx) {
+			if !slices.Contains(t.placement.Replicas(id, nil), idx) {
 				continue
 			}
 			for _, s := range newSet {
@@ -627,13 +660,7 @@ func (c *Client) prewarmHotKeys(idx int, joining bool) {
 			continue
 		}
 		for _, dst := range targets {
-			pin := c.cfg.pinDistinguished && dst == newSet[0]
-			err := t.slots[dst].do(func(conn memcache.Conn) error {
-				if pin {
-					return conn.SetPinned(it)
-				}
-				return conn.Set(it)
-			})
+			err := t.slots[dst].do(c.storeOp(it, dst == newSet[0]))
 			if err != nil && !errors.Is(err, memcache.ErrNotStored) {
 				c.topo.PrewarmErrors.Add(1)
 				continue

@@ -1,10 +1,20 @@
 package rnb
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
+
+	"rnb/internal/memcache"
 )
+
+// failOn records one network error against server s the way every
+// operation does: through slot.do's verdict.
+func failOn(cl *Client, s int) {
+	_ = cl.cur.Load().slots[s].do(func(memcache.Conn) error { return io.ErrUnexpectedEOF })
+}
 
 // TestReadFailoverToSurvivingReplicas kills one backend server and
 // verifies multi-gets keep returning every item via the surviving
@@ -120,8 +130,8 @@ func TestReadFailoverWithLoaderCoversOrphans(t *testing.T) {
 func TestCooldownExpiresAndServerReturns(t *testing.T) {
 	cl, _ := newTestClient(t, 2, WithReplicas(2),
 		WithFailureCooldown(50*time.Millisecond))
-	cl.markDown(cl.cur.Load(), 0)
-	if !cl.isDown(0) {
+	failOn(cl, 0)
+	if !cl.cur.Load().isDown(0) {
 		t.Fatal("server not quarantined")
 	}
 	if st := cl.ServerStates()[0]; st.State != BreakerOpen || st.ConsecutiveFailures != 1 {
@@ -131,13 +141,13 @@ func TestCooldownExpiresAndServerReturns(t *testing.T) {
 	if st := cl.ServerStates()[0]; st.State != BreakerHalfOpen {
 		t.Fatalf("state after cooldown: %+v", st)
 	}
-	if !cl.isDown(0) {
+	if !cl.cur.Load().isDown(0) {
 		t.Fatal("half-open server admitted to plans before its probe")
 	}
 	// The server is actually alive, so the probe re-closes the breaker.
 	cl.probeHalfOpen(cl.cur.Load())
 	deadline := time.Now().Add(2 * time.Second)
-	for cl.isDown(0) {
+	for cl.cur.Load().isDown(0) {
 		if time.Now().After(deadline) {
 			t.Fatal("probe did not re-admit a live server")
 		}
@@ -156,8 +166,8 @@ func TestCooldownExpiresAndServerReturns(t *testing.T) {
 // quarantining.
 func TestFailureTrackingDisabled(t *testing.T) {
 	cl, _ := newTestClient(t, 2, WithFailureCooldown(0))
-	cl.markDown(cl.cur.Load(), 0)
-	if cl.isDown(0) {
+	failOn(cl, 0)
+	if cl.cur.Load().isDown(0) {
 		t.Fatal("server quarantined with tracking disabled")
 	}
 	if cl.Failures() != 1 {
@@ -217,6 +227,95 @@ func TestFailoverConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestProtocolRefusalsNeverFeedBreaker: an invalid key or an oversized
+// value is the caller's mistake, answered (or refused before the wire)
+// without any sign of a sick server. Over both transports, none of it
+// may count as a failure or move a breaker off closed — two such calls
+// used to quarantine two of three healthy servers.
+func TestProtocolRefusalsNeverFeedBreaker(t *testing.T) {
+	transports := map[string][]Option{
+		"single":        nil,
+		"pooled-binary": {WithPoolSize(4), WithBinaryProtocol()},
+	}
+	for name, opts := range transports {
+		cl, _ := newTestClient(t, 3, append(opts, WithReplicas(3), WithFailureCooldown(30*time.Second))...)
+		if err := cl.Set(&Item{Key: "ok", Value: []byte("v")}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		huge := make([]byte, memcache.MaxValueLen+1)
+		for i := 0; i < 3; i++ {
+			if err := cl.Set(&Item{Key: "bad key", Value: []byte("v")}); !errors.Is(err, memcache.ErrBadKey) {
+				t.Fatalf("%s: Set bad key: %v", name, err)
+			}
+			if err := cl.Set(&Item{Key: "big", Value: huge}); !errors.Is(err, memcache.ErrTooLarge) {
+				t.Fatalf("%s: Set oversized: %v", name, err)
+			}
+			if err := cl.Update(&Item{Key: "bad key", Value: []byte("v")}); !errors.Is(err, memcache.ErrBadKey) {
+				t.Fatalf("%s: Update bad key: %v", name, err)
+			}
+			if err := cl.Update(&Item{Key: "big", Value: huge}); !errors.Is(err, memcache.ErrTooLarge) {
+				t.Fatalf("%s: Update oversized: %v", name, err)
+			}
+			if _, err := cl.Get("bad key"); !errors.Is(err, memcache.ErrBadKey) {
+				t.Fatalf("%s: Get bad key: %v", name, err)
+			}
+			// A multi-get degrades per transaction: the refused bundle's
+			// keys come back absent, the request itself succeeds.
+			if _, _, err := cl.GetMulti([]string{"ok", "bad key"}); err != nil {
+				t.Fatalf("%s: GetMulti with a bad key: %v", name, err)
+			}
+		}
+		if n := cl.Failures(); n != 0 {
+			t.Errorf("%s: %d failures counted for protocol refusals", name, n)
+		}
+		for _, st := range cl.ServerStates() {
+			if st.State != BreakerClosed || st.ConsecutiveFailures != 0 {
+				t.Errorf("%s: healthy server quarantined by protocol refusals: %+v", name, st)
+			}
+		}
+	}
+}
+
+// TestEveryMutatorFeedsBreakerOnNetworkError: a dead server is a dead
+// server whichever call finds it. Each mutator, the CAS read and
+// flush_all must count the network error and open the dead server's
+// breaker, not just Set.
+func TestEveryMutatorFeedsBreakerOnNetworkError(t *testing.T) {
+	calls := map[string]func(cl *Client, key string) error{
+		"Delete":    func(cl *Client, key string) error { return cl.Delete(key) },
+		"Touch":     func(cl *Client, key string) error { return cl.Touch(key, 60) },
+		"Increment": func(cl *Client, key string) error { _, err := cl.Increment(key, 1); return err },
+		"Append":    func(cl *Client, key string) error { return cl.Append(key, []byte("0")) },
+		"Update":    func(cl *Client, key string) error { return cl.Update(&Item{Key: key, Value: []byte("2")}) },
+		"UpdateCAS": func(cl *Client, key string) error { return cl.UpdateCAS(&Item{Key: key, Value: []byte("2"), CAS: 1}) },
+		"GetsDistinguished": func(cl *Client, key string) error {
+			_, err := cl.GetsDistinguished([]string{key})
+			return err
+		},
+		"FlushAll": func(cl *Client, _ string) error { return cl.FlushAll() },
+	}
+	for name, call := range calls {
+		// r = n: the key has a copy on every server, the dead one
+		// included, wherever the port-derived ring puts them.
+		cl, servers := newTestClient(t, 3, WithReplicas(3), WithFailureCooldown(30*time.Second))
+		const key = "counter"
+		if err := cl.Set(&Item{Key: key, Value: []byte("1")}); err != nil {
+			t.Fatal(err)
+		}
+		dead := cl.cur.Load().replicas(key)[0]
+		servers[dead].Close()
+		if err := call(cl, key); err == nil {
+			t.Errorf("%s against a dead server succeeded", name)
+		}
+		if cl.Failures() == 0 {
+			t.Errorf("%s: network error not counted", name)
+		}
+		if st := cl.ServerStates()[dead]; st.State != BreakerOpen {
+			t.Errorf("%s: dead server's breaker did not open: %+v", name, st)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func TestBinaryPoolBasicOps(t *testing.T) {
 	if err := p.Set(&Item{Key: "nan", Value: []byte("pear")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Incr("nan", 1); err == nil || isConnFatal(err) {
+	if _, err := p.Incr("nan", 1); err == nil || IsConnFatal(err) {
 		t.Fatalf("Incr non-numeric should answer, not kill the conn: %v", err)
 	}
 	if err := p.Touch("k", 60); err != nil {

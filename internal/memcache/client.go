@@ -191,7 +191,7 @@ func (c *Client) roundTrip() error {
 		fresh = true
 	}
 	err := c.attempt()
-	if !isConnFatal(err) || !c.req.cmd.idempotent() || fresh {
+	if !IsConnFatal(err) || !c.req.cmd.idempotent() || fresh {
 		return err
 	}
 	// The connection went stale between round trips; a fresh connection
@@ -218,7 +218,7 @@ func (c *Client) attempt() error {
 	if c.rttObs != nil {
 		c.rttObs(time.Since(start))
 	}
-	if isConnFatal(err) {
+	if IsConnFatal(err) {
 		// Connection state is unknown after an I/O error; drop it.
 		c.conn.Close()
 		c.conn = nil

@@ -105,15 +105,16 @@ func answeredError(status string) error {
 	return &replyError{msg: fmt.Sprintf("memcache: server answered %q", status)}
 }
 
-// isConnFatal reports whether err leaves the connection in an unknown
-// or unsynchronized state (I/O error, corrupt frame). Protocol-level
+// IsConnFatal reports whether err leaves the connection in an unknown
+// or unsynchronized state (I/O error, corrupt frame) — the one failure
+// taxonomy both exchangers and the rnb breaker share. Protocol-level
 // outcomes — cache misses, CAS conflicts, declined stores, key/size
 // rejections, error status lines — consumed a complete reply (or never
 // touched the wire) and keep the connection usable. ErrBadKey and
 // ErrTooLarge matter for the binary transport, whose status replies map
 // onto them; the text read halves never return either, so listing them
 // is harmless there.
-func isConnFatal(err error) bool {
+func IsConnFatal(err error) bool {
 	if err == nil {
 		return false
 	}

@@ -442,7 +442,7 @@ func (p *Pool) submit(req *poolRequest) error {
 			continue
 		}
 		err = <-req.done
-		if !isConnFatal(err) {
+		if !IsConnFatal(err) {
 			return err
 		}
 		if !req.written {
@@ -603,7 +603,7 @@ func (c *pconn) readLoop() {
 		c.pool.gauges.InFlight.Add(-1)
 		c.lastDone.Store(time.Now().UnixNano())
 		req.complete(err)
-		if isConnFatal(err) {
+		if IsConnFatal(err) {
 			// The stream is out of sync (I/O error or corrupt frame):
 			// every response behind this one is unusable. Fail fast.
 			c.teardown(err)

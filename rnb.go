@@ -73,7 +73,6 @@ type Loader func(keys []string) (map[string][]byte, error)
 
 type clientConfig struct {
 	replicas         int
-	vnodes           int
 	timeout          time.Duration
 	hitchhike        bool
 	balancePlan      bool
@@ -96,12 +95,6 @@ type clientConfig struct {
 // WithReplicas sets the logical replication level (default 2).
 func WithReplicas(n int) Option {
 	return func(c *clientConfig) { c.replicas = n }
-}
-
-// WithVirtualNodes sets the consistent-hashing virtual node count per
-// server (default hashring.DefaultVirtualNodes).
-func WithVirtualNodes(n int) Option {
-	return func(c *clientConfig) { c.vnodes = n }
 }
 
 // WithTimeout sets the per-operation network timeout (default 5s).
@@ -233,13 +226,6 @@ func WithObservability(cfg ObsConfig) Option {
 	return func(c *clientConfig) { c.obs = cfg }
 }
 
-// WithSlowRequestThreshold is WithObservability sugar: requests slower
-// than d are logged (every one of them) through the standard log
-// package, and counted either way. d <= 0 disables the log.
-func WithSlowRequestThreshold(d time.Duration) Option {
-	return func(c *clientConfig) { c.obs.SlowThreshold = d }
-}
-
 // WithTracing turns on end-to-end distributed tracing: a head-sampled
 // share of requests (TraceConfig.SampleEvery) carries a compact trace
 // context over the wire to every server it touches, and each traced
@@ -296,7 +282,7 @@ type Client struct {
 	// poolGauges is shared by every per-server pool (nil when the
 	// single-connection transport is in use).
 	poolGauges *metrics.PoolGauges
-	failures   atomicUint64
+	failures   atomic.Uint64
 	// adaptive is non-nil when WithAdaptiveReplication is on: the
 	// shared hot-key controller (tracker, heat table). Each tier
 	// snapshot binds it to that snapshot's own baseline placement
@@ -315,33 +301,6 @@ type Client struct {
 	shut     atomic.Bool
 }
 
-// Minimal atomic wrapper (keep the struct copyable-by-pointer only).
-type atomicUint64 struct{ v uint64 }
-
-func (a *atomicUint64) add(d uint64) { atomic.AddUint64(&a.v, d) }
-func (a *atomicUint64) load() uint64 { return atomic.LoadUint64(&a.v) }
-
-// replicaServers returns the key's replica server indices under the
-// current tier (tests and diagnostics; request paths work against one
-// tier snapshot instead).
-func (c *Client) replicaServers(key string) []int {
-	return c.cur.Load().replicas(key)
-}
-
-// isDown reports whether reads currently route around server s.
-func (c *Client) isDown(s int) bool {
-	return c.cur.Load().isDown(s)
-}
-
-// markDown records a network error against server s's breaker.
-func (c *Client) markDown(t *tier, s int) {
-	c.failures.add(1)
-	t.slots[s].breaker.onFailure()
-}
-
-// markUp records a successful operation, resetting s's failure run.
-func (c *Client) markUp(t *tier, s int) { t.slots[s].breaker.onSuccess() }
-
 // onBreaker is the transition hook every slot's breaker shares.
 func (c *Client) onBreaker(from, to BreakerState) {
 	switch to {
@@ -355,7 +314,7 @@ func (c *Client) onBreaker(from, to BreakerState) {
 }
 
 // Failures returns the number of server network errors observed.
-func (c *Client) Failures() uint64 { return c.failures.load() }
+func (c *Client) Failures() uint64 { return c.failures.Load() }
 
 // Resilience exposes the client's failure-handling counters: breaker
 // transitions, probe outcomes, and read re-plans.
@@ -422,30 +381,23 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	// only current members: a drained server's series disappears from
 	// /metrics with it (no ghost series), and reappears under the same
 	// index if the server rejoins.
-	reg.Register("rnb_server_breaker_state", "Breaker state per backend: 0 closed, 1 open, 2 half-open.",
-		obs.Gauge, func() []obs.Sample {
+	perServer := func(name, help string, value func(ServerState) float64) {
+		reg.Register(name, help, obs.Gauge, func() []obs.Sample {
 			states := c.ServerStates()
 			out := make([]obs.Sample, len(states))
 			for i, st := range states {
 				out[i] = obs.Sample{
 					Labels: obs.Labels("server", fmt.Sprintf("%d", st.Index), "addr", st.Addr),
-					Value:  float64(st.State),
+					Value:  value(st),
 				}
 			}
 			return out
 		})
-	reg.Register("rnb_server_consecutive_failures", "Current unbroken failure run per backend.",
-		obs.Gauge, func() []obs.Sample {
-			states := c.ServerStates()
-			out := make([]obs.Sample, len(states))
-			for i, st := range states {
-				out[i] = obs.Sample{
-					Labels: obs.Labels("server", fmt.Sprintf("%d", st.Index), "addr", st.Addr),
-					Value:  float64(st.ConsecutiveFailures),
-				}
-			}
-			return out
-		})
+	}
+	perServer("rnb_server_breaker_state", "Breaker state per backend: 0 closed, 1 open, 2 half-open.",
+		func(st ServerState) float64 { return float64(st.State) })
+	perServer("rnb_server_consecutive_failures", "Current unbroken failure run per backend.",
+		func(st ServerState) float64 { return float64(st.ConsecutiveFailures) })
 	reg.RegisterDurationHist("rnb_request_duration_seconds",
 		"End-to-end GetMulti latency.", &c.tracer.Total)
 	reg.RegisterDurationHist("rnb_plan_duration_seconds",
@@ -516,14 +468,14 @@ func (c *Client) probeHalfOpen(t *tier) {
 	if c.shut.Load() {
 		return
 	}
-	for s := range t.slots {
-		sl := t.slots[s]
+	for _, sl := range t.slots {
 		if sl.closed.Load() || !sl.breaker.tryAcquireProbe() {
 			continue
 		}
 		c.resilience.Probes.Add(1)
-		go func(sl *slot) {
-			err := sl.do(func(conn memcache.Conn) error {
+		go func() {
+			// call, not do: the probe's verdict is onProbeResult.
+			err := sl.call(func(conn memcache.Conn) error {
 				_, err := conn.Version()
 				return err
 			})
@@ -533,7 +485,7 @@ func (c *Client) probeHalfOpen(t *tier) {
 				c.resilience.ProbeFailures.Add(1)
 			}
 			sl.breaker.onProbeResult(err == nil)
-		}(sl)
+		}()
 	}
 }
 
@@ -551,7 +503,6 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 	}
 	cfg := clientConfig{
 		replicas:         2,
-		vnodes:           hashring.DefaultVirtualNodes,
 		timeout:          5 * time.Second,
 		hitchhike:        true,
 		writeBack:        true,
@@ -585,7 +536,7 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 	c := &Client{
 		cfg:        cfg,
 		machine:    machine,
-		master:     hashring.New(cfg.vnodes),
+		master:     hashring.New(hashring.DefaultVirtualNodes),
 		poolGauges: poolGauges,
 		tracer:     obs.New(cfg.obs),
 		stop:       make(chan struct{}),
@@ -613,11 +564,7 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 			c.closeSlotsLocked()
 			return nil, fmt.Errorf("rnb: internal slot/ring index mismatch for %s", addr)
 		}
-		c.slots = append(c.slots, &slot{
-			addr:    addr,
-			conn:    conn,
-			breaker: newBreaker(cfg.breakerThreshold, cfg.cooldown, c.onBreaker),
-		})
+		c.slots = append(c.slots, c.newSlot(addr, conn))
 	}
 	clone := c.master.Clone()
 	c.epochs = []*epochSnap{{ring: clone, plc: hashring.NewRCHPlacement(clone, cfg.replicas)}}
@@ -663,11 +610,7 @@ func (c *Client) dial(addr string) (memcache.Conn, error) {
 // and Close).
 func (c *Client) closeSlotsLocked() (first error) {
 	for _, s := range c.slots {
-		if s.closed.Swap(true) {
-			continue
-		}
-		c.closedTxns.Add(s.conn.Transactions())
-		if err := s.conn.Close(); err != nil && first == nil {
+		if err := c.closeSlotLocked(s); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -720,35 +663,127 @@ func (c *Client) Transactions() uint64 {
 // keyID maps a key onto the planner's numeric item space.
 func keyID(key string) uint64 { return xhash.String(key) }
 
-// invalidationServers returns every server that may hold a copy of
-// key, current heat notwithstanding. With adaptive replication on,
-// mutations must clear the maximal boosted set: a copy left on a
-// since-demoted boosted replica would otherwise resurface stale when
-// the key re-heats (boosted placement is deterministic, so the same
-// server rejoins the set). During a membership transition the
-// adaptive base is the epoch union, so this covers every windowed
-// layout too.
-func (c *Client) invalidationServers(t *tier, key string) []int {
+// writeSet returns every server a mutation of key must reach,
+// distinguished copy first: the key's replica set at maximum boost over
+// the union of every windowed epoch. Current heat does not narrow it: a
+// boosted copy can outlive its demotion in a server LRU, and the
+// deterministic boost walk hands the same server back when the key
+// re-heats, so a copy a mutation skipped would resurface stale.
+// servers[:live] is the key's current replica set. newest is the newest
+// epoch's distinguished server while a transition is open and it
+// differs from servers[0], else -1.
+func (t *tier) writeSet(key string) (servers []int, live, newest int) {
+	servers = t.replicas(key)
+	live, newest = len(servers), -1
 	if t.adaptive != nil {
-		return t.adaptive.MaxReplicas(keyID(key), nil)
+		servers = t.adaptive.MaxReplicas(keyID(key), nil)
 	}
-	return t.replicas(key)
+	if t.union != nil {
+		if nd := t.newest.Replicas(keyID(key), nil)[0]; nd != servers[0] {
+			newest = nd
+		}
+	}
+	return servers, live, newest
 }
 
-// newestDistinguished returns the distinguished server for key under
-// the newest epoch's layout when it differs from the transition-wide
-// distinguished copy (entry 0 of the union), and -1 otherwise. Writes
-// pin both during a transition so the distinguished never-miss
-// guarantee holds on either side of the cutover for keys written
-// inside the window.
-func (t *tier) newestDistinguished(key string, oldDist int) int {
-	if t.union == nil {
-		return -1
+// writeOp describes one mutation to apply: what each copy in the
+// write set gets, and in which order.
+type writeOp struct {
+	// dist is what the distinguished copy gets. Any failure there, a
+	// refusal (CAS conflict, miss, not stored) included, fails the
+	// operation.
+	dist func(memcache.Conn) error
+	// replica is what the other current replicas get; nil drops them,
+	// to repopulate on demand via write-back (§IV). Copies beyond the
+	// current replica set are always dropped.
+	replica func(memcache.Conn) error
+	// alongside gives the newest epoch's distinguished copy dist too
+	// while a transition is open, so the never-miss guarantee holds on
+	// both sides of the cutover for keys written inside the window.
+	alongside bool
+	// clearFirst handles the other copies before the distinguished
+	// write (§IV's atomic update) instead of after it.
+	clearFirst bool
+	// everyCopy sends dist to the whole write set; a miss is tolerated
+	// on any copy, and on all of them is ErrCacheMiss.
+	everyCopy bool
+}
+
+// dropCopy removes key's copy from one server.
+func dropCopy(key string) func(memcache.Conn) error {
+	return func(conn memcache.Conn) error { return conn.Delete(key) }
+}
+
+// storeOp stores one copy of it: pinned against LRU eviction for a
+// distinguished copy (unless WithPinnedDistinguished(false)), plain for
+// any other.
+func (c *Client) storeOp(it *Item, distinguished bool) func(memcache.Conn) error {
+	if distinguished && c.cfg.pinDistinguished {
+		return func(conn memcache.Conn) error { return conn.SetPinned(it) }
 	}
-	if nd := t.newest.Replicas(keyID(key), nil)[0]; nd != oldDist {
-		return nd
+	return func(conn memcache.Conn) error { return conn.Set(it) }
+}
+
+// write runs fn against the copy of key on server s. virtualOK
+// tolerates the two refusals of a copy that may legitimately not exist
+// — a miss, and "not stored" from a server whose memory is full of
+// pinned and hot data (§III-C-1's overbooking). Any other answer is
+// returned as is (it is the operation's result); a network error is
+// wrapped with verb and the server it came from, and has already fed
+// that server's breaker in slot.do.
+func (t *tier) write(verb, key string, s int, fn func(memcache.Conn) error, virtualOK bool) (hit bool, err error) {
+	err = t.slots[s].do(fn)
+	switch {
+	case err == nil:
+		return true, nil
+	case virtualOK && (errors.Is(err, ErrCacheMiss) || errors.Is(err, memcache.ErrNotStored)):
+		return false, nil
+	case memcache.IsConnFatal(err):
+		return false, fmt.Errorf("rnb: %s %q on %s: %w", verb, key, t.slots[s].addr, err)
 	}
-	return -1
+	return false, err
+}
+
+// apply is the one mutation routine: it computes key's write set once
+// and walks it — the distinguished copy (with the newest epoch's right
+// behind it), then every other copy, or the other way round for
+// clearFirst — until a write fails. Every non-distinguished copy may
+// be virtual.
+func (c *Client) apply(verb, key string, op writeOp) error {
+	t := c.cur.Load()
+	servers, live, newest := t.writeSet(key)
+	if !op.alongside {
+		newest = -1
+	}
+	found := false
+	for k := range servers {
+		i := k
+		if op.clearFirst {
+			i = (k + 1) % len(servers)
+		}
+		s, fn := servers[i], op.dist
+		switch {
+		case i == 0 || op.everyCopy:
+		case s == newest && !op.clearFirst:
+			continue // written right behind the distinguished copy
+		case op.replica != nil && i < live:
+			fn = op.replica
+		default:
+			fn = dropCopy(key)
+		}
+		hit, err := t.write(verb, key, s, fn, i > 0 || op.everyCopy)
+		if err == nil && i == 0 && newest >= 0 {
+			_, err = t.write(verb, key, newest, op.dist, false)
+		}
+		if err != nil {
+			return err
+		}
+		found = found || hit
+	}
+	if op.everyCopy && !found {
+		return ErrCacheMiss
+	}
+	return nil
 }
 
 // Set stores the item on every replica server. The first replica is
@@ -761,114 +796,31 @@ func (t *tier) newestDistinguished(key string, oldDist int) int {
 // logical replica simply stays virtual until write-back or a later Set
 // lands it. Network errors on any replica, and any failure on the
 // distinguished copy, are errors.
+//
+// During a membership transition the newest layout's distinguished
+// copy is pinned alongside the old one; with adaptive replication on,
+// boosted copies lingering outside the current replica set are cleared.
 func (c *Client) Set(it *Item) error {
-	t := c.cur.Load()
-	replicas := t.replicas(it.Key)
-	// During a membership transition the set spans every windowed
-	// epoch (superset invalidation), and the newest layout's
-	// distinguished copy is pinned alongside the old one so the
-	// never-miss guarantee survives the cutover.
-	newDist := t.newestDistinguished(it.Key, replicas[0])
-	for i, s := range replicas {
-		pin := c.cfg.pinDistinguished && (i == 0 || s == newDist)
-		err := t.slots[s].do(func(conn memcache.Conn) error {
-			if pin {
-				return conn.SetPinned(it)
-			}
-			return conn.Set(it)
-		})
-		if err != nil {
-			if i > 0 && errors.Is(err, memcache.ErrNotStored) {
-				continue // overbooked replica declined; acceptable
-			}
-			c.markDown(t, s)
-			return fmt.Errorf("rnb: set %q on %s: %w", it.Key, t.slots[s].addr, err)
-		}
-	}
-	// The writes above cover only the key's *current* replica set. With
-	// adaptive replication on, a boosted copy materialized via write-back
-	// can outlive a demotion in a server LRU; the boost walk is
-	// deterministic, so the same server rejoins the set when the key
-	// re-heats and the stale copy would shadow this Set. Clear the rest
-	// of the max-boost set, mirroring Update's invalidation.
-	if t.adaptive != nil {
-		for _, s := range t.adaptive.MaxReplicas(keyID(it.Key), nil) {
-			if containsServer(replicas, s) {
-				continue
-			}
-			err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Delete(it.Key) })
-			if err != nil && !errors.Is(err, memcache.ErrCacheMiss) {
-				return fmt.Errorf("rnb: clearing replica of %q on %s: %w", it.Key, t.slots[s].addr, err)
-			}
-		}
-	}
-	return nil
-}
-
-func containsServer(set []int, s int) bool {
-	for _, have := range set {
-		if have == s {
-			return true
-		}
-	}
-	return false
+	return c.apply("set", it.Key, writeOp{dist: c.storeOp(it, true), replica: c.storeOp(it, false), alongside: true})
 }
 
 // Delete removes the item from every replica server. Replica servers
 // that do not currently hold a copy are not an error; a key unknown
 // everywhere returns ErrCacheMiss.
 func (c *Client) Delete(key string) error {
-	t := c.cur.Load()
-	found := false
-	for _, s := range c.invalidationServers(t, key) {
-		err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Delete(key) })
-		switch {
-		case err == nil:
-			found = true
-		case errors.Is(err, memcache.ErrCacheMiss):
-		default:
-			return fmt.Errorf("rnb: delete %q on %s: %w", key, t.slots[s].addr, err)
-		}
-	}
-	if !found {
-		return ErrCacheMiss
-	}
-	return nil
-}
-
-// mutateDistinguished applies an operation to the distinguished copy
-// and, on success, drops the other replicas so they repopulate on
-// demand — the §IV atomic-operation scheme shared by Append, Prepend,
-// Increment and UpdateCAS.
-func (c *Client) mutateDistinguished(key string, op func(conn memcache.Conn) error) error {
-	t := c.cur.Load()
-	replicas := c.invalidationServers(t, key)
-	if err := t.slots[replicas[0]].do(op); err != nil {
-		return err
-	}
-	for _, s := range replicas[1:] {
-		err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Delete(key) })
-		if err != nil && !errors.Is(err, memcache.ErrCacheMiss) {
-			return fmt.Errorf("rnb: clearing replica of %q on %s: %w", key, t.slots[s].addr, err)
-		}
-	}
-	return nil
+	return c.apply("delete", key, writeOp{dist: dropCopy(key), everyCopy: true})
 }
 
 // Append concatenates data after the item's value, atomically against
 // the distinguished copy (stale replicas are invalidated).
 func (c *Client) Append(key string, data []byte) error {
-	return c.mutateDistinguished(key, func(conn memcache.Conn) error {
-		return conn.Append(key, data)
-	})
+	return c.apply("append", key, writeOp{dist: func(conn memcache.Conn) error { return conn.Append(key, data) }})
 }
 
 // Prepend concatenates data before the item's value, atomically
 // against the distinguished copy.
 func (c *Client) Prepend(key string, data []byte) error {
-	return c.mutateDistinguished(key, func(conn memcache.Conn) error {
-		return conn.Prepend(key, data)
-	})
+	return c.apply("prepend", key, writeOp{dist: func(conn memcache.Conn) error { return conn.Prepend(key, data) }})
 }
 
 // Increment adjusts a decimal counter by delta (negative decrements,
@@ -876,37 +828,21 @@ func (c *Client) Prepend(key string, data []byte) error {
 // value. Stale replicas are invalidated.
 func (c *Client) Increment(key string, delta int64) (uint64, error) {
 	var out uint64
-	err := c.mutateDistinguished(key, func(conn memcache.Conn) error {
-		var err error
+	err := c.apply("increment", key, writeOp{dist: func(conn memcache.Conn) (err error) {
 		if delta >= 0 {
 			out, err = conn.Incr(key, uint64(delta))
 		} else {
 			out, err = conn.Decr(key, uint64(-delta))
 		}
 		return err
-	})
+	}})
 	return out, err
 }
 
 // Touch updates the expiration of every replica of key. A key unknown
 // everywhere returns ErrCacheMiss.
 func (c *Client) Touch(key string, exp int32) error {
-	t := c.cur.Load()
-	found := false
-	for _, s := range t.replicas(key) {
-		err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Touch(key, exp) })
-		switch {
-		case err == nil:
-			found = true
-		case errors.Is(err, memcache.ErrCacheMiss):
-		default:
-			return fmt.Errorf("rnb: touch %q on %s: %w", key, t.slots[s].addr, err)
-		}
-	}
-	if !found {
-		return ErrCacheMiss
-	}
-	return nil
+	return c.apply("touch", key, writeOp{everyCopy: true, dist: func(conn memcache.Conn) error { return conn.Touch(key, exp) }})
 }
 
 // FlushAll wipes every server in the tier (draining members included —
@@ -931,32 +867,7 @@ func (c *Client) FlushAll() error {
 // copy is written (pinned) as well, so a key updated inside the window
 // still has its guaranteed copy after the old epoch retires.
 func (c *Client) Update(it *Item) error {
-	t := c.cur.Load()
-	replicas := c.invalidationServers(t, it.Key)
-	for _, s := range replicas[1:] {
-		err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Delete(it.Key) })
-		if err != nil && !errors.Is(err, memcache.ErrCacheMiss) {
-			return fmt.Errorf("rnb: update %q: clearing replica on %s: %w",
-				it.Key, t.slots[s].addr, err)
-		}
-	}
-	store := func(conn memcache.Conn) error {
-		if c.cfg.pinDistinguished {
-			return conn.SetPinned(it)
-		}
-		return conn.Set(it)
-	}
-	if err := t.slots[replicas[0]].do(store); err != nil {
-		return fmt.Errorf("rnb: update %q on distinguished %s: %w",
-			it.Key, t.slots[replicas[0]].addr, err)
-	}
-	if nd := t.newestDistinguished(it.Key, replicas[0]); nd >= 0 {
-		if err := t.slots[nd].do(store); err != nil {
-			return fmt.Errorf("rnb: update %q on next distinguished %s: %w",
-				it.Key, t.slots[nd].addr, err)
-		}
-	}
-	return nil
+	return c.apply("update", it.Key, writeOp{dist: c.storeOp(it, true), alongside: true, clearFirst: true})
 }
 
 // GetsDistinguished fetches keys with CAS tokens from their
@@ -974,8 +885,7 @@ func (c *Client) GetsDistinguished(keys []string) (map[string]*Item, error) {
 	out := make(map[string]*Item, len(keys))
 	for s, group := range byServer {
 		var items map[string]*Item
-		err := t.slots[s].do(func(conn memcache.Conn) error {
-			var err error
+		err := t.slots[s].do(func(conn memcache.Conn) (err error) {
 			items, err = conn.GetsMulti(group)
 			return err
 		})
@@ -996,19 +906,7 @@ func (c *Client) GetsDistinguished(keys []string) (map[string]*Item, error) {
 // memcache.ErrCASConflict on a lost race and ErrCacheMiss if the key
 // is gone.
 func (c *Client) UpdateCAS(it *Item) error {
-	t := c.cur.Load()
-	replicas := c.invalidationServers(t, it.Key)
-	if err := t.slots[replicas[0]].do(func(conn memcache.Conn) error { return conn.CompareAndSwap(it) }); err != nil {
-		return err
-	}
-	for _, s := range replicas[1:] {
-		err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Delete(it.Key) })
-		if err != nil && !errors.Is(err, memcache.ErrCacheMiss) {
-			return fmt.Errorf("rnb: update-cas %q: clearing replica on %s: %w",
-				it.Key, t.slots[s].addr, err)
-		}
-	}
-	return nil
+	return c.apply("update-cas", it.Key, writeOp{dist: func(conn memcache.Conn) error { return conn.CompareAndSwap(it) }})
 }
 
 // Get fetches a single key from its distinguished server (single-item
@@ -1019,11 +917,7 @@ func (c *Client) Get(key string) (*Item, error) {
 	t := c.cur.Load()
 	c.probeHalfOpen(t)
 	if c.adaptive != nil {
-		id := keyID(key)
-		c.adaptive.ObserveOne(id)
-		if c.adaptive.Boost(id) > 0 {
-			c.hot.record(id, key)
-		}
+		c.observeHeat([]uint64{keyID(key)}, []string{key})
 	}
 	replicas := t.replicas(key)
 	s := replicas[0]
@@ -1033,17 +927,10 @@ func (c *Client) Get(key string) (*Item, error) {
 		}
 	}
 	var it *Item
-	err := t.slots[s].do(func(conn memcache.Conn) error {
-		var err error
+	err := t.slots[s].do(func(conn memcache.Conn) (err error) {
 		it, err = conn.Get(key)
 		return err
 	})
-	switch {
-	case err == nil:
-		c.markUp(t, s)
-	case !errors.Is(err, ErrCacheMiss):
-		c.markDown(t, s)
-	}
 	return it, err
 }
 
@@ -1159,101 +1046,86 @@ func newTraceID() uint64 {
 	}
 }
 
-// armRTTTrace prepares one round trip's tracing: when the owning span
-// is traced, it mints the client-side span id and the context the
-// server will see (the RTT span is the server span's parent).
-func (c *Client) armRTTTrace(sp *obs.Span) (uint64, obs.TraceContext) {
-	if sp == nil || sp.TraceID == 0 {
-		return 0, obs.TraceContext{}
-	}
-	spanID := c.tracer.NextID()
-	return spanID, obs.TraceContext{TraceID: sp.TraceID, Parent: spanID}
-}
-
 // fanout executes the planned transactions concurrently, merging found
-// items into out. A failing transaction quarantines its server; the
-// returned slice holds the failed transactions' servers (one entry per
-// failed transaction), which the caller feeds into the re-plan
-// exclusion set. Each transaction's round trip is stamped into sp
-// (when non-nil) under the given phase label and re-plan round.
-func (c *Client) fanout(t *tier, txns []core.Transaction, keyOf map[uint64]string, out map[string]*Item, sp *obs.Span, phase string, round int) (failed []int) {
-	if len(txns) == 0 {
-		return nil
+// items into out. A failing transaction quarantines its server (in
+// slot.do); the returned slice holds the failed transactions' servers
+// (one entry per failed transaction), which the caller feeds into the
+// re-plan exclusion set. What it issued, carried and lost is counted
+// into stats, and sp gets one round-trip stamp per transaction, in plan
+// order. A single transaction runs inline, without a goroutine.
+func (c *Client) fanout(t *tier, txns []core.Transaction, keyOf map[uint64]string, out map[string]*Item, sp *obs.Span, stats *Stats, phase string, round int) (failed []int) {
+	stats.Transactions += len(txns)
+	for i := range txns {
+		stats.Hitchhikers += len(txns[i].Hitchhikers)
 	}
+	stamps := len(sp.RTTs)
+	sp.RTTs = append(sp.RTTs, make([]obs.TxnRTT, len(txns))...)
 	if len(txns) == 1 {
-		spanID, tc := c.armRTTTrace(sp)
-		start := time.Now()
-		items, tr, err := c.execTxn(t, &txns[0], keyOf, tc)
-		tr.spanID = spanID
-		c.stampRTT(t, sp, &txns[0], phase, round, start, err, tr)
+		items, err := c.roundTrip(t, &txns[0], keyOf, sp, &sp.RTTs[stamps], phase, round)
 		if err != nil {
-			c.markDown(t, txns[0].Server)
+			stats.Failed++
 			return []int{txns[0].Server}
 		}
-		c.markUp(t, txns[0].Server)
 		mergeItems(out, items)
 		return nil
 	}
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
 	for i := range txns {
 		wg.Add(1)
-		go func(txn *core.Transaction) {
+		go func(txn *core.Transaction, rtt *obs.TxnRTT) {
 			defer wg.Done()
-			spanID, tc := c.armRTTTrace(sp)
-			start := time.Now()
-			items, tr, err := c.execTxn(t, txn, keyOf, tc)
-			tr.spanID = spanID
+			items, err := c.roundTrip(t, txn, keyOf, sp, rtt, phase, round)
 			mu.Lock()
 			defer mu.Unlock()
-			c.stampRTT(t, sp, txn, phase, round, start, err, tr)
 			if err != nil {
-				c.markDown(t, txn.Server)
 				failed = append(failed, txn.Server)
 				return
 			}
-			c.markUp(t, txn.Server)
 			mergeItems(out, items)
-		}(&txns[i])
+		}(&txns[i], &sp.RTTs[stamps+i])
 	}
 	wg.Wait()
+	stats.Failed += len(failed)
 	return failed
 }
 
-// rttTrace carries one round trip's tracing attribution from execTxn
-// back to stampRTT: the client-side span id, the client queue wait, and
-// the server's in-band phase timings (nil when untraced or when the
-// server did not negotiate).
-type rttTrace struct {
-	spanID  uint64
-	queueNS int64
-	st      *obs.ServerTimings
-}
-
-// stampRTT appends one fan-out round trip to the span. The caller must
-// ensure exclusive access to sp (fanout stamps under its merge mutex).
-func (c *Client) stampRTT(t *tier, sp *obs.Span, txn *core.Transaction, phase string, round int, start time.Time, err error, tr rttTrace) {
-	if sp == nil {
-		return
+// roundTrip is the one read round trip behind fan-out, re-plan and
+// round 2: it issues one planned transaction as a single multi-get
+// (slot.do feeds the breaker) and fills in rtt, the caller's slot in
+// sp.RTTs, under the given phase label and re-plan round. When sp is
+// traced the multi-get carries the trace context — the RTT span is the
+// server span's parent — and the stamp holds the client queue wait and
+// the server's phase timings. The stamp is written in place because a
+// fan-out goroutine's stack is small: a TxnRTT held by value in this
+// frame, below which the whole transport runs, costs every goroutine a
+// stack growth (measured: +15 % on a four-transaction multi-get).
+func (c *Client) roundTrip(t *tier, txn *core.Transaction, keyOf map[uint64]string, sp *obs.Span, rtt *obs.TxnRTT, phase string, round int) (items map[string]*Item, err error) {
+	reqKeys := make([]string, 0, len(txn.Primary)+len(txn.Hitchhikers))
+	for _, id := range txn.Primary {
+		reqKeys = append(reqKeys, keyOf[id])
 	}
-	rtt := obs.TxnRTT{
-		Server:        txn.Server,
-		Addr:          t.slots[txn.Server].addr,
-		Keys:          len(txn.Primary) + len(txn.Hitchhikers),
-		Phase:         phase,
-		Round:         round,
-		DurNS:         int64(time.Since(start)),
-		SpanID:        tr.spanID,
-		OffsetNS:      start.Sub(sp.Start).Nanoseconds(),
-		QueueNS:       tr.queueNS,
-		ServerTimings: tr.st,
+	for _, id := range txn.Hitchhikers {
+		reqKeys = append(reqKeys, keyOf[id])
 	}
+	rtt.Server, rtt.Addr, rtt.Keys, rtt.Phase, rtt.Round = txn.Server, t.slots[txn.Server].addr, len(reqKeys), phase, round
+	var tc obs.TraceContext
+	if sp.TraceID != 0 {
+		rtt.SpanID = c.tracer.NextID()
+		tc = obs.TraceContext{TraceID: sp.TraceID, Parent: rtt.SpanID}
+	}
+	start := time.Now()
+	err = t.slots[txn.Server].do(func(conn memcache.Conn) (err error) {
+		items, rtt.QueueNS, rtt.ServerTimings, err = conn.TracedGetMulti(tc, reqKeys)
+		return err
+	})
+	rtt.DurNS = int64(time.Since(start))
+	rtt.OffsetNS = start.Sub(sp.Start).Nanoseconds()
 	if err != nil {
+		items, err = nil, fmt.Errorf("rnb: multi-get on %s: %w", rtt.Addr, err)
 		rtt.Err = err.Error()
 	}
-	sp.RTTs = append(sp.RTTs, rtt)
+	return items, err
 }
 
 // maxBackoff caps the re-plan backoff: past it, more waiting buys
@@ -1279,36 +1151,6 @@ func jitteredBackoff(base time.Duration, round int) time.Duration {
 	}
 	// Uniform in [d/2, 3d/2).
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// execTxn issues one planned transaction as a single multi-get. When tc
-// is valid the multi-get carries the trace context and the returned
-// rttTrace holds the client queue wait and the server's phase timings;
-// a zero tc makes it a stock multi-get.
-func (c *Client) execTxn(t *tier, txn *core.Transaction, keyOf map[uint64]string, tc obs.TraceContext) (map[string]*Item, rttTrace, error) {
-	reqKeys := make([]string, 0, len(txn.Primary)+len(txn.Hitchhikers))
-	for _, id := range txn.Primary {
-		reqKeys = append(reqKeys, keyOf[id])
-	}
-	for _, id := range txn.Hitchhikers {
-		reqKeys = append(reqKeys, keyOf[id])
-	}
-	var items map[string]*Item
-	var tr rttTrace
-	err := t.slots[txn.Server].do(func(conn memcache.Conn) error {
-		var err error
-		items, tr.queueNS, tr.st, err = conn.TracedGetMulti(tc, reqKeys)
-		return err
-	})
-	if err != nil {
-		return nil, tr, fmt.Errorf("rnb: multi-get on %s: %w", t.slots[txn.Server].addr, err)
-	}
-	return items, tr, nil
-}
-
-// avoidsServer evaluates a possibly-nil avoid filter.
-func avoidsServer(avoid func(int) bool, s int) bool {
-	return avoid != nil && avoid(s)
 }
 
 func mergeItems(dst, src map[string]*Item) {
@@ -1411,13 +1253,8 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	// Transaction failures quarantine the server and degrade to the
 	// re-plan/round-2 recovery below rather than failing the request.
 	out = make(map[string]*Item, len(keys))
-	for _, txn := range plan.Transactions {
-		stats.Hitchhikers += len(txn.Hitchhikers)
-	}
-	stats.Transactions += len(plan.Transactions)
 	fanStart := time.Now()
-	failedSrvs := c.fanout(t, plan.Transactions, keyOf, out, sp, "fanout", 0)
-	stats.Failed += len(failedSrvs)
+	failedSrvs := c.fanout(t, plan.Transactions, keyOf, out, sp, &stats, "fanout", 0)
 	if budget > 0 {
 		sp.FanoutNS = int64(time.Since(fanStart))
 		return out, stats, nil
@@ -1455,14 +1292,9 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 		}
 		stats.Replans++
 		c.resilience.Replans.Add(1)
-		for _, txn := range replan.Transactions {
-			stats.Hitchhikers += len(txn.Hitchhikers)
-		}
-		stats.Transactions += len(replan.Transactions)
 		stats.Retries += len(replan.Transactions)
 		c.resilience.RetryTransactions.Add(uint64(len(replan.Transactions)))
-		failedSrvs = c.fanout(t, replan.Transactions, keyOf, out, sp, "replan", attempt+1)
-		stats.Failed += len(failedSrvs)
+		failedSrvs = c.fanout(t, replan.Transactions, keyOf, out, sp, &stats, "replan", attempt+1)
 	}
 	sp.FanoutNS = int64(time.Since(fanStart))
 	// Servers that failed during this request stay excluded for the
@@ -1500,19 +1332,12 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	for _, txn := range core.SecondRound(missIDs, missReplicas) {
 		stats.Transactions++
 		stats.Round2++
-		spanID, tc := c.armRTTTrace(sp)
-		txnStart := time.Now()
-		items, tr, err := c.execTxn(t, &txn, keyOf, tc)
-		tr.spanID = spanID
-		c.stampRTT(t, sp, &txn, "round2", 0, txnStart, err, tr)
+		sp.RTTs = append(sp.RTTs, obs.TxnRTT{})
+		items, err := c.roundTrip(t, &txn, keyOf, sp, &sp.RTTs[len(sp.RTTs)-1], "round2", 0)
 		if err != nil {
-			// Quarantine and degrade: these items fall to the loader or
-			// come back absent.
-			c.markDown(t, txn.Server)
 			stats.Failed++
-			continue
+			continue // degrade: these items fall to the loader or come back absent
 		}
-		c.markUp(t, txn.Server)
 		// Walk the transaction's keys, not the reply map, so write-backs
 		// (and the evictions they cause) happen in a seed-determined
 		// order.
@@ -1523,17 +1348,13 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			}
 			out[it.Key] = it
 			// Write-back: repopulate the replica the planner assigned.
-			// A "not stored" refusal is overbooking at work, not a
-			// failure.
-			if s := missAssigned[id]; c.cfg.writeBack && s != txn.Server && !avoidsServer(avoidNow, s) {
-				err := t.slots[s].do(func(conn memcache.Conn) error { return conn.Set(it) })
-				if err != nil && !errors.Is(err, memcache.ErrNotStored) {
-					c.markDown(t, s)
-				}
+			// Best effort: "not stored" is overbooking at work, a network
+			// error has fed the breaker, the item is served either way.
+			if s := missAssigned[id]; c.cfg.writeBack && s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
+				_ = t.slots[s].do(c.storeOp(it, false))
 			}
 		}
 	}
-
 	sp.Round2NS = int64(time.Since(round2Start))
 
 	// Cache-aside: keys the cache tier could not serve go to the backing

@@ -210,7 +210,7 @@ func TestGetMultiRecoversFromReplicaLoss(t *testing.T) {
 	// Use the paper's invariant instead: delete every key from every
 	// server EXCEPT its distinguished one.
 	for _, k := range ks {
-		dist := cl.replicaServers(k)[0]
+		dist := cl.cur.Load().replicas(k)[0]
 		for s, srv := range servers {
 			if s != dist {
 				srv.Store().Delete(k)
@@ -238,7 +238,7 @@ func TestWriteBackRepopulatesReplica(t *testing.T) {
 		}
 	}
 	for _, k := range ks {
-		dist := cl.replicaServers(k)[0]
+		dist := cl.cur.Load().replicas(k)[0]
 		for s, srv := range servers {
 			if s != dist {
 				srv.Store().Delete(k)
@@ -307,7 +307,7 @@ func TestUpdateClearsReplicasAndUpdatesDistinguished(t *testing.T) {
 	if err := cl.Update(&Item{Key: "k", Value: []byte("new")}); err != nil {
 		t.Fatal(err)
 	}
-	reps := cl.replicaServers("k")
+	reps := cl.cur.Load().replicas("k")
 	it, err := servers[reps[0]].Store().Get("k")
 	if err != nil || string(it.Value) != "new" {
 		t.Fatalf("distinguished copy: %v %v", it, err)

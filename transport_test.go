@@ -154,6 +154,23 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// plannedServer returns a server the client's plan for ks sends a
+// transaction to. Which servers that is depends on the port-derived
+// ring, so a test that kills "server 0" and waits for the load to notice
+// hangs on the rings where the plan never touches it.
+func plannedServer(t *testing.T, cl *Client, ks []string) int {
+	t.Helper()
+	ids, _, err := cl.keyIDs(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cl.cur.Load().planner.BuildAvoiding(ids, 0, nil)
+	if err != nil || len(plan.Transactions) == 0 {
+		t.Fatalf("no plan for %v: %v", ks, err)
+	}
+	return plan.Transactions[0].Server
+}
+
 // TestPooledClientChaosKillMidPipeline kills a backend while a pooled
 // client has requests on the wire. In-flight requests must fail fast
 // (not hang to the 5s timeout), the breaker must open, subsequent
@@ -195,7 +212,7 @@ func TestPooledClientChaosKillMidPipeline(t *testing.T) {
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
-	victim := 0
+	victim := plannedServer(t, cl, ks[:16])
 	start := time.Now()
 	injectors[victim].Kill()
 	// The kill must surface as failures quickly. Worst case per request
