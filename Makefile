@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-pool bench-topology bench-placement bench-trace
+.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-pool bench-topology bench-placement bench-trace
 
 build:
 	$(GO) build ./...
@@ -72,13 +72,25 @@ stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
-# transport, planner and client hot paths: text/binary encode+decode,
-# the end-to-end pooled multiget, core's Plan build, and the root
+# transport, server, planner and client hot paths: text/binary
+# encode+decode, the end-to-end pooled multiget, the server's own share
+# of a get / multiget / set on both wires (TestAllocBudgetServe, driven
+# over an in-memory connection), core's Plan build, and the root
 # client's Get / GetMulti / Set. Run without -race — the race runtime's
 # shadow allocations distort the counts, so the gates are build-tagged
 # !race.
 bench-alloc:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v . ./internal/memcache ./internal/core
+
+# Fuzz smoke: ten seconds each on the three fuzzers that feed bytes to
+# the server's request path and the clients' demultiplexers. A crasher
+# lands in internal/memcache/testdata/fuzz and is checked in as a
+# regression seed.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	for f in FuzzTextProtocol FuzzCrossProtocol FuzzBinaryDemux; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=$(FUZZTIME) ./internal/memcache || exit 1; \
+	done
 
 # bench/ is its own module, so `go test ./...` at the root never
 # compiles it: an API the benchmark uses could be deleted without any
@@ -115,7 +127,7 @@ smoke-placement:
 	$(GO) run ./cmd/rnbbench -requests 400 -warmup 400 -scale 40 placement
 	$(GO) test -run 'CBC|Balanced|Adversarial' ./internal/cbc ./internal/core ./internal/workload
 
-ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc bench-smoke obs-smoke trace-smoke smoke-placement
+ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke obs-smoke trace-smoke smoke-placement
 	# Transport smoke: a tiny pooled-vs-single sweep proving the pool
 	# mode still runs end to end (full sweep lives in bench-pool).
 	$(GO) run ./cmd/rnbbench -ops 60 pool

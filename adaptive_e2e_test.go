@@ -140,7 +140,7 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 		if slices.Contains(current, s) {
 			continue
 		}
-		if _, err := servers[s].Store().Peek(hot); !errors.Is(err, memcache.ErrCacheMiss) {
+		if _, err := servers[s].Store().Get(hot); !errors.Is(err, memcache.ErrCacheMiss) {
 			t.Fatalf("server %d still holds a copy after Set (err=%v); it would resurface stale on re-promotion", s, err)
 		}
 	}
@@ -235,7 +235,7 @@ func TestTouchReachesLingeringBoostedCopy(t *testing.T) {
 		t.Fatalf("replica set after demotion = %v, want the baseline %v", got, base)
 	}
 	for _, s := range boosted {
-		it, err := servers[s].Store().Peek(hot)
+		it, err := servers[s].Store().Get(hot)
 		if err != nil || it.Expiration != 1010 {
 			t.Fatalf("boosted copy on server %d not lingering with its Set deadline: %+v, %v", s, it, err)
 		}
@@ -245,7 +245,7 @@ func TestTouchReachesLingeringBoostedCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range append(slices.Clone(base), boosted...) {
-		it, err := servers[s].Store().Peek(hot)
+		it, err := servers[s].Store().Get(hot)
 		if err != nil {
 			t.Fatalf("copy on server %d gone after Touch: %v", s, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -218,6 +219,121 @@ func TestAllocBudgetRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		})
+	}
+}
+
+// pipeListener hands a Server the far ends of in-memory connections, so
+// a test can drive the real accept → sniff → serve path with no socket.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestAllocBudgetServe bounds the server's share of a transaction on its
+// own: canned request bytes go down an in-memory connection to a live
+// Server and the reply is read back raw, so no client codec, exchanger
+// or socket allocates inside the measured window. The budgets are what
+// a per-verb handler that splits each line into fresh strings and
+// slices costs; the request path reuses its request, key slice and
+// reply scratch per connection and measures 3/3/4 (text) and 3/10/4
+// (binary), so the budgets hold with room and must never rise.
+func TestAllocBudgetServe(t *testing.T) {
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("alloc:%03d", i)
+	}
+	value := bytes.Repeat([]byte("v"), 100)
+	it := &Item{Key: "alloc:set", Value: value}
+	encode := func(fn func(w *bufio.Writer) error) []byte {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := fn(w); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		return buf.Bytes()
+	}
+	textGet := func(ks []string) []byte {
+		return encode(func(w *bufio.Writer) error { return writeKeysCmd(w, "get", ks) })
+	}
+	binGet := func(ks []string) []byte {
+		return encode(func(w *bufio.Writer) error { return writeBinMultiGetCmd(w, ks) })
+	}
+	for _, lane := range []struct {
+		name            string
+		get1, get8, set []byte
+		getEnd          func(n int) []byte // the bytes that end an n-key get reply
+		setEnd          []byte
+		bGet1, bGet8    float64
+		bSet            float64
+	}{
+		{
+			name: "text", get1: textGet(keys[:1]), get8: textGet(keys),
+			set:    encode(func(w *bufio.Writer) error { return writeStoreCmd(w, "set", it) }),
+			getEnd: func(int) []byte { return []byte("END\r\n") }, setEnd: []byte("STORED\r\n"),
+			bGet1: 6, bGet8: 13, bSet: 6,
+		},
+		{
+			name: "binary", get1: binGet(keys[:1]), get8: binGet(keys),
+			set:    encode(func(w *bufio.Writer) error { return writeBinStoreCmd(w, binOpSet, it, 0) }),
+			getEnd: func(n int) []byte { return binResFrame(binOpNoop, binStatusOK, uint32(n), 0, nil, "", "") },
+			setEnd: binResFrame(binOpSet, binStatusOK, 0, 0, nil, "", ""),
+			bGet1:  4, bGet8: 11, bSet: 4,
+		},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
+			srv := NewServer(NewStore(0))
+			ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+			go srv.Serve(ln)
+			defer srv.Close()
+			for _, k := range keys {
+				if err := srv.Store().Set(&Item{Key: k, Value: value}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			near, far := net.Pipe()
+			defer near.Close()
+			ln.conns <- far
+			buf := make([]byte, 0, 4096)
+			// exchange sends one canned request and reads its reply: until
+			// end shows up the first time, by length once that is known.
+			exchange := func(req, end []byte) func() {
+				n := 0
+				return func() {
+					if _, err := near.Write(req); err != nil {
+						t.Fatal(err)
+					}
+					if n > 0 {
+						if _, err := io.ReadFull(near, buf[:n]); err != nil {
+							t.Fatal(err)
+						}
+						return
+					}
+					for got := buf[:0]; !bytes.HasSuffix(got, end); n = len(got) {
+						m, err := near.Read(got[len(got):cap(got)])
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = got[:len(got)+m]
+					}
+				}
+			}
+			allocGate(t, lane.name+" serve 1-key get", lane.bGet1, exchange(lane.get1, lane.getEnd(1)))
+			allocGate(t, lane.name+" serve 8-key get", lane.bGet8, exchange(lane.get8, lane.getEnd(8)))
+			allocGate(t, lane.name+" serve set", lane.bSet, exchange(lane.set, lane.setEnd))
 		})
 	}
 }

@@ -3,23 +3,20 @@ package memcache
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"time"
+	"math"
 
 	"rnb/internal/obs"
 )
 
 // Binary protocol support (the memcached binary wire format, which
-// libmemcached-based tools such as memaslap use by default). The
-// server sniffs the first byte of each connection: 0x80 selects the
-// binary handler, anything else the text handler, mirroring memcached
-// serving both protocols on one port.
-//
-// Multi-get in the binary protocol is a pipeline of quiet gets
-// (GetQ/GetKQ) terminated by a Noop. The server accumulates the quiet
-// batch and issues ONE Backend.GetMulti for it, so RnB bundling (and
-// the proxy) work identically under both protocols.
+// libmemcached-based tools such as memaslap use by default): the frame
+// layout and the server half of the codec. The server sniffs the first
+// byte of each connection: 0x80 selects the binary codec, anything else
+// the text codec, mirroring memcached serving both protocols on one
+// port.
 
 const (
 	binMagicReq = 0x80
@@ -108,74 +105,18 @@ func (h *binHeader) encode(buf []byte) {
 	binary.BigEndian.PutUint64(buf[16:24], h.cas)
 }
 
-// binRequest is a fully read request.
-type binRequest struct {
-	binHeader
-	extras []byte
-	key    string
-	value  []byte
-}
-
-// readBinRequest reads one request into req (reused across a
-// connection's serve loop). The header is decoded in place inside the
-// reader's buffer via Peek, so framing costs no allocation. Quiet gets
-// — the pipelined hot path — parse their key straight out of the buffer
-// too; only the key string survives the call. Value-carrying commands
-// still copy the body onto the heap because the store retains it.
-func readBinRequest(r *bufio.Reader, req *binRequest) error {
-	hdr, err := r.Peek(binHeaderLen)
-	if err != nil {
-		return err
-	}
-	if err := req.decode(hdr); err != nil {
-		return err
-	}
-	if req.magic != binMagicReq {
-		return fmt.Errorf("memcache: bad binary magic 0x%02x", req.magic)
-	}
-	if req.bodyLen > MaxValueLen+uint32(req.keyLen)+uint32(req.extraLen) {
-		return fmt.Errorf("memcache: binary body too large (%d)", req.bodyLen)
-	}
-	if _, err := r.Discard(binHeaderLen); err != nil {
-		return err
-	}
-	if quiet := req.opcode == binOpGetQ || req.opcode == binOpGetKQ; quiet && req.bodyLen <= 4096 {
-		body, err := r.Peek(int(req.bodyLen))
-		if err != nil {
-			return err
-		}
-		req.extras = nil
-		req.key = string(body[req.extraLen : uint32(req.extraLen)+uint32(req.keyLen)])
-		req.value = nil
-		_, err = r.Discard(int(req.bodyLen))
-		return err
-	}
-	body := make([]byte, req.bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	req.extras = body[:req.extraLen]
-	req.key = string(body[req.extraLen : uint32(req.extraLen)+uint32(req.keyLen)])
-	req.value = body[uint32(req.extraLen)+uint32(req.keyLen):]
-	return nil
-}
-
-// writeBinResponse emits one response frame. Header, extras, and key
-// are assembled in a pooled buffer and written in one call (keeping
-// callers' stack-built extras on the stack); only the value — already
-// heap-resident — streams separately.
-func writeBinResponse(w *bufio.Writer, opcode byte, status uint16, opaque uint32,
-	cas uint64, extras []byte, key string, value []byte) error {
-	h := binHeader{
-		magic:    binMagicRes,
-		opcode:   opcode,
-		keyLen:   uint16(len(key)),
-		extraLen: uint8(len(extras)),
-		status:   status,
-		bodyLen:  uint32(len(extras) + len(key) + len(value)),
-		opaque:   opaque,
-		cas:      cas,
-	}
+// write emits one frame, request or response: h names it, and its three
+// length fields are filled in here. Allocation-free: header, extras, and
+// key (24 + ≤20 + ≤250 bytes — always inside the shared 320-byte line
+// scratch) are assembled in a pooled buffer and written once; only the
+// value, which already lives on the caller's heap, is streamed
+// separately. A stack buffer would not do: bufio.Writer.Write leaks its
+// argument through the underlying io.Writer interface, so a
+// stack-assembled header is forced to the heap once per frame.
+func (h binHeader) write(w *bufio.Writer, extras []byte, key string, value []byte) error {
+	h.keyLen = uint16(len(key))
+	h.extraLen = uint8(len(extras))
+	h.bodyLen = uint32(len(extras) + len(key) + len(value))
 	scratch := lineScratch.Get().(*[320]byte)
 	b := scratch[:binHeaderLen]
 	h.encode(b)
@@ -190,363 +131,277 @@ func writeBinResponse(w *bufio.Writer, opcode byte, status uint16, opaque uint32
 	return err
 }
 
-// pendingQuietGet is a buffered GetQ/GetKQ awaiting its batch flush.
-type pendingQuietGet struct {
+// writeBinResponse emits one response frame.
+func writeBinResponse(w *bufio.Writer, opcode byte, status uint16, opaque uint32,
+	cas uint64, extras []byte, key string, value []byte) error {
+	h := binHeader{magic: binMagicRes, opcode: opcode, status: status, opaque: opaque, cas: cas}
+	return h.write(w, extras, key, value)
+}
+
+// binServer is the server half of the binary wire format — the inverse
+// of binCodec — and the only server code that knows binary bytes: frame
+// validation, the opcode table, the trace frame, and the one table
+// turning an outcome into a status.
+//
+// A run of quiet gets (GetQ/GetKQ) is presented as ONE multi-key get,
+// so the executor issues one Backend.GetMulti for it and RnB bundling
+// (and the proxy) work identically under both protocols. The Noop that
+// ends a run is part of that request, not a command of its own.
+type binServer struct {
+	// keys and gets describe the get being served — key i was asked for
+	// by frame gets[i] — and are reused across requests.
+	keys []string
+	gets []binGet
+
+	opcode byte   // of the frame that made (or ended) the request
+	opaque uint32 // of that frame; echoed in its response
+	noop   bool   // the get was a quiet run ended by a Noop, to be answered
+
+	traceOpaque uint32 // of the last trace frame; echoed in the timing record
+}
+
+// binGet is the frame one key of a get arrived in.
+type binGet struct {
 	opcode byte
-	key    string
 	opaque uint32
 }
 
-// serveBinary runs the binary-protocol loop on a connection.
-func (s *Server) serveBinary(fr *fillReader, r *bufio.Reader, w *bufio.Writer) {
-	var quiet []pendingQuietGet
-	var pending obs.TraceContext
-	var pendingOpaque uint32
-	var ct *connTrace
-	req := &binRequest{} // reused across frames; bodies are per-frame
+// binCommands maps a request opcode to its command — binOpcodes read
+// backwards, plus the opcodes no Conn command sends on its own. The four
+// get opcodes are one command; a Set frame carrying a token becomes a
+// cas in read.
+var binCommands = map[byte]command{
+	binOpGet: cmdGet, binOpGetK: cmdGet, binOpGetQ: cmdGet, binOpGetKQ: cmdGet,
+	binOpSet: cmdSet, binOpSetP: cmdSetPinned, binOpAdd: cmdAdd, binOpReplace: cmdReplace,
+	binOpAppend: cmdAppend, binOpPrepend: cmdPrepend,
+	binOpIncrement: cmdIncr, binOpDecrement: cmdDecr, binOpDelete: cmdDelete, binOpTouch: cmdTouch,
+	binOpFlush: cmdFlushAll, binOpVersion: cmdVersion, binOpStat: cmdStats,
+	binOpNoop: cmdNoop, binOpQuit: cmdQuit, binOpTrace: cmdTrace,
+}
+
+// binExtras is the extras length a command's frame must carry, for the
+// commands that read their extras.
+var binExtras = map[command]int{
+	cmdSet: 8, cmdSetPinned: 8, cmdAdd: 8, cmdReplace: 8, cmdAppend: 0, cmdPrepend: 0,
+	cmdIncr: 20, cmdDecr: 20, cmdTouch: 4, cmdTrace: 16,
+}
+
+// badFrame answers a frame whose extras do not fit its opcode. (An
+// empty key is the backend's ErrBadKey, which maps to the same status.)
+const badFrame = clientError("invalid arguments")
+
+func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
+	*q = serverRequest{}
+	c.keys = c.keys[:0]
+	c.gets = c.gets[:0]
+	c.noop = false
+	var h binHeader
 	for {
-		if err := readBinRequest(r, req); err != nil {
-			return
-		}
-		if req.opcode == binOpTrace {
-			// A trace frame arms the NEXT command; it is not a transaction
-			// and gets no immediate response (its answer rides behind the
-			// traced command's). Any quiet run in flight predates the
-			// context, so it flushes untraced first. A malformed frame
-			// answers invalid-args and arms nothing.
-			if err := s.flushQuiet(w, &quiet, s.backend); err != nil {
-				return
-			}
-			if len(req.extras) != 16 {
-				if err := writeBinResponse(w, binOpTrace, binStatusInvalidArgs, req.opaque, 0, nil, "", nil); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
-					return
-				}
-				continue
-			}
-			pending = obs.TraceContext{
-				TraceID: binary.BigEndian.Uint64(req.extras[0:8]),
-				Parent:  binary.BigEndian.Uint64(req.extras[8:16]),
-			}
-			pendingOpaque = req.opaque
-			continue
-		}
-		if pending.Valid() && ct == nil {
-			ct = s.armTrace(pending, fr, binOpName(req.opcode))
-			pending = obs.TraceContext{}
-		}
-		switch req.opcode {
-		case binOpGetQ, binOpGetKQ:
-			// Quiet gets batch until a blocking command; the whole run
-			// counts as one transaction at its flush — the binary
-			// analogue of a multi-key text "get" line. An armed trace
-			// stays armed across the run and settles at its flush.
-			quiet = append(quiet, pendingQuietGet{opcode: req.opcode, key: req.key, opaque: req.opaque})
-			continue
-		case binOpNoop:
-			// A noop terminating a quiet run is that run's flush trigger,
-			// not a command of its own; standalone noops count as a ping.
-			if len(quiet) == 0 {
-				s.stats.Transactions.Add(1)
-			}
-			if err := s.flushQuiet(w, &quiet, s.backendFor(ct)); err != nil {
-				return
-			}
-			if err := writeBinResponse(w, binOpNoop, binStatusOK, req.opaque, 0, nil, "", nil); err != nil {
-				return
-			}
-		case binOpQuit:
-			s.stats.Transactions.Add(1)
-			_ = s.flushQuiet(w, &quiet, s.backendFor(ct))
-			_ = writeBinResponse(w, binOpQuit, binStatusOK, req.opaque, 0, nil, "", nil)
-			_ = w.Flush()
-			return
-		default:
-			s.stats.Transactions.Add(1)
-			be := s.backendFor(ct)
-			if err := s.flushQuiet(w, &quiet, be); err != nil {
-				return
-			}
-			if err := s.dispatchBinary(req, w, be); err != nil {
-				return
-			}
-		}
-		var dispatchEnd time.Time
-		if ct != nil {
-			dispatchEnd = time.Now()
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if ct != nil {
-			st := s.finishTrace(ct, dispatchEnd, time.Now())
-			ct = nil
-			if err := writeBinServerTraceResponse(w, pendingOpaque, &st); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// binOpName labels a traced binary command with the text-protocol verb
-// it corresponds to, so ServerSpan.Op reads identically across wire
-// formats.
-func binOpName(op byte) string {
-	switch op {
-	case binOpGet, binOpGetK:
-		return "get"
-	case binOpGetQ, binOpGetKQ, binOpNoop:
-		return "get_multi"
-	case binOpSet:
-		return "set"
-	case binOpSetP:
-		return "setp"
-	case binOpAdd:
-		return "add"
-	case binOpReplace:
-		return "replace"
-	case binOpDelete:
-		return "delete"
-	case binOpIncrement:
-		return "incr"
-	case binOpDecrement:
-		return "decr"
-	case binOpAppend:
-		return "append"
-	case binOpPrepend:
-		return "prepend"
-	case binOpTouch:
-		return "touch"
-	case binOpFlush:
-		return "flush_all"
-	case binOpStat:
-		return "stats"
-	case binOpVersion:
-		return "version"
-	default:
-		return fmt.Sprintf("op_0x%02x", op)
-	}
-}
-
-// flushQuiet executes the buffered quiet gets as ONE backend multi-get
-// against be and emits responses for hits only (quiet semantics).
-func (s *Server) flushQuiet(w *bufio.Writer, quiet *[]pendingQuietGet, be Backend) error {
-	batch := *quiet
-	if len(batch) == 0 {
-		return nil
-	}
-	*quiet = (*quiet)[:0]
-	keys := make([]string, len(batch))
-	for i, q := range batch {
-		keys[i] = q.key
-	}
-	s.stats.Transactions.Add(1) // the whole quiet run is one transaction
-	s.stats.CmdGet.Add(uint64(len(keys)))
-	items, err := be.GetMulti(keys)
-	if err != nil {
-		// Report the failure on each pending opaque so the client does
-		// not hang waiting for hits that will never come.
-		for _, q := range batch {
-			if werr := writeBinResponse(w, q.opcode, binStatusInternal, q.opaque, 0, nil, "", nil); werr != nil {
-				return werr
-			}
-		}
-		return nil
-	}
-	var extras [4]byte
-	for _, q := range batch {
-		it, ok := items[q.key]
-		if !ok {
-			s.stats.GetMisses.Add(1)
-			continue // quiet: misses are silent
-		}
-		s.stats.GetHits.Add(1)
-		binary.BigEndian.PutUint32(extras[:], it.Flags)
-		key := ""
-		if q.opcode == binOpGetKQ {
-			key = q.key
-		}
-		if err := writeBinResponse(w, q.opcode, binStatusOK, q.opaque, it.CAS, extras[:], key, it.Value); err != nil {
+		// The header is decoded in place inside the reader's buffer via
+		// Peek, so framing costs no allocation — and a frame that ends a
+		// quiet run without belonging to it can be left unread.
+		hdr, err := r.Peek(binHeaderLen)
+		if err != nil {
 			return err
 		}
+		if err := h.decode(hdr); err != nil {
+			return err
+		}
+		if h.magic != binMagicReq {
+			return fmt.Errorf("memcache: bad binary magic 0x%02x", h.magic)
+		}
+		if h.bodyLen > MaxValueLen+uint32(h.keyLen)+uint32(h.extraLen) {
+			return fmt.Errorf("memcache: binary body too large (%d)", h.bodyLen)
+		}
+		quiet := h.opcode == binOpGetQ || h.opcode == binOpGetKQ
+		if len(c.keys) > 0 && !quiet {
+			// The run ends here: at its Noop, which is consumed and
+			// answered with it, or at a blocking command or trace frame,
+			// which stays in the buffer as the next request.
+			q.cmd = cmdGet
+			q.keys = c.keys
+			if h.opcode != binOpNoop {
+				q.chained = true
+				return nil
+			}
+			c.noop = true
+			c.opcode = h.opcode
+			c.opaque = h.opaque
+			_, err := r.Discard(binHeaderLen + int(h.bodyLen))
+			return err
+		}
+		if _, err := r.Discard(binHeaderLen); err != nil {
+			return err
+		}
+		keyEnd := uint32(h.extraLen) + uint32(h.keyLen)
+		if quiet && h.bodyLen <= 4096 {
+			// Quiet gets — the pipelined hot path — parse their key
+			// straight out of the buffer; only the key string survives.
+			body, err := r.Peek(int(h.bodyLen))
+			if err != nil {
+				return err
+			}
+			c.keys = append(c.keys, string(body[h.extraLen:keyEnd]))
+			c.gets = append(c.gets, binGet{h.opcode, h.opaque})
+			if _, err := r.Discard(int(h.bodyLen)); err != nil {
+				return err
+			}
+			continue
+		}
+		// Value-carrying commands copy the body onto the heap because the
+		// store retains it.
+		body := make([]byte, h.bodyLen)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return err
+		}
+		extras := body[:h.extraLen]
+		key := string(body[h.extraLen:keyEnd])
+		value := body[keyEnd:]
+		c.opcode = h.opcode
+		c.opaque = h.opaque
+		q.cmd = cmdUnknown
+		if cmd, known := binCommands[h.opcode]; known {
+			q.cmd = cmd
+		}
+		q.key = key
+		if want, checked := binExtras[q.cmd]; checked && len(extras) != want {
+			q.bad = badFrame
+			return nil
+		}
+		switch q.cmd {
+		case cmdGet:
+			c.keys = append(c.keys, key)
+			c.gets = append(c.gets, binGet{h.opcode, h.opaque})
+			if quiet { // an oversized quiet frame: it joins the run like the rest
+				continue
+			}
+			q.keys = c.keys
+		case cmdSet, cmdSetPinned, cmdAdd, cmdReplace:
+			q.item = &Item{
+				Key:        key,
+				Value:      value,
+				Flags:      binary.BigEndian.Uint32(extras[0:4]),
+				Expiration: int32(binary.BigEndian.Uint32(extras[4:8])),
+			}
+			// A cas store rides a Set frame carrying the token.
+			if q.cmd == cmdSet && h.cas != 0 {
+				q.cmd = cmdCAS
+				q.item.CAS = h.cas
+			}
+		case cmdAppend, cmdPrepend:
+			q.item = &Item{Key: key, Value: value}
+		case cmdIncr, cmdDecr:
+			// Extras: delta(8) initial(8) expiration(4). Matching the text
+			// grammar, deltas are capped at 63 bits (the store computes in
+			// int64) and a missing key is NOT_FOUND — auto-create (any
+			// expiration other than 0xffffffff) is not supported, keeping
+			// both wire formats byte-equivalent for the differential suite.
+			q.delta = binary.BigEndian.Uint64(extras[0:8])
+			if binary.BigEndian.Uint32(extras[16:20]) != binNoAutoCreate || q.delta > math.MaxInt64 {
+				q.bad = badFrame
+			}
+		case cmdTouch:
+			q.exp = int32(binary.BigEndian.Uint32(extras))
+		case cmdTrace:
+			// Its answer rides behind the traced command's, on this opaque.
+			c.traceOpaque = h.opaque
+			q.tc = obs.TraceContext{
+				TraceID: binary.BigEndian.Uint64(extras[0:8]),
+				Parent:  binary.BigEndian.Uint64(extras[8:16]),
+			}
+		case cmdUnknown:
+			q.bad = errUnknownCommand
+		}
+		return nil
 	}
-	return nil
 }
 
-// dispatchBinary handles one blocking (non-quiet) request against be —
-// the raw backend, or the per-command timing wrapper when traced.
-func (s *Server) dispatchBinary(req *binRequest, w *bufio.Writer, be Backend) error {
-	fail := func(status uint16) error {
-		return writeBinResponse(w, req.opcode, status, req.opaque, 0, nil, "", nil)
-	}
-	switch req.opcode {
-	case binOpGet, binOpGetK:
-		s.stats.CmdGet.Add(1)
-		items, err := be.GetMulti([]string{req.key})
-		if err != nil {
-			return fail(binStatusInternal)
-		}
-		it, ok := items[req.key]
-		if !ok {
-			s.stats.GetMisses.Add(1)
-			return fail(binStatusNotFound)
-		}
-		s.stats.GetHits.Add(1)
+func (c *binServer) write(w *bufio.Writer, q *serverRequest, p *serverReply) error {
+	status := binStatus(p.err)
+	var value []byte
+	switch {
+	case q.cmd == cmdGet:
 		var extras [4]byte
-		binary.BigEndian.PutUint32(extras[:], it.Flags)
-		key := ""
-		if req.opcode == binOpGetK {
-			key = req.key
-		}
-		return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, it.CAS, extras[:], key, it.Value)
-
-	case binOpSet, binOpAdd, binOpReplace, binOpSetP:
-		s.stats.CmdSet.Add(1)
-		if len(req.extras) != 8 || req.key == "" {
-			return fail(binStatusInvalidArgs)
-		}
-		it := &Item{
-			Key:        req.key,
-			Value:      req.value,
-			Flags:      binary.BigEndian.Uint32(req.extras[0:4]),
-			Expiration: int32(binary.BigEndian.Uint32(req.extras[4:8])),
-		}
-		var err error
-		switch req.opcode {
-		case binOpSet:
-			if req.cas != 0 {
-				it.CAS = req.cas
-				err = be.CompareAndSwap(it)
-			} else {
-				err = be.Set(it)
+		for i, g := range c.gets {
+			quiet := g.opcode == binOpGetQ || g.opcode == binOpGetKQ
+			var err error
+			switch {
+			case p.err != nil:
+				// Report the failure on every opaque, quiet or not, so the
+				// client does not wait for hits that will never come.
+				err = writeBinResponse(w, g.opcode, status, g.opaque, 0, nil, "", nil)
+			case p.hits[i] != nil:
+				it := p.hits[i]
+				key := ""
+				if g.opcode == binOpGetK || g.opcode == binOpGetKQ {
+					key = c.keys[i]
+				}
+				binary.BigEndian.PutUint32(extras[:], it.Flags)
+				err = writeBinResponse(w, g.opcode, binStatusOK, g.opaque, it.CAS, extras[:], key, it.Value)
+			case !quiet: // quiet misses are silent
+				err = writeBinResponse(w, g.opcode, binStatusNotFound, g.opaque, 0, nil, "", nil)
 			}
-		case binOpSetP:
-			err = be.SetPinned(it)
-		case binOpAdd:
-			err = be.Add(it)
-		case binOpReplace:
-			err = be.Replace(it)
-		}
-		switch {
-		case err == nil:
-			return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, 0, nil, "", nil)
-		case err == ErrNotStored:
-			return fail(binStatusNotStored)
-		case err == ErrCASConflict:
-			return fail(binStatusExists)
-		case err == ErrCacheMiss:
-			return fail(binStatusNotFound)
-		case err == ErrTooLarge:
-			return fail(binStatusTooLarge)
-		case err == ErrBadKey:
-			return fail(binStatusInvalidArgs)
-		default:
-			return fail(binStatusInternal)
-		}
-
-	case binOpDelete:
-		if req.key == "" {
-			return fail(binStatusInvalidArgs)
-		}
-		if err := be.Delete(req.key); err != nil {
-			return fail(binStatusNotFound)
-		}
-		return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, 0, nil, "", nil)
-
-	case binOpIncrement, binOpDecrement:
-		// Extras: delta(8) initial(8) expiration(4). Matching the text
-		// grammar, deltas are capped at 63 bits (the store computes in
-		// int64) and a missing key is NOT_FOUND — auto-create (any
-		// expiration other than 0xffffffff) is not supported, keeping
-		// both wire formats byte-equivalent for the differential suite.
-		if len(req.extras) != 20 || req.key == "" {
-			return fail(binStatusInvalidArgs)
-		}
-		delta := binary.BigEndian.Uint64(req.extras[0:8])
-		if exp := binary.BigEndian.Uint32(req.extras[16:20]); exp != binNoAutoCreate {
-			return fail(binStatusInvalidArgs)
-		}
-		if !binDeltaInRange(delta) {
-			return fail(binStatusInvalidArgs)
-		}
-		d := int64(delta)
-		if req.opcode == binOpDecrement {
-			d = -d
-		}
-		val, err := be.Increment(req.key, d)
-		switch {
-		case err == nil:
-			var body [8]byte
-			binary.BigEndian.PutUint64(body[:], val)
-			return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, 0, nil, "", body[:])
-		case err == ErrCacheMiss:
-			return fail(binStatusNotFound)
-		case err == ErrBadKey:
-			return fail(binStatusInvalidArgs)
-		default:
-			// e.g. non-numeric value: the text grammar answers
-			// CLIENT_ERROR (a kept-connection reply error), so the binary
-			// side must also map to the generic-status bucket.
-			return fail(binStatusInternal)
-		}
-
-	case binOpAppend, binOpPrepend:
-		if len(req.extras) != 0 || req.key == "" {
-			return fail(binStatusInvalidArgs)
-		}
-		var err error
-		if req.opcode == binOpAppend {
-			err = be.Append(req.key, req.value)
-		} else {
-			err = be.Prepend(req.key, req.value)
-		}
-		switch {
-		case err == nil:
-			return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, 0, nil, "", nil)
-		case err == ErrNotStored, err == ErrCacheMiss:
-			return fail(binStatusNotStored)
-		case err == ErrTooLarge:
-			return fail(binStatusTooLarge)
-		case err == ErrBadKey:
-			return fail(binStatusInvalidArgs)
-		default:
-			return fail(binStatusInternal)
-		}
-
-	case binOpTouch:
-		if len(req.extras) != 4 || req.key == "" {
-			return fail(binStatusInvalidArgs)
-		}
-		exp := int32(binary.BigEndian.Uint32(req.extras))
-		if err := be.Touch(req.key, exp); err != nil {
-			return fail(binStatusNotFound)
-		}
-		return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, 0, nil, "", nil)
-
-	case binOpFlush:
-		if err := be.FlushAll(); err != nil {
-			return fail(binStatusInternal)
-		}
-		return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, 0, nil, "", nil)
-
-	case binOpVersion:
-		return writeBinResponse(w, req.opcode, binStatusOK, req.opaque, 0, nil, "", []byte(VersionBanner))
-
-	case binOpStat:
-		for k, v := range be.BackendStats() {
-			if err := writeBinResponse(w, binOpStat, binStatusOK, req.opaque, 0, nil, k, []byte(v)); err != nil {
+			if err != nil {
 				return err
 			}
 		}
-		// Terminator: empty key and value.
-		return writeBinResponse(w, binOpStat, binStatusOK, req.opaque, 0, nil, "", nil)
-
-	default:
-		return fail(binStatusUnknownCmd)
+		if !c.noop {
+			return nil
+		}
+		status = binStatusOK // the run's Noop is answered whatever the run did
+	case p.err != nil: // a bare status frame
+	case q.cmd == cmdIncr || q.cmd == cmdDecr:
+		var body [8]byte
+		binary.BigEndian.PutUint64(body[:], p.value)
+		value = body[:]
+	case q.cmd == cmdVersion:
+		value = []byte(VersionBanner)
+	case q.cmd == cmdStats:
+		for i := 0; i+1 < len(p.stats); i += 2 {
+			if err := writeBinResponse(w, c.opcode, binStatusOK, c.opaque, 0, nil, p.stats[i], []byte(p.stats[i+1])); err != nil {
+				return err
+			}
+		}
+		// The terminator below: empty key and value.
 	}
+	return writeBinResponse(w, c.opcode, status, c.opaque, 0, nil, "", value)
+}
+
+// binStatus is the binary wire's one outcome table — the inverse of the
+// client's binStatusError: the status is chosen by the error, whichever
+// opcode ran into it.
+func binStatus(err error) uint16 {
+	if err == nil {
+		return binStatusOK
+	}
+	_, refused := err.(clientError) // never wrapped, so no errors.As
+	switch {
+	case errors.Is(err, ErrCacheMiss):
+		return binStatusNotFound
+	case errors.Is(err, ErrCASConflict):
+		return binStatusExists
+	case errors.Is(err, ErrNotStored):
+		return binStatusNotStored
+	case errors.Is(err, ErrTooLarge):
+		return binStatusTooLarge
+	case errors.Is(err, ErrBadKey), refused:
+		return binStatusInvalidArgs
+	case errors.Is(err, errUnknownCommand):
+		return binStatusUnknownCmd
+	default:
+		// e.g. incr of a non-numeric value: the text grammar answers a
+		// kept-connection reply error, so the binary side maps to the
+		// generic bucket too.
+		return binStatusInternal
+	}
+}
+
+// writeTimings emits the binOpTrace response readBinTraceReply consumes,
+// on the opaque of the trace frame that armed the command.
+func (c *binServer) writeTimings(w *bufio.Writer, st *obs.ServerTimings) error {
+	var body [binTraceBodyLen]byte
+	for i, v := range timingWords(st) {
+		binary.BigEndian.PutUint64(body[8*i:], v)
+	}
+	return writeBinResponse(w, binOpTrace, binStatusOK, c.traceOpaque, 0, nil, "", body[:])
 }

@@ -14,18 +14,7 @@ import (
 func startBinServer(t *testing.T, capacity int64) (*Server, *Client) {
 	t.Helper()
 	srv := NewServer(NewStore(capacity))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	cl, err := DialBinary(ln.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return srv, cl
+	return srv, dialTest(t, DialBinary, serveTest(t, srv, nil), 5*time.Second)
 }
 
 func TestBinarySetGet(t *testing.T) {
@@ -183,8 +172,8 @@ func TestBinaryTouchFlushVersionStats(t *testing.T) {
 func TestBinaryAndTextShareOnePort(t *testing.T) {
 	// The same listener serves both protocols: write with text, read
 	// with binary and vice versa.
-	srv, bin := startBinServer(t, 0)
-	text, err := Dial(srv.Addr(), 5*time.Second)
+	_, bin := startBinServer(t, 0)
+	text, err := Dial(bin.addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +194,8 @@ func TestBinaryAndTextShareOnePort(t *testing.T) {
 }
 
 func TestBinaryUnknownOpcode(t *testing.T) {
-	srv, _ := startBinServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	addr := serveTest(t, NewServer(NewStore(0)), nil)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +232,8 @@ func readFullConn(conn net.Conn, buf []byte) (int, error) {
 }
 
 func TestBinaryGarbageHeaderDropsConn(t *testing.T) {
-	srv, _ := startBinServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	addr := serveTest(t, NewServer(NewStore(0)), nil)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +252,7 @@ func TestBinaryGarbageHeaderDropsConn(t *testing.T) {
 		t.Fatal("server kept the connection after an oversized frame")
 	}
 	// The server itself survives.
-	cl, err := DialBinary(srv.Addr(), 2*time.Second)
+	cl, err := DialBinary(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +263,8 @@ func TestBinaryGarbageHeaderDropsConn(t *testing.T) {
 }
 
 func TestBinaryQuitClosesConn(t *testing.T) {
-	srv, _ := startBinServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	addr := serveTest(t, NewServer(NewStore(0)), nil)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}

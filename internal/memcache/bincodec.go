@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"io"
 
 	"rnb/internal/obs"
 )
@@ -110,35 +110,10 @@ func errBinDesync(format string, args ...interface{}) error {
 	return fmt.Errorf("memcache: binary desync: "+format, args...)
 }
 
-// writeBinFrame emits one request frame. Allocation-free: header,
-// extras, and key (24 + ≤20 + ≤250 bytes — always inside the shared
-// 320-byte line scratch) are assembled in a pooled buffer and written
-// once; only the value, which already lives on the caller's heap, is
-// streamed separately. A stack buffer would not do: bufio.Writer.Write
-// leaks its argument through the underlying io.Writer interface, so a
-// stack-assembled header is forced to the heap once per frame.
+// writeBinFrame emits one request frame.
 func writeBinFrame(w *bufio.Writer, opcode byte, opaque uint32, cas uint64, extras []byte, key string, value []byte) error {
-	h := binHeader{
-		magic:    binMagicReq,
-		opcode:   opcode,
-		keyLen:   uint16(len(key)),
-		extraLen: uint8(len(extras)),
-		bodyLen:  uint32(len(extras) + len(key) + len(value)),
-		opaque:   opaque,
-		cas:      cas,
-	}
-	scratch := lineScratch.Get().(*[320]byte)
-	b := scratch[:binHeaderLen]
-	h.encode(b)
-	b = append(b, extras...)
-	b = append(b, key...)
-	_, err := w.Write(b)
-	lineScratch.Put(scratch)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(value)
-	return err
+	h := binHeader{magic: binMagicReq, opcode: opcode, opaque: opaque, cas: cas}
+	return h.write(w, extras, key, value)
 }
 
 // readBinHeader reads and validates one response header. Violations
@@ -165,6 +140,26 @@ func readBinHeader(r *bufio.Reader, h *binHeader) error {
 		// A corrupt (or hostile) header must not drive a giant
 		// allocation or a multi-gigabyte discard.
 		return errBinDesync("response body %d bytes exceeds limit", h.bodyLen)
+	}
+	return nil
+}
+
+// readBinReply reads the header of the one response frame a
+// single-frame command expects. Any other opcode is a desync; a negative
+// status consumes the frame's body (its error text) and comes back as
+// the protocol error it maps to, leaving the connection in sync.
+func readBinReply(r *bufio.Reader, opcode byte, h *binHeader) error {
+	if err := readBinHeader(r, h); err != nil {
+		return err
+	}
+	if h.opcode != opcode {
+		return errBinDesync("response opcode 0x%02x, want 0x%02x", h.opcode, opcode)
+	}
+	if h.status != binStatusOK {
+		if err := discardBinBody(r, h); err != nil {
+			return err
+		}
+		return binStatusError(h.status)
 	}
 	return nil
 }
@@ -228,7 +223,7 @@ func readBinMultiGetInto(r *bufio.Reader, n int, out map[string]*Item) error {
 			return errBinDesync("quiet-get hit without key")
 		}
 		body := make([]byte, h.bodyLen)
-		if _, err := readFull(r, body); err != nil {
+		if _, err := io.ReadFull(r, body); err != nil {
 			return err
 		}
 		it := &Item{
@@ -273,16 +268,10 @@ func binStatusError(status uint16) error {
 // is discarded, so the connection is in sync whatever the outcome.
 func readBinStatusReply(r *bufio.Reader, opcode byte) error {
 	var h binHeader
-	if err := readBinHeader(r, &h); err != nil {
+	if err := readBinReply(r, opcode, &h); err != nil {
 		return err
 	}
-	if h.opcode != opcode {
-		return errBinDesync("response opcode 0x%02x, want 0x%02x", h.opcode, opcode)
-	}
-	if err := discardBinBody(r, &h); err != nil {
-		return err
-	}
-	return binStatusError(h.status)
+	return discardBinBody(r, &h)
 }
 
 // writeBinStoreCmd emits one set/add/replace/setp frame (8-byte
@@ -314,17 +303,8 @@ func writeBinIncrDecrCmd(w *bufio.Writer, opcode byte, key string, delta uint64)
 // new counter value (8-byte big-endian body on success).
 func readBinCounterReply(r *bufio.Reader, opcode byte) (uint64, error) {
 	var h binHeader
-	if err := readBinHeader(r, &h); err != nil {
+	if err := readBinReply(r, opcode, &h); err != nil {
 		return 0, err
-	}
-	if h.opcode != opcode {
-		return 0, errBinDesync("response opcode 0x%02x, want 0x%02x", h.opcode, opcode)
-	}
-	if h.status != binStatusOK {
-		if err := discardBinBody(r, &h); err != nil {
-			return 0, err
-		}
-		return 0, binStatusError(h.status)
 	}
 	if h.bodyLen != 8 {
 		return 0, errBinDesync("counter reply body %d bytes, want 8", h.bodyLen)
@@ -351,17 +331,11 @@ func writeBinTouchCmd(w *bufio.Writer, key string, exp int32) error {
 // banner.
 func readBinVersionReply(r *bufio.Reader) (string, error) {
 	var h binHeader
-	if err := readBinHeader(r, &h); err != nil {
+	if err := readBinReply(r, binOpVersion, &h); err != nil {
 		return "", err
-	}
-	if h.opcode != binOpVersion {
-		return "", errBinDesync("response opcode 0x%02x, want version", h.opcode)
 	}
 	body := make([]byte, h.bodyLen)
-	if _, err := readFull(r, body); err != nil {
-		return "", err
-	}
-	if err := binStatusError(h.status); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		return "", err
 	}
 	return string(body[uint32(h.extraLen)+uint32(h.keyLen):]), nil
@@ -372,30 +346,17 @@ func readBinVersionReply(r *bufio.Reader) (string, error) {
 func readBinStatsInto(r *bufio.Reader, out map[string]string) error {
 	var h binHeader
 	for {
-		if err := readBinHeader(r, &h); err != nil {
+		if err := readBinReply(r, binOpStat, &h); err != nil {
 			return err
-		}
-		if h.opcode != binOpStat {
-			return errBinDesync("response opcode 0x%02x, want stat", h.opcode)
-		}
-		if h.status != binStatusOK {
-			if err := discardBinBody(r, &h); err != nil {
-				return err
-			}
-			return binStatusError(h.status)
 		}
 		if h.keyLen == 0 {
 			return discardBinBody(r, &h) // terminator
 		}
 		body := make([]byte, h.bodyLen)
-		if _, err := readFull(r, body); err != nil {
+		if _, err := io.ReadFull(r, body); err != nil {
 			return err
 		}
 		key := string(body[h.extraLen : uint32(h.extraLen)+uint32(h.keyLen)])
 		out[key] = string(body[uint32(h.extraLen)+uint32(h.keyLen):])
 	}
 }
-
-// binDeltaInRange reports whether a binary incr/decr delta fits the
-// text grammar's 63-bit budget (the store computes in int64).
-func binDeltaInRange(delta uint64) bool { return delta <= math.MaxInt64 }

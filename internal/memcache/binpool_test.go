@@ -176,13 +176,7 @@ func TestBinaryPoolQuietGetIsOneTransaction(t *testing.T) {
 	leakcheck.Check(t)
 	store := NewStore(0)
 	srv := NewServer(store)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	p := newBinPool(t, ln.Addr().String(), PoolConfig{Size: 1})
+	p := newBinPool(t, serveTest(t, srv, nil), PoolConfig{Size: 1})
 
 	ks := make([]string, 16)
 	for i := range ks {
@@ -295,14 +289,7 @@ type transportLane struct {
 func startLaneServer(t *testing.T) (string, *Store) {
 	t.Helper()
 	store := NewStore(0)
-	srv := NewServer(store)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return ln.Addr().String(), store
+	return serveTest(t, NewServer(store), nil), store
 }
 
 // newSingleConn dials a single-connection client speaking either wire

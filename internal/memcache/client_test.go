@@ -23,23 +23,7 @@ func eachWire(t *testing.T, fn func(t *testing.T, dial dialFunc)) {
 // chaos injector) and returns a connected client.
 func dialTestServer(t *testing.T, dial dialFunc, in *chaos.Injector, timeout time.Duration) *Client {
 	t.Helper()
-	srv := NewServer(NewStore(0))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := net.Listener(ln)
-	if in != nil {
-		wrapped = in.Wrap(ln)
-	}
-	go srv.Serve(wrapped)
-	t.Cleanup(func() { srv.Close() })
-	cl, err := dial(ln.Addr().String(), timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
+	return dialTest(t, dial, serveTest(t, NewServer(NewStore(0)), in), timeout)
 }
 
 // TestDeadlineRearmedAfterIdle is the regression test for the stale-

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 
@@ -29,15 +30,6 @@ import (
 // textCodec speaks the memcached text protocol.
 type textCodec struct{}
 
-// textVerbs are the command words (touch assembles its own line).
-var textVerbs = [...]string{
-	cmdGet: "get", cmdGets: "gets",
-	cmdSet: "set", cmdSetPinned: "setp", cmdAdd: "add", cmdReplace: "replace", cmdCAS: "cas",
-	cmdAppend: "append", cmdPrepend: "prepend",
-	cmdIncr: "incr", cmdDecr: "decr", cmdDelete: "delete",
-	cmdFlushAll: "flush_all", cmdVersion: "version", cmdStats: "stats",
-}
-
 func (textCodec) check(request) error { return nil }
 
 func (textCodec) encode(w *bufio.Writer, q *request) error {
@@ -49,15 +41,15 @@ func (textCodec) encode(w *bufio.Writer, q *request) error {
 			}
 		}
 		var one [1]string
-		return writeKeysCmd(w, textVerbs[q.cmd], q.keyList(&one))
+		return writeKeysCmd(w, commandNames[q.cmd], q.keyList(&one))
 	case cmdFlushAll, cmdVersion, cmdStats:
-		return writeKeysCmd(w, textVerbs[q.cmd], nil)
+		return writeKeysCmd(w, commandNames[q.cmd], nil)
 	case cmdIncr, cmdDecr:
-		return writeIncrDecrCmd(w, textVerbs[q.cmd], q.key, q.delta)
+		return writeIncrDecrCmd(w, commandNames[q.cmd], q.key, q.delta)
 	case cmdTouch:
 		return writeTouchCmd(w, q.key, q.exp)
 	default:
-		return writeStoreCmd(w, textVerbs[q.cmd], q.item)
+		return writeStoreCmd(w, commandNames[q.cmd], q.item)
 	}
 }
 
@@ -74,21 +66,15 @@ func (textCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
 		p.st = st
 		return nil
 	case cmdIncr, cmdDecr:
-		p.value, err = readIncrDecrReply(r, textVerbs[q.cmd])
+		p.value, err = readIncrDecrReply(r, commandNames[q.cmd])
 		return err
-	case cmdDelete:
-		return readStatusReply(r, "DELETED")
-	case cmdTouch:
-		return readStatusReply(r, "TOUCHED")
-	case cmdFlushAll:
-		return readStatusReply(r, "OK")
 	case cmdVersion:
 		p.banner, err = readVersionReply(r)
 		return err
 	case cmdStats:
 		return readStatsInto(r, q.stats)
-	default:
-		return readStatusReply(r, "STORED")
+	default: // the commands answered by one status word
+		return readStatusReply(r, textOK[q.cmd])
 	}
 }
 
@@ -131,6 +117,13 @@ func IsConnFatal(err error) bool {
 // three uint fields + a CAS token + separators.
 var lineScratch = sync.Pool{New: func() interface{} { return new([320]byte) }}
 
+// appendUintField appends a space and v in decimal: one numeric word of
+// a command or reply line.
+func appendUintField(b []byte, v uint64) []byte {
+	b = append(b, ' ')
+	return strconv.AppendUint(b, v, 10)
+}
+
 // readClientLine returns one CRLF-terminated response line WITHOUT
 // copying it out of the bufio buffer: the slice is only valid until the
 // next read. Client-facing response lines are bounded (the longest is a
@@ -150,29 +143,6 @@ func readClientLine(r *bufio.Reader) ([]byte, error) {
 		line = line[:n-1]
 	}
 	return line, nil
-}
-
-// parseUintBytes is parseUint for borrowed byte slices — parsing in
-// place avoids materializing a string per numeric field.
-func parseUintBytes(b []byte, bits int) (uint64, error) {
-	if len(b) == 0 || len(b) > 20 {
-		return 0, fmt.Errorf("memcache: bad number %q", b)
-	}
-	var v uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("memcache: bad number %q", b)
-		}
-		d := uint64(c - '0')
-		if v > (1<<64-1-d)/10 {
-			return 0, fmt.Errorf("memcache: bad number %q", b)
-		}
-		v = v*10 + d
-	}
-	if bits < 64 && v >= 1<<uint(bits) {
-		return 0, fmt.Errorf("memcache: bad number %q", b)
-	}
-	return v, nil
 }
 
 // nextField splits the first space-delimited token off line, returning
@@ -249,11 +219,11 @@ func readValue(r *bufio.Reader, line []byte, withCAS bool) (*Item, error) {
 		(withCAS && len(casTok) == 0) {
 		return nil, fmt.Errorf("memcache: unexpected response line %q", line)
 	}
-	flags, err := parseUintBytes(flagsTok, 32)
+	flags, err := parseUint(flagsTok, 32)
 	if err != nil {
 		return nil, err
 	}
-	size, err := parseUintBytes(sizeTok, 31)
+	size, err := parseUint(sizeTok, 31)
 	if err != nil {
 		return nil, err
 	}
@@ -264,12 +234,12 @@ func readValue(r *bufio.Reader, line []byte, withCAS bool) (*Item, error) {
 	}
 	it := &Item{Key: string(key), Flags: uint32(flags)}
 	if withCAS {
-		if it.CAS, err = parseUintBytes(casTok, 64); err != nil {
+		if it.CAS, err = parseUint(casTok, 64); err != nil {
 			return nil, err
 		}
 	}
 	data := make([]byte, size+2)
-	if _, err := readFull(r, data); err != nil {
+	if _, err := io.ReadFull(r, data); err != nil {
 		return nil, err
 	}
 	if !bytes.HasSuffix(data, []byte("\r\n")) {
@@ -277,18 +247,6 @@ func readValue(r *bufio.Reader, line []byte, withCAS bool) (*Item, error) {
 	}
 	it.Value = data[:size]
 	return it, nil
-}
-
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := r.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // --- storage commands -------------------------------------------------
@@ -299,15 +257,12 @@ func writeStoreCmd(w *bufio.Writer, verb string, it *Item) error {
 	b = append(b, verb...)
 	b = append(b, ' ')
 	b = append(b, it.Key...)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(it.Flags), 10)
+	b = appendUintField(b, uint64(it.Flags))
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(it.Expiration), 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(len(it.Value)), 10)
+	b = appendUintField(b, uint64(len(it.Value)))
 	if verb == "cas" {
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, it.CAS, 10)
+		b = appendUintField(b, it.CAS)
 	}
 	b = append(b, '\r', '\n')
 	_, err := w.Write(b)
@@ -353,8 +308,7 @@ func writeIncrDecrCmd(w *bufio.Writer, verb, key string, delta uint64) error {
 	b = append(b, verb...)
 	b = append(b, ' ')
 	b = append(b, key...)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, delta, 10)
+	b = appendUintField(b, delta)
 	b = append(b, '\r', '\n')
 	_, err := w.Write(b)
 	lineScratch.Put(scratch)
@@ -372,7 +326,7 @@ func readIncrDecrReply(r *bufio.Reader, verb string) (uint64, error) {
 	if bytes.HasPrefix(line, []byte("CLIENT_ERROR")) || bytes.HasPrefix(line, []byte("SERVER_ERROR")) {
 		return 0, answeredError(string(line))
 	}
-	v, perr := parseUintBytes(line, 64)
+	v, perr := parseUint(line, 64)
 	if perr != nil {
 		return 0, &replyError{msg: fmt.Sprintf("memcache: unexpected %s response %q", verb, line)}
 	}

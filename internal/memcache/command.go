@@ -40,7 +40,30 @@ const (
 	cmdFlushAll
 	cmdVersion
 	cmdStats
+
+	// The rest are requests only a server sees; no Conn method issues
+	// them as a command of its own.
+	cmdNoop    // the binary ping (the Noop that ends a quiet-get run is part of that get)
+	cmdQuit    // close the connection
+	cmdTrace   // the trace prefix line or frame: arms the next command
+	cmdUnknown // a verb or opcode this server does not speak
 )
+
+// commandNames is the one name table: the text codec's verbs on both
+// sides of the wire, and the label a traced command's ServerSpan
+// carries whichever wire it arrived on.
+var commandNames = [...]string{
+	cmdGet: "get", cmdGets: "gets",
+	cmdSet: "set", cmdSetPinned: "setp", cmdAdd: "add", cmdReplace: "replace", cmdCAS: "cas",
+	cmdAppend: "append", cmdPrepend: "prepend",
+	cmdIncr: "incr", cmdDecr: "decr", cmdDelete: "delete", cmdTouch: "touch",
+	cmdFlushAll: "flush_all", cmdVersion: "version", cmdStats: "stats",
+	cmdNoop: "noop", cmdQuit: "quit", cmdTrace: "trace", cmdUnknown: "unknown",
+}
+
+// stores reports whether the command carries a value to store — the
+// verbs ServerStats.CmdSet counts.
+func (c command) stores() bool { return c >= cmdSet && c <= cmdPrepend }
 
 // idempotent reports whether replaying the command cannot change server
 // state. Only these are replayed after their connection died with the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -17,18 +16,7 @@ import (
 // chaos injector) and returns its address.
 func poolTestServer(t *testing.T, in *chaos.Injector) string {
 	t.Helper()
-	srv := NewServer(NewStore(0))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := net.Listener(ln)
-	if in != nil {
-		wrapped = in.Wrap(ln)
-	}
-	go srv.Serve(wrapped)
-	t.Cleanup(func() { srv.Close() })
-	return ln.Addr().String()
+	return serveTest(t, NewServer(NewStore(0)), in)
 }
 
 func newTestPool(t *testing.T, addr string, cfg PoolConfig) *Pool {

@@ -61,10 +61,27 @@ func validKey(key string) bool {
 	return true
 }
 
-// parseUint parses a decimal field, rejecting junk.
-func parseUint(s string, bits int) (uint64, error) {
-	v, err := strconv.ParseUint(s, 10, bits)
-	if err != nil {
+// parseUint parses a decimal field of at most bits bits, rejecting
+// junk. It takes the field as a string or as bytes borrowed from a read
+// buffer — parsing in place avoids materializing a string per numeric
+// field.
+func parseUint[S string | []byte](s S, bits int) (uint64, error) {
+	if len(s) == 0 {
+		return 0, fmt.Errorf("memcache: bad number %q", s)
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("memcache: bad number %q", s)
+		}
+		d := uint64(c - '0')
+		if v > (1<<64-1-d)/10 {
+			return 0, fmt.Errorf("memcache: bad number %q", s)
+		}
+		v = v*10 + d
+	}
+	if bits < 64 && v >= 1<<uint(bits) {
 		return 0, fmt.Errorf("memcache: bad number %q", s)
 	}
 	return v, nil

@@ -2,13 +2,12 @@ package memcache
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +28,9 @@ type ServerStats struct {
 
 // Backend is what a protocol Server serves from: the local Store, or —
 // for an RnB proxy — a whole replicated cluster. GetMulti receives the
-// complete key list of a get/gets command so a proxy can bundle it.
+// complete key list of a get/gets command so a proxy can bundle it. The
+// list is the connection's parse scratch: it is valid until the call
+// returns and must not be retained.
 type Backend interface {
 	GetMulti(keys []string) (map[string]*Item, error)
 	// GetsMulti is GetMulti with authoritative CAS tokens: an RnB proxy
@@ -54,17 +55,14 @@ type Backend interface {
 	BackendStats() map[string]string
 }
 
-// storeBackend adapts a Store to the Backend interface.
-type storeBackend struct{ s *Store }
+// storeBackend adapts a Store to the Backend interface. The single-key
+// mutations are the Store's own methods, promoted; only the reads and
+// the two methods whose signatures differ are written out.
+type storeBackend struct{ *Store }
 
 func (b storeBackend) GetMulti(keys []string) (map[string]*Item, error) {
-	out := make(map[string]*Item, len(keys))
-	for _, k := range keys {
-		if it, err := b.s.Get(k); err == nil {
-			out[k] = it
-		}
-	}
-	return out, nil
+	items, _, err := b.getMulti(keys, false)
+	return items, err
 }
 func (b storeBackend) GetsMulti(keys []string) (map[string]*Item, error) {
 	return b.GetMulti(keys) // local tokens are always authoritative
@@ -73,10 +71,14 @@ func (b storeBackend) GetsMulti(keys []string) (map[string]*Item, error) {
 // GetMultiTimed implements timedBackend: the traced read path, also
 // reporting the shard-lock wait the batch accumulated.
 func (b storeBackend) GetMultiTimed(keys []string) (map[string]*Item, int64, error) {
+	return b.getMulti(keys, true)
+}
+
+func (b storeBackend) getMulti(keys []string, timed bool) (map[string]*Item, int64, error) {
 	out := make(map[string]*Item, len(keys))
 	var wait int64
 	for _, k := range keys {
-		it, w, err := b.s.GetTimed(k)
+		it, w, err := b.get(k, timed)
 		wait += w
 		if err == nil {
 			out[k] = it
@@ -84,26 +86,13 @@ func (b storeBackend) GetMultiTimed(keys []string) (map[string]*Item, int64, err
 	}
 	return out, wait, nil
 }
-func (b storeBackend) Set(it *Item) error                    { return b.s.Set(it) }
-func (b storeBackend) SetPinned(it *Item) error              { return b.s.SetPinned(it, true) }
-func (b storeBackend) Add(it *Item) error                    { return b.s.Add(it) }
-func (b storeBackend) Replace(it *Item) error                { return b.s.Replace(it) }
-func (b storeBackend) CompareAndSwap(it *Item) error         { return b.s.CompareAndSwap(it) }
-func (b storeBackend) Append(key string, data []byte) error  { return b.s.Append(key, data) }
-func (b storeBackend) Prepend(key string, data []byte) error { return b.s.Prepend(key, data) }
-func (b storeBackend) Increment(key string, delta int64) (uint64, error) {
-	return b.s.Increment(key, delta)
-}
-func (b storeBackend) Delete(key string) error { return b.s.Delete(key) }
-func (b storeBackend) Touch(key string, exp int32) error {
-	return b.s.Touch(key, exp)
-}
-func (b storeBackend) FlushAll() error { b.s.FlushAll(); return nil }
+func (b storeBackend) SetPinned(it *Item) error { return b.Store.SetPinned(it, true) }
+func (b storeBackend) FlushAll() error          { b.Store.FlushAll(); return nil }
 func (b storeBackend) BackendStats() map[string]string {
 	return map[string]string{
-		"curr_items": fmt.Sprintf("%d", b.s.Len()),
-		"bytes":      fmt.Sprintf("%d", b.s.Bytes()),
-		"evictions":  fmt.Sprintf("%d", b.s.Evictions()),
+		"curr_items": strconv.Itoa(b.Len()),
+		"bytes":      strconv.FormatInt(b.Bytes(), 10),
+		"evictions":  strconv.FormatUint(b.Evictions(), 10),
 	}
 }
 
@@ -136,12 +125,9 @@ type Server struct {
 
 // NewServer wraps a Store in a protocol server.
 func NewServer(store *Store) *Server {
-	return &Server{
-		store:    store,
-		backend:  storeBackend{s: store},
-		recorder: obs.NewServerRecorder(0),
-		conns:    make(map[net.Conn]struct{}),
-	}
+	s := NewServerBackend(storeBackend{store})
+	s.store = store
+	return s
 }
 
 // NewServerBackend serves an arbitrary Backend (e.g. an RnB proxy).
@@ -270,426 +256,331 @@ func (s *Server) dropConn(conn net.Conn) {
 	s.stats.CurrConns.Add(-1)
 }
 
+// The server side mirrors the client's command × codec × exchanger
+// split (command.go): one connection loop moves requests, one executor
+// runs them, and two server codecs — the inverse halves of textCodec and
+// binCodec — are the only code that knows wire bytes.
+
+// serverRequest is one request as a server codec presents it: the
+// client's descriptor plus what only a server has to know.
+type serverRequest struct {
+	request
+	// noreply (text) suppresses the answer to a well-formed command.
+	noreply bool
+	// bad is set when the bytes named cmd but did not parse. The
+	// executor answers it without calling the backend, and noreply does
+	// not silence it.
+	bad error
+	// chained (binary) marks a quiet-get run cut short by a blocking
+	// command or a trace frame instead of a Noop: the next request shares
+	// this one's flush, and an armed trace settles there.
+	chained bool
+}
+
+// opName labels the request in a ServerSpan.
+func (q *serverRequest) opName() string {
+	if q.cmd == cmdGet && len(q.keys) > 1 {
+		return "get_multi"
+	}
+	return commandNames[q.cmd]
+}
+
+// serverReply is what the executor hands back for a codec to serialize.
+// hits and stats are per-connection scratch, reused across requests.
+type serverReply struct {
+	err   error    // the outcome; each codec owns one table turning it into bytes
+	hits  []*Item  // get, gets: hits[i] answers keys[i], nil for a miss
+	value uint64   // incr, decr: the new counter value
+	stats []string // stats: name, value, name, value, ... in reply order
+}
+
+// clientError is a request the server understood but could not accept
+// as written: CLIENT_ERROR on the text wire, invalid-arguments on the
+// binary one.
+type clientError string
+
+func (e clientError) Error() string { return string(e) }
+
+// errUnknownCommand answers a verb or opcode the server does not speak
+// (text "ERROR", binary unknown-command).
+var errUnknownCommand = errors.New("memcache: unknown command")
+
+// serverCodec is the server half of one wire format: it turns bytes into
+// one request and one reply into bytes. Implementations hold
+// per-connection parse scratch, so each connection owns its own.
+type serverCodec interface {
+	// read parses the next request off r into q. An error means the
+	// stream is gone or out of sync, and the connection is dropped.
+	read(r *bufio.Reader, q *serverRequest) error
+	// write serializes the reply to q. It does not flush.
+	write(w *bufio.Writer, q *serverRequest, p *serverReply) error
+	// writeTimings emits the record that follows a traced command's
+	// flush.
+	writeTimings(w *bufio.Writer, st *obs.ServerTimings) error
+}
+
+// serverConn is one connection's serving state: its endpoints, its codec
+// and the request, reply and trace storage every command reuses.
+type serverConn struct {
+	srv   *Server
+	codec serverCodec
+	fr    *fillReader
+	r     *bufio.Reader
+	w     *bufio.Writer
+
+	q serverRequest
+	p serverReply
+
+	// pending is a trace context waiting for the command it arms; ct is
+	// that command's trace state once armed (it points at trace).
+	pending obs.TraceContext
+	ct      *connTrace
+	trace   connTrace
+}
+
+// newServerConn builds the serving state for one connection (or one
+// datagram) with buffers of bufSize bytes each way.
+func (s *Server) newServerConn(codec serverCodec, in io.Reader, out io.Writer, bufSize int) *serverConn {
+	// The fill reader stamps when bytes actually arrive, so traced
+	// commands can report how long they queued in the read buffer.
+	fr := &fillReader{c: in}
+	return &serverConn{
+		srv: s, codec: codec, fr: fr,
+		r: bufio.NewReaderSize(fr, bufSize),
+		w: bufio.NewWriterSize(out, bufSize),
+	}
+}
+
+// handleConn is the one loop that reads requests off a TCP connection.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	// The fill reader stamps when bytes actually arrive, so traced
-	// commands can report how long they queued in the read buffer.
-	fr := &fillReader{c: conn}
-	r := bufio.NewReaderSize(fr, 64<<10)
-	w := bufio.NewWriterSize(conn, 64<<10)
+	c := s.newServerConn(nil, conn, conn, 64<<10)
 	// Protocol sniff, as memcached does on a shared port: binary
 	// requests always start with the 0x80 magic, which is not a
 	// printable text-command byte.
-	if first, err := r.Peek(1); err == nil && first[0] == binMagicReq {
-		if s.noBinary {
-			return
-		}
-		s.serveBinary(fr, r, w)
+	first, err := c.r.Peek(1)
+	switch {
+	case err != nil:
 		return
-	}
-	if s.noText {
-		return
-	}
-	var pending obs.TraceContext
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return
-		}
-		if len(line) == 0 {
-			continue
-		}
-		// The trace prefix arms the NEXT command; it is not a
-		// transaction of its own and sends no reply. A malformed prefix
-		// answers ERROR and arms nothing.
-		if tc, ok, malformed := parseTraceLine(line); ok || malformed {
-			pending = tc
-			if malformed {
-				if _, err := w.WriteString("ERROR\r\n"); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
-					return
-				}
-			}
-			continue
-		}
-		s.stats.Transactions.Add(1)
-		var ct *connTrace
-		if pending.Valid() {
-			verb, _ := nextField(line)
-			ct = s.armTrace(pending, fr, string(verb))
-			pending = obs.TraceContext{}
-		}
-		quit, err := s.dispatch(line, r, w, s.backendFor(ct))
-		if err != nil {
-			return
-		}
-		var dispatchEnd time.Time
-		if ct != nil {
-			dispatchEnd = time.Now()
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if ct != nil {
-			st := s.finishTrace(ct, dispatchEnd, time.Now())
-			if err := writeServerTraceLine(w, &st); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-		if quit {
-			return
-		}
-	}
-}
-
-// readLine reads one \r\n- (or \n-) terminated line without the
-// terminator.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, err
-	}
-	line = bytes.TrimRight(line, "\r\n")
-	return line, nil
-}
-
-// dispatch processes one command line against be — the raw backend, or
-// the per-command timing wrapper when the command is traced. It
-// returns quit=true for the "quit" command and a non-nil error for
-// connection-fatal conditions.
-func (s *Server) dispatch(line []byte, r *bufio.Reader, w *bufio.Writer, be Backend) (quit bool, err error) {
-	fields := strings.Fields(string(line))
-	if len(fields) == 0 {
-		_, err = w.WriteString("ERROR\r\n")
-		return false, err
-	}
-	switch fields[0] {
-	case "get":
-		return false, s.handleGet(fields[1:], w, false, be)
-	case "gets":
-		return false, s.handleGet(fields[1:], w, true, be)
-	case "set", "add", "replace", "setp", "append", "prepend":
-		return false, s.handleStore(fields[0], fields[1:], r, w, be)
-	case "cas":
-		return false, s.handleCas(fields[1:], r, w, be)
-	case "incr", "decr":
-		return false, s.handleIncrDecr(fields[0] == "decr", fields[1:], w, be)
-	case "delete":
-		return false, s.handleDelete(fields[1:], w, be)
-	case "touch":
-		return false, s.handleTouch(fields[1:], w, be)
-	case "flush_all":
-		ferr := be.FlushAll()
-		if !hasNoreply(fields[1:]) {
-			if ferr != nil {
-				_, err = fmt.Fprintf(w, "SERVER_ERROR %s\r\n", ferr)
-			} else {
-				_, err = w.WriteString("OK\r\n")
-			}
-		}
-		return false, err
-	case "version":
-		_, err = w.WriteString("VERSION " + VersionBanner + "\r\n")
-		return false, err
-	case "stats":
-		return false, s.handleStats(w)
-	case "quit":
-		return true, nil
+	case first[0] == binMagicReq && !s.noBinary:
+		c.codec = &binServer{}
+	case first[0] != binMagicReq && !s.noText:
+		c.codec = &textServer{}
 	default:
-		_, err = w.WriteString("ERROR\r\n")
+		return // the wire format SetProtocols disabled
+	}
+	for {
+		if quit, err := c.serveOne(); quit || err != nil {
+			return
+		}
+	}
+}
+
+// serveOne moves one request through the server: read → arm a pending
+// trace → execute → write the reply → flush → trace record. It is the
+// whole per-transaction path for every transport (the UDP server calls
+// it once per datagram).
+func (c *serverConn) serveOne() (quit bool, err error) {
+	q, p := &c.q, &c.p
+	var began time.Time
+	if c.pending.Valid() {
+		// The next command is traced, and its parse phase starts when its
+		// first byte is in hand, not when the codec is done with it.
+		c.r.Peek(1) // an error resurfaces in read
+		began = time.Now()
+	}
+	if err := c.codec.read(c.r, q); err != nil {
 		return false, err
 	}
+	if q.cmd == cmdTrace {
+		// The trace prefix arms the NEXT command; it is not a transaction
+		// of its own and sends no reply. A malformed one answers an error
+		// and arms nothing.
+		c.pending = q.tc
+		if q.bad == nil {
+			return false, nil
+		}
+		p.err = q.bad
+		if err := c.codec.write(c.w, q, p); err != nil {
+			return false, err
+		}
+		return false, c.w.Flush()
+	}
+	if c.pending.Valid() && c.ct == nil {
+		c.trace = connTrace{
+			tc:      c.pending,
+			spanID:  c.srv.recorder.NextID(),
+			op:      q.opName(),
+			start:   began,
+			queueNS: c.fr.sinceLastFill(began),
+		}
+		c.ct = &c.trace
+		c.pending = obs.TraceContext{}
+	}
+	c.srv.execute(q, p, c.ct)
+	if err := c.codec.write(c.w, q, p); err != nil {
+		return false, err
+	}
+	if q.chained {
+		return false, nil
+	}
+	var done time.Time
+	if c.ct != nil {
+		done = time.Now()
+	}
+	if err := c.w.Flush(); err != nil {
+		return false, err
+	}
+	if c.ct != nil {
+		st := c.srv.finishTrace(c.ct, done, time.Now())
+		c.ct = nil
+		if err := c.codec.writeTimings(c.w, &st); err != nil {
+			return false, err
+		}
+		if err := c.w.Flush(); err != nil {
+			return false, err
+		}
+	}
+	return q.cmd == cmdQuit, nil
 }
 
-func hasNoreply(fields []string) bool {
-	return len(fields) > 0 && fields[len(fields)-1] == "noreply"
-}
-
-func (s *Server) handleGet(keys []string, w *bufio.Writer, withCAS bool, be Backend) error {
-	if len(keys) == 0 {
-		_, err := w.WriteString("ERROR\r\n")
-		return err
+// execute runs one request against the backend. It is the only code
+// that calls a Backend method on behalf of a connection, the only code
+// that counts commands in ServerStats, and — when ct is non-nil — the
+// only place a traced command's exec and lock-wait brackets are taken.
+func (s *Server) execute(q *serverRequest, p *serverReply, ct *connTrace) {
+	clear(p.hits) // do not pin the last reply's items until the next long get
+	*p = serverReply{hits: p.hits[:0], stats: p.stats[:0]}
+	// One transaction per request: a text line, a binary command, or a
+	// whole quiet-get run (its Noop included).
+	s.stats.Transactions.Add(1)
+	if q.cmd.stores() {
+		s.stats.CmdSet.Add(1)
 	}
-	s.stats.CmdGet.Add(uint64(len(keys)))
-	var items map[string]*Item
-	var gerr error
-	if withCAS {
-		items, gerr = be.GetsMulti(keys)
-	} else {
-		items, gerr = be.GetMulti(keys)
+	if q.bad != nil {
+		p.err = q.bad
+		return
 	}
-	if gerr != nil {
-		_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", gerr)
-		return err
-	}
-	for _, key := range keys {
-		it, ok := items[key]
-		if !ok {
-			s.stats.GetMisses.Add(1)
-			continue
-		}
-		s.stats.GetHits.Add(1)
-		if withCAS {
-			fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", it.Key, it.Flags, len(it.Value), it.CAS)
-		} else {
-			fmt.Fprintf(w, "VALUE %s %d %d\r\n", it.Key, it.Flags, len(it.Value))
-		}
-		if _, err := w.Write(it.Value); err != nil {
-			return err
-		}
-		if _, err := w.WriteString("\r\n"); err != nil {
-			return err
-		}
-	}
-	_, err := w.WriteString("END\r\n")
-	return err
-}
-
-// readStorePayload parses "<key> <flags> <exptime> <bytes> [noreply]"
-// plus the data block. On a malformed command line it still consumes
-// the client's data block (by declared size when parseable, otherwise
-// one line) so the connection stays in sync, as memcached does.
-func readStorePayload(fields []string, extra int, r *bufio.Reader) (it *Item, casID uint64, noreply bool, cerr string, err error) {
-	// discard swallows the pending data block after a client error when
-	// its size is known; with an unparseable size nothing is consumed
-	// (the client cannot have meant a well-formed block).
-	discard := func(size int64, sized bool) error {
-		if !sized {
-			return nil
-		}
-		_, derr := io.CopyN(io.Discard, r, size+2)
-		return derr
+	switch q.cmd {
+	case cmdStats:
+		p.stats = s.appendStats(p.stats)
+		return
+	case cmdVersion, cmdNoop, cmdQuit: // answered by the codec alone
+		return
 	}
 
-	want := 4 + extra
-	if len(fields) == want+1 && fields[want] == "noreply" {
-		noreply = true
-		fields = fields[:want]
-	}
-	var size uint64
-	var sizeOK bool
-	if len(fields) >= 4 {
-		if v, serr := parseUint(fields[3], 31); serr == nil && v <= MaxValueLen {
-			size, sizeOK = v, true
+	var start time.Time
+	if ct != nil {
+		start = time.Now()
+		if ct.execStart.IsZero() {
+			ct.execStart = start
+		}
+		switch q.cmd {
+		case cmdGet, cmdGets:
+			ct.keys += len(q.keys)
+		case cmdFlushAll:
+		default:
+			ct.keys++
 		}
 	}
-	fail := func(msg string) (*Item, uint64, bool, string, error) {
-		return nil, 0, noreply, msg, discard(int64(size), sizeOK)
-	}
-	if len(fields) != want {
-		return fail("bad command line format")
-	}
-	flags, ferr := parseUint(fields[1], 32)
-	if ferr != nil {
-		return fail("bad flags")
-	}
-	exp, eerr := parseInt32(fields[2])
-	if eerr != nil {
-		return fail("bad exptime")
-	}
-	if !sizeOK {
-		return fail("bad data chunk size")
-	}
-	if extra == 1 {
-		if casID, err = parseUint(fields[4], 64); err != nil {
-			return fail("bad cas id")
+	be := s.backend
+	switch q.cmd {
+	case cmdGet, cmdGets:
+		s.stats.CmdGet.Add(uint64(len(q.keys)))
+		items, err := s.getMulti(q, ct)
+		if err != nil {
+			p.err = err
+			break
 		}
-	}
-	data := make([]byte, size+2)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, 0, noreply, "", err
-	}
-	if !bytes.HasSuffix(data, []byte("\r\n")) {
-		return nil, 0, noreply, "bad data chunk", nil
-	}
-	return &Item{
-		Key:        fields[0],
-		Value:      data[:size],
-		Flags:      uint32(flags),
-		Expiration: exp,
-	}, casID, noreply, "", nil
-}
-
-func (s *Server) handleStore(cmd string, fields []string, r *bufio.Reader, w *bufio.Writer, be Backend) error {
-	s.stats.CmdSet.Add(1)
-	it, _, noreply, cerr, err := readStorePayload(fields, 0, r)
-	if err != nil {
-		return err
-	}
-	if cerr != "" {
-		_, err := fmt.Fprintf(w, "CLIENT_ERROR %s\r\n", cerr)
-		return err
-	}
-	var serr error
-	switch cmd {
-	case "set":
-		serr = be.Set(it)
-	case "setp":
+		hits := 0
+		for _, key := range q.keys {
+			it := items[key]
+			if it != nil {
+				hits++
+			}
+			p.hits = append(p.hits, it)
+		}
+		s.stats.GetHits.Add(uint64(hits))
+		s.stats.GetMisses.Add(uint64(len(q.keys) - hits))
+	case cmdSet:
+		p.err = be.Set(q.item)
+	case cmdSetPinned:
 		// RnB extension (§IV): a pinned set. The stored copy is exempt
 		// from LRU eviction — used for distinguished copies so they can
 		// never miss. Not part of stock memcached.
-		serr = be.SetPinned(it)
-	case "add":
-		serr = be.Add(it)
-	case "replace":
-		serr = be.Replace(it)
-	case "append":
-		serr = be.Append(it.Key, it.Value)
-	case "prepend":
-		serr = be.Prepend(it.Key, it.Value)
+		p.err = be.SetPinned(q.item)
+	case cmdAdd:
+		p.err = be.Add(q.item)
+	case cmdReplace:
+		p.err = be.Replace(q.item)
+	case cmdCAS:
+		p.err = be.CompareAndSwap(q.item)
+	case cmdAppend:
+		p.err = be.Append(q.item.Key, q.item.Value)
+	case cmdPrepend:
+		p.err = be.Prepend(q.item.Key, q.item.Value)
+	case cmdIncr, cmdDecr:
+		delta := int64(q.delta) // the codecs cap it at 63 bits
+		if q.cmd == cmdDecr {
+			delta = -delta
+		}
+		p.value, p.err = be.Increment(q.key, delta)
+	case cmdDelete:
+		p.err = be.Delete(q.key)
+	case cmdTouch:
+		p.err = be.Touch(q.key, q.exp)
+	case cmdFlushAll:
+		p.err = be.FlushAll()
 	}
-	if noreply {
-		return nil
+	if ct != nil {
+		now := time.Now()
+		ct.execNS += now.Sub(start).Nanoseconds()
+		ct.execEnd = now
 	}
-	switch {
-	case serr == nil:
-		_, err = w.WriteString("STORED\r\n")
-	case errors.Is(serr, ErrNotStored):
-		_, err = w.WriteString("NOT_STORED\r\n")
-	case errors.Is(serr, ErrBadKey):
-		_, err = w.WriteString("CLIENT_ERROR bad key\r\n")
-	case errors.Is(serr, ErrTooLarge):
-		_, err = w.WriteString("SERVER_ERROR object too large for cache\r\n")
-	default:
-		_, err = fmt.Fprintf(w, "SERVER_ERROR %s\r\n", serr)
-	}
-	return err
 }
 
-func (s *Server) handleCas(fields []string, r *bufio.Reader, w *bufio.Writer, be Backend) error {
-	s.stats.CmdSet.Add(1)
-	it, casID, noreply, cerr, err := readStorePayload(fields, 1, r)
-	if err != nil {
-		return err
+// getMulti is the executor's read: a plain get or gets, or — for a
+// traced get — the backend's refinement that propagates the context
+// downstream (the proxy) or attributes its lock wait (the store).
+func (s *Server) getMulti(q *serverRequest, ct *connTrace) (map[string]*Item, error) {
+	if q.cmd == cmdGets {
+		return s.backend.GetsMulti(q.keys)
 	}
-	if cerr != "" {
-		_, err := fmt.Fprintf(w, "CLIENT_ERROR %s\r\n", cerr)
-		return err
+	if ct != nil {
+		switch be := s.backend.(type) {
+		case tracedBackend:
+			return be.GetMultiTraced(obs.TraceContext{TraceID: ct.tc.TraceID, Parent: ct.spanID}, q.keys)
+		case timedBackend:
+			items, wait, err := be.GetMultiTimed(q.keys)
+			ct.waitNS += wait
+			return items, err
+		}
 	}
-	it.CAS = casID
-	serr := be.CompareAndSwap(it)
-	if noreply {
-		return nil
-	}
-	switch {
-	case serr == nil:
-		_, err = w.WriteString("STORED\r\n")
-	case errors.Is(serr, ErrCASConflict):
-		_, err = w.WriteString("EXISTS\r\n")
-	case errors.Is(serr, ErrCacheMiss):
-		_, err = w.WriteString("NOT_FOUND\r\n")
-	default:
-		_, err = fmt.Fprintf(w, "SERVER_ERROR %s\r\n", serr)
-	}
-	return err
+	return s.backend.GetMulti(q.keys)
 }
 
-func (s *Server) handleIncrDecr(decr bool, fields []string, w *bufio.Writer, be Backend) error {
-	noreply := hasNoreply(fields)
-	if noreply {
-		fields = fields[:len(fields)-1]
-	}
-	if len(fields) != 2 {
-		_, err := w.WriteString("CLIENT_ERROR bad command line format\r\n")
-		return err
-	}
-	delta, derr := parseUint(fields[1], 63)
-	if derr != nil {
-		_, err := w.WriteString("CLIENT_ERROR invalid numeric delta argument\r\n")
-		return err
-	}
-	d := int64(delta)
-	if decr {
-		d = -d
-	}
-	val, serr := be.Increment(fields[0], d)
-	if noreply {
-		return nil
-	}
-	var err error
-	switch {
-	case serr == nil:
-		_, err = fmt.Fprintf(w, "%d\r\n", val)
-	case errors.Is(serr, ErrCacheMiss):
-		_, err = w.WriteString("NOT_FOUND\r\n")
-	default:
-		_, err = fmt.Fprintf(w, "CLIENT_ERROR %s\r\n", serr)
-	}
-	return err
-}
-
-func (s *Server) handleDelete(fields []string, w *bufio.Writer, be Backend) error {
-	noreply := hasNoreply(fields)
-	if noreply {
-		fields = fields[:len(fields)-1]
-	}
-	if len(fields) != 1 {
-		_, err := w.WriteString("CLIENT_ERROR bad command line format\r\n")
-		return err
-	}
-	serr := be.Delete(fields[0])
-	if noreply {
-		return nil
-	}
-	var err error
-	if serr == nil {
-		_, err = w.WriteString("DELETED\r\n")
-	} else {
-		_, err = w.WriteString("NOT_FOUND\r\n")
-	}
-	return err
-}
-
-func (s *Server) handleTouch(fields []string, w *bufio.Writer, be Backend) error {
-	noreply := hasNoreply(fields)
-	if noreply {
-		fields = fields[:len(fields)-1]
-	}
-	if len(fields) != 2 {
-		_, err := w.WriteString("CLIENT_ERROR bad command line format\r\n")
-		return err
-	}
-	exp, err := parseInt32(fields[1])
-	if err != nil {
-		_, werr := w.WriteString("CLIENT_ERROR bad exptime\r\n")
-		return werr
-	}
-	serr := be.Touch(fields[0], exp)
-	if noreply {
-		return nil
-	}
-	var werr error
-	if serr == nil {
-		_, werr = w.WriteString("TOUCHED\r\n")
-	} else {
-		_, werr = w.WriteString("NOT_FOUND\r\n")
-	}
-	return werr
-}
-
-func (s *Server) handleStats(w *bufio.Writer) error {
-	fmt.Fprintf(w, "STAT cmd_get %d\r\n", s.stats.CmdGet.Load())
-	fmt.Fprintf(w, "STAT cmd_set %d\r\n", s.stats.CmdSet.Load())
-	fmt.Fprintf(w, "STAT get_hits %d\r\n", s.stats.GetHits.Load())
-	fmt.Fprintf(w, "STAT get_misses %d\r\n", s.stats.GetMisses.Load())
-	fmt.Fprintf(w, "STAT transactions %d\r\n", s.stats.Transactions.Load())
-	fmt.Fprintf(w, "STAT curr_connections %d\r\n", s.stats.CurrConns.Load())
-	fmt.Fprintf(w, "STAT total_connections %d\r\n", s.stats.TotalConns.Load())
+// appendStats appends the stats reply both wires serve: the server's
+// counters, then the backend's entries in name order.
+func (s *Server) appendStats(out []string) []string {
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	out = append(out,
+		"cmd_get", u(s.stats.CmdGet.Load()),
+		"cmd_set", u(s.stats.CmdSet.Load()),
+		"get_hits", u(s.stats.GetHits.Load()),
+		"get_misses", u(s.stats.GetMisses.Load()),
+		"transactions", u(s.stats.Transactions.Load()),
+		"curr_connections", strconv.FormatInt(s.stats.CurrConns.Load(), 10),
+		"total_connections", u(s.stats.TotalConns.Load()),
+	)
 	extra := s.backend.BackendStats()
-	keys := make([]string, 0, len(extra))
-	for k := range extra {
-		keys = append(keys, k)
+	names := make([]string, 0, len(extra))
+	for name := range extra {
+		names = append(names, name)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "STAT %s %s\r\n", k, extra[k])
+	sort.Strings(names)
+	for _, name := range names {
+		out = append(out, name, extra[name])
 	}
-	_, err := w.WriteString("END\r\n")
-	return err
+	return out
 }

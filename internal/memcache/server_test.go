@@ -9,25 +9,47 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rnb/internal/chaos"
 )
 
-// startServer spins up a server on a random loopback port and returns a
-// connected client.
-func startServer(t *testing.T, capacity int64) (*Server, *Client) {
+// serveTest is the one way tests start a server: on a fresh loopback
+// listener (behind in, when given), closed with the test. It returns the
+// listener's own address, which is known before the Serve goroutine has
+// run — srv.Addr() is not, and "dial tcp: missing address" was the flake
+// that taught it.
+func serveTest(t *testing.T, srv *Server, in *chaos.Injector) string {
 	t.Helper()
-	srv := NewServer(NewStore(capacity))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
+	wrapped := net.Listener(ln)
+	if in != nil {
+		wrapped = in.Wrap(ln)
+	}
+	go srv.Serve(wrapped)
 	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(ln.Addr().String(), 5*time.Second)
+	return ln.Addr().String()
+}
+
+// dialTest connects a client (Dial or DialBinary) closed with the test.
+func dialTest(t *testing.T, dial dialFunc, addr string, timeout time.Duration) *Client {
+	t.Helper()
+	cl, err := dial(addr, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return srv, cl
+	return cl
+}
+
+// startServer spins up a server on a random loopback port and returns
+// it with a connected text client.
+func startServer(t *testing.T, capacity int64) (*Server, *Client) {
+	t.Helper()
+	srv := NewServer(NewStore(capacity))
+	return srv, dialTest(t, Dial, serveTest(t, srv, nil), 5*time.Second)
 }
 
 func TestEndToEndSetGet(t *testing.T) {
@@ -164,25 +186,26 @@ func TestEndToEndFlushAllAndVersion(t *testing.T) {
 }
 
 func TestEndToEndStats(t *testing.T) {
-	_, cl := startServer(t, 0)
-	_ = cl.Set(&Item{Key: "k", Value: []byte("v")})
-	_, _ = cl.Get("k")
-	_, _ = cl.Get("nope")
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st["cmd_get"] != "2" || st["get_hits"] != "1" || st["get_misses"] != "1" {
-		t.Fatalf("stats: %v", st)
-	}
-	if st["curr_items"] != "1" {
-		t.Fatalf("curr_items: %v", st["curr_items"])
-	}
+	eachWire(t, func(t *testing.T, dial dialFunc) {
+		cl := dialTestServer(t, dial, nil, 5*time.Second)
+		_ = cl.Set(&Item{Key: "k", Value: []byte("v")})
+		_, _ = cl.Get("k")
+		_, _ = cl.Get("nope")
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st["cmd_get"] != "2" || st["get_hits"] != "1" || st["get_misses"] != "1" {
+			t.Fatalf("stats: %v", st)
+		}
+		if st["curr_items"] != "1" {
+			t.Fatalf("curr_items: %v", st["curr_items"])
+		}
+	})
 }
 
 func TestServerRejectsGarbage(t *testing.T) {
-	srv, _ := startServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, err := net.Dial("tcp", serveTest(t, NewServer(NewStore(0)), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +243,8 @@ func TestServerRejectsGarbage(t *testing.T) {
 }
 
 func TestServerNoreply(t *testing.T) {
-	srv, cl := startServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	_, cl := startServer(t, 0)
+	conn, err := net.Dial("tcp", cl.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +267,7 @@ func TestServerNoreply(t *testing.T) {
 }
 
 func TestServerQuit(t *testing.T) {
-	srv, _ := startServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, err := net.Dial("tcp", serveTest(t, NewServer(NewStore(0)), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +284,7 @@ func TestServerQuit(t *testing.T) {
 
 func TestServerCloseIdempotentAndRefusesServe(t *testing.T) {
 	srv := NewServer(NewStore(0))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	time.Sleep(10 * time.Millisecond)
+	serveTest(t, srv, nil)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +298,14 @@ func TestServerCloseIdempotentAndRefusesServe(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	srv, _ := startServer(t, 0)
+	addr := serveTest(t, NewServer(NewStore(0)), nil)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cl, err := Dial(srv.Addr(), 5*time.Second)
+			cl, err := Dial(addr, 5*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -404,18 +421,7 @@ func TestIncrBumpsCAS(t *testing.T) {
 
 func TestSetPinnedEndToEnd(t *testing.T) {
 	// A small server under heavy churn must keep the pinned entry.
-	srv := NewServer(NewStore(8 * 1024))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	cl, err := Dial(ln.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	srv, cl := startServer(t, 8*1024)
 
 	if err := cl.SetPinned(&Item{Key: "pinned", Value: []byte("stay")}); err != nil {
 		t.Fatal(err)
@@ -439,7 +445,7 @@ func TestServerSurvivesGarbageStreams(t *testing.T) {
 	// Deterministic fuzz: random byte streams and half-valid command
 	// streams must never crash the server or wedge the listener; after
 	// each stream a fresh client must still work.
-	srv, cl := startServer(t, 0)
+	_, cl := startServer(t, 0)
 	streams := []string{
 		"\r\n\r\n\r\n",
 		"get\r\nget \r\n",
@@ -454,7 +460,7 @@ func TestServerSurvivesGarbageStreams(t *testing.T) {
 		"flush_all noreply\r\nversion\r\n",
 	}
 	for i, stream := range streams {
-		conn, err := net.Dial("tcp", srv.Addr())
+		conn, err := net.Dial("tcp", cl.addr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 package memcache
 
 import (
-	"fmt"
+	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rnb/internal/lru"
@@ -19,9 +20,8 @@ const defaultShards = 16
 // RnB deployment can pin distinguished copies (§III-C-1).
 type Store struct {
 	shards []storeShard
-	nowFn  func() int64 // unix seconds; replaceable for tests
-	casSeq uint64       // global CAS counter (atomically via shard locks)
-	casMu  sync.Mutex
+	nowFn  func() int64  // unix seconds; replaceable for tests
+	casSeq atomic.Uint64 // global CAS counter
 }
 
 type storeShard struct {
@@ -59,13 +59,7 @@ func (s *Store) shard(key string) *storeShard {
 	return &s.shards[xhash.String(key)%defaultShards]
 }
 
-func (s *Store) nextCAS() uint64 {
-	s.casMu.Lock()
-	s.casSeq++
-	v := s.casSeq
-	s.casMu.Unlock()
-	return v
-}
+func (s *Store) nextCAS() uint64 { return s.casSeq.Add(1) }
 
 // expired reports whether it has lapsed at unix second now.
 func expired(it *Item, now int64) bool {
@@ -98,35 +92,27 @@ func itemCost(it *Item) int64 {
 
 // Get returns the item for key, or ErrCacheMiss.
 func (s *Store) Get(key string) (*Item, error) {
-	if !validKey(key) {
-		return nil, ErrBadKey
-	}
-	sh := s.shard(key)
-	now := s.nowFn()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, ok := sh.cache.Get(key)
-	if !ok {
-		return nil, ErrCacheMiss
-	}
-	if expired(it, now) {
-		sh.cache.Delete(key)
-		return nil, ErrCacheMiss
-	}
-	return it, nil
+	it, _, err := s.get(key, false)
+	return it, err
 }
 
-// GetTimed is Get plus the time spent waiting for the shard lock, in
-// nanoseconds — the store-contention share of a traced command.
-func (s *Store) GetTimed(key string) (*Item, int64, error) {
+// get is the one lookup. With timed set it also returns the time spent
+// waiting for the shard lock, in nanoseconds — the store-contention
+// share of a traced command; untimed lookups never read the clock.
+func (s *Store) get(key string, timed bool) (*Item, int64, error) {
 	if !validKey(key) {
 		return nil, 0, ErrBadKey
 	}
 	sh := s.shard(key)
 	now := s.nowFn()
-	lockStart := time.Now()
-	sh.mu.Lock()
-	wait := time.Since(lockStart).Nanoseconds()
+	var wait int64
+	if timed {
+		lockStart := time.Now()
+		sh.mu.Lock()
+		wait = time.Since(lockStart).Nanoseconds()
+	} else {
+		sh.mu.Lock()
+	}
 	defer sh.mu.Unlock()
 	it, ok := sh.cache.Get(key)
 	if !ok {
@@ -137,26 +123,6 @@ func (s *Store) GetTimed(key string) (*Item, int64, error) {
 		return nil, wait, ErrCacheMiss
 	}
 	return it, wait, nil
-}
-
-// Peek is Get without LRU promotion (hitchhiker policy hook).
-func (s *Store) Peek(key string) (*Item, error) {
-	if !validKey(key) {
-		return nil, ErrBadKey
-	}
-	sh := s.shard(key)
-	now := s.nowFn()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, ok := sh.cache.Peek(key)
-	if !ok {
-		return nil, ErrCacheMiss
-	}
-	if expired(it, now) {
-		sh.cache.Delete(key)
-		return nil, ErrCacheMiss
-	}
-	return it, nil
 }
 
 // Set unconditionally stores the item (memcached "set").
@@ -186,23 +152,19 @@ func (s *Store) SetPinned(it *Item, pinned bool) error {
 
 // Add stores only if the key is absent (memcached "add").
 func (s *Store) Add(it *Item) error {
-	if !validKey(it.Key) {
-		return ErrBadKey
-	}
-	sh := s.shard(it.Key)
-	now := s.nowFn()
-	sh.mu.Lock()
-	existing, ok := sh.cache.Peek(it.Key)
-	if ok && !expired(existing, now) {
-		sh.mu.Unlock()
-		return ErrNotStored
-	}
-	sh.mu.Unlock()
-	return s.Set(it)
+	return s.setIf(it, false)
 }
 
 // Replace stores only if the key is present (memcached "replace").
 func (s *Store) Replace(it *Item) error {
+	return s.setIf(it, true)
+}
+
+// setIf stores it only when the key's presence (an expired entry counts
+// as absent) is what the caller requires. Presence is judged under the
+// shard lock, because Touch rewrites a resident item's expiration in
+// place under it.
+func (s *Store) setIf(it *Item, present bool) error {
 	if !validKey(it.Key) {
 		return ErrBadKey
 	}
@@ -210,11 +172,11 @@ func (s *Store) Replace(it *Item) error {
 	now := s.nowFn()
 	sh.mu.Lock()
 	existing, ok := sh.cache.Peek(it.Key)
-	if !ok || expired(existing, now) {
-		sh.mu.Unlock()
+	live := ok && !expired(existing, now)
+	sh.mu.Unlock()
+	if live != present {
 		return ErrNotStored
 	}
-	sh.mu.Unlock()
 	return s.Set(it)
 }
 
@@ -289,6 +251,10 @@ func (s *Store) concat(key string, data []byte, front bool) error {
 	return nil
 }
 
+// errNonNumeric is Increment's refusal of a value that is not a decimal
+// number (text "CLIENT_ERROR ...").
+var errNonNumeric = errors.New("memcache: cannot increment non-numeric value")
+
 // Increment adjusts a decimal-uint64 value by delta (negative =
 // decrement, clamped at zero like memcached). It returns the new
 // value. Non-numeric values return an error; missing keys return
@@ -305,9 +271,9 @@ func (s *Store) Increment(key string, delta int64) (uint64, error) {
 	if !ok || expired(existing, now) {
 		return 0, ErrCacheMiss
 	}
-	cur, err := parseUint(string(existing.Value), 64)
+	cur, err := parseUint(existing.Value, 64)
 	if err != nil {
-		return 0, fmt.Errorf("memcache: cannot increment non-numeric value")
+		return 0, errNonNumeric
 	}
 	var next uint64
 	if delta >= 0 {

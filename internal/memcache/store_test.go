@@ -3,6 +3,7 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -287,19 +288,6 @@ func TestStorePinnedSurvivesPressure(t *testing.T) {
 	}
 }
 
-func TestStorePeekDoesNotPromote(t *testing.T) {
-	// Build a single-shard-sized scenario is fiddly with sharding; just
-	// verify Peek returns data and misses correctly.
-	s, _ := newTestStore()
-	_ = s.Set(&Item{Key: "k", Value: []byte("v")})
-	if it, err := s.Peek("k"); err != nil || string(it.Value) != "v" {
-		t.Fatalf("Peek = %v, %v", it, err)
-	}
-	if _, err := s.Peek("missing"); !errors.Is(err, ErrCacheMiss) {
-		t.Fatalf("Peek missing: %v", err)
-	}
-}
-
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := NewStore(1 << 22)
 	done := make(chan error, 8)
@@ -324,5 +312,35 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStoreConditionalSetRacesTouch runs add and replace against touch
+// on one key. Touch rewrites the resident item's expiration in place
+// under the shard lock, so the conditional stores must judge "present
+// and unexpired" under that lock too; under -race this fails if they
+// read the expiration after releasing it.
+func TestStoreConditionalSetRacesTouch(t *testing.T) {
+	s := NewStore(0)
+	if err := s.Set(&Item{Key: "k", Value: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, op := range []func(int){
+		func(int) { s.Add(&Item{Key: "k", Value: []byte("a")}) },
+		func(int) { s.Replace(&Item{Key: "k", Value: []byte("r")}) },
+		func(i int) { s.Touch("k", int32(100+i)) },
+	} {
+		wg.Add(1)
+		go func(op func(int)) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				op(i)
+			}
+		}(op)
+	}
+	wg.Wait()
+	if _, err := s.Get("k"); err != nil {
+		t.Fatal("key lost:", err)
 	}
 }

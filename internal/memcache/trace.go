@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -50,9 +49,35 @@ func bannerSupportsTracing(banner string) bool {
 // chosen from the unused range next to binOpSetP.
 const binOpTrace = 0xf1
 
-// binTraceBodyLen is the trace response body: 7 big-endian 64-bit
-// fields (trace id, server span id, queue, parse, wait, exec, flush).
+// binTraceBodyLen is the trace response body: the timing record's 7
+// words, big-endian.
 const binTraceBodyLen = 56
+
+// timingWords is the timing record in wire order — trace id, server
+// span id, queue, parse, wait, exec, flush — which both wire formats
+// carry as 7 unsigned words (decimal on the text wire). The phase
+// durations are clamped at zero before they get here.
+func timingWords(st *obs.ServerTimings) [7]uint64 {
+	return [7]uint64{
+		st.TraceID,
+		st.SpanID,
+		uint64(st.QueueNS),
+		uint64(st.ParseNS),
+		uint64(st.WaitNS),
+		uint64(st.ExecNS),
+		uint64(st.FlushNS),
+	}
+}
+
+func setTimingWords(st *obs.ServerTimings, v [7]uint64) {
+	st.TraceID = v[0]
+	st.SpanID = v[1]
+	st.QueueNS = int64(v[2])
+	st.ParseNS = int64(v[3])
+	st.WaitNS = int64(v[4])
+	st.ExecNS = int64(v[5])
+	st.FlushNS = int64(v[6])
+}
 
 // --- client write/read halves (text) ---------------------------------
 
@@ -60,10 +85,9 @@ const binTraceBodyLen = 56
 func writeTraceCmd(w *bufio.Writer, tc obs.TraceContext) error {
 	scratch := lineScratch.Get().(*[320]byte)
 	b := scratch[:0]
-	b = append(b, "trace "...)
-	b = strconv.AppendUint(b, tc.TraceID, 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, tc.Parent, 10)
+	b = append(b, "trace"...)
+	b = appendUintField(b, tc.TraceID)
+	b = appendUintField(b, tc.Parent)
 	b = append(b, '\r', '\n')
 	_, err := w.Write(b)
 	lineScratch.Put(scratch)
@@ -86,7 +110,7 @@ func readTraceReply(r *bufio.Reader, st *obs.ServerTimings) error {
 	for i := range vals {
 		var tok []byte
 		tok, rest = nextField(rest)
-		v, perr := parseUintBytes(tok, 64)
+		v, perr := parseUint(tok, 64)
 		if perr != nil {
 			return fmt.Errorf("memcache: corrupt TRACE reply %q", line)
 		}
@@ -95,13 +119,7 @@ func readTraceReply(r *bufio.Reader, st *obs.ServerTimings) error {
 	if tail, _ := nextField(rest); len(tail) != 0 {
 		return fmt.Errorf("memcache: corrupt TRACE reply %q", line)
 	}
-	st.TraceID = vals[0]
-	st.SpanID = vals[1]
-	st.QueueNS = int64(vals[2])
-	st.ParseNS = int64(vals[3])
-	st.WaitNS = int64(vals[4])
-	st.ExecNS = int64(vals[5])
-	st.FlushNS = int64(vals[6])
+	setTimingWords(st, vals)
 	return nil
 }
 
@@ -121,17 +139,8 @@ func writeBinTraceCmd(w *bufio.Writer, tc obs.TraceContext) error {
 // readBinTraceReply consumes the trailing binOpTrace response frame.
 func readBinTraceReply(r *bufio.Reader, st *obs.ServerTimings) error {
 	var h binHeader
-	if err := readBinHeader(r, &h); err != nil {
+	if err := readBinReply(r, binOpTrace, &h); err != nil {
 		return err
-	}
-	if h.opcode != binOpTrace {
-		return errBinDesync("response opcode 0x%02x, want trace", h.opcode)
-	}
-	if h.status != binStatusOK {
-		if err := discardBinBody(r, &h); err != nil {
-			return err
-		}
-		return binStatusError(h.status)
 	}
 	if h.bodyLen != binTraceBodyLen {
 		return errBinDesync("trace reply body %d bytes, want %d", h.bodyLen, binTraceBodyLen)
@@ -140,68 +149,13 @@ func readBinTraceReply(r *bufio.Reader, st *obs.ServerTimings) error {
 	if err != nil {
 		return err
 	}
-	st.TraceID = binary.BigEndian.Uint64(body[0:8])
-	st.SpanID = binary.BigEndian.Uint64(body[8:16])
-	st.QueueNS = int64(binary.BigEndian.Uint64(body[16:24]))
-	st.ParseNS = int64(binary.BigEndian.Uint64(body[24:32]))
-	st.WaitNS = int64(binary.BigEndian.Uint64(body[32:40]))
-	st.ExecNS = int64(binary.BigEndian.Uint64(body[40:48]))
-	st.FlushNS = int64(binary.BigEndian.Uint64(body[48:56]))
+	var vals [7]uint64
+	for i := range vals {
+		vals[i] = binary.BigEndian.Uint64(body[8*i:])
+	}
+	setTimingWords(st, vals)
 	_, err = r.Discard(binTraceBodyLen)
 	return err
-}
-
-// --- server write halves ---------------------------------------------
-
-// writeServerTraceLine emits the text timing record.
-func writeServerTraceLine(w *bufio.Writer, st *obs.ServerTimings) error {
-	scratch := lineScratch.Get().(*[320]byte)
-	b := scratch[:0]
-	b = append(b, "TRACE "...)
-	b = strconv.AppendUint(b, st.TraceID, 10)
-	for _, v := range [6]int64{int64(st.SpanID), st.QueueNS, st.ParseNS, st.WaitNS, st.ExecNS, st.FlushNS} {
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, v, 10)
-	}
-	b = append(b, '\r', '\n')
-	_, err := w.Write(b)
-	lineScratch.Put(scratch)
-	return err
-}
-
-// writeBinServerTraceResponse emits the binary timing record.
-func writeBinServerTraceResponse(w *bufio.Writer, opaque uint32, st *obs.ServerTimings) error {
-	var body [binTraceBodyLen]byte
-	binary.BigEndian.PutUint64(body[0:8], st.TraceID)
-	binary.BigEndian.PutUint64(body[8:16], st.SpanID)
-	binary.BigEndian.PutUint64(body[16:24], uint64(st.QueueNS))
-	binary.BigEndian.PutUint64(body[24:32], uint64(st.ParseNS))
-	binary.BigEndian.PutUint64(body[32:40], uint64(st.WaitNS))
-	binary.BigEndian.PutUint64(body[40:48], uint64(st.ExecNS))
-	binary.BigEndian.PutUint64(body[48:56], uint64(st.FlushNS))
-	return writeBinResponse(w, binOpTrace, binStatusOK, opaque, 0, nil, "", body[:])
-}
-
-// parseTraceLine recognizes the text trace prefix. It returns the
-// context and ok=true for a well-formed line, malformed=true for a
-// line that names the trace command but fails to parse (the dispatcher
-// answers ERROR and arms nothing), and all-false for any other command.
-func parseTraceLine(line []byte) (tc obs.TraceContext, ok, malformed bool) {
-	verb, rest := nextField(line)
-	if !bytes.Equal(verb, []byte("trace")) {
-		return obs.TraceContext{}, false, false
-	}
-	idTok, rest := nextField(rest)
-	spanTok, rest := nextField(rest)
-	if tail, _ := nextField(rest); len(tail) != 0 {
-		return obs.TraceContext{}, false, true
-	}
-	id, err1 := parseUintBytes(idTok, 64)
-	span, err2 := parseUintBytes(spanTok, 64)
-	if err1 != nil || err2 != nil || id == 0 {
-		return obs.TraceContext{}, false, true
-	}
-	return obs.TraceContext{TraceID: id, Parent: span}, true, false
 }
 
 // --- server-side measurement -----------------------------------------
@@ -237,14 +191,15 @@ func (f *fillReader) sinceLastFill(now time.Time) int64 {
 	return d
 }
 
-// connTrace is the per-command trace state: armed by the wire prefix,
-// filled during dispatch by the timing backend wrapper, finalized into
-// an obs.ServerTimings after the response flush.
+// connTrace is the per-command trace state: armed by the connection loop
+// once the command the wire prefix announced is read, filled by the
+// executor's exec brackets, finalized into an obs.ServerTimings after
+// the response flush.
 type connTrace struct {
 	tc     obs.TraceContext
 	spanID uint64 // minted at arm time so downstream calls can parent on it
 	op     string
-	start  time.Time // dispatch start
+	start  time.Time // the command's first byte in hand
 
 	queueNS   int64
 	keys      int
@@ -252,18 +207,6 @@ type connTrace struct {
 	execNS    int64
 	execStart time.Time
 	execEnd   time.Time
-}
-
-// armTrace builds the trace state for one traced command.
-func (s *Server) armTrace(tc obs.TraceContext, fr *fillReader, op string) *connTrace {
-	now := time.Now()
-	return &connTrace{
-		tc:      tc,
-		spanID:  s.recorder.NextID(),
-		op:      op,
-		start:   now,
-		queueNS: fr.sinceLastFill(now),
-	}
 }
 
 // finishTrace closes the books on a traced command: derives the parse
@@ -297,13 +240,9 @@ func (s *Server) finishTrace(ct *connTrace, dispatchEnd, flushEnd time.Time) obs
 	if st.FlushNS < 0 {
 		st.FlushNS = 0
 	}
-	op := ct.op
-	if op == "get" && ct.keys > 1 {
-		op = "get_multi" // match the binary protocol's quiet-run label
-	}
 	s.recorder.Record(obs.ServerSpan{
 		ID:      ct.spanID,
-		Op:      op,
+		Op:      ct.op,
 		Start:   ct.start,
 		Keys:    ct.keys,
 		Parent:  ct.tc.Parent,
@@ -314,7 +253,7 @@ func (s *Server) finishTrace(ct *connTrace, dispatchEnd, flushEnd time.Time) obs
 
 // timedBackend is an optional Backend refinement: a backend that can
 // attribute lock wait inside its multi-get. storeBackend implements it
-// via Store.GetTimed; backends that cannot (the proxy) report wait 0.
+// via the store's timed lookup; backends that cannot (the proxy) report wait 0.
 type timedBackend interface {
 	GetMultiTimed(keys []string) (map[string]*Item, int64, error)
 }
@@ -326,110 +265,4 @@ type timedBackend interface {
 // its own span as parent, chaining app → proxy → tier into one trace.
 type tracedBackend interface {
 	GetMultiTraced(tc obs.TraceContext, keys []string) (map[string]*Item, error)
-}
-
-// timingBackend wraps the server's Backend for the duration of one
-// traced command, accumulating execution (and, when the backend can
-// attribute it, lock-wait) time into the connTrace.
-type timingBackend struct {
-	inner Backend
-	ct    *connTrace
-}
-
-func (tb *timingBackend) begin() time.Time {
-	now := time.Now()
-	if tb.ct.execStart.IsZero() {
-		tb.ct.execStart = now
-	}
-	return now
-}
-
-func (tb *timingBackend) end(start time.Time) {
-	now := time.Now()
-	tb.ct.execNS += now.Sub(start).Nanoseconds()
-	tb.ct.execEnd = now
-}
-
-func (tb *timingBackend) GetMulti(keys []string) (map[string]*Item, error) {
-	tb.ct.keys += len(keys)
-	start := tb.begin()
-	var items map[string]*Item
-	var err error
-	switch inner := tb.inner.(type) {
-	case tracedBackend:
-		items, err = inner.GetMultiTraced(
-			obs.TraceContext{TraceID: tb.ct.tc.TraceID, Parent: tb.ct.spanID}, keys)
-	case timedBackend:
-		var wait int64
-		items, wait, err = inner.GetMultiTimed(keys)
-		tb.ct.waitNS += wait
-	default:
-		items, err = tb.inner.GetMulti(keys)
-	}
-	tb.end(start)
-	return items, err
-}
-
-func (tb *timingBackend) GetsMulti(keys []string) (map[string]*Item, error) {
-	tb.ct.keys += len(keys)
-	start := tb.begin()
-	items, err := tb.inner.GetsMulti(keys)
-	tb.end(start)
-	return items, err
-}
-
-func (tb *timingBackend) Set(it *Item) error { return tb.one(func() error { return tb.inner.Set(it) }) }
-func (tb *timingBackend) SetPinned(it *Item) error {
-	return tb.one(func() error { return tb.inner.SetPinned(it) })
-}
-func (tb *timingBackend) Add(it *Item) error { return tb.one(func() error { return tb.inner.Add(it) }) }
-func (tb *timingBackend) Replace(it *Item) error {
-	return tb.one(func() error { return tb.inner.Replace(it) })
-}
-func (tb *timingBackend) CompareAndSwap(it *Item) error {
-	return tb.one(func() error { return tb.inner.CompareAndSwap(it) })
-}
-func (tb *timingBackend) Append(key string, data []byte) error {
-	return tb.one(func() error { return tb.inner.Append(key, data) })
-}
-func (tb *timingBackend) Prepend(key string, data []byte) error {
-	return tb.one(func() error { return tb.inner.Prepend(key, data) })
-}
-func (tb *timingBackend) Increment(key string, delta int64) (uint64, error) {
-	tb.ct.keys++
-	start := tb.begin()
-	v, err := tb.inner.Increment(key, delta)
-	tb.end(start)
-	return v, err
-}
-func (tb *timingBackend) Delete(key string) error {
-	return tb.one(func() error { return tb.inner.Delete(key) })
-}
-func (tb *timingBackend) Touch(key string, exp int32) error {
-	return tb.one(func() error { return tb.inner.Touch(key, exp) })
-}
-func (tb *timingBackend) FlushAll() error {
-	start := tb.begin()
-	err := tb.inner.FlushAll()
-	tb.end(start)
-	return err
-}
-func (tb *timingBackend) BackendStats() map[string]string { return tb.inner.BackendStats() }
-
-// one times a single-key mutation.
-func (tb *timingBackend) one(fn func() error) error {
-	tb.ct.keys++
-	start := tb.begin()
-	err := fn()
-	tb.end(start)
-	return err
-}
-
-// backendFor returns the Backend dispatch should use: the timing
-// wrapper for a traced command, the raw backend otherwise.
-func (s *Server) backendFor(ct *connTrace) Backend {
-	if ct == nil {
-		return s.backend
-	}
-	return &timingBackend{inner: s.backend, ct: ct}
 }

@@ -55,7 +55,7 @@ func parseUDPHeader(buf []byte) (reqID, seq, total uint16, err error) {
 // UDPServer serves the text protocol over UDP datagrams, one request
 // per datagram, responses split across framed datagrams.
 type UDPServer struct {
-	srv     *Server // reuses the text dispatch over the same backend
+	srv     *Server // its request path and backend, fed one datagram at a time
 	conn    *net.UDPConn
 	payload int
 
@@ -156,19 +156,10 @@ func (u *UDPServer) handlePacket(pkt []byte, raddr *net.UDPAddr) {
 	if err != nil || seq != 0 || total != 1 {
 		return // multi-datagram requests are not part of the protocol
 	}
-	body := pkt[udpHeaderLen:]
-	r := bufio.NewReader(bytes.NewReader(body))
-	line, err := readLine(r)
-	if err != nil || len(line) == 0 {
-		return
-	}
+	// One datagram is one request on the server's own request path.
 	var out bytes.Buffer
-	w := bufio.NewWriter(&out)
-	u.srv.stats.Transactions.Add(1)
-	if _, err := u.srv.dispatch(line, r, w, u.srv.backend); err != nil {
-		return
-	}
-	if err := w.Flush(); err != nil {
+	c := u.srv.newServerConn(&textServer{}, bytes.NewReader(pkt[udpHeaderLen:]), &out, 4096)
+	if _, err := c.serveOne(); err != nil {
 		return
 	}
 	u.sendResponse(reqID, out.Bytes(), raddr)
@@ -200,6 +191,8 @@ func (u *UDPServer) sendResponse(reqID uint16, payload []byte, raddr *net.UDPAdd
 // surface as ErrUDPLoss or a timeout, reproducing the paper's
 // observation about flow control.
 type UDPClient struct {
+	cmds commands // the shared command set, over exchange and the text codec
+
 	mu      sync.Mutex
 	conn    *net.UDPConn
 	timeout time.Duration
@@ -222,7 +215,10 @@ func DialUDP(addr string, timeout time.Duration) (*UDPClient, error) {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	return &UDPClient{conn: conn, timeout: timeout}, nil
+	c := &UDPClient{conn: conn, timeout: timeout}
+	c.cmds.via = c
+	c.cmds.codec = textCodec{}
+	return c, nil
 }
 
 // Close releases the socket.
@@ -294,99 +290,33 @@ func (c *UDPClient) roundTrip(cmd []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// Get fetches keys over UDP in one request datagram.
-func (c *UDPClient) Get(keys ...string) (map[string]*Item, error) {
-	if len(keys) == 0 {
-		return map[string]*Item{}, nil
-	}
-	for _, k := range keys {
-		if !validKey(k) {
-			return nil, ErrBadKey
-		}
-	}
+// exchange makes UDPClient an exchanger: the request goes out as one
+// datagram of text-codec bytes and the reassembled reply is decoded by
+// the same codec.
+func (c *UDPClient) exchange(q request) (reply, error) {
+	var rep reply
 	var cmd bytes.Buffer
-	cmd.WriteString("get")
-	for _, k := range keys {
-		cmd.WriteByte(' ')
-		cmd.WriteString(k)
+	w := bufio.NewWriter(&cmd)
+	if err := c.cmds.codec.encode(w, &q); err != nil {
+		return rep, err
 	}
-	cmd.WriteString("\r\n")
+	if err := w.Flush(); err != nil {
+		return rep, err
+	}
 	resp, err := c.roundTrip(cmd.Bytes())
 	if err != nil {
-		return nil, err
+		return rep, err
 	}
-	return parseTextValues(resp)
+	err = c.cmds.codec.decode(bufio.NewReader(bytes.NewReader(resp)), &q, &rep)
+	return rep, err
 }
+
+// Get fetches keys over UDP in one request datagram.
+func (c *UDPClient) Get(keys ...string) (map[string]*Item, error) { return c.cmds.GetMulti(keys) }
 
 // Set stores an item over UDP. Responses are awaited (no noreply), so
 // the caller learns about loss.
-func (c *UDPClient) Set(it *Item) error {
-	if !validKey(it.Key) {
-		return ErrBadKey
-	}
-	if len(it.Value) > MaxValueLen {
-		return ErrTooLarge
-	}
-	var cmd bytes.Buffer
-	fmt.Fprintf(&cmd, "set %s %d %d %d\r\n", it.Key, it.Flags, it.Expiration, len(it.Value))
-	cmd.Write(it.Value)
-	cmd.WriteString("\r\n")
-	resp, err := c.roundTrip(cmd.Bytes())
-	if err != nil {
-		return err
-	}
-	status := string(bytes.TrimRight(resp, "\r\n"))
-	if status != "STORED" {
-		return fmt.Errorf("memcache: udp set answered %q", status)
-	}
-	return nil
-}
+func (c *UDPClient) Set(it *Item) error { return c.cmds.Set(it) }
 
 // Version fetches the server banner over UDP.
-func (c *UDPClient) Version() (string, error) {
-	resp, err := c.roundTrip([]byte("version\r\n"))
-	if err != nil {
-		return "", err
-	}
-	line := string(bytes.TrimRight(resp, "\r\n"))
-	return string(bytes.TrimPrefix([]byte(line), []byte("VERSION "))), nil
-}
-
-// parseTextValues parses a VALUE.../END response buffer.
-func parseTextValues(resp []byte) (map[string]*Item, error) {
-	out := map[string]*Item{}
-	r := bufio.NewReader(bytes.NewReader(resp))
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return nil, fmt.Errorf("memcache: truncated udp response")
-		}
-		if bytes.Equal(line, []byte("END")) {
-			return out, nil
-		}
-		fields := bytes.Fields(line)
-		if len(fields) != 4 || !bytes.Equal(fields[0], []byte("VALUE")) {
-			return nil, fmt.Errorf("memcache: unexpected udp line %q", line)
-		}
-		size, err := parseUint(string(fields[3]), 31)
-		if err != nil {
-			return nil, err
-		}
-		flags, err := parseUint(string(fields[2]), 32)
-		if err != nil {
-			return nil, err
-		}
-		data := make([]byte, size+2)
-		if _, err := readFull(r, data); err != nil {
-			return nil, fmt.Errorf("memcache: truncated udp data block")
-		}
-		if !bytes.HasSuffix(data, []byte("\r\n")) {
-			return nil, fmt.Errorf("memcache: corrupt udp data block")
-		}
-		out[string(fields[1])] = &Item{
-			Key:   string(fields[1]),
-			Value: data[:size],
-			Flags: uint32(flags),
-		}
-	}
-}
+func (c *UDPClient) Version() (string, error) { return c.cmds.Version() }
