@@ -548,8 +548,10 @@ func (c *pconn) writeLoop() {
 			}
 			c.pool.transactions.Add(1)
 			if err := c.pool.codec.encode(c.w, &req.request); err != nil {
-				req.complete(err)
+				// Dead before done: the caller's one replay must not be
+				// routed back onto this connection.
 				c.teardown(err)
+				req.complete(err)
 				return
 			}
 			c.pending.Add(1)
@@ -602,13 +604,16 @@ func (c *pconn) readLoop() {
 		c.pending.Add(-1)
 		c.pool.gauges.InFlight.Add(-1)
 		c.lastDone.Store(time.Now().UnixNano())
-		req.complete(err)
 		if IsConnFatal(err) {
 			// The stream is out of sync (I/O error or corrupt frame):
-			// every response behind this one is unusable. Fail fast.
+			// every response behind this one is unusable. Fail fast —
+			// and before completing req, so the caller's one replay is
+			// not routed back onto this connection.
 			c.teardown(err)
+			req.complete(err)
 			return
 		}
+		req.complete(err)
 		c.pool.notify()
 	}
 }
