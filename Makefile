@@ -99,10 +99,11 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# Non-test line counts of the packages ROADMAP's "smaller client" item
-# tracks, so simplicity PRs quote the same numbers.
+# Non-test line counts of the packages ROADMAP's "smaller client" and
+# "one span model" items track, so simplicity PRs quote the same
+# numbers.
 loc:
-	@for d in . internal/memcache internal/core internal/lint; do \
+	@for d in . internal/memcache internal/core internal/lint internal/obs cmd/rnbproxy cmd/rnbmemd; do \
 		printf '%-18s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 

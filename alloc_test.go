@@ -63,6 +63,23 @@ func TestAllocBudgetClient(t *testing.T) {
 		}
 	})
 
+	// The same multi-get traced: the budget is the count measured on the
+	// commit before the request recorder was unified, when a traced
+	// span's RTT array was copied twice (flight recorder and trace
+	// buffer); one copy measures 50.
+	traced, _ := newTestClient(t, 3, WithReplicas(3), WithTracing(TraceConfig{SampleEvery: 1}))
+	for _, k := range ks {
+		if err := traced.Set(&Item{Key: k, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocGate(t, "traced GetMulti 8 keys r=3, 1 transaction", 51, func() {
+		items, stats, err := traced.GetMulti(ks)
+		if err != nil || len(items) != len(ks) || stats.Transactions != 1 {
+			t.Fatalf("%d items, %+v, err %v", len(items), stats, err)
+		}
+	})
+
 	wide, _ := newTestClient(t, 6, WithReplicas(3), WithHitchhiking(false))
 	pool := keys(64)
 	for _, k := range pool {

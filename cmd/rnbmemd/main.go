@@ -48,11 +48,8 @@ func main() {
 
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
-		registerServerMetrics(reg, srv, store)
-		srv.Recorder().RegisterMetrics(reg)
-		mux := obs.NewMux(reg, nil)
-		obs.HandleServerSpans(mux, srv.Recorder())
-		ln, err := obs.ListenAndServe(*debugAddr, mux)
+		srv.RegisterMetrics(reg)
+		ln, err := obs.ListenAndServe(*debugAddr, obs.NewMux(reg, nil, srv.Recorder()))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rnbmemd: debug endpoint: %v\n", err)
 			os.Exit(1)
@@ -88,29 +85,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rnbmemd: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// registerServerMetrics exports the daemon's protocol counters and
-// store gauges — the same numbers the "stats" command reports, under
-// stable memd_* names.
-func registerServerMetrics(reg *obs.Registry, srv *memcache.Server, store *memcache.Store) {
-	st := srv.Stats()
-	counter := func(name, help string, load func() uint64) {
-		reg.RegisterFunc(name, help, obs.Counter, func() float64 { return float64(load()) })
-	}
-	counter("memd_cmd_get", "get/gets commands served.", st.CmdGet.Load)
-	counter("memd_cmd_set", "store commands served.", st.CmdSet.Load)
-	counter("memd_get_hits", "keys found by get.", st.GetHits.Load)
-	counter("memd_get_misses", "keys missed by get.", st.GetMisses.Load)
-	counter("memd_transactions", "client command lines processed.", st.Transactions.Load)
-	counter("memd_total_connections", "connections accepted.", st.TotalConns.Load)
-	counter("memd_evictions", "items evicted by the LRU.", store.Evictions)
-	reg.RegisterFunc("memd_curr_connections", "currently open connections.",
-		obs.Gauge, func() float64 { return float64(st.CurrConns.Load()) })
-	reg.RegisterFunc("memd_curr_items", "items currently stored.",
-		obs.Gauge, func() float64 { return float64(store.Len()) })
-	reg.RegisterFunc("memd_bytes", "bytes currently stored.",
-		obs.Gauge, func() float64 { return float64(store.Bytes()) })
 }
 
 // parseSize parses "512KB" / "256MB" / "2GB" / plain bytes.

@@ -52,16 +52,15 @@ func main() {
 		statsEvery = flag.Duration("stats-every", 0, "log backend breaker states at this interval (0 disables)")
 		poolSize   = flag.Int("pool-size", 1, "pipelined connections per backend (1 = single-connection transport)")
 		binary     = flag.Bool("binary", false, "speak the binary protocol to backends (quiet-get pipelining; implies the pooled transport)")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics (Prometheus text), /debug/requests (flight recorder) and /debug/pprof on this address (empty disables)")
-		slowLog    = flag.Duration("slow-log", 0, "log requests slower than this threshold (0 disables)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics (Prometheus text), /debug/requests (flight recorder), /debug/traces (slow and sampled spans) and /debug/pprof on this address (empty disables)")
+		slowLog    = flag.Duration("slow-log", 0, "slow threshold: requests at least this slow are logged and always kept for /debug/traces, traced or not (0 disables)")
 		ringSize   = flag.Int("flight-recorder", 0, "flight-recorder capacity in request spans (0 = default 256)")
 		topoFile   = flag.String("topology", "", "backend list config file; watched for changes and re-read on SIGHUP (replaces positional backends)")
 		topoPoll   = flag.Duration("topology-poll", 2*time.Second, "poll interval for the -topology file")
 
-		trace       = flag.Bool("trace", false, "distributed tracing: propagate trace contexts to rnbmemd backends and keep tail-sampled traces (/debug/traces on -debug-addr)")
+		trace       = flag.Bool("trace", false, "distributed tracing: propagate trace contexts to rnbmemd backends and keep a reservoir sample of the traces that are not slow")
 		traceSample = flag.Int("trace-sample", 1, "head-sampling rate: every Nth multi-get starts a trace (with -trace)")
-		traceSlow   = flag.Duration("trace-slow", 10*time.Millisecond, "tail-sampling slow threshold: traces at least this slow are always kept (with -trace)")
-		traceDump   = flag.String("trace-dump", "", "write kept traces as Chrome trace-event JSON to this file on shutdown (with -trace; load in Perfetto)")
+		traceDump   = flag.String("trace-dump", "", "write the slow and sampled spans as Chrome trace-event JSON to this file on shutdown (load in Perfetto)")
 
 		adaptive    = flag.Bool("adaptive", false, "adaptive hot-key replication: boost replication of keys that dominate recent traffic")
 		maxBoost    = flag.Int("adaptive-max-boost", 2, "extra replicas a hot key can earn (with -adaptive)")
@@ -111,10 +110,7 @@ func main() {
 		opts = append(opts, rnb.WithBinaryProtocol())
 	}
 	if *trace {
-		opts = append(opts, rnb.WithTracing(rnb.TraceConfig{
-			SampleEvery:   *traceSample,
-			SlowThreshold: *traceSlow,
-		}))
+		opts = append(opts, rnb.WithTracing(rnb.TraceConfig{SampleEvery: *traceSample}))
 	}
 	if *noPin {
 		opts = append(opts, rnb.WithPinnedDistinguished(false))
@@ -173,20 +169,13 @@ func main() {
 		reg := obs.NewRegistry()
 		pxy.RegisterMetrics(reg)
 		srv.Recorder().RegisterMetrics(reg)
-		mux := obs.NewMux(reg, client.Tracer())
-		endpoints := "/metrics, /debug/requests, /debug/pprof"
-		if buf := client.TraceBuffer(); buf != nil {
-			obs.HandleTraces(mux, buf)
-			obs.HandleServerSpans(mux, srv.Recorder())
-			endpoints += ", /debug/traces, /debug/trace/<id>, /debug/spans"
-		}
-		ln, err := obs.ListenAndServe(*debugAddr, mux)
+		ln, err := obs.ListenAndServe(*debugAddr, obs.NewMux(reg, client.Recorder(), srv.Recorder()))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rnbproxy: debug endpoint: %v\n", err)
 			os.Exit(1)
 		}
 		defer ln.Close()
-		fmt.Printf("rnbproxy: debug endpoint on http://%s (%s)\n", ln.Addr(), endpoints)
+		fmt.Printf("rnbproxy: debug endpoint on http://%s (/metrics, /debug/requests, /debug/traces, /debug/trace/<id>, /debug/spans, /debug/pprof)\n", ln.Addr())
 	}
 	if *statsEvery > 0 {
 		go func() {
@@ -228,25 +217,23 @@ func main() {
 		os.Exit(1)
 	}
 	if *traceDump != "" {
-		if buf := client.TraceBuffer(); buf != nil {
-			if err := dumpTraces(*traceDump, buf); err != nil {
-				fmt.Fprintf(os.Stderr, "rnbproxy: trace dump: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "rnbproxy: wrote kept traces to %s\n", *traceDump)
+		if err := dumpTraces(*traceDump, client.Recorder().Traces()); err != nil {
+			fmt.Fprintf(os.Stderr, "rnbproxy: trace dump: %v\n", err)
+			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "rnbproxy: wrote kept traces to %s\n", *traceDump)
 	}
 }
 
-// dumpTraces writes every kept trace as one Chrome trace-event JSON
+// dumpTraces writes the kept spans as one Chrome trace-event JSON
 // file — drag it into Perfetto (ui.perfetto.dev) to see the causal
 // timeline.
-func dumpTraces(path string, buf *obs.TraceBuffer) error {
+func dumpTraces(path string, spans []obs.Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteTraceEvents(f, buf.Traces()); err != nil {
+	if err := obs.WriteTraceEvents(f, spans); err != nil {
 		f.Close()
 		return err
 	}

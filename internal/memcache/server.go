@@ -169,6 +169,30 @@ func (s *Server) SetProtocols(mode string) error {
 // Stats returns the server's counters.
 func (s *Server) Stats() *ServerStats { return &s.stats }
 
+// RegisterMetrics exports the daemon's memd_* families into reg: the
+// protocol counters and store gauges the "stats" command reports, plus
+// the recorder's per-phase histograms. It is for a Store-backed server.
+func (s *Server) RegisterMetrics(reg *obs.Registry) {
+	st, store := &s.stats, s.store
+	counter := func(name, help string, load func() uint64) {
+		reg.RegisterFunc(name, help, obs.Counter, func() float64 { return float64(load()) })
+	}
+	counter("memd_cmd_get", "get/gets commands served.", st.CmdGet.Load)
+	counter("memd_cmd_set", "store commands served.", st.CmdSet.Load)
+	counter("memd_get_hits", "keys found by get.", st.GetHits.Load)
+	counter("memd_get_misses", "keys missed by get.", st.GetMisses.Load)
+	counter("memd_transactions", "client command lines processed.", st.Transactions.Load)
+	counter("memd_total_connections", "connections accepted.", st.TotalConns.Load)
+	counter("memd_evictions", "items evicted by the LRU.", store.Evictions)
+	reg.RegisterFunc("memd_curr_connections", "currently open connections.",
+		obs.Gauge, func() float64 { return float64(st.CurrConns.Load()) })
+	reg.RegisterFunc("memd_curr_items", "items currently stored.",
+		obs.Gauge, func() float64 { return float64(store.Len()) })
+	reg.RegisterFunc("memd_bytes", "bytes currently stored.",
+		obs.Gauge, func() float64 { return float64(store.Bytes()) })
+	s.recorder.RegisterMetrics(reg)
+}
+
 // ListenAndServe listens on addr ("host:port"; ":0" picks a free port)
 // and serves until Close. It returns the bound address via Addr once
 // listening.

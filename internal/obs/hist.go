@@ -1,9 +1,9 @@
 // Package obs is the unified observability layer: a lock-free
 // log-linear latency histogram (this file), per-request lifecycle
-// spans with a flight-recorder ring and sampled slow-request log
-// (tracer.go), and a Prometheus-text-format metric registry with a
-// stable, sorted namespace served over HTTP alongside pprof
-// (registry.go, http.go).
+// spans kept by one request recorder — recent ring, slow ring, traced
+// reservoir (recorder.go) — and a Prometheus-text-format metric
+// registry with a stable, sorted namespace served over HTTP alongside
+// pprof (registry.go, http.go).
 //
 // The paper's argument (§III-B, §V) is quantitative: RnB is judged by
 // measured per-transaction cost and by tail behavior under load, not

@@ -59,11 +59,11 @@ func (r *TxnRTT) WireNS() int64 {
 // Span is one request's lifecycle record: where the time went (plan,
 // fan-out, recovery, loader), what the planner decided, and what went
 // wrong. Spans land in the flight recorder for post-mortem dumps and,
-// above the slow threshold, in the slow-request log. All durations are
-// nanoseconds internally; exported metric names derived from spans use
-// seconds (see registry.go).
+// at or above the slow threshold, in the slow log and the slow ring.
+// All durations are nanoseconds internally; exported metric names
+// derived from spans use seconds (see registry.go).
 type Span struct {
-	// ID is a monotonically increasing per-tracer sequence number.
+	// ID is a monotonically increasing per-recorder sequence number.
 	ID uint64 `json:"id"`
 	// Op names the API call ("get_multi", "get_multi_limit",
 	// "get_multi_budget").
@@ -106,6 +106,3 @@ type Span struct {
 	// proxy's server-side parent); zero at the originating client.
 	ParentSpan uint64 `json:"parent_span,omitempty"`
 }
-
-// Total returns the span's wall time.
-func (sp *Span) Total() time.Duration { return time.Duration(sp.TotalNS) }

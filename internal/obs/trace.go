@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,7 +76,7 @@ type ServerSpan struct {
 	Parent uint64 `json:"parent,omitempty"`
 }
 
-// ServerRecorder is the server-side analogue of Tracer: per-phase
+// ServerRecorder is the server-side analogue of Recorder: per-phase
 // histograms fed by every traced transaction plus a ring of the most
 // recent ServerSpans. All methods are safe for concurrent use.
 type ServerRecorder struct {
@@ -93,9 +92,7 @@ type ServerRecorder struct {
 	traced atomic.Uint64
 
 	mu   sync.Mutex
-	ring []ServerSpan
-	head int
-	n    int
+	ring ring[ServerSpan]
 }
 
 // NewServerRecorder builds a recorder with a size-span ring (size <= 0
@@ -104,7 +101,7 @@ func NewServerRecorder(size int) *ServerRecorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &ServerRecorder{ring: make([]ServerSpan, size)}
+	return &ServerRecorder{ring: newRing[ServerSpan](size)}
 }
 
 // NextID mints a server-local span id.
@@ -122,11 +119,7 @@ func (r *ServerRecorder) Record(sp ServerSpan) {
 	r.Exec.ObserveNS(sp.Timings.ExecNS)
 	r.Flush.ObserveNS(sp.Timings.FlushNS)
 	r.mu.Lock()
-	r.ring[r.head] = sp
-	r.head = (r.head + 1) % len(r.ring)
-	if r.n < len(r.ring) {
-		r.n++
-	}
+	r.ring.push(sp)
 	r.mu.Unlock()
 }
 
@@ -154,176 +147,5 @@ func (r *ServerRecorder) RegisterMetrics(reg *Registry) {
 func (r *ServerRecorder) Spans() []ServerSpan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]ServerSpan, 0, r.n)
-	for i := 1; i <= r.n; i++ {
-		out = append(out, r.ring[(r.head-i+len(r.ring))%len(r.ring)])
-	}
-	return out
+	return r.ring.newestFirst()
 }
-
-// Trace-buffer defaults.
-const (
-	DefaultSlowCapacity      = 64
-	DefaultReservoirCapacity = 32
-)
-
-// TraceConfig parameterizes client-side trace collection.
-type TraceConfig struct {
-	// SampleEvery is the head-sampling rate: every Nth multiget carries
-	// a TraceContext on the wire (default 1 — trace everything; the
-	// tail sampler below decides what is *kept*).
-	SampleEvery int
-	// SlowThreshold is the tail-sampling keep-always bound: finished
-	// traces at least this slow always land in the slow ring (0 keeps
-	// none by the slow rule; the reservoir still samples).
-	SlowThreshold time.Duration
-	// SlowCapacity is the slow ring's size (default 64).
-	SlowCapacity int
-	// ReservoirCapacity is the uniform reservoir over normal (fast)
-	// traces (default 32; < 0 disables the reservoir).
-	ReservoirCapacity int
-	// Seed seeds the reservoir sampler (0 uses a fixed default so runs
-	// are reproducible unless told otherwise).
-	Seed int64
-	// OnFinish, when set, observes every finished traced span before
-	// the sampling decision (the bench's aggregation hook).
-	OnFinish func(sp *Span)
-}
-
-// TraceBuffer implements tail sampling over finished traces: every
-// trace slower than SlowThreshold is kept in a ring, and a uniform
-// reservoir keeps a representative sample of the normal ones. All
-// methods are safe for concurrent use.
-type TraceBuffer struct {
-	slowNS      int64
-	sampleEvery uint64
-	seq         atomic.Uint64
-	started     atomic.Uint64
-	finished    atomic.Uint64
-	keptSlow    atomic.Uint64
-	keptRes     atomic.Uint64
-	onFinish    func(sp *Span)
-
-	mu       sync.Mutex
-	rng      *rand.Rand
-	slow     []Span
-	slowHead int
-	slowN    int
-	res      []Span
-	resSeen  uint64
-}
-
-// NewTraceBuffer builds a buffer from cfg.
-func NewTraceBuffer(cfg TraceConfig) *TraceBuffer {
-	every := cfg.SampleEvery
-	if every <= 0 {
-		every = 1
-	}
-	slowCap := cfg.SlowCapacity
-	if slowCap <= 0 {
-		slowCap = DefaultSlowCapacity
-	}
-	resCap := cfg.ReservoirCapacity
-	if resCap == 0 {
-		resCap = DefaultReservoirCapacity
-	}
-	if resCap < 0 {
-		resCap = 0
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &TraceBuffer{
-		slowNS:      int64(cfg.SlowThreshold),
-		sampleEvery: uint64(every),
-		onFinish:    cfg.OnFinish,
-		rng:         rand.New(rand.NewSource(seed)),
-		slow:        make([]Span, slowCap),
-		res:         make([]Span, 0, resCap),
-	}
-}
-
-// ShouldTrace makes the head-sampling decision for the next request:
-// whether it carries a TraceContext on the wire at all.
-func (b *TraceBuffer) ShouldTrace() bool {
-	if (b.seq.Add(1)-1)%b.sampleEvery != 0 {
-		return false
-	}
-	b.started.Add(1)
-	return true
-}
-
-// Finish hands a completed traced span to the tail sampler. The span is
-// copied (RTT backing array included); the caller may reuse it.
-func (b *TraceBuffer) Finish(sp *Span) {
-	b.finished.Add(1)
-	if b.onFinish != nil {
-		b.onFinish(sp)
-	}
-	cp := *sp
-	cp.RTTs = append([]TxnRTT(nil), sp.RTTs...)
-	if b.slowNS > 0 && cp.TotalNS >= b.slowNS {
-		b.keptSlow.Add(1)
-		b.mu.Lock()
-		b.slow[b.slowHead] = cp
-		b.slowHead = (b.slowHead + 1) % len(b.slow)
-		if b.slowN < len(b.slow) {
-			b.slowN++
-		}
-		b.mu.Unlock()
-		return
-	}
-	b.mu.Lock()
-	if cap(b.res) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	b.resSeen++
-	if len(b.res) < cap(b.res) {
-		b.res = append(b.res, cp)
-		b.keptRes.Add(1)
-	} else if j := b.rng.Int63n(int64(b.resSeen)); int(j) < cap(b.res) {
-		b.res[j] = cp
-		b.keptRes.Add(1)
-	}
-	b.mu.Unlock()
-}
-
-// Traces dumps the kept traces: slow ring newest first, then the
-// reservoir of normal traces.
-func (b *TraceBuffer) Traces() []Span {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Span, 0, b.slowN+len(b.res))
-	for i := 1; i <= b.slowN; i++ {
-		out = append(out, b.slow[(b.slowHead-i+len(b.slow))%len(b.slow)])
-	}
-	out = append(out, b.res...)
-	return out
-}
-
-// Trace looks a kept trace up by trace id.
-func (b *TraceBuffer) Trace(id uint64) (Span, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := 1; i <= b.slowN; i++ {
-		if sp := b.slow[(b.slowHead-i+len(b.slow))%len(b.slow)]; sp.TraceID == id {
-			return sp, true
-		}
-	}
-	for _, sp := range b.res {
-		if sp.TraceID == id {
-			return sp, true
-		}
-	}
-	return Span{}, false
-}
-
-// Started counts head-sampled traces begun; Finished counts completed
-// traced spans handed to the tail sampler; KeptSlow/KeptReservoir count
-// keep decisions by rule.
-func (b *TraceBuffer) Started() uint64       { return b.started.Load() }
-func (b *TraceBuffer) Finished() uint64      { return b.finished.Load() }
-func (b *TraceBuffer) KeptSlow() uint64      { return b.keptSlow.Load() }
-func (b *TraceBuffer) KeptReservoir() uint64 { return b.keptRes.Load() }

@@ -9,137 +9,6 @@ import (
 	"time"
 )
 
-func spanNS(trace uint64, total int64) *Span {
-	return &Span{ID: trace, TraceID: trace, Op: "get_multi", TotalNS: total,
-		RTTs: []TxnRTT{{Server: 0, DurNS: total}}}
-}
-
-// TestTraceBufferTailSampling: traces at or above the slow threshold
-// always land in the slow ring; fast ones go through the uniform
-// reservoir; lookup by id finds both.
-func TestTraceBufferTailSampling(t *testing.T) {
-	b := NewTraceBuffer(TraceConfig{
-		SlowThreshold:     time.Millisecond,
-		SlowCapacity:      4,
-		ReservoirCapacity: 8,
-	})
-	for i := uint64(1); i <= 6; i++ { // 6 slow spans through a 4-slot ring
-		b.Finish(spanNS(i, int64(time.Millisecond)+int64(i)))
-	}
-	for i := uint64(100); i < 103; i++ { // 3 fast spans, reservoir has room
-		b.Finish(spanNS(i, int64(time.Microsecond)))
-	}
-	if got := b.KeptSlow(); got != 6 {
-		t.Fatalf("KeptSlow = %d, want 6", got)
-	}
-	if got := b.KeptReservoir(); got != 3 {
-		t.Fatalf("KeptReservoir = %d, want 3", got)
-	}
-	if got := b.Finished(); got != 9 {
-		t.Fatalf("Finished = %d, want 9", got)
-	}
-	traces := b.Traces()
-	if len(traces) != 4+3 {
-		t.Fatalf("Traces holds %d spans, want 7 (4 slow + 3 reservoir)", len(traces))
-	}
-	// Slow ring dumps newest first; the two oldest slow traces were
-	// overwritten.
-	if traces[0].TraceID != 6 || traces[3].TraceID != 3 {
-		t.Fatalf("slow ring order: got %d..%d, want 6..3", traces[0].TraceID, traces[3].TraceID)
-	}
-	if _, ok := b.Trace(1); ok {
-		t.Fatal("evicted slow trace 1 still found")
-	}
-	for _, id := range []uint64{4, 101} {
-		sp, ok := b.Trace(id)
-		if !ok || sp.TraceID != id {
-			t.Fatalf("Trace(%d): ok=%v id=%d", id, ok, sp.TraceID)
-		}
-	}
-	if _, ok := b.Trace(999); ok {
-		t.Fatal("Trace(999) found a span that was never finished")
-	}
-}
-
-// TestTraceBufferCopiesRTTs: Finish deep-copies the span's RTT slice,
-// so the caller reusing its backing array cannot corrupt a kept trace.
-func TestTraceBufferCopiesRTTs(t *testing.T) {
-	b := NewTraceBuffer(TraceConfig{SlowThreshold: time.Nanosecond})
-	sp := spanNS(1, int64(time.Second))
-	b.Finish(sp)
-	sp.RTTs[0].Server = 42
-	kept, ok := b.Trace(1)
-	if !ok || kept.RTTs[0].Server != 0 {
-		t.Fatalf("kept trace shares the caller's RTT array: %+v", kept.RTTs)
-	}
-}
-
-// TestTraceBufferHeadSampling: ShouldTrace admits every Nth request.
-func TestTraceBufferHeadSampling(t *testing.T) {
-	b := NewTraceBuffer(TraceConfig{SampleEvery: 3})
-	var yes int
-	for i := 0; i < 9; i++ {
-		if b.ShouldTrace() {
-			yes++
-		}
-	}
-	if yes != 3 || b.Started() != 3 {
-		t.Fatalf("SampleEvery=3 over 9 requests: traced %d (started %d), want 3", yes, b.Started())
-	}
-}
-
-// TestTraceBufferOnFinish: the hook observes every finished span before
-// the sampling decision, including ones the sampler then drops.
-func TestTraceBufferOnFinish(t *testing.T) {
-	var seen []uint64
-	b := NewTraceBuffer(TraceConfig{
-		SlowThreshold:     time.Hour, // nothing is slow
-		ReservoirCapacity: -1,        // and the reservoir is off
-		OnFinish:          func(sp *Span) { seen = append(seen, sp.TraceID) },
-	})
-	b.Finish(spanNS(1, 10))
-	b.Finish(spanNS(2, 20))
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Fatalf("OnFinish saw %v, want [1 2]", seen)
-	}
-	if got := b.Traces(); len(got) != 0 {
-		t.Fatalf("sampler kept %d spans with both rules disabled", len(got))
-	}
-}
-
-// TestTraceBufferConcurrent hammers Finish against Traces/Trace from
-// many goroutines; run under -race this is the data-race gate for the
-// tail sampler.
-func TestTraceBufferConcurrent(t *testing.T) {
-	b := NewTraceBuffer(TraceConfig{SlowThreshold: time.Microsecond})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				total := int64(time.Microsecond) // slow ring
-				if i%2 == 0 {
-					total = 10 // reservoir
-				}
-				b.Finish(spanNS(uint64(g*1000+i+1), total))
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				b.Traces()
-				b.Trace(uint64(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if b.Finished() != 800 {
-		t.Fatalf("Finished = %d, want 800", b.Finished())
-	}
-}
-
 // TestServerRecorderRing: Record feeds the phase histograms and the
 // ring dumps newest first.
 func TestServerRecorderRing(t *testing.T) {
@@ -211,50 +80,6 @@ func TestServerRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if r.Traced() != 800 {
 		t.Fatalf("Traced = %d, want 800", r.Traced())
-	}
-}
-
-// TestTracerSlowLogConcurrent: the slow-request log's sampling counters
-// and sink stay consistent with concurrent Record and Requests readers.
-func TestTracerSlowLogConcurrent(t *testing.T) {
-	var mu sync.Mutex
-	var logged []uint64
-	tr := New(Config{
-		RingSize:      16,
-		SlowThreshold: time.Microsecond,
-		SlowSample:    2,
-		SlowLog: func(sp *Span) {
-			mu.Lock()
-			logged = append(logged, sp.ID)
-			mu.Unlock()
-		},
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tr.Record(&Span{ID: tr.NextID(), Op: "get_multi",
-					TotalNS: int64(time.Millisecond), RTTs: []TxnRTT{{DurNS: 1}}})
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tr.Requests()
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.SlowSeen() != 800 {
-		t.Fatalf("SlowSeen = %d, want 800", tr.SlowSeen())
-	}
-	mu.Lock()
-	n := uint64(len(logged))
-	mu.Unlock()
-	if n != tr.SlowLogged() || n != 400 {
-		t.Fatalf("slow log: sink saw %d, SlowLogged = %d, want 400 (every 2nd of 800)", n, tr.SlowLogged())
 	}
 }
 

@@ -324,7 +324,7 @@ func TestProxyTraceChaining(t *testing.T) {
 		backends = append(backends, srv)
 	}
 	client, err := rnb.NewClient(addrs, rnb.WithReplicas(2),
-		rnb.WithTracing(rnb.TraceConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond}))
+		rnb.WithTracing(rnb.TraceConfig{SampleEvery: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestProxyTraceChaining(t *testing.T) {
 
 	// Hop 2: the RnB client's span adopted the trace and sits under the
 	// front server's span.
-	clientSpan, ok := client.TraceBuffer().Trace(app.TraceID)
+	clientSpan, ok := client.Recorder().Trace(app.TraceID)
 	if !ok {
 		t.Fatal("RnB client kept no span for the chained trace")
 	}

@@ -73,7 +73,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Histograms: every request observed, transports stamped RTTs.
-	tr := cl.Tracer()
+	tr := cl.Recorder()
 	if tr.Total.Count() != 5 {
 		t.Fatalf("Total count = %d, want 5", tr.Total.Count())
 	}
@@ -87,7 +87,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// Registry render, served through the debug mux.
 	reg := obs.NewRegistry()
 	cl.RegisterMetrics(reg)
-	mux := obs.NewMux(reg, tr)
+	mux := obs.NewMux(reg, tr, nil)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -125,16 +125,16 @@ func TestObservabilityEndToEnd(t *testing.T) {
 }
 
 // TestSlowRequestLogging wires a tiny threshold so every request is
-// "slow" and checks the sampled counters through the public API.
+// "slow" and checks each one is counted and logged.
 func TestSlowRequestLogging(t *testing.T) {
 	leakcheck.Check(t)
+	logged := 0 // SlowLog runs on the calling goroutine
 	addrs, _ := startServers(t, 2, 0)
 	cl, err := NewClient(addrs,
 		WithObservability(ObsConfig{
 			RingSize:      4,
 			SlowThreshold: time.Nanosecond,
-			SlowSample:    2,
-			SlowLog:       func(*obs.Span) {},
+			SlowLog:       func(*obs.Span) { logged++ },
 		}),
 	)
 	if err != nil {
@@ -149,12 +149,12 @@ func TestSlowRequestLogging(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := cl.Tracer()
+	tr := cl.Recorder()
 	if tr.SlowSeen() != 4 {
 		t.Fatalf("SlowSeen = %d, want 4", tr.SlowSeen())
 	}
-	if tr.SlowLogged() != 2 {
-		t.Fatalf("SlowLogged = %d, want 2", tr.SlowLogged())
+	if logged != 4 {
+		t.Fatalf("SlowLog saw %d spans, want 4", logged)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestObservabilityPooledTransport(t *testing.T) {
 	if _, _, err := cl.GetMulti([]string{"pool:a"}); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Tracer().RTT.Count() == 0 {
+	if cl.Recorder().RTT.Count() == 0 {
 		t.Fatalf("pooled transport did not stamp RTTs")
 	}
 	reg := obs.NewRegistry()

@@ -217,11 +217,11 @@ func WithBinaryProtocol() Option {
 	return func(c *clientConfig) { c.binary = true }
 }
 
-// WithObservability configures the client's always-on tracing layer:
-// the flight-recorder ring size, the slow-request threshold and
-// sampling rate, and the slow-log sink (see obs.Config). The zero
-// value — also the default without this option — keeps a 256-span
-// flight recorder and all latency histograms but logs nothing.
+// WithObservability configures the client's always-on request
+// recorder: the flight-recorder ring size, the slow threshold, and the
+// slow-log sink (see obs.Config). The zero value — also the default
+// without this option — keeps a 256-span flight recorder and all
+// latency histograms but calls nothing slow.
 func WithObservability(cfg ObsConfig) Option {
 	return func(c *clientConfig) { c.obs = cfg }
 }
@@ -232,9 +232,11 @@ func WithObservability(cfg ObsConfig) Option {
 // server returns its phase timings (queue, parse, store wait, exec,
 // flush) in-band. The client stitches its own span and the returned
 // timings into one causal trace — every round trip split into
-// queue/wire/server components — and keeps slow traces plus a seeded
-// reservoir of normal ones in the TraceBuffer for /debug/trace
-// endpoints and Perfetto export. Propagation is negotiated per server
+// queue/wire/server components — and the request recorder keeps it
+// like any other span, plus a seeded reservoir of the traced ones that
+// are not slow, for the /debug/trace endpoints and Perfetto export
+// (what counts as slow is ObsConfig.SlowThreshold, traced or not).
+// Propagation is negotiated per server
 // via the version banner, so plain memcached servers keep seeing stock
 // protocol bytes; with this option off the wire is byte-identical to
 // an untraced build.
@@ -292,12 +294,10 @@ type Client struct {
 	resilience metrics.Resilience
 	hotspot    metrics.Hotspot
 	topo       metrics.Topology
-	// tracer is the always-on observability hub: request-phase latency
-	// histograms, the flight recorder, and the slow-request log.
-	tracer *obs.Tracer
-	// traceBuf keeps tail-sampled distributed traces (nil without
-	// WithTracing).
-	traceBuf *obs.TraceBuffer
+	// recorder is the always-on request recorder: request-phase latency
+	// histograms, the head sampler, and the one store of finished spans
+	// (flight recorder, slow ring, trace reservoir).
+	recorder *obs.Recorder
 	shut     atomic.Bool
 }
 
@@ -329,21 +329,17 @@ func (c *Client) Hotspot() *metrics.Hotspot { return &c.hotspot }
 // one (the single-connection transport has nothing to gauge).
 func (c *Client) PoolGauges() *metrics.PoolGauges { return c.poolGauges }
 
-// Tracer exposes the client's observability hub: request-phase latency
-// histograms, the flight recorder of recent request spans, and the
-// slow-request counters. Never nil.
-func (c *Client) Tracer() *obs.Tracer { return c.tracer }
-
-// TraceBuffer exposes the tail-sampled distributed-trace buffer: every
-// kept trace's stitched client+server span, slow traces first. Nil
-// without WithTracing.
-func (c *Client) TraceBuffer() *obs.TraceBuffer { return c.traceBuf }
+// Recorder exposes the client's request recorder: request-phase
+// latency histograms, the recent, slow and sampled spans it holds
+// (stitched client+server spans when traced), and the slow and trace
+// counters. Never nil.
+func (c *Client) Recorder() *obs.Recorder { return c.recorder }
 
 // RecentRequests dumps the flight recorder: the last requests' full
 // lifecycle spans (plan/fan-out/recovery timings, per-server RTTs,
 // retries), newest first. Intended for post-mortem debugging and the
 // /debug/requests endpoint.
-func (c *Client) RecentRequests() []obs.Span { return c.tracer.Requests() }
+func (c *Client) RecentRequests() []obs.Span { return c.recorder.Requests() }
 
 // RegisterMetrics exports every one of the client's metric families
 // into reg under stable, sorted names: rnb_resilience_* (breaker and
@@ -365,18 +361,16 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		obs.Counter, func() float64 { return float64(c.Failures()) })
 	reg.RegisterFunc("rnb_transactions", "Total protocol round trips issued.",
 		obs.Counter, func() float64 { return float64(c.Transactions()) })
-	reg.RegisterFunc("rnb_slow_requests", "Requests over the slow threshold.",
-		obs.Counter, func() float64 { return float64(c.tracer.SlowSeen()) })
-	if c.traceBuf != nil {
-		reg.RegisterFunc("rnb_trace_started", "Requests head-sampled into distributed tracing.",
-			obs.Counter, func() float64 { return float64(c.traceBuf.Started()) })
-		reg.RegisterFunc("rnb_trace_finished", "Traced requests completed and offered to the tail sampler.",
-			obs.Counter, func() float64 { return float64(c.traceBuf.Finished()) })
-		reg.RegisterFunc("rnb_trace_kept_slow", "Traces kept because they exceeded the slow threshold.",
-			obs.Counter, func() float64 { return float64(c.traceBuf.KeptSlow()) })
-		reg.RegisterFunc("rnb_trace_kept_reservoir", "Normal-latency traces kept by the reservoir sampler.",
-			obs.Counter, func() float64 { return float64(c.traceBuf.KeptReservoir()) })
-	}
+	reg.RegisterFunc("rnb_slow_requests", "Requests at or over the slow threshold.",
+		obs.Counter, func() float64 { return float64(c.recorder.SlowSeen()) })
+	reg.RegisterFunc("rnb_trace_started", "Requests head-sampled into distributed tracing.",
+		obs.Counter, func() float64 { return float64(c.recorder.Started()) })
+	reg.RegisterFunc("rnb_trace_finished", "Traced requests completed and offered to the retention rules.",
+		obs.Counter, func() float64 { return float64(c.recorder.Finished()) })
+	reg.RegisterFunc("rnb_trace_kept_slow", "Traces kept because they reached the slow threshold.",
+		obs.Counter, func() float64 { return float64(c.recorder.KeptSlow()) })
+	reg.RegisterFunc("rnb_trace_kept_reservoir", "Normal-latency traces kept by the reservoir sampler.",
+		obs.Counter, func() float64 { return float64(c.recorder.KeptReservoir()) })
 	// Per-server gauges are labeled by the stable slot index and emit
 	// only current members: a drained server's series disappears from
 	// /metrics with it (no ghost series), and reappears under the same
@@ -399,13 +393,13 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	perServer("rnb_server_consecutive_failures", "Current unbroken failure run per backend.",
 		func(st ServerState) float64 { return float64(st.ConsecutiveFailures) })
 	reg.RegisterDurationHist("rnb_request_duration_seconds",
-		"End-to-end GetMulti latency.", &c.tracer.Total)
+		"End-to-end GetMulti latency.", &c.recorder.Total)
 	reg.RegisterDurationHist("rnb_plan_duration_seconds",
-		"Greedy set-cover planning latency per request.", &c.tracer.Plan)
+		"Greedy set-cover planning latency per request.", &c.recorder.Plan)
 	reg.RegisterDurationHist("rnb_fanout_duration_seconds",
-		"Round-1 fan-out latency per request (re-plan rounds included).", &c.tracer.Fanout)
+		"Round-1 fan-out latency per request (re-plan rounds included).", &c.recorder.Fanout)
 	reg.RegisterDurationHist("rnb_transport_rtt_seconds",
-		"Per-round-trip transport latency, all operations.", &c.tracer.RTT)
+		"Per-round-trip transport latency, all operations.", &c.recorder.RTT)
 }
 
 // AdaptiveEnabled reports whether adaptive hot-key replication is on.
@@ -527,7 +521,7 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rnb: %w", err)
 	}
-	// The tracer exists before the transports so every connection can
+	// The recorder exists before the transports so every connection can
 	// stamp its round trips into the shared RTT histogram.
 	var poolGauges *metrics.PoolGauges
 	if cfg.poolSize > 1 || cfg.binary {
@@ -538,11 +532,8 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 		machine:    machine,
 		master:     hashring.New(hashring.DefaultVirtualNodes),
 		poolGauges: poolGauges,
-		tracer:     obs.New(cfg.obs),
+		recorder:   obs.NewRecorder(cfg.obs, cfg.trace),
 		stop:       make(chan struct{}),
-	}
-	if cfg.trace != nil {
-		c.traceBuf = obs.NewTraceBuffer(*cfg.trace)
 	}
 	// The transport is chosen once, in dial: WithPoolSize above one
 	// swaps each server's single mutex-guarded connection for a
@@ -586,7 +577,7 @@ func (c *Client) dial(addr string) (memcache.Conn, error) {
 			Size:        c.cfg.poolSize,
 			Binary:      c.cfg.binary,
 			Gauges:      c.poolGauges,
-			RTTObserver: c.tracer.ObserveRTT,
+			RTTObserver: c.recorder.RTT.Observe,
 		})
 		if err != nil {
 			return nil, err
@@ -597,7 +588,7 @@ func (c *Client) dial(addr string) (memcache.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		single.SetRTTObserver(c.tracer.ObserveRTT)
+		single.SetRTTObserver(c.recorder.RTT.Observe)
 		conn = single
 	}
 	if c.cfg.trace != nil {
@@ -1015,7 +1006,7 @@ func (c *Client) observeHeat(ids []uint64, keys []string) {
 }
 
 // finishSpan closes out a request span from the request's results and
-// hands it to the tracer (histograms, flight recorder, slow log).
+// hands it to the recorder (histograms, slow rule, retention).
 func (c *Client) finishSpan(sp *obs.Span, out map[string]*Item, stats *Stats, err error) {
 	sp.TotalNS = int64(time.Since(sp.Start))
 	sp.Transactions = stats.Transactions
@@ -1029,10 +1020,7 @@ func (c *Client) finishSpan(sp *obs.Span, out map[string]*Item, stats *Stats, er
 	if err != nil {
 		sp.Err = err.Error()
 	}
-	c.tracer.Record(sp)
-	if sp.TraceID != 0 && c.traceBuf != nil {
-		c.traceBuf.Finish(sp)
-	}
+	c.recorder.Finish(sp)
 }
 
 // newTraceID mints a random non-zero trace id. Randomness (rather than
@@ -1111,7 +1099,7 @@ func (c *Client) roundTrip(t *tier, txn *core.Transaction, keyOf map[uint64]stri
 	rtt.Server, rtt.Addr, rtt.Keys, rtt.Phase, rtt.Round = txn.Server, t.slots[txn.Server].addr, len(reqKeys), phase, round
 	var tc obs.TraceContext
 	if sp.TraceID != 0 {
-		rtt.SpanID = c.tracer.NextID()
+		rtt.SpanID = c.recorder.NextID()
 		tc = obs.TraceContext{TraceID: sp.TraceID, Parent: rtt.SpanID}
 	}
 	start := time.Now()
@@ -1186,7 +1174,7 @@ func (c *Client) armSpanTrace(sp *obs.Span, ext obs.TraceContext) {
 		sp.ParentSpan = ext.Parent
 		return
 	}
-	if c.traceBuf != nil && c.traceBuf.ShouldTrace() {
+	if c.recorder.ShouldTrace() {
 		sp.TraceID = newTraceID()
 	}
 }
@@ -1210,7 +1198,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	case target > 0:
 		op = "get_multi_limit"
 	}
-	sp := &obs.Span{ID: c.tracer.NextID(), Op: op, Start: time.Now(), Keys: len(keys)}
+	sp := &obs.Span{ID: c.recorder.NextID(), Op: op, Start: time.Now(), Keys: len(keys)}
 	c.armSpanTrace(sp, ext)
 	trips0 := c.resilience.BreakerOpened.Load()
 	defer func() {

@@ -53,10 +53,12 @@ wait_port() {
 wait_port "$MEMD1"
 wait_port "$MEMD2"
 
-# -trace-slow 1ns: every trace lands in the always-keep slow ring, so
-# the assertions below never race the reservoir.
+# -slow-log 1ns: every request is slow, so every trace lands in the
+# always-keep slow ring and the assertions below never race the
+# reservoir. The slow log itself (one stderr line per request) is
+# noise here.
 "$BIN/rnbproxy" -listen "$PROXY" -replicas 2 -pool-size 2 \
-    -trace -trace-slow 1ns -trace-dump "$DUMPFILE" \
+    -trace -slow-log 1ns -trace-dump "$DUMPFILE" \
     -debug-addr "$DEBUG" "$MEMD1" "$MEMD2" &
 PROXY_PID=$!
 PIDS+=($PROXY_PID)

@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
-	"time"
 
 	"rnb/internal/leakcheck"
 	"rnb/internal/memcache"
@@ -126,8 +127,8 @@ func runTraceEndToEnd(t *testing.T, opts ...Option) {
 	leakcheck.Check(t)
 	opts = append(opts,
 		WithReplicas(2),
-		// Trace everything, keep everything: every request is "slow".
-		WithTracing(TraceConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond}),
+		// Trace everything; the reservoir has room for the one request.
+		WithTracing(TraceConfig{SampleEvery: 1}),
 	)
 	cl, servers, byAddr := newTracedStack(t, 3, opts...)
 	keys := traceTestKeys(t, cl, 24)
@@ -143,9 +144,9 @@ func runTraceEndToEnd(t *testing.T, opts ...Option) {
 		t.Fatalf("want a fan-out (>= 2 transactions), got %d", stats.Transactions)
 	}
 
-	buf := cl.TraceBuffer()
+	buf := cl.Recorder()
 	if buf == nil {
-		t.Fatal("TraceBuffer is nil with tracing on")
+		t.Fatal("Recorder is nil with tracing on")
 	}
 	traces := buf.Traces()
 	var sp *obs.Span
@@ -210,7 +211,7 @@ func TestTraceExternalContext(t *testing.T) {
 	leakcheck.Check(t)
 	cl, _, byAddr := newTracedStack(t, 3,
 		WithReplicas(2),
-		WithTracing(TraceConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond}),
+		WithTracing(TraceConfig{SampleEvery: 1}),
 	)
 	keys := traceTestKeys(t, cl, 12)
 
@@ -218,7 +219,7 @@ func TestTraceExternalContext(t *testing.T) {
 	if _, _, err := cl.GetMultiTraced(ext, keys); err != nil {
 		t.Fatal(err)
 	}
-	sp, ok := cl.TraceBuffer().Trace(0xfeed)
+	sp, ok := cl.Recorder().Trace(0xfeed)
 	if !ok {
 		t.Fatal("externally-identified trace not kept")
 	}
@@ -240,8 +241,8 @@ func TestTracingDisabledInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cl.TraceBuffer() != nil {
-		t.Fatal("TraceBuffer non-nil without WithTracing")
+	if n := cl.Recorder().Started(); n != 0 {
+		t.Fatalf("head sampler started %d traces without WithTracing", n)
 	}
 	for i, srv := range servers {
 		if n := srv.Recorder().Traced(); n != 0 {
@@ -272,7 +273,7 @@ func TestTracingDifferential(t *testing.T) {
 		"binary": {WithPoolSize(4), WithBinaryProtocol()},
 	} {
 		opts := append([]Option{WithReplicas(2),
-			WithTracing(TraceConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond})}, extra...)
+			WithTracing(TraceConfig{SampleEvery: 1})}, extra...)
 		cl, err := NewClient(addrs, opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -319,8 +320,55 @@ func TestTracingDifferential(t *testing.T) {
 		}
 	}
 	for name, cl := range traced {
-		if cl.TraceBuffer().Finished() == 0 {
+		if cl.Recorder().Finished() == 0 {
 			t.Fatalf("%s client finished no traces — the differential ran untraced", name)
+		}
+	}
+}
+
+// TestTraceLookupCoversFlightRecorder: a trace id /debug/requests is
+// showing must resolve at /debug/trace/<id> even when neither the slow
+// rule nor the reservoir kept it — the lookup covers every retention
+// rule, the flight recorder included.
+func TestTraceLookupCoversFlightRecorder(t *testing.T) {
+	leakcheck.Check(t)
+	cl, _, _ := newTracedStack(t, 3,
+		WithReplicas(2),
+		WithTracing(TraceConfig{SampleEvery: 1, ReservoirCapacity: -1}),
+	)
+	keys := traceTestKeys(t, cl, 12)
+	for i := 0; i < 3; i++ {
+		if _, _, err := cl.GetMulti(keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mux := obs.NewMux(obs.NewRegistry(), cl.Recorder(), nil)
+	get := func(url string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		return rec
+	}
+	var dump struct {
+		Requests []obs.Span `json:"requests"`
+	}
+	if err := json.Unmarshal(get("/debug/requests").Body.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Requests) != 3 {
+		t.Fatalf("/debug/requests lists %d spans, want 3", len(dump.Requests))
+	}
+	for _, sp := range dump.Requests {
+		if sp.TraceID == 0 {
+			t.Fatalf("span %d carries no trace id with SampleEvery 1", sp.ID)
+		}
+		if rec := get(fmt.Sprintf("/debug/trace/%d", sp.TraceID)); rec.Code != http.StatusOK {
+			t.Fatalf("/debug/trace/%d = %d, want 200: /debug/requests is showing this trace", sp.TraceID, rec.Code)
+		}
+		var got obs.Span
+		rec := get(fmt.Sprintf("/debug/trace/%d?format=span", sp.TraceID))
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil || got.ID != sp.ID {
+			t.Fatalf("/debug/trace/%d?format=span = %d, span %d (err %v); want 200, span %d",
+				sp.TraceID, rec.Code, got.ID, err, sp.ID)
 		}
 	}
 }
