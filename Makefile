@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-pool bench-topology bench-placement bench-trace
+.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-topology bench-placement
 
 build:
 	$(GO) build ./...
@@ -99,11 +99,11 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# Non-test line counts of the packages ROADMAP's "smaller client" and
-# "one span model" items track, so simplicity PRs quote the same
-# numbers.
+# Non-test line counts of the packages ROADMAP's "smaller client",
+# "one span model" and "two doors" items track, so simplicity PRs quote
+# the same numbers.
 loc:
-	@for d in . internal/memcache internal/core internal/lint internal/obs cmd/rnbproxy cmd/rnbmemd; do \
+	@for d in . internal/memcache internal/core internal/lint internal/obs internal/sim cmd/rnbproxy cmd/rnbmemd cmd/rnbsim; do \
 		printf '%-18s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 
@@ -125,13 +125,10 @@ trace-smoke:
 # property tests behind it — the construction's <= t guarantee, the
 # balanced-assignment solver, and the adversarial generator.
 smoke-placement:
-	$(GO) run ./cmd/rnbbench -requests 400 -warmup 400 -scale 40 placement
+	$(GO) run ./cmd/rnbsim -requests 400 -warmup 400 -scale 40 placement
 	$(GO) test -run 'CBC|Balanced|Adversarial' ./internal/cbc ./internal/core ./internal/workload
 
 ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke obs-smoke trace-smoke smoke-placement
-	# Transport smoke: a tiny pooled-vs-single sweep proving the pool
-	# mode still runs end to end (full sweep lives in bench-pool).
-	$(GO) run ./cmd/rnbbench -ops 60 pool
 
 # Skewed-workload benchmark: fixed-r vs adaptive hot-key replication
 # (internal/hotspot) across a Zipf-exponent sweep, machine-readable
@@ -139,27 +136,12 @@ ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc f
 bench-skew:
 	$(GO) run ./cmd/rnbsim -json BENCH_hotspot.json hotspot
 
-# Transport benchmark: single-connection vs pooled/pipelined transport
-# across a load-generator concurrency sweep, machine-readable output in
-# BENCH_pool.json.
-bench-pool:
-	$(GO) run ./cmd/rnbbench -json BENCH_pool.json pool
-
 # Placement benchmark: per-request bottleneck (keys at the busiest
 # server) for random replication vs adaptive boosting vs the
 # Combinatorial Batch Code placement, under Zipf and adversarial
 # traffic — machine-readable output in BENCH_placement.json.
 bench-placement:
-	$(GO) run ./cmd/rnbbench -json BENCH_placement.json placement
-
-# Trace-attribution benchmark: end-to-end distributed tracing as a
-# measuring instrument. Zipf-skewed multigets against traced in-process
-# servers; per-server queue/parse/exec/flush attribution aggregated
-# from the returned server timings — hot-server queue-wait
-# concentration at r=1, relief from bundling and balanced planning at
-# r=3 — machine-readable output in BENCH_trace.json.
-bench-trace:
-	$(GO) run ./cmd/rnbbench -servers 8 -skew 1.5 -ops 3000 -json BENCH_trace.json trace
+	$(GO) run ./cmd/rnbsim -json BENCH_placement.json placement
 
 # Resize benchmark: ring continuum vs jump consistent hash on a live
 # resize — key-movement fraction (add/remove) and post-resize load

@@ -11,6 +11,7 @@
 package rnb_test
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -19,7 +20,6 @@ import (
 	"rnb/internal/bitset"
 	"rnb/internal/cluster"
 	"rnb/internal/core"
-	"rnb/internal/fanoutbench"
 	"rnb/internal/hashring"
 	"rnb/internal/memcache"
 	"rnb/internal/memslap"
@@ -172,7 +172,7 @@ func BenchmarkFig13(b *testing.B) {
 	cfg.Requests = 400
 	var last float64
 	for i := 0; i < b.N; i++ {
-		tab, err := sim.Microbench(cfg, 1)
+		tab, err := sim.Run("fig13", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkFig14(b *testing.B) {
 	cfg.Requests = 400
 	var last float64
 	for i := 0; i < b.N; i++ {
-		tab, err := sim.Microbench(cfg, 2)
+		tab, err := sim.Run("fig14", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func BenchmarkAblationEnhancementsAllOff(b *testing.B) {
 func BenchmarkAblationOverbooking(b *testing.B) {
 	for _, replicas := range []int{1, 2, 4, 6} {
 		replicas := replicas
-		b.Run(benchName("logical", replicas), func(b *testing.B) {
+		b.Run(fmt.Sprintf("logical=%d", replicas), func(b *testing.B) {
 			var tpr float64
 			for i := 0; i < b.N; i++ {
 				tpr = enhancementTPR(b, true, true, replicas)
@@ -419,53 +419,6 @@ func BenchmarkAblationOverbooking(b *testing.B) {
 			b.ReportMetric(tpr, "TPR")
 		})
 	}
-}
-
-func benchName(prefix string, v int) string {
-	return prefix + "=" + string(rune('0'+v))
-}
-
-// BenchmarkFanoutConcurrency measures rnb.Client multi-get throughput
-// as client concurrency grows, single-connection transport versus the
-// pooled, pipelined one (rnb.WithPoolSize). The headline comparison is
-// at 8+ goroutines, where the single connection per server serializes
-// the planner's fan-out and the pool does not; `make bench-pool`
-// (cmd/rnbbench pool) runs the full sweep and records BENCH_pool.json.
-func BenchmarkFanoutConcurrency(b *testing.B) {
-	for _, g := range []int{1, 8, 32} {
-		for _, pool := range []int{1, 4} {
-			name := "g=" + itoa(g) + "/pool=" + itoa(pool)
-			b.Run(name, func(b *testing.B) {
-				var last fanoutbench.Result
-				for i := 0; i < b.N; i++ {
-					res, err := fanoutbench.Run(fanoutbench.Config{
-						Servers: 4, Replicas: 3, PoolSize: pool,
-						Goroutines: g, Ops: 1200, TxnSize: 16, Keys: 2048,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.OpsPerSec, "multigets/s")
-				b.ReportMetric(last.ItemsPerSec, "items/s")
-			})
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // BenchmarkHotspot regenerates the hotspot extension experiment at a

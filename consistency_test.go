@@ -122,6 +122,9 @@ func TestUpdateCASLostRaces(t *testing.T) {
 type opLog struct {
 	mu  sync.Mutex
 	ops []loggedOp
+	// afterGet, when set, runs inside a server's GetMulti between the
+	// store read and the reply.
+	afterGet func(server int, keys []string)
 }
 
 type loggedOp struct {
@@ -148,6 +151,12 @@ func (b recBackend) GetMulti(keys []string) (map[string]*memcache.Item, error) {
 		if it, err := b.store.Get(k); err == nil {
 			out[k] = it
 		}
+	}
+	b.log.mu.Lock()
+	hook := b.log.afterGet
+	b.log.mu.Unlock()
+	if hook != nil {
+		hook(b.server, keys)
 	}
 	return out, nil
 }
@@ -383,5 +392,96 @@ func TestWriteSetTable(t *testing.T) {
 				t.Errorf("%s/%s: newest distinguished written before the distinguished copy: %v", sh.name, op.name, logged)
 			}
 		}
+	}
+}
+
+// TestWriteBackKeepsNewerCopy is the regression for round 2's
+// write-back racing a Set: the value it carries was read one round trip
+// earlier, so it may only fill a replica that is still empty. The
+// distinguished server is made to read v1 for the reader's round 2,
+// let a second client's Set(v2) run to completion, and only then
+// reply; the replica the reader writes back to must still hold v2.
+func TestWriteBackKeepsNewerCopy(t *testing.T) {
+	addrs, log := startRecServers(t, 4)
+	dial := func() *Client {
+		cl, err := NewClient(addrs, WithReplicas(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	reader, writer := dial(), dial()
+	tr := reader.cur.Load()
+	ks := keys(30)
+	for _, k := range ks {
+		if err := writer.Set(&Item{Key: k, Value: []byte("v1")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// copyOn reads key's copy on server s directly ("" when absent).
+	copyOn := func(s int, key string) string {
+		var v string
+		if err := tr.slots[s].do(func(conn memcache.Conn) error {
+			items, err := conn.GetMulti([]string{key})
+			if it := items[key]; it != nil {
+				v = string(it.Value)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	// strip leaves every key on its distinguished server only, so each
+	// read that is planned elsewhere goes through round 2.
+	strip := func() {
+		for _, k := range ks {
+			for _, s := range tr.replicas(k)[1:] {
+				if err := tr.slots[s].do(dropCopy(k)); err != nil && !errors.Is(err, ErrCacheMiss) {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	// A dry run finds a key the (deterministic) plan reads from a
+	// non-distinguished replica: the one a write-back just refilled.
+	strip()
+	if _, _, err := reader.GetMulti(ks); err != nil {
+		t.Fatal(err)
+	}
+	key, dist, replica := "", -1, -1
+	for _, k := range ks {
+		if rs := tr.replicas(k); copyOn(rs[1], k) != "" {
+			key, dist, replica = k, rs[0], rs[1]
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no key of the request was recovered through round 2")
+	}
+	strip()
+
+	var armed atomic.Bool
+	log.mu.Lock()
+	log.afterGet = func(server int, got []string) {
+		if server == dist && slices.Contains(got, key) && armed.CompareAndSwap(true, false) {
+			if err := writer.Set(&Item{Key: key, Value: []byte("v2")}); err != nil {
+				t.Errorf("racing Set: %v", err)
+			}
+		}
+	}
+	log.mu.Unlock()
+	armed.Store(true)
+	items, _, err := reader.GetMulti(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armed.Load() || string(items[key].Value) != "v1" {
+		t.Fatalf("the Set did not land between round 2's read and its reply (reader got %q)", items[key].Value)
+	}
+	if got := copyOn(replica, key); got != "v2" {
+		t.Fatalf("replica %d holds %q after the write-back, want the acknowledged v2", replica, got)
 	}
 }

@@ -392,7 +392,6 @@ func (c *Client) rebuildLocked() {
 		planner: core.NewPlanner(placement, core.Options{
 			Hitchhike:            c.cfg.hitchhike,
 			DistinguishedSingles: true,
-			BalanceTieBreak:      c.cfg.balancePlan,
 		}),
 		slots: append([]*slot(nil), c.slots...),
 	}

@@ -89,9 +89,19 @@ func (sc *buildScratch) candidates(s int) *bitset.Set {
 	return set
 }
 
+// maxPooledItems bounds the request size whose scratch goes back to the
+// pool. A hub request (16 000 keys) grows the item-indexed maps and
+// bitsets to its own size, and clearing them is then what every later
+// small build pays until a GC empties the pool; such a scratch is left
+// to the collector instead.
+const maxPooledItems = 1024
+
 // release returns the scratch to the pool, recycling candidate sets and
 // zeroing the server-indexed tables for the next build.
 func (sc *buildScratch) release() {
+	if len(sc.seen) > maxPooledItems {
+		return
+	}
 	for _, s := range sc.touched {
 		sc.freelist = append(sc.freelist, sc.byServer[s])
 		sc.byServer[s] = nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -682,5 +683,35 @@ func TestBuildExcluding(t *testing.T) {
 	if len(a.Transactions) != len(b.Transactions) {
 		t.Fatalf("empty exclusion changed the plan: %d vs %d txns",
 			len(a.Transactions), len(b.Transactions))
+	}
+}
+
+// TestScratchPoolDropsHubSizedBuilds checks that one hub request does
+// not leave its item-indexed tables in the pool for every later small
+// build to clear: after a 16 000-item build and a 16-item one, no
+// pooled scratch holds a bitset wider than maxPooledItems.
+func TestScratchPoolDropsHubSizedBuilds(t *testing.T) {
+	p := NewPlanner(hashring.NewMultiHashPlacement(16, 3, 1), Options{})
+	for _, n := range []int{16000, 16} {
+		items := make([]uint64, n)
+		for i := range items {
+			items[i] = uint64(i)*2654435761 + 97
+		}
+		if plan, err := p.Build(items, 0); err != nil || plan.Assigned != n {
+			t.Fatalf("%d-item build: %+v, %v", n, plan, err)
+		}
+	}
+	// bitset.Set does not export its width; the capacity of its word
+	// slice is the memory the scratch retains.
+	words := func(s *bitset.Set) int { return reflect.ValueOf(s).Elem().FieldByName("words").Cap() }
+	// More Gets than there can be pooled scratches; an empty pool hands
+	// out fresh ones, which pass trivially.
+	for i := 0; i < 64; i++ {
+		sc := scratchPool.Get().(*buildScratch)
+		for _, set := range append(sc.freelist, sc.universe) {
+			if w := words(set); w > maxPooledItems/64 {
+				t.Fatalf("pooled scratch retains a %d-bit set (limit %d items)", w*64, maxPooledItems)
+			}
+		}
 	}
 }

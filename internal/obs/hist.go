@@ -62,10 +62,7 @@ func bucketUpper(idx int) int64 {
 
 // Hist is a concurrent latency histogram: every operation is a handful
 // of atomic adds, with no locks anywhere, so writers on different CPUs
-// never serialize. The zero value is ready to use. Histograms are
-// mergeable: per-worker shards accumulated independently and combined
-// with Merge hold exactly the observations a single shared histogram
-// would (the property internal/obs tests enforce).
+// never serialize. The zero value is ready to use.
 type Hist struct {
 	counts [numBuckets]atomic.Uint64
 	n      atomic.Uint64
@@ -90,19 +87,6 @@ func (h *Hist) Count() uint64 { return h.n.Load() }
 
 // SumNS returns the sum of all observations in nanoseconds.
 func (h *Hist) SumNS() int64 { return h.sum.Load() }
-
-// Merge adds o's observations into h. Merging while o is still being
-// written gives a momentarily consistent view; for exact equality with
-// a single-writer histogram, quiesce the shard first.
-func (h *Hist) Merge(o *Hist) {
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.n.Add(o.n.Load())
-	h.sum.Add(o.sum.Load())
-}
 
 // Quantile returns the smallest recorded magnitude d such that at
 // least a fraction q of observations are <= d, with relative error

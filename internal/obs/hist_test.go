@@ -48,33 +48,6 @@ func TestBucketUpperMonotone(t *testing.T) {
 	}
 }
 
-// TestMergeEqualsSingleWriter is the property the benchmark sharding
-// relies on: per-worker shards merged after the fact hold exactly the
-// observations a single shared histogram records.
-func TestMergeEqualsSingleWriter(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const shardsN = 7
-	shards := make([]*Hist, shardsN)
-	for i := range shards {
-		shards[i] = &Hist{}
-	}
-	single := &Hist{}
-	for i := 0; i < 50000; i++ {
-		ns := rng.Int63n(int64(10 * time.Second))
-		shards[i%shardsN].ObserveNS(ns)
-		single.ObserveNS(ns)
-	}
-	merged := &Hist{}
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	a, b := merged.Snapshot(), single.Snapshot()
-	if a.N != b.N || a.SumNS != b.SumNS || a.Counts != b.Counts {
-		t.Fatalf("merged shards differ from single writer: n=%d/%d sum=%d/%d",
-			a.N, b.N, a.SumNS, b.SumNS)
-	}
-}
-
 // TestQuantileErrorBound compares histogram quantiles against the
 // exact order statistics of the same sample.
 func TestQuantileErrorBound(t *testing.T) {

@@ -75,8 +75,6 @@ type clientConfig struct {
 	replicas         int
 	timeout          time.Duration
 	hitchhike        bool
-	balancePlan      bool
-	writeBack        bool
 	pinDistinguished bool
 	loader           Loader
 	cooldown         time.Duration
@@ -108,17 +106,6 @@ func WithHitchhiking(on bool) Option {
 	return func(c *clientConfig) { c.hitchhike = on }
 }
 
-// WithBalancedPlanning rotates the planner's candidate-server ordering
-// by a per-request fingerprint so coverage ties spread across replicas
-// instead of always favoring low server ids (default off: the
-// deterministic tie-break maximizes request locality, fig. 7). Turn it
-// on when Zipf-skewed traffic concentrates whole bundles — and with
-// them the tier's queue wait — onto the hot keys' lowest-id replica;
-// `rnbbench trace` measures exactly that trade.
-func WithBalancedPlanning(on bool) Option {
-	return func(c *clientConfig) { c.balancePlan = on }
-}
-
 // WithPinnedDistinguished controls whether the distinguished copy of
 // each item is stored with the server's "setp" pinning extension so it
 // is exempt from LRU eviction and can never miss (default on). Turn it
@@ -126,15 +113,6 @@ func WithBalancedPlanning(on bool) Option {
 // the never-miss guarantee for distinguished copies.
 func WithPinnedDistinguished(on bool) Option {
 	return func(c *clientConfig) { c.pinDistinguished = on }
-}
-
-// WithWriteBack controls whether items recovered from their
-// distinguished copy after a replica miss are written back to the
-// replica the planner wanted them on (default on). This is the
-// §III-C/§III-D adaptation mechanism that makes overbooked replicas
-// converge to the working set.
-func WithWriteBack(on bool) Option {
-	return func(c *clientConfig) { c.writeBack = on }
 }
 
 // WithFailureCooldown sets the circuit-breaker cooldown: how long a
@@ -499,7 +477,6 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 		replicas:         2,
 		timeout:          5 * time.Second,
 		hitchhike:        true,
-		writeBack:        true,
 		pinDistinguished: true,
 		cooldown:         2 * time.Second,
 		breakerThreshold: 1,
@@ -1335,11 +1312,14 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 				continue
 			}
 			out[it.Key] = it
-			// Write-back: repopulate the replica the planner assigned.
-			// Best effort: "not stored" is overbooking at work, a network
-			// error has fed the breaker, the item is served either way.
-			if s := missAssigned[id]; c.cfg.writeBack && s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
-				_ = t.slots[s].do(c.storeOp(it, false))
+			// Write-back: repopulate the replica the planner assigned,
+			// with add — the value was read a round trip ago, so it may
+			// fill an empty replica but never replace what a Set has
+			// stored there since. Best effort: "not stored" is that, or
+			// overbooking at work; a network error has fed the breaker;
+			// the item is served either way.
+			if s := missAssigned[id]; s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
+				_ = t.slots[s].do(func(conn memcache.Conn) error { return conn.Add(it) })
 			}
 		}
 	}

@@ -230,7 +230,7 @@ func TestGetMultiRecoversFromReplicaLoss(t *testing.T) {
 }
 
 func TestWriteBackRepopulatesReplica(t *testing.T) {
-	cl, servers := newTestClient(t, 4, WithReplicas(2), WithWriteBack(true))
+	cl, servers := newTestClient(t, 4, WithReplicas(2))
 	ks := keys(30)
 	for _, k := range ks {
 		if err := cl.Set(&Item{Key: k, Value: []byte("v")}); err != nil {
