@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,7 +116,7 @@ func TestReadFailoverWithLoaderCoversOrphans(t *testing.T) {
 	// they keep coming from the loader or a live cache write.
 	dbServed := 0
 	for _, it := range items {
-		if string(it.Value[:3]) == "db:" {
+		if strings.HasPrefix(string(it.Value), "db:") {
 			dbServed++
 		}
 	}

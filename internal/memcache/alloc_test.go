@@ -17,8 +17,9 @@ import (
 )
 
 // allocGate fails when fn's steady-state allocation count exceeds the
-// budget. The measured value is logged so regressions show their size.
-func allocGate(t *testing.T, name string, budget float64, fn func()) {
+// budget. The measured value is logged so regressions show their size,
+// and returned.
+func allocGate(t *testing.T, name string, budget float64, fn func()) float64 {
 	t.Helper()
 	fn() // warm lazily initialized pools outside the measured window
 	got := testing.AllocsPerRun(200, fn)
@@ -26,6 +27,7 @@ func allocGate(t *testing.T, name string, budget float64, fn func()) {
 	if got > budget {
 		t.Errorf("%s: %.1f allocs/op, budget %.1f", name, got, budget)
 	}
+	return got
 }
 
 // TestAllocBudgetEncode: command encoding — text and binary — must not
@@ -76,59 +78,54 @@ func TestAllocBudgetEncode(t *testing.T) {
 	})
 }
 
-// TestAllocBudgetDecode: response decoding pays only what escapes into
-// the result — per hit, the Item, its key string, and its value block
-// (3 allocs) plus map growth — and nothing for protocol framing.
+// TestAllocBudgetDecode: decoding a multi-get reply costs two
+// allocations however many items it carries — the reply's Item array
+// and its value arena (key strings are the request's own) — and nothing
+// for protocol framing. The 8-hit and the 64-hit reply must measure the
+// same: a per-item allocation anywhere in a decode path fails here.
 func TestAllocBudgetDecode(t *testing.T) {
-	const hits = 8
-	// Render one canned text multiget response and one binary response.
-	var text bytes.Buffer
-	for i := 0; i < hits; i++ {
-		fmt.Fprintf(&text, "VALUE alloc:%03d %d 100 %d\r\n%s\r\n", i, i, i+1, bytes.Repeat([]byte("v"), 100))
-	}
-	text.WriteString("END\r\n")
-	var bin bytes.Buffer
-	bw := bufio.NewWriter(&bin)
-	for i := 0; i < hits; i++ {
-		extras := []byte{0, 0, 0, byte(i)}
-		key := fmt.Sprintf("alloc:%03d", i)
-		writeBinRes := func() {
-			hdr := binResFrame(binOpGetKQ, binStatusOK, uint32(i), uint64(i+1), extras, key, string(bytes.Repeat([]byte("v"), 100)))
-			bw.Write(hdr)
-		}
-		writeBinRes()
-	}
-	bw.Write(binResFrame(binOpNoop, binStatusOK, hits, 0, nil, "", ""))
-	bw.Flush()
-
-	// 3 allocs per hit (Item, key, value) + amortized map growth; the
-	// budget leaves one alloc of slack per run, not per hit.
-	budget := float64(3*hits) + 1
+	value := bytes.Repeat([]byte("v"), 100)
 	rd := bytes.NewReader(nil)
-	br := bufio.NewReader(nil)
-	out := make(map[string]*Item, hits)
-	allocGate(t, "text multiget decode", budget, func() {
-		rd.Reset(text.Bytes())
-		br.Reset(rd)
-		clear(out)
-		if err := readValuesInto(br, true, out); err != nil {
-			t.Fatal(err)
+	br := bufio.NewReaderSize(nil, 64<<10) // the exchangers' buffer size
+	for _, wire := range []string{"text", "binary"} {
+		var measured []float64
+		for _, hits := range []int{8, 64} {
+			// Render one canned reply naming every requested key.
+			keys := make([]string, hits)
+			var reply bytes.Buffer
+			for i := range keys {
+				keys[i] = fmt.Sprintf("alloc:%03d", i)
+				if wire == "text" {
+					fmt.Fprintf(&reply, "VALUE %s %d 100 %d\r\n%s\r\n", keys[i], i, i+1, value)
+				} else {
+					reply.Write(binResFrame(binOpGetKQ, binStatusOK, uint32(i), uint64(i+1), []byte{0, 0, 0, byte(i)}, keys[i], string(value)))
+				}
+			}
+			if wire == "text" {
+				reply.WriteString("END\r\n")
+			} else {
+				reply.Write(binResFrame(binOpNoop, binStatusOK, uint32(hits), 0, nil, "", ""))
+			}
+			name := fmt.Sprintf("%s multiget decode, %d hits", wire, hits)
+			measured = append(measured, allocGate(t, name, 2, func() {
+				rd.Reset(reply.Bytes())
+				br.Reset(rd)
+				var items []Item
+				var err error
+				if wire == "text" {
+					items, err = readValues(br, true, keys)
+				} else {
+					items, err = readBinMultiGet(br, keys)
+				}
+				if err != nil || len(items) != hits {
+					t.Fatalf("%s: decoded %d hits, err %v", name, len(items), err)
+				}
+			}))
 		}
-		if len(out) != hits {
-			t.Fatalf("decoded %d hits", len(out))
+		if d := measured[1] - measured[0]; d > 1 || d < -1 {
+			t.Errorf("%s multiget decode: %.1f allocs for 8 hits, %.1f for 64 — the cost grows with the reply", wire, measured[0], measured[1])
 		}
-	})
-	allocGate(t, "binary multiget decode", budget, func() {
-		rd.Reset(bin.Bytes())
-		br.Reset(rd)
-		clear(out)
-		if err := readBinMultiGetInto(br, hits, out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != hits {
-			t.Fatalf("decoded %d hits", len(out))
-		}
-	})
+	}
 	stored := []byte("STORED\r\n")
 	allocGate(t, "text store reply decode", 0, func() {
 		rd.Reset(stored)
@@ -162,15 +159,17 @@ func TestAllocBudgetRoundTrip(t *testing.T) {
 		get1, get8     float64
 		set            float64
 	}{
-		// Measured values. An 8-key multiget pays 3 per hit for the
-		// escaping items, ~1 per key of server-side parsing, and the
-		// result map; the pooled lanes add the poolRequest and its done
-		// channel. The 8-key budgets carry one alloc of slack for map
-		// growth jitter, not enough to let a per-key regression through.
-		{name: "single text", get1: 11, get8: 40, set: 6},
-		{name: "single binary", binary: true, get1: 9, get8: 38, set: 4},
-		{name: "pooled text", pooled: true, get1: 14, get8: 43, set: 9},
-		{name: "pooled binary", pooled: true, binary: true, get1: 12, get8: 41, set: 7},
+		// Measured values, exact. A multiget of any size pays the reply's
+		// Item array, its value arena and the two allocations of the
+		// result map on the client, the request's one string on the
+		// server, and the GetMulti call's own; the pooled lanes add the
+		// poolRequest, its done channel and the hand-off. The 1-key and
+		// the 8-key budgets are equal on purpose: anything paid per key,
+		// on either side of the wire, fails the 8-key gate.
+		{name: "single text", get1: 6, get8: 6, set: 4},
+		{name: "single binary", binary: true, get1: 6, get8: 6, set: 4},
+		{name: "pooled text", pooled: true, get1: 9, get8: 9, set: 7},
+		{name: "pooled binary", pooled: true, binary: true, get1: 9, get8: 9, set: 7},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
 			srv := NewServer(NewStore(0))
@@ -246,9 +245,13 @@ func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net:
 // own: canned request bytes go down an in-memory connection to a live
 // Server and the reply is read back raw, so no client codec, exchanger
 // or socket allocates inside the measured window. The request path
-// reuses its request, key slice and reply scratch per connection; the
-// budgets are what it measures, 3/3/4 (text) and 3/10/4 (binary), so a
-// per-verb handler that splits a line into fresh strings fails here.
+// reuses its request, key slice and reply scratch per connection, and
+// the store answers a get by position with no map in between; the
+// budgets are what it measures, 1/1/4 on both wires — a get of any size
+// costs the one string its keys are cut from (the text command line, the
+// binary run's collected key bytes) — so a per-verb handler that splits
+// a line into fresh strings, or a quiet-get run that makes a string per
+// frame, fails here.
 func TestAllocBudgetServe(t *testing.T) {
 	keys := make([]string, 8)
 	for i := range keys {
@@ -283,14 +286,14 @@ func TestAllocBudgetServe(t *testing.T) {
 			name: "text", get1: textGet(keys[:1]), get8: textGet(keys),
 			set:    encode(func(w *bufio.Writer) error { return writeStoreCmd(w, "set", it) }),
 			getEnd: func(int) []byte { return []byte("END\r\n") }, setEnd: []byte("STORED\r\n"),
-			bGet1: 3, bGet8: 3, bSet: 4,
+			bGet1: 1, bGet8: 1, bSet: 4,
 		},
 		{
 			name: "binary", get1: binGet(keys[:1]), get8: binGet(keys),
 			set:    encode(func(w *bufio.Writer) error { return writeBinStoreCmd(w, binOpSet, it, 0) }),
 			getEnd: func(n int) []byte { return binResFrame(binOpNoop, binStatusOK, uint32(n), 0, nil, "", "") },
 			setEnd: binResFrame(binOpSet, binStatusOK, 0, 0, nil, "", ""),
-			bGet1:  3, bGet8: 10, bSet: 4,
+			bGet1:  1, bGet8: 1, bSet: 4,
 		},
 	} {
 		t.Run(lane.name, func(t *testing.T) {

@@ -106,28 +106,30 @@ func (h *binHeader) encode(buf []byte) {
 }
 
 // write emits one frame, request or response: h names it, and its three
-// length fields are filled in here. Allocation-free: header, extras, and
-// key (24 + ≤20 + ≤250 bytes — always inside the shared 320-byte line
-// scratch) are assembled in a pooled buffer and written once; only the
-// value, which already lives on the caller's heap, is streamed
-// separately. A stack buffer would not do: bufio.Writer.Write leaks its
-// argument through the underlying io.Writer interface, so a
-// stack-assembled header is forced to the heap once per frame.
+// length fields are filled in here. Allocation- and copy-free: header,
+// extras and key (24 + ≤20 + ≤250 bytes) are appended straight into the
+// writer's own free space and handed back to it; only the value, which
+// already lives on the caller's heap, is streamed separately. The early
+// flush keeps that free space large enough, so append never has to grow
+// the slice onto the heap.
 func (h binHeader) write(w *bufio.Writer, extras []byte, key string, value []byte) error {
 	h.keyLen = uint16(len(key))
 	h.extraLen = uint8(len(extras))
 	h.bodyLen = uint32(len(extras) + len(key) + len(value))
-	scratch := lineScratch.Get().(*[320]byte)
-	b := scratch[:binHeaderLen]
-	h.encode(b)
+	if w.Available() < binHeaderLen+len(extras)+len(key) {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	var hdr [binHeaderLen]byte
+	h.encode(hdr[:])
+	b := append(w.AvailableBuffer(), hdr[:]...)
 	b = append(b, extras...)
 	b = append(b, key...)
-	_, err := w.Write(b)
-	lineScratch.Put(scratch)
-	if err != nil {
+	if _, err := w.Write(b); err != nil {
 		return err
 	}
-	_, err = w.Write(value)
+	_, err := w.Write(value)
 	return err
 }
 
@@ -149,9 +151,13 @@ func writeBinResponse(w *bufio.Writer, opcode byte, status uint16, opaque uint32
 // ends a run is part of that request, not a command of its own.
 type binServer struct {
 	// keys and gets describe the get being served — key i was asked for
-	// by frame gets[i] — and are reused across requests.
-	keys []string
-	gets []binGet
+	// by frame gets[i] — and are reused across requests. While a get is
+	// being read its key bytes collect in keyBuf; runKeys then cuts keys
+	// out of ONE string, so a run of n quiet gets costs the allocation a
+	// text get line does, not n.
+	keys   []string
+	gets   []binGet
+	keyBuf []byte
 
 	opcode byte   // of the frame that made (or ended) the request
 	opaque uint32 // of that frame; echoed in its response
@@ -164,6 +170,24 @@ type binServer struct {
 type binGet struct {
 	opcode byte
 	opaque uint32
+	keyEnd int // where the key ends in keyBuf; it starts where the last one ended
+}
+
+// addKey records one frame of the get being read.
+func (c *binServer) addKey(h *binHeader, key []byte) {
+	c.keyBuf = append(c.keyBuf, key...)
+	c.gets = append(c.gets, binGet{h.opcode, h.opaque, len(c.keyBuf)})
+}
+
+// runKeys returns the key list of the get just read.
+func (c *binServer) runKeys() []string {
+	run := string(c.keyBuf)
+	start := 0
+	for _, g := range c.gets {
+		c.keys = append(c.keys, run[start:g.keyEnd])
+		start = g.keyEnd
+	}
+	return c.keys
 }
 
 // binCommands maps a request opcode to its command — binOpcodes read
@@ -194,6 +218,7 @@ func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
 	*q = serverRequest{}
 	c.keys = c.keys[:0]
 	c.gets = c.gets[:0]
+	c.keyBuf = c.keyBuf[:0]
 	c.noop = false
 	var h binHeader
 	for {
@@ -214,12 +239,12 @@ func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
 			return fmt.Errorf("memcache: binary body too large (%d)", h.bodyLen)
 		}
 		quiet := h.opcode == binOpGetQ || h.opcode == binOpGetKQ
-		if len(c.keys) > 0 && !quiet {
+		if len(c.gets) > 0 && !quiet {
 			// The run ends here: at its Noop, which is consumed and
 			// answered with it, or at a blocking command or trace frame,
 			// which stays in the buffer as the next request.
 			q.cmd = cmdGet
-			q.keys = c.keys
+			q.keys = c.runKeys()
 			if h.opcode != binOpNoop {
 				q.chained = true
 				return nil
@@ -236,13 +261,12 @@ func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
 		keyEnd := uint32(h.extraLen) + uint32(h.keyLen)
 		if quiet && h.bodyLen <= 4096 {
 			// Quiet gets — the pipelined hot path — parse their key
-			// straight out of the buffer; only the key string survives.
+			// straight out of the buffer; only the key bytes survive.
 			body, err := r.Peek(int(h.bodyLen))
 			if err != nil {
 				return err
 			}
-			c.keys = append(c.keys, string(body[h.extraLen:keyEnd]))
-			c.gets = append(c.gets, binGet{h.opcode, h.opaque})
+			c.addKey(&h, body[h.extraLen:keyEnd])
 			if _, err := r.Discard(int(h.bodyLen)); err != nil {
 				return err
 			}
@@ -255,7 +279,6 @@ func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
 			return err
 		}
 		extras := body[:h.extraLen]
-		key := string(body[h.extraLen:keyEnd])
 		value := body[keyEnd:]
 		c.opcode = h.opcode
 		c.opaque = h.opaque
@@ -263,19 +286,21 @@ func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
 		if cmd, known := binCommands[h.opcode]; known {
 			q.cmd = cmd
 		}
+		if q.cmd == cmdGet {
+			c.addKey(&h, body[h.extraLen:keyEnd])
+			if quiet { // an oversized quiet frame: it joins the run like the rest
+				continue
+			}
+			q.keys = c.runKeys()
+			return nil
+		}
+		key := string(body[h.extraLen:keyEnd])
 		q.key = key
 		if want, checked := binExtras[q.cmd]; checked && len(extras) != want {
 			q.bad = badFrame
 			return nil
 		}
 		switch q.cmd {
-		case cmdGet:
-			c.keys = append(c.keys, key)
-			c.gets = append(c.gets, binGet{h.opcode, h.opaque})
-			if quiet { // an oversized quiet frame: it joins the run like the rest
-				continue
-			}
-			q.keys = c.keys
 		case cmdSet, cmdSetPinned, cmdAdd, cmdReplace:
 			q.item = &Item{
 				Key:        key,

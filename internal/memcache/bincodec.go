@@ -83,7 +83,7 @@ func (binCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
 	switch q.cmd {
 	case cmdGet, cmdGets:
 		var one [1]string
-		if err := readBinMultiGetInto(r, len(q.keyList(&one)), q.items); err != nil || !q.traced {
+		if p.items, err = readBinMultiGet(r, q.keyList(&one)); err != nil || !q.traced {
 			return err
 		}
 		st := new(obs.ServerTimings)
@@ -184,57 +184,63 @@ func writeBinMultiGetCmd(w *bufio.Writer, keys []string) error {
 	return writeBinFrame(w, binOpNoop, uint32(len(keys)), 0, nil, "", nil)
 }
 
-// readBinMultiGetInto consumes quiet-get responses until the
-// terminating Noop, merging hits into out. Misses are silent (that is
-// the point of GetKQ); an errored quiet get consumed a complete frame
-// and counts as a miss. Frames violating the expected shape — wrong
-// opcode, opaque out of range or out of order, corrupt lengths — are
-// conn-fatal.
-func readBinMultiGetInto(r *bufio.Reader, n int, out map[string]*Item) error {
+// readBinMultiGet consumes quiet-get responses until the terminating
+// Noop and returns the hits, in reply order, decoded into one replySlab
+// like the text codec's: quiet-get i carried opaque i, so a hit borrows
+// keys[opaque] as its key string when the server echoed that key.
+// Misses are silent (that is the point of GetKQ); an errored quiet get
+// consumed a complete frame and counts as a miss. Frames violating the
+// expected shape — wrong opcode, opaque out of range or out of order,
+// corrupt lengths — are conn-fatal.
+func readBinMultiGet(r *bufio.Reader, keys []string) ([]Item, error) {
+	n := len(keys)
+	s := replySlab{keys: keys}
 	var h binHeader
 	last := -1
 	for {
 		if err := readBinHeader(r, &h); err != nil {
-			return err
+			return nil, err
 		}
 		switch h.opcode {
 		case binOpNoop:
 			if h.opaque != uint32(n) {
-				return errBinDesync("noop opaque %d, want %d", h.opaque, n)
+				return nil, errBinDesync("noop opaque %d, want %d", h.opaque, n)
 			}
-			return discardBinBody(r, &h)
+			if err := discardBinBody(r, &h); err != nil {
+				return nil, err
+			}
+			return s.items, nil
 		case binOpGetKQ:
 		default:
-			return errBinDesync("opcode 0x%02x inside quiet-get pipeline", h.opcode)
+			return nil, errBinDesync("opcode 0x%02x inside quiet-get pipeline", h.opcode)
 		}
 		if h.opaque >= uint32(n) || int(h.opaque) <= last {
-			return errBinDesync("quiet-get opaque %d out of order (last %d, batch %d)", h.opaque, last, n)
+			return nil, errBinDesync("quiet-get opaque %d out of order (last %d, batch %d)", h.opaque, last, n)
 		}
 		last = int(h.opaque)
 		if h.status != binStatusOK {
 			// Quiet semantics: an errored get is a miss; the frame is
 			// fully consumed so the stream stays in sync.
 			if err := discardBinBody(r, &h); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
 		if h.keyLen == 0 {
-			return errBinDesync("quiet-get hit without key")
+			return nil, errBinDesync("quiet-get hit without key")
 		}
-		body := make([]byte, h.bodyLen)
+		// The whole body goes into the arena, as it went into a block of
+		// its own before: extras and key ride along with the value.
+		body := s.block(r, int(h.bodyLen), 0)
 		if _, err := io.ReadFull(r, body); err != nil {
-			return err
+			return nil, err
 		}
-		it := &Item{
-			Key:   string(body[h.extraLen : uint32(h.extraLen)+uint32(h.keyLen)]),
-			Value: body[uint32(h.extraLen)+uint32(h.keyLen):],
-			CAS:   h.cas,
-		}
+		keyEnd := uint32(h.extraLen) + uint32(h.keyLen)
+		it := s.add(last, body[h.extraLen:keyEnd])
+		it.Value, it.CAS = body[keyEnd:], h.cas
 		if h.extraLen >= 4 {
 			it.Flags = binary.BigEndian.Uint32(body[:4])
 		}
-		out[it.Key] = it
 	}
 }
 

@@ -138,8 +138,10 @@ func (c *Client) Transactions() uint64 {
 
 // armDeadline (re)arms the per-round-trip I/O deadline. It runs at the
 // start of EVERY round trip — arming when a timeout is configured,
-// clearing otherwise — so a pooled connection can never carry a stale
-// deadline from an earlier operation into a later one.
+// clearing otherwise — so a connection can never carry a stale deadline
+// from an earlier operation into a later one. That is also why nothing
+// clears it afterwards: a deadline that lapses while the connection
+// sits idle is replaced before the next byte moves.
 func (c *Client) armDeadline() {
 	if c.conn == nil {
 		return
@@ -147,14 +149,6 @@ func (c *Client) armDeadline() {
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-}
-
-// clearDeadline removes the deadline after a completed round trip, so
-// a long-idle pooled connection is not sitting armed.
-func (c *Client) clearDeadline() {
-	if c.conn != nil {
 		c.conn.SetDeadline(time.Time{})
 	}
 }
@@ -173,8 +167,9 @@ func (c *Client) exchange(q request) (reply, error) {
 		c.rep.queueNS = time.Since(lockStart).Nanoseconds()
 	}
 	err := c.roundTrip()
-	c.req = request{} // do not pin the caller's keys and value until the next call
-	return c.rep, err
+	rep := c.rep
+	c.req, c.rep = request{}, reply{} // do not pin the caller's keys, value and items until the next call
+	return rep, err
 }
 
 // roundTrip exchanges c.req with one transparent retry: if an
@@ -227,6 +222,5 @@ func (c *Client) attempt() error {
 	// Success, or a protocol-level outcome (miss, CAS conflict, declined
 	// store, status-line error): the reply was consumed in full and the
 	// connection stays in sync.
-	c.clearDeadline()
 	return err
 }

@@ -30,7 +30,7 @@ func dialTestServer(t *testing.T, dial dialFunc, in *chaos.Injector, timeout tim
 // deadline bug: a pooled connection must not inherit the previous
 // round trip's deadline. After sitting idle for several multiples of
 // the timeout, operations must still succeed because every round trip
-// (re)arms a fresh deadline and successful trips clear it.
+// (re)arms a fresh deadline.
 func TestDeadlineRearmedAfterIdle(t *testing.T) {
 	eachWire(t, func(t *testing.T, dial dialFunc) {
 		cl := dialTestServer(t, dial, nil, 60*time.Millisecond)
@@ -46,6 +46,28 @@ func TestDeadlineRearmedAfterIdle(t *testing.T) {
 			if string(it.Value) != "v" {
 				t.Fatalf("idle round %d: value %q", i, it.Value)
 			}
+		}
+	})
+}
+
+// TestIdleConnectionOutlivesItsDeadline: nothing clears the deadline
+// after a round trip, so it lapses while the connection sits idle — and
+// the next request must still be served on that same connection. Sets,
+// because a mutation is never replayed: a trip killed by the stale
+// deadline would fail here instead of hiding behind a reconnect, and
+// the server must have seen exactly one connection.
+func TestIdleConnectionOutlivesItsDeadline(t *testing.T) {
+	eachWire(t, func(t *testing.T, dial dialFunc) {
+		srv := NewServer(NewStore(0))
+		cl := dialTest(t, dial, serveTest(t, srv, nil), 60*time.Millisecond)
+		for i := 0; i < 3; i++ {
+			if err := cl.Set(&Item{Key: "k", Value: []byte{byte('0' + i)}}); err != nil {
+				t.Fatalf("set %d after idling past the deadline: %v", i, err)
+			}
+			time.Sleep(150 * time.Millisecond)
+		}
+		if n := srv.Stats().TotalConns.Load(); n != 1 {
+			t.Fatalf("server saw %d connections, want the one", n)
 		}
 	})
 }

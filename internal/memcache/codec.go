@@ -56,7 +56,8 @@ func (textCodec) encode(w *bufio.Writer, q *request) error {
 func (textCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
 	switch q.cmd {
 	case cmdGet, cmdGets:
-		if err := readValuesInto(r, q.cmd == cmdGets, q.items); err != nil || !q.traced {
+		var one [1]string
+		if p.items, err = readValues(r, q.cmd == cmdGets, q.keyList(&one)); err != nil || !q.traced {
 			return err
 		}
 		st := new(obs.ServerTimings)
@@ -178,35 +179,36 @@ func writeKeysCmd(w *bufio.Writer, verb string, keys []string) error {
 	return err
 }
 
-// readValuesInto consumes VALUE blocks until END, merging items into
-// out. Any framing violation is conn-fatal: once a VALUE header fails
-// to parse the stream position is unknown.
-func readValuesInto(r *bufio.Reader, withCAS bool, out map[string]*Item) error {
+// readValues consumes VALUE blocks until END and returns the hits, in
+// reply order, decoded into one replySlab: the items of one reply share
+// an array and a value arena. keys is the request's key list; a hit it
+// does not name still decodes, with a key string of its own. Any framing
+// violation is conn-fatal: once a VALUE header fails to parse the stream
+// position is unknown.
+func readValues(r *bufio.Reader, withCAS bool, keys []string) ([]Item, error) {
+	s := replySlab{keys: keys}
 	for {
 		line, err := readClientLine(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if bytes.Equal(line, []byte("END")) {
-			return nil
+			return s.items, nil
 		}
-		it, err := readValue(r, line, withCAS)
-		if err != nil {
-			return err
+		if err := s.readValue(r, line, withCAS); err != nil {
+			return nil, err
 		}
-		out[it.Key] = it
 	}
 }
 
 // readValue parses one "VALUE <key> <flags> <bytes> [cas]" header line
-// plus its data block. line is borrowed from the read buffer, so every
-// retained field is copied out before the data-block read invalidates
-// it. Steady-state cost is three allocations per hit — the Item, its
-// key string, and its data block — all of which escape into the result.
-func readValue(r *bufio.Reader, line []byte, withCAS bool) (*Item, error) {
+// plus its data block into the slab. line is borrowed from the read
+// buffer, so the key is matched (or copied out) before the data-block
+// read invalidates it.
+func (s *replySlab) readValue(r *bufio.Reader, line []byte, withCAS bool) error {
 	verb, rest := nextField(line)
 	if !bytes.Equal(verb, []byte("VALUE")) {
-		return nil, fmt.Errorf("memcache: unexpected response line %q", line)
+		return fmt.Errorf("memcache: unexpected response line %q", line)
 	}
 	key, rest := nextField(rest)
 	flagsTok, rest := nextField(rest)
@@ -217,36 +219,38 @@ func readValue(r *bufio.Reader, line []byte, withCAS bool) (*Item, error) {
 	}
 	if tail, _ := nextField(rest); len(key) == 0 || len(sizeTok) == 0 || len(tail) != 0 ||
 		(withCAS && len(casTok) == 0) {
-		return nil, fmt.Errorf("memcache: unexpected response line %q", line)
+		return fmt.Errorf("memcache: unexpected response line %q", line)
 	}
 	flags, err := parseUint(flagsTok, 32)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	size, err := parseUint(sizeTok, 31)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if size > MaxValueLen {
 		// A corrupt (or hostile) header must not drive the allocation
 		// below: no legitimate server exceeds the protocol's value cap.
-		return nil, fmt.Errorf("memcache: VALUE header declares %d bytes (limit %d)", size, MaxValueLen)
+		return fmt.Errorf("memcache: VALUE header declares %d bytes (limit %d)", size, MaxValueLen)
 	}
-	it := &Item{Key: string(key), Flags: uint32(flags)}
+	var cas uint64
 	if withCAS {
-		if it.CAS, err = parseUint(casTok, 64); err != nil {
-			return nil, err
+		if cas, err = parseUint(casTok, 64); err != nil {
+			return err
 		}
 	}
-	data := make([]byte, size+2)
+	data := s.block(r, int(size), 2)
+	it := s.add(s.find(key), key)
+	it.Flags, it.CAS = uint32(flags), cas
 	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
+		return err
 	}
 	if !bytes.HasSuffix(data, []byte("\r\n")) {
-		return nil, fmt.Errorf("memcache: corrupt data block for %s", it.Key)
+		return fmt.Errorf("memcache: corrupt data block for %s", it.Key)
 	}
-	it.Value = data[:size]
-	return it, nil
+	it.Value = data[:size:size]
+	return nil
 }
 
 // --- storage commands -------------------------------------------------

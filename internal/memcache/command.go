@@ -91,7 +91,6 @@ type request struct {
 	tc     obs.TraceContext
 	traced bool
 
-	items map[string]*Item  // get, gets: hits are merged in
 	stats map[string]string // stats: entries are merged in
 }
 
@@ -107,8 +106,10 @@ func (q *request) keyList(one *[1]string) []string {
 	return one[:]
 }
 
-// reply holds what a command returns beyond its maps and its error.
+// reply holds what a command returns beyond its stats map and its
+// error.
 type reply struct {
+	items   []Item             // get, gets: the hits in reply order, one slab (see replySlab)
 	value   uint64             // incr, decr: the new counter value
 	banner  string             // version
 	queueNS int64              // traced get: submission-to-wire wait
@@ -158,28 +159,29 @@ func (cs *commands) Get(key string) (*Item, error) {
 	if !validKey(key) {
 		return nil, ErrBadKey
 	}
-	q := request{cmd: cmdGet, key: key, items: make(map[string]*Item, 1)}
-	if _, err := cs.do(q); err != nil {
+	rep, err := cs.do(request{cmd: cmdGet, key: key})
+	if err != nil {
 		return nil, err
 	}
-	it, ok := q.items[key]
-	if !ok {
-		return nil, ErrCacheMiss
+	for i := range rep.items {
+		if rep.items[i].Key == key {
+			return &rep.items[i], nil
+		}
 	}
-	return it, nil
+	return nil, ErrCacheMiss
 }
 
 // GetMulti fetches any number of keys in ONE transaction (a memcached
 // multi-get) and returns the found items. Missing keys are simply
 // absent from the result.
 func (cs *commands) GetMulti(keys []string) (map[string]*Item, error) {
-	items, _, err := cs.getMulti(cmdGet, obs.TraceContext{}, keys)
+	items, _, err := cs.getMultiMap(cmdGet, obs.TraceContext{}, keys)
 	return items, err
 }
 
 // GetsMulti is GetMulti with CAS tokens populated.
 func (cs *commands) GetsMulti(keys []string) (map[string]*Item, error) {
-	items, _, err := cs.getMulti(cmdGets, obs.TraceContext{}, keys)
+	items, _, err := cs.getMultiMap(cmdGets, obs.TraceContext{}, keys)
 	return items, err
 }
 
@@ -188,26 +190,54 @@ func (cs *commands) GetsMulti(keys []string) (map[string]*Item, error) {
 // server's phase timings — nil when the server did not negotiate
 // tracing, in which case the request degraded to a stock multi-get.
 func (cs *commands) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]*Item, int64, *obs.ServerTimings, error) {
-	items, rep, err := cs.getMulti(cmdGet, tc, keys)
+	items, rep, err := cs.getMultiMap(cmdGet, tc, keys)
 	return items, rep.queueNS, rep.st, err
 }
 
-func (cs *commands) getMulti(cmd command, tc obs.TraceContext, keys []string) (map[string]*Item, reply, error) {
+// TracedGetItems is TracedGetMulti without the map: the found items as
+// the reply was decoded, in the order the server sent them (request
+// order on a well-behaved server, which may still repeat or add keys).
+// The items share one backing array and one value arena, so a caller
+// that merges &items[i] into its own result builds nothing per
+// transaction.
+func (cs *commands) TracedGetItems(tc obs.TraceContext, keys []string) ([]Item, int64, *obs.ServerTimings, error) {
+	rep, err := cs.getMulti(cmdGet, tc, keys)
+	return rep.items, rep.queueNS, rep.st, err
+}
+
+// getMulti runs one get or gets transaction; rep.items holds the hits,
+// and is nil on error.
+func (cs *commands) getMulti(cmd command, tc obs.TraceContext, keys []string) (reply, error) {
 	if len(keys) == 0 {
-		return map[string]*Item{}, reply{}, nil
+		return reply{}, nil
 	}
 	for _, k := range keys {
 		if !validKey(k) {
-			return nil, reply{}, ErrBadKey
+			return reply{}, ErrBadKey
 		}
 	}
-	q := request{cmd: cmd, keys: keys, tc: tc, items: make(map[string]*Item, len(keys))}
+	q := request{cmd: cmd, keys: keys, tc: tc}
 	q.traced = tc.Valid() && cs.tracingNegotiated()
 	rep, err := cs.do(q)
 	if err != nil {
+		rep.items = nil
+	}
+	return rep, err
+}
+
+// getMultiMap is getMulti for the map-returning commands: the reply's
+// items indexed by key. The last of a repeated key wins, as when each
+// hit was merged into the map as it was decoded.
+func (cs *commands) getMultiMap(cmd command, tc obs.TraceContext, keys []string) (map[string]*Item, reply, error) {
+	rep, err := cs.getMulti(cmd, tc, keys)
+	if err != nil {
 		return nil, rep, err
 	}
-	return q.items, rep, nil
+	m := make(map[string]*Item, len(rep.items))
+	for i := range rep.items {
+		m[rep.items[i].Key] = &rep.items[i]
+	}
+	return m, rep, nil
 }
 
 // SetTracing enables (or disables) wire-level trace propagation. The

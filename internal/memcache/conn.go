@@ -49,6 +49,11 @@ type Conn interface {
 	// the server's phase attribution — nil when tracing did not
 	// negotiate, in which case the call degraded to a stock GetMulti.
 	TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]*Item, int64, *obs.ServerTimings, error)
+	// TracedGetItems is TracedGetMulti for a caller that assembles its
+	// own result: the found items in reply order, without a map built
+	// around them. They share one backing array and one value arena
+	// (see Item).
+	TracedGetItems(tc obs.TraceContext, keys []string) ([]Item, int64, *obs.ServerTimings, error)
 }
 
 var (

@@ -35,6 +35,15 @@ var (
 )
 
 // Item is one stored object.
+//
+// Items returned by a get share memory with the rest of their reply:
+// one Item array and one value arena per reply (DESIGN.md "Reply
+// memory"), and a Key that is the string the caller asked with. Each
+// still behaves as a value of its own — Value is capacity-clipped, so
+// append copies rather than running into a neighbour, and overwriting
+// the request's key slice afterwards changes nothing — but retaining
+// one item retains its whole reply. A caller that caches single items
+// long-term should copy them out.
 type Item struct {
 	Key   string
 	Value []byte

@@ -61,30 +61,29 @@ type Backend interface {
 type storeBackend struct{ *Store }
 
 func (b storeBackend) GetMulti(keys []string) (map[string]*Item, error) {
-	items, _, err := b.getMulti(keys, false)
-	return items, err
+	out := make(map[string]*Item, len(keys))
+	for _, k := range keys {
+		if it, _, err := b.get(k, false); err == nil {
+			out[k] = it
+		}
+	}
+	return out, nil
 }
 func (b storeBackend) GetsMulti(keys []string) (map[string]*Item, error) {
 	return b.GetMulti(keys) // local tokens are always authoritative
 }
 
-// GetMultiTimed implements timedBackend: the traced read path, also
-// reporting the shard-lock wait the batch accumulated.
-func (b storeBackend) GetMultiTimed(keys []string) (map[string]*Item, int64, error) {
-	return b.getMulti(keys, true)
-}
-
-func (b storeBackend) getMulti(keys []string, timed bool) (map[string]*Item, int64, error) {
-	out := make(map[string]*Item, len(keys))
+// appendHits implements hitsBackend: the server's own read path, get and
+// gets alike (local tokens are always authoritative). With timed set it
+// also reports the shard-lock wait the batch accumulated.
+func (b storeBackend) appendHits(hits []*Item, keys []string, timed bool) ([]*Item, int64) {
 	var wait int64
 	for _, k := range keys {
-		it, w, err := b.get(k, timed)
+		it, w, _ := b.get(k, timed) // nil on any error: a miss
 		wait += w
-		if err == nil {
-			out[k] = it
-		}
+		hits = append(hits, it)
 	}
-	return out, wait, nil
+	return hits, wait
 }
 func (b storeBackend) SetPinned(it *Item) error { return b.Store.SetPinned(it, true) }
 func (b storeBackend) FlushAll() error          { b.Store.FlushAll(); return nil }
@@ -512,18 +511,14 @@ func (s *Server) execute(q *serverRequest, p *serverReply, ct *connTrace) {
 	switch q.cmd {
 	case cmdGet, cmdGets:
 		s.stats.CmdGet.Add(uint64(len(q.keys)))
-		items, err := s.getMulti(q, ct)
-		if err != nil {
-			p.err = err
+		if p.hits, p.err = s.getMulti(q, p.hits, ct); p.err != nil {
 			break
 		}
 		hits := 0
-		for _, key := range q.keys {
-			it := items[key]
+		for _, it := range p.hits {
 			if it != nil {
 				hits++
 			}
-			p.hits = append(p.hits, it)
 		}
 		s.stats.GetHits.Add(uint64(hits))
 		s.stats.GetMisses.Add(uint64(len(q.keys) - hits))
@@ -564,24 +559,37 @@ func (s *Server) execute(q *serverRequest, p *serverReply, ct *connTrace) {
 	}
 }
 
-// getMulti is the executor's read: a plain get or gets, or — for a
-// traced get — the backend's refinement that propagates the context
-// downstream (the proxy) or attributes its lock wait (the store).
-func (s *Server) getMulti(q *serverRequest, ct *connTrace) (map[string]*Item, error) {
-	if q.cmd == cmdGets {
-		return s.backend.GetsMulti(q.keys)
-	}
-	if ct != nil {
-		switch be := s.backend.(type) {
-		case tracedBackend:
-			return be.GetMultiTraced(obs.TraceContext{TraceID: ct.tc.TraceID, Parent: ct.spanID}, q.keys)
-		case timedBackend:
-			items, wait, err := be.GetMultiTimed(q.keys)
+// getMulti is the executor's read: it appends to hits the answer to
+// each of q.keys, nil for a miss. A backend that can answer by position
+// (the store) does, with no map in between; any other (the proxy) is
+// asked for its map — a plain get or gets, or for a traced get the
+// refinement that propagates the context downstream.
+func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Item, error) {
+	if be, ok := s.backend.(hitsBackend); ok {
+		hits, wait := be.appendHits(hits, q.keys, ct != nil)
+		if ct != nil {
 			ct.waitNS += wait
-			return items, err
 		}
+		return hits, nil
 	}
-	return s.backend.GetMulti(q.keys)
+	var items map[string]*Item
+	var err error
+	be, traced := s.backend.(tracedBackend)
+	switch {
+	case q.cmd == cmdGets:
+		items, err = s.backend.GetsMulti(q.keys)
+	case ct != nil && traced:
+		items, err = be.GetMultiTraced(obs.TraceContext{TraceID: ct.tc.TraceID, Parent: ct.spanID}, q.keys)
+	default:
+		items, err = s.backend.GetMulti(q.keys)
+	}
+	if err != nil {
+		return hits, err
+	}
+	for _, key := range q.keys {
+		hits = append(hits, items[key])
+	}
+	return hits, nil
 }
 
 // appendStats appends the stats reply both wires serve: the server's

@@ -251,11 +251,14 @@ func (s *Server) finishTrace(ct *connTrace, dispatchEnd, flushEnd time.Time) obs
 	return st
 }
 
-// timedBackend is an optional Backend refinement: a backend that can
-// attribute lock wait inside its multi-get. storeBackend implements it
-// via the store's timed lookup; backends that cannot (the proxy) report wait 0.
-type timedBackend interface {
-	GetMultiTimed(keys []string) (map[string]*Item, int64, error)
+// hitsBackend is an optional Backend refinement: a backend that can
+// answer a multi-get by position — appending to hits one entry per key,
+// nil for a miss — so the executor builds no map per transaction, and
+// that can attribute the lock wait inside it when timed is set.
+// storeBackend implements it; backends that cannot (the proxy) answer
+// through Backend's maps and report wait 0.
+type hitsBackend interface {
+	appendHits(hits []*Item, keys []string, timed bool) ([]*Item, int64)
 }
 
 // tracedBackend is an optional Backend refinement for backends that

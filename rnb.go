@@ -57,7 +57,9 @@ type AdaptiveConfig = hotspot.Config
 // WithTracing callers.
 type TraceConfig = obs.TraceConfig
 
-// Item is a stored object (re-exported from the protocol package).
+// Item is a stored object (re-exported from the protocol package). The
+// items one transaction returned share an array and a value arena:
+// retaining one retains the others (see memcache.Item).
 type Item = memcache.Item
 
 // ErrCacheMiss is returned by Get when a key is nowhere to be found.
@@ -263,6 +265,12 @@ type Client struct {
 	// single-connection transport is in use).
 	poolGauges *metrics.PoolGauges
 	failures   atomic.Uint64
+	// unhealthy counts the breakers that are not closed, kept by
+	// onBreaker, so the common request — every server healthy — skips
+	// the probe scan without touching a breaker mutex. A server that
+	// leaves the tier while quarantined keeps it above zero, which costs
+	// only the scan it would have saved.
+	unhealthy atomic.Int64
 	// adaptive is non-nil when WithAdaptiveReplication is on: the
 	// shared hot-key controller (tracker, heat table). Each tier
 	// snapshot binds it to that snapshot's own baseline placement
@@ -288,6 +296,10 @@ func (c *Client) onBreaker(from, to BreakerState) {
 		c.resilience.BreakerHalfOpen.Add(1)
 	case BreakerClosed:
 		c.resilience.BreakerClosed.Add(1)
+		c.unhealthy.Add(-1)
+	}
+	if from == BreakerClosed {
+		c.unhealthy.Add(1)
 	}
 }
 
@@ -437,7 +449,7 @@ func (c *Client) ServerStates() []ServerState {
 // successful probe closes the breaker and the server re-enters plans;
 // a failed one re-opens it and restarts the cooldown.
 func (c *Client) probeHalfOpen(t *tier) {
-	if c.shut.Load() {
+	if c.unhealthy.Load() == 0 || c.shut.Load() {
 		return
 	}
 	for _, sl := range t.slots {
@@ -1065,7 +1077,7 @@ func (c *Client) fanout(t *tier, txns []core.Transaction, keyOf map[uint64]strin
 // fan-out goroutine's stack is small: a TxnRTT held by value in this
 // frame, below which the whole transport runs, costs every goroutine a
 // stack growth (measured: +15 % on a four-transaction multi-get).
-func (c *Client) roundTrip(t *tier, txn *core.Transaction, keyOf map[uint64]string, sp *obs.Span, rtt *obs.TxnRTT, phase string, round int) (items map[string]*Item, err error) {
+func (c *Client) roundTrip(t *tier, txn *core.Transaction, keyOf map[uint64]string, sp *obs.Span, rtt *obs.TxnRTT, phase string, round int) (items []Item, err error) {
 	reqKeys := make([]string, 0, len(txn.Primary)+len(txn.Hitchhikers))
 	for _, id := range txn.Primary {
 		reqKeys = append(reqKeys, keyOf[id])
@@ -1081,7 +1093,7 @@ func (c *Client) roundTrip(t *tier, txn *core.Transaction, keyOf map[uint64]stri
 	}
 	start := time.Now()
 	err = t.slots[txn.Server].do(func(conn memcache.Conn) (err error) {
-		items, rtt.QueueNS, rtt.ServerTimings, err = conn.TracedGetMulti(tc, reqKeys)
+		items, rtt.QueueNS, rtt.ServerTimings, err = conn.TracedGetItems(tc, reqKeys)
 		return err
 	})
 	rtt.DurNS = int64(time.Since(start))
@@ -1118,10 +1130,12 @@ func jitteredBackoff(base time.Duration, round int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-func mergeItems(dst, src map[string]*Item) {
-	for k, it := range src {
-		if _, have := dst[k]; !have {
-			dst[k] = it
+// mergeItems adds one reply's items to dst, by reference into the
+// reply's own array, keeping what an earlier reply already delivered.
+func mergeItems(dst map[string]*Item, src []Item) {
+	for i := range src {
+		if _, have := dst[src[i].Key]; !have {
+			dst[src[i].Key] = &src[i]
 		}
 	}
 }
@@ -1303,12 +1317,13 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			stats.Failed++
 			continue // degrade: these items fall to the loader or come back absent
 		}
-		// Walk the transaction's keys, not the reply map, so write-backs
+		// The reply is in the transaction's key order, so write-backs
 		// (and the evictions they cause) happen in a seed-determined
-		// order.
-		for _, id := range txn.Primary {
-			it, ok := items[keyOf[id]]
-			if !ok {
+		// order. A key round 2 is not looking for is ignored.
+		for i := range items {
+			it := &items[i]
+			assigned, missing := missAssigned[keyID(it.Key)]
+			if !missing {
 				continue
 			}
 			out[it.Key] = it
@@ -1318,7 +1333,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			// stored there since. Best effort: "not stored" is that, or
 			// overbooking at work; a network error has fed the breaker;
 			// the item is served either way.
-			if s := missAssigned[id]; s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
+			if s := assigned; s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
 				_ = t.slots[s].do(func(conn memcache.Conn) error { return conn.Add(it) })
 			}
 		}
