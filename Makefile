@@ -76,7 +76,8 @@ stress-binary:
 # encode+decode, the end-to-end pooled multiget, the server's own share
 # of a get / multiget / set on both wires (TestAllocBudgetServe, driven
 # over an in-memory connection), core's Plan build, and the root
-# client's Get / GetMulti / Set. Run without -race — the race runtime's
+# client's Get / GetMulti / Set and its round-2 recovery request with
+# ten write-backs. Run without -race — the race runtime's
 # shadow allocations distort the counts, so the gates are build-tagged
 # !race.
 bench-alloc:

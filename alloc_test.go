@@ -80,6 +80,35 @@ func TestAllocBudgetClient(t *testing.T) {
 		}
 	})
 
+	// Round-2 recovery with write-backs, on a tier whose replicas stay
+	// virtual so that every run is the same request. At r=3 over three
+	// servers the plan is one transaction and round 2 visits the other
+	// two; how many of the 16 keys it recovers, and so writes back,
+	// depends on the ring, so a window with exactly ten is searched for.
+	// It measures 94 to 96 with how the ten split between round 2's two
+	// servers (SecondRound's per-server lists grow by doubling): the
+	// request's own round-2 state (built once, at the first miss, with one
+	// array behind the per-key replica lists), one reply slab per
+	// transaction, and per write-back the four the server spends parsing
+	// and refusing an add — queuing one costs the client nothing.
+	virtual, vpool := newVirtualReplicaTier(t, 3, 64)
+	for i := 0; i+16 <= len(vpool); i++ {
+		vks := vpool[i : i+16]
+		queued := virtual.writeBacks.Queued.Load()
+		_, stats, err := virtual.GetMulti(vks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Transactions == 3 && stats.Round2 == 2 && virtual.writeBacks.Queued.Load()-queued == 10 {
+			allocGate(t, "GetMulti 16 keys r=3, 1+2 transactions, 10 write-backs", 96, func() {
+				if items, _, err := virtual.GetMulti(vks); err != nil || len(items) != len(vks) {
+					t.Fatalf("%d items, err %v", len(items), err)
+				}
+			})
+			break
+		}
+	}
+
 	wide, _ := newTestClient(t, 6, WithReplicas(3), WithHitchhiking(false))
 	pool := keys(64)
 	for _, k := range pool {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rnb/internal/chaos"
 	"rnb/internal/memcache"
 )
 
@@ -483,5 +484,253 @@ func TestWriteBackKeepsNewerCopy(t *testing.T) {
 	}
 	if got := copyOn(replica, key); got != "v2" {
 		t.Fatalf("replica %d holds %q after the write-back, want the acknowledged v2", replica, got)
+	}
+}
+
+// strandedTier is the set-up the write-back regressions share: every
+// key holds "v1" on its distinguished server only, so each key a
+// multi-get plans on its other replica is recovered by round 2 and
+// handed back to that replica with a deferred add.
+type strandedTier struct {
+	t       *testing.T
+	cl      *Client
+	servers []*memcache.Server
+	clk     *writeBackClock
+	ks      []string
+}
+
+func newStrandedTier(t *testing.T, cl *Client, servers []*memcache.Server, ks []string, value []byte) *strandedTier {
+	t.Helper()
+	st := &strandedTier{t: t, cl: cl, servers: servers, clk: holdWriteBackClock(cl), ks: ks}
+	for _, k := range ks {
+		if err := cl.Set(&Item{Key: k, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.strand()
+	return st
+}
+
+// strand removes every non-distinguished copy, directly in the stores.
+func (st *strandedTier) strand() {
+	tr := st.cl.cur.Load()
+	for _, k := range st.ks {
+		for _, s := range tr.replicas(k)[1:] {
+			st.servers[s].Store().Delete(k)
+		}
+	}
+}
+
+// read runs the multi-get that leaves write-backs queued and returns how
+// many are still waiting for a command to carry them.
+func (st *strandedTier) read() int {
+	st.t.Helper()
+	items, stats, err := st.cl.GetMulti(st.ks)
+	if err != nil || len(items) != len(st.ks) || stats.Round2 == 0 {
+		st.t.Fatalf("%d/%d items, %+v, err %v: want a full read through round 2", len(items), len(st.ks), stats, err)
+	}
+	wb := &st.cl.writeBacks
+	return int(wb.Queued.Load() - wb.Carried.Load() - wb.DroppedAge.Load() - wb.DroppedConn.Load())
+}
+
+// flush sends every server one command that stores nothing, carrying
+// whatever is queued for it.
+func (st *strandedTier) flush() {
+	st.t.Helper()
+	for _, sl := range st.cl.cur.Load().slots {
+		if err := sl.call(func(conn memcache.Conn) error { _, err := conn.Version(); return err }); err != nil {
+			st.t.Fatal(err)
+		}
+	}
+}
+
+// stores counts the storage commands (adds included) the tier has
+// executed.
+func (st *strandedTier) stores() (n uint64) {
+	for _, srv := range st.servers {
+		n += srv.Stats().CmdSet.Load()
+	}
+	return n
+}
+
+// replicaCopy reads key's copy on its non-distinguished replica, in
+// the store ("" when absent).
+func (st *strandedTier) replicaCopy(key string) string {
+	it, err := st.servers[st.cl.cur.Load().replicas(key)[1]].Store().Get(key)
+	if err != nil {
+		return ""
+	}
+	return string(it.Value)
+}
+
+// queuedKey returns a key whose write-back read leaves queued. A dry
+// run finds it — read, note the empty replicas, flush, see which filled
+// — and the tier is stranded again; plans and reply order are
+// deterministic, so the next read queues the same keys.
+func (st *strandedTier) queuedKey() string {
+	st.t.Helper()
+	st.read()
+	var empty []string
+	for _, k := range st.ks {
+		if st.replicaCopy(k) == "" {
+			empty = append(empty, k)
+		}
+	}
+	st.flush()
+	for _, k := range empty {
+		if st.replicaCopy(k) != "" {
+			st.strand()
+			return k
+		}
+	}
+	st.t.Fatal("no write-back outlived the read that queued it")
+	return ""
+}
+
+// TestWriteBackProgramOrder: a write-back this client queued stays
+// ahead of any mutation the same client issues afterwards, because it
+// leaves on the same connection in front of it. After GetMulti has
+// served v1 and left add(key, v1) queued for the replica, Set(v2) leaves
+// v2 there, Delete and Update leave nothing — never the resurrected v1
+// a late add would plant behind a delete.
+func TestWriteBackProgramOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(cl *Client, key string) error
+		replica string // the replica's copy afterwards
+		reads   string // what the tier then serves for the key ("" for a miss)
+	}{
+		{"Set", func(cl *Client, k string) error { return cl.Set(&Item{Key: k, Value: []byte("v2")}) }, "v2", "v2"},
+		{"Delete", func(cl *Client, k string) error { return cl.Delete(k) }, "", ""},
+		{"Update", func(cl *Client, k string) error { return cl.Update(&Item{Key: k, Value: []byte("v2")}) }, "", "v2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, servers := newTestClient(t, 4, WithReplicas(2))
+			st := newStrandedTier(t, cl, servers, keys(30), []byte("v1"))
+			key := st.queuedKey()
+			if st.read() == 0 || st.replicaCopy(key) != "" {
+				t.Fatalf("the write-back of %s is not queued behind the read (replica holds %q)", key, st.replicaCopy(key))
+			}
+			carried := cl.writeBacks.Carried.Load()
+			if err := tc.mutate(cl, key); err != nil {
+				t.Fatal(err)
+			}
+			if cl.writeBacks.Carried.Load() == carried {
+				t.Fatal("the mutation carried no queued add to the replica's server")
+			}
+			if got := st.replicaCopy(key); got != tc.replica {
+				t.Fatalf("replica holds %q after %s, want %q", got, tc.name, tc.replica)
+			}
+			st.flush() // nothing still queued may undo it either
+			if got := st.replicaCopy(key); got != tc.replica {
+				t.Fatalf("replica holds %q once every queue has drained, want %q", got, tc.replica)
+			}
+			items, _, err := cl.GetMulti(st.ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := items[key]; (got == nil) != (tc.reads == "") || (got != nil && string(got.Value) != tc.reads) {
+				t.Fatalf("the tier serves %+v for %s after %s, want %q", got, key, tc.name, tc.reads)
+			}
+		})
+	}
+}
+
+// TestWriteBackNeverSentLate: the two bounds on a queued write-back. One
+// that no command followed within the age bound is dropped, not sent
+// when a command finally comes; ones that would pass the byte cap are
+// never queued. Either way the servers execute no add for them, and the
+// counters say why the replica stayed virtual.
+func TestWriteBackNeverSentLate(t *testing.T) {
+	t.Run("age", func(t *testing.T) {
+		cl, servers := newTestClient(t, 4, WithReplicas(2))
+		st := newStrandedTier(t, cl, servers, keys(30), []byte("v1"))
+		queued := st.read()
+		if queued == 0 {
+			t.Fatal("the read left no write-back queued")
+		}
+		before := st.stores()
+		st.clk.advance(10 * time.Millisecond)
+		st.flush()
+		if got := st.stores(); got != before {
+			t.Fatalf("%d storage commands reached the tier after the age bound had passed", got-before)
+		}
+		if got := cl.writeBacks.DroppedAge.Load(); int(got) != queued {
+			t.Fatalf("dropped_age %d, want the %d that were queued", got, queued)
+		}
+		// The replicas stayed virtual, so the next read recovers them again.
+		if st.read() == 0 {
+			t.Fatal("the second read queued nothing: the dropped write-backs had landed")
+		}
+	})
+	t.Run("bytes", func(t *testing.T) {
+		// Two servers, r = 2: the plan is one transaction, every key whose
+		// distinguished copy is on the other server is recovered in one
+		// round-2 reply, and all their write-backs queue for one server —
+		// 4 KB each, past the cap well before the last.
+		cl, servers := newTestClient(t, 2, WithReplicas(2))
+		st := newStrandedTier(t, cl, servers, keys(40), make([]byte, 4<<10))
+		before := st.stores()
+		queued := st.read()
+		wb := &cl.writeBacks
+		if wb.DroppedFull.Load() == 0 || queued == 0 {
+			t.Fatalf("queued %d, dropped_full %d: want both", queued, wb.DroppedFull.Load())
+		}
+		st.flush()
+		if got, want := st.stores()-before, wb.Queued.Load(); got != want {
+			t.Fatalf("the tier executed %d adds, want the %d that fitted the cap", got, want)
+		}
+		if wb.Carried.Load() != wb.Queued.Load() {
+			t.Fatalf("carried %d of %d queued", wb.Carried.Load(), wb.Queued.Load())
+		}
+	})
+}
+
+// TestWriteBackDroppedWithItsConnection: queued write-backs die with
+// the connection they were queued on. Closed under them, or reset by the
+// server, the connection that replaces it carries none of them — the
+// idempotent read that found it broken is replayed alone.
+func TestWriteBackDroppedWithItsConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sever func(st *strandedTier, in map[int]*chaos.Injector)
+	}{
+		{"closed", func(st *strandedTier, _ map[int]*chaos.Injector) {
+			for _, sl := range st.cl.cur.Load().slots {
+				sl.conn.Close() // a single connection redials on its next command
+			}
+		}},
+		{"reset", func(_ *strandedTier, in map[int]*chaos.Injector) {
+			for _, inj := range in {
+				inj.Kill()
+				inj.Revive()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			profiles := map[int]chaos.Profile{0: {}, 1: {}, 2: {}, 3: {}}
+			cl, servers, injectors := newChaosClient(t, 4, profiles, WithReplicas(2))
+			st := newStrandedTier(t, cl, servers, keys(30), []byte("v1"))
+			queued := st.read()
+			if queued == 0 {
+				t.Fatal("the read left no write-back queued")
+			}
+			before := st.stores()
+			tc.sever(st, injectors)
+			// Reads, so that a connection found broken is replayed.
+			for i, sl := range cl.cur.Load().slots {
+				if err := sl.call(func(conn memcache.Conn) error { _, err := conn.GetMulti(st.ks[:1]); return err }); err != nil {
+					t.Fatalf("server %d after the connections were severed: %v", i, err)
+				}
+			}
+			st.flush()
+			if got := st.stores(); got != before {
+				t.Fatalf("%d adds reached the tier over the replacement connections", got-before)
+			}
+			wb := &cl.writeBacks
+			if lost := wb.DroppedConn.Load() + wb.Carried.Load() - (wb.Queued.Load() - uint64(queued)); int(lost) != queued {
+				t.Fatalf("queued %d, but dropped_conn %d and carried %d of %d in all", queued, wb.DroppedConn.Load(), wb.Carried.Load(), wb.Queued.Load())
+			}
+		})
 	}
 }

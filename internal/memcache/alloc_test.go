@@ -76,6 +76,11 @@ func TestAllocBudgetEncode(t *testing.T) {
 		}
 		w.Reset(io.Discard)
 	})
+	// A deferred add is encoded into the connection's pending buffer,
+	// which keeps its capacity: queuing a write-back allocates nothing.
+	pending := make([]byte, 0, 512)
+	allocGate(t, "text quiet add encode", 0, func() { pending = textCodec{}.appendQuietAdd(pending[:0], it) })
+	allocGate(t, "binary quiet add encode", 0, func() { pending = binCodec{}.appendQuietAdd(pending[:0], it) })
 }
 
 // TestAllocBudgetDecode: decoding a multi-get reply costs two

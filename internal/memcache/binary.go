@@ -43,6 +43,7 @@ const (
 	binOpAppend    = 0x0e
 	binOpPrepend   = 0x0f
 	binOpStat      = 0x10
+	binOpAddQ      = 0x12
 	binOpTouch     = 0x1c
 	binOpQuit      = 0x17
 	// binOpSetP is this repository's pinning extension ("setp" in the
@@ -105,28 +106,32 @@ func (h *binHeader) encode(buf []byte) {
 	binary.BigEndian.PutUint64(buf[16:24], h.cas)
 }
 
-// write emits one frame, request or response: h names it, and its three
-// length fields are filled in here. Allocation- and copy-free: header,
-// extras and key (24 + ≤20 + ≤250 bytes) are appended straight into the
-// writer's own free space and handed back to it; only the value, which
-// already lives on the caller's heap, is streamed separately. The early
-// flush keeps that free space large enough, so append never has to grow
-// the slice onto the heap.
-func (h binHeader) write(w *bufio.Writer, extras []byte, key string, value []byte) error {
+// appendHead appends the frame's header, extras and key to b, filling
+// in h's three length fields; valueLen bytes of value follow it.
+func (h binHeader) appendHead(b []byte, extras []byte, key string, valueLen int) []byte {
 	h.keyLen = uint16(len(key))
 	h.extraLen = uint8(len(extras))
-	h.bodyLen = uint32(len(extras) + len(key) + len(value))
+	h.bodyLen = uint32(len(extras) + len(key) + valueLen)
+	var hdr [binHeaderLen]byte
+	h.encode(hdr[:])
+	b = append(b, hdr[:]...)
+	b = append(b, extras...)
+	return append(b, key...)
+}
+
+// write emits one frame, request or response: h names it. Allocation-
+// and copy-free: header, extras and key (24 + ≤20 + ≤250 bytes) are
+// appended straight into the writer's own free space and handed back to
+// it; only the value, which already lives on the caller's heap, is
+// streamed separately. The early flush keeps that free space large
+// enough, so append never has to grow the slice onto the heap.
+func (h binHeader) write(w *bufio.Writer, extras []byte, key string, value []byte) error {
 	if w.Available() < binHeaderLen+len(extras)+len(key) {
 		if err := w.Flush(); err != nil {
 			return err
 		}
 	}
-	var hdr [binHeaderLen]byte
-	h.encode(hdr[:])
-	b := append(w.AvailableBuffer(), hdr[:]...)
-	b = append(b, extras...)
-	b = append(b, key...)
-	if _, err := w.Write(b); err != nil {
+	if _, err := w.Write(h.appendHead(w.AvailableBuffer(), extras, key, len(value))); err != nil {
 		return err
 	}
 	_, err := w.Write(value)
@@ -192,11 +197,12 @@ func (c *binServer) runKeys() []string {
 
 // binCommands maps a request opcode to its command — binOpcodes read
 // backwards, plus the opcodes no Conn command sends on its own. The four
-// get opcodes are one command; a Set frame carrying a token becomes a
-// cas in read.
+// get opcodes are one command, and so are Add and its quiet form AddQ
+// (write tells them apart); a Set frame carrying a token becomes a cas
+// in read.
 var binCommands = map[byte]command{
 	binOpGet: cmdGet, binOpGetK: cmdGet, binOpGetQ: cmdGet, binOpGetKQ: cmdGet,
-	binOpSet: cmdSet, binOpSetP: cmdSetPinned, binOpAdd: cmdAdd, binOpReplace: cmdReplace,
+	binOpSet: cmdSet, binOpSetP: cmdSetPinned, binOpAdd: cmdAdd, binOpAddQ: cmdAdd, binOpReplace: cmdReplace,
 	binOpAppend: cmdAppend, binOpPrepend: cmdPrepend,
 	binOpIncrement: cmdIncr, binOpDecrement: cmdDecr, binOpDelete: cmdDelete, binOpTouch: cmdTouch,
 	binOpFlush: cmdFlushAll, binOpVersion: cmdVersion, binOpStat: cmdStats,
@@ -374,6 +380,8 @@ func (c *binServer) write(w *bufio.Writer, q *serverRequest, p *serverReply) err
 			return nil
 		}
 		status = binStatusOK // the run's Noop is answered whatever the run did
+	case q.cmd == cmdAdd && c.opcode == binOpAddQ && p.err == nil:
+		return nil // a quiet add answers only its failure
 	case p.err != nil: // a bare status frame
 	case q.cmd == cmdIncr || q.cmd == cmdDecr:
 		var body [8]byte

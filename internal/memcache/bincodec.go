@@ -78,7 +78,21 @@ func (binCodec) encode(w *bufio.Writer, q *request) error {
 	}
 }
 
+// appendQuietAdd encodes an AddQ frame: an add whose success the server
+// does not answer. Its failure it does — see skipBinQuietErrors.
+func (binCodec) appendQuietAdd(b []byte, it *Item) []byte {
+	extras := binStoreExtras(it)
+	h := binHeader{magic: binMagicReq, opcode: binOpAddQ}
+	b = h.appendHead(b, extras[:], it.Key, len(it.Value))
+	return append(b, it.Value...)
+}
+
 func (binCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
+	if q.carried > 0 {
+		if err := skipBinQuietErrors(r, q.carried); err != nil {
+			return err
+		}
+	}
 	opcode := binOpcodes[q.cmd]
 	switch q.cmd {
 	case cmdGet, cmdGets:
@@ -160,6 +174,38 @@ func readBinReply(r *bufio.Reader, opcode byte, h *binHeader) error {
 			return err
 		}
 		return binStatusError(h.status)
+	}
+	return nil
+}
+
+// skipBinQuietErrors consumes the error frames that the n quiet adds
+// written in front of a request may have produced. The server works a
+// connection in order, so they come before the request's own reply, at
+// most one per add, each a complete AddQ frame with a negative status
+// (a refused add is the common one: the key was there). They report
+// nothing the caller waits for. The first frame that is not one is left
+// unread for the request's own decode, and a frame past the nth is
+// that decode's to judge — to a request that carried nothing, an AddQ
+// frame stays the desync it always was.
+func skipBinQuietErrors(r *bufio.Reader, n int) error {
+	var h binHeader
+	for ; n > 0; n-- {
+		hdr, err := r.Peek(binHeaderLen)
+		if err != nil {
+			return err
+		}
+		if hdr[1] != binOpAddQ {
+			return nil
+		}
+		if err := readBinHeader(r, &h); err != nil {
+			return err
+		}
+		if h.status == binStatusOK {
+			return errBinDesync("quiet add answered its success")
+		}
+		if err := discardBinBody(r, &h); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -283,10 +329,15 @@ func readBinStatusReply(r *bufio.Reader, opcode byte) error {
 // writeBinStoreCmd emits one set/add/replace/setp frame (8-byte
 // flags+exptime extras, per the memcached binary layout).
 func writeBinStoreCmd(w *bufio.Writer, opcode byte, it *Item, cas uint64) error {
-	var extras [8]byte
+	extras := binStoreExtras(it)
+	return writeBinFrame(w, opcode, 0, cas, extras[:], it.Key, it.Value)
+}
+
+// binStoreExtras is a storage frame's extras: flags, then exptime.
+func binStoreExtras(it *Item) (extras [8]byte) {
 	binary.BigEndian.PutUint32(extras[0:4], it.Flags)
 	binary.BigEndian.PutUint32(extras[4:8], uint32(it.Expiration))
-	return writeBinFrame(w, opcode, 0, cas, extras[:], it.Key, it.Value)
+	return extras
 }
 
 // binNoAutoCreate in the incr/decr expiration field means "do not

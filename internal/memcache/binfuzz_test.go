@@ -28,6 +28,13 @@ func binResFrame(opcode byte, status uint16, opaque uint32, cas uint64, extras [
 	return b
 }
 
+// binReqFrame assembles one binary request frame for fuzz seeds.
+func binReqFrame(opcode byte, opaque uint32, extras []byte, key, value string) []byte {
+	b := binResFrame(opcode, 0, opaque, 0, extras, key, value)
+	b[0] = binMagicReq
+	return b
+}
+
 // FuzzBinaryDemux is FuzzPoolDemux's twin for the quiet-get transport:
 // a fake server answers every connection with an arbitrary byte stream
 // while three concurrent binary multi-gets are in flight. Whatever the
@@ -41,6 +48,9 @@ func FuzzBinaryDemux(f *testing.F) {
 	}
 	noop := func(opaque uint32) []byte {
 		return binResFrame(binOpNoop, binStatusOK, opaque, 0, nil, "", "")
+	}
+	refused := func() []byte {
+		return binResFrame(binOpAddQ, binStatusNotStored, 0, 0, nil, "", "Not stored")
 	}
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	seeds := [][]byte{
@@ -65,6 +75,20 @@ func FuzzBinaryDemux(f *testing.F) {
 		{},
 		{0xff, 0xfe, 0x00, 0x0d, 0x0a},
 		[]byte("VALUE a 0 1\r\nx\r\nEND\r\n"), // text reply on a binary conn
+		// Error frames of carried quiet adds, interleaved with the reply:
+		// one or two ahead of it (what the single connection below may
+		// skip), one too many, one in the middle of the run, one claiming
+		// success, one with a hostile body length.
+		cat(refused(), hit(0, "a", "x"), noop(3)),
+		cat(refused(), refused(), hit(0, "a", "x"), hit(2, "c", "z"), noop(3)),
+		cat(refused(), refused(), refused(), noop(3)),
+		cat(hit(0, "a", "x"), refused(), noop(3)),
+		cat(binResFrame(binOpAddQ, binStatusOK, 0, 0, nil, "", ""), noop(3)),
+		func() []byte {
+			b := cat(refused(), noop(3))
+			binary.BigEndian.PutUint32(b[8:], 0xffffffff)
+			return b
+		}(),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -116,6 +140,17 @@ func FuzzBinaryDemux(f *testing.F) {
 		if err := p.Close(); err != nil {
 			t.Fatalf("pool close after binary demux fuzz: %v", err)
 		}
+		// The same bytes against a single connection that carried two
+		// quiet adds in front of its multi-get, so its decode is entitled
+		// to skip up to two AddQ error frames: whatever follows them, it
+		// returns (an error is fine) within its deadline.
+		if cl, err := DialBinary(ln.Addr().String(), 150*time.Millisecond); err == nil {
+			freezeClock(cl)
+			cl.AddLater(&Item{Key: "wb1", Value: []byte("v")})
+			cl.AddLater(&Item{Key: "wb2", Value: []byte("v")})
+			cl.GetMulti([]string{"a", "b", "c"})
+			cl.Close()
+		}
 	})
 }
 
@@ -124,12 +159,18 @@ func FuzzBinaryDemux(f *testing.F) {
 // connection, each against its own server. Whatever the script, every op
 // must land in the same result bucket on every lane and the final store
 // states must be identical — the fuzz-shaped version of
-// TestTransportDifferential.
+// TestTransportDifferential. Op 10 is AddLater alone: the single
+// connection queues it for whichever op the script runs next to carry
+// (an AddQ in front of a set, a delete, an incr of the same key...),
+// the pools acknowledge it on the spot, and all three must agree from
+// then on.
 func FuzzCrossProtocol(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 9, 1, 0, 5, 0, 0, 6, 1, 99})
 	f.Add([]byte{2, 3, 0, 3, 3, 0, 4, 3, 0, 9, 0, 0})
 	f.Add([]byte{6, 0, 7, 5, 0, 200, 6, 0, 255, 7, 1, 0, 8, 2, 0})
 	f.Add([]byte{1, 4, 4, 2, 4, 4, 0, 4, 0, 5, 4, 5, 9, 4, 0})
+	f.Add([]byte{10, 1, 65, 9, 1, 0, 0, 2, 3, 10, 2, 66, 10, 3, 67, 7, 2, 0, 9, 1, 0})    // accepted, refused, in front of a delete of its key
+	f.Add([]byte{0, 5, 49, 10, 5, 50, 5, 5, 1, 10, 6, 51, 3, 6, 9, 10, 7, 52, 10, 7, 53}) // in front of incr and append; two still queued at the end
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 300 {
 			t.Skip()
@@ -144,7 +185,9 @@ func FuzzCrossProtocol(f *testing.F) {
 			case 1:
 				conn = newBinPool(t, addr, PoolConfig{Size: 1})
 			case 2:
-				conn = newSingleConn(t, addr, true)
+				single := newSingleConn(t, addr, true)
+				freezeClock(single)
+				conn = single
 			}
 			lanes[i] = transportLane{name: name, conn: conn, store: store}
 		}
@@ -154,7 +197,14 @@ func FuzzCrossProtocol(f *testing.F) {
 		key := func(b byte) string { return fmt.Sprintf("fz:%d", b%population) }
 		apply := func(c Conn, op [3]byte) (string, string) {
 			k := key(op[1])
-			switch op[0] % 10 {
+			switch op[0] % 11 {
+			case 10:
+				// Refused-or-stored is the pools' to report and the single
+				// connection's to find out later; the ops after must agree.
+				if err := c.AddLater(&Item{Key: k, Value: []byte{'L', op[2]}}); IsConnFatal(err) {
+					return errBucket(err), ""
+				}
+				return "later", ""
 			case 0:
 				v := bytes.Repeat([]byte{op[2]}, int(op[2])%64)
 				return errBucket(c.Set(&Item{Key: k, Value: v, Flags: uint32(op[2])})), ""
@@ -216,13 +266,14 @@ func FuzzCrossProtocol(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, lane := range lanes[1:] {
-			if ref.store.Len() != lane.store.Len() || ref.store.Bytes() != lane.store.Bytes() {
-				t.Fatalf("store state diverged: %s %d items/%d bytes, %s %d items/%d bytes", ref.name,
-					ref.store.Len(), ref.store.Bytes(), lane.name, lane.store.Len(), lane.store.Bytes())
-			}
+			// The sweep first: it carries whatever the lane still has queued.
 			got, err := lane.conn.GetMulti(allKeys)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ref.store.Len() != lane.store.Len() || ref.store.Bytes() != lane.store.Bytes() {
+				t.Fatalf("store state diverged: %s %d items/%d bytes, %s %d items/%d bytes", ref.name,
+					ref.store.Len(), ref.store.Bytes(), lane.name, lane.store.Len(), lane.store.Bytes())
 			}
 			if len(got) != len(want) {
 				t.Fatalf("final sweep: %s %d keys, %s %d", ref.name, len(want), lane.name, len(got))

@@ -308,9 +308,39 @@ func newSingleConn(t *testing.T, addr string, binary bool) *Client {
 	return cl
 }
 
+// addLaterThenRead is the differential matrix's write-back op: AddLater
+// of (k, v), then a multi-get of k on the same handle — the command a
+// single connection's queued add rides in front of — returning what
+// that get read. Whether the add was accepted or refused (k taken), and
+// whether it went unanswered (single: "add ... noreply" / AddQ) or
+// acknowledged (pooled), every lane must read the same value back and
+// stay in sync for the ops that follow. A pooled lane must already hold
+// the add's outcome when AddLater returns.
+func addLaterThenRead(t *testing.T, lane transportLane, k string, v []byte) (string, string) {
+	t.Helper()
+	before, getErr := lane.store.Get(k)
+	err := lane.conn.AddLater(&Item{Key: k, Value: v})
+	if _, pooled := lane.conn.(*Pool); pooled {
+		want, taken := v, getErr == nil
+		if taken {
+			want = before.Value
+		}
+		if after, _ := lane.store.Get(k); errors.Is(err, ErrNotStored) != taken || after == nil || !bytes.Equal(after.Value, want) {
+			t.Fatalf("%s: AddLater of %s returned %v (key taken: %v) with %+v stored: not acknowledged", lane.name, k, err, taken, after)
+		}
+	} else if err != nil {
+		t.Fatalf("%s: AddLater: %v", lane.name, err)
+	}
+	items, err := lane.conn.GetMulti([]string{k})
+	if err != nil {
+		return errBucket(err), ""
+	}
+	return "ok", string(items[k].Value)
+}
+
 // TestTransportDifferential is the matrix oracle: one seeded op
-// sequence covering the full grammar (set/add/replace/cas/append/
-// prepend/incr/decr/delete/touch/get/gets multiget) replayed over every
+// sequence covering the full grammar (set/add/addlater/replace/cas/
+// append/prepend/incr/decr/delete/touch/get/gets multiget) replayed over every
 // exchanger × codec combination — text and binary, single-connection
 // and pooled — each against its own server. Every op must land in the
 // same result bucket with the same payload on all four, and the final
@@ -332,6 +362,9 @@ func TestTransportDifferential(t *testing.T) {
 		case 3:
 			conn = newSingleConn(t, addr, true)
 		}
+		if single, ok := conn.(*Client); ok {
+			freezeClock(single) // a queued add never ages out under a slow -race run
+		}
 		lanes[i] = transportLane{name: name, conn: conn, store: store}
 	}
 
@@ -352,6 +385,14 @@ func TestTransportDifferential(t *testing.T) {
 	// counter values, fetched items — so divergence in content, not just
 	// category, fails the matrix.
 	type opFunc func(c Conn) (string, string)
+	laneOf := func(c Conn) transportLane {
+		for _, lane := range lanes {
+			if lane.conn == c {
+				return lane
+			}
+		}
+		panic("op run on a connection that is no lane's")
+	}
 	ops := []func() opFunc{
 		func() opFunc { // set
 			k, v, fl := key(rng.Intn(population)), value(sizes[rng.Intn(len(sizes))]), uint32(rng.Intn(1<<16))
@@ -362,6 +403,10 @@ func TestTransportDifferential(t *testing.T) {
 		func() opFunc { // add
 			k, v := key(rng.Intn(population)), value(8)
 			return func(c Conn) (string, string) { return errBucket(c.Add(&Item{Key: k, Value: v})), "" }
+		},
+		func() opFunc { // deferred add, then the command that carries it
+			k, v := key(rng.Intn(population)), value(13)
+			return func(c Conn) (string, string) { return addLaterThenRead(t, laneOf(c), k, v) }
 		},
 		func() opFunc { // replace
 			k, v := key(rng.Intn(population)), value(11)

@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"rnb/internal/metrics"
 )
 
 // Client is the single-connection exchanger: every Conn command (see
@@ -42,6 +44,22 @@ type Client struct {
 	// failures and timeouts included, since they are the latency tail.
 	rttObs func(time.Duration)
 
+	// The adds AddLater queued, already encoded and oldest first, wait in
+	// later for the next command on this connection; laterAt marks where
+	// each ends and when it was queued. laterMu alone guards them (and is
+	// taken after mu, never before), so queuing never waits for a round
+	// trip in flight. carry is the spare buffer attempt swaps in to write
+	// the queued bytes outside laterMu.
+	laterMu sync.Mutex
+	later   []byte
+	laterAt []laterAdd
+	carry   []byte
+	// now is the age bound's clock and wb counts what became of each
+	// queued add (never nil). They are read under either mutex and set,
+	// by SetClock and SetWriteBackCounters, under both.
+	now func() time.Time
+	wb  *metrics.WriteBacks
+
 	// Transactions counts protocol round-trips issued — the quantity
 	// RnB minimizes.
 	transactions uint64
@@ -62,7 +80,7 @@ func DialBinary(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func dial(addr string, timeout time.Duration, wire codec) (*Client, error) {
-	c := &Client{addr: addr, timeout: timeout}
+	c := &Client{addr: addr, timeout: timeout, now: time.Now, wb: new(metrics.WriteBacks)}
 	c.commands.via, c.commands.codec = c, wire
 	if err := c.connect(); err != nil {
 		return nil, err
@@ -114,10 +132,12 @@ func (c *Client) connect() error {
 	}
 }
 
-// Close tears down the connection.
+// Close tears down the connection; adds still queued by AddLater are
+// dropped.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dropLater()
 	if c.conn == nil {
 		return nil
 	}
@@ -129,7 +149,10 @@ func (c *Client) Close() error {
 // Addr returns the server address.
 func (c *Client) Addr() string { return c.addr }
 
-// Transactions returns the number of round-trips issued so far.
+// Transactions returns the number of round-trips issued so far. An add
+// carried in front of one (AddLater) rides that round trip and is not
+// counted as another; the server still counts it as the transaction it
+// executes.
 func (c *Client) Transactions() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,9 +226,20 @@ func (c *Client) attempt() error {
 	c.armDeadline()
 	c.transactions++
 	start := time.Now()
-	err := c.codec.encode(c.w, &c.req)
+	carried, err := c.writeLater()
+	c.req.carried = carried
+	if err == nil {
+		err = c.codec.encode(c.w, &c.req)
+	}
 	if err == nil {
 		err = c.w.Flush()
+	}
+	if carried > 0 {
+		if err == nil {
+			c.wb.Carried.Add(uint64(carried))
+		} else {
+			c.wb.DroppedConn.Add(uint64(carried))
+		}
 	}
 	if err == nil {
 		err = c.codec.decode(c.r, &c.req, &c.rep)
@@ -214,13 +248,139 @@ func (c *Client) attempt() error {
 		c.rttObs(time.Since(start))
 	}
 	if IsConnFatal(err) {
-		// Connection state is unknown after an I/O error; drop it.
+		// Connection state is unknown after an I/O error; drop it, and
+		// with it whatever was queued while this attempt ran.
 		c.conn.Close()
 		c.conn = nil
+		c.dropLater()
 		return err
 	}
 	// Success, or a protocol-level outcome (miss, CAS conflict, declined
 	// store, status-line error): the reply was consumed in full and the
 	// connection stays in sync.
 	return err
+}
+
+// Bounds on the adds AddLater queues; both are fixed on purpose.
+const (
+	// writeBackMaxAge is how long a queued add may wait for a command to
+	// carry it: of the order of a data-centre round trip, the window a
+	// blocking add has anyway between the read that produced its value
+	// and its arrival at the server.
+	writeBackMaxAge = 2 * time.Millisecond
+	// writeBackMaxBytes caps the queued bytes: half the write buffer, so
+	// they and the command carrying them still leave in one write.
+	writeBackMaxBytes = 32 << 10
+	// quietAddOverhead bounds an encoded quiet add's bytes beyond its key
+	// and value (text: verb, three numbers, noreply, two CRLFs; binary:
+	// header and extras).
+	quietAddOverhead = 64
+)
+
+// laterAdd is one queued add: where its bytes end in Client.later and
+// when it was queued.
+type laterAdd struct {
+	end int
+	at  time.Time
+}
+
+// AddLater queues an add of it that needs no answer and returns at
+// once: no syscall, no server wake-up, no wait for a round trip in
+// flight. The command is checked as Add checks it and encoded
+// immediately (the value is copied, so it may alias a reply's arena),
+// and its bytes leave in front of the next command this connection
+// sends, in the same write: "add ... noreply" on the text wire, AddQ on
+// the binary one. Connection order therefore keeps it ahead of any Set,
+// Delete or other mutation issued on this Client after AddLater
+// returned, and being an add it fills an empty slot or does nothing.
+//
+// It is best effort. The add is dropped, never retried, when the queued
+// bytes would pass writeBackMaxBytes (ErrNotStored), when no command
+// follows within writeBackMaxAge, or when the connection breaks or is
+// closed first; the write-back counters say which.
+func (c *Client) AddLater(it *Item) error {
+	if !validKey(it.Key) {
+		return ErrBadKey
+	}
+	if len(it.Value) > MaxValueLen {
+		return ErrTooLarge
+	}
+	c.laterMu.Lock()
+	defer c.laterMu.Unlock()
+	now := c.now()
+	c.expireLater(now)
+	if len(c.later)+len(it.Key)+len(it.Value)+quietAddOverhead > writeBackMaxBytes {
+		c.wb.DroppedFull.Add(1)
+		return ErrNotStored
+	}
+	c.later = c.codec.appendQuietAdd(c.later, it)
+	c.laterAt = append(c.laterAt, laterAdd{end: len(c.later), at: now})
+	c.wb.Queued.Add(1)
+	return nil
+}
+
+// expireLater drops the queued adds older than writeBackMaxAge. Called
+// with laterMu held.
+func (c *Client) expireLater(now time.Time) {
+	n := 0
+	for n < len(c.laterAt) && now.Sub(c.laterAt[n].at) > writeBackMaxAge {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	cut := c.laterAt[n-1].end
+	c.later = append(c.later[:0], c.later[cut:]...)
+	kept := copy(c.laterAt, c.laterAt[n:])
+	c.laterAt = c.laterAt[:kept]
+	for i := range c.laterAt {
+		c.laterAt[i].end -= cut
+	}
+	c.wb.DroppedAge.Add(uint64(n))
+}
+
+// writeLater moves the queued adds still young enough into the write
+// buffer, ahead of the command attempt is about to encode, and reports
+// how many. Called with mu held.
+func (c *Client) writeLater() (int, error) {
+	c.laterMu.Lock()
+	if len(c.laterAt) == 0 {
+		c.laterMu.Unlock()
+		return 0, nil
+	}
+	c.expireLater(c.now())
+	n := len(c.laterAt)
+	c.later, c.carry = c.carry[:0], c.later
+	c.laterAt = c.laterAt[:0]
+	c.laterMu.Unlock()
+	_, err := c.w.Write(c.carry)
+	return n, err
+}
+
+// dropLater discards every queued add: its connection is gone.
+func (c *Client) dropLater() {
+	c.laterMu.Lock()
+	defer c.laterMu.Unlock()
+	c.wb.DroppedConn.Add(uint64(len(c.laterAt)))
+	c.later, c.laterAt = c.later[:0], c.laterAt[:0]
+}
+
+// SetClock replaces the clock the age bound reads (tests).
+func (c *Client) SetClock(now func() time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.laterMu.Lock()
+	defer c.laterMu.Unlock()
+	c.now = now
+}
+
+// SetWriteBackCounters makes the client count its deferred adds into
+// wb, which several clients (one per server) may share for a tier-wide
+// view, instead of counters of its own.
+func (c *Client) SetWriteBackCounters(wb *metrics.WriteBacks) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.laterMu.Lock()
+	defer c.laterMu.Unlock()
+	c.wb = wb
 }

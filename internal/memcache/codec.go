@@ -255,9 +255,9 @@ func (s *replySlab) readValue(r *bufio.Reader, line []byte, withCAS bool) error 
 
 // --- storage commands -------------------------------------------------
 
-func writeStoreCmd(w *bufio.Writer, verb string, it *Item) error {
-	scratch := lineScratch.Get().(*[320]byte)
-	b := scratch[:0]
+// appendStoreLine appends a storage command's line, "<verb> <key>
+// <flags> <exptime> <bytes> [cas] [noreply]"; the data block follows it.
+func appendStoreLine(b []byte, verb string, it *Item, noreply bool) []byte {
 	b = append(b, verb...)
 	b = append(b, ' ')
 	b = append(b, it.Key...)
@@ -268,8 +268,15 @@ func writeStoreCmd(w *bufio.Writer, verb string, it *Item) error {
 	if verb == "cas" {
 		b = appendUintField(b, it.CAS)
 	}
-	b = append(b, '\r', '\n')
-	_, err := w.Write(b)
+	if noreply {
+		b = append(b, " noreply"...)
+	}
+	return append(b, '\r', '\n')
+}
+
+func writeStoreCmd(w *bufio.Writer, verb string, it *Item) error {
+	scratch := lineScratch.Get().(*[320]byte)
+	_, err := w.Write(appendStoreLine(scratch[:0], verb, it, false))
 	lineScratch.Put(scratch)
 	if err != nil {
 		return err
@@ -279,6 +286,17 @@ func writeStoreCmd(w *bufio.Writer, verb string, it *Item) error {
 	}
 	_, err = w.WriteString("\r\n")
 	return err
+}
+
+// appendQuietAdd encodes "add ... noreply": the server stores or refuses
+// it and answers neither, so the bytes can ride in front of any command
+// without a reply of their own to read. The one line a server sends
+// despite noreply answers a malformed command, which AddLater's checks
+// (the ones Add makes) rule out.
+func (textCodec) appendQuietAdd(b []byte, it *Item) []byte {
+	b = appendStoreLine(b, commandNames[cmdAdd], it, true)
+	b = append(b, it.Value...)
+	return append(b, '\r', '\n')
 }
 
 // readStatusReply consumes the one-line reply of a command that returns

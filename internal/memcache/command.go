@@ -91,6 +91,11 @@ type request struct {
 	tc     obs.TraceContext
 	traced bool
 
+	// carried is how many quiet adds the exchanger wrote in front of this
+	// request (Client.AddLater). The binary decode may meet that many of
+	// their error frames before the reply it is waiting for.
+	carried int
+
 	stats map[string]string // stats: entries are merged in
 }
 
@@ -126,6 +131,9 @@ type codec interface {
 	check(q request) error
 	encode(w *bufio.Writer, q *request) error
 	decode(r *bufio.Reader, q *request, p *reply) error
+	// appendQuietAdd appends to b an add of it that the server does not
+	// answer when it stores or merely refuses it (see Client.AddLater).
+	appendQuietAdd(b []byte, it *Item) []byte
 }
 
 // exchanger moves one request to the server and its reply back.

@@ -17,7 +17,8 @@ type Conn interface {
 	Addr() string
 	// Close tears down every underlying connection. Safe to call twice.
 	Close() error
-	// Transactions returns the number of protocol round trips issued.
+	// Transactions returns the number of protocol round trips issued. An
+	// add that AddLater queued and a later command carried is not one.
 	Transactions() uint64
 
 	Get(key string) (*Item, error)
@@ -26,6 +27,16 @@ type Conn interface {
 	Set(it *Item) error
 	SetPinned(it *Item) error
 	Add(it *Item) error
+	// AddLater is Add for a caller that does not need the answer — round
+	// 2's write-back of a value it has already served. It validates it as
+	// Add does and returns without a round trip where the exchanger can
+	// keep the add ordered ahead of every later command this handle sends
+	// the server: Client queues it and writes it, unanswered, in front of
+	// its next command; Pool cannot promise that order and sends an
+	// acknowledged Add. Like any add it never replaces a stored value.
+	// Best effort: a queued add may be dropped (see Client.AddLater), and
+	// ErrNotStored says it was refused or not queued.
+	AddLater(it *Item) error
 	Replace(it *Item) error
 	CompareAndSwap(it *Item) error
 	Append(key string, data []byte) error

@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -66,6 +67,20 @@ func FuzzTextProtocol(f *testing.F) {
 		// resyncs by reconnecting).
 		[]byte("get a\r\nBOGUS x y\r\nget b\r\n"),
 		[]byte("set k 0 0 3\r\nabget c\r\nget d\r\n"),
+		// Carried write-backs: unanswered adds in front of the command
+		// that brought them — accepted, refused, ahead of a mutation of the
+		// same key, malformed (answered despite noreply), cut short — in
+		// both wire formats.
+		[]byte("add k 0 0 1 noreply\r\nx\r\nget k\r\nadd k 0 0 1 noreply\r\ny\r\nadd j 0 0 1 noreply\r\nz\r\ndelete k\r\nget k j\r\n"),
+		[]byte("add k 0 0 2 noreply\r\nx\r\nget k\r\nadd k 0 0 noreply\r\nget k\r\nadd k 0 0 5 noreply\r\nab"),
+		bytes.Join([][]byte{
+			binReqFrame(binOpAddQ, 0, make([]byte, 8), "k", "x"),
+			binReqFrame(binOpAddQ, 0, make([]byte, 8), "k", "y"), // refused: answered
+			binReqFrame(binOpGetKQ, 0, nil, "k", ""),
+			binReqFrame(binOpAddQ, 0, make([]byte, 4), "j", "z"), // bad extras, cuts the quiet run
+			binReqFrame(binOpNoop, 1, nil, "", ""),
+			binReqFrame(binOpAddQ, 0, make([]byte, 8), "i", "cut short")[:30],
+		}, nil),
 	}
 	for _, s := range seeds {
 		f.Add(s)

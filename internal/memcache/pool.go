@@ -162,6 +162,15 @@ func (p *Pool) Addr() string { return p.addr }
 // (replays included).
 func (p *Pool) Transactions() uint64 { return p.transactions.Load() }
 
+// AddLater is Add, acknowledged before it returns. A pool's sibling
+// connections are not ordered against each other: an unanswered add
+// queued on one could be overtaken by the Delete or Set the caller
+// issues next, if the pool routes that to another, and then land after
+// it — a value resurrected over its own deletion. Only a single
+// connection gives the order Client.AddLater relies on; the asymmetry
+// goes when the pool becomes the one exchanger.
+func (p *Pool) AddLater(it *Item) error { return p.Add(it) }
+
 // Gauges returns the pool's instrumentation.
 func (p *Pool) Gauges() *metrics.PoolGauges { return p.gauges }
 

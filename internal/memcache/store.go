@@ -161,23 +161,33 @@ func (s *Store) Replace(it *Item) error {
 }
 
 // setIf stores it only when the key's presence (an expired entry counts
-// as absent) is what the caller requires. Presence is judged under the
-// shard lock, because Touch rewrites a resident item's expiration in
-// place under it.
+// as absent) is what the caller requires. The verdict and the store
+// happen under one hold of the shard lock, as in CompareAndSwap: a set
+// from another connection cannot land between them, so an add never
+// replaces a value newer than the absence it saw — the property round
+// 2's late write-backs rest on.
 func (s *Store) setIf(it *Item, present bool) error {
 	if !validKey(it.Key) {
 		return ErrBadKey
 	}
+	if len(it.Value) > MaxValueLen {
+		return ErrTooLarge
+	}
 	sh := s.shard(it.Key)
 	now := s.nowFn()
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	existing, ok := sh.cache.Peek(it.Key)
-	live := ok && !expired(existing, now)
-	sh.mu.Unlock()
-	if live != present {
+	if live := ok && !expired(existing, now); live != present {
 		return ErrNotStored
 	}
-	return s.Set(it)
+	stored := *it
+	stored.Expiration = absExpiration(it.Expiration, now)
+	stored.CAS = s.nextCAS()
+	if !sh.cache.Put(it.Key, &stored, itemCost(&stored), false) {
+		return ErrNotStored
+	}
+	return nil
 }
 
 // CompareAndSwap stores only if the resident CAS token matches

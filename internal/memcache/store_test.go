@@ -3,7 +3,9 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -343,4 +345,38 @@ func TestStoreConditionalSetRacesTouch(t *testing.T) {
 	if _, err := s.Get("k"); err != nil {
 		t.Fatal("key lost:", err)
 	}
+}
+
+// TestStoreAddNeverReplacesNewerSet is the regression for add judged
+// and stored under two holds of the shard lock: an adder replays
+// Add("old") while a writer alternates Set(vN) and Delete. Once a Set
+// is acknowledged the key is present, so every add until the Delete
+// must be refused and the writer must read back exactly what it set. A
+// check-then-act add that saw the gap before the Set overwrites it.
+func TestStoreAddNeverReplacesNewerSet(t *testing.T) {
+	s := NewStore(0)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		old := &Item{Key: "k", Value: []byte("old")}
+		for !stop.Load() {
+			s.Add(old)
+		}
+	}()
+	for n := 1; n <= 20000 && !t.Failed(); n++ {
+		want := fmt.Sprintf("v%d", n)
+		if err := s.Set(&Item{Key: "k", Value: []byte(want)}); err != nil {
+			t.Error(err)
+			break
+		}
+		runtime.Gosched() // give a parked half-done add its chance to land
+		if it, err := s.Get("k"); err != nil || string(it.Value) != want {
+			t.Errorf("after the acknowledged Set(%s) the key reads %v, %v", want, it, err)
+		}
+		s.Delete("k")
+	}
+	stop.Store(true)
+	wg.Wait()
 }

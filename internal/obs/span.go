@@ -89,6 +89,11 @@ type Span struct {
 	Failed       int `json:"failed"`
 	Loaded       int `json:"loaded"`
 	ItemsFound   int `json:"items_found"`
+	// WriteBacks is how many recovered items round 2 handed back to
+	// their planned replica: queued to ride a later command on a single
+	// connection (and perhaps dropped since — see the rnb_writeback_*
+	// counters), stored and acknowledged on a pooled one.
+	WriteBacks int `json:"write_backs"`
 	// BreakerTrips is how many breaker open transitions the whole tier
 	// saw while this request ran (concurrent requests share the
 	// breakers, so trips caused by neighbors are counted too).

@@ -280,6 +280,10 @@ type Client struct {
 	resilience metrics.Resilience
 	hotspot    metrics.Hotspot
 	topo       metrics.Topology
+	// writeBacks is shared by every single-connection transport: what
+	// became of the adds round 2 deferred (all zero on a pooled client,
+	// whose write-backs are acknowledged).
+	writeBacks metrics.WriteBacks
 	// recorder is the always-on request recorder: request-phase latency
 	// histograms, the head sampler, and the one store of finished spans
 	// (flight recorder, slow ring, trace reservoir).
@@ -334,8 +338,9 @@ func (c *Client) RecentRequests() []obs.Span { return c.recorder.Requests() }
 // RegisterMetrics exports every one of the client's metric families
 // into reg under stable, sorted names: rnb_resilience_* (breaker and
 // retry counters), rnb_hotspot_* (adaptive replication), rnb_pool_*
-// (pooled transport, when enabled), per-server breaker gauges, and the
-// latency histograms (exported in seconds, recorded in nanoseconds).
+// (pooled transport, when enabled), rnb_writeback_* (round 2's deferred
+// adds), per-server breaker gauges, and the latency histograms
+// (exported in seconds, recorded in nanoseconds).
 func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterUint64Map("rnb_resilience_", "Failure-handling counters: breaker transitions, probes, re-plans.",
 		obs.Counter, c.resilience.Snapshot)
@@ -347,6 +352,8 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		reg.RegisterInt64Map("rnb_", "Pooled transport gauges.",
 			obs.Gauge, c.poolGauges.Snapshot)
 	}
+	reg.RegisterUint64Map("rnb_writeback_", "Round-2 write-backs deferred on single connections: queued, carried by a later command, dropped by reason.",
+		obs.Counter, c.writeBacks.Snapshot)
 	reg.RegisterFunc("rnb_server_errors", "Total network errors observed against backends.",
 		obs.Counter, func() float64 { return float64(c.Failures()) })
 	reg.RegisterFunc("rnb_transactions", "Total protocol round trips issued.",
@@ -578,6 +585,7 @@ func (c *Client) dial(addr string) (memcache.Conn, error) {
 			return nil, err
 		}
 		single.SetRTTObserver(c.recorder.RTT.Observe)
+		single.SetWriteBackCounters(&c.writeBacks)
 		conn = single
 	}
 	if c.cfg.trace != nil {
@@ -1244,11 +1252,17 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	// excluded immediately — ahead of the shared breaker view, which
 	// may not have tripped yet with a threshold above one. Bounded by
 	// WithRetry, with jittered exponential backoff between rounds.
-	excluded := map[int]bool{}
-	for attempt := 0; attempt < c.cfg.retryAttempts && len(failedSrvs) > 0; attempt++ {
-		for _, s := range failedSrvs {
+	var excluded map[int]bool // made by the first failed transaction
+	exclude := func(servers []int) {
+		if excluded == nil && len(servers) > 0 {
+			excluded = make(map[int]bool, len(servers))
+		}
+		for _, s := range servers {
 			excluded[s] = true
 		}
+	}
+	for attempt := 0; attempt < c.cfg.retryAttempts && len(failedSrvs) > 0; attempt++ {
+		exclude(failedSrvs)
 		var missIDs []uint64
 		for i, id := range plan.Items {
 			if plan.ItemServer[i] == -1 {
@@ -1278,11 +1292,9 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	sp.FanoutNS = int64(time.Since(fanStart))
 	// Servers that failed during this request stay excluded for the
 	// rest of it, whatever the breaker threshold says.
-	for _, s := range failedSrvs {
-		excluded[s] = true
-	}
+	exclude(failedSrvs)
 	avoidNow := avoid
-	if len(excluded) > 0 {
+	if excluded != nil {
 		avoidNow = func(s int) bool {
 			return excluded[s] || (avoid != nil && avoid(s))
 		}
@@ -1290,20 +1302,33 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 
 	// Round 2: still-missing planned items, bundled by their acting
 	// distinguished server (the true one, unless it is quarantined).
+	// Nothing below is built for a request with nothing missing; the
+	// first miss sizes it all for the items still to be looked at, and
+	// the one-server replica lists SecondRound takes share one array.
 	var missIDs []uint64
 	var missReplicas [][]int
-	missAssigned := map[uint64]int{}
+	var acting []int
+	var missAssigned map[uint64]int
 	for i, id := range plan.Items {
 		if plan.ItemServer[i] == -1 {
 			continue // dropped by LIMIT or all replicas down: loader below
 		}
 		if _, have := out[keyOf[id]]; !have {
-			acting, ok := core.ActingDistinguished(plan.Replicas[i], avoidNow)
+			a, ok := core.ActingDistinguished(plan.Replicas[i], avoidNow)
 			if !ok {
 				continue // no live replica: loader below
 			}
+			if missAssigned == nil {
+				rest := len(plan.Items) - i
+				missIDs = make([]uint64, 0, rest)
+				missReplicas = make([][]int, 0, rest)
+				acting = make([]int, 0, rest)
+				missAssigned = make(map[uint64]int, rest)
+			}
+			n := len(acting)
+			acting = append(acting, a)
 			missIDs = append(missIDs, id)
-			missReplicas = append(missReplicas, []int{acting})
+			missReplicas = append(missReplicas, acting[n:n+1:n+1])
 			missAssigned[id] = plan.ItemServer[i]
 		}
 	}
@@ -1330,11 +1355,17 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			// Write-back: repopulate the replica the planner assigned,
 			// with add — the value was read a round trip ago, so it may
 			// fill an empty replica but never replace what a Set has
-			// stored there since. Best effort: "not stored" is that, or
-			// overbooking at work; a network error has fed the breaker;
-			// the item is served either way.
+			// stored there since. The read does not wait for it: AddLater
+			// queues the add to ride, unanswered, in front of this
+			// client's next command to that server, which keeps it ahead
+			// of any mutation issued after this request returns. Best
+			// effort, and no verdict on the server (slot.call): a dropped
+			// or refused add is a replica that stays virtual, and the item
+			// is served either way.
 			if s := assigned; s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
-				_ = t.slots[s].do(func(conn memcache.Conn) error { return conn.Add(it) })
+				if t.slots[s].call(func(conn memcache.Conn) error { return conn.AddLater(it) }) == nil {
+					sp.WriteBacks++
+				}
 			}
 		}
 	}

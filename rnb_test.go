@@ -1,9 +1,11 @@
 package rnb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +14,7 @@ import (
 
 // startServers launches n in-process memcached servers and returns
 // their addresses plus the server handles.
-func startServers(t *testing.T, n int, capacity int64) ([]string, []*memcache.Server) {
+func startServers(t testing.TB, n int, capacity int64) ([]string, []*memcache.Server) {
 	t.Helper()
 	addrs := make([]string, n)
 	servers := make([]*memcache.Server, n)
@@ -38,7 +40,42 @@ func newTestClient(t *testing.T, n int, opts ...Option) (*Client, []*memcache.Se
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
+	holdWriteBackClock(cl)
 	return cl, servers
+}
+
+// writeBackClock is the injected clock behind the age bound of deferred
+// write-backs: it moves only when a test advances it.
+type writeBackClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *writeBackClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *writeBackClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// holdWriteBackClock stops the clock that ages queued write-backs on
+// every single-connection slot cl has dialed so far. A test that expects
+// a write-back to land with the next command then does not depend on
+// that command following within two real milliseconds on a loaded box;
+// one that expects it dropped advances the clock instead of sleeping.
+func holdWriteBackClock(cl *Client) *writeBackClock {
+	clk := &writeBackClock{t: time.Unix(1_700_000_000, 0)}
+	for _, s := range cl.cur.Load().slots {
+		if single, ok := s.conn.(*memcache.Client); ok {
+			single.SetClock(clk.now)
+		}
+	}
+	return clk
 }
 
 func keys(n int) []string {
@@ -256,6 +293,55 @@ func TestWriteBackRepopulatesReplica(t *testing.T) {
 	if stats.Round2 != 0 {
 		t.Fatalf("round-2 fetches persist after write-back: %+v", stats)
 	}
+}
+
+// newVirtualReplicaTier is §III-C-1's overbooked regime at its limit: n
+// servers of one byte each, which accept pinned (distinguished) copies
+// and refuse every other, at r = 3. Replicas therefore stay virtual, and
+// every multi-get of the returned keys is the same request: a fan-out
+// that misses what it planned on a replica, a round 2 that recovers it,
+// and a write-back per recovered item that the server will refuse.
+func newVirtualReplicaTier(tb testing.TB, n, nkeys int) (*Client, []string) {
+	tb.Helper()
+	addrs, _ := startServers(tb, n, 1)
+	cl, err := NewClient(addrs, WithReplicas(3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cl.Close() })
+	holdWriteBackClock(cl)
+	ks := keys(nkeys)
+	value := bytes.Repeat([]byte("v"), 100)
+	for _, k := range ks {
+		if err := cl.Set(&Item{Key: k, Value: value}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cl, ks
+}
+
+// BenchmarkRound2WriteBack is the recovery layer's own number: a
+// 16-key multi-get over 8 servers whose replicas are all virtual, so
+// each iteration pays round 2 and its write-backs (reported per op, with
+// the transactions the request cost). A write-back that cost the read a
+// round trip of its own shows here as its latency.
+func BenchmarkRound2WriteBack(b *testing.B) {
+	cl, ks := newVirtualReplicaTier(b, 8, 16)
+	var txns, round2 int
+	queued := cl.writeBacks.Queued.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		items, stats, err := cl.GetMulti(ks)
+		if err != nil || len(items) != len(ks) || stats.Round2 == 0 {
+			b.Fatalf("%d items, %+v, err %v", len(items), stats, err)
+		}
+		txns += stats.Transactions
+		round2 += stats.Round2
+	}
+	b.ReportMetric(float64(txns)/float64(b.N), "txns/op")
+	b.ReportMetric(float64(round2)/float64(b.N), "round2/op")
+	b.ReportMetric(float64(cl.writeBacks.Queued.Load()-queued)/float64(b.N), "writebacks/op")
 }
 
 func TestGetMultiLimit(t *testing.T) {
