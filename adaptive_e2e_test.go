@@ -58,10 +58,10 @@ func TestAdaptiveEndToEnd(t *testing.T) {
 		}
 	}
 	if cl.HotKeyCount() == 0 {
-		t.Fatalf("hot key never promoted: %v", cl.Hotspot().Snapshot())
+		t.Fatalf("hot key never promoted:%s", scalars(cl))
 	}
 	if cl.Hotspot().Promotions.Load() == 0 {
-		t.Fatalf("promotion counter not exported: %v", cl.Hotspot().Snapshot())
+		t.Fatalf("promotion counter not exported:%s", scalars(cl))
 	}
 
 	// Update while boosted: every future read, bundled or single, must
@@ -164,7 +164,7 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 		}
 	}
 	if cl.adaptive.Boost(keyID(hot)) == 0 {
-		t.Fatalf("hot key never promoted: %v", cl.Hotspot().Snapshot())
+		t.Fatalf("hot key never promoted:%s", scalars(cl))
 	}
 	for i := 0; i < 30; i++ {
 		it, err := cl.Get(hot)
@@ -214,7 +214,7 @@ func TestTouchReachesLingeringBoostedCopy(t *testing.T) {
 	}
 	cl.adaptive.ForceEpoch()
 	if cl.adaptive.Boost(id) == 0 {
-		t.Fatalf("hot key never promoted: %v", cl.Hotspot().Snapshot())
+		t.Fatalf("hot key never promoted:%s", scalars(cl))
 	}
 	boosted := cl.cur.Load().replicas(hot)[len(base):]
 	if err := cl.Set(&Item{Key: hot, Value: []byte("v1"), Expiration: 10}); err != nil {
@@ -229,7 +229,7 @@ func TestTouchReachesLingeringBoostedCopy(t *testing.T) {
 		cl.adaptive.ForceEpoch()
 	}
 	if cl.adaptive.Boost(id) > 0 {
-		t.Fatalf("hot key never demoted: %v", cl.Hotspot().Snapshot())
+		t.Fatalf("hot key never demoted:%s", scalars(cl))
 	}
 	if got := cl.cur.Load().replicas(hot); !slices.Equal(got, base) {
 		t.Fatalf("replica set after demotion = %v, want the baseline %v", got, base)

@@ -2,8 +2,39 @@ package rnb
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"rnb/internal/obs"
 )
+
+// Resilience tracks the client's failure-handling machinery: breaker
+// transitions, half-open probe outcomes, and read re-plans. All fields
+// are atomics, bumped in place; the zero value is ready.
+type Resilience struct {
+	BreakerOpened   atomic.Uint64
+	BreakerHalfOpen atomic.Uint64
+	BreakerClosed   atomic.Uint64
+
+	Probes         atomic.Uint64
+	ProbeSuccesses atomic.Uint64
+	ProbeFailures  atomic.Uint64
+
+	Replans           atomic.Uint64
+	RetryTransactions atomic.Uint64
+}
+
+// register names every field, once, for every rendering of reg.
+func (r *Resilience) register(reg *obs.Registry) {
+	reg.Counter("rnb_resilience_breaker_opened", "Breaker trips: closed or half-open to open.", r.BreakerOpened.Load)
+	reg.Counter("rnb_resilience_breaker_half_open", "Breakers whose cooldown elapsed: open to half-open.", r.BreakerHalfOpen.Load)
+	reg.Counter("rnb_resilience_breaker_closed", "Breakers re-closed by a successful probe: half-open to closed.", r.BreakerClosed.Load)
+	reg.Counter("rnb_resilience_probes", "Half-open probes launched.", r.Probes.Load)
+	reg.Counter("rnb_resilience_probe_successes", "Half-open probes the server answered.", r.ProbeSuccesses.Load)
+	reg.Counter("rnb_resilience_probe_failures", "Half-open probes that failed and re-opened the breaker.", r.ProbeFailures.Load)
+	reg.Counter("rnb_resilience_replans", "Mid-request re-plan rounds after a transaction failed.", r.Replans.Load)
+	reg.Counter("rnb_resilience_retry_transactions", "Transactions issued by re-plan rounds.", r.RetryTransactions.Load)
+}
 
 // BreakerState is a per-server circuit-breaker state, exposed through
 // Client.ServerStates for operators.

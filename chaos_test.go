@@ -1,6 +1,7 @@
 package rnb
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"rnb/internal/chaos"
 	"rnb/internal/leakcheck"
 	"rnb/internal/memcache"
+	"rnb/internal/obs"
 )
 
 // startChaosServers is startServers with fault injectors: servers whose
@@ -104,8 +106,8 @@ func TestChaosScriptedFaultsFullRecovery(t *testing.T) {
 	if cl.Failures() == 0 {
 		t.Fatal("no failure recorded though the backend black-holed a connection")
 	}
-	if got := cl.Resilience().Snapshot(); got["replans"] == 0 {
-		t.Fatalf("missing keys were never re-planned: %v", got)
+	if cl.Resilience().Replans.Load() == 0 {
+		t.Fatalf("missing keys were never re-planned:%s", scalars(cl))
 	}
 	st := injectors[0].Stats()
 	if st.Resets == 0 || st.Blackholed == 0 {
@@ -206,8 +208,8 @@ func TestChaosKillReviveBreakerLifecycle(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for cl.ServerStates()[victim].State != BreakerClosed {
 		if time.Now().After(deadline) {
-			t.Fatalf("revived server not re-admitted: %+v (resilience %v)",
-				cl.ServerStates()[victim], cl.Resilience().Snapshot())
+			t.Fatalf("revived server not re-admitted: %+v (counters%s)",
+				cl.ServerStates()[victim], scalars(cl))
 		}
 		if _, _, err := cl.GetMulti(ks); err != nil {
 			t.Fatal(err)
@@ -233,11 +235,10 @@ func TestChaosKillReviveBreakerLifecycle(t *testing.T) {
 		t.Fatal("revived server served no transactions; not re-admitted to plans")
 	}
 
-	snap := cl.Resilience().Snapshot()
-	for _, counter := range []string{"breaker_opened", "breaker_half_open", "breaker_closed", "probe_successes"} {
-		if snap[counter] == 0 {
-			t.Fatalf("lifecycle counter %s never incremented: %v", counter, snap)
-		}
+	res := cl.Resilience()
+	if res.BreakerOpened.Load() == 0 || res.BreakerHalfOpen.Load() == 0 ||
+		res.BreakerClosed.Load() == 0 || res.ProbeSuccesses.Load() == 0 {
+		t.Fatalf("a breaker lifecycle counter never incremented (non-zero counters:%s)", scalars(cl))
 	}
 }
 
@@ -299,12 +300,56 @@ func TestChaosFlappingBackendFullRecovery(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for cl.ServerStates()[victim].State != BreakerClosed {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never re-closed on a flapping backend: %+v (resilience %v)",
-				cl.ServerStates()[victim], cl.Resilience().Snapshot())
+			t.Fatalf("breaker never re-closed on a flapping backend: %+v (counters%s)",
+				cl.ServerStates()[victim], scalars(cl))
 		}
 		if _, _, err := cl.GetMulti(ks); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestChaosScrapeDuringBlackhole: a scrape must show an outage, not
+// hang behind it. A Get parks on a black-holed server for its whole I/O
+// timeout holding the connection mutex; the transaction count and a
+// full registry render must not wait for it.
+func TestChaosScrapeDuringBlackhole(t *testing.T) {
+	leakcheck.Check(t)
+	const timeout = 600 * time.Millisecond
+	prof := chaos.Profile{Script: []chaos.ConnPlan{{Blackhole: true}}}
+	cl, _, injectors := newChaosClient(t, 1, map[int]chaos.Profile{0: prof},
+		WithTimeout(timeout), WithRetry(0, 0))
+	seedKeys(t, cl, []string{"k"})
+	reg := obs.NewRegistry()
+	cl.RegisterMetrics(reg)
+	unleash(injectors[0])
+
+	parked := make(chan error, 1)
+	go func() {
+		_, err := cl.Get("k")
+		parked <- err
+	}()
+	for injectors[0].Stats().Blackholed == 0 { // the Get has dialed into the hole
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	txns := cl.Transactions()
+	if err := reg.Render(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("Transactions() + registry render took %v behind a black-holed server (I/O timeout %v)", took, timeout)
+	}
+	if txns == 0 {
+		t.Error("no transaction counted")
+	}
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Error("Get through a black hole succeeded; the scenario proves nothing")
+		}
+	case <-time.After(10 * timeout):
+		t.Fatal("parked Get never timed out")
 	}
 }

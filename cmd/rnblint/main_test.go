@@ -94,7 +94,7 @@ func TestRnblintList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"atomiconly", "blockleak", "errwrap", "frozen", "lockheld",
-		"lockorder", "metricname", "seededrand", "thelper",
+		"lockorder", "seededrand", "thelper",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout)

@@ -47,9 +47,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		reg := obs.NewRegistry()
-		srv.RegisterMetrics(reg)
-		ln, err := obs.ListenAndServe(*debugAddr, obs.NewMux(reg, nil, srv.Recorder()))
+		ln, err := obs.ListenAndServe(*debugAddr, obs.NewMux(srv.Registry(), nil, srv.Recorder()))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rnbmemd: debug endpoint: %v\n", err)
 			os.Exit(1)

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -165,10 +166,12 @@ func main() {
 
 	pxy := proxy.New(client)
 	srv := memcache.NewServerBackend(pxy)
+	// One registry: the front's memd_* families plus the proxy's and the
+	// client's. /metrics, the front's "stats" reply and the -stats-every
+	// line are all renderings of it.
+	reg := srv.Registry()
+	pxy.RegisterMetrics(reg)
 	if *debugAddr != "" {
-		reg := obs.NewRegistry()
-		pxy.RegisterMetrics(reg)
-		srv.Recorder().RegisterMetrics(reg)
 		ln, err := obs.ListenAndServe(*debugAddr, obs.NewMux(reg, client.Recorder(), srv.Recorder()))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rnbproxy: debug endpoint: %v\n", err)
@@ -189,17 +192,13 @@ func main() {
 						line += fmt.Sprintf("(%d)", st.ConsecutiveFailures)
 					}
 				}
-				status := fmt.Sprintf("rnbproxy: backends%s; %s", line, client.Resilience())
-				if *topoFile != "" {
-					status += "; " + client.Topology().String()
-				}
-				if client.AdaptiveEnabled() {
-					status += "; " + client.Hotspot().String()
-				}
-				if g := client.PoolGauges(); g != nil {
-					status += "; " + g.String()
-				}
-				fmt.Fprintln(os.Stderr, status)
+				line += ";"
+				reg.Scalars(func(name string, v int64) {
+					if v != 0 && !strings.HasPrefix(name, "memd_") {
+						line += fmt.Sprintf(" %s=%d", name, v)
+					}
+				})
+				fmt.Fprintln(os.Stderr, "rnbproxy: backends"+line)
 			}
 		}()
 	}

@@ -12,7 +12,7 @@ import (
 	"rnb/internal/hashring"
 	"rnb/internal/hotspot"
 	"rnb/internal/memcache"
-	"rnb/internal/metrics"
+	"rnb/internal/obs"
 	"rnb/internal/topology"
 )
 
@@ -399,8 +399,45 @@ func (c *Client) rebuildLocked() {
 	c.topo.Epoch.Store(t.epoch)
 }
 
+// Topology tracks the dynamic-membership machinery: joins, drains,
+// epoch retirements, warm-handoff prewarm traffic and config reloads.
+// All fields are atomics, bumped in place; the zero value is ready.
+type Topology struct {
+	Epoch atomic.Uint64
+
+	Joins   atomic.Uint64
+	Rejoins atomic.Uint64
+	Drains  atomic.Uint64
+
+	DrainsCompleted atomic.Uint64
+	DrainsForced    atomic.Uint64
+
+	EpochsRetired atomic.Uint64
+
+	PrewarmKeys   atomic.Uint64
+	PrewarmErrors atomic.Uint64
+
+	Reloads      atomic.Uint64
+	ReloadErrors atomic.Uint64
+}
+
+// register names every field, once, for every rendering of reg.
+func (t *Topology) register(reg *obs.Registry) {
+	reg.Gauge("rnb_topology_epoch", "Current membership epoch; bumps on every accepted transition.", func() int64 { return int64(t.Epoch.Load()) })
+	reg.Counter("rnb_topology_joins", "Servers added, first time or rejoin.", t.Joins.Load)
+	reg.Counter("rnb_topology_rejoins", "Joins that revived a previously drained slot.", t.Rejoins.Load)
+	reg.Counter("rnb_topology_drains", "Drains initiated.", t.Drains.Load)
+	reg.Counter("rnb_topology_drains_completed", "Drains whose connection closed with zero requests in flight.", t.DrainsCompleted.Load)
+	reg.Counter("rnb_topology_drains_forced", "Drains whose timeout expired with requests still in flight.", t.DrainsForced.Load)
+	reg.Counter("rnb_topology_epochs_retired", "Superseded epochs dropped from the placement union.", t.EpochsRetired.Load)
+	reg.Counter("rnb_topology_prewarm_keys", "Hot keys copied onto their new owners by the warm handoff.", t.PrewarmKeys.Load)
+	reg.Counter("rnb_topology_prewarm_errors", "Best-effort warm-handoff copies that failed.", t.PrewarmErrors.Load)
+	reg.Counter("rnb_topology_reloads", "Membership lists applied through SetServers (file watch, SIGHUP).", t.Reloads.Load)
+	reg.Counter("rnb_topology_reload_errors", "Membership lists SetServers rejected.", t.ReloadErrors.Load)
+}
+
 // Topology exposes the dynamic-membership counters.
-func (c *Client) Topology() *metrics.Topology { return &c.topo }
+func (c *Client) Topology() *Topology { return &c.topo }
 
 // Epoch returns the current membership epoch.
 func (c *Client) Epoch() uint64 { return c.cur.Load().epoch }

@@ -49,7 +49,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	front := memcache.NewServerBackend(proxy.New(client))
+	pxy := proxy.New(client)
+	front := memcache.NewServerBackend(pxy)
+	pxy.RegisterMetrics(front.Registry()) // "stats" answers what the registry names
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -96,7 +98,7 @@ func main() {
 	}
 	fmt.Println("proxy stats (via the standard memcached `stats` command):")
 	for _, k := range []string{"proxy_servers", "proxy_replicas", "proxy_requests",
-		"proxy_backend_txns", "proxy_tpr_milli", "proxy_hitchhikers"} {
+		"proxy_backend_txns", "proxy_hitchhikers"} {
 		fmt.Printf("  %-20s %s\n", k, st[k])
 	}
 	fmt.Println("\nThe application changed nothing but an address — that is the")

@@ -158,8 +158,8 @@ func TestCooldownExpiresAndServerReturns(t *testing.T) {
 	if st.State != BreakerClosed || st.ConsecutiveFailures != 0 {
 		t.Fatalf("state after successful probe: %+v", st)
 	}
-	if got := cl.Resilience().Snapshot(); got["probe_successes"] != 1 {
-		t.Fatalf("probe not recorded: %v", got)
+	if cl.Resilience().ProbeSuccesses.Load() != 1 {
+		t.Fatalf("probe not recorded:%s", scalars(cl))
 	}
 }
 

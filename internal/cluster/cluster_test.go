@@ -396,11 +396,10 @@ func TestClusterWithAlternativePlacements(t *testing.T) {
 	const reqs, k = 150, 20
 	ring := hashring.NewWithServers(servers, 64)
 	placements := map[string]hashring.Placement{
-		"rch":        hashring.NewRCHPlacement(ring, replicas),
-		"multihash":  hashring.NewMultiHashPlacement(servers, replicas, 1),
-		"rendezvous": hashring.NewRendezvousPlacement(servers, replicas, 1),
-		"jump":       hashring.NewJumpPlacement(servers, replicas, 1),
-		"cbc":        cbc.New(servers, replicas, items, 1),
+		"rch":       hashring.NewRCHPlacement(ring, replicas),
+		"multihash": hashring.NewMultiHashPlacement(servers, replicas, 1),
+		"jump":      hashring.NewJumpPlacement(servers, replicas, 1),
+		"cbc":       cbc.New(servers, replicas, items, 1),
 	}
 	for name, p := range placements {
 		t.Run(name, func(t *testing.T) {

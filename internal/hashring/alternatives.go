@@ -2,77 +2,12 @@ package hashring
 
 import "rnb/internal/xhash"
 
-// This file provides two further Placement implementations from the
-// consistent-hashing ecosystem, used as ablation baselines against
-// ranged consistent hashing:
-//
-//   - RendezvousPlacement (highest-random-weight hashing): each item
-//     ranks every server by a hash score; the replicas are the top-r
-//     servers. Minimal disruption under server addition/removal and a
-//     naturally distinct replica set, at O(servers) per lookup.
-//   - JumpPlacement (Lamport & Veach's jump consistent hash): O(log n)
-//     lookup, minimal movement under growth, but only supports
-//     append/remove-at-end topology changes and needs re-salting to
-//     derive distinct replicas.
-
-// RendezvousPlacement places replicas with highest-random-weight
-// hashing.
-type RendezvousPlacement struct {
-	servers  int
-	replicas int
-	seed     uint64
-	// scratch for top-r selection without allocation
-}
-
-// NewRendezvousPlacement builds an HRW placement.
-func NewRendezvousPlacement(servers, replicas int, seed uint64) *RendezvousPlacement {
-	if replicas < 1 {
-		panic("hashring: replication level must be >= 1")
-	}
-	if servers < 1 {
-		panic("hashring: need at least one server")
-	}
-	return &RendezvousPlacement{servers: servers, replicas: replicas, seed: seed}
-}
-
-// Replicas implements Placement: the r highest-scoring servers for the
-// item, in score order (entry 0 — the global winner — is the
-// distinguished copy).
-func (p *RendezvousPlacement) Replicas(item uint64, buf []int) []int {
-	r := p.replicas
-	if r > p.servers {
-		r = p.servers
-	}
-	out := buf[:0]
-	// Maintain the top-r (score, server) pairs with simple insertion —
-	// r is small (<= ~5 in practice).
-	scores := make([]uint64, 0, r)
-	for s := 0; s < p.servers; s++ {
-		score := xhash.Combine(xhash.Seeded(p.seed, item), uint64(s)*0x9e3779b97f4a7c15)
-		score = xhash.Mix64(score)
-		if len(out) < r {
-			out = append(out, s)
-			scores = append(scores, score)
-		} else if score <= scores[len(scores)-1] {
-			continue
-		} else {
-			out[len(out)-1] = s
-			scores[len(scores)-1] = score
-		}
-		// Bubble the inserted entry up to keep descending score order.
-		for i := len(out) - 1; i > 0 && scores[i] > scores[i-1]; i-- {
-			scores[i], scores[i-1] = scores[i-1], scores[i]
-			out[i], out[i-1] = out[i-1], out[i]
-		}
-	}
-	return out
-}
-
-// NumServers implements Placement.
-func (p *RendezvousPlacement) NumServers() int { return p.servers }
-
-// NumReplicas implements Placement.
-func (p *RendezvousPlacement) NumReplicas() int { return p.replicas }
+// This file provides one further Placement implementation from the
+// consistent-hashing ecosystem, used as an ablation baseline against
+// ranged consistent hashing: JumpPlacement (Lamport & Veach's jump
+// consistent hash) — O(log n) lookup, minimal movement under growth,
+// but only supports append/remove-at-end topology changes and needs
+// re-salting to derive distinct replicas.
 
 // JumpPlacement places replicas with jump consistent hashing, deriving
 // replica i from an i-salted key and resolving collisions by further
@@ -136,7 +71,4 @@ func (p *JumpPlacement) NumServers() int { return p.servers }
 // NumReplicas implements Placement.
 func (p *JumpPlacement) NumReplicas() int { return p.replicas }
 
-var (
-	_ Placement = (*RendezvousPlacement)(nil)
-	_ Placement = (*JumpPlacement)(nil)
-)
+var _ Placement = (*JumpPlacement)(nil)

@@ -7,8 +7,7 @@ import (
 
 func altPlacements(servers, replicas int) map[string]Placement {
 	return map[string]Placement{
-		"rendezvous": NewRendezvousPlacement(servers, replicas, 1),
-		"jump":       NewJumpPlacement(servers, replicas, 1),
+		"jump": NewJumpPlacement(servers, replicas, 1),
 	}
 }
 
@@ -63,8 +62,6 @@ func TestAlternativesPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("rendezvous servers", func() { NewRendezvousPlacement(0, 1, 1) })
-	mustPanic("rendezvous replicas", func() { NewRendezvousPlacement(1, 0, 1) })
 	mustPanic("jump servers", func() { NewJumpPlacement(0, 1, 1) })
 	mustPanic("jump replicas", func() { NewJumpPlacement(1, 0, 1) })
 }
@@ -107,36 +104,6 @@ func TestJumpHashMinimalMovement(t *testing.T) {
 	}
 }
 
-func TestRendezvousMinimalMovement(t *testing.T) {
-	// Removing one server: only placements that used it change (checked
-	// as: the surviving replica prefix is preserved).
-	before := NewRendezvousPlacement(16, 3, 1)
-	after := NewRendezvousPlacement(15, 3, 1) // server 15 removed
-	changedWithoutCause := 0
-	for item := uint64(0); item < 3000; item++ {
-		b := before.Replicas(item, nil)
-		a := after.Replicas(item, nil)
-		uses15 := false
-		for _, s := range b {
-			if s == 15 {
-				uses15 = true
-			}
-		}
-		if uses15 {
-			continue
-		}
-		for i := range b {
-			if a[i] != b[i] {
-				changedWithoutCause++
-				break
-			}
-		}
-	}
-	if changedWithoutCause != 0 {
-		t.Fatalf("%d placements changed though server 15 was not involved", changedWithoutCause)
-	}
-}
-
 func TestQuickJumpPlacementValid(t *testing.T) {
 	p := NewJumpPlacement(11, 4, 5)
 	f := func(item uint64) bool {
@@ -155,16 +122,6 @@ func TestQuickJumpPlacementValid(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkRendezvousReplicas(b *testing.B) {
-	p := NewRendezvousPlacement(16, 4, 1)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = p.Replicas(uint64(i), buf)
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 func TestPlacementContract(t *testing.T) {
 	const servers, replicas = 16, 4
 	for name, p := range map[string]hashring.Placement{
-		"rch":        hashring.NewRCHPlacement(hashring.NewWithServers(servers, 64), replicas),
-		"multihash":  hashring.NewMultiHashPlacement(servers, replicas, 1),
-		"rendezvous": hashring.NewRendezvousPlacement(servers, replicas, 1),
-		"jump":       hashring.NewJumpPlacement(servers, replicas, 1),
+		"rch":       hashring.NewRCHPlacement(hashring.NewWithServers(servers, 64), replicas),
+		"multihash": hashring.NewMultiHashPlacement(servers, replicas, 1),
+		"jump":      hashring.NewJumpPlacement(servers, replicas, 1),
 	} {
 		t.Run(name, func(t *testing.T) { placementtest.Run(t, p, 1000) })
 	}
@@ -28,10 +27,9 @@ func TestPlacementContract(t *testing.T) {
 func TestPlacementContractClamped(t *testing.T) {
 	const servers, replicas = 3, 8
 	for name, p := range map[string]hashring.Placement{
-		"rch":        hashring.NewRCHPlacement(hashring.NewWithServers(servers, 32), replicas),
-		"multihash":  hashring.NewMultiHashPlacement(servers, replicas, 1),
-		"rendezvous": hashring.NewRendezvousPlacement(servers, replicas, 1),
-		"jump":       hashring.NewJumpPlacement(servers, replicas, 1),
+		"rch":       hashring.NewRCHPlacement(hashring.NewWithServers(servers, 32), replicas),
+		"multihash": hashring.NewMultiHashPlacement(servers, replicas, 1),
+		"jump":      hashring.NewJumpPlacement(servers, replicas, 1),
 	} {
 		t.Run(name, func(t *testing.T) { placementtest.Run(t, p, 300) })
 	}

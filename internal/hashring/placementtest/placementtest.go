@@ -1,6 +1,6 @@
 // Package placementtest is the shared contract test for
 // hashring.Placement implementations. Every placement in the repo —
-// ranged consistent hashing, multi-hash, rendezvous, jump, the
+// ranged consistent hashing, multi-hash, jump, the
 // adaptive hot-key wrapper, and the CBC construction — must hold the
 // same invariants; running them through one battery keeps the contract
 // in one place instead of re-asserted ad hoc per implementation.

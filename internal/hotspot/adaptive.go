@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"rnb/internal/hashring"
-	"rnb/internal/metrics"
 	"rnb/internal/xhash"
 )
 
@@ -112,7 +111,7 @@ type AdaptivePlacement struct {
 	base     hashring.Placement
 	cfg      Config
 	tracker  *Tracker
-	counters *metrics.Hotspot
+	counters *Counters
 
 	heat       atomic.Pointer[heatTable]
 	sinceEpoch atomic.Uint64
@@ -123,10 +122,10 @@ type AdaptivePlacement struct {
 }
 
 // NewAdaptive wraps base. counters may be nil (a private set is used).
-func NewAdaptive(base hashring.Placement, cfg Config, counters *metrics.Hotspot) *AdaptivePlacement {
+func NewAdaptive(base hashring.Placement, cfg Config, counters *Counters) *AdaptivePlacement {
 	cfg = cfg.WithDefaults()
 	if counters == nil {
-		counters = &metrics.Hotspot{}
+		counters = &Counters{}
 	}
 	perShardTopK := cfg.MaxHotKeys/cfg.Shards + 8
 	a := &AdaptivePlacement{
@@ -191,7 +190,7 @@ func (b *Bound) MaxReplicas(item uint64, buf []int) []int {
 var _ hashring.Placement = (*Bound)(nil)
 
 // Counters returns the controller's metrics.
-func (a *AdaptivePlacement) Counters() *metrics.Hotspot { return a.counters }
+func (a *AdaptivePlacement) Counters() *Counters { return a.counters }
 
 // NumServers implements hashring.Placement.
 func (a *AdaptivePlacement) NumServers() int { return a.Base().NumServers() }
@@ -438,8 +437,8 @@ func (a *AdaptivePlacement) rotateLocked() {
 	a.heat.Store(&heatTable{boost: next, extra: extra})
 	a.counters.Promotions.Add(promotions)
 	a.counters.Demotions.Add(demotions)
-	a.counters.HotKeys.Store(uint64(len(next)))
-	a.counters.BoostReplicas.Store(uint64(extra))
+	a.counters.HotKeys.Store(int64(len(next)))
+	a.counters.BoostReplicas.Store(int64(extra))
 }
 
 var _ hashring.Placement = (*AdaptivePlacement)(nil)

@@ -7,7 +7,6 @@ import (
 
 	"rnb/internal/hashring"
 	"rnb/internal/hashring/placementtest"
-	"rnb/internal/metrics"
 	"rnb/internal/workload"
 )
 
@@ -122,15 +121,15 @@ func TestAdaptiveSupersetInvariant(t *testing.T) {
 			checkSuperset(t, a, base, key)
 		}
 	}
-	snap := a.Counters().Snapshot()
-	if snap["hotspot_promotions"] == 0 || snap["hotspot_demotions"] == 0 {
-		t.Fatalf("property run did not exercise both transitions: %v", snap)
+	c := a.Counters()
+	if c.Promotions.Load() == 0 || c.Demotions.Load() == 0 {
+		t.Fatalf("property run did not exercise both transitions: promotions=%d demotions=%d", c.Promotions.Load(), c.Demotions.Load())
 	}
 }
 
 func TestAdaptivePromotesAndDemotes(t *testing.T) {
 	base := newBase(t, 16, 2)
-	counters := &metrics.Hotspot{}
+	counters := &Counters{}
 	a := NewAdaptive(base, Config{
 		MaxBoost:    2,
 		PromoteFrac: 0.05,
@@ -159,7 +158,7 @@ func TestAdaptivePromotesAndDemotes(t *testing.T) {
 		t.Fatalf("boosted set %v does not carry %d extra replicas", got, a.Boost(hot))
 	}
 	if counters.Promotions.Load() == 0 || counters.HotKeys.Load() == 0 {
-		t.Fatalf("promotion counters not updated: %v", counters.Snapshot())
+		t.Fatalf("promotion counters not updated: promotions=%d hot_keys=%d", counters.Promotions.Load(), counters.HotKeys.Load())
 	}
 
 	// Cold traffic only: the decayed estimate takes a few epochs to
@@ -183,7 +182,7 @@ func TestAdaptivePromotesAndDemotes(t *testing.T) {
 		t.Fatalf("demoted after only %d cold epochs; decay smoothing plus ColdEpochs=2 should hold longer", coldEpochs)
 	}
 	if counters.Demotions.Load() == 0 {
-		t.Fatalf("demotion not counted: %v", counters.Snapshot())
+		t.Fatal("demotion not counted")
 	}
 	// Back to the baseline set exactly.
 	if got := a.Replicas(hot, nil); len(got) != baseLen {

@@ -9,7 +9,7 @@
 // through //rnblint:ignore suppression directives.
 //
 // Two analyzer generations coexist. The first-generation checks
-// (lockheld, atomiconly, seededrand, metricname, errwrap, thelper) are
+// (lockheld, atomiconly, seededrand, errwrap, thelper) are
 // intraprocedural AST passes. The second generation (lockorder,
 // frozen, blockleak) is interprocedural: callgraph.go builds a static
 // call graph over every loaded unit and facts.go runs per-function
@@ -50,14 +50,7 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description of the enforced invariant.
 	Doc string
-	// ExemptTestFiles opts the analyzer out of _test.go files: its
-	// diagnostics positioned in test files are dropped by Run. This is
-	// a per-analyzer policy decision (metricname uses it — tests
-	// register throwaway metric names on purpose), not a loader
-	// property: every analyzer sees test files unless it declares
-	// otherwise.
-	ExemptTestFiles bool
-	Run             func(pass *Pass)
+	Run func(pass *Pass)
 }
 
 // Pass is the per-analyzer view of one Run: the loaded units, the
@@ -99,7 +92,6 @@ func Analyzers() []*Analyzer {
 		Frozen,
 		LockHeld,
 		LockOrder,
-		MetricName,
 		SeededRand,
 		THelper,
 	}
@@ -136,12 +128,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
 		a := a
 		report := func(pkg *Package, pos token.Pos, format string, args ...any) {
-			p := pkg.Fset.Position(pos)
-			if a.ExemptTestFiles && strings.HasSuffix(p.Filename, "_test.go") {
-				return
-			}
 			diags = append(diags, Diagnostic{
-				Pos:      p,
+				Pos:      pkg.Fset.Position(pos),
 				Analyzer: a.Name,
 				Message:  fmt.Sprintf(format, args...),
 			})

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"rnb/internal/metrics"
 )
 
 // testClock is an injected clock for the write-back age bound: it moves
@@ -35,9 +33,9 @@ func (c *testClock) advance(d time.Duration) {
 
 // freezeClock gives cl a clock that stands still and its own write-back
 // counters.
-func freezeClock(cl *Client) (*testClock, *metrics.WriteBacks) {
+func freezeClock(cl *Client) (*testClock, *WriteBacks) {
 	clk := &testClock{t: time.Unix(1_700_000_000, 0)}
-	wb := new(metrics.WriteBacks)
+	wb := new(WriteBacks)
 	cl.SetClock(clk.now)
 	cl.SetWriteBackCounters(wb)
 	return clk, wb

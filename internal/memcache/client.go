@@ -4,9 +4,8 @@ import (
 	"bufio"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"rnb/internal/metrics"
 )
 
 // Client is the single-connection exchanger: every Conn command (see
@@ -58,11 +57,12 @@ type Client struct {
 	// queued add (never nil). They are read under either mutex and set,
 	// by SetClock and SetWriteBackCounters, under both.
 	now func() time.Time
-	wb  *metrics.WriteBacks
+	wb  *WriteBacks
 
-	// Transactions counts protocol round-trips issued — the quantity
-	// RnB minimizes.
-	transactions uint64
+	// transactions counts protocol round-trips issued — the quantity
+	// RnB minimizes. Atomic, so a scrape never waits behind mu, which
+	// exchange holds across a whole socket round trip.
+	transactions atomic.Uint64
 }
 
 // Dial connects a text-protocol client to the server at addr. timeout
@@ -80,7 +80,7 @@ func DialBinary(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func dial(addr string, timeout time.Duration, wire codec) (*Client, error) {
-	c := &Client{addr: addr, timeout: timeout, now: time.Now, wb: new(metrics.WriteBacks)}
+	c := &Client{addr: addr, timeout: timeout, now: time.Now, wb: new(WriteBacks)}
 	c.commands.via, c.commands.codec = c, wire
 	if err := c.connect(); err != nil {
 		return nil, err
@@ -153,11 +153,7 @@ func (c *Client) Addr() string { return c.addr }
 // carried in front of one (AddLater) rides that round trip and is not
 // counted as another; the server still counts it as the transaction it
 // executes.
-func (c *Client) Transactions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.transactions
-}
+func (c *Client) Transactions() uint64 { return c.transactions.Load() }
 
 // armDeadline (re)arms the per-round-trip I/O deadline. It runs at the
 // start of EVERY round trip — arming when a timeout is configured,
@@ -224,7 +220,7 @@ func (c *Client) roundTrip() error {
 // counted as a transaction.
 func (c *Client) attempt() error {
 	c.armDeadline()
-	c.transactions++
+	c.transactions.Add(1)
 	start := time.Now()
 	carried, err := c.writeLater()
 	c.req.carried = carried
@@ -377,7 +373,7 @@ func (c *Client) SetClock(now func() time.Time) {
 // SetWriteBackCounters makes the client count its deferred adds into
 // wb, which several clients (one per server) may share for a tier-wide
 // view, instead of counters of its own.
-func (c *Client) SetWriteBackCounters(wb *metrics.WriteBacks) {
+func (c *Client) SetWriteBackCounters(wb *WriteBacks) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.laterMu.Lock()

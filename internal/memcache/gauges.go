@@ -1,0 +1,78 @@
+package memcache
+
+import (
+	"sync/atomic"
+
+	"rnb/internal/obs"
+)
+
+// PoolGauges tracks the pooled, pipelined transport (Pool): connection
+// lifecycle, queue occupancy, and pipeline depth. One PoolGauges is
+// typically shared by every per-server pool of a client, so the numbers
+// are tier-wide. All fields are atomics, bumped in place; the zero
+// value is ready.
+type PoolGauges struct {
+	ConnsOpen   atomic.Int64
+	ConnsDialed atomic.Uint64
+	ConnsReaped atomic.Uint64
+	ConnsFailed atomic.Uint64
+
+	Queued   atomic.Int64
+	InFlight atomic.Int64
+	Waiters  atomic.Int64
+
+	PipelineHighWater atomic.Int64
+
+	Replays   atomic.Uint64
+	Resubmits atomic.Uint64
+}
+
+// Register names every field, once, for every rendering of reg.
+func (g *PoolGauges) Register(reg *obs.Registry) {
+	reg.Gauge("rnb_pool_conns_open", "Pooled connections currently established.", g.ConnsOpen.Load)
+	reg.Counter("rnb_pool_conns_dialed", "Pooled connection dials that succeeded.", g.ConnsDialed.Load)
+	reg.Counter("rnb_pool_conns_reaped", "Idle pooled connections closed by the reaper.", g.ConnsReaped.Load)
+	reg.Counter("rnb_pool_conns_failed", "Pooled connections torn down by an I/O error.", g.ConnsFailed.Load)
+	reg.Gauge("rnb_pool_queued", "Requests a pool accepted and has not yet written to a socket.", g.Queued.Load)
+	reg.Gauge("rnb_pool_in_flight", "Requests written to a pooled connection and awaiting their response.", g.InFlight.Load)
+	reg.Gauge("rnb_pool_waiters", "Goroutines blocked waiting for pool capacity.", g.Waiters.Load)
+	reg.Gauge("rnb_pool_pipeline_high_water", "Deepest in-flight pipeline ever observed: how much pipelining the workload got.", g.PipelineHighWater.Load)
+	reg.Counter("rnb_pool_replays", "Idempotent requests replayed after their pooled connection died.", g.Replays.Load)
+	reg.Counter("rnb_pool_resubmits", "Never-written requests rerouted after their pooled connection died.", g.Resubmits.Load)
+}
+
+// RecordInFlight bumps InFlight and ratchets PipelineHighWater.
+func (g *PoolGauges) RecordInFlight() {
+	d := g.InFlight.Add(1)
+	for {
+		hw := g.PipelineHighWater.Load()
+		if d <= hw || g.PipelineHighWater.CompareAndSwap(hw, d) {
+			return
+		}
+	}
+}
+
+// WriteBacks counts what became of the deferred adds round 2 queues on
+// the single-connection transport (Client.AddLater): a replica a read
+// recovered stays virtual exactly when its write-back was dropped, and
+// the reason is one of three. One WriteBacks is shared by every
+// per-server connection of a client, so the numbers are tier-wide. A
+// pooled transport acknowledges each write-back inside the read and
+// counts nothing here. All fields are atomics; the zero value is ready.
+type WriteBacks struct {
+	Queued  atomic.Uint64
+	Carried atomic.Uint64
+
+	DroppedAge  atomic.Uint64
+	DroppedFull atomic.Uint64
+	DroppedConn atomic.Uint64
+}
+
+// Register names every field, once, for every rendering of reg.
+func (w *WriteBacks) Register(reg *obs.Registry) {
+	reg.Counter("rnb_writeback_queued", "Round-2 write-backs accepted into a single connection's pending buffer.", w.Queued.Load)
+	reg.Counter("rnb_writeback_carried", "Write-backs flushed in front of a later command to their server.", w.Carried.Load)
+	reg.Counter("rnb_writeback_dropped_age", "Write-backs dropped because no command followed within the age bound.", w.DroppedAge.Load)
+	reg.Counter("rnb_writeback_dropped_full", "Write-backs dropped because the pending buffer was at its byte cap.", w.DroppedFull.Load)
+	reg.Counter("rnb_writeback_dropped_conn", "Write-backs dropped because the connection broke or closed first.", w.DroppedConn.Load)
+}

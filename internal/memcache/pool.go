@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"rnb/internal/metrics"
 )
 
 // Pool is the pooled, pipelined exchanger for a single server,
@@ -51,7 +49,7 @@ type Pool struct {
 	size    int
 	depth   int
 	idle    time.Duration
-	gauges  *metrics.PoolGauges
+	gauges  *PoolGauges
 	rttObs  func(time.Duration)
 
 	mu      sync.Mutex
@@ -84,7 +82,7 @@ type PoolConfig struct {
 	// Gauges, when non-nil, receives the pool's instrumentation;
 	// several pools (one per server) may share one PoolGauges for a
 	// tier-wide view.
-	Gauges *metrics.PoolGauges
+	Gauges *PoolGauges
 	// RTTObserver, when non-nil, receives every request's wall time
 	// from submission to completion — queueing for a connection and
 	// replays included, because that is the latency the caller actually
@@ -126,7 +124,7 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Pool, error) 
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
 	if cfg.Gauges == nil {
-		cfg.Gauges = &metrics.PoolGauges{}
+		cfg.Gauges = &PoolGauges{}
 	}
 	p := &Pool{
 		addr:    addr,
@@ -172,7 +170,7 @@ func (p *Pool) Transactions() uint64 { return p.transactions.Load() }
 func (p *Pool) AddLater(it *Item) error { return p.Add(it) }
 
 // Gauges returns the pool's instrumentation.
-func (p *Pool) Gauges() *metrics.PoolGauges { return p.gauges }
+func (p *Pool) Gauges() *PoolGauges { return p.gauges }
 
 // ConnsOpen reports the number of currently established connections.
 func (p *Pool) ConnsOpen() int {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +16,8 @@ import (
 	"rnb/internal/obs"
 )
 
-// ServerStats are the counters exposed via the "stats" command.
+// ServerStats are the server's own protocol counters, bumped in place;
+// registerMetrics names them.
 type ServerStats struct {
 	CmdGet       atomic.Uint64
 	CmdSet       atomic.Uint64
@@ -51,7 +53,12 @@ type Backend interface {
 	Delete(key string) error
 	Touch(key string, exp int32) error
 	FlushAll() error
-	// BackendStats returns extra "STAT <key> <value>" lines.
+}
+
+// statusBackend is an optional Backend refinement: "stats" lines that
+// are not metrics (addresses, states) and so are not in the registry.
+// The RnB proxy implements it.
+type statusBackend interface {
 	BackendStats() map[string]string
 }
 
@@ -87,13 +94,6 @@ func (b storeBackend) appendHits(hits []*Item, keys []string, timed bool) ([]*It
 }
 func (b storeBackend) SetPinned(it *Item) error { return b.Store.SetPinned(it, true) }
 func (b storeBackend) FlushAll() error          { b.Store.FlushAll(); return nil }
-func (b storeBackend) BackendStats() map[string]string {
-	return map[string]string{
-		"curr_items": strconv.Itoa(b.Len()),
-		"bytes":      strconv.FormatInt(b.Bytes(), 10),
-		"evictions":  strconv.FormatUint(b.Evictions(), 10),
-	}
-}
 
 // Server is a memcached protocol server over a Backend. It speaks both
 // the text and the binary wire format on one port (sniffing the first
@@ -103,6 +103,9 @@ type Server struct {
 	store   *Store // nil when serving a non-Store backend
 	backend Backend
 	stats   ServerStats
+	// reg names every counter the server exports; "stats" is a rendering
+	// of it, like /metrics.
+	reg *obs.Registry
 
 	// recorder is the server-side flight recorder: per-phase histograms
 	// plus a ring of recent ServerSpans, fed by every traced command.
@@ -123,20 +126,29 @@ type Server struct {
 }
 
 // NewServer wraps a Store in a protocol server.
-func NewServer(store *Store) *Server {
-	s := NewServerBackend(storeBackend{store})
-	s.store = store
-	return s
-}
+func NewServer(store *Store) *Server { return newServer(storeBackend{store}, store) }
 
 // NewServerBackend serves an arbitrary Backend (e.g. an RnB proxy).
-func NewServerBackend(b Backend) *Server {
-	return &Server{
+func NewServerBackend(b Backend) *Server { return newServer(b, nil) }
+
+func newServer(b Backend, store *Store) *Server {
+	s := &Server{
+		store:    store,
 		backend:  b,
+		reg:      obs.NewRegistry(),
 		recorder: obs.NewServerRecorder(0),
 		conns:    make(map[net.Conn]struct{}),
 	}
+	s.registerMetrics()
+	return s
 }
+
+// Registry returns the server's metric registry, holding its memd_*
+// families from birth. The daemon serves it on /metrics, and the
+// "stats" command answers every unlabeled counter and gauge in it — so
+// whatever else the process registers here (an RnB proxy's proxy_* and
+// rnb_* families) is on both without a second list.
+func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Recorder returns the server-side flight recorder (per-phase
 // histograms plus the ServerSpan ring fed by traced commands).
@@ -168,27 +180,23 @@ func (s *Server) SetProtocols(mode string) error {
 // Stats returns the server's counters.
 func (s *Server) Stats() *ServerStats { return &s.stats }
 
-// RegisterMetrics exports the daemon's memd_* families into reg: the
-// protocol counters and store gauges the "stats" command reports, plus
-// the recorder's per-phase histograms. It is for a Store-backed server.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	st, store := &s.stats, s.store
-	counter := func(name, help string, load func() uint64) {
-		reg.RegisterFunc(name, help, obs.Counter, func() float64 { return float64(load()) })
+// registerMetrics is the one place the server's counters are named:
+// the seven protocol counters whatever the backend, the three store
+// families only over a Store, and the recorder's per-phase histograms.
+func (s *Server) registerMetrics() {
+	st, reg := &s.stats, s.reg
+	reg.Counter("memd_cmd_get", "Keys requested by get/gets commands.", st.CmdGet.Load)
+	reg.Counter("memd_cmd_set", "Store commands served.", st.CmdSet.Load)
+	reg.Counter("memd_get_hits", "Keys found by get.", st.GetHits.Load)
+	reg.Counter("memd_get_misses", "Keys missed by get.", st.GetMisses.Load)
+	reg.Counter("memd_transactions", "Client commands processed: a text line, a binary command, or a whole quiet-get run.", st.Transactions.Load)
+	reg.Counter("memd_total_connections", "Connections accepted.", st.TotalConns.Load)
+	reg.Gauge("memd_curr_connections", "Currently open connections.", st.CurrConns.Load)
+	if store := s.store; store != nil {
+		reg.Counter("memd_evictions", "Items evicted by the LRU.", store.Evictions)
+		reg.Gauge("memd_curr_items", "Items currently stored.", func() int64 { return int64(store.Len()) })
+		reg.Gauge("memd_bytes", "Bytes currently stored.", store.Bytes)
 	}
-	counter("memd_cmd_get", "get/gets commands served.", st.CmdGet.Load)
-	counter("memd_cmd_set", "store commands served.", st.CmdSet.Load)
-	counter("memd_get_hits", "keys found by get.", st.GetHits.Load)
-	counter("memd_get_misses", "keys missed by get.", st.GetMisses.Load)
-	counter("memd_transactions", "client command lines processed.", st.Transactions.Load)
-	counter("memd_total_connections", "connections accepted.", st.TotalConns.Load)
-	counter("memd_evictions", "items evicted by the LRU.", store.Evictions)
-	reg.RegisterFunc("memd_curr_connections", "currently open connections.",
-		obs.Gauge, func() float64 { return float64(st.CurrConns.Load()) })
-	reg.RegisterFunc("memd_curr_items", "items currently stored.",
-		obs.Gauge, func() float64 { return float64(store.Len()) })
-	reg.RegisterFunc("memd_bytes", "bytes currently stored.",
-		obs.Gauge, func() float64 { return float64(store.Bytes()) })
 	s.recorder.RegisterMetrics(reg)
 }
 
@@ -592,20 +600,19 @@ func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Ite
 	return hits, nil
 }
 
-// appendStats appends the stats reply both wires serve: the server's
-// counters, then the backend's entries in name order.
+// appendStats appends the stats reply both wires serve: every unlabeled
+// counter and gauge of the registry in name order — a memd_* family
+// under its bare memcached name, anything else under its /metrics name
+// — then the backend's non-metric lines in name order.
 func (s *Server) appendStats(out []string) []string {
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	out = append(out,
-		"cmd_get", u(s.stats.CmdGet.Load()),
-		"cmd_set", u(s.stats.CmdSet.Load()),
-		"get_hits", u(s.stats.GetHits.Load()),
-		"get_misses", u(s.stats.GetMisses.Load()),
-		"transactions", u(s.stats.Transactions.Load()),
-		"curr_connections", strconv.FormatInt(s.stats.CurrConns.Load(), 10),
-		"total_connections", u(s.stats.TotalConns.Load()),
-	)
-	extra := s.backend.BackendStats()
+	s.reg.Scalars(func(name string, v int64) {
+		out = append(out, strings.TrimPrefix(name, "memd_"), strconv.FormatInt(v, 10))
+	})
+	sb, ok := s.backend.(statusBackend)
+	if !ok {
+		return out
+	}
+	extra := sb.BackendStats()
 	names := make([]string, 0, len(extra))
 	for name := range extra {
 		names = append(names, name)

@@ -120,12 +120,17 @@ func TestBadKeyReplyTable(t *testing.T) {
 }
 
 // TestStatsSameListBothWires: binary stat serves what text stats
-// serves — the server's counters, then the backend's entries in name
-// order — because both come from the one executor.
+// serves — the registry's counters and gauges in its name order, memd_*
+// under the bare memcached names — because both come from the one
+// executor.
 func TestStatsSameListBothWires(t *testing.T) {
-	addr := serveTest(t, NewServer(NewStore(0)), nil)
-	want := []string{"cmd_get", "cmd_set", "get_hits", "get_misses", "transactions",
-		"curr_connections", "total_connections", "bytes", "curr_items", "evictions"}
+	srv := NewServer(NewStore(0))
+	addr := serveTest(t, srv, nil)
+	var want []string
+	srv.Registry().Scalars(func(name string, _ int64) { want = append(want, strings.TrimPrefix(name, "memd_")) })
+	if fmt.Sprint(want) != "[bytes cmd_get cmd_set curr_connections curr_items evictions get_hits get_misses total_connections traced_transactions transactions]" {
+		t.Fatalf("an rnbmemd server registers %v", want)
+	}
 
 	text := dialRaw(t, addr)
 	var got []string

@@ -64,21 +64,23 @@ func escapeLabel(v string) string {
 
 var validName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-// family is one registered metric name with its collector.
+// family is one registered metric name with exactly one source: load
+// (an unlabeled counter or gauge), collect (a labeled family) or hist.
 type family struct {
 	name    string
 	help    string
 	kind    Kind
+	load    func() int64
 	collect func() []Sample
-	hist    *Hist // non-nil for histogram families
+	hist    *Hist
 }
 
-// Registry is the scrape-side half of the observability layer: every
-// metric family the process exports, under one stable namespace. Names
-// are validated and sorted once, at registration — every render walks
-// the same order, so /metrics output and stats lines derived from it
-// are deterministic. Collectors run at scrape time; they must be safe
-// for concurrent use.
+// Registry is the one place a live metric is named: every family the
+// process exports, under one stable namespace. Names are validated and
+// sorted once, at registration — every rendering (/metrics, the
+// memcached "stats" reply, rnbproxy -stats-every, METRICS.md) walks the
+// same order. Sources run at scrape time; they must be safe for
+// concurrent use.
 type Registry struct {
 	mu   sync.Mutex
 	fams []*family // sorted by name
@@ -87,12 +89,24 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
+// wrongUnits are the suffixes that would mean a duration exported in
+// anything but seconds.
+var wrongUnits = []string{
+	"_ns", "_nanos", "_nanoseconds", "_us", "_micros", "_microseconds",
+	"_ms", "_millis", "_milliseconds", "_minutes", "_hours",
+}
+
 // register inserts f in sorted position, panicking on an invalid or
-// duplicate name: both are programmer errors, caught by any test that
-// touches the registry.
+// duplicate name or a non-seconds unit suffix: all are programmer
+// errors, caught by any test that touches the registry.
 func (r *Registry) register(f *family) {
 	if !validName.MatchString(f.name) {
 		panic("obs: invalid metric name " + f.name)
+	}
+	for _, suf := range wrongUnits {
+		if strings.HasSuffix(f.name, suf) {
+			panic("obs: metric " + f.name + " ends in " + suf + "; durations are exported in seconds")
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -105,40 +119,39 @@ func (r *Registry) register(f *family) {
 	r.fams[i] = f
 }
 
-// Register adds a family whose samples are gathered by collect at
-// scrape time (use for labeled families).
+// Register adds a labeled family whose samples are gathered by collect
+// at scrape time.
 func (r *Registry) Register(name, help string, kind Kind, collect func() []Sample) {
 	r.register(&family{name: name, help: help, kind: kind, collect: collect})
 }
 
-// RegisterFunc adds a single-sample family.
-func (r *Registry) RegisterFunc(name, help string, kind Kind, f func() float64) {
-	r.Register(name, help, kind, func() []Sample {
-		return []Sample{{Value: f()}}
-	})
+// Counter adds an unlabeled monotone total read by load, typically an
+// atomic.Uint64's Load.
+func (r *Registry) Counter(name, help string, load func() uint64) {
+	r.register(&family{name: name, help: help, kind: Counter, load: func() int64 { return int64(load()) }})
 }
 
-// RegisterUint64Map expands a Snapshot-style map into one family per
-// key, named prefix + key. The key set is read once, here, and sorted
-// into the registry — the fix for stats outputs that used to iterate
-// the map in whatever order the runtime dealt.
-func (r *Registry) RegisterUint64Map(prefix, help string, kind Kind, collect func() map[string]uint64) {
-	for name := range collect() {
-		name := name
-		r.RegisterFunc(prefix+name, help, kind, func() float64 {
-			return float64(collect()[name])
-		})
+// Gauge adds an unlabeled level read by load, typically an
+// atomic.Int64's Load.
+func (r *Registry) Gauge(name, help string, load func() int64) {
+	r.register(&family{name: name, help: help, kind: Gauge, load: load})
+}
+
+// Scalars calls visit with the current value of every unlabeled counter
+// and gauge, in name order: the walk behind every rendering that is not
+// the Prometheus exposition.
+func (r *Registry) Scalars(visit func(name string, value int64)) {
+	for _, f := range r.families() {
+		if f.load != nil {
+			visit(f.name, f.load())
+		}
 	}
 }
 
-// RegisterInt64Map is RegisterUint64Map for int64-valued snapshots.
-func (r *Registry) RegisterInt64Map(prefix, help string, kind Kind, collect func() map[string]int64) {
-	for name := range collect() {
-		name := name
-		r.RegisterFunc(prefix+name, help, kind, func() float64 {
-			return float64(collect()[name])
-		})
-	}
+func (r *Registry) families() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*family(nil), r.fams...)
 }
 
 // durationBounds is the bucket ladder exported for duration
@@ -162,19 +175,13 @@ func (r *Registry) RegisterDurationHist(name, help string, h *Hist) {
 	if !strings.HasSuffix(name, "_seconds") {
 		panic("obs: duration histogram " + name + " must be named *_seconds")
 	}
-	if !validName.MatchString(name) {
-		panic("obs: invalid metric name " + name)
-	}
 	r.register(&family{name: name, help: help, hist: h})
 }
 
 // Render writes the registry in Prometheus text exposition format,
 // families in name order.
 func (r *Registry) Render(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
-	r.mu.Unlock()
-	for _, f := range fams {
+	for _, f := range r.families() {
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
 				return err
@@ -188,6 +195,12 @@ func (r *Registry) Render(w io.Writer) error {
 		}
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
+		}
+		if f.load != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", f.name, f.load()); err != nil {
+				return err
+			}
+			continue
 		}
 		for _, s := range f.collect() {
 			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.Labels, formatValue(s.Value)); err != nil {

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -23,7 +25,7 @@ func TestSortedDeterministicOutput(t *testing.T) {
 	r := NewRegistry()
 	for _, name := range []string{"zeta_total", "alpha_total", "mid_total"} {
 		name := name
-		r.RegisterFunc(name, "test.", Counter, func() float64 { return 1 })
+		r.Counter(name, "test.", func() uint64 { return 1 })
 	}
 	first := render(t, r)
 	ia := strings.Index(first, "alpha_total")
@@ -39,25 +41,40 @@ func TestSortedDeterministicOutput(t *testing.T) {
 	}
 }
 
-// TestRegisterMapExpandsSorted: a Snapshot map becomes one family per
-// key, all in the sorted namespace.
-func TestRegisterMapExpandsSorted(t *testing.T) {
+// TestScalarsWalk: the typed helpers keep their kind, the walk visits
+// exactly the unlabeled counters and gauges in name order — no labeled
+// family, no histogram — and reads live values.
+func TestScalarsWalk(t *testing.T) {
 	r := NewRegistry()
-	snap := map[string]uint64{"bravo": 2, "alpha": 1, "charlie": 3}
-	r.RegisterUint64Map("t_", "test.", Counter, func() map[string]uint64 { return snap })
+	var hits atomic.Uint64
+	var depth atomic.Int64
+	r.Gauge("t_depth", "test.", depth.Load)
+	r.Counter("t_hits", "test.", hits.Load)
+	r.Register("t_labeled", "test.", Gauge, func() []Sample { return []Sample{{Labels: Labels("k", "v"), Value: 7}} })
+	r.RegisterDurationHist("t_latency_seconds", "test.", &Hist{})
+	walk := func() string {
+		var sb strings.Builder
+		r.Scalars(func(name string, v int64) { fmt.Fprintf(&sb, "%s=%d ", name, v) })
+		return sb.String()
+	}
+	hits.Store(2)
+	depth.Store(-3)
+	if got := walk(); got != "t_depth=-3 t_hits=2 " {
+		t.Fatalf("Scalars walked %q", got)
+	}
+	hits.Store(1 << 40) // live, and an integer on both renderings
+	if got := walk(); got != "t_depth=-3 t_hits=1099511627776 " {
+		t.Fatalf("Scalars walked %q", got)
+	}
 	out := render(t, r)
-	for _, line := range []string{"t_alpha 1", "t_bravo 2", "t_charlie 3"} {
+	for _, line := range []string{
+		"# TYPE t_depth gauge", "t_depth -3",
+		"# TYPE t_hits counter", "t_hits 1099511627776",
+		`t_labeled{k="v"} 7`,
+	} {
 		if !strings.Contains(out, line) {
 			t.Fatalf("missing %q in:\n%s", line, out)
 		}
-	}
-	if !(strings.Index(out, "t_alpha") < strings.Index(out, "t_bravo") &&
-		strings.Index(out, "t_bravo") < strings.Index(out, "t_charlie")) {
-		t.Fatalf("map families not sorted:\n%s", out)
-	}
-	snap["alpha"] = 42 // live: collectors re-read at scrape time
-	if !strings.Contains(render(t, r), "t_alpha 42") {
-		t.Fatalf("collector not live")
 	}
 }
 
@@ -73,13 +90,13 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterFunc("dup_total", "x.", Counter, func() float64 { return 0 })
-	mustPanic(t, "duplicate name", func() {
-		r.RegisterFunc("dup_total", "x.", Counter, func() float64 { return 0 })
-	})
-	mustPanic(t, "invalid name", func() {
-		r.RegisterFunc("bad name", "x.", Counter, func() float64 { return 0 })
-	})
+	zero := func() uint64 { return 0 }
+	r.Counter("dup_total", "x.", zero)
+	mustPanic(t, "duplicate name", func() { r.Counter("dup_total", "x.", zero) })
+	mustPanic(t, "invalid name", func() { r.Counter("bad name", "x.", zero) })
+	for _, name := range []string{"wait_ms", "rtt_ns", "lag_micros", "age_minutes"} {
+		mustPanic(t, "non-seconds unit suffix "+name, func() { r.Counter(name, "x.", zero) })
+	}
 	mustPanic(t, "duration histogram without _seconds suffix", func() {
 		r.RegisterDurationHist("latency_ms", "x.", &Hist{})
 	})
@@ -121,7 +138,7 @@ func TestLabels(t *testing.T) {
 // TestServeHTTP checks the scrape handler end to end.
 func TestServeHTTP(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterFunc("up", "test.", Gauge, func() float64 { return 1 })
+	r.Gauge("up", "test.", func() int64 { return 1 })
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {

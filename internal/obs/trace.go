@@ -138,9 +138,8 @@ func (r *ServerRecorder) RegisterMetrics(reg *Registry) {
 		"Traced transactions: store execution, lock wait included.", &r.Exec)
 	reg.RegisterDurationHist("memd_flush_seconds",
 		"Traced transactions: response serialization and socket flush.", &r.Flush)
-	reg.RegisterFunc("memd_traced_transactions",
-		"Transactions that carried a trace context.", Counter,
-		func() float64 { return float64(r.Traced()) })
+	reg.Counter("memd_traced_transactions",
+		"Transactions that carried a trace context.", r.traced.Load)
 }
 
 // Spans dumps the ring, newest first.

@@ -15,6 +15,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"rnb"
@@ -43,25 +44,20 @@ func New(client *rnb.Client) *Proxy {
 // Client returns the underlying RnB client.
 func (p *Proxy) Client() *rnb.Client { return p.client }
 
-// RegisterMetrics exports the proxy's request counters plus every
-// family of the underlying client (resilience, hotspot, pool, latency
-// histograms, per-server breaker gauges) into reg, under stable sorted
-// names — the /metrics side of BackendStats.
+// RegisterMetrics names the proxy's request counters, and every family
+// of the underlying client, in reg. Hand it the front server's registry
+// (memcache.Server.Registry) and both /metrics and the front's "stats"
+// command answer them.
 func (p *Proxy) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterFunc("proxy_requests", "Multi-get requests served.",
-		obs.Counter, func() float64 { return float64(p.requests.Load()) })
-	reg.RegisterFunc("proxy_backend_txns", "Backend round trips issued for those requests.",
-		obs.Counter, func() float64 { return float64(p.backendTxns.Load()) })
-	reg.RegisterFunc("proxy_round2_txns", "Distinguished-copy recovery round trips.",
-		obs.Counter, func() float64 { return float64(p.round2.Load()) })
-	reg.RegisterFunc("proxy_hitchhikers", "Extra keys piggybacked onto planned transactions.",
-		obs.Counter, func() float64 { return float64(p.hitchhikers.Load()) })
-	reg.RegisterFunc("proxy_db_loads", "Keys fetched from the cache-aside loader.",
-		obs.Counter, func() float64 { return float64(p.loadedFromDB.Load()) })
-	reg.RegisterFunc("proxy_replicas", "Configured logical replication level.",
-		obs.Gauge, func() float64 { return float64(p.client.Replicas()) })
-	reg.RegisterFunc("proxy_servers", "Backend server count.",
-		obs.Gauge, func() float64 { return float64(len(p.client.Servers())) })
+	reg.Counter("proxy_requests", "Multi-get requests served.", p.requests.Load)
+	reg.Counter("proxy_backend_txns", "Backend round trips issued for those requests.", p.backendTxns.Load)
+	reg.Counter("proxy_round2_txns", "Distinguished-copy recovery round trips.", p.round2.Load)
+	reg.Counter("proxy_hitchhikers", "Extra keys piggybacked onto planned transactions.", p.hitchhikers.Load)
+	reg.Counter("proxy_db_loads", "Keys fetched from the cache-aside loader.", p.loadedFromDB.Load)
+	reg.Gauge("proxy_replicas", "Configured logical replication level.",
+		func() int64 { return int64(p.client.Replicas()) })
+	reg.Gauge("proxy_servers", "Backend server count.",
+		func() int64 { return int64(len(p.client.Servers())) })
 	p.client.RegisterMetrics(reg)
 }
 
@@ -171,52 +167,19 @@ func (p *Proxy) Touch(key string, exp int32) error { return p.client.Touch(key, 
 // FlushAll implements memcache.Backend: flush the whole tier.
 func (p *Proxy) FlushAll() error { return p.client.FlushAll() }
 
-// BackendStats implements memcache.Backend.
+// BackendStats returns the front's "stats" lines that are not metrics
+// (every counter and gauge comes from the registry): per-backend
+// breaker health, so "stats" against the proxy shows which servers are
+// quarantined and why. Keys are the stable slot index; a drained
+// backend's keys disappear with it (ServerStates omits completed
+// drains), so resizes leave no ghost entries.
 func (p *Proxy) BackendStats() map[string]string {
-	reqs := p.requests.Load()
-	txns := p.backendTxns.Load()
-	out := map[string]string{
-		"proxy_requests":     fmt.Sprintf("%d", reqs),
-		"proxy_backend_txns": fmt.Sprintf("%d", txns),
-		"proxy_round2_txns":  fmt.Sprintf("%d", p.round2.Load()),
-		"proxy_hitchhikers":  fmt.Sprintf("%d", p.hitchhikers.Load()),
-		"proxy_db_loads":     fmt.Sprintf("%d", p.loadedFromDB.Load()),
-		"proxy_replicas":     fmt.Sprintf("%d", p.client.Replicas()),
-		"proxy_servers":      fmt.Sprintf("%d", len(p.client.Servers())),
-	}
-	if reqs > 0 {
-		out["proxy_tpr_milli"] = fmt.Sprintf("%d", txns*1000/reqs)
-	}
-	// Per-backend breaker health, so "stats" against the proxy shows
-	// which servers are quarantined and why. Keys are the stable slot
-	// index; a drained backend's keys disappear with it (ServerStates
-	// omits completed drains), so resizes leave no ghost entries.
+	out := map[string]string{"proxy_adaptive": strconv.FormatBool(p.client.AdaptiveEnabled())}
 	for _, st := range p.client.ServerStates() {
 		out[fmt.Sprintf("proxy_server_%d_addr", st.Index)] = st.Addr
 		out[fmt.Sprintf("proxy_server_%d_phase", st.Index)] = st.Phase
 		out[fmt.Sprintf("proxy_server_%d_state", st.Index)] = st.State.String()
-		out[fmt.Sprintf("proxy_server_%d_failures", st.Index)] = fmt.Sprintf("%d", st.ConsecutiveFailures)
-	}
-	// Dynamic-membership counters: epoch, joins/drains, warm handoff.
-	for k, v := range p.client.Topology().Snapshot() {
-		out["proxy_topology_"+k] = fmt.Sprintf("%d", v)
-	}
-	for k, v := range p.client.Resilience().Snapshot() {
-		out["proxy_"+k] = fmt.Sprintf("%d", v)
-	}
-	// Adaptive-replication heat counters (all zero when the feature is
-	// off) — promoted-key count, promotion/demotion totals, sketch
-	// error, exposed alongside the resilience keys.
-	for k, v := range p.client.Hotspot().Snapshot() {
-		out["proxy_"+k] = fmt.Sprintf("%d", v)
-	}
-	out["proxy_adaptive"] = fmt.Sprintf("%t", p.client.AdaptiveEnabled())
-	// Pooled-transport gauges (absent when the client runs the
-	// single-connection transport).
-	if g := p.client.PoolGauges(); g != nil {
-		for k, v := range g.Snapshot() {
-			out["proxy_"+k] = fmt.Sprintf("%d", v)
-		}
+		out[fmt.Sprintf("proxy_server_%d_failures", st.Index)] = strconv.Itoa(st.ConsecutiveFailures)
 	}
 	return out
 }

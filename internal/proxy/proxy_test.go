@@ -37,22 +37,31 @@ func stack(t *testing.T, backends, replicas int) (*memcache.Client, []*memcache.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
+	legacy, p := front(t, client)
+	return legacy, servers, p
+}
 
+// front puts a proxy and its front-end protocol server over client the
+// way rnbproxy does — the proxy's families go in the front's registry —
+// and returns a plain memcached client connected to it.
+func front(t *testing.T, client *rnb.Client) (*memcache.Client, *Proxy) {
+	t.Helper()
 	p := New(client)
-	front := memcache.NewServerBackend(p)
+	srv := memcache.NewServerBackend(p)
+	p.RegisterMetrics(srv.Registry())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go front.Serve(ln)
-	t.Cleanup(func() { front.Close() })
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
 
 	legacy, err := memcache.Dial(ln.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { legacy.Close() })
-	return legacy, servers, p
+	return legacy, p
 }
 
 func TestProxySetGetRoundTrip(t *testing.T) {
@@ -77,7 +86,7 @@ func TestProxySetGetRoundTrip(t *testing.T) {
 }
 
 func TestProxyMultiGetBundles(t *testing.T) {
-	legacy, servers, p := stack(t, 8, 3)
+	legacy, servers, _ := stack(t, 8, 3)
 	keys := make([]string, 40)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%02d", i)
@@ -107,7 +116,10 @@ func TestProxyMultiGetBundles(t *testing.T) {
 		t.Fatalf("proxy used %d backend transactions for one multi-get", used)
 	}
 	// And the proxy's stats reflect it.
-	st := p.BackendStats()
+	st, err := legacy.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st["proxy_requests"] != "1" {
 		t.Fatalf("proxy_requests = %s", st["proxy_requests"])
 	}
@@ -270,9 +282,12 @@ func TestProxyStatsNoGhostSeriesAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	p := New(client)
+	legacy, _ := front(t, client)
 
-	before := p.BackendStats()
+	before, err := legacy.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range addrs {
 		if got := before[fmt.Sprintf("proxy_server_%d_addr", i)]; got != addrs[i] {
 			t.Fatalf("server %d key: got %q, want %q (stats %v)", i, got, addrs[i], before)
@@ -289,7 +304,10 @@ func TestProxyStatsNoGhostSeriesAfterDrain(t *testing.T) {
 	if !client.WaitSettled(10 * time.Second) {
 		t.Fatal("drain never settled")
 	}
-	after := p.BackendStats()
+	after, err := legacy.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, suffix := range []string{"addr", "phase", "state", "failures"} {
 		if v, ok := after[fmt.Sprintf("proxy_server_%d_%s", victim, suffix)]; ok {
 			t.Fatalf("ghost series for drained server: proxy_server_%d_%s=%q", victim, suffix, v)
@@ -298,7 +316,7 @@ func TestProxyStatsNoGhostSeriesAfterDrain(t *testing.T) {
 	if after["proxy_servers"] != "4" {
 		t.Fatalf("proxy_servers = %q after drain", after["proxy_servers"])
 	}
-	if after["proxy_topology_drains"] != "1" || after["proxy_topology_drains_completed"] != "1" {
+	if after["rnb_topology_drains"] != "1" || after["rnb_topology_drains_completed"] != "1" {
 		t.Fatalf("topology counters missing from stats: %v", after)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"rnb/internal/cluster"
 	"rnb/internal/hashring"
 	"rnb/internal/hotspot"
-	"rnb/internal/metrics"
 	"rnb/internal/workload"
 )
 
@@ -64,10 +63,10 @@ func Hotspot(cfg Config) (Table, error) {
 		imbalance float64 // max/mean server load
 		tpr       float64
 	}
-	run := func(s float64, adaptive bool) (point, *metrics.Hotspot, error) {
+	run := func(s float64, adaptive bool) (point, *hotspot.Counters, error) {
 		ring := hashring.NewWithServers(servers, hashring.DefaultVirtualNodes)
 		var placement hashring.Placement = hashring.NewRCHPlacement(ring, replicas)
-		counters := &metrics.Hotspot{}
+		counters := &hotspot.Counters{}
 		if adaptive {
 			placement = hotspot.NewAdaptive(placement, hotspot.Config{
 				MaxBoost:   3,
@@ -123,13 +122,13 @@ func Hotspot(cfg Config) (Table, error) {
 		fixed.Y = append(fixed.Y, fp.maxLoad)
 		adapt.X = append(adapt.X, s)
 		adapt.Y = append(adapt.Y, ap.maxLoad)
-		snap := counters.Snapshot()
-		ramOverhead := float64(snap["hotspot_boost_replicas"]) / float64(items)
+		hotKeys, boosted := counters.HotKeys.Load(), counters.BoostReplicas.Load()
+		ramOverhead := float64(boosted) / float64(items)
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"s=%.1f: max-load %.0f vs %.0f txns/1k req; imbalance %.2f vs %.2f; TPR %.2f vs %.2f; "+
 				"%d hot keys, +%d boosted copies (RAM +%.3f%%) [fixed vs adaptive]",
 			s, fp.maxLoad, ap.maxLoad, fp.imbalance, ap.imbalance, fp.tpr, ap.tpr,
-			snap["hotspot_hot_keys"], snap["hotspot_boost_replicas"], 100*ramOverhead))
+			hotKeys, boosted, 100*ramOverhead))
 	}
 	t.Series = append(t.Series, fixed, adapt)
 	return t, nil

@@ -190,3 +190,17 @@ func TestObservabilityPooledTransport(t *testing.T) {
 		t.Fatalf("registry missing pool gauges:\n%s", sb.String())
 	}
 }
+
+// scalars renders cl's non-zero counters and gauges, " name=value"
+// each, for failure messages.
+func scalars(cl *Client) string {
+	reg := obs.NewRegistry()
+	cl.RegisterMetrics(reg)
+	var sb strings.Builder
+	reg.Scalars(func(name string, v int64) {
+		if v != 0 {
+			fmt.Fprintf(&sb, " %s=%d", name, v)
+		}
+	})
+	return sb.String()
+}

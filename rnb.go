@@ -39,7 +39,6 @@ import (
 	"rnb/internal/hashring"
 	"rnb/internal/hotspot"
 	"rnb/internal/memcache"
-	"rnb/internal/metrics"
 	"rnb/internal/obs"
 	"rnb/internal/topology"
 	"rnb/internal/xhash"
@@ -263,7 +262,7 @@ type Client struct {
 
 	// poolGauges is shared by every per-server pool (nil when the
 	// single-connection transport is in use).
-	poolGauges *metrics.PoolGauges
+	poolGauges *memcache.PoolGauges
 	failures   atomic.Uint64
 	// unhealthy counts the breakers that are not closed, kept by
 	// onBreaker, so the common request — every server healthy — skips
@@ -277,13 +276,13 @@ type Client struct {
 	// (hotspot.Bound), so no tier's replica space mutates after
 	// publication.
 	adaptive   *hotspot.AdaptivePlacement
-	resilience metrics.Resilience
-	hotspot    metrics.Hotspot
-	topo       metrics.Topology
+	resilience Resilience
+	hotspot    hotspot.Counters
+	topo       Topology
 	// writeBacks is shared by every single-connection transport: what
 	// became of the adds round 2 deferred (all zero on a pooled client,
 	// whose write-backs are acknowledged).
-	writeBacks metrics.WriteBacks
+	writeBacks memcache.WriteBacks
 	// recorder is the always-on request recorder: request-phase latency
 	// histograms, the head sampler, and the one store of finished spans
 	// (flight recorder, slow ring, trace reservoir).
@@ -312,16 +311,16 @@ func (c *Client) Failures() uint64 { return c.failures.Load() }
 
 // Resilience exposes the client's failure-handling counters: breaker
 // transitions, probe outcomes, and read re-plans.
-func (c *Client) Resilience() *metrics.Resilience { return &c.resilience }
+func (c *Client) Resilience() *Resilience { return &c.resilience }
 
 // Hotspot exposes the adaptive-replication counters (all zero unless
 // WithAdaptiveReplication is on).
-func (c *Client) Hotspot() *metrics.Hotspot { return &c.hotspot }
+func (c *Client) Hotspot() *hotspot.Counters { return &c.hotspot }
 
 // PoolGauges exposes the pooled transport's instrumentation, shared
 // across every server's pool. Nil when WithPoolSize was not set above
 // one (the single-connection transport has nothing to gauge).
-func (c *Client) PoolGauges() *metrics.PoolGauges { return c.poolGauges }
+func (c *Client) PoolGauges() *memcache.PoolGauges { return c.poolGauges }
 
 // Recorder exposes the client's request recorder: request-phase
 // latency histograms, the recent, slow and sampled spans it holds
@@ -336,38 +335,26 @@ func (c *Client) Recorder() *obs.Recorder { return c.recorder }
 func (c *Client) RecentRequests() []obs.Span { return c.recorder.Requests() }
 
 // RegisterMetrics exports every one of the client's metric families
-// into reg under stable, sorted names: rnb_resilience_* (breaker and
-// retry counters), rnb_hotspot_* (adaptive replication), rnb_pool_*
-// (pooled transport, when enabled), rnb_writeback_* (round 2's deferred
-// adds), per-server breaker gauges, and the latency histograms
-// (exported in seconds, recorded in nanoseconds).
+// into reg: each counter group's own table (rnb_resilience_*,
+// rnb_hotspot_*, rnb_topology_*, rnb_pool_* when pooled,
+// rnb_writeback_*), the client-wide totals, per-server breaker gauges,
+// and the latency histograms (exported in seconds, recorded in
+// nanoseconds).
 func (c *Client) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterUint64Map("rnb_resilience_", "Failure-handling counters: breaker transitions, probes, re-plans.",
-		obs.Counter, c.resilience.Snapshot)
-	reg.RegisterUint64Map("rnb_", "Adaptive hot-key replication counters.",
-		obs.Gauge, c.hotspot.Snapshot)
-	reg.RegisterUint64Map("rnb_topology_", "Dynamic membership: joins, drains, epochs, warm handoff.",
-		obs.Gauge, c.topo.Snapshot)
+	c.resilience.register(reg)
+	c.hotspot.Register(reg)
+	c.topo.register(reg)
 	if c.poolGauges != nil {
-		reg.RegisterInt64Map("rnb_", "Pooled transport gauges.",
-			obs.Gauge, c.poolGauges.Snapshot)
+		c.poolGauges.Register(reg)
 	}
-	reg.RegisterUint64Map("rnb_writeback_", "Round-2 write-backs deferred on single connections: queued, carried by a later command, dropped by reason.",
-		obs.Counter, c.writeBacks.Snapshot)
-	reg.RegisterFunc("rnb_server_errors", "Total network errors observed against backends.",
-		obs.Counter, func() float64 { return float64(c.Failures()) })
-	reg.RegisterFunc("rnb_transactions", "Total protocol round trips issued.",
-		obs.Counter, func() float64 { return float64(c.Transactions()) })
-	reg.RegisterFunc("rnb_slow_requests", "Requests at or over the slow threshold.",
-		obs.Counter, func() float64 { return float64(c.recorder.SlowSeen()) })
-	reg.RegisterFunc("rnb_trace_started", "Requests head-sampled into distributed tracing.",
-		obs.Counter, func() float64 { return float64(c.recorder.Started()) })
-	reg.RegisterFunc("rnb_trace_finished", "Traced requests completed and offered to the retention rules.",
-		obs.Counter, func() float64 { return float64(c.recorder.Finished()) })
-	reg.RegisterFunc("rnb_trace_kept_slow", "Traces kept because they reached the slow threshold.",
-		obs.Counter, func() float64 { return float64(c.recorder.KeptSlow()) })
-	reg.RegisterFunc("rnb_trace_kept_reservoir", "Normal-latency traces kept by the reservoir sampler.",
-		obs.Counter, func() float64 { return float64(c.recorder.KeptReservoir()) })
+	c.writeBacks.Register(reg)
+	reg.Counter("rnb_server_errors", "Total network errors observed against backends.", c.Failures)
+	reg.Counter("rnb_transactions", "Total protocol round trips issued.", c.Transactions)
+	reg.Counter("rnb_slow_requests", "Requests at or over the slow threshold.", c.recorder.SlowSeen)
+	reg.Counter("rnb_trace_started", "Requests head-sampled into distributed tracing.", c.recorder.Started)
+	reg.Counter("rnb_trace_finished", "Traced requests completed and offered to the retention rules.", c.recorder.Finished)
+	reg.Counter("rnb_trace_kept_slow", "Traces kept because they reached the slow threshold.", c.recorder.KeptSlow)
+	reg.Counter("rnb_trace_kept_reservoir", "Normal-latency traces kept by the reservoir sampler.", c.recorder.KeptReservoir)
 	// Per-server gauges are labeled by the stable slot index and emit
 	// only current members: a drained server's series disappears from
 	// /metrics with it (no ghost series), and reappears under the same
@@ -519,9 +506,9 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 	}
 	// The recorder exists before the transports so every connection can
 	// stamp its round trips into the shared RTT histogram.
-	var poolGauges *metrics.PoolGauges
+	var poolGauges *memcache.PoolGauges
 	if cfg.poolSize > 1 || cfg.binary {
-		poolGauges = &metrics.PoolGauges{}
+		poolGauges = &memcache.PoolGauges{}
 	}
 	c := &Client{
 		cfg:        cfg,

@@ -5,8 +5,9 @@
 # -debug-addr, pushes a little traffic through the proxy's memcached
 # port, then asserts the debug endpoints actually serve what the README
 # promises: Prometheus metric families on /metrics (including the
-# latency histograms and per-backend breaker gauges) and flight-recorder
-# JSON on /debug/requests.
+# latency histograms and per-backend breaker gauges), the same counters
+# under the same names in the memcached `stats` reply, and
+# flight-recorder JSON on /debug/requests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -91,6 +92,24 @@ if ! grep -q '^rnb_request_duration_seconds_count [1-9]' <<<"$METRICS"; then
     echo "obs-smoke: request histogram empty after traffic" >&2
     exit 1
 fi
+
+echo "obs-smoke: checking stats against /metrics"
+# `stats` is a rendering of the registry /metrics serves: every sample
+# line without labels (a scalar counter or gauge; histogram series carry
+# a suffix no family has) must be a STAT line under the same name, a
+# memd_* family under its bare memcached name.
+STATS=$(printf 'stats\r\nquit\r\n' |
+    timeout 10 bash -c "exec 3<>/dev/tcp/${PROXY%:*}/${PROXY#*:}; cat >&3; cat <&3" | tr -d '\r')
+SCALARS=$(awk '$1 == "#" && $2 == "TYPE" && ($4 == "counter" || $4 == "gauge") { kind[$3] = 1 }
+    $1 in kind { print $1 }' <<<"$METRICS")
+for family in $SCALARS rnb_transactions rnb_resilience_replans rnb_writeback_queued proxy_requests; do
+    if ! grep "^STAT ${family#memd_} [0-9-]" <<<"$STATS" >/dev/null; then
+        echo "obs-smoke: stats missing /metrics family $family" >&2
+        echo "$STATS" >&2
+        exit 1
+    fi
+done
+[ "$(wc -w <<<"$SCALARS")" -ge 40 ] || { echo "obs-smoke: only $(wc -w <<<"$SCALARS") scalar families parsed from /metrics" >&2; exit 1; }
 
 echo "obs-smoke: checking /debug/requests"
 DUMP=$(curl -sf "http://$DEBUG/debug/requests")

@@ -132,15 +132,15 @@ func TestResizeUnderLoadZeroMissReads(t *testing.T) {
 	}
 	readers.finish(t)
 
-	snap := cl.Topology().Snapshot()
-	if snap["joins"] != 2 || snap["drains"] != 2 {
-		t.Fatalf("join/drain counters wrong: %v", snap)
+	topo := cl.Topology()
+	if topo.Joins.Load() != 2 || topo.Drains.Load() != 2 {
+		t.Fatalf("join/drain counters wrong:%s", scalars(cl))
 	}
-	if snap["drains_completed"] != 2 || snap["drains_forced"] != 0 {
-		t.Fatalf("drains did not all complete cleanly: %v", snap)
+	if topo.DrainsCompleted.Load() != 2 || topo.DrainsForced.Load() != 0 {
+		t.Fatalf("drains did not all complete cleanly:%s", scalars(cl))
 	}
-	if snap["epochs_retired"] == 0 {
-		t.Fatalf("no superseded epoch ever retired: %v", snap)
+	if topo.EpochsRetired.Load() == 0 {
+		t.Fatalf("no superseded epoch ever retired:%s", scalars(cl))
 	}
 	states := cl.ServerStates()
 	if len(states) != 4 {
@@ -203,9 +203,8 @@ func TestRejoinReusesSlotIndex(t *testing.T) {
 			t.Fatalf("rejoined server got index %d, want its old index %d", st.Index, wasIdx)
 		}
 	}
-	snap := cl.Topology().Snapshot()
-	if snap["rejoins"] != 1 {
-		t.Fatalf("rejoin not counted: %v", snap)
+	if cl.Topology().Rejoins.Load() != 1 {
+		t.Fatalf("rejoin not counted:%s", scalars(cl))
 	}
 	items, _, err := cl.GetMulti(ks)
 	if err != nil || len(items) != len(ks) {
@@ -248,9 +247,9 @@ func TestSetServersDiffsMembership(t *testing.T) {
 	if got[addrs[0]] {
 		t.Fatalf("server %s still a member after reload dropped it", addrs[0])
 	}
-	snap := cl.Topology().Snapshot()
-	if snap["reloads"] != 1 || snap["joins"] != 1 || snap["drains"] != 1 {
-		t.Fatalf("reload counters wrong: %v", snap)
+	topo := cl.Topology()
+	if topo.Reloads.Load() != 1 || topo.Joins.Load() != 1 || topo.Drains.Load() != 1 {
+		t.Fatalf("reload counters wrong:%s", scalars(cl))
 	}
 
 	// A bad list (duplicate entry) is rejected wholesale; membership
@@ -258,8 +257,8 @@ func TestSetServersDiffsMembership(t *testing.T) {
 	if err := cl.SetServers([]string{addrs[1], addrs[1]}); err == nil {
 		t.Fatal("duplicate server list accepted")
 	}
-	if snap := cl.Topology().Snapshot(); snap["reload_errors"] != 1 {
-		t.Fatalf("rejected reload not counted: %v", snap)
+	if topo.ReloadErrors.Load() != 1 {
+		t.Fatalf("rejected reload not counted:%s", scalars(cl))
 	}
 	if n := len(cl.ServerStates()); n != 4 {
 		t.Fatalf("membership changed by a rejected reload: %d members", n)
@@ -388,7 +387,7 @@ func TestTierSnapshotFrozenAcrossResize(t *testing.T) {
 	}
 	cl.adaptive.ForceEpoch()
 	if cl.adaptive.Boost(hotID) == 0 {
-		t.Fatalf("hot key never promoted: %v", cl.Hotspot().Snapshot())
+		t.Fatalf("hot key never promoted:%s", scalars(cl))
 	}
 
 	check := func(what string, set []int) {
@@ -477,20 +476,20 @@ func TestResizeStormChaos(t *testing.T) {
 		time.Sleep(25 * time.Millisecond)
 	}
 	if !cl.WaitSettled(15 * time.Second) {
-		t.Fatalf("tier never settled after the storm; view %v, topology %v",
-			cl.View(), cl.Topology().Snapshot())
+		t.Fatalf("tier never settled after the storm; view %v, counters%s",
+			cl.View(), scalars(cl))
 	}
 	readers.finish(t)
 
 	if kills == 0 {
 		t.Fatal("storm script killed no server; scenario proves nothing")
 	}
-	snap := cl.Topology().Snapshot()
-	if snap["joins"] == 0 || snap["drains"] == 0 {
-		t.Fatalf("storm exercised no membership churn: %v", snap)
+	topo := cl.Topology()
+	if topo.Joins.Load() == 0 || topo.Drains.Load() == 0 {
+		t.Fatalf("storm exercised no membership churn:%s", scalars(cl))
 	}
-	if snap["drains"] != snap["drains_completed"]+snap["drains_forced"] {
-		t.Fatalf("drains unaccounted for: %v", snap)
+	if topo.Drains.Load() != topo.DrainsCompleted.Load()+topo.DrainsForced.Load() {
+		t.Fatalf("drains unaccounted for:%s", scalars(cl))
 	}
 	// The settled tier serves whole reads with every breaker closed
 	// again (killed servers were all revived).
