@@ -67,9 +67,12 @@ chaos-resize:
 
 # Binary-transport stress under the race detector: 64 goroutines on a
 # binary-pooled client (quiet-get pipelining) plus the kill-mid-pipeline
-# chaos drill, both ending in a goroutine leakcheck.
+# chaos drill, both ending in a goroutine leakcheck; then the pool's own
+# tests, twice, so the reader-role hand-off, the last-writer flush and
+# the teardown paths are shaken on every push.
 stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
+	$(GO) test -race -count=2 -run 'TestPool|TestBinaryPool' ./internal/memcache
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
 # transport, server, planner and client hot paths: text/binary

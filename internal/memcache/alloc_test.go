@@ -152,11 +152,10 @@ func TestAllocBudgetDecode(t *testing.T) {
 // TestAllocBudgetRoundTrip bounds whole transactions end to end against
 // a live server, on both exchangers and both codecs: a 1-key and an
 // 8-key GetMulti (all hits) and a Set. AllocsPerRun counts globally, so
-// each budget covers the server's parse/exec/flush and, on the pooled
-// lanes, the writer and reader goroutines too. The single-connection
-// text lane is the path most benchmark workloads run on; its budgets are
-// exact, because one extra allocation per transaction there is a
-// measurable end-to-end regression.
+// each budget covers the server's parse/exec/flush too. The
+// single-connection text lane is the path most benchmark workloads run
+// on; its budgets are exact, because one extra allocation per
+// transaction there is a measurable end-to-end regression.
 func TestAllocBudgetRoundTrip(t *testing.T) {
 	for _, lane := range []struct {
 		name           string
@@ -167,14 +166,15 @@ func TestAllocBudgetRoundTrip(t *testing.T) {
 		// Measured values, exact. A multiget of any size pays the reply's
 		// Item array, its value arena and the two allocations of the
 		// result map on the client, the request's one string on the
-		// server, and the GetMulti call's own; the pooled lanes add the
-		// poolRequest, its done channel and the hand-off. The 1-key and
+		// server, and the GetMulti call's own. The pooled lanes add
+		// nothing: the request lives in a slot its connection owns and the
+		// caller does its own round trip, as on Client. The 1-key and
 		// the 8-key budgets are equal on purpose: anything paid per key,
 		// on either side of the wire, fails the 8-key gate.
 		{name: "single text", get1: 6, get8: 6, set: 4},
 		{name: "single binary", binary: true, get1: 6, get8: 6, set: 4},
-		{name: "pooled text", pooled: true, get1: 9, get8: 9, set: 7},
-		{name: "pooled binary", pooled: true, binary: true, get1: 9, get8: 9, set: 7},
+		{name: "pooled text", pooled: true, get1: 6, get8: 6, set: 4},
+		{name: "pooled binary", pooled: true, binary: true, get1: 6, get8: 6, set: 4},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
 			srv := NewServer(NewStore(0))

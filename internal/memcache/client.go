@@ -10,12 +10,14 @@ import (
 
 // Client is the single-connection exchanger: every Conn command (see
 // commands) becomes one write → flush → read on one socket under one
-// mutex. With no goroutine hand-off it is the cheapest path for a
-// caller that issues one request at a time (a 1-key multi-get costs
-// about half of what it does through a Pool of size 1), so tools and
-// load generators where each goroutine owns its own Client use it.
-// High-fan-out callers (the RnB client with many goroutines per server)
-// should use Pool, which pipelines the same commands and codecs.
+// mutex. It is the floor for a caller that issues one request at a
+// time — a Pool of size 1 does the same round trip on the caller's
+// goroutine and costs within a few percent of it (EXPERIMENTS.md "PR
+// 20", BenchmarkPoolSweep) — and the one exchanger that can queue an
+// unanswered add (AddLater), so tools and load generators where each
+// goroutine owns its own Client use it. High-fan-out callers (the RnB
+// client with many goroutines per server) should use Pool, which
+// pipelines the same commands and codecs.
 type Client struct {
 	commands
 

@@ -74,9 +74,9 @@ func (c command) idempotent() bool {
 
 // request describes one command invocation. It crosses the exchanger
 // seam by value and the exchanger copies it into storage it already
-// owns (Client.req, a poolRequest), so describing a command never costs
-// a heap allocation of its own — the single-connection point-get path
-// has none to spare.
+// owns (Client.req, one of a pooled connection's poolRequest slots), so
+// describing a command never costs a heap allocation of its own — the
+// point-get path has none to spare.
 type request struct {
 	cmd   command
 	key   string   // single-key commands, Get included
@@ -124,7 +124,8 @@ type reply struct {
 // codec is one wire format. encode and decode are the write and read
 // halves of a transaction: the request is fully described by the pair,
 // responses arrive in request order, so an exchanger may run the halves
-// inline (Client) or on separate goroutines (Pool).
+// back to back (Client) or let one caller decode what another encoded
+// (Pool).
 type codec interface {
 	// check rejects, before submission, a request the format cannot
 	// express.

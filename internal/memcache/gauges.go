@@ -33,7 +33,7 @@ func (g *PoolGauges) Register(reg *obs.Registry) {
 	reg.Counter("rnb_pool_conns_dialed", "Pooled connection dials that succeeded.", g.ConnsDialed.Load)
 	reg.Counter("rnb_pool_conns_reaped", "Idle pooled connections closed by the reaper.", g.ConnsReaped.Load)
 	reg.Counter("rnb_pool_conns_failed", "Pooled connections torn down by an I/O error.", g.ConnsFailed.Load)
-	reg.Gauge("rnb_pool_queued", "Requests a pool accepted and has not yet written to a socket.", g.Queued.Load)
+	reg.Gauge("rnb_pool_queued", "Callers routed to a pooled connection and waiting their turn to write to it.", g.Queued.Load)
 	reg.Gauge("rnb_pool_in_flight", "Requests written to a pooled connection and awaiting their response.", g.InFlight.Load)
 	reg.Gauge("rnb_pool_waiters", "Goroutines blocked waiting for pool capacity.", g.Waiters.Load)
 	reg.Gauge("rnb_pool_pipeline_high_water", "Deepest in-flight pipeline ever observed: how much pipelining the workload got.", g.PipelineHighWater.Load)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,11 +12,12 @@ import (
 
 // Pool is the pooled, pipelined exchanger for a single server,
 // replacing the one-mutex-one-connection Client on hot paths. Every
-// Conn command (see commands) is routed to a connection, encoded by a
-// writer goroutine and decoded by a reader goroutine; the codec is the
-// text protocol by default and the binary protocol (quiet-get
-// pipelining) when PoolConfig.Binary is set. Both formats answer
-// strictly in request order, so the same FIFO machinery drives either.
+// Conn command (see commands) is routed to a connection and exchanged
+// on the caller's own goroutine: a pooled connection (see pconn) has no
+// writer or reader goroutine behind it. The codec is the text protocol
+// by default and the binary protocol (quiet-get pipelining) when
+// PoolConfig.Binary is set. Both formats answer strictly in request
+// order, so the same FIFO machinery drives either.
 //
 // Why it exists: RnB's premise (paper §II, §V) is that per-transaction
 // server cost dominates, so the client must drive many servers
@@ -24,15 +26,18 @@ import (
 // time; with M goroutines the fan-out the planner earns is thrown away
 // at the socket. The Pool removes that ceiling twice over:
 //
-//   - connection pooling: up to Size connections per server, dialed on
-//     demand and reaped when idle, so independent requests ride
-//     independent round trips;
-//   - request pipelining: each connection runs a single writer
-//     goroutine that coalesces concurrently submitted requests into
-//     batched writes (one flush for many commands) and a single reader
-//     goroutine that demultiplexes the responses in request order —
-//     the text protocol answers strictly in order, so FIFO demux is
-//     exact. M concurrent callers therefore share one in-flight
+//   - connection pooling: up to Size connections per server, dialed as
+//     soon as requests overlap and reaped when idle. A request goes to
+//     a connection whose pipe is empty before it shares one — the
+//     server runs one connection's requests one after the other, so
+//     two requests on two connections use two of its cores and two on
+//     one connection use one;
+//   - request pipelining: once Size connections are open, callers
+//     share them. Each encodes its request under the connection's
+//     write mutex, and the last of the writers queued there flushes
+//     for all of them (many commands, one syscall); the caller at the
+//     head of the pipe reads its own reply and any follower's that
+//     arrived with it. M concurrent callers therefore share one
 //     connection without ever waiting a full round trip each.
 //
 // Error semantics mirror Client: a network-level failure fails the
@@ -40,7 +45,8 @@ import (
 // idempotent requests are replayed — once, per pipelined request, when
 // their connection dies under them. Requests that never reached the
 // wire are rerouted to another connection regardless of idempotence,
-// because nothing was applied server-side.
+// because nothing was applied server-side. A connection the server
+// closed while idle is discovered, as on Client, by its next request.
 type Pool struct {
 	commands
 
@@ -55,7 +61,6 @@ type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	conns   []*pconn
-	rr      int
 	dialing int
 	closed  bool
 
@@ -69,11 +74,13 @@ type Pool struct {
 type PoolConfig struct {
 	// Size is the maximum number of connections to the server
 	// (default 4). Connections are dialed on demand: a fresh pool holds
-	// one, and grows only while every open connection is saturated.
+	// one, and opens another whenever a request finds every open
+	// connection busy with an earlier one, until Size are open.
 	Size int
-	// Depth is the per-connection pipeline target: a connection with
-	// this many requests queued or in flight is considered saturated
-	// and further requests prefer another connection (default 32).
+	// Depth bounds the requests one connection carries at a time
+	// (default 32). It matters only once Size connections are open and
+	// all are busy: a request then joins the shortest pipe, and waits
+	// when every pipe already holds Depth.
 	Depth int
 	// IdleTimeout reaps connections that served no request for this
 	// long (default 30s; <= 0 disables reaping). A reaped-to-empty pool
@@ -85,16 +92,15 @@ type PoolConfig struct {
 	Gauges *PoolGauges
 	// RTTObserver, when non-nil, receives every request's wall time
 	// from submission to completion — queueing for a connection and
-	// replays included, because that is the latency the caller actually
-	// experienced. Failed requests are stamped too (they are the tail).
+	// replays included, because that is the latency the caller saw.
+	// Failed requests are stamped too (they are the tail).
 	RTTObserver func(time.Duration)
 	// Binary switches the pool to the memcached binary wire format: a
 	// multiget is pipelined as N quiet gets (GetKQ) plus one terminating
 	// Noop instead of N text "VALUE" parses, and every other command
-	// becomes a fixed 24-byte-header frame. The pipelining machinery,
-	// failure semantics (never-written resubmit, idempotent replay-once)
-	// and RTT observation are identical in both formats — only the
-	// write/read halves differ. The server sniffs the first byte per
+	// becomes a fixed 24-byte-header frame. Pipelining, failure semantics
+	// (never-written resubmit, idempotent replay-once) and RTT observation
+	// are the same in both formats. The server sniffs the first byte per
 	// connection, so text and binary pools coexist on one port.
 	Binary bool
 }
@@ -106,8 +112,15 @@ const (
 	DefaultIdleTimeout = 30 * time.Second
 )
 
-// errPoolClosed fails requests submitted after Close.
-var errPoolClosed = errors.New("memcache: pool closed")
+var (
+	// errPoolClosed fails requests submitted after Close; errReaped is
+	// the teardown cause of a connection the reaper closed.
+	errPoolClosed = errors.New("memcache: pool closed")
+	errReaped     = errors.New("memcache: idle connection reaped")
+	// errReadYourOwn wakes a parked follower that has reached the head
+	// of its pipe unanswered: it is the reader now. Never returned.
+	errReadYourOwn = errors.New("memcache: reader role")
+)
 
 // NewPool connects a pooled, pipelined client to the server at addr.
 // Exactly like Dial, one connection is established eagerly so an
@@ -156,8 +169,7 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Pool, error) 
 // Addr returns the server address.
 func (p *Pool) Addr() string { return p.addr }
 
-// Transactions returns the number of round trips issued so far
-// (replays included).
+// Transactions returns the round trips issued so far, replays included.
 func (p *Pool) Transactions() uint64 { return p.transactions.Load() }
 
 // AddLater is Add, acknowledged before it returns. A pool's sibling
@@ -180,7 +192,7 @@ func (p *Pool) ConnsOpen() int {
 }
 
 // Close tears down every connection, fails every pending request, and
-// waits for the pool's goroutines to exit. Safe to call twice.
+// waits for the reaper to exit and every pipe to empty. Idempotent.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -204,9 +216,10 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// reapLoop closes connections that have been idle past the idle
-// timeout. Dial-on-demand brings them back, so a quiet tier holds no
-// sockets.
+// reapLoop closes connections idle past the idle timeout; dial-on-
+// demand brings them back, so a quiet tier holds no sockets. A victim
+// leaves the rotation under the lock that found its pipe empty, so no
+// request is ever routed to a connection about to be reaped.
 func (p *Pool) reapLoop() {
 	defer close(p.reapDone)
 	period := p.idle / 4
@@ -224,48 +237,51 @@ func (p *Pool) reapLoop() {
 		now := time.Now().UnixNano()
 		var victims []*pconn
 		p.mu.Lock()
+		live := p.conns[:0]
 		for _, c := range p.conns {
-			if c.load() == 0 && now-c.lastDone.Load() > int64(p.idle) {
+			if c.load.Load() == 0 && now-c.lastDone.Load() > int64(p.idle) {
 				victims = append(victims, c)
+			} else {
+				live = append(live, c)
 			}
 		}
+		p.conns = live
 		p.mu.Unlock()
 		for _, c := range victims {
 			p.gauges.ConnsReaped.Add(1)
-			c.teardown(errors.New("memcache: idle connection reaped"))
+			c.teardown(errReaped)
 		}
 	}
 }
 
-// dial establishes one pipelined connection and starts its writer and
-// reader goroutines.
+// dial establishes one connection with a full set of free request
+// slots. It starts no goroutine.
 func (p *Pool) dial() (*pconn, error) {
 	conn, err := net.Dial("tcp", p.addr)
 	if err != nil {
 		return nil, err
 	}
 	c := &pconn{
-		pool:     p,
-		conn:     conn,
-		r:        bufio.NewReaderSize(conn, 64<<10),
-		w:        bufio.NewWriterSize(conn, 64<<10),
-		reqs:     make(chan *poolRequest, p.depth),
-		inflight: make(chan *poolRequest, p.depth),
-		stop:     make(chan struct{}),
-		drained:  make(chan struct{}),
+		pool:    p,
+		conn:    conn,
+		r:       bufio.NewReaderSize(conn, 64<<10),
+		w:       bufio.NewWriterSize(conn, 64<<10),
+		drained: make(chan struct{}),
+	}
+	slots := make([]poolRequest, p.depth)
+	for i := range slots {
+		slots[i].next, c.free = c.free, &slots[i]
 	}
 	c.lastDone.Store(time.Now().UnixNano())
-	c.wg.Add(2)
-	go c.writeLoop()
-	go c.readLoop()
 	p.gauges.ConnsDialed.Add(1)
 	p.gauges.ConnsOpen.Add(1)
 	return c, nil
 }
 
-// route returns a connection with pipeline headroom, dialing a new one
-// when every open connection is saturated and the pool is below Size,
-// and blocking (a "waiter") when the pool is saturated outright.
+// route reserves a place on a connection (its load, given back when
+// roundTrip returns) in this order of preference: a connection whose
+// pipe is empty; a fresh dial while the pool is below Size; the shortest
+// pipe below Depth. When every pipe is full it blocks (a "waiter").
 func (p *Pool) route() (*pconn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -281,26 +297,28 @@ func (p *Pool) route() (*pconn, error) {
 			unregister()
 			return nil, errPoolClosed
 		}
-		// Drop dead connections from the rotation.
+		// Drop dead connections and find the shortest pipe. Loads only
+		// rise under p.mu, so none passes Depth behind this scan's back.
 		live := p.conns[:0]
+		var best *pconn
+		least := int32(p.depth)
 		for _, c := range p.conns {
-			if !c.isDead() {
-				live = append(live, c)
+			if c.dead.Load() {
+				continue
+			}
+			live = append(live, c)
+			if n := c.load.Load(); n < least {
+				best, least = c, n
 			}
 		}
 		p.conns = live
-		// Round-robin over connections with headroom.
-		if n := len(p.conns); n > 0 {
-			for i := 0; i < n; i++ {
-				c := p.conns[(p.rr+i)%n]
-				if c.load() < p.depth {
-					p.rr = (p.rr + i + 1) % n
-					unregister()
-					return c, nil
-				}
-			}
+		canDial := len(p.conns)+p.dialing < p.size
+		if best != nil && (least == 0 || !canDial) {
+			unregister()
+			best.load.Add(1)
+			return best, nil
 		}
-		if len(p.conns)+p.dialing < p.size {
+		if canDial {
 			unregister()
 			p.dialing++
 			p.mu.Unlock()
@@ -308,14 +326,12 @@ func (p *Pool) route() (*pconn, error) {
 			p.mu.Lock()
 			p.dialing--
 			// The dial slot just freed (and on success a fresh connection
-			// is about to join the rotation) — both change the capacity
-			// picture waiters parked on. Without this wake, a pool whose
-			// Size dial slots all failed (a killed server can RST the
-			// handshake so net.Dial itself errors) strands every waiter
-			// that parked while those dials were in flight: the dialers
-			// return their errors, the pool sits empty, and no completion
-			// ever comes to broadcast. Holding p.mu here makes the wake
-			// race-free against a waiter between its re-scan and Wait.
+			// is about to join the rotation): capacity changed under the
+			// waiters. Without this wake, a pool whose Size dials all
+			// failed (a killed server can RST the handshake) strands every
+			// waiter that parked while they were in flight: the pool sits
+			// empty and no completion ever comes to broadcast. Holding p.mu
+			// makes the wake race-free against a waiter about to Wait.
 			if p.gauges.Waiters.Load() > 0 {
 				p.cond.Broadcast()
 			}
@@ -325,10 +341,10 @@ func (p *Pool) route() (*pconn, error) {
 			if p.closed {
 				p.mu.Unlock()
 				c.teardown(errPoolClosed)
-				<-c.drained
 				p.mu.Lock()
 				return nil, errPoolClosed
 			}
+			c.load.Add(1)
 			p.conns = append(p.conns, c)
 			return c, nil
 		}
@@ -336,11 +352,10 @@ func (p *Pool) route() (*pconn, error) {
 			// Register BEFORE the decisive re-scan, not after it: notify()
 			// skips the broadcast when Waiters reads zero without taking
 			// the pool lock, so a completion racing an unregistered scan
-			// could otherwise slip between "scan saw no headroom" and
-			// "waiter registered" and be missed forever. With the
-			// register-then-rescan order, any completion the re-scan does
-			// not observe must follow it (atomics are sequentially
-			// consistent), and therefore observes the waiter.
+			// could slip between "scan saw no headroom" and "waiter
+			// registered" and be missed forever. This way any completion
+			// the re-scan does not observe follows it (atomics are
+			// sequentially consistent), and therefore observes the waiter.
 			p.gauges.Waiters.Add(1)
 			registered = true
 			continue
@@ -352,18 +367,16 @@ func (p *Pool) route() (*pconn, error) {
 
 // notify wakes routing waiters after a completion or a connection
 // death changed pool capacity. The broadcast is skipped when nobody is
-// waiting — the common case on the steady-state pipelined path, where a
-// per-completion unconditional Broadcast showed up as avoidable
-// cross-core traffic at high goroutine counts. See route() for why the
-// unlocked Waiters check cannot strand a waiter.
+// waiting — the common case, where a Broadcast per completion was
+// avoidable cross-core traffic. See route() for why the unlocked
+// Waiters check cannot strand a waiter.
 //
 // When somebody IS waiting, the broadcast must happen under the pool
 // lock: a waiter holds p.mu from its decisive re-scan until Wait parks
-// it on the cond's ticket list, so a lockless broadcast can land
-// exactly in that window and be lost — if it was the last completion,
-// the waiter strands forever. Taking the lock forces the broadcast to
-// happen either before the re-scan (which then observes the freed
-// capacity) or after the ticket exists (so the broadcast wakes it).
+// it, so a lockless broadcast can land in that window and be lost — if
+// it was the last completion, the waiter strands forever. Under the
+// lock it happens either before the re-scan (which then sees the freed
+// capacity) or after the waiter is parked (and wakes it).
 func (p *Pool) notify() {
 	if p.gauges.Waiters.Load() == 0 {
 		return
@@ -373,91 +386,42 @@ func (p *Pool) notify() {
 	p.mu.Unlock()
 }
 
-// connClosed finalizes a connection's teardown.
-func (p *Pool) connClosed(c *pconn) {
-	p.mu.Lock()
-	for i, have := range p.conns {
-		if have == c {
-			p.conns = append(p.conns[:i], p.conns[i+1:]...)
-			break
-		}
-	}
-	p.mu.Unlock()
-	p.gauges.ConnsOpen.Add(-1)
-	p.notify()
-}
-
-// poolRequest is one pipelined request: the command descriptor the
-// writer goroutine encodes, the reply the reader goroutine decodes
-// into, and a completion channel. written flips before the request's
-// first byte can hit the wire; a request that failed with written=false
-// is safe to reroute even if it is a mutation.
-type poolRequest struct {
-	request
-	reply
-	written bool
-	done    chan error
-
-	// Traced requests measure their pool queue wait: submitted is
-	// stamped at submission (zero otherwise) and queueNS receives the
-	// submit-to-wire delay, written by the writer goroutine just before
-	// the request's bytes go out. The completion channel orders that
-	// write before the caller's read.
-	submitted time.Time
-}
-
-func (r *poolRequest) complete(err error) { r.done <- err }
-
 // connDeadError marks request failures caused by the connection dying
-// (as opposed to the request's own I/O), so submit can distinguish
+// (as opposed to the request's own I/O), so exchange can distinguish
 // "this request's socket broke" for replay accounting.
 type connDeadError struct{ cause error }
 
 func (e *connDeadError) Error() string { return "memcache: connection failed: " + e.cause.Error() }
 func (e *connDeadError) Unwrap() error { return e.cause }
 
-// exchange submits one request and waits for its completion.
+// exchange routes q until it completes, on the caller's goroutine,
+// applying the resubmit and replay rules.
 func (p *Pool) exchange(q request) (reply, error) {
-	req := &poolRequest{request: q, done: make(chan error, 1)}
-	if q.tc.Valid() {
-		req.submitted = time.Now()
+	var start time.Time
+	if p.rttObs != nil || q.tc.Valid() {
+		start = time.Now()
 	}
-	err := p.submit(req)
-	return req.reply, err
-}
-
-// submit routes req until it completes, applying the resubmit and
-// replay rules.
-func (p *Pool) submit(req *poolRequest) error {
 	if p.rttObs != nil {
-		start := time.Now()
 		defer func() { p.rttObs(time.Since(start)) }()
 	}
-	idempotent := req.cmd.idempotent()
-	replayed := false
-	resubmits := 0
+	replayed, resubmits := false, 0
 	for {
 		c, err := p.route()
 		if err != nil {
 			// Routing fails only when the pool is closed or a fresh dial
 			// failed — the fast server-down signal the breakers feed on.
-			return err
+			return reply{}, err
 		}
-		if !c.enqueue(req) {
-			// The connection died or filled between route and enqueue;
-			// route again (no wire contact, so this costs nothing).
-			continue
-		}
-		err = <-req.done
+		rep, written, err := c.roundTrip(&q, start)
 		if !IsConnFatal(err) {
-			return err
+			return rep, err
 		}
-		if !req.written {
+		if !written {
 			// Never hit the wire: safe to resubmit, mutation or not —
 			// bounded so a flapping pool cannot spin forever.
 			resubmits++
 			if resubmits > 4 {
-				return err
+				return rep, err
 			}
 			p.gauges.Resubmits.Add(1)
 			continue
@@ -466,205 +430,241 @@ func (p *Pool) submit(req *poolRequest) error {
 		// idempotent requests, and only once per request — the
 		// single-connection Client's stale-conn replay rule, applied per
 		// pipelined request instead of per connection.
-		if !idempotent || replayed {
-			return err
+		if !q.cmd.idempotent() || replayed {
+			return rep, err
 		}
 		replayed = true
 		p.gauges.Replays.Add(1)
-		req.written = false
 	}
 }
 
-// pconn is one pipelined connection: a writer goroutine coalescing
-// queued requests into batched flushes, and a reader goroutine
-// completing them in FIFO order.
+// poolRequest is one slot of a connection's pipe: the request a caller
+// encoded and the reply decoded into it — by that caller, or by the
+// reader ahead of it. A connection owns Depth of them from its dial
+// (as Client owns its one req and rep), so an exchange allocates none.
+type poolRequest struct {
+	request
+	reply
+	// next links the slot into the connection's FIFO or its free list.
+	next *poolRequest
+	// wake parks a caller that wrote behind others until its outcome is
+	// known (nil, its reply's error, or a connDeadError) or it must read
+	// for itself (errReadYourOwn). One message per exchange, so the
+	// buffer of one never blocks the sender. Made when first needed.
+	wake chan error
+}
+
+// pconn is one pooled connection, driven entirely by its callers.
+//
+// Writing: a caller encodes under wmu, which makes wire order and FIFO
+// order one order, and the caller that finds no other writer queued
+// behind it flushes for everyone before it.
+//
+// Reading: the FIFO holds the written, unanswered requests, and the
+// caller at its head holds the reader role — it alone touches r. It
+// decodes its own reply, then the replies of the followers whose bytes
+// are already in r (handing the role over instead would cost each of
+// them a wake-up and a turn in the run queue with its reply sitting in
+// memory), then wakes the new head to read for itself. On an empty pipe
+// that is Client's write → flush → read with nobody woken at all.
 type pconn struct {
 	pool *Pool
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
 
-	reqs     chan *poolRequest // submitted, not yet written
-	inflight chan *poolRequest // written, awaiting their response
+	wmu     sync.Mutex
+	writers atomic.Int32 // callers holding or queued on wmu
 
-	qmu  sync.Mutex
-	dead bool
+	// mu guards the FIFO (head, tail), the free slots and cause. dead
+	// is set under it, so joining the FIFO and teardown exclude each
+	// other, and read without it by route.
+	mu         sync.Mutex
+	head, tail *poolRequest
+	free       *poolRequest
+	cause      error // why the connection was torn down
+	dead       atomic.Bool
 
-	queued   atomic.Int32
-	pending  atomic.Int32
-	lastDone atomic.Int64 // unixnano of the last completion (or dial)
-
-	stop     chan struct{}
-	cause    error // teardown cause; written before close(stop), read only after <-stop
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	load     atomic.Int32 // requests routed here and not yet released
+	lastDone atomic.Int64 // unixnano of the last release (or the dial)
 	drained  chan struct{}
 }
 
-// load returns how many requests this connection owns (queued plus in
-// flight) — the routing measure of saturation.
-func (c *pconn) load() int {
-	return int(c.queued.Load()) + int(c.pending.Load())
-}
-
-func (c *pconn) isDead() bool {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	return c.dead
-}
-
-// enqueue hands a request to the writer goroutine. It returns false —
-// and the caller reroutes — when the connection is dead or its queue
-// is full. The qmu guard makes enqueue/teardown atomic: after teardown
-// flips dead, no request can slip into the queue and be stranded.
-func (c *pconn) enqueue(req *poolRequest) bool {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	if c.dead {
-		return false
+// roundTrip exchanges q on this connection. written is false when the
+// connection was found dead with nothing sent: the caller reroutes.
+func (c *pconn) roundTrip(q *request, start time.Time) (rep reply, written bool, err error) {
+	s, head := c.send(q, start)
+	if s != nil {
+		err = errReadYourOwn
+		if !head {
+			err = <-s.wake
+		}
+		if err == errReadYourOwn {
+			err = c.read(s)
+		}
+		rep, written = s.reply, true
+		s.request, s.reply = request{}, reply{} // pin nothing of the caller's
+		c.mu.Lock()
+		s.next, c.free = c.free, s
+		c.mu.Unlock()
+	} else {
+		err = &connDeadError{cause: c.cause}
 	}
-	select {
-	case c.reqs <- req:
-		c.queued.Add(1)
-		c.pool.gauges.Queued.Add(1)
-		return true
-	default:
-		return false
-	}
+	c.lastDone.Store(time.Now().UnixNano())
+	c.load.Add(-1)
+	c.pool.notify()
+	return rep, written, err
 }
 
-// writeLoop is the connection's single writer: it takes queued
-// requests, writes as many as are immediately available into the
-// buffered writer, and flushes once — concurrent callers' commands
-// ride one syscall.
-func (c *pconn) writeLoop() {
-	defer c.wg.Done()
-	for {
-		var req *poolRequest
-		select {
-		case <-c.stop:
-			return
-		case req = <-c.reqs:
-		}
-		for {
-			c.queued.Add(-1)
-			c.pool.gauges.Queued.Add(-1)
-			req.written = true
-			if !req.submitted.IsZero() {
-				req.queueNS = time.Since(req.submitted).Nanoseconds()
-			}
-			c.pool.transactions.Add(1)
-			if err := c.pool.codec.encode(c.w, &req.request); err != nil {
-				// Dead before done: the caller's one replay must not be
-				// routed back onto this connection.
-				c.teardown(err)
-				req.complete(err)
-				return
-			}
-			c.pending.Add(1)
-			c.pool.gauges.RecordInFlight()
-			select {
-			case c.inflight <- req:
-			case <-c.stop:
-				// The conn died while we held req: it is in neither channel,
-				// so drain cannot see it — complete it here or its caller
-				// blocks forever.
-				c.pending.Add(-1)
-				c.pool.gauges.InFlight.Add(-1)
-				req.complete(&connDeadError{cause: c.cause})
-				return
-			}
-			// Coalesce: anything else already queued joins this flush.
-			select {
-			case req = <-c.reqs:
-				continue
-			default:
-			}
-			break
-		}
-		if c.pool.timeout > 0 {
-			c.conn.SetWriteDeadline(time.Now().Add(c.pool.timeout))
-		}
-		if err := c.w.Flush(); err != nil {
-			c.teardown(err)
-			return
-		}
+// send encodes q into the write buffer and joins the FIFO, reporting
+// the slot it took and whether it is the head (the pipe was empty). A
+// nil slot means the connection was found dead and nothing was written.
+func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
+	g := c.pool.gauges
+	g.Queued.Add(1)
+	c.writers.Add(1)
+	c.wmu.Lock()
+	g.Queued.Add(-1)
+	c.mu.Lock()
+	if c.dead.Load() {
+		c.mu.Unlock()
+		c.writers.Add(-1)
+		c.wmu.Unlock()
+		return nil, false
 	}
+	// The slot is complete before it is linked: from then on the reader
+	// may decode into it, whatever the server chooses to send.
+	s = c.free
+	c.free, s.next = s.next, nil
+	s.request, s.reply = *q, reply{}
+	if q.tc.Valid() {
+		s.queueNS = time.Since(start).Nanoseconds()
+	}
+	if head = c.head == nil; head {
+		c.head = s
+	} else {
+		if s.wake == nil {
+			s.wake = make(chan error, 1)
+		}
+		c.tail.next = s
+	}
+	c.tail = s
+	c.mu.Unlock()
+	c.pool.transactions.Add(1)
+	g.RecordInFlight()
+	if c.pool.timeout > 0 && c.w.Buffered() == 0 {
+		// The first bytes of a batch. Armed here, not at the flush: encode
+		// itself writes to the socket when a value outgrows the buffer.
+		c.conn.SetWriteDeadline(time.Now().Add(c.pool.timeout))
+	}
+	err := c.pool.codec.encode(c.w, &s.request)
+	// Whoever leaves with nobody queued behind flushes, so a writer that
+	// skips its flush always has a later one to do it; a writer that
+	// fails instead tears the connection down, which answers them all.
+	if c.writers.Add(-1) == 0 && err == nil {
+		err = c.w.Flush()
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		c.teardown(err)
+	}
+	return s, head
 }
 
-// readLoop is the connection's single reader: it demultiplexes
-// responses onto their requests strictly in write order (the text
-// protocol guarantees in-order replies).
-func (c *pconn) readLoop() {
-	defer c.wg.Done()
-	for {
-		var req *poolRequest
-		select {
-		case <-c.stop:
-			return
-		case req = <-c.inflight:
-		}
-		if c.pool.timeout > 0 {
-			c.conn.SetReadDeadline(time.Now().Add(c.pool.timeout))
-		}
-		err := c.pool.codec.decode(c.r, &req.request, &req.reply)
-		c.pending.Add(-1)
+// read runs the reader role, starting with the holder's own request at
+// the head of the FIFO, and returns that request's outcome.
+func (c *pconn) read(own *poolRequest) error {
+	err := c.decode(own)
+	next, last := c.pop()
+	// Bounded, so a server that answers faster than this loop decodes
+	// cannot keep one caller reading for the others forever.
+	for n := 0; next != nil && n < c.pool.depth && c.r.Buffered() > 0; n++ {
+		f := next
+		ferr := c.decode(f)
+		next, last = c.pop()
+		f.wake <- ferr
+	}
+	if next != nil {
+		next.wake <- errReadYourOwn
+	} else if last {
+		c.finish()
+	}
+	return err
+}
+
+// decode reads the reply of s, the head of the FIFO.
+func (c *pconn) decode(s *poolRequest) error {
+	if c.pool.timeout > 0 {
+		c.conn.SetReadDeadline(time.Now().Add(c.pool.timeout))
+	}
+	err := c.pool.codec.decode(c.r, &s.request, &s.reply)
+	if IsConnFatal(err) {
+		// The stream is out of sync (I/O error or corrupt frame): every
+		// response behind this one is unusable. Fail fast — and before
+		// the caller hears of it, so its one replay is not routed back
+		// onto this connection.
+		return c.teardown(err)
+	}
+	return err
+}
+
+// pop removes the head of the FIFO, now answered, and returns the new
+// head; last reports that this emptied a dead connection.
+func (c *pconn) pop() (next *poolRequest, last bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.head
+	c.head, s.next = s.next, nil
+	c.pool.gauges.InFlight.Add(-1)
+	return c.head, c.head == nil && c.dead.Load()
+}
+
+// teardown kills the connection: marks it dead (nobody joins the FIFO
+// any more), closes the socket, and fails every request behind the head
+// of the FIFO — all written, so only idempotent ones replay. The head is
+// left to whoever is reading for it, whose read now fails. It returns
+// the error its caller should report: cause if this call tore the
+// connection down, else a connDeadError naming the cause that did.
+func (c *pconn) teardown(cause error) error {
+	c.mu.Lock()
+	if c.dead.Load() {
+		c.mu.Unlock()
+		return &connDeadError{cause: c.cause}
+	}
+	c.cause = cause
+	c.dead.Store(true)
+	var stranded *poolRequest
+	if c.head != nil {
+		stranded, c.head.next, c.tail = c.head.next, nil, c.head
+	}
+	empty := c.head == nil
+	c.mu.Unlock()
+	c.conn.Close()
+	if cause != errPoolClosed && cause != errReaped {
+		c.pool.gauges.ConnsFailed.Add(1)
+	}
+	for stranded != nil {
+		s := stranded
+		stranded, s.next = s.next, nil
 		c.pool.gauges.InFlight.Add(-1)
-		c.lastDone.Store(time.Now().UnixNano())
-		if IsConnFatal(err) {
-			// The stream is out of sync (I/O error or corrupt frame):
-			// every response behind this one is unusable. Fail fast —
-			// and before completing req, so the caller's one replay is
-			// not routed back onto this connection.
-			c.teardown(err)
-			req.complete(err)
-			return
-		}
-		req.complete(err)
-		c.pool.notify()
+		s.wake <- &connDeadError{cause: cause}
 	}
+	if empty {
+		c.finish()
+	}
+	return cause
 }
 
-// teardown kills the connection: marks it dead (no new enqueues),
-// stops the writer and reader, closes the socket, and fails everything
-// still queued or in flight with cause. Idempotent.
-func (c *pconn) teardown(cause error) {
-	c.stopOnce.Do(func() {
-		c.qmu.Lock()
-		c.dead = true
-		c.qmu.Unlock()
-		c.cause = cause
-		close(c.stop)
-		c.conn.Close()
-		if cause != errPoolClosed {
-			c.pool.gauges.ConnsFailed.Add(1)
-		}
-		// The writer or reader itself may be calling teardown; draining
-		// must wait for both to exit, so it runs on its own goroutine.
-		go c.drain(cause)
-	})
-}
-
-// drain completes teardown once the writer and reader have exited:
-// every stranded request fails with a conn-dead error (in-flight
-// requests were written — only idempotent ones replay; queued ones
-// were not — they reroute freely).
-func (c *pconn) drain(cause error) {
-	c.wg.Wait()
-	for {
-		select {
-		case req := <-c.inflight:
-			c.pending.Add(-1)
-			c.pool.gauges.InFlight.Add(-1)
-			req.complete(&connDeadError{cause: cause})
-		case req := <-c.reqs:
-			c.queued.Add(-1)
-			c.pool.gauges.Queued.Add(-1)
-			req.complete(&connDeadError{cause: cause})
-		default:
-			c.pool.connClosed(c)
-			close(c.drained)
-			return
-		}
+// finish runs once, when the FIFO of a dead connection has emptied: it
+// takes the connection out of the rotation and closes drained.
+func (c *pconn) finish() {
+	p := c.pool
+	p.mu.Lock()
+	if i := slices.Index(p.conns, c); i >= 0 {
+		p.conns = slices.Delete(p.conns, i, i+1)
 	}
+	p.mu.Unlock()
+	p.gauges.ConnsOpen.Add(-1)
+	p.notify()
+	close(c.drained)
 }

@@ -183,6 +183,9 @@ func TestPoolIdleReap(t *testing.T) {
 	if p.Gauges().ConnsReaped.Load() == 0 {
 		t.Fatal("reap gauge not bumped")
 	}
+	if failed := p.Gauges().ConnsFailed.Load(); failed != 0 {
+		t.Fatalf("a reap was also counted as %d I/O failures", failed)
+	}
 	// Dial-on-demand revival.
 	it, err := p.Get("k")
 	if err != nil || string(it.Value) != "v" {

@@ -69,8 +69,9 @@ type storeBackend struct{ *Store }
 
 func (b storeBackend) GetMulti(keys []string) (map[string]*Item, error) {
 	out := make(map[string]*Item, len(keys))
+	now := b.nowFn()
 	for _, k := range keys {
-		if it, _, err := b.get(k, false); err == nil {
+		if it, _, err := b.get(k, now, false); err == nil {
 			out[k] = it
 		}
 	}
@@ -85,8 +86,9 @@ func (b storeBackend) GetsMulti(keys []string) (map[string]*Item, error) {
 // also reports the shard-lock wait the batch accumulated.
 func (b storeBackend) appendHits(hits []*Item, keys []string, timed bool) ([]*Item, int64) {
 	var wait int64
+	now := b.nowFn() // once per transaction, not per key
 	for _, k := range keys {
-		it, w, _ := b.get(k, timed) // nil on any error: a miss
+		it, w, _ := b.get(k, now, timed) // nil on any error: a miss
 		wait += w
 		hits = append(hits, it)
 	}

@@ -18,7 +18,7 @@ import (
 // listener's own address, which is known before the Serve goroutine has
 // run — srv.Addr() is not, and "dial tcp: missing address" was the flake
 // that taught it.
-func serveTest(t *testing.T, srv *Server, in *chaos.Injector) string {
+func serveTest(t testing.TB, srv *Server, in *chaos.Injector) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

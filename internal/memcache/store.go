@@ -92,19 +92,20 @@ func itemCost(it *Item) int64 {
 
 // Get returns the item for key, or ErrCacheMiss.
 func (s *Store) Get(key string) (*Item, error) {
-	it, _, err := s.get(key, false)
+	it, _, err := s.get(key, s.nowFn(), false)
 	return it, err
 }
 
-// get is the one lookup. With timed set it also returns the time spent
-// waiting for the shard lock, in nanoseconds — the store-contention
-// share of a traced command; untimed lookups never read the clock.
-func (s *Store) get(key string, timed bool) (*Item, int64, error) {
+// get is the one lookup, judging expiry at unix second now: a
+// transaction of many keys reads the store's clock once and passes it
+// to each. With timed set it also returns the time spent waiting for
+// the shard lock, in nanoseconds — the store-contention share of a
+// traced command; untimed lookups never read the wall clock.
+func (s *Store) get(key string, now int64, timed bool) (*Item, int64, error) {
 	if !validKey(key) {
 		return nil, 0, ErrBadKey
 	}
 	sh := s.shard(key)
-	now := s.nowFn()
 	var wait int64
 	if timed {
 		lockStart := time.Now()

@@ -160,6 +160,48 @@ func TestStoreAbsoluteExpiration(t *testing.T) {
 	}
 }
 
+// TestStoreClockOncePerTransaction: the server's read path judges every
+// key of one transaction at one clock reading, and an item whose
+// deadline falls between two transactions is served by the first and
+// expired by the second.
+func TestStoreClockOncePerTransaction(t *testing.T) {
+	s := NewStore(1 << 20)
+	now, reads := int64(1_700_000_000), 0
+	s.SetClock(func() int64 { reads++; return now })
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+		if err := s.Set(&Item{Key: keys[i], Value: []byte("v"), Expiration: int32(10 * (i + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := storeBackend{s}
+	for _, step := range []struct {
+		advance int64
+		hits    int
+	}{{0, 16}, {15, 15}, {200, 0}} {
+		now += step.advance
+		reads = 0
+		hits, _ := b.appendHits(nil, keys, false)
+		if reads != 1 {
+			t.Errorf("+%ds: a 16-key appendHits read the clock %d times, want 1", step.advance, reads)
+		}
+		got := 0
+		for _, it := range hits {
+			if it != nil {
+				got++
+			}
+		}
+		if len(hits) != len(keys) || got != step.hits {
+			t.Errorf("+%ds: %d hits in %d answers, want %d in %d", step.advance, got, len(hits), step.hits, len(keys))
+		}
+	}
+	reads = 0
+	if items, _ := b.GetMulti(keys); reads != 1 || len(items) != 0 {
+		t.Errorf("GetMulti read the clock %d times and found %d items, want 1 and 0", reads, len(items))
+	}
+}
+
 func TestStoreTouch(t *testing.T) {
 	s, now := newTestStore()
 	_ = s.Set(&Item{Key: "k", Value: []byte("v"), Expiration: 10})
