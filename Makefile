@@ -67,16 +67,20 @@ chaos-resize:
 
 # Binary-transport stress under the race detector: 64 goroutines on a
 # binary-pooled client (quiet-get pipelining) plus the kill-mid-pipeline
-# chaos drill, both ending in a goroutine leakcheck; then the pool's own
-# tests, twice, so the reader-role hand-off, the last-writer flush and
-# the teardown paths are shaken on every push.
+# chaos drill, both ending in a goroutine leakcheck; then the
+# transport's own tests, twice, so the reader-role hand-off, the
+# last-writer flush and the teardown paths are shaken on every push;
+# then the write-back queue's, which writers take under the write mutex
+# they share with pipelined callers.
 stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
 	$(GO) test -race -count=2 -run 'TestPool|TestBinaryPool' ./internal/memcache
+	$(GO) test -race -count=2 -run 'TestWriteBack|TestAddLater' . ./internal/memcache
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
 # transport, server, planner and client hot paths: text/binary
-# encode+decode, the end-to-end pooled multiget, the server's own share
+# encode+decode, the end-to-end multiget on one and four connections,
+# the server's own share
 # of a get / multiget / set on both wires (TestAllocBudgetServe, driven
 # over an in-memory connection), core's Plan build, and the root
 # client's Get / GetMulti / Set and its round-2 recovery request with

@@ -94,12 +94,12 @@ func TestAllocBudgetClient(t *testing.T) {
 	virtual, vpool := newVirtualReplicaTier(t, 3, 64)
 	for i := 0; i+16 <= len(vpool); i++ {
 		vks := vpool[i : i+16]
-		queued := virtual.writeBacks.Queued.Load()
+		queued := virtual.poolGauges.WriteBackQueued.Load()
 		_, stats, err := virtual.GetMulti(vks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Transactions == 3 && stats.Round2 == 2 && virtual.writeBacks.Queued.Load()-queued == 10 {
+		if stats.Transactions == 3 && stats.Round2 == 2 && virtual.poolGauges.WriteBackQueued.Load()-queued == 10 {
 			allocGate(t, "GetMulti 16 keys r=3, 1+2 transactions, 10 write-backs", 96, func() {
 				if items, _, err := virtual.GetMulti(vks); err != nil || len(items) != len(vks) {
 					t.Fatalf("%d items, err %v", len(items), err)

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"rnb/internal/chaos"
+	"rnb/internal/memcache"
 )
 
 // TestBinaryPooledClientStress is TestPooledClientStress over the
@@ -250,19 +252,56 @@ func TestBinaryMatchesTextTransports(t *testing.T) {
 	}
 }
 
-// TestWithBinaryProtocolImpliesPool: the option must ride the pooled
-// transport even when WithPoolSize was never given — quiet-get
-// pipelining has no single-connection mode.
+// TestWithBinaryProtocolImpliesPool: the option picks the wire and
+// nothing else. Without WithPoolSize each server gets one binary
+// connection, as it would get one text connection: concurrent callers
+// pipeline on it, and round 2's write-backs queue for the next command
+// instead of costing an acknowledged add.
 func TestWithBinaryProtocolImpliesPool(t *testing.T) {
-	cl, _ := newTestClient(t, 2, WithReplicas(2), WithBinaryProtocol())
+	addrs := make([]string, 2)
+	for i := range addrs {
+		srv := memcache.NewServer(memcache.NewStore(0))
+		if err := srv.SetProtocols("binary"); err != nil { // a text connection is dropped at the sniff
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	cl, err := NewClient(addrs, WithReplicas(2), WithBinaryProtocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
 	if err := cl.Set(&Item{Key: "bk", Value: []byte("bv")}); err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := cl.GetMulti([]string{"bk"})
-	if err != nil || string(items["bk"].Value) != "bv" {
-		t.Fatalf("binary round trip: %v %v", items, err)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if items, _, err := cl.GetMulti([]string{"bk"}); err != nil || string(items["bk"].Value) != "bv" {
+					t.Errorf("binary round trip: %v %v", items, err)
+					return
+				}
+			}
+		}()
 	}
-	if cl.PoolGauges() == nil {
-		t.Fatal("binary client did not ride the pooled transport")
+	wg.Wait()
+	g := cl.PoolGauges()
+	if dialed := g.ConnsDialed.Load(); dialed != uint64(len(addrs)) {
+		t.Fatalf("%d connections dialed to %d servers under concurrent reads, want one each", dialed, len(addrs))
+	}
+	if err := cl.cur.Load().slots[0].conn.AddLater(&Item{Key: "wb", Value: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	if q := g.WriteBackQueued.Load(); q != 1 {
+		t.Fatalf("write-backs queued %d, want 1: the binary client acknowledged its add", q)
 	}
 }

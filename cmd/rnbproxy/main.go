@@ -51,8 +51,8 @@ func main() {
 		retries    = flag.Int("retries", 1, "re-plan rounds for keys lost to a failed backend (0 disables)")
 		backoff    = flag.Duration("retry-backoff", 15*time.Millisecond, "base jittered backoff between re-plan rounds")
 		statsEvery = flag.Duration("stats-every", 0, "log backend breaker states at this interval (0 disables)")
-		poolSize   = flag.Int("pool-size", 1, "pipelined connections per backend (1 = single-connection transport)")
-		binary     = flag.Bool("binary", false, "speak the binary protocol to backends (quiet-get pipelining; implies the pooled transport)")
+		poolSize   = flag.Int("pool-size", 1, "pipelined connections per backend (1 = one connection, write-backs ride unanswered in front of the next command; more = write-backs are acknowledged adds)")
+		binary     = flag.Bool("binary", false, "speak the binary protocol to backends (quiet-get pipelining; -pool-size applies as on text)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics (Prometheus text), /debug/requests (flight recorder), /debug/traces (slow and sampled spans) and /debug/pprof on this address (empty disables)")
 		slowLog    = flag.Duration("slow-log", 0, "slow threshold: requests at least this slow are logged and always kept for /debug/traces, traced or not (0 disables)")
 		ringSize   = flag.Int("flight-recorder", 0, "flight-recorder capacity in request spans (0 = default 256)")

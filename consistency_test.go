@@ -529,8 +529,8 @@ func (st *strandedTier) read() int {
 	if err != nil || len(items) != len(st.ks) || stats.Round2 == 0 {
 		st.t.Fatalf("%d/%d items, %+v, err %v: want a full read through round 2", len(items), len(st.ks), stats, err)
 	}
-	wb := &st.cl.writeBacks
-	return int(wb.Queued.Load() - wb.Carried.Load() - wb.DroppedAge.Load() - wb.DroppedConn.Load())
+	wb := st.cl.poolGauges
+	return int(wb.WriteBackQueued.Load() - wb.WriteBackCarried.Load() - wb.WriteBackDroppedAge.Load() - wb.WriteBackDroppedConn.Load())
 }
 
 // flush sends every server one command that stores nothing, carrying
@@ -611,11 +611,11 @@ func TestWriteBackProgramOrder(t *testing.T) {
 			if st.read() == 0 || st.replicaCopy(key) != "" {
 				t.Fatalf("the write-back of %s is not queued behind the read (replica holds %q)", key, st.replicaCopy(key))
 			}
-			carried := cl.writeBacks.Carried.Load()
+			carried := cl.poolGauges.WriteBackCarried.Load()
 			if err := tc.mutate(cl, key); err != nil {
 				t.Fatal(err)
 			}
-			if cl.writeBacks.Carried.Load() == carried {
+			if cl.poolGauges.WriteBackCarried.Load() == carried {
 				t.Fatal("the mutation carried no queued add to the replica's server")
 			}
 			if got := st.replicaCopy(key); got != tc.replica {
@@ -655,7 +655,7 @@ func TestWriteBackNeverSentLate(t *testing.T) {
 		if got := st.stores(); got != before {
 			t.Fatalf("%d storage commands reached the tier after the age bound had passed", got-before)
 		}
-		if got := cl.writeBacks.DroppedAge.Load(); int(got) != queued {
+		if got := cl.poolGauges.WriteBackDroppedAge.Load(); int(got) != queued {
 			t.Fatalf("dropped_age %d, want the %d that were queued", got, queued)
 		}
 		// The replicas stayed virtual, so the next read recovers them again.
@@ -672,65 +672,109 @@ func TestWriteBackNeverSentLate(t *testing.T) {
 		st := newStrandedTier(t, cl, servers, keys(40), make([]byte, 4<<10))
 		before := st.stores()
 		queued := st.read()
-		wb := &cl.writeBacks
-		if wb.DroppedFull.Load() == 0 || queued == 0 {
-			t.Fatalf("queued %d, dropped_full %d: want both", queued, wb.DroppedFull.Load())
+		wb := cl.poolGauges
+		if wb.WriteBackDroppedFull.Load() == 0 || queued == 0 {
+			t.Fatalf("queued %d, dropped_full %d: want both", queued, wb.WriteBackDroppedFull.Load())
 		}
 		st.flush()
-		if got, want := st.stores()-before, wb.Queued.Load(); got != want {
+		if got, want := st.stores()-before, wb.WriteBackQueued.Load(); got != want {
 			t.Fatalf("the tier executed %d adds, want the %d that fitted the cap", got, want)
 		}
-		if wb.Carried.Load() != wb.Queued.Load() {
-			t.Fatalf("carried %d of %d queued", wb.Carried.Load(), wb.Queued.Load())
+		if wb.WriteBackCarried.Load() != wb.WriteBackQueued.Load() {
+			t.Fatalf("carried %d of %d queued", wb.WriteBackCarried.Load(), wb.WriteBackQueued.Load())
 		}
 	})
 }
 
+// finListener remembers the connections it accepted, so a test can
+// close the server's end of each with a FIN — an orderly close, where
+// chaos.Injector.Kill resets them.
+type finListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *finListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, conn)
+		l.mu.Unlock()
+	}
+	return conn, err
+}
+
+// closeAll closes the server's end of every connection accepted so far.
+func (l *finListener) closeAll() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, conn := range l.conns {
+		conn.Close()
+	}
+	l.conns = nil
+}
+
 // TestWriteBackDroppedWithItsConnection: queued write-backs die with
-// the connection they were queued on. Closed under them, or reset by the
-// server, the connection that replaces it carries none of them — the
-// idempotent read that found it broken is replayed alone.
+// the connection they were queued for. Closed by the server or reset
+// under them, the connection that replaces it carries none of them —
+// the idempotent read that found it broken is replayed alone.
 func TestWriteBackDroppedWithItsConnection(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		sever func(st *strandedTier, in map[int]*chaos.Injector)
-	}{
-		{"closed", func(st *strandedTier, _ map[int]*chaos.Injector) {
-			for _, sl := range st.cl.cur.Load().slots {
-				sl.conn.Close() // a single connection redials on its next command
+	run := func(t *testing.T, cl *Client, servers []*memcache.Server, sever func()) {
+		st := newStrandedTier(t, cl, servers, keys(30), []byte("v1"))
+		queued := st.read()
+		if queued == 0 {
+			t.Fatal("the read left no write-back queued")
+		}
+		before := st.stores()
+		sever()
+		// Reads, so that a connection found broken is replayed.
+		for i, sl := range cl.cur.Load().slots {
+			if err := sl.call(func(conn memcache.Conn) error { _, err := conn.GetMulti(st.ks[:1]); return err }); err != nil {
+				t.Fatalf("server %d after the connections were severed: %v", i, err)
 			}
-		}},
-		{"reset", func(_ *strandedTier, in map[int]*chaos.Injector) {
-			for _, inj := range in {
+		}
+		st.flush()
+		if got := st.stores(); got != before {
+			t.Fatalf("%d adds reached the tier over the replacement connections", got-before)
+		}
+		wb := cl.poolGauges
+		if lost := wb.WriteBackDroppedConn.Load() + wb.WriteBackCarried.Load() - (wb.WriteBackQueued.Load() - uint64(queued)); int(lost) != queued {
+			t.Fatalf("queued %d, but dropped_conn %d and carried %d of %d in all", queued, wb.WriteBackDroppedConn.Load(), wb.WriteBackCarried.Load(), wb.WriteBackQueued.Load())
+		}
+	}
+	t.Run("closed", func(t *testing.T) {
+		addrs := make([]string, 4)
+		servers := make([]*memcache.Server, 4)
+		listeners := make([]*finListener, 4)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			servers[i], listeners[i], addrs[i] = memcache.NewServer(memcache.NewStore(0)), &finListener{Listener: ln}, ln.Addr().String()
+			go servers[i].Serve(listeners[i])
+			t.Cleanup(func() { servers[i].Close() })
+		}
+		cl, err := NewClient(addrs, WithReplicas(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		run(t, cl, servers, func() {
+			for _, ln := range listeners {
+				ln.closeAll()
+			}
+		})
+	})
+	t.Run("reset", func(t *testing.T) {
+		profiles := map[int]chaos.Profile{0: {}, 1: {}, 2: {}, 3: {}}
+		cl, servers, injectors := newChaosClient(t, 4, profiles, WithReplicas(2))
+		run(t, cl, servers, func() {
+			for _, inj := range injectors {
 				inj.Kill()
 				inj.Revive()
 			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			profiles := map[int]chaos.Profile{0: {}, 1: {}, 2: {}, 3: {}}
-			cl, servers, injectors := newChaosClient(t, 4, profiles, WithReplicas(2))
-			st := newStrandedTier(t, cl, servers, keys(30), []byte("v1"))
-			queued := st.read()
-			if queued == 0 {
-				t.Fatal("the read left no write-back queued")
-			}
-			before := st.stores()
-			tc.sever(st, injectors)
-			// Reads, so that a connection found broken is replayed.
-			for i, sl := range cl.cur.Load().slots {
-				if err := sl.call(func(conn memcache.Conn) error { _, err := conn.GetMulti(st.ks[:1]); return err }); err != nil {
-					t.Fatalf("server %d after the connections were severed: %v", i, err)
-				}
-			}
-			st.flush()
-			if got := st.stores(); got != before {
-				t.Fatalf("%d adds reached the tier over the replacement connections", got-before)
-			}
-			wb := &cl.writeBacks
-			if lost := wb.DroppedConn.Load() + wb.Carried.Load() - (wb.Queued.Load() - uint64(queued)); int(lost) != queued {
-				t.Fatalf("queued %d, but dropped_conn %d and carried %d of %d in all", queued, wb.DroppedConn.Load(), wb.Carried.Load(), wb.Queued.Load())
-			}
 		})
-	}
+	})
 }

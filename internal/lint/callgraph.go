@@ -15,7 +15,7 @@ import (
 
 // FuncKey canonically names a function or method across compilation
 // units. It is types.Func.FullName() ("rnb/internal/memcache.dial",
-// "(*rnb/internal/memcache.Pool).route"): the same function reached
+// "(*rnb/internal/memcache.Client).route"): the same function reached
 // through source type-checking in its own unit and through compiler
 // export data in a dependent unit produces the same key, which is what
 // lets facts computed in one unit be consumed in another.

@@ -12,7 +12,7 @@ import (
 
 // LockOrder is the interprocedural deadlock analyzer. It abstracts
 // every sync.Mutex/RWMutex to a lock identity — struct field
-// ("memcache.Pool.mu", collapsing instances) or package-level var —
+// ("memcache.Client.mu", collapsing instances) or package-level var —
 // computes per-function summaries of the identities each function may
 // acquire (transitively, bottom-up over the call-graph SCCs), and
 // threads the lockWalker's held set through every body: each "lock B
@@ -497,7 +497,7 @@ func condIdent(pkg *Package, e ast.Expr) (string, bool) {
 }
 
 // shortLockID trims the module prefix for readable diagnostics:
-// "rnb/internal/memcache.Pool.mu" -> "memcache.Pool.mu".
+// "rnb/internal/memcache.Client.mu" -> "memcache.Client.mu".
 func shortLockID(id string) string {
 	if i := strings.LastIndexByte(id, '/'); i >= 0 {
 		return id[i+1:]

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rnb/internal/leakcheck"
 )
 
 // testClock is an injected clock for the write-back age bound: it moves
@@ -31,14 +33,12 @@ func (c *testClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// freezeClock gives cl a clock that stands still and its own write-back
-// counters.
-func freezeClock(cl *Client) (*testClock, *WriteBacks) {
+// freezeClock gives cl a clock that stands still, and returns it with
+// cl's gauges, the write-back counters among them.
+func freezeClock(cl *Client) (*testClock, *PoolGauges) {
 	clk := &testClock{t: time.Unix(1_700_000_000, 0)}
-	wb := new(WriteBacks)
 	cl.SetClock(clk.now)
-	cl.SetWriteBackCounters(wb)
-	return clk, wb
+	return clk, cl.Gauges()
 }
 
 // stored reads key straight from a server's store ("" when absent).
@@ -82,7 +82,7 @@ func TestAddLaterRidesTheNextCommand(t *testing.T) {
 		if got := srv.Stats().Transactions.Load(); got != 2 {
 			t.Fatalf("server counted %d transactions, want 2: the add is one it executed", got)
 		}
-		if q, c := wb.Queued.Load(), wb.Carried.Load(); q != 1 || c != 1 {
+		if q, c := wb.WriteBackQueued.Load(), wb.WriteBackCarried.Load(); q != 1 || c != 1 {
 			t.Fatalf("queued %d carried %d, want 1 and 1", q, c)
 		}
 	})
@@ -155,8 +155,8 @@ func TestAddLaterKeepsTheConnectionInSync(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s behind a refused and an accepted quiet add: %+v, want %+v", cmd.name, got, want)
 			}
-			if wb.Carried.Load() != 2 {
-				t.Errorf("%s: carried %d adds, want 2", cmd.name, wb.Carried.Load())
+			if wb.WriteBackCarried.Load() != 2 {
+				t.Errorf("%s: carried %d adds, want 2", cmd.name, wb.WriteBackCarried.Load())
 			}
 			if v := stored(carryStore, "taken"); v != "newer" {
 				t.Errorf("%s: the refused add replaced the stored value with %q", cmd.name, v)
@@ -196,7 +196,7 @@ func TestAddLaterAgeBound(t *testing.T) {
 		if stored(store, "young") != "v" {
 			t.Fatal("an add inside the age bound was not carried")
 		}
-		if a, c := wb.DroppedAge.Load(), wb.Carried.Load(); a != 1 || c != 1 {
+		if a, c := wb.WriteBackDroppedAge.Load(), wb.WriteBackCarried.Load(); a != 1 || c != 1 {
 			t.Fatalf("dropped_age %d carried %d, want 1 and 1", a, c)
 		}
 		// Exactly at the bound is still inside it.
@@ -232,7 +232,7 @@ func TestAddLaterByteCap(t *testing.T) {
 		if accepted < 28 || accepted > 32 {
 			t.Fatalf("%d adds of ~1 KB fitted under a %d-byte cap", accepted, writeBackMaxBytes)
 		}
-		if full := wb.DroppedFull.Load(); int(full) != 40-accepted {
+		if full := wb.WriteBackDroppedFull.Load(); int(full) != 40-accepted {
 			t.Fatalf("dropped_full %d, want %d", full, 40-accepted)
 		}
 		// One value too large for any queue is refused as Add refuses it.
@@ -313,15 +313,17 @@ func (bs *byteServer) received(i int) []byte {
 }
 
 // TestAddLaterDroppedWithItsConnection: queued adds belong to the
-// connection they were queued on. When it breaks under the command
+// connection they were queued for. When it breaks under the command
 // carrying them, the idempotent read is replayed on a fresh connection
-// without them; when it is closed, the next command reconnects without
-// them.
+// without them; when it is torn down before a command comes (reaped
+// idle), the command that redials goes alone; when the client is
+// closed, they are dropped with it and a closed client stays closed.
 func TestAddLaterDroppedWithItsConnection(t *testing.T) {
 	miss := []byte("END\r\n")
 	add := []byte("add wb 0 0 1 noreply\r\nv\r\n")
 
 	t.Run("broken", func(t *testing.T) {
+		leakcheck.Check(t)
 		// Connection 0 is closed by the server as soon as it is accepted.
 		bs := newByteServer(t, nil, miss)
 		cl := dialTest(t, Dial, bs.addr, 5*time.Second)
@@ -337,36 +339,61 @@ func TestAddLaterDroppedWithItsConnection(t *testing.T) {
 		if got := bs.received(1); !bytes.Equal(got, []byte("get k\r\n")) {
 			t.Fatalf("the replayed read sent %q, want the get alone", got)
 		}
-		if wb.Queued.Load() != 1 || wb.Carried.Load()+wb.DroppedConn.Load() != 1 {
-			t.Fatalf("queued %d carried %d dropped_conn %d", wb.Queued.Load(), wb.Carried.Load(), wb.DroppedConn.Load())
+		if wb.WriteBackQueued.Load() != 1 || wb.WriteBackCarried.Load()+wb.WriteBackDroppedConn.Load() != 1 {
+			t.Fatalf("queued %d carried %d dropped_conn %d", wb.WriteBackQueued.Load(), wb.WriteBackCarried.Load(), wb.WriteBackDroppedConn.Load())
 		}
 		cl.Get("k")
 		if got := bs.received(1); bytes.Contains(got, []byte("add")) {
 			t.Fatalf("a later command resent the add: %q", got)
 		}
 	})
-	t.Run("closed", func(t *testing.T) {
+	t.Run("reaped", func(t *testing.T) {
+		leakcheck.Check(t)
 		bs := newByteServer(t, miss, miss)
+		cl, err := NewPool(bs.addr, 5*time.Second, PoolConfig{Size: 1, IdleTimeout: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		_, wb := freezeClock(cl)
+		if err := cl.AddLater(&Item{Key: "wb", Value: []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the idle connection to be reaped", func() bool { return cl.ConnsOpen() == 0 })
+		if _, err := cl.Get("k"); !errors.Is(err, ErrCacheMiss) {
+			t.Fatal(err)
+		}
+		if got := bs.received(1); !bytes.Equal(got, []byte("get k\r\n")) {
+			t.Fatalf("the redialed connection was sent %q, want the get alone", got)
+		}
+		if got := bs.received(0); len(got) != 0 {
+			t.Fatalf("the reaped connection was sent %q", got)
+		}
+		if wb.WriteBackDroppedConn.Load() != 1 {
+			t.Fatalf("dropped_conn %d, want 1", wb.WriteBackDroppedConn.Load())
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		leakcheck.Check(t)
+		bs := newByteServer(t, miss)
 		cl := dialTest(t, Dial, bs.addr, 5*time.Second)
 		_, wb := freezeClock(cl)
 		if err := cl.AddLater(&Item{Key: "wb", Value: []byte("v")}); err != nil {
 			t.Fatal(err)
 		}
 		cl.Close()
-		if _, err := cl.Get("k"); !errors.Is(err, ErrCacheMiss) {
-			t.Fatal(err)
-		}
-		if got := bs.received(1); !bytes.Equal(got, []byte("get k\r\n")) {
-			t.Fatalf("after Close the reconnected client sent %q, want the get alone", got)
+		if _, err := cl.Get("k"); !errors.Is(err, errPoolClosed) {
+			t.Fatalf("Get on a closed client: %v", err)
 		}
 		if got := bs.received(0); len(got) != 0 {
 			t.Fatalf("the closed connection was sent %q", got)
 		}
-		if wb.DroppedConn.Load() != 1 {
-			t.Fatalf("dropped_conn %d, want 1", wb.DroppedConn.Load())
+		if wb.WriteBackDroppedConn.Load() != 1 {
+			t.Fatalf("dropped_conn %d, want 1", wb.WriteBackDroppedConn.Load())
 		}
 	})
 	t.Run("carried bytes", func(t *testing.T) {
+		leakcheck.Check(t)
 		// The control: on a healthy connection the same add does ride, in
 		// front, in the same write.
 		bs := newByteServer(t, miss)
@@ -380,6 +407,64 @@ func TestAddLaterDroppedWithItsConnection(t *testing.T) {
 			t.Fatalf("sent %q, want %q", got, want)
 		}
 	})
+}
+
+// TestAddLaterCarriedByFollowers: with callers pipelined on the one
+// connection, the adds one writer takes ride in front of its own
+// request, and the reader ahead of it often decodes that request's
+// reply. The binary decode must then skip the refused adds' AddQ error
+// frames by the follower's carried count, not the reader's own: a
+// mismatch is a desync, which fails the connection under every caller
+// behind it.
+func TestAddLaterCarriedByFollowers(t *testing.T) {
+	leakcheck.Check(t)
+	store := NewStore(0)
+	srv := NewServer(store)
+	cl := dialTest(t, DialBinary, serveTest(t, srv, nil), 5*time.Second)
+	_, g := freezeClock(cl)
+	const callers, rounds = 8, 200
+	for c := 0; c < callers; c++ {
+		store.Set(&Item{Key: fmt.Sprintf("own:%d", c), Value: bytes.Repeat([]byte{byte('a' + c)}, 10+c)})
+		store.Set(&Item{Key: fmt.Sprintf("taken:%d", c), Value: []byte("kept")})
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			own, taken := fmt.Sprintf("own:%d", c), fmt.Sprintf("taken:%d", c)
+			for i := 0; i < rounds; i++ {
+				// A refused add answers with an error frame; an accepted one
+				// is silent. Both ride in front of whichever request is
+				// written next, this caller's or another's.
+				cl.AddLater(&Item{Key: taken, Value: []byte("stale")})
+				cl.AddLater(&Item{Key: fmt.Sprintf("fresh:%d:%d", c, i), Value: []byte("v")})
+				items, err := cl.GetMulti([]string{own, taken})
+				if err != nil || len(items) != 2 || len(items[own].Value) != 10+c || string(items[taken].Value) != "kept" {
+					t.Errorf("caller %d round %d: %d items, %v", c, i, len(items), err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if failed, replays := g.ConnsFailed.Load(), g.Replays.Load(); failed != 0 || replays != 0 {
+		t.Fatalf("%d connections failed, %d reads replayed: a carried count went to the wrong request", failed, replays)
+	}
+	if hw := g.PipelineHighWater.Load(); hw < 2 {
+		t.Fatalf("pipeline high water %d: no request was ever decoded for a follower", hw)
+	}
+	// Everything still queued rides one last command.
+	if _, err := cl.Version(); err != nil {
+		t.Fatal(err)
+	}
+	queued, carried := g.WriteBackQueued.Load(), g.WriteBackCarried.Load()
+	if queued != 2*callers*rounds || carried != queued {
+		t.Fatalf("queued %d of %d, carried %d", queued, 2*callers*rounds, carried)
+	}
+	if got := store.Len(); got != 2*callers+callers*rounds {
+		t.Fatalf("%d items stored, want %d: an accepted add was lost", got, 2*callers+callers*rounds)
+	}
 }
 
 // TestBinaryQuietAddErrorFramesAreBounded: the binary decode skips the
@@ -454,13 +539,14 @@ func TestBinaryServerQuietAdd(t *testing.T) {
 	}
 }
 
-// TestPoolAddLaterIsAcknowledged: a pool cannot order an unanswered add
-// against its sibling connections, so its AddLater has stored (or been
-// refused) by the time it returns.
+// TestPoolAddLaterIsAcknowledged: a client of several connections cannot
+// order an unanswered add against its sibling connections, so its
+// AddLater has stored (or been refused) by the time it returns.
 func TestPoolAddLaterIsAcknowledged(t *testing.T) {
+	leakcheck.Check(t)
 	for _, binary := range []bool{false, true} {
 		store := NewStore(0)
-		p, err := NewPool(serveTest(t, NewServer(store), nil), 5*time.Second, PoolConfig{Size: 2, Binary: binary})
+		p, err := NewPool(serveTest(t, NewServer(store), nil), 5*time.Second, PoolConfig{Size: 4, Binary: binary})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +602,7 @@ func TestAddLaterConcurrentWithRoundTrips(t *testing.T) {
 		if _, err := cl.Get("probe"); err != nil {
 			t.Fatal(err)
 		}
-		queued, carried, full := wb.Queued.Load(), wb.Carried.Load(), wb.DroppedFull.Load()
+		queued, carried, full := wb.WriteBackQueued.Load(), wb.WriteBackCarried.Load(), wb.WriteBackDroppedFull.Load()
 		if queued+full != adders*perAdder || carried != queued {
 			t.Fatalf("queued %d + refused %d of %d, carried %d", queued, full, adders*perAdder, carried)
 		}

@@ -150,12 +150,13 @@ func TestAllocBudgetDecode(t *testing.T) {
 }
 
 // TestAllocBudgetRoundTrip bounds whole transactions end to end against
-// a live server, on both exchangers and both codecs: a 1-key and an
-// 8-key GetMulti (all hits) and a Set. AllocsPerRun counts globally, so
-// each budget covers the server's parse/exec/flush too. The
-// single-connection text lane is the path most benchmark workloads run
-// on; its budgets are exact, because one extra allocation per
-// transaction there is a measurable end-to-end regression.
+// a live server, on a one-connection and a four-connection client and
+// both codecs: a 1-key and an 8-key GetMulti (all hits) and a Set.
+// AllocsPerRun counts globally, so each budget covers the server's
+// parse/exec/flush too. The one-connection text lane is the path most
+// benchmark workloads run on; its budgets are exact, because one extra
+// allocation per transaction there is a measurable end-to-end
+// regression.
 func TestAllocBudgetRoundTrip(t *testing.T) {
 	for _, lane := range []struct {
 		name           string
@@ -166,11 +167,11 @@ func TestAllocBudgetRoundTrip(t *testing.T) {
 		// Measured values, exact. A multiget of any size pays the reply's
 		// Item array, its value arena and the two allocations of the
 		// result map on the client, the request's one string on the
-		// server, and the GetMulti call's own. The pooled lanes add
-		// nothing: the request lives in a slot its connection owns and the
-		// caller does its own round trip, as on Client. The 1-key and
-		// the 8-key budgets are equal on purpose: anything paid per key,
-		// on either side of the wire, fails the 8-key gate.
+		// server, and the GetMulti call's own. Routing among four
+		// connections adds nothing: the request lives in a slot its
+		// connection owns and the caller does its own round trip. The
+		// 1-key and the 8-key budgets are equal on purpose: anything paid
+		// per key, on either side of the wire, fails the 8-key gate.
 		{name: "single text", get1: 6, get8: 6, set: 4},
 		{name: "single binary", binary: true, get1: 6, get8: 6, set: 4},
 		{name: "pooled text", pooled: true, get1: 6, get8: 6, set: 4},
@@ -187,7 +188,7 @@ func TestAllocBudgetRoundTrip(t *testing.T) {
 			var c Conn
 			switch {
 			case lane.pooled:
-				c, err = NewPool(ln.Addr().String(), 2*time.Second, PoolConfig{Size: 1, Binary: lane.binary})
+				c, err = NewPool(ln.Addr().String(), 2*time.Second, PoolConfig{Size: 4, Binary: lane.binary})
 			case lane.binary:
 				c, err = DialBinary(ln.Addr().String(), 2*time.Second)
 			default:

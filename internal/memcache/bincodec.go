@@ -45,8 +45,8 @@ var binOpcodes = [...]byte{
 // check rejects a cas store with token zero: zero means "unconditional"
 // on the binary wire, and silently demoting a conditional store to a
 // plain set would be wrong — zero is never a token the store hands out.
-func (binCodec) check(q request) error {
-	if q.cmd == cmdCAS && q.item.CAS == 0 {
+func (binCodec) check(cmd command, it *Item) error {
+	if cmd == cmdCAS && it.CAS == 0 {
 		return ErrCASConflict
 	}
 	return nil

@@ -155,15 +155,15 @@ func FuzzBinaryDemux(f *testing.F) {
 }
 
 // FuzzCrossProtocol decodes the fuzz input as an operation script and
-// replays it over a text pool, a binary pool and a binary single
-// connection, each against its own server. Whatever the script, every op
-// must land in the same result bucket on every lane and the final store
-// states must be identical — the fuzz-shaped version of
-// TestTransportDifferential. Op 10 is AddLater alone: the single
-// connection queues it for whichever op the script runs next to carry
-// (an AddQ in front of a set, a delete, an incr of the same key...),
-// the pools acknowledge it on the spot, and all three must agree from
-// then on.
+// replays it over a four-connection text client, a four-connection
+// binary client and a one-connection binary client, each against its
+// own server. Whatever the script, every op must land in the same result
+// bucket on every lane and the final store states must be identical —
+// the fuzz-shaped version of TestTransportDifferential. Op 10 is
+// AddLater alone: the one-connection client queues it for whichever op
+// the script runs next to carry (an AddQ in front of a set, a delete, an
+// incr of the same key...), the others acknowledge it on the spot, and
+// all three must agree from then on.
 func FuzzCrossProtocol(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 9, 1, 0, 5, 0, 0, 6, 1, 99})
 	f.Add([]byte{2, 3, 0, 3, 3, 0, 4, 3, 0, 9, 0, 0})
@@ -176,20 +176,19 @@ func FuzzCrossProtocol(f *testing.F) {
 			t.Skip()
 		}
 		lanes := make([]transportLane, 3)
-		for i, name := range []string{"text-pooled", "binary-pooled", "binary-single"} {
+		for i, name := range []string{"text size=4", "binary size=4", "binary size=1"} {
 			addr, store := startLaneServer(t)
-			var conn Conn
+			var cl *Client
 			switch i {
 			case 0:
-				conn = newTestPool(t, addr, PoolConfig{Size: 1})
+				cl = newTestPool(t, addr, PoolConfig{Size: 4})
 			case 1:
-				conn = newBinPool(t, addr, PoolConfig{Size: 1})
+				cl = newBinPool(t, addr, PoolConfig{Size: 4})
 			case 2:
-				single := newSingleConn(t, addr, true)
-				freezeClock(single)
-				conn = single
+				cl = newSingleConn(t, addr, true)
 			}
-			lanes[i] = transportLane{name: name, conn: conn, store: store}
+			freezeClock(cl)
+			lanes[i] = transportLane{name: name, conn: cl, store: store}
 		}
 		ref := lanes[0]
 

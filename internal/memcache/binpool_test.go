@@ -14,9 +14,9 @@ import (
 	"rnb/internal/leakcheck"
 )
 
-// newBinPool builds a pool speaking the binary protocol (quiet-get
+// newBinPool builds a client speaking the binary protocol (quiet-get
 // pipelining) against addr.
-func newBinPool(t *testing.T, addr string, cfg PoolConfig) *Pool {
+func newBinPool(t *testing.T, addr string, cfg PoolConfig) *Client {
 	t.Helper()
 	cfg.Binary = true
 	return newTestPool(t, addr, cfg)
@@ -292,7 +292,7 @@ func startLaneServer(t *testing.T) (string, *Store) {
 	return serveTest(t, NewServer(store), nil), store
 }
 
-// newSingleConn dials a single-connection client speaking either wire
+// newSingleConn dials a one-connection client speaking either wire
 // format, closed with the test.
 func newSingleConn(t *testing.T, addr string, binary bool) *Client {
 	t.Helper()
@@ -310,17 +310,17 @@ func newSingleConn(t *testing.T, addr string, binary bool) *Client {
 
 // addLaterThenRead is the differential matrix's write-back op: AddLater
 // of (k, v), then a multi-get of k on the same handle — the command a
-// single connection's queued add rides in front of — returning what
+// one-connection client's queued add rides in front of — returning what
 // that get read. Whether the add was accepted or refused (k taken), and
-// whether it went unanswered (single: "add ... noreply" / AddQ) or
-// acknowledged (pooled), every lane must read the same value back and
-// stay in sync for the ops that follow. A pooled lane must already hold
-// the add's outcome when AddLater returns.
+// whether it went unanswered (size 1: "add ... noreply" / AddQ) or
+// acknowledged (larger), every lane must read the same value back and
+// stay in sync for the ops that follow. A lane of several connections
+// must already hold the add's outcome when AddLater returns.
 func addLaterThenRead(t *testing.T, lane transportLane, k string, v []byte) (string, string) {
 	t.Helper()
 	before, getErr := lane.store.Get(k)
 	err := lane.conn.AddLater(&Item{Key: k, Value: v})
-	if _, pooled := lane.conn.(*Pool); pooled {
+	if lane.conn.(*Client).size > 1 {
 		want, taken := v, getErr == nil
 		if taken {
 			want = before.Value
@@ -341,31 +341,29 @@ func addLaterThenRead(t *testing.T, lane transportLane, k string, v []byte) (str
 // TestTransportDifferential is the matrix oracle: one seeded op
 // sequence covering the full grammar (set/add/addlater/replace/cas/
 // append/prepend/incr/decr/delete/touch/get/gets multiget) replayed over every
-// exchanger × codec combination — text and binary, single-connection
-// and pooled — each against its own server. Every op must land in the
-// same result bucket with the same payload on all four, and the final
-// store states must be identical (same keys, values, flags, byte
-// counts).
+// size × codec combination — text and binary, one connection (write-
+// backs queued) and four (write-backs acknowledged) — each against its
+// own server. Every op must land in the same result bucket with the
+// same payload on all four, and the final store states must be
+// identical (same keys, values, flags, byte counts).
 func TestTransportDifferential(t *testing.T) {
 	leakcheck.Check(t)
 	lanes := make([]transportLane, 4)
-	for i, name := range []string{"text-single", "text-pooled", "binary-pooled", "binary-single"} {
+	for i, name := range []string{"text size=1", "text size=4", "binary size=4", "binary size=1"} {
 		addr, store := startLaneServer(t)
-		var conn Conn
+		var cl *Client
 		switch i {
 		case 0:
-			conn = newSingleConn(t, addr, false)
+			cl = newSingleConn(t, addr, false)
 		case 1:
-			conn = newTestPool(t, addr, PoolConfig{Size: 2, Depth: 8})
+			cl = newTestPool(t, addr, PoolConfig{Size: 4, Depth: 8})
 		case 2:
-			conn = newBinPool(t, addr, PoolConfig{Size: 2, Depth: 8})
+			cl = newBinPool(t, addr, PoolConfig{Size: 4, Depth: 8})
 		case 3:
-			conn = newSingleConn(t, addr, true)
+			cl = newSingleConn(t, addr, true)
 		}
-		if single, ok := conn.(*Client); ok {
-			freezeClock(single) // a queued add never ages out under a slow -race run
-		}
-		lanes[i] = transportLane{name: name, conn: conn, store: store}
+		freezeClock(cl) // a queued add never ages out under a slow -race run
+		lanes[i] = transportLane{name: name, conn: cl, store: store}
 	}
 
 	const population = 24
@@ -562,9 +560,9 @@ func TestTransportDifferential(t *testing.T) {
 }
 
 // TestBinaryPoolDifferentialLargeValues pushes values past the bufio
-// buffer through the quiet-get path of both exchangers and cross-checks
-// against the text client, including deliberate misses interleaved
-// mid-run.
+// buffer through the quiet-get path of a three-connection and a
+// one-connection client and cross-checks against the text client,
+// including deliberate misses interleaved mid-run.
 func TestBinaryPoolDifferentialLargeValues(t *testing.T) {
 	leakcheck.Check(t)
 	addr, _ := startLaneServer(t)

@@ -139,40 +139,9 @@ func TestMutationsNotReplayed(t *testing.T) {
 	})
 }
 
-// TestRedialBackoff: with a reconnect policy, dial failures are
-// retried with backoff instead of failing immediately.
-func TestRedialBackoff(t *testing.T) {
-	eachWire(t, func(t *testing.T, dial dialFunc) {
-		// No listener at all: every dial fails.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		cl, err := dial(addr, 200*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		ln.Close() // kill the listener; the pooled conn dies with it
-
-		cl.SetRedial(2, 20*time.Millisecond)
-		start := time.Now()
-		_, gerr := cl.Get("k")
-		elapsed := time.Since(start)
-		if gerr == nil {
-			t.Fatal("read against a dead address succeeded")
-		}
-		// Two redials sleep 20ms + 40ms (per connect; the idempotent
-		// replay may dial twice). At least one backed-off connect ran.
-		if elapsed < 50*time.Millisecond {
-			t.Fatalf("failed in %v; redial backoff not applied", elapsed)
-		}
-	})
-}
-
 // TestRedialRecoversRestartedListener: a server restarted on the same
-// address within the backoff window is transparently reconnected to.
+// address is reconnected to by the next command after it is back — the
+// client dials on demand, so it needs no redial policy of its own.
 func TestRedialRecoversRestartedListener(t *testing.T) {
 	eachWire(t, func(t *testing.T, dial dialFunc) {
 		srv := NewServer(NewStore(0))
@@ -187,7 +156,6 @@ func TestRedialRecoversRestartedListener(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		cl.SetRedial(10, 20*time.Millisecond)
 		if err := cl.Set(&Item{Key: "k", Value: []byte("v")}); err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,9 @@ import (
 // read half operating on bare bufio endpoints. A request is fully
 // described by that (write, read) pair, which is what makes pipelining
 // sound: in-order execution against one connection needs no other
-// shared state, so Client runs the halves inline under its lock while
-// Pool issues many write halves back to back from a writer goroutine
-// and demultiplexes the read halves in request order on a reader.
+// shared state, so Client's callers write their halves back to back on
+// a shared connection and whoever holds the reader role runs the read
+// halves in request order.
 //
 // The codec is written to stay off the allocator on the steady-state
 // path: command lines are assembled in pooled scratch buffers, response
@@ -30,7 +30,7 @@ import (
 // textCodec speaks the memcached text protocol.
 type textCodec struct{}
 
-func (textCodec) check(request) error { return nil }
+func (textCodec) check(command, *Item) error { return nil }
 
 func (textCodec) encode(w *bufio.Writer, q *request) error {
 	switch q.cmd {
@@ -94,7 +94,7 @@ func answeredError(status string) error {
 
 // IsConnFatal reports whether err leaves the connection in an unknown
 // or unsynchronized state (I/O error, corrupt frame) — the one failure
-// taxonomy both exchangers and the rnb breaker share. Protocol-level
+// taxonomy the exchanger and the rnb breaker share. Protocol-level
 // outcomes — cache misses, CAS conflicts, declined stores, key/size
 // rejections, error status lines — consumed a complete reply (or never
 // touched the wire) and keep the connection usable. ErrBadKey and

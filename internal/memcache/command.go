@@ -2,7 +2,6 @@ package memcache
 
 import (
 	"bufio"
-	"sync/atomic"
 
 	"rnb/internal/obs"
 )
@@ -10,15 +9,16 @@ import (
 // The client side is three orthogonal pieces:
 //
 //   - one command set (this file): every Conn command — validation,
-//     request descriptor, result extraction — is written once;
+//     request descriptor, result extraction — is written once, as a
+//     method of Client;
 //   - two codecs (codec.go, bincodec.go): the only code that knows wire
 //     bytes, each turning a request into frames and frames into a reply;
-//   - two exchangers (client.go, pool.go): each knows only how to move
+//   - one exchanger (pool.go): Client.exchange knows only how to move
 //     one request to the server and its reply back, and what to do when
 //     the connection dies in between.
 //
-// Client and Pool embed commands, so both get every Conn method with no
-// per-transport or per-wire-format copy.
+// So every Conn method exists once, whatever the wire format or the
+// number of connections.
 
 // command names one memcached operation, independent of wire format.
 type command uint8
@@ -72,11 +72,11 @@ func (c command) idempotent() bool {
 	return c == cmdGet || c == cmdGets || c == cmdVersion || c == cmdStats
 }
 
-// request describes one command invocation. It crosses the exchanger
-// seam by value and the exchanger copies it into storage it already
-// owns (Client.req, one of a pooled connection's poolRequest slots), so
-// describing a command never costs a heap allocation of its own — the
-// point-get path has none to spare.
+// request describes one command invocation. It lives in the issuing
+// command's frame and reaches the exchanger by pointer; the exchanger
+// copies it into storage it already owns (one of a connection's
+// poolRequest slots), so describing a command never costs a heap
+// allocation of its own — the point-get path has none to spare.
 type request struct {
 	cmd   command
 	key   string   // single-key commands, Get included
@@ -123,13 +123,12 @@ type reply struct {
 
 // codec is one wire format. encode and decode are the write and read
 // halves of a transaction: the request is fully described by the pair,
-// responses arrive in request order, so an exchanger may run the halves
-// back to back (Client) or let one caller decode what another encoded
-// (Pool).
+// responses arrive in request order, so one caller may decode what
+// another encoded (see pconn).
 type codec interface {
-	// check rejects, before submission, a request the format cannot
+	// check rejects, before submission, a command the format cannot
 	// express.
-	check(q request) error
+	check(cmd command, it *Item) error
 	encode(w *bufio.Writer, q *request) error
 	decode(r *bufio.Reader, q *request, p *reply) error
 	// appendQuietAdd appends to b an add of it that the server does not
@@ -137,39 +136,23 @@ type codec interface {
 	appendQuietAdd(b []byte, it *Item) []byte
 }
 
-// exchanger moves one request to the server and its reply back.
-type exchanger interface {
-	exchange(q request) (reply, error)
-}
-
-// commands is the one implementation of every Conn command, shared by
-// both exchangers and both codecs.
-type commands struct {
-	via   exchanger
-	codec codec
-
-	// tracing enables wire-level trace propagation; traceOK caches the
-	// handshake outcome (0 unknown, 1 negotiated, 2 plain server) — one
-	// address speaks one banner, so the answer holds for every
-	// connection. With tracing off the wire carries zero extra bytes.
-	tracing atomic.Bool
-	traceOK atomic.Int32
-}
-
-func (cs *commands) do(q request) (reply, error) {
-	if err := cs.codec.check(q); err != nil {
-		return reply{}, err
+// do runs q and leaves its reply in rep. Both stay in the issuing
+// command's frame: through an interface either would escape to the
+// heap, and held by value they would deepen every frame below.
+func (p *Client) do(q *request, rep *reply) error {
+	if err := p.codec.check(q.cmd, q.item); err != nil {
+		return err
 	}
-	return cs.via.exchange(q)
+	return p.exchange(q, rep)
 }
 
 // Get fetches a single key.
-func (cs *commands) Get(key string) (*Item, error) {
+func (p *Client) Get(key string) (*Item, error) {
 	if !validKey(key) {
 		return nil, ErrBadKey
 	}
-	rep, err := cs.do(request{cmd: cmdGet, key: key})
-	if err != nil {
+	var rep reply
+	if err := p.do(&request{cmd: cmdGet, key: key}, &rep); err != nil {
 		return nil, err
 	}
 	for i := range rep.items {
@@ -183,23 +166,24 @@ func (cs *commands) Get(key string) (*Item, error) {
 // GetMulti fetches any number of keys in ONE transaction (a memcached
 // multi-get) and returns the found items. Missing keys are simply
 // absent from the result.
-func (cs *commands) GetMulti(keys []string) (map[string]*Item, error) {
-	items, _, err := cs.getMultiMap(cmdGet, obs.TraceContext{}, keys)
-	return items, err
+func (p *Client) GetMulti(keys []string) (map[string]*Item, error) {
+	var rep reply
+	return p.getMultiMap(cmdGet, obs.TraceContext{}, keys, &rep)
 }
 
 // GetsMulti is GetMulti with CAS tokens populated.
-func (cs *commands) GetsMulti(keys []string) (map[string]*Item, error) {
-	items, _, err := cs.getMultiMap(cmdGets, obs.TraceContext{}, keys)
-	return items, err
+func (p *Client) GetsMulti(keys []string) (map[string]*Item, error) {
+	var rep reply
+	return p.getMultiMap(cmdGets, obs.TraceContext{}, keys, &rep)
 }
 
 // TracedGetMulti is GetMulti carrying a distributed-trace context. It
 // returns the items, the client-side queue wait in nanoseconds, and the
 // server's phase timings — nil when the server did not negotiate
 // tracing, in which case the request degraded to a stock multi-get.
-func (cs *commands) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]*Item, int64, *obs.ServerTimings, error) {
-	items, rep, err := cs.getMultiMap(cmdGet, tc, keys)
+func (p *Client) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]*Item, int64, *obs.ServerTimings, error) {
+	var rep reply
+	items, err := p.getMultiMap(cmdGet, tc, keys, &rep)
 	return items, rep.queueNS, rep.st, err
 }
 
@@ -209,54 +193,59 @@ func (cs *commands) TracedGetMulti(tc obs.TraceContext, keys []string) (map[stri
 // The items share one backing array and one value arena, so a caller
 // that merges &items[i] into its own result builds nothing per
 // transaction.
-func (cs *commands) TracedGetItems(tc obs.TraceContext, keys []string) ([]Item, int64, *obs.ServerTimings, error) {
-	rep, err := cs.getMulti(cmdGet, tc, keys)
+func (p *Client) TracedGetItems(tc obs.TraceContext, keys []string) ([]Item, int64, *obs.ServerTimings, error) {
+	var rep reply
+	err := p.getMulti(cmdGet, tc, keys, &rep)
 	return rep.items, rep.queueNS, rep.st, err
 }
 
-// getMulti runs one get or gets transaction; rep.items holds the hits,
-// and is nil on error.
-func (cs *commands) getMulti(cmd command, tc obs.TraceContext, keys []string) (reply, error) {
+// getMulti runs one get or gets transaction into rep; rep.items holds
+// the hits, and is nil on error.
+func (p *Client) getMulti(cmd command, tc obs.TraceContext, keys []string, rep *reply) error {
 	if len(keys) == 0 {
-		return reply{}, nil
+		return nil
 	}
 	for _, k := range keys {
 		if !validKey(k) {
-			return reply{}, ErrBadKey
+			return ErrBadKey
 		}
 	}
 	q := request{cmd: cmd, keys: keys, tc: tc}
-	q.traced = tc.Valid() && cs.tracingNegotiated()
-	rep, err := cs.do(q)
+	q.traced = tc.Valid() && p.tracingNegotiated()
+	err := p.do(&q, rep)
 	if err != nil {
 		rep.items = nil
 	}
-	return rep, err
+	return err
 }
 
 // getMultiMap is getMulti for the map-returning commands: the reply's
 // items indexed by key. The last of a repeated key wins, as when each
 // hit was merged into the map as it was decoded.
-func (cs *commands) getMultiMap(cmd command, tc obs.TraceContext, keys []string) (map[string]*Item, reply, error) {
-	rep, err := cs.getMulti(cmd, tc, keys)
-	if err != nil {
-		return nil, rep, err
+func (p *Client) getMultiMap(cmd command, tc obs.TraceContext, keys []string, rep *reply) (map[string]*Item, error) {
+	if err := p.getMulti(cmd, tc, keys, rep); err != nil {
+		return nil, err
 	}
-	m := make(map[string]*Item, len(rep.items))
-	for i := range rep.items {
-		m[rep.items[i].Key] = &rep.items[i]
+	return itemMap(rep.items), nil
+}
+
+// itemMap indexes a reply's items by key.
+func itemMap(items []Item) map[string]*Item {
+	m := make(map[string]*Item, len(items))
+	for i := range items {
+		m[items[i].Key] = &items[i]
 	}
-	return m, rep, nil
+	return m
 }
 
 // SetTracing enables (or disables) wire-level trace propagation. The
 // first traced request probes the server's version banner, and only a
 // server announcing rnb-memcache support ever sees a trace frame; plain
 // memcached keeps receiving stock protocol bytes.
-func (cs *commands) SetTracing(on bool) {
-	cs.tracing.Store(on)
+func (p *Client) SetTracing(on bool) {
+	p.tracing.Store(on)
 	if on {
-		cs.traceOK.Store(0)
+		p.traceOK.Store(0)
 	}
 }
 
@@ -264,112 +253,125 @@ func (cs *commands) SetTracing(on bool) {
 // round trip while the outcome is unknown. A failed probe leaves it
 // unknown so a later traced request retries; concurrent probes are
 // harmless (version is idempotent).
-func (cs *commands) tracingNegotiated() bool {
-	if !cs.tracing.Load() {
+func (p *Client) tracingNegotiated() bool {
+	if !p.tracing.Load() {
 		return false
 	}
-	if cs.traceOK.Load() == 0 {
-		banner, err := cs.Version()
+	if p.traceOK.Load() == 0 {
+		banner, err := p.Version()
 		if err != nil {
 			return false
 		}
 		if bannerSupportsTracing(banner) {
-			cs.traceOK.Store(1)
+			p.traceOK.Store(1)
 		} else {
-			cs.traceOK.Store(2)
+			p.traceOK.Store(2)
 		}
 	}
-	return cs.traceOK.Load() == 1
+	return p.traceOK.Load() == 1
 }
 
 // Set stores an item unconditionally.
-func (cs *commands) Set(it *Item) error { return cs.store(cmdSet, it) }
+func (p *Client) Set(it *Item) error { return p.store(cmdSet, it) }
 
 // SetPinned stores an item exempt from LRU eviction, via this server's
 // RnB "setp" protocol extension. Distinguished copies are stored this
 // way so they can never miss (paper §III-C-1). Not supported by stock
 // memcached.
-func (cs *commands) SetPinned(it *Item) error { return cs.store(cmdSetPinned, it) }
+func (p *Client) SetPinned(it *Item) error { return p.store(cmdSetPinned, it) }
 
 // Add stores an item only if absent.
-func (cs *commands) Add(it *Item) error { return cs.store(cmdAdd, it) }
+func (p *Client) Add(it *Item) error { return p.store(cmdAdd, it) }
 
 // Replace stores an item only if present.
-func (cs *commands) Replace(it *Item) error { return cs.store(cmdReplace, it) }
+func (p *Client) Replace(it *Item) error { return p.store(cmdReplace, it) }
 
 // CompareAndSwap stores an item only if its CAS token still matches.
-func (cs *commands) CompareAndSwap(it *Item) error { return cs.store(cmdCAS, it) }
+func (p *Client) CompareAndSwap(it *Item) error { return p.store(cmdCAS, it) }
 
 // Append concatenates data after an existing value.
-func (cs *commands) Append(key string, data []byte) error {
-	return cs.store(cmdAppend, &Item{Key: key, Value: data})
+func (p *Client) Append(key string, data []byte) error {
+	return p.store(cmdAppend, &Item{Key: key, Value: data})
 }
 
 // Prepend concatenates data before an existing value.
-func (cs *commands) Prepend(key string, data []byte) error {
-	return cs.store(cmdPrepend, &Item{Key: key, Value: data})
+func (p *Client) Prepend(key string, data []byte) error {
+	return p.store(cmdPrepend, &Item{Key: key, Value: data})
 }
 
-func (cs *commands) store(cmd command, it *Item) error {
+func (p *Client) store(cmd command, it *Item) error {
+	if err := checkItem(it); err != nil {
+		return err
+	}
+	var rep reply
+	return p.do(&request{cmd: cmd, item: it}, &rep)
+}
+
+// checkItem rejects, before any wire contact, an item no server would
+// store.
+func checkItem(it *Item) error {
 	if !validKey(it.Key) {
 		return ErrBadKey
 	}
 	if len(it.Value) > MaxValueLen {
 		return ErrTooLarge
 	}
-	_, err := cs.do(request{cmd: cmd, item: it})
-	return err
+	return nil
 }
 
 // Incr adds delta to a decimal value, returning the new value.
-func (cs *commands) Incr(key string, delta uint64) (uint64, error) {
-	rep, err := cs.keyed(request{cmd: cmdIncr, key: key, delta: delta})
+func (p *Client) Incr(key string, delta uint64) (uint64, error) {
+	var rep reply
+	err := p.keyed(&request{cmd: cmdIncr, key: key, delta: delta}, &rep)
 	return rep.value, err
 }
 
 // Decr subtracts delta from a decimal value (clamped at zero),
 // returning the new value.
-func (cs *commands) Decr(key string, delta uint64) (uint64, error) {
-	rep, err := cs.keyed(request{cmd: cmdDecr, key: key, delta: delta})
+func (p *Client) Decr(key string, delta uint64) (uint64, error) {
+	var rep reply
+	err := p.keyed(&request{cmd: cmdDecr, key: key, delta: delta}, &rep)
 	return rep.value, err
 }
 
 // Delete removes a key.
-func (cs *commands) Delete(key string) error {
-	_, err := cs.keyed(request{cmd: cmdDelete, key: key})
-	return err
+func (p *Client) Delete(key string) error {
+	var rep reply
+	return p.keyed(&request{cmd: cmdDelete, key: key}, &rep)
 }
 
 // Touch updates a key's expiration time.
-func (cs *commands) Touch(key string, exp int32) error {
-	_, err := cs.keyed(request{cmd: cmdTouch, key: key, exp: exp})
-	return err
+func (p *Client) Touch(key string, exp int32) error {
+	var rep reply
+	return p.keyed(&request{cmd: cmdTouch, key: key, exp: exp}, &rep)
 }
 
 // keyed runs a single-key command.
-func (cs *commands) keyed(q request) (reply, error) {
+func (p *Client) keyed(q *request, rep *reply) error {
 	if !validKey(q.key) {
-		return reply{}, ErrBadKey
+		return ErrBadKey
 	}
-	return cs.do(q)
+	return p.do(q, rep)
 }
 
 // FlushAll wipes the server.
-func (cs *commands) FlushAll() error {
-	_, err := cs.do(request{cmd: cmdFlushAll})
-	return err
+func (p *Client) FlushAll() error {
+	var rep reply
+	return p.do(&request{cmd: cmdFlushAll}, &rep)
 }
 
 // Version returns the server version banner.
-func (cs *commands) Version() (string, error) {
-	rep, err := cs.do(request{cmd: cmdVersion})
+func (p *Client) Version() (string, error) {
+	var rep reply
+	err := p.do(&request{cmd: cmdVersion}, &rep)
 	return rep.banner, err
 }
 
 // Stats fetches the server's stats map.
-func (cs *commands) Stats() (map[string]string, error) {
+func (p *Client) Stats() (map[string]string, error) {
+	var rep reply
 	q := request{cmd: cmdStats, stats: map[string]string{}}
-	if _, err := cs.do(q); err != nil {
+	if err := p.do(&q, &rep); err != nil {
 		return nil, err
 	}
 	return q.stats, nil

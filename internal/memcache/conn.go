@@ -5,13 +5,13 @@ import "rnb/internal/obs"
 // Conn is the per-server transport handle: everything the RnB client
 // (and the proxy behind it) needs from a memcached connection. The
 // commands are implemented once (command.go) over a codec — text or
-// binary — and an exchanger: the single-connection Client (Dial,
-// DialBinary) or the pooled, pipelined Pool (NewPool). Callers choose
-// exchanger and codec at construction and treat the handle uniformly
-// afterwards; in particular, error semantics are identical — a
-// network-level failure surfaces as an error on the operation that hit
-// it (feeding the caller's circuit breaker), and only idempotent reads
-// are ever replayed transparently.
+// binary — and one exchanger, Client: one connection (Dial, DialBinary)
+// or up to Size pipelined ones (NewPool). Callers choose codec and size
+// at construction and treat the handle uniformly afterwards; in
+// particular, error semantics do not depend on either — a network-level
+// failure surfaces as an error on the operation that hit it (feeding
+// the caller's circuit breaker), and only idempotent reads are ever
+// replayed transparently.
 type Conn interface {
 	// Addr returns the server address the handle is bound to.
 	Addr() string
@@ -31,11 +31,12 @@ type Conn interface {
 	// 2's write-back of a value it has already served. It validates it as
 	// Add does and returns without a round trip where the exchanger can
 	// keep the add ordered ahead of every later command this handle sends
-	// the server: Client queues it and writes it, unanswered, in front of
-	// its next command; Pool cannot promise that order and sends an
-	// acknowledged Add. Like any add it never replaces a stored value.
-	// Best effort: a queued add may be dropped (see Client.AddLater), and
-	// ErrNotStored says it was refused or not queued.
+	// the server: a one-connection Client queues it and writes it,
+	// unanswered, in front of its next command; a Client of more
+	// connections cannot promise that order and sends an acknowledged
+	// Add. Like any add it never replaces a stored value. Best effort: a
+	// queued add may be dropped (see Client.AddLater), and ErrNotStored
+	// says it was refused or not queued.
 	AddLater(it *Item) error
 	Replace(it *Item) error
 	CompareAndSwap(it *Item) error
@@ -67,7 +68,4 @@ type Conn interface {
 	TracedGetItems(tc obs.TraceContext, keys []string) ([]Item, int64, *obs.ServerTimings, error)
 }
 
-var (
-	_ Conn = (*Client)(nil)
-	_ Conn = (*Pool)(nil)
-)
+var _ Conn = (*Client)(nil)

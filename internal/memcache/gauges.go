@@ -6,11 +6,13 @@ import (
 	"rnb/internal/obs"
 )
 
-// PoolGauges tracks the pooled, pipelined transport (Pool): connection
-// lifecycle, queue occupancy, and pipeline depth. One PoolGauges is
-// typically shared by every per-server pool of a client, so the numbers
-// are tier-wide. All fields are atomics, bumped in place; the zero
-// value is ready.
+// PoolGauges tracks the transport (Client): connection lifecycle, queue
+// occupancy, pipeline depth, and what became of the write-backs a
+// one-connection client queued (AddLater): a replica a read recovered
+// stays virtual exactly when its write-back was dropped, and the reason
+// is one of three. One PoolGauges is typically shared by every
+// per-server client of an RnB client, so the numbers are tier-wide. All
+// fields are atomics, bumped in place; the zero value is ready.
 type PoolGauges struct {
 	ConnsOpen   atomic.Int64
 	ConnsDialed atomic.Uint64
@@ -25,6 +27,12 @@ type PoolGauges struct {
 
 	Replays   atomic.Uint64
 	Resubmits atomic.Uint64
+
+	WriteBackQueued      atomic.Uint64
+	WriteBackCarried     atomic.Uint64
+	WriteBackDroppedAge  atomic.Uint64
+	WriteBackDroppedFull atomic.Uint64
+	WriteBackDroppedConn atomic.Uint64
 }
 
 // Register names every field, once, for every rendering of reg.
@@ -39,6 +47,11 @@ func (g *PoolGauges) Register(reg *obs.Registry) {
 	reg.Gauge("rnb_pool_pipeline_high_water", "Deepest in-flight pipeline ever observed: how much pipelining the workload got.", g.PipelineHighWater.Load)
 	reg.Counter("rnb_pool_replays", "Idempotent requests replayed after their pooled connection died.", g.Replays.Load)
 	reg.Counter("rnb_pool_resubmits", "Never-written requests rerouted after their pooled connection died.", g.Resubmits.Load)
+	reg.Counter("rnb_writeback_queued", "Round-2 write-backs accepted into a single connection's pending buffer.", g.WriteBackQueued.Load)
+	reg.Counter("rnb_writeback_carried", "Write-backs flushed in front of a later command to their server.", g.WriteBackCarried.Load)
+	reg.Counter("rnb_writeback_dropped_age", "Write-backs dropped because no command followed within the age bound.", g.WriteBackDroppedAge.Load)
+	reg.Counter("rnb_writeback_dropped_full", "Write-backs dropped because the pending buffer was at its byte cap.", g.WriteBackDroppedFull.Load)
+	reg.Counter("rnb_writeback_dropped_conn", "Write-backs dropped because the connection broke or closed first.", g.WriteBackDroppedConn.Load)
 }
 
 // RecordInFlight bumps InFlight and ratchets PipelineHighWater.
@@ -50,29 +63,4 @@ func (g *PoolGauges) RecordInFlight() {
 			return
 		}
 	}
-}
-
-// WriteBacks counts what became of the deferred adds round 2 queues on
-// the single-connection transport (Client.AddLater): a replica a read
-// recovered stays virtual exactly when its write-back was dropped, and
-// the reason is one of three. One WriteBacks is shared by every
-// per-server connection of a client, so the numbers are tier-wide. A
-// pooled transport acknowledges each write-back inside the read and
-// counts nothing here. All fields are atomics; the zero value is ready.
-type WriteBacks struct {
-	Queued  atomic.Uint64
-	Carried atomic.Uint64
-
-	DroppedAge  atomic.Uint64
-	DroppedFull atomic.Uint64
-	DroppedConn atomic.Uint64
-}
-
-// Register names every field, once, for every rendering of reg.
-func (w *WriteBacks) Register(reg *obs.Registry) {
-	reg.Counter("rnb_writeback_queued", "Round-2 write-backs accepted into a single connection's pending buffer.", w.Queued.Load)
-	reg.Counter("rnb_writeback_carried", "Write-backs flushed in front of a later command to their server.", w.Carried.Load)
-	reg.Counter("rnb_writeback_dropped_age", "Write-backs dropped because no command followed within the age bound.", w.DroppedAge.Load)
-	reg.Counter("rnb_writeback_dropped_full", "Write-backs dropped because the pending buffer was at its byte cap.", w.DroppedFull.Load)
-	reg.Counter("rnb_writeback_dropped_conn", "Write-backs dropped because the connection broke or closed first.", w.DroppedConn.Load)
 }

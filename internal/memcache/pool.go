@@ -10,21 +10,19 @@ import (
 	"time"
 )
 
-// Pool is the pooled, pipelined exchanger for a single server,
-// replacing the one-mutex-one-connection Client on hot paths. Every
-// Conn command (see commands) is routed to a connection and exchanged
-// on the caller's own goroutine: a pooled connection (see pconn) has no
-// writer or reader goroutine behind it. The codec is the text protocol
-// by default and the binary protocol (quiet-get pipelining) when
+// Client is the exchanger for a single server: every Conn command (see
+// command.go) is routed to one of up to Size connections and exchanged
+// on the caller's own goroutine — a connection (see pconn) has no writer
+// or reader goroutine behind it. The codec is the text protocol by
+// default and the binary protocol (quiet-get pipelining) when
 // PoolConfig.Binary is set. Both formats answer strictly in request
-// order, so the same FIFO machinery drives either.
+// order, so the same FIFO machinery drives either. Dial and DialBinary
+// build the one-connection client; NewPool any size.
 //
-// Why it exists: RnB's premise (paper §II, §V) is that per-transaction
-// server cost dominates, so the client must drive many servers
-// concurrently with few, fat transactions. A single mutex-guarded
-// connection serializes every concurrent caller on one round trip at a
-// time; with M goroutines the fan-out the planner earns is thrown away
-// at the socket. The Pool removes that ceiling twice over:
+// RnB's premise (paper §II, §V) is that per-transaction server cost
+// dominates, so the client must drive many servers concurrently with
+// few, fat transactions, and concurrent callers must not wait a full
+// round trip each for one socket:
 //
 //   - connection pooling: up to Size connections per server, dialed as
 //     soon as requests overlap and reaped when idle. A request goes to
@@ -37,19 +35,17 @@ import (
 //     write mutex, and the last of the writers queued there flushes
 //     for all of them (many commands, one syscall); the caller at the
 //     head of the pipe reads its own reply and any follower's that
-//     arrived with it. M concurrent callers therefore share one
-//     connection without ever waiting a full round trip each.
+//     arrived with it. On an empty pipe a round trip is one write →
+//     flush → read with nobody woken at all.
 //
-// Error semantics mirror Client: a network-level failure fails the
-// operation (the caller's breaker quarantines the server), and only
-// idempotent requests are replayed — once, per pipelined request, when
-// their connection dies under them. Requests that never reached the
-// wire are rerouted to another connection regardless of idempotence,
-// because nothing was applied server-side. A connection the server
-// closed while idle is discovered, as on Client, by its next request.
-type Pool struct {
-	commands
-
+// A network-level failure fails the operation (the caller's breaker
+// quarantines the server), and only idempotent requests are replayed —
+// once, per request, when their connection dies under them. Requests
+// that never reached the wire are rerouted to another connection
+// regardless of idempotence, because nothing was applied server-side. A
+// connection the server closed while idle is discovered by its next
+// request. A closed Client stays closed.
+type Client struct {
 	addr    string
 	timeout time.Duration
 	size    int
@@ -57,24 +53,41 @@ type Pool struct {
 	idle    time.Duration
 	gauges  *PoolGauges
 	rttObs  func(time.Duration)
+	codec   codec
+
+	// tracing enables wire-level trace propagation; traceOK caches the
+	// handshake outcome (0 unknown, 1 negotiated, 2 plain server) — one
+	// address speaks one banner, so the answer holds for every
+	// connection. With tracing off the wire carries zero extra bytes.
+	tracing atomic.Bool
+	traceOK atomic.Int32
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	conns   []*pconn
 	dialing int
 	closed  bool
+	reaper  *time.Timer // runs reapIdle; nil when reaping is off
 
-	reapStop chan struct{}
-	reapDone chan struct{}
+	// The adds AddLater queued on a one-connection client, already
+	// encoded and oldest first, wait in later for the next writer on the
+	// connection; laterAt marks where each ends and when it was queued.
+	// laterMu alone guards them and now, the age bound's clock (a writer
+	// takes it under its connection's mu, never the other way round), so
+	// queuing never waits for a round trip in flight.
+	laterMu sync.Mutex
+	later   []byte
+	laterAt []laterAdd
+	now     func() time.Time
 
 	transactions atomic.Uint64
 }
 
-// PoolConfig parameterizes a Pool. The zero value picks the defaults.
+// PoolConfig parameterizes a Client. The zero value picks the defaults.
 type PoolConfig struct {
 	// Size is the maximum number of connections to the server
-	// (default 4). Connections are dialed on demand: a fresh pool holds
-	// one, and opens another whenever a request finds every open
+	// (default 4). Connections are dialed on demand: a fresh client
+	// holds one, and opens another whenever a request finds every open
 	// connection busy with an earlier one, until Size are open.
 	Size int
 	// Depth bounds the requests one connection carries at a time
@@ -83,11 +96,11 @@ type PoolConfig struct {
 	// when every pipe already holds Depth.
 	Depth int
 	// IdleTimeout reaps connections that served no request for this
-	// long (default 30s; <= 0 disables reaping). A reaped-to-empty pool
+	// long (default 30s; <= 0 disables reaping). A reaped-to-empty client
 	// redials on the next request.
 	IdleTimeout time.Duration
-	// Gauges, when non-nil, receives the pool's instrumentation;
-	// several pools (one per server) may share one PoolGauges for a
+	// Gauges, when non-nil, receives the client's instrumentation;
+	// several clients (one per server) may share one PoolGauges for a
 	// tier-wide view.
 	Gauges *PoolGauges
 	// RTTObserver, when non-nil, receives every request's wall time
@@ -95,17 +108,17 @@ type PoolConfig struct {
 	// replays included, because that is the latency the caller saw.
 	// Failed requests are stamped too (they are the tail).
 	RTTObserver func(time.Duration)
-	// Binary switches the pool to the memcached binary wire format: a
+	// Binary switches the client to the memcached binary wire format: a
 	// multiget is pipelined as N quiet gets (GetKQ) plus one terminating
 	// Noop instead of N text "VALUE" parses, and every other command
 	// becomes a fixed 24-byte-header frame. Pipelining, failure semantics
 	// (never-written resubmit, idempotent replay-once) and RTT observation
 	// are the same in both formats. The server sniffs the first byte per
-	// connection, so text and binary pools coexist on one port.
+	// connection, so text and binary clients coexist on one port.
 	Binary bool
 }
 
-// Pool defaults.
+// Client defaults.
 const (
 	DefaultPoolSize    = 4
 	DefaultPoolDepth   = 32
@@ -115,18 +128,32 @@ const (
 var (
 	// errPoolClosed fails requests submitted after Close; errReaped is
 	// the teardown cause of a connection the reaper closed.
-	errPoolClosed = errors.New("memcache: pool closed")
+	errPoolClosed = errors.New("memcache: client closed")
 	errReaped     = errors.New("memcache: idle connection reaped")
 	// errReadYourOwn wakes a parked follower that has reached the head
 	// of its pipe unanswered: it is the reader now. Never returned.
 	errReadYourOwn = errors.New("memcache: reader role")
 )
 
-// NewPool connects a pooled, pipelined client to the server at addr.
-// Exactly like Dial, one connection is established eagerly so an
+// Dial connects a one-connection text-protocol client to the server at
+// addr. timeout <= 0 means no I/O deadline.
+func Dial(addr string, timeout time.Duration) (*Client, error) {
+	return NewPool(addr, timeout, PoolConfig{Size: 1})
+}
+
+// DialBinary is Dial speaking the memcached binary protocol: a
+// multi-get is N quiet gets plus a Noop in one write — one transaction
+// on the wire, like the libmemcached behavior the paper's
+// micro-benchmarks rely on.
+func DialBinary(addr string, timeout time.Duration) (*Client, error) {
+	return NewPool(addr, timeout, PoolConfig{Size: 1, Binary: true})
+}
+
+// NewPool connects a client of up to cfg.Size pipelined connections to
+// the server at addr. One connection is established eagerly so an
 // unreachable server fails construction; timeout <= 0 disables I/O
 // deadlines.
-func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Pool, error) {
+func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Client, error) {
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultPoolSize
 	}
@@ -139,7 +166,7 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Pool, error) 
 	if cfg.Gauges == nil {
 		cfg.Gauges = &PoolGauges{}
 	}
-	p := &Pool{
+	p := &Client{
 		addr:    addr,
 		timeout: timeout,
 		size:    cfg.Size,
@@ -147,116 +174,112 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Pool, error) 
 		idle:    cfg.IdleTimeout,
 		gauges:  cfg.Gauges,
 		rttObs:  cfg.RTTObserver,
+		codec:   textCodec{},
+		now:     time.Now,
 	}
-	p.commands.via, p.commands.codec = p, textCodec{}
 	if cfg.Binary {
-		p.commands.codec = binCodec{}
+		p.codec = binCodec{}
 	}
 	p.cond = sync.NewCond(&p.mu)
 	c, err := p.dial()
 	if err != nil {
 		return nil, err
 	}
+	p.mu.Lock()
 	p.conns = append(p.conns, c)
 	if p.idle > 0 {
-		p.reapStop = make(chan struct{})
-		p.reapDone = make(chan struct{})
-		go p.reapLoop()
+		p.reaper = time.AfterFunc(p.reapPeriod(), p.reapIdle)
 	}
+	p.mu.Unlock()
 	return p, nil
 }
 
 // Addr returns the server address.
-func (p *Pool) Addr() string { return p.addr }
+func (p *Client) Addr() string { return p.addr }
 
 // Transactions returns the round trips issued so far, replays included.
-func (p *Pool) Transactions() uint64 { return p.transactions.Load() }
+// An add carried in front of one (AddLater) rides that round trip and is
+// not counted as another; the server still counts it as the transaction
+// it executes.
+func (p *Client) Transactions() uint64 { return p.transactions.Load() }
 
-// AddLater is Add, acknowledged before it returns. A pool's sibling
-// connections are not ordered against each other: an unanswered add
-// queued on one could be overtaken by the Delete or Set the caller
-// issues next, if the pool routes that to another, and then land after
-// it — a value resurrected over its own deletion. Only a single
-// connection gives the order Client.AddLater relies on; the asymmetry
-// goes when the pool becomes the one exchanger.
-func (p *Pool) AddLater(it *Item) error { return p.Add(it) }
-
-// Gauges returns the pool's instrumentation.
-func (p *Pool) Gauges() *PoolGauges { return p.gauges }
+// Gauges returns the client's instrumentation.
+func (p *Client) Gauges() *PoolGauges { return p.gauges }
 
 // ConnsOpen reports the number of currently established connections.
-func (p *Pool) ConnsOpen() int {
+func (p *Client) ConnsOpen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.conns)
 }
 
-// Close tears down every connection, fails every pending request, and
-// waits for the reaper to exit and every pipe to empty. Idempotent.
-func (p *Pool) Close() error {
+// Close stops the reaper, tears down every connection, fails every
+// pending request, drops the adds AddLater still holds, and waits for
+// every pipe to empty. Idempotent.
+func (p *Client) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil
 	}
 	p.closed = true
+	if p.reaper != nil {
+		p.reaper.Stop()
+	}
 	conns := append([]*pconn(nil), p.conns...)
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	if p.reapStop != nil {
-		close(p.reapStop)
-		<-p.reapDone
-	}
 	for _, c := range conns {
 		c.teardown(errPoolClosed)
 	}
 	for _, c := range conns {
 		<-c.drained
 	}
+	p.dropLater()
 	return nil
 }
 
-// reapLoop closes connections idle past the idle timeout; dial-on-
-// demand brings them back, so a quiet tier holds no sockets. A victim
-// leaves the rotation under the lock that found its pipe empty, so no
-// request is ever routed to a connection about to be reaped.
-func (p *Pool) reapLoop() {
-	defer close(p.reapDone)
-	period := p.idle / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.reapStop:
-			return
-		case <-tick.C:
-		}
-		now := time.Now().UnixNano()
-		var victims []*pconn
-		p.mu.Lock()
-		live := p.conns[:0]
-		for _, c := range p.conns {
-			if c.load.Load() == 0 && now-c.lastDone.Load() > int64(p.idle) {
-				victims = append(victims, c)
-			} else {
-				live = append(live, c)
-			}
-		}
-		p.conns = live
+// reapPeriod is how often the reaper looks for idle connections.
+func (p *Client) reapPeriod() time.Duration {
+	return max(p.idle/4, 10*time.Millisecond)
+}
+
+// reapIdle closes connections idle past the idle timeout and re-arms
+// its timer; dial-on-demand brings them back, so a quiet tier holds no
+// sockets. A victim leaves the rotation under the lock that found its
+// pipe empty, so no request is ever routed to a connection about to be
+// reaped. It runs on a timer rather than a goroutine of its own: a
+// goroutine parked per server, its stack all but empty, pulls down the
+// runtime's average stack size and with it the stack every new fan-out
+// goroutine starts on (DESIGN.md "Transport").
+func (p *Client) reapIdle() {
+	now := time.Now().UnixNano()
+	var victims []*pconn
+	p.mu.Lock()
+	if p.closed {
 		p.mu.Unlock()
-		for _, c := range victims {
-			p.gauges.ConnsReaped.Add(1)
-			c.teardown(errReaped)
+		return
+	}
+	live := p.conns[:0]
+	for _, c := range p.conns {
+		if c.load.Load() == 0 && now-c.lastDone.Load() > int64(p.idle) {
+			victims = append(victims, c)
+		} else {
+			live = append(live, c)
 		}
+	}
+	p.conns = live
+	p.reaper.Reset(p.reapPeriod())
+	p.mu.Unlock()
+	for _, c := range victims {
+		p.gauges.ConnsReaped.Add(1)
+		c.teardown(errReaped)
 	}
 }
 
 // dial establishes one connection with a full set of free request
 // slots. It starts no goroutine.
-func (p *Pool) dial() (*pconn, error) {
+func (p *Client) dial() (*pconn, error) {
 	conn, err := net.Dial("tcp", p.addr)
 	if err != nil {
 		return nil, err
@@ -280,9 +303,10 @@ func (p *Pool) dial() (*pconn, error) {
 
 // route reserves a place on a connection (its load, given back when
 // roundTrip returns) in this order of preference: a connection whose
-// pipe is empty; a fresh dial while the pool is below Size; the shortest
-// pipe below Depth. When every pipe is full it blocks (a "waiter").
-func (p *Pool) route() (*pconn, error) {
+// pipe is empty; a fresh dial while the client is below Size; the
+// shortest pipe below Depth. When every pipe is full it blocks (a
+// "waiter").
+func (p *Client) route() (*pconn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	registered := false
@@ -327,9 +351,9 @@ func (p *Pool) route() (*pconn, error) {
 			p.dialing--
 			// The dial slot just freed (and on success a fresh connection
 			// is about to join the rotation): capacity changed under the
-			// waiters. Without this wake, a pool whose Size dials all
+			// waiters. Without this wake, a client whose Size dials all
 			// failed (a killed server can RST the handshake) strands every
-			// waiter that parked while they were in flight: the pool sits
+			// waiter that parked while they were in flight: the client sits
 			// empty and no completion ever comes to broadcast. Holding p.mu
 			// makes the wake race-free against a waiter about to Wait.
 			if p.gauges.Waiters.Load() > 0 {
@@ -351,7 +375,7 @@ func (p *Pool) route() (*pconn, error) {
 		if !registered {
 			// Register BEFORE the decisive re-scan, not after it: notify()
 			// skips the broadcast when Waiters reads zero without taking
-			// the pool lock, so a completion racing an unregistered scan
+			// the client lock, so a completion racing an unregistered scan
 			// could slip between "scan saw no headroom" and "waiter
 			// registered" and be missed forever. This way any completion
 			// the re-scan does not observe follows it (atomics are
@@ -366,18 +390,18 @@ func (p *Pool) route() (*pconn, error) {
 }
 
 // notify wakes routing waiters after a completion or a connection
-// death changed pool capacity. The broadcast is skipped when nobody is
+// death changed capacity. The broadcast is skipped when nobody is
 // waiting — the common case, where a Broadcast per completion was
 // avoidable cross-core traffic. See route() for why the unlocked
 // Waiters check cannot strand a waiter.
 //
-// When somebody IS waiting, the broadcast must happen under the pool
+// When somebody IS waiting, the broadcast must happen under the client
 // lock: a waiter holds p.mu from its decisive re-scan until Wait parks
 // it, so a lockless broadcast can land in that window and be lost — if
 // it was the last completion, the waiter strands forever. Under the
 // lock it happens either before the re-scan (which then sees the freed
 // capacity) or after the waiter is parked (and wakes it).
-func (p *Pool) notify() {
+func (p *Client) notify() {
 	if p.gauges.Waiters.Load() == 0 {
 		return
 	}
@@ -395,53 +419,58 @@ func (e *connDeadError) Error() string { return "memcache: connection failed: " 
 func (e *connDeadError) Unwrap() error { return e.cause }
 
 // exchange routes q until it completes, on the caller's goroutine,
-// applying the resubmit and replay rules.
-func (p *Pool) exchange(q request) (reply, error) {
+// applying the resubmit and replay rules, and leaves the reply in rep.
+//
+// It runs at the bottom of every fan-out goroutine, whose stack starts
+// small: the request and the reply stay in the caller's frame, the RTT
+// observer runs inline, and nothing here or below holds a reply by
+// value, so the read path stays shallow enough not to grow the stack
+// (DESIGN.md "Transport").
+func (p *Client) exchange(q *request, rep *reply) (err error) {
 	var start time.Time
 	if p.rttObs != nil || q.tc.Valid() {
 		start = time.Now()
 	}
-	if p.rttObs != nil {
-		defer func() { p.rttObs(time.Since(start)) }()
-	}
 	replayed, resubmits := false, 0
 	for {
-		c, err := p.route()
-		if err != nil {
-			// Routing fails only when the pool is closed or a fresh dial
+		c, rerr := p.route()
+		if rerr != nil {
+			// Routing fails only when the client is closed or a fresh dial
 			// failed — the fast server-down signal the breakers feed on.
-			return reply{}, err
+			err = rerr
+			break
 		}
-		rep, written, err := c.roundTrip(&q, start)
-		if !IsConnFatal(err) {
-			return rep, err
+		written := false
+		if written, err = c.roundTrip(q, rep, start); !IsConnFatal(err) {
+			break
 		}
 		if !written {
 			// Never hit the wire: safe to resubmit, mutation or not —
-			// bounded so a flapping pool cannot spin forever.
-			resubmits++
-			if resubmits > 4 {
-				return rep, err
+			// bounded so a flapping server cannot spin it forever.
+			if resubmits++; resubmits > 4 {
+				break
 			}
 			p.gauges.Resubmits.Add(1)
 			continue
 		}
 		// The request was written and its connection died. Replay only
-		// idempotent requests, and only once per request — the
-		// single-connection Client's stale-conn replay rule, applied per
-		// pipelined request instead of per connection.
+		// idempotent requests, and only once per request.
 		if !q.cmd.idempotent() || replayed {
-			return rep, err
+			break
 		}
 		replayed = true
 		p.gauges.Replays.Add(1)
 	}
+	if p.rttObs != nil {
+		p.rttObs(time.Since(start))
+	}
+	return err
 }
 
 // poolRequest is one slot of a connection's pipe: the request a caller
 // encoded and the reply decoded into it — by that caller, or by the
-// reader ahead of it. A connection owns Depth of them from its dial
-// (as Client owns its one req and rep), so an exchange allocates none.
+// reader ahead of it. A connection owns Depth of them from its dial, so
+// an exchange allocates none.
 type poolRequest struct {
 	request
 	reply
@@ -465,16 +494,16 @@ type poolRequest struct {
 // decodes its own reply, then the replies of the followers whose bytes
 // are already in r (handing the role over instead would cost each of
 // them a wake-up and a turn in the run queue with its reply sitting in
-// memory), then wakes the new head to read for itself. On an empty pipe
-// that is Client's write → flush → read with nobody woken at all.
+// memory), then wakes the new head to read for itself.
 type pconn struct {
-	pool *Pool
+	pool *Client
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
 
 	wmu     sync.Mutex
 	writers atomic.Int32 // callers holding or queued on wmu
+	carry   []byte       // the queued adds a writer took, under wmu
 
 	// mu guards the FIFO (head, tail), the free slots and cause. dead
 	// is set under it, so joining the FIFO and teardown exclude each
@@ -490,19 +519,19 @@ type pconn struct {
 	drained  chan struct{}
 }
 
-// roundTrip exchanges q on this connection. written is false when the
-// connection was found dead with nothing sent: the caller reroutes.
-func (c *pconn) roundTrip(q *request, start time.Time) (rep reply, written bool, err error) {
-	s, head := c.send(q, start)
-	if s != nil {
+// roundTrip exchanges q on this connection into rep. written is false
+// when the connection was found dead with nothing sent: the caller
+// reroutes.
+func (c *pconn) roundTrip(q *request, rep *reply, start time.Time) (written bool, err error) {
+	if s, head := c.send(q, start); s != nil {
 		err = errReadYourOwn
 		if !head {
 			err = <-s.wake
 		}
 		if err == errReadYourOwn {
-			err = c.read(s)
+			err = c.read(s, head)
 		}
-		rep, written = s.reply, true
+		*rep, written = s.reply, true
 		s.request, s.reply = request{}, reply{} // pin nothing of the caller's
 		c.mu.Lock()
 		s.next, c.free = c.free, s
@@ -513,18 +542,20 @@ func (c *pconn) roundTrip(q *request, start time.Time) (rep reply, written bool,
 	c.lastDone.Store(time.Now().UnixNano())
 	c.load.Add(-1)
 	c.pool.notify()
-	return rep, written, err
+	return written, err
 }
 
 // send encodes q into the write buffer and joins the FIFO, reporting
 // the slot it took and whether it is the head (the pipe was empty). A
 // nil slot means the connection was found dead and nothing was written.
+// On a one-connection client the adds AddLater queued go first, in the
+// same write.
 func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
-	g := c.pool.gauges
-	g.Queued.Add(1)
+	p := c.pool
+	p.gauges.Queued.Add(1)
 	c.writers.Add(1)
 	c.wmu.Lock()
-	g.Queued.Add(-1)
+	p.gauges.Queued.Add(-1)
 	c.mu.Lock()
 	if c.dead.Load() {
 		c.mu.Unlock()
@@ -532,11 +563,17 @@ func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
 		c.wmu.Unlock()
 		return nil, false
 	}
-	// The slot is complete before it is linked: from then on the reader
-	// may decode into it, whatever the server chooses to send.
+	// The slot is complete — carried count included, which the binary
+	// decode reads — before it is linked: from then on the reader may
+	// decode into it, whatever the server chooses to send.
 	s = c.free
 	c.free, s.next = s.next, nil
 	s.request, s.reply = *q, reply{}
+	carried := 0
+	if p.size == 1 {
+		carried = p.takeLater(&c.carry)
+		s.carried = carried
+	}
 	if q.tc.Valid() {
 		s.queueNS = time.Since(start).Nanoseconds()
 	}
@@ -550,14 +587,24 @@ func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
 	}
 	c.tail = s
 	c.mu.Unlock()
-	c.pool.transactions.Add(1)
-	g.RecordInFlight()
-	if c.pool.timeout > 0 && c.w.Buffered() == 0 {
-		// The first bytes of a batch. Armed here, not at the flush: encode
-		// itself writes to the socket when a value outgrows the buffer.
-		c.conn.SetWriteDeadline(time.Now().Add(c.pool.timeout))
+	p.transactions.Add(1)
+	p.gauges.RecordInFlight()
+	// Armed before the first bytes of a batch, not at the flush: encode
+	// itself writes to the socket when a value outgrows the buffer. The
+	// head of an empty pipe reads right after, so one call covers its
+	// whole round trip.
+	if p.timeout > 0 && head {
+		c.conn.SetDeadline(time.Now().Add(p.timeout))
+	} else if p.timeout > 0 && c.w.Buffered() == 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(p.timeout))
 	}
-	err := c.pool.codec.encode(c.w, &s.request)
+	var err error
+	if carried > 0 {
+		_, err = c.w.Write(c.carry)
+	}
+	if err == nil {
+		err = p.codec.encode(c.w, &s.request)
+	}
 	// Whoever leaves with nobody queued behind flushes, so a writer that
 	// skips its flush always has a later one to do it; a writer that
 	// fails instead tears the connection down, which answers them all.
@@ -565,6 +612,13 @@ func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
 		err = c.w.Flush()
 	}
 	c.wmu.Unlock()
+	if carried > 0 {
+		if err == nil {
+			p.gauges.WriteBackCarried.Add(uint64(carried))
+		} else {
+			p.gauges.WriteBackDroppedConn.Add(uint64(carried))
+		}
+	}
 	if err != nil {
 		c.teardown(err)
 	}
@@ -572,15 +626,16 @@ func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
 }
 
 // read runs the reader role, starting with the holder's own request at
-// the head of the FIFO, and returns that request's outcome.
-func (c *pconn) read(own *poolRequest) error {
-	err := c.decode(own)
+// the head of the FIFO, and returns that request's outcome. armed says
+// send already set the read deadline for it (it wrote to an empty pipe).
+func (c *pconn) read(own *poolRequest, armed bool) error {
+	err := c.decode(own, armed)
 	next, last := c.pop()
 	// Bounded, so a server that answers faster than this loop decodes
 	// cannot keep one caller reading for the others forever.
 	for n := 0; next != nil && n < c.pool.depth && c.r.Buffered() > 0; n++ {
 		f := next
-		ferr := c.decode(f)
+		ferr := c.decode(f, false)
 		next, last = c.pop()
 		f.wake <- ferr
 	}
@@ -592,9 +647,10 @@ func (c *pconn) read(own *poolRequest) error {
 	return err
 }
 
-// decode reads the reply of s, the head of the FIFO.
-func (c *pconn) decode(s *poolRequest) error {
-	if c.pool.timeout > 0 {
+// decode reads the reply of s, the head of the FIFO, arming the read
+// deadline first unless it already is.
+func (c *pconn) decode(s *poolRequest, armed bool) error {
+	if c.pool.timeout > 0 && !armed {
 		c.conn.SetReadDeadline(time.Now().Add(c.pool.timeout))
 	}
 	err := c.pool.codec.decode(c.r, &s.request, &s.reply)
@@ -620,11 +676,12 @@ func (c *pconn) pop() (next *poolRequest, last bool) {
 }
 
 // teardown kills the connection: marks it dead (nobody joins the FIFO
-// any more), closes the socket, and fails every request behind the head
-// of the FIFO — all written, so only idempotent ones replay. The head is
-// left to whoever is reading for it, whose read now fails. It returns
-// the error its caller should report: cause if this call tore the
-// connection down, else a connDeadError naming the cause that did.
+// any more), closes the socket, fails every request behind the head of
+// the FIFO — all written, so only idempotent ones replay — and drops the
+// adds AddLater queued for it. The head is left to whoever is reading
+// for it, whose read now fails. It returns the error its caller should
+// report: cause if this call tore the connection down, else a
+// connDeadError naming the cause that did.
 func (c *pconn) teardown(cause error) error {
 	c.mu.Lock()
 	if c.dead.Load() {
@@ -640,6 +697,7 @@ func (c *pconn) teardown(cause error) error {
 	empty := c.head == nil
 	c.mu.Unlock()
 	c.conn.Close()
+	c.pool.dropLater()
 	if cause != errPoolClosed && cause != errReaped {
 		c.pool.gauges.ConnsFailed.Add(1)
 	}
@@ -667,4 +725,122 @@ func (c *pconn) finish() {
 	p.gauges.ConnsOpen.Add(-1)
 	p.notify()
 	close(c.drained)
+}
+
+// Bounds on the adds AddLater queues; both are fixed on purpose.
+const (
+	// writeBackMaxAge is how long a queued add may wait for a command to
+	// carry it: of the order of a data-centre round trip, the window a
+	// blocking add has anyway between the read that produced its value
+	// and its arrival at the server.
+	writeBackMaxAge = 2 * time.Millisecond
+	// writeBackMaxBytes caps the queued bytes: half the write buffer, so
+	// they and the command carrying them still leave in one write.
+	writeBackMaxBytes = 32 << 10
+	// quietAddOverhead bounds an encoded quiet add's bytes beyond its key
+	// and value (text: verb, three numbers, noreply, two CRLFs; binary:
+	// header and extras).
+	quietAddOverhead = 64
+)
+
+// laterAdd is one queued add: where its bytes end in Client.later and
+// when it was queued.
+type laterAdd struct {
+	end int
+	at  time.Time
+}
+
+// AddLater is Add for a caller that does not need the answer. On a
+// one-connection client it queues the add and returns at once: no
+// syscall, no server wake-up, no wait for a round trip in flight. The
+// command is checked as Add checks it and encoded immediately (the value
+// is copied, so it may alias a reply's arena), and its bytes leave in
+// front of the next command this client sends, in the same write: "add
+// ... noreply" on the text wire, AddQ on the binary one. Connection
+// order therefore keeps it ahead of any Set, Delete or other mutation
+// issued on this Client after AddLater returned, and being an add it
+// fills an empty slot or does nothing.
+//
+// It is best effort. The add is dropped, never retried, when the queued
+// bytes would pass writeBackMaxBytes (ErrNotStored), when no command
+// follows within writeBackMaxAge, or when the connection breaks or the
+// client is closed first; the write-back gauges say which.
+//
+// A client of more connections sends an acknowledged Add instead: its
+// sibling connections are not ordered against each other, so an
+// unanswered add queued on one could be overtaken by the Delete or Set
+// the caller issues next on another, and land after it — a value
+// resurrected over its own deletion.
+func (p *Client) AddLater(it *Item) error {
+	if p.size > 1 {
+		return p.Add(it)
+	}
+	if err := checkItem(it); err != nil {
+		return err
+	}
+	p.laterMu.Lock()
+	defer p.laterMu.Unlock()
+	now := p.now()
+	p.expireLater(now)
+	if len(p.later)+len(it.Key)+len(it.Value)+quietAddOverhead > writeBackMaxBytes {
+		p.gauges.WriteBackDroppedFull.Add(1)
+		return ErrNotStored
+	}
+	p.later = p.codec.appendQuietAdd(p.later, it)
+	p.laterAt = append(p.laterAt, laterAdd{end: len(p.later), at: now})
+	p.gauges.WriteBackQueued.Add(1)
+	return nil
+}
+
+// expireLater drops the queued adds older than writeBackMaxAge. Called
+// with laterMu held.
+func (p *Client) expireLater(now time.Time) {
+	n := 0
+	for n < len(p.laterAt) && now.Sub(p.laterAt[n].at) > writeBackMaxAge {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	cut := p.laterAt[n-1].end
+	p.later = append(p.later[:0], p.later[cut:]...)
+	kept := copy(p.laterAt, p.laterAt[n:])
+	p.laterAt = p.laterAt[:kept]
+	for i := range p.laterAt {
+		p.laterAt[i].end -= cut
+	}
+	p.gauges.WriteBackDroppedAge.Add(uint64(n))
+}
+
+// takeLater swaps the queued adds still young enough into *buf, a
+// writer's spare buffer, and reports how many there are. Called by a
+// writer holding its connection's wmu and mu, so the order writers take
+// the queue in is the order its bytes reach the wire.
+func (p *Client) takeLater(buf *[]byte) int {
+	p.laterMu.Lock()
+	defer p.laterMu.Unlock()
+	if len(p.laterAt) == 0 {
+		return 0
+	}
+	p.expireLater(p.now())
+	n := len(p.laterAt)
+	p.later, *buf = (*buf)[:0], p.later
+	p.laterAt = p.laterAt[:0]
+	return n
+}
+
+// dropLater discards every queued add: the connection they were bound
+// for is gone.
+func (p *Client) dropLater() {
+	p.laterMu.Lock()
+	defer p.laterMu.Unlock()
+	p.gauges.WriteBackDroppedConn.Add(uint64(len(p.laterAt)))
+	p.later, p.laterAt = p.later[:0], p.laterAt[:0]
+}
+
+// SetClock replaces the clock the write-back age bound reads (tests).
+func (p *Client) SetClock(now func() time.Time) {
+	p.laterMu.Lock()
+	defer p.laterMu.Unlock()
+	p.now = now
 }

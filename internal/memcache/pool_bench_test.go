@@ -9,13 +9,14 @@ import (
 	"time"
 )
 
-// BenchmarkPoolSweep is the pool's concurrency curve on raw loopback:
+// BenchmarkPoolSweep is the client's concurrency curve on raw loopback:
 // an 8-key binary GetMulti (all hits, 100-byte values) issued by 1 to
-// 128 callers through Pool{Size: 1} and Pool{Size: 4}, with the
-// single-connection Client at one caller as the floor. ns/op is wall
-// time over operations completed by all callers together. EXPERIMENTS.md
-// "PR 20" holds its parent/change table; end-to-end claims come from
-// bench/run.sh, not from here.
+// 128 callers through one connection and up to four. ns/op is wall time
+// over operations completed by all callers together. The callers are
+// long-lived goroutines whose stacks are already grown, so a deeper read
+// path does not show here; BenchmarkFanoutGetMulti (root) is the fresh-
+// goroutine case. EXPERIMENTS.md "PR 20" holds its parent/change table;
+// end-to-end claims come from bench/run.sh, not from here.
 func BenchmarkPoolSweep(b *testing.B) {
 	srv := NewServer(NewStore(0))
 	addr := serveTest(b, srv, nil)
@@ -46,13 +47,6 @@ func BenchmarkPoolSweep(b *testing.B) {
 		}
 		wg.Wait()
 	}
-	b.Run("client/callers=1", func(b *testing.B) {
-		c, err := DialBinary(addr, 2*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, c, 1)
-	})
 	for _, size := range []int{1, 4} {
 		for _, callers := range []int{1, 2, 8, 32, 128} {
 			b.Run(fmt.Sprintf("size=%d/callers=%d", size, callers), func(b *testing.B) {

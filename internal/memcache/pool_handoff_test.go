@@ -33,11 +33,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // poolGoStmt matches, in a dump of all stacks, a goroutine started by a
-// go statement in NewPool or in a method of Pool or pconn.
-var poolGoStmt = regexp.MustCompile(`(?m)^created by rnb/internal/memcache\.(NewPool|\(\*Pool\)\.\w+|\(\*pconn\)\.\w+) `)
+// go statement in NewPool or in a method of Client or pconn.
+var poolGoStmt = regexp.MustCompile(`(?m)^created by rnb/internal/memcache\.(NewPool|\(\*Client\)\.\w+|\(\*pconn\)\.\w+) `)
 
-// firstConn returns the pool's oldest open connection.
-func firstConn(t *testing.T, p *Pool) *pconn {
+// firstConn returns the client's oldest open connection.
+func firstConn(t *testing.T, p *Client) *pconn {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -47,23 +47,16 @@ func firstConn(t *testing.T, p *Pool) *pconn {
 	return p.conns[0]
 }
 
-// TestPoolStartsNoGoroutines: a pool owns the reaper and nothing else.
-// Counting goroutines would also count what earlier tests are still
-// winding down, so the test reads the stacks instead: after NewPool and
-// 100 round trips, the only live goroutine started from the pool's code
-// is the one NewPool starts (reapLoop), and none when reaping is off.
+// TestPoolStartsNoGoroutines: a client owns no goroutine, reaping or
+// not — its reaper is a timer. Counting goroutines would also count
+// what earlier tests are still winding down, so the test reads the
+// stacks instead: after NewPool and 100 round trips, no live goroutine
+// was started from the client's code.
 func TestPoolStartsNoGoroutines(t *testing.T) {
 	leakcheck.Check(t)
 	addr := poolTestServer(t, nil)
-	for _, lane := range []struct {
-		name string
-		idle time.Duration
-		want []string
-	}{
-		{"no reaper", -1, nil},
-		{"reaper", 0, []string{"NewPool"}},
-	} {
-		p := newTestPool(t, addr, PoolConfig{IdleTimeout: lane.idle})
+	for _, idle := range []time.Duration{-1, 0} {
+		p := newTestPool(t, addr, PoolConfig{IdleTimeout: idle})
 		for i := 0; i < 100; i++ {
 			if _, err := p.Get("k"); err != ErrCacheMiss {
 				t.Fatalf("Get: %v", err)
@@ -71,12 +64,8 @@ func TestPoolStartsNoGoroutines(t *testing.T) {
 		}
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
-		var got []string
-		for _, m := range poolGoStmt.FindAllSubmatch(buf, -1) {
-			got = append(got, string(m[1]))
-		}
-		if strings.Join(got, " ") != strings.Join(lane.want, " ") {
-			t.Errorf("%s: after 100 Gets the pool's go statements running are %q, want %q", lane.name, got, lane.want)
+		if got := poolGoStmt.FindAll(buf, -1); len(got) != 0 {
+			t.Errorf("idle timeout %v: after 100 Gets the client's go statements running are %q", idle, got)
 		}
 		p.Close()
 	}
@@ -271,7 +260,7 @@ func TestPoolSkippedFlushNeverStrands(t *testing.T) {
 		it  *Item
 		err error
 	}
-	setup := func(t *testing.T, in *chaos.Injector) (*Pool, *pconn) {
+	setup := func(t *testing.T, in *chaos.Injector) (*Client, *pconn) {
 		srv := NewServer(NewStore(0))
 		srv.Store().Set(&Item{Key: "k", Value: []byte("v")})
 		p, err := NewPool(serveTest(t, srv, in), timeout, PoolConfig{Size: 1})
@@ -281,7 +270,7 @@ func TestPoolSkippedFlushNeverStrands(t *testing.T) {
 		t.Cleanup(func() { p.Close() })
 		return p, firstConn(t, p)
 	}
-	get := func(p *Pool) chan result {
+	get := func(p *Client) chan result {
 		ch := make(chan result, 1)
 		go func() {
 			it, err := p.Get("k")
@@ -304,7 +293,7 @@ func TestPoolSkippedFlushNeverStrands(t *testing.T) {
 	}
 	// unflushed parks a Get in its read with its request still in the
 	// write buffer, by posing as a writer queued behind it.
-	unflushed := func(t *testing.T, p *Pool, c *pconn) chan result {
+	unflushed := func(t *testing.T, p *Client, c *pconn) chan result {
 		c.writers.Add(1)
 		ch := get(p)
 		waitFor(t, "the first caller to leave the write mutex", func() bool {

@@ -19,7 +19,7 @@ func poolTestServer(t *testing.T, in *chaos.Injector) string {
 	return serveTest(t, NewServer(NewStore(0)), in)
 }
 
-func newTestPool(t *testing.T, addr string, cfg PoolConfig) *Pool {
+func newTestPool(t *testing.T, addr string, cfg PoolConfig) *Client {
 	t.Helper()
 	p, err := NewPool(addr, time.Second, cfg)
 	if err != nil {
@@ -195,7 +195,7 @@ func TestPoolIdleReap(t *testing.T) {
 
 // TestPoolIdempotentReplay: a connection that dies mid-use must be
 // invisible to read callers — the request replays once on a fresh
-// connection. Mirrors the Client's stale-conn rule, per request.
+// connection.
 func TestPoolIdempotentReplay(t *testing.T) {
 	leakcheck.Check(t)
 	// First accepted conn serves one op then resets; later conns are
@@ -284,11 +284,11 @@ func TestPoolCloseIdempotentAndFailsPending(t *testing.T) {
 	}
 }
 
-// TestPoolDifferentialAgainstClient is the differential oracle: the
-// pooled, pipelined transport must be byte-for-byte indistinguishable
-// from the single-connection Client across randomized key sets, value
-// sizes (including empty and >64KiB — past the bufio buffer), and miss
-// patterns.
+// TestPoolDifferentialAgainstClient is the differential oracle: a
+// client of three pipelined connections must be byte-for-byte
+// indistinguishable from a one-connection client across randomized key
+// sets, value sizes (including empty and >64KiB — past the bufio
+// buffer), and miss patterns.
 func TestPoolDifferentialAgainstClient(t *testing.T) {
 	leakcheck.Check(t)
 	addr := poolTestServer(t, nil)
@@ -414,7 +414,7 @@ func TestPoolDifferentialConcurrent(t *testing.T) {
 }
 
 // TestPoolBadKeyAndTooLarge: input validation happens before any wire
-// contact, identically to Client.
+// contact.
 func TestPoolBadKeyAndTooLarge(t *testing.T) {
 	leakcheck.Check(t)
 	p := newTestPool(t, poolTestServer(t, nil), PoolConfig{})

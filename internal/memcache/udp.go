@@ -191,8 +191,6 @@ func (u *UDPServer) sendResponse(reqID uint16, payload []byte, raddr *net.UDPAdd
 // surface as ErrUDPLoss or a timeout, reproducing the paper's
 // observation about flow control.
 type UDPClient struct {
-	cmds commands // the shared command set, over exchange and the text codec
-
 	mu      sync.Mutex
 	conn    *net.UDPConn
 	timeout time.Duration
@@ -215,10 +213,7 @@ func DialUDP(addr string, timeout time.Duration) (*UDPClient, error) {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	c := &UDPClient{conn: conn, timeout: timeout}
-	c.cmds.via = c
-	c.cmds.codec = textCodec{}
-	return c, nil
+	return &UDPClient{conn: conn, timeout: timeout}, nil
 }
 
 // Close releases the socket.
@@ -290,33 +285,53 @@ func (c *UDPClient) roundTrip(cmd []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// exchange makes UDPClient an exchanger: the request goes out as one
-// datagram of text-codec bytes and the reassembled reply is decoded by
-// the same codec.
-func (c *UDPClient) exchange(q request) (reply, error) {
-	var rep reply
+// do sends q as one datagram of text-codec bytes and decodes the
+// reassembled reply into rep with the same codec.
+func (c *UDPClient) do(q *request, rep *reply) error {
 	var cmd bytes.Buffer
 	w := bufio.NewWriter(&cmd)
-	if err := c.cmds.codec.encode(w, &q); err != nil {
-		return rep, err
+	if err := (textCodec{}).encode(w, q); err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
-		return rep, err
+		return err
 	}
 	resp, err := c.roundTrip(cmd.Bytes())
 	if err != nil {
-		return rep, err
+		return err
 	}
-	err = c.cmds.codec.decode(bufio.NewReader(bytes.NewReader(resp)), &q, &rep)
-	return rep, err
+	return textCodec{}.decode(bufio.NewReader(bytes.NewReader(resp)), q, rep)
 }
 
 // Get fetches keys over UDP in one request datagram.
-func (c *UDPClient) Get(keys ...string) (map[string]*Item, error) { return c.cmds.GetMulti(keys) }
+func (c *UDPClient) Get(keys ...string) (map[string]*Item, error) {
+	for _, k := range keys {
+		if !validKey(k) {
+			return nil, ErrBadKey
+		}
+	}
+	var rep reply
+	if len(keys) > 0 {
+		if err := c.do(&request{cmd: cmdGet, keys: keys}, &rep); err != nil {
+			return nil, err
+		}
+	}
+	return itemMap(rep.items), nil
+}
 
 // Set stores an item over UDP. Responses are awaited (no noreply), so
 // the caller learns about loss.
-func (c *UDPClient) Set(it *Item) error { return c.cmds.Set(it) }
+func (c *UDPClient) Set(it *Item) error {
+	if err := checkItem(it); err != nil {
+		return err
+	}
+	var rep reply
+	return c.do(&request{cmd: cmdSet, item: it}, &rep)
+}
 
 // Version fetches the server banner over UDP.
-func (c *UDPClient) Version() (string, error) { return c.cmds.Version() }
+func (c *UDPClient) Version() (string, error) {
+	var rep reply
+	err := c.do(&request{cmd: cmdVersion}, &rep)
+	return rep.banner, err
+}

@@ -168,16 +168,17 @@ func WithAdaptiveReplication(cfg AdaptiveConfig) Option {
 	return func(c *clientConfig) { c.adaptive = &cfg }
 }
 
-// WithPoolSize sets the per-server transport: n <= 1 (the default)
-// keeps one mutex-guarded connection per server, while n > 1 installs
-// the pooled, pipelined transport — up to n connections per server,
-// dialed on demand and reaped when idle, with concurrent requests
-// coalesced into batched, pipelined writes. High-fan-out callers (many
-// goroutines per Client) should set this; see PoolGauges for the
-// instrumentation. Error and replay semantics are identical to the
-// single-connection transport: a network failure feeds the server's
-// circuit breaker, and only idempotent reads are replayed (once per
-// request).
+// WithPoolSize sets how many connections each server's transport may
+// open: max(n, 1), on either wire. One (the default) pipelines every
+// concurrent request to a server on one connection and lets round 2's
+// write-backs ride, unanswered, in front of the next command; with n > 1
+// connections are dialed on demand as requests overlap and reaped when
+// idle, and write-backs are acknowledged adds, because sibling
+// connections are not ordered against each other. High-fan-out callers
+// (many goroutines per Client) may want more than one; see PoolGauges
+// for the instrumentation. Error and replay semantics do not depend on
+// n: a network failure feeds the server's circuit breaker, and only
+// idempotent reads are replayed (once per request).
 func WithPoolSize(n int) Option {
 	return func(c *clientConfig) { c.poolSize = n }
 }
@@ -187,11 +188,10 @@ func WithPoolSize(n int) Option {
 // one terminating noop — the server answers hits only, batched into a
 // single backend transaction — and every other command becomes a
 // fixed-header frame, eliminating text parsing on both ends. The
-// binary transport always rides the pooled, pipelined transport; when
-// WithPoolSize was not set, the pool defaults apply. Failure semantics
-// (never-written resubmit, idempotent-read replay-once, breaker
-// feeding) and RTT observability are identical to the text transport,
-// so latency histograms stay comparable across wire formats.
+// connection count is WithPoolSize's, as on the text wire. Failure
+// semantics (never-written resubmit, idempotent-read replay-once,
+// breaker feeding) and RTT observability are identical to the text
+// transport, so latency histograms stay comparable across wire formats.
 func WithBinaryProtocol() Option {
 	return func(c *clientConfig) { c.binary = true }
 }
@@ -233,7 +233,7 @@ func WithLoader(l Loader) Option {
 }
 
 // Client is an RnB memcached client: a transport handle per server
-// (single connection, or a pipelined pool with WithPoolSize), replica
+// (one pipelined connection, or up to WithPoolSize of them), replica
 // placement via ranged consistent hashing, and greedy bundling of
 // multi-gets. The server set is dynamic: AddServer, RemoveServer, and
 // SetServers change membership under load with zero read downtime
@@ -260,8 +260,8 @@ type Client struct {
 	closedTxns atomic.Uint64 // transactions of already-closed slots
 	hot        hotNames      // boosted key id -> name, for warm handoff
 
-	// poolGauges is shared by every per-server pool (nil when the
-	// single-connection transport is in use).
+	// poolGauges is shared by every server's transport: connections,
+	// pipelining, and what became of the adds round 2 deferred.
 	poolGauges *memcache.PoolGauges
 	failures   atomic.Uint64
 	// unhealthy counts the breakers that are not closed, kept by
@@ -279,10 +279,6 @@ type Client struct {
 	resilience Resilience
 	hotspot    hotspot.Counters
 	topo       Topology
-	// writeBacks is shared by every single-connection transport: what
-	// became of the adds round 2 deferred (all zero on a pooled client,
-	// whose write-backs are acknowledged).
-	writeBacks memcache.WriteBacks
 	// recorder is the always-on request recorder: request-phase latency
 	// histograms, the head sampler, and the one store of finished spans
 	// (flight recorder, slow ring, trace reservoir).
@@ -317,9 +313,8 @@ func (c *Client) Resilience() *Resilience { return &c.resilience }
 // WithAdaptiveReplication is on).
 func (c *Client) Hotspot() *hotspot.Counters { return &c.hotspot }
 
-// PoolGauges exposes the pooled transport's instrumentation, shared
-// across every server's pool. Nil when WithPoolSize was not set above
-// one (the single-connection transport has nothing to gauge).
+// PoolGauges exposes the transport's instrumentation, shared across
+// every server's connections. Never nil.
 func (c *Client) PoolGauges() *memcache.PoolGauges { return c.poolGauges }
 
 // Recorder exposes the client's request recorder: request-phase
@@ -336,18 +331,15 @@ func (c *Client) RecentRequests() []obs.Span { return c.recorder.Requests() }
 
 // RegisterMetrics exports every one of the client's metric families
 // into reg: each counter group's own table (rnb_resilience_*,
-// rnb_hotspot_*, rnb_topology_*, rnb_pool_* when pooled,
-// rnb_writeback_*), the client-wide totals, per-server breaker gauges,
+// rnb_hotspot_*, rnb_topology_*, rnb_pool_* and rnb_writeback_*), the
+// client-wide totals, per-server breaker gauges,
 // and the latency histograms (exported in seconds, recorded in
 // nanoseconds).
 func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	c.resilience.register(reg)
 	c.hotspot.Register(reg)
 	c.topo.register(reg)
-	if c.poolGauges != nil {
-		c.poolGauges.Register(reg)
-	}
-	c.writeBacks.Register(reg)
+	c.poolGauges.Register(reg)
 	reg.Counter("rnb_server_errors", "Total network errors observed against backends.", c.Failures)
 	reg.Counter("rnb_transactions", "Total protocol round trips issued.", c.Transactions)
 	reg.Counter("rnb_slow_requests", "Requests at or over the slow threshold.", c.recorder.SlowSeen)
@@ -506,22 +498,16 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 	}
 	// The recorder exists before the transports so every connection can
 	// stamp its round trips into the shared RTT histogram.
-	var poolGauges *memcache.PoolGauges
-	if cfg.poolSize > 1 || cfg.binary {
-		poolGauges = &memcache.PoolGauges{}
-	}
 	c := &Client{
 		cfg:        cfg,
 		machine:    machine,
 		master:     hashring.New(hashring.DefaultVirtualNodes),
-		poolGauges: poolGauges,
+		poolGauges: &memcache.PoolGauges{},
 		recorder:   obs.NewRecorder(cfg.obs, cfg.trace),
 		stop:       make(chan struct{}),
 	}
-	// The transport is chosen once, in dial: WithPoolSize above one
-	// swaps each server's single mutex-guarded connection for a
-	// pipelined pool. Either way a dead address fails construction
-	// immediately.
+	// Each server's transport is dialed here, so a dead address fails
+	// construction immediately.
 	for _, addr := range addrs {
 		idx, err := c.master.AddServer(addr)
 		if err != nil {
@@ -554,26 +540,14 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 
 // dial opens the configured transport for one server address.
 func (c *Client) dial(addr string) (memcache.Conn, error) {
-	var conn memcache.Conn
-	if c.poolGauges != nil {
-		pool, err := memcache.NewPool(addr, c.cfg.timeout, memcache.PoolConfig{
-			Size:        c.cfg.poolSize,
-			Binary:      c.cfg.binary,
-			Gauges:      c.poolGauges,
-			RTTObserver: c.recorder.RTT.Observe,
-		})
-		if err != nil {
-			return nil, err
-		}
-		conn = pool
-	} else {
-		single, err := memcache.Dial(addr, c.cfg.timeout)
-		if err != nil {
-			return nil, err
-		}
-		single.SetRTTObserver(c.recorder.RTT.Observe)
-		single.SetWriteBackCounters(&c.writeBacks)
-		conn = single
+	conn, err := memcache.NewPool(addr, c.cfg.timeout, memcache.PoolConfig{
+		Size:        max(c.cfg.poolSize, 1),
+		Binary:      c.cfg.binary,
+		Gauges:      c.poolGauges,
+		RTTObserver: c.recorder.RTT.Observe,
+	})
+	if err != nil {
+		return nil, err
 	}
 	if c.cfg.trace != nil {
 		conn.SetTracing(true)

@@ -64,16 +64,14 @@ func (c *writeBackClock) advance(d time.Duration) {
 }
 
 // holdWriteBackClock stops the clock that ages queued write-backs on
-// every single-connection slot cl has dialed so far. A test that expects
+// every slot cl has dialed so far. A test that expects
 // a write-back to land with the next command then does not depend on
 // that command following within two real milliseconds on a loaded box;
 // one that expects it dropped advances the clock instead of sleeping.
 func holdWriteBackClock(cl *Client) *writeBackClock {
 	clk := &writeBackClock{t: time.Unix(1_700_000_000, 0)}
 	for _, s := range cl.cur.Load().slots {
-		if single, ok := s.conn.(*memcache.Client); ok {
-			single.SetClock(clk.now)
-		}
+		s.conn.(*memcache.Client).SetClock(clk.now)
 	}
 	return clk
 }
@@ -328,7 +326,7 @@ func newVirtualReplicaTier(tb testing.TB, n, nkeys int) (*Client, []string) {
 func BenchmarkRound2WriteBack(b *testing.B) {
 	cl, ks := newVirtualReplicaTier(b, 8, 16)
 	var txns, round2 int
-	queued := cl.writeBacks.Queued.Load()
+	queued := cl.poolGauges.WriteBackQueued.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,7 +339,7 @@ func BenchmarkRound2WriteBack(b *testing.B) {
 	}
 	b.ReportMetric(float64(txns)/float64(b.N), "txns/op")
 	b.ReportMetric(float64(round2)/float64(b.N), "round2/op")
-	b.ReportMetric(float64(cl.writeBacks.Queued.Load()-queued)/float64(b.N), "writebacks/op")
+	b.ReportMetric(float64(cl.poolGauges.WriteBackQueued.Load()-queued)/float64(b.N), "writebacks/op")
 }
 
 func TestGetMultiLimit(t *testing.T) {
