@@ -69,9 +69,12 @@ chaos-resize:
 # binary-pooled client (quiet-get pipelining) plus the kill-mid-pipeline
 # chaos drill, both ending in a goroutine leakcheck; then the
 # transport's own tests, twice, so the reader-role hand-off, the
-# last-writer flush and the teardown paths are shaken on every push;
-# then the write-back queue's, which writers take under the write mutex
-# they share with pipelined callers.
+# last-writer flush and the teardown paths are shaken on every push,
+# with the liveness tests of the split exchange (crossed sends and
+# collects with requests and replies past the socket buffers, a write
+# behind a reader, a kill between send and collect, Close with a request
+# uncollected); then the write-back queue's, which writers take under
+# the write mutex they share with pipelined callers.
 stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
 	$(GO) test -race -count=2 -run 'TestPool|TestBinaryPool' ./internal/memcache

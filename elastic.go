@@ -51,14 +51,15 @@ var errServerGone = errors.New("rnb: server has left the tier")
 // everything in between is lock-free atomics.
 type slot struct {
 	addr    string
-	conn    memcache.Conn
+	conn    *memcache.Client
 	breaker *breaker
 	// failures is the client-wide network-error count (Client.Failures).
 	failures *atomic.Uint64
-	// inflight counts operations currently inside conn. The janitor
-	// closes a draining slot's connection only once this reaches zero
-	// (or the drain timeout forces it), so pipelined requests already
-	// on the wire are never cut.
+	// inflight counts operations currently inside conn, a multi-get from
+	// its send to its collect. The janitor closes a draining slot's
+	// connection only once this reaches zero (or the drain timeout
+	// forces it), so pipelined requests already on the wire are never
+	// cut.
 	inflight atomic.Int64
 	// closed flips once, just before the connection is torn down. New
 	// operations are refused from then on.
@@ -66,7 +67,7 @@ type slot struct {
 }
 
 // newSlot wires a dialed server to the client-wide breaker hook and failure count.
-func (c *Client) newSlot(addr string, conn memcache.Conn) *slot {
+func (c *Client) newSlot(addr string, conn *memcache.Client) *slot {
 	return &slot{
 		addr:     addr,
 		conn:     conn,
@@ -80,7 +81,7 @@ func (c *Client) newSlot(addr string, conn memcache.Conn) *slot {
 // with the janitor: at worst an operation reaches a just-closed
 // connection and gets its error, which feeds the breaker like any
 // other network failure.
-func (s *slot) call(fn func(memcache.Conn) error) error {
+func (s *slot) call(fn func(*memcache.Client) error) error {
 	if s.closed.Load() {
 		return errServerGone
 	}
@@ -90,23 +91,43 @@ func (s *slot) call(fn func(memcache.Conn) error) error {
 }
 
 // do is call plus the breaker verdict: every per-server operation goes
-// through it, and it is the only place an operation's error becomes a
-// statement about the server's health. A connection-fatal error
+// through it or through send and collect. Only the half-open probe uses
+// call directly; its verdict is onProbeResult.
+func (s *slot) do(fn func(*memcache.Client) error) error {
+	err := s.call(fn)
+	s.verdict(err)
+	return err
+}
+
+// verdict is the only place an operation's error becomes a statement
+// about the server's health. A connection-fatal error
 // (memcache.IsConnFatal: I/O failure, corrupt frame, a server gone from
 // the tier) is a failure. Anything the server answered — miss, not
 // stored, CAS conflict, bad key, too large, SERVER_ERROR — shows it
 // alive, and a request refused before the wire (bad key, too large)
-// counts the same: it says nothing against the server. Only the
-// half-open probe uses call directly; its verdict is onProbeResult.
-func (s *slot) do(fn func(memcache.Conn) error) error {
-	err := s.call(fn)
+// counts the same: it says nothing against the server.
+func (s *slot) verdict(err error) {
 	if memcache.IsConnFatal(err) {
 		s.failures.Add(1)
 		s.breaker.onFailure()
 	} else {
 		s.breaker.onSuccess()
 	}
-	return err
+}
+
+// send starts a multi-get on the slot's server, in flight until collect
+// takes the breaker verdict on it. On a slot already closed it fails,
+// its connection closed, and collect reports that.
+func (s *slot) send(tc obs.TraceContext, keys []string, h *memcache.Pending) {
+	s.inflight.Add(1)
+	s.conn.SendGet(tc, keys, h)
+}
+
+func (s *slot) collect(h *memcache.Pending) (items []Item, queueNS int64, st *obs.ServerTimings, err error) {
+	items, queueNS, st, err = h.Collect()
+	s.inflight.Add(-1)
+	s.verdict(err)
+	return items, queueNS, st, err
 }
 
 // tier is one immutable routing snapshot: everything a request needs,

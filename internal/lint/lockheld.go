@@ -74,9 +74,11 @@ var netBlockingMethods = map[string]bool{
 }
 
 // memcacheBlockingMethods are the internal/memcache transport entry
-// points — each is a full network round trip.
+// points — each is a full network round trip, or its send half (which
+// may read replies owed on the connection first) or its collect half.
 var memcacheBlockingMethods = map[string]bool{
-	"Do": true, "Get": true, "GetMulti": true, "GetsMulti": true,
+	"Get": true, "GetMulti": true, "GetsMulti": true,
+	"TracedGetMulti": true, "TracedGetItems": true, "SendGet": true, "Collect": true,
 	"Set": true, "SetPinned": true, "Add": true, "Replace": true,
 	"CompareAndSwap": true, "Append": true, "Prepend": true,
 	"Incr": true, "Decr": true, "Delete": true, "Touch": true,

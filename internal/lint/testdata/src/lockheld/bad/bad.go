@@ -6,6 +6,9 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"rnb/internal/memcache"
+	"rnb/internal/obs"
 )
 
 type server struct {
@@ -14,6 +17,18 @@ type server struct {
 	ch   chan int
 	wg   sync.WaitGroup
 	conn net.Conn
+	mc   *memcache.Client
+}
+
+// readUnderLock makes the client's own round trip, both whole and in
+// its two halves, with the mutex held.
+func (s *server) readUnderLock(keys []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.mc.TracedGetItems(obs.TraceContext{}, keys) // want lockheld "memcache transport TracedGetItems while s.mu is held"
+	var h memcache.Pending
+	s.mc.SendGet(obs.TraceContext{}, keys, &h) // want lockheld "memcache transport SendGet while s.mu is held"
+	h.Collect()                                // want lockheld "memcache transport Collect while s.mu is held"
 }
 
 func (s *server) sleepUnderLock() {

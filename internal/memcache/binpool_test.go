@@ -320,7 +320,7 @@ func addLaterThenRead(t *testing.T, lane transportLane, k string, v []byte) (str
 	t.Helper()
 	before, getErr := lane.store.Get(k)
 	err := lane.conn.AddLater(&Item{Key: k, Value: v})
-	if lane.conn.(*Client).size > 1 {
+	if lane.conn.size > 1 {
 		want, taken := v, getErr == nil
 		if taken {
 			want = before.Value

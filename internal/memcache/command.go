@@ -8,17 +8,17 @@ import (
 
 // The client side is three orthogonal pieces:
 //
-//   - one command set (this file): every Conn command — validation,
-//     request descriptor, result extraction — is written once, as a
-//     method of Client;
+//   - one command set (this file): every command — validation, request
+//     descriptor, result extraction — is written once, as a method of
+//     Client;
 //   - two codecs (codec.go, bincodec.go): the only code that knows wire
 //     bytes, each turning a request into frames and frames into a reply;
-//   - one exchanger (pool.go): Client.exchange knows only how to move
-//     one request to the server and its reply back, and what to do when
-//     the connection dies in between.
+//   - one exchanger (pool.go): Client.exchange, a send and a collect,
+//     knows only how to move one request to the server and its reply
+//     back, and what to do when the connection dies in between.
 //
-// So every Conn method exists once, whatever the wire format or the
-// number of connections.
+// So every command exists once, whatever the wire format or the number
+// of connections.
 
 // command names one memcached operation, independent of wire format.
 type command uint8
@@ -41,7 +41,7 @@ const (
 	cmdVersion
 	cmdStats
 
-	// The rest are requests only a server sees; no Conn method issues
+	// The rest are requests only a server sees; no Client method issues
 	// them as a command of its own.
 	cmdNoop    // the binary ping (the Noop that ends a quiet-get run is part of that get)
 	cmdQuit    // close the connection
@@ -138,7 +138,7 @@ type codec interface {
 
 // do runs q and leaves its reply in rep. Both stay in the issuing
 // command's frame: through an interface either would escape to the
-// heap, and held by value they would deepen every frame below.
+// heap.
 func (p *Client) do(q *request, rep *reply) error {
 	if err := p.codec.check(q.cmd, q.item); err != nil {
 		return err
@@ -192,39 +192,64 @@ func (p *Client) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]
 // order on a well-behaved server, which may still repeat or add keys).
 // The items share one backing array and one value arena, so a caller
 // that merges &items[i] into its own result builds nothing per
-// transaction.
+// transaction. It is SendGet followed by Collect.
 func (p *Client) TracedGetItems(tc obs.TraceContext, keys []string) ([]Item, int64, *obs.ServerTimings, error) {
-	var rep reply
-	err := p.getMulti(cmdGet, tc, keys, &rep)
-	return rep.items, rep.queueNS, rep.st, err
+	var h Pending
+	p.SendGet(tc, keys, &h)
+	return h.Collect()
 }
 
-// getMulti runs one get or gets transaction into rep; rep.items holds
-// the hits, and is nil on error.
-func (p *Client) getMulti(cmd command, tc obs.TraceContext, keys []string, rep *reply) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	for _, k := range keys {
-		if !validKey(k) {
-			return ErrBadKey
+// SendGet is the send half of TracedGetItems: it writes the multi-get
+// into h and returns without waiting for the reply, which h.Collect
+// returns. One goroutine may send to many servers before it collects
+// any reply: a reply is read by whichever caller collects on its
+// connection first, so no order of collects can deadlock (see pconn).
+func (p *Client) SendGet(tc obs.TraceContext, keys []string, h *Pending) {
+	*h = Pending{}
+	if len(keys) > 0 {
+		var q request
+		if q, h.err = p.getRequest(cmdGet, tc, keys); h.err == nil {
+			p.send(&q, h, false)
 		}
 	}
-	q := request{cmd: cmd, keys: keys, tc: tc}
-	q.traced = tc.Valid() && p.tracingNegotiated()
-	err := p.do(&q, rep)
-	if err != nil {
-		rep.items = nil
-	}
-	return err
 }
 
-// getMultiMap is getMulti for the map-returning commands: the reply's
-// items indexed by key. The last of a repeated key wins, as when each
-// hit was merged into the map as it was decoded.
+// Collect is the collect half of TracedGetItems: it waits for the reply
+// to the multi-get SendGet wrote into h and returns what TracedGetItems
+// does.
+func (h *Pending) Collect() ([]Item, int64, *obs.ServerTimings, error) {
+	if h.p == nil { // refused before the wire, or no keys
+		return nil, 0, nil, h.err
+	}
+	var rep reply
+	if err := h.collect(&rep); err != nil {
+		return nil, rep.queueNS, rep.st, err
+	}
+	return rep.items, rep.queueNS, rep.st, nil
+}
+
+// getRequest checks keys and describes a get or gets of them.
+func (p *Client) getRequest(cmd command, tc obs.TraceContext, keys []string) (request, error) {
+	for _, k := range keys {
+		if !validKey(k) {
+			return request{}, ErrBadKey
+		}
+	}
+	return request{cmd: cmd, keys: keys, tc: tc, traced: tc.Valid() && p.tracingNegotiated()}, nil
+}
+
+// getMultiMap runs one get or gets transaction into rep and returns the
+// reply's items indexed by key. The last of a repeated key wins, as when
+// each hit was merged into the map as it was decoded.
 func (p *Client) getMultiMap(cmd command, tc obs.TraceContext, keys []string, rep *reply) (map[string]*Item, error) {
-	if err := p.getMulti(cmd, tc, keys, rep); err != nil {
-		return nil, err
+	if len(keys) > 0 {
+		q, err := p.getRequest(cmd, tc, keys)
+		if err == nil {
+			err = p.do(&q, rep)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return itemMap(rep.items), nil
 }

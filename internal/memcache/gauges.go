@@ -21,7 +21,6 @@ type PoolGauges struct {
 
 	Queued   atomic.Int64
 	InFlight atomic.Int64
-	Waiters  atomic.Int64
 
 	PipelineHighWater atomic.Int64
 
@@ -43,7 +42,6 @@ func (g *PoolGauges) Register(reg *obs.Registry) {
 	reg.Counter("rnb_pool_conns_failed", "Pooled connections torn down by an I/O error.", g.ConnsFailed.Load)
 	reg.Gauge("rnb_pool_queued", "Callers routed to a pooled connection and waiting their turn to write to it.", g.Queued.Load)
 	reg.Gauge("rnb_pool_in_flight", "Requests written to a pooled connection and awaiting their response.", g.InFlight.Load)
-	reg.Gauge("rnb_pool_waiters", "Goroutines blocked waiting for pool capacity.", g.Waiters.Load)
 	reg.Gauge("rnb_pool_pipeline_high_water", "Deepest in-flight pipeline ever observed: how much pipelining the workload got.", g.PipelineHighWater.Load)
 	reg.Counter("rnb_pool_replays", "Idempotent requests replayed after their pooled connection died.", g.Replays.Load)
 	reg.Counter("rnb_pool_resubmits", "Never-written requests rerouted after their pooled connection died.", g.Resubmits.Load)

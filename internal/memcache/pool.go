@@ -10,10 +10,12 @@ import (
 	"time"
 )
 
-// Client is the exchanger for a single server: every Conn command (see
+// Client is the exchanger for a single server: every command (see
 // command.go) is routed to one of up to Size connections and exchanged
 // on the caller's own goroutine — a connection (see pconn) has no writer
-// or reader goroutine behind it. The codec is the text protocol by
+// or reader goroutine behind it. A multi-get may also be split in two
+// (SendGet, Pending.Collect), so one goroutine can have requests out to
+// many servers at once. The codec is the text protocol by
 // default and the binary protocol (quiet-get pipelining) when
 // PoolConfig.Binary is set. Both formats answer strictly in request
 // order, so the same FIFO machinery drives either. Dial and DialBinary
@@ -33,10 +35,10 @@ import (
 //   - request pipelining: once Size connections are open, callers
 //     share them. Each encodes its request under the connection's
 //     write mutex, and the last of the writers queued there flushes
-//     for all of them (many commands, one syscall); the caller at the
-//     head of the pipe reads its own reply and any follower's that
-//     arrived with it. On an empty pipe a round trip is one write →
-//     flush → read with nobody woken at all.
+//     for all of them (many commands, one syscall); the first caller to
+//     collect reads the replies in order, its own and any that arrived
+//     with it. On an empty pipe a round trip is one write → flush → read
+//     with nobody woken at all.
 //
 // A network-level failure fails the operation (the caller's breaker
 // quarantines the server), and only idempotent requests are replayed —
@@ -90,10 +92,10 @@ type PoolConfig struct {
 	// holds one, and opens another whenever a request finds every open
 	// connection busy with an earlier one, until Size are open.
 	Size int
-	// Depth bounds the requests one connection carries at a time
-	// (default 32). It matters only once Size connections are open and
-	// all are busy: a request then joins the shortest pipe, and waits
-	// when every pipe already holds Depth.
+	// Depth bounds how many replies already buffered behind its own a
+	// reader decodes for other callers before it returns (default 32).
+	// Once Size connections are open a request joins the shortest pipe;
+	// it never waits for one to shorten.
 	Depth int
 	// IdleTimeout reaps connections that served no request for this
 	// long (default 30s; <= 0 disables reaping). A reaped-to-empty client
@@ -130,9 +132,6 @@ var (
 	// the teardown cause of a connection the reaper closed.
 	errPoolClosed = errors.New("memcache: client closed")
 	errReaped     = errors.New("memcache: idle connection reaped")
-	// errReadYourOwn wakes a parked follower that has reached the head
-	// of its pipe unanswered: it is the reader now. Never returned.
-	errReadYourOwn = errors.New("memcache: reader role")
 )
 
 // Dial connects a one-connection text-protocol client to the server at
@@ -248,10 +247,7 @@ func (p *Client) reapPeriod() time.Duration {
 // its timer; dial-on-demand brings them back, so a quiet tier holds no
 // sockets. A victim leaves the rotation under the lock that found its
 // pipe empty, so no request is ever routed to a connection about to be
-// reaped. It runs on a timer rather than a goroutine of its own: a
-// goroutine parked per server, its stack all but empty, pulls down the
-// runtime's average stack size and with it the stack every new fan-out
-// goroutine starts on (DESIGN.md "Transport").
+// reaped. It runs on a timer: the client owns no goroutine.
 func (p *Client) reapIdle() {
 	now := time.Now().UnixNano()
 	var victims []*pconn
@@ -277,8 +273,7 @@ func (p *Client) reapIdle() {
 	}
 }
 
-// dial establishes one connection with a full set of free request
-// slots. It starts no goroutine.
+// dial establishes one connection. It starts no goroutine.
 func (p *Client) dial() (*pconn, error) {
 	conn, err := net.Dial("tcp", p.addr)
 	if err != nil {
@@ -291,123 +286,69 @@ func (p *Client) dial() (*pconn, error) {
 		w:       bufio.NewWriterSize(conn, 64<<10),
 		drained: make(chan struct{}),
 	}
-	slots := make([]poolRequest, p.depth)
-	for i := range slots {
-		slots[i].next, c.free = c.free, &slots[i]
-	}
 	c.lastDone.Store(time.Now().UnixNano())
 	p.gauges.ConnsDialed.Add(1)
 	p.gauges.ConnsOpen.Add(1)
 	return c, nil
 }
 
-// route reserves a place on a connection (its load, given back when
-// roundTrip returns) in this order of preference: a connection whose
+// route reserves a place on a connection (its load, given back when the
+// request is collected) in this order of preference: a connection whose
 // pipe is empty; a fresh dial while the client is below Size; the
-// shortest pipe below Depth. When every pipe is full it blocks (a
-// "waiter").
+// shortest pipe. It never waits for a reply to be collected — a caller
+// may hold uncollected requests on other servers (DESIGN.md
+// "Transport") — only, when no connection is open, for the dials already
+// in flight.
 func (p *Client) route() (*pconn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	registered := false
-	unregister := func() {
-		if registered {
-			p.gauges.Waiters.Add(-1)
-			registered = false
-		}
-	}
 	for {
 		if p.closed {
-			unregister()
 			return nil, errPoolClosed
 		}
-		// Drop dead connections and find the shortest pipe. Loads only
-		// rise under p.mu, so none passes Depth behind this scan's back.
+		// Drop dead connections and find the shortest pipe.
 		live := p.conns[:0]
 		var best *pconn
-		least := int32(p.depth)
 		for _, c := range p.conns {
-			if c.dead.Load() {
-				continue
-			}
-			live = append(live, c)
-			if n := c.load.Load(); n < least {
-				best, least = c, n
+			if !c.dead.Load() {
+				live = append(live, c)
+				if best == nil || c.load.Load() < best.load.Load() {
+					best = c
+				}
 			}
 		}
 		p.conns = live
 		canDial := len(p.conns)+p.dialing < p.size
-		if best != nil && (least == 0 || !canDial) {
-			unregister()
+		if best != nil && (!canDial || best.load.Load() == 0) {
 			best.load.Add(1)
 			return best, nil
 		}
-		if canDial {
-			unregister()
-			p.dialing++
-			p.mu.Unlock()
-			c, err := p.dial()
-			p.mu.Lock()
-			p.dialing--
-			// The dial slot just freed (and on success a fresh connection
-			// is about to join the rotation): capacity changed under the
-			// waiters. Without this wake, a client whose Size dials all
-			// failed (a killed server can RST the handshake) strands every
-			// waiter that parked while they were in flight: the client sits
-			// empty and no completion ever comes to broadcast. Holding p.mu
-			// makes the wake race-free against a waiter about to Wait.
-			if p.gauges.Waiters.Load() > 0 {
-				p.cond.Broadcast()
-			}
-			if err != nil {
-				return nil, err
-			}
-			if p.closed {
-				p.mu.Unlock()
-				c.teardown(errPoolClosed)
-				p.mu.Lock()
-				return nil, errPoolClosed
-			}
-			c.load.Add(1)
-			p.conns = append(p.conns, c)
-			return c, nil
-		}
-		if !registered {
-			// Register BEFORE the decisive re-scan, not after it: notify()
-			// skips the broadcast when Waiters reads zero without taking
-			// the client lock, so a completion racing an unregistered scan
-			// could slip between "scan saw no headroom" and "waiter
-			// registered" and be missed forever. This way any completion
-			// the re-scan does not observe follows it (atomics are
-			// sequentially consistent), and therefore observes the waiter.
-			p.gauges.Waiters.Add(1)
-			registered = true
+		if !canDial {
+			p.cond.Wait() // every connection is still being dialed
 			continue
 		}
-		// Saturated: wait for a completion (or a death) to free capacity.
-		p.cond.Wait()
+		p.dialing++
+		p.mu.Unlock()
+		c, err := p.dial()
+		p.mu.Lock()
+		p.dialing--
+		// Whatever the outcome, the callers waiting on this dial re-route
+		// (holding p.mu makes the wake race-free against a caller about to
+		// Wait).
+		p.cond.Broadcast()
+		if err != nil {
+			return nil, err
+		}
+		if p.closed {
+			p.mu.Unlock()
+			c.teardown(errPoolClosed)
+			p.mu.Lock()
+			return nil, errPoolClosed
+		}
+		c.load.Add(1)
+		p.conns = append(p.conns, c)
+		return c, nil
 	}
-}
-
-// notify wakes routing waiters after a completion or a connection
-// death changed capacity. The broadcast is skipped when nobody is
-// waiting — the common case, where a Broadcast per completion was
-// avoidable cross-core traffic. See route() for why the unlocked
-// Waiters check cannot strand a waiter.
-//
-// When somebody IS waiting, the broadcast must happen under the client
-// lock: a waiter holds p.mu from its decisive re-scan until Wait parks
-// it, so a lockless broadcast can land in that window and be lost — if
-// it was the last completion, the waiter strands forever. Under the
-// lock it happens either before the re-scan (which then sees the freed
-// capacity) or after the waiter is parked (and wakes it).
-func (p *Client) notify() {
-	if p.gauges.Waiters.Load() == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
 }
 
 // connDeadError marks request failures caused by the connection dying
@@ -418,69 +359,99 @@ type connDeadError struct{ cause error }
 func (e *connDeadError) Error() string { return "memcache: connection failed: " + e.cause.Error() }
 func (e *connDeadError) Unwrap() error { return e.cause }
 
-// exchange routes q until it completes, on the caller's goroutine,
-// applying the resubmit and replay rules, and leaves the reply in rep.
-//
-// It runs at the bottom of every fan-out goroutine, whose stack starts
-// small: the request and the reply stay in the caller's frame, the RTT
-// observer runs inline, and nothing here or below holds a reply by
-// value, so the read path stays shallow enough not to grow the stack
-// (DESIGN.md "Transport").
-func (p *Client) exchange(q *request, rep *reply) (err error) {
-	var start time.Time
-	if p.rttObs != nil || q.tc.Valid() {
-		start = time.Now()
+// Pending is one request sent and not yet collected: SendGet fills it
+// in and Collect completes it, exactly once. It lives wherever the
+// caller keeps it — a local, an array element — so a request in flight
+// costs no allocation of its own.
+type Pending struct {
+	p        *Client
+	c        *pconn       // nil when the send failed; err says why
+	s        *poolRequest // c's slot: the request, then its reply
+	err      error
+	start    time.Time
+	replayed bool
+}
+
+// exchange is send followed by collect: it moves q to the server and
+// leaves the reply in rep, on the caller's goroutine.
+func (p *Client) exchange(q *request, rep *reply) error {
+	var h Pending
+	p.send(q, &h, true)
+	return h.collect(rep)
+}
+
+// send routes q and writes it, resubmitting on another connection a
+// request that never reached the wire (mutation or not: nothing was
+// applied). claim is for a caller that collects next and nothing else
+// first: on an empty pipe it takes the reader role at once, which saves
+// the round trip's only other lock (see pconn).
+func (p *Client) send(q *request, h *Pending, claim bool) {
+	if h.p == nil { // not a replay
+		*h = Pending{p: p}
+		if p.rttObs != nil || q.tc.Valid() {
+			h.start = time.Now()
+		}
 	}
-	replayed, resubmits := false, 0
-	for {
-		c, rerr := p.route()
-		if rerr != nil {
+	h.c, h.err = nil, nil
+	for resubmits := 0; ; {
+		c, err := p.route()
+		if err != nil {
 			// Routing fails only when the client is closed or a fresh dial
 			// failed — the fast server-down signal the breakers feed on.
-			err = rerr
+			h.err = err
+			return
+		}
+		if h.s = c.send(q, h.start, claim); h.s != nil {
+			h.c = c
+			return
+		}
+		c.release()
+		// Bounded so a flapping server cannot spin it forever.
+		if resubmits++; resubmits > 4 {
+			h.err = &connDeadError{cause: c.cause}
+			return
+		}
+		p.gauges.Resubmits.Add(1)
+	}
+}
+
+// collect waits for the reply to h's request and leaves it in rep,
+// replaying a written idempotent request, once, when its connection
+// died; the RTT observer sees the whole wait, replay included.
+func (h *Pending) collect(rep *reply) (err error) {
+	p := h.p
+	for err = h.err; h.c != nil; err = h.err {
+		var q request // filled only when the connection died under it
+		err = h.c.collect(h.s, rep, &q)
+		if !IsConnFatal(err) || !q.cmd.idempotent() || h.replayed {
 			break
 		}
-		written := false
-		if written, err = c.roundTrip(q, rep, start); !IsConnFatal(err) {
-			break
-		}
-		if !written {
-			// Never hit the wire: safe to resubmit, mutation or not —
-			// bounded so a flapping server cannot spin it forever.
-			if resubmits++; resubmits > 4 {
-				break
-			}
-			p.gauges.Resubmits.Add(1)
-			continue
-		}
-		// The request was written and its connection died. Replay only
-		// idempotent requests, and only once per request.
-		if !q.cmd.idempotent() || replayed {
-			break
-		}
-		replayed = true
+		h.replayed = true
 		p.gauges.Replays.Add(1)
+		p.send(&q, h, true)
 	}
 	if p.rttObs != nil {
-		p.rttObs(time.Since(start))
+		p.rttObs(time.Since(h.start))
 	}
 	return err
 }
 
 // poolRequest is one slot of a connection's pipe: the request a caller
-// encoded and the reply decoded into it — by that caller, or by the
-// reader ahead of it. A connection owns Depth of them from its dial, so
-// an exchange allocates none.
+// encoded and the reply decoded into it — by that caller, or by whoever
+// read ahead of it. A connection keeps the slots it ever needed on a
+// free list, so a request allocates none.
 type poolRequest struct {
 	request
 	reply
 	// next links the slot into the connection's FIFO or its free list.
 	next *poolRequest
-	// wake parks a caller that wrote behind others until its outcome is
-	// known (nil, its reply's error, or a connDeadError) or it must read
-	// for itself (errReadYourOwn). One message per exchange, so the
-	// buffer of one never blocks the sender. Made when first needed.
-	wake chan error
+	// done says the outcome is in err: nil, the reply's error, or a
+	// connDeadError. reads marks the holder of the reader role; parked a
+	// collector waiting on wake for either. All three are guarded by
+	// pconn.mu.
+	err                 error
+	done, reads, parked bool
+	wake                chan struct{}
 }
 
 // pconn is one pooled connection, driven entirely by its callers.
@@ -489,12 +460,23 @@ type poolRequest struct {
 // order one order, and the caller that finds no other writer queued
 // behind it flushes for everyone before it.
 //
-// Reading: the FIFO holds the written, unanswered requests, and the
-// caller at its head holds the reader role — it alone touches r. It
-// decodes its own reply, then the replies of the followers whose bytes
-// are already in r (handing the role over instead would cost each of
-// them a wake-up and a turn in the run queue with its reply sitting in
-// memory), then wakes the new head to read for itself.
+// Reading: the FIFO holds the written, undecoded requests, and the
+// reader role goes to the first caller that collects while nobody holds
+// it — it alone touches r. It decodes the FIFO in order into each slot
+// until its own is answered, then the replies whose bytes are already in
+// r (handing the role over instead would cost each owner a wake-up and a
+// turn in the run queue with its reply sitting in memory). An owner
+// parked behind it is woken with its answer; one that has not started
+// collecting finds it when it does. A caller parks only behind a reader
+// at work on the socket, and a reader leaving with callers still parked
+// hands the role to the first of them.
+//
+// Liveness (DESIGN.md "Transport"): nothing in send waits for a collect,
+// which could wait on the sender itself through another caller. A
+// socket write never starts with replies owed and nobody reading them —
+// the writer reads them first — and a reader at work stays until every
+// write that started behind it is done (writing): the server reads no
+// request while it is stuck writing a reply.
 type pconn struct {
 	pool *Client
 	conn net.Conn
@@ -504,13 +486,19 @@ type pconn struct {
 	wmu     sync.Mutex
 	writers atomic.Int32 // callers holding or queued on wmu
 	carry   []byte       // the queued adds a writer took, under wmu
+	// unflushed is the oldest slot whose bytes may still be in w, under
+	// wmu: a writer that skips its flush leaves them to the next.
+	unflushed *poolRequest
 
-	// mu guards the FIFO (head, tail), the free slots and cause. dead
-	// is set under it, so joining the FIFO and teardown exclude each
-	// other, and read without it by route.
+	// mu guards the FIFO (head, tail), the free slots, the reader role,
+	// writing (the writes that rely on the reader) and cause. dead is
+	// set under it, so joining the FIFO and teardown exclude each other,
+	// and read without it by route.
 	mu         sync.Mutex
 	head, tail *poolRequest
 	free       *poolRequest
+	reading    bool
+	writing    int
 	cause      error // why the connection was torn down
 	dead       atomic.Bool
 
@@ -519,56 +507,48 @@ type pconn struct {
 	drained  chan struct{}
 }
 
-// roundTrip exchanges q on this connection into rep. written is false
-// when the connection was found dead with nothing sent: the caller
-// reroutes.
-func (c *pconn) roundTrip(q *request, rep *reply, start time.Time) (written bool, err error) {
-	if s, head := c.send(q, start); s != nil {
-		err = errReadYourOwn
-		if !head {
-			err = <-s.wake
-		}
-		if err == errReadYourOwn {
-			err = c.read(s, head)
-		}
-		*rep, written = s.reply, true
-		s.request, s.reply = request{}, reply{} // pin nothing of the caller's
-		c.mu.Lock()
-		s.next, c.free = c.free, s
-		c.mu.Unlock()
-	} else {
-		err = &connDeadError{cause: c.cause}
-	}
+// release gives back the place route reserved on the connection.
+func (c *pconn) release() {
 	c.lastDone.Store(time.Now().UnixNano())
 	c.load.Add(-1)
-	c.pool.notify()
-	return written, err
 }
 
-// send encodes q into the write buffer and joins the FIFO, reporting
-// the slot it took and whether it is the head (the pipe was empty). A
-// nil slot means the connection was found dead and nothing was written.
-// On a one-connection client the adds AddLater queued go first, in the
-// same write.
-func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
+// send encodes q into the write buffer and joins the FIFO, returning the
+// slot it took, or nil when the connection was found dead with nothing
+// written. On a one-connection client the adds AddLater queued go first,
+// in the same write.
+func (c *pconn) send(q *request, start time.Time, claim bool) *poolRequest {
 	p := c.pool
 	p.gauges.Queued.Add(1)
 	c.writers.Add(1)
 	c.wmu.Lock()
 	p.gauges.Queued.Add(-1)
 	c.mu.Lock()
+	if c.head != nil && !c.reading && !c.dead.Load() {
+		// Replies are owed and nobody is reading them: the server may be
+		// stuck writing them, so read them before writing anything.
+		c.reading = true
+		f := c.head
+		c.mu.Unlock()
+		c.read(nil, f, false, nil, nil)
+		c.mu.Lock()
+	}
 	if c.dead.Load() {
 		c.mu.Unlock()
 		c.writers.Add(-1)
 		c.wmu.Unlock()
-		return nil, false
+		return nil
 	}
 	// The slot is complete — carried count included, which the binary
 	// decode reads — before it is linked: from then on the reader may
 	// decode into it, whatever the server chooses to send.
-	s = c.free
-	c.free, s.next = s.next, nil
-	s.request, s.reply = *q, reply{}
+	s := c.free
+	if s == nil {
+		s = &poolRequest{wake: make(chan struct{}, 1)}
+	} else {
+		c.free, s.next = s.next, nil
+	}
+	s.request = *q
 	carried := 0
 	if p.size == 1 {
 		carried = p.takeLater(&c.carry)
@@ -577,23 +557,22 @@ func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
 	if q.tc.Valid() {
 		s.queueNS = time.Since(start).Nanoseconds()
 	}
-	if head = c.head == nil; head {
-		c.head = s
-	} else {
-		if s.wake == nil {
-			s.wake = make(chan error, 1)
-		}
+	relies := c.head != nil // on the reader at work
+	if relies {
 		c.tail.next = s
+		c.writing++
+	} else {
+		c.head, c.reading, s.reads = s, claim, claim
 	}
 	c.tail = s
 	c.mu.Unlock()
 	p.transactions.Add(1)
 	p.gauges.RecordInFlight()
 	// Armed before the first bytes of a batch, not at the flush: encode
-	// itself writes to the socket when a value outgrows the buffer. The
-	// head of an empty pipe reads right after, so one call covers its
+	// itself writes to the socket when a value outgrows the buffer. A
+	// reader of an empty pipe reads right after, so one call covers its
 	// whole round trip.
-	if p.timeout > 0 && head {
+	if p.timeout > 0 && s.reads {
 		c.conn.SetDeadline(time.Now().Add(p.timeout))
 	} else if p.timeout > 0 && c.w.Buffered() == 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(p.timeout))
@@ -610,8 +589,16 @@ func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
 	// fails instead tears the connection down, which answers them all.
 	if c.writers.Add(-1) == 0 && err == nil {
 		err = c.w.Flush()
+		c.unflushed = nil
+	} else if c.unflushed == nil {
+		c.unflushed = s
 	}
 	c.wmu.Unlock()
+	if relies {
+		c.mu.Lock()
+		c.writing--
+		c.mu.Unlock()
+	}
 	if carried > 0 {
 		if err == nil {
 			p.gauges.WriteBackCarried.Add(uint64(carried))
@@ -622,28 +609,118 @@ func (c *pconn) send(q *request, start time.Time) (s *poolRequest, head bool) {
 	if err != nil {
 		c.teardown(err)
 	}
-	return s, head
+	return s
 }
 
-// read runs the reader role, starting with the holder's own request at
-// the head of the FIFO, and returns that request's outcome. armed says
-// send already set the read deadline for it (it wrote to an empty pipe).
-func (c *pconn) read(own *poolRequest, armed bool) error {
-	err := c.decode(own, armed)
-	next, last := c.pop()
-	// Bounded, so a server that answers faster than this loop decodes
-	// cannot keep one caller reading for the others forever.
-	for n := 0; next != nil && n < c.pool.depth && c.r.Buffered() > 0; n++ {
-		f := next
-		ferr := c.decode(f, false)
-		next, last = c.pop()
-		f.wake <- ferr
+// collect waits for the outcome of s and copies it out. Either a reader
+// answered it already, or the caller reads for it: at once when it took
+// the role at send, else when nobody holds the role, else once the
+// reader it parks behind wakes it with its answer or with the role. Then
+// the slot goes back to the free list (a connection-fatal outcome copies
+// the request into q first, for the replay) and the caller's place on
+// the connection is released.
+func (c *pconn) collect(s *poolRequest, rep *reply, q *request) error {
+	armed, f := s.reads, s // a reader from send: s heads an empty pipe
+	if !armed {
+		c.mu.Lock()
+		if !s.done && c.reading {
+			s.parked = true
+			c.mu.Unlock()
+			<-s.wake
+			c.mu.Lock()
+		} else if !s.done {
+			c.reading, s.reads = true, true
+		}
+		if !s.reads {
+			err := c.give(s, rep, q)
+			c.mu.Unlock()
+			c.release()
+			return err
+		}
+		f = c.head
+		c.mu.Unlock()
+	}
+	err := c.read(s, f, armed, rep, q)
+	c.release()
+	return err
+}
+
+// read runs the reader role from f, the head of the FIFO: it decodes
+// each reply into its slot in order, waking a parked owner with it. It
+// goes on while own is unanswered, while a write that started behind
+// the reader relies on it, and — at most Depth replies, so a server that
+// answers faster than this loop decodes cannot keep one caller reading
+// for the others forever — while replies sit buffered. With own nil it
+// drains the FIFO, flushing on the way what other writers left in w (its
+// caller holds wmu, so nothing joins). Then it hands the role to the
+// first collector parked in the FIFO, which reads from the head, or
+// frees it, and copies the outcome of own out (see give).
+func (c *pconn) read(own, f *poolRequest, armed bool, rep *reply, q *request) (err error) {
+	var wake *poolRequest
+	for n := 0; ; n++ {
+		if own == nil && f == c.unflushed {
+			// Every reply ahead is in, so the server is reading: the
+			// at most one buffer left in w cannot block for long.
+			if c.pool.timeout > 0 {
+				c.conn.SetWriteDeadline(time.Now().Add(c.pool.timeout))
+			}
+			if err := c.w.Flush(); err != nil {
+				c.teardown(err)
+			}
+			c.unflushed = nil
+		}
+		derr := c.decode(f, armed && f == own)
+		c.mu.Lock()
+		c.head, f.next = f.next, nil
+		f.done, f.err = true, derr
+		c.pool.gauges.InFlight.Add(-1)
+		wake = nil
+		if f.parked {
+			f.parked, wake = false, f
+		}
+		if f = c.head; f == nil || own != nil && own.done && c.writing == 0 && (n >= c.pool.depth || c.r.Buffered() == 0) {
+			break
+		}
+		c.mu.Unlock()
+		if wake != nil {
+			wake.wake <- struct{}{}
+		}
+	}
+	var next *poolRequest
+	for s := c.head; s != nil && next == nil; s = s.next {
+		if s.parked {
+			s.parked, s.reads, next = false, true, s
+		}
+	}
+	c.reading = next != nil
+	last := c.head == nil && c.dead.Load()
+	if own != nil {
+		err = c.give(own, rep, q)
+	}
+	c.mu.Unlock()
+	if wake != nil {
+		wake.wake <- struct{}{}
 	}
 	if next != nil {
-		next.wake <- errReadYourOwn
-	} else if last {
+		next.wake <- struct{}{}
+	}
+	if last {
 		c.finish()
 	}
+	return err
+}
+
+// give copies the outcome of s out and puts the slot back on the free
+// list, pinning nothing of its owner's. Called with c.mu held.
+func (c *pconn) give(s *poolRequest, rep *reply, q *request) error {
+	err := s.err
+	*rep = s.reply
+	if IsConnFatal(err) {
+		*q = s.request
+		q.carried = 0
+	}
+	*s = poolRequest{next: c.free, wake: s.wake}
+	c.free = s
 	return err
 }
 
@@ -664,24 +741,14 @@ func (c *pconn) decode(s *poolRequest, armed bool) error {
 	return err
 }
 
-// pop removes the head of the FIFO, now answered, and returns the new
-// head; last reports that this emptied a dead connection.
-func (c *pconn) pop() (next *poolRequest, last bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.head
-	c.head, s.next = s.next, nil
-	c.pool.gauges.InFlight.Add(-1)
-	return c.head, c.head == nil && c.dead.Load()
-}
-
 // teardown kills the connection: marks it dead (nobody joins the FIFO
-// any more), closes the socket, fails every request behind the head of
-// the FIFO — all written, so only idempotent ones replay — and drops the
-// adds AddLater queued for it. The head is left to whoever is reading
-// for it, whose read now fails. It returns the error its caller should
-// report: cause if this call tore the connection down, else a
-// connDeadError naming the cause that did.
+// any more), closes the socket, fails every request in the FIFO — all
+// written, so only idempotent ones replay — and drops the adds AddLater
+// queued for it. A reader at work is left the head, whose read now
+// fails; with nobody reading the head is failed too, so Close never
+// waits on a request sent and not collected. It returns the error its
+// caller should report: cause if this call tore the connection down,
+// else a connDeadError naming the cause that did.
 func (c *pconn) teardown(cause error) error {
 	c.mu.Lock()
 	if c.dead.Load() {
@@ -690,9 +757,22 @@ func (c *pconn) teardown(cause error) error {
 	}
 	c.cause = cause
 	c.dead.Store(true)
-	var stranded *poolRequest
-	if c.head != nil {
-		stranded, c.head.next, c.tail = c.head.next, nil, c.head
+	stranded := c.head
+	if c.reading && stranded != nil {
+		stranded, c.head.next, c.tail = stranded.next, nil, c.head
+	} else {
+		c.head = nil
+	}
+	dead := &connDeadError{cause: cause}
+	var wake *poolRequest // the parked owners, linked through next
+	for stranded != nil {
+		s := stranded
+		stranded, s.next = s.next, nil
+		s.done, s.err = true, dead
+		c.pool.gauges.InFlight.Add(-1)
+		if s.parked {
+			s.parked, s.next, wake = false, wake, s
+		}
 	}
 	empty := c.head == nil
 	c.mu.Unlock()
@@ -701,11 +781,10 @@ func (c *pconn) teardown(cause error) error {
 	if cause != errPoolClosed && cause != errReaped {
 		c.pool.gauges.ConnsFailed.Add(1)
 	}
-	for stranded != nil {
-		s := stranded
-		stranded, s.next = s.next, nil
-		c.pool.gauges.InFlight.Add(-1)
-		s.wake <- &connDeadError{cause: cause}
+	for wake != nil {
+		s := wake
+		wake, s.next = s.next, nil
+		s.wake <- struct{}{}
 	}
 	if empty {
 		c.finish()
@@ -723,7 +802,6 @@ func (c *pconn) finish() {
 	}
 	p.mu.Unlock()
 	p.gauges.ConnsOpen.Add(-1)
-	p.notify()
 	close(c.drained)
 }
 

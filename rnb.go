@@ -445,7 +445,7 @@ func (c *Client) probeHalfOpen(t *tier) {
 		c.resilience.Probes.Add(1)
 		go func() {
 			// call, not do: the probe's verdict is onProbeResult.
-			err := sl.call(func(conn memcache.Conn) error {
+			err := sl.call(func(conn *memcache.Client) error {
 				_, err := conn.Version()
 				return err
 			})
@@ -539,7 +539,7 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 }
 
 // dial opens the configured transport for one server address.
-func (c *Client) dial(addr string) (memcache.Conn, error) {
+func (c *Client) dial(addr string) (*memcache.Client, error) {
 	conn, err := memcache.NewPool(addr, c.cfg.timeout, memcache.PoolConfig{
 		Size:        max(c.cfg.poolSize, 1),
 		Binary:      c.cfg.binary,
@@ -641,11 +641,11 @@ type writeOp struct {
 	// dist is what the distinguished copy gets. Any failure there, a
 	// refusal (CAS conflict, miss, not stored) included, fails the
 	// operation.
-	dist func(memcache.Conn) error
+	dist func(*memcache.Client) error
 	// replica is what the other current replicas get; nil drops them,
 	// to repopulate on demand via write-back (§IV). Copies beyond the
 	// current replica set are always dropped.
-	replica func(memcache.Conn) error
+	replica func(*memcache.Client) error
 	// alongside gives the newest epoch's distinguished copy dist too
 	// while a transition is open, so the never-miss guarantee holds on
 	// both sides of the cutover for keys written inside the window.
@@ -659,18 +659,18 @@ type writeOp struct {
 }
 
 // dropCopy removes key's copy from one server.
-func dropCopy(key string) func(memcache.Conn) error {
-	return func(conn memcache.Conn) error { return conn.Delete(key) }
+func dropCopy(key string) func(*memcache.Client) error {
+	return func(conn *memcache.Client) error { return conn.Delete(key) }
 }
 
 // storeOp stores one copy of it: pinned against LRU eviction for a
 // distinguished copy (unless WithPinnedDistinguished(false)), plain for
 // any other.
-func (c *Client) storeOp(it *Item, distinguished bool) func(memcache.Conn) error {
+func (c *Client) storeOp(it *Item, distinguished bool) func(*memcache.Client) error {
 	if distinguished && c.cfg.pinDistinguished {
-		return func(conn memcache.Conn) error { return conn.SetPinned(it) }
+		return func(conn *memcache.Client) error { return conn.SetPinned(it) }
 	}
-	return func(conn memcache.Conn) error { return conn.Set(it) }
+	return func(conn *memcache.Client) error { return conn.Set(it) }
 }
 
 // write runs fn against the copy of key on server s. virtualOK
@@ -680,7 +680,7 @@ func (c *Client) storeOp(it *Item, distinguished bool) func(memcache.Conn) error
 // returned as is (it is the operation's result); a network error is
 // wrapped with verb and the server it came from, and has already fed
 // that server's breaker in slot.do.
-func (t *tier) write(verb, key string, s int, fn func(memcache.Conn) error, virtualOK bool) (hit bool, err error) {
+func (t *tier) write(verb, key string, s int, fn func(*memcache.Client) error, virtualOK bool) (hit bool, err error) {
 	err = t.slots[s].do(fn)
 	switch {
 	case err == nil:
@@ -763,13 +763,13 @@ func (c *Client) Delete(key string) error {
 // Append concatenates data after the item's value, atomically against
 // the distinguished copy (stale replicas are invalidated).
 func (c *Client) Append(key string, data []byte) error {
-	return c.apply("append", key, writeOp{dist: func(conn memcache.Conn) error { return conn.Append(key, data) }})
+	return c.apply("append", key, writeOp{dist: func(conn *memcache.Client) error { return conn.Append(key, data) }})
 }
 
 // Prepend concatenates data before the item's value, atomically
 // against the distinguished copy.
 func (c *Client) Prepend(key string, data []byte) error {
-	return c.apply("prepend", key, writeOp{dist: func(conn memcache.Conn) error { return conn.Prepend(key, data) }})
+	return c.apply("prepend", key, writeOp{dist: func(conn *memcache.Client) error { return conn.Prepend(key, data) }})
 }
 
 // Increment adjusts a decimal counter by delta (negative decrements,
@@ -777,7 +777,7 @@ func (c *Client) Prepend(key string, data []byte) error {
 // value. Stale replicas are invalidated.
 func (c *Client) Increment(key string, delta int64) (uint64, error) {
 	var out uint64
-	err := c.apply("increment", key, writeOp{dist: func(conn memcache.Conn) (err error) {
+	err := c.apply("increment", key, writeOp{dist: func(conn *memcache.Client) (err error) {
 		if delta >= 0 {
 			out, err = conn.Incr(key, uint64(delta))
 		} else {
@@ -791,7 +791,7 @@ func (c *Client) Increment(key string, delta int64) (uint64, error) {
 // Touch updates the expiration of every replica of key. A key unknown
 // everywhere returns ErrCacheMiss.
 func (c *Client) Touch(key string, exp int32) error {
-	return c.apply("touch", key, writeOp{everyCopy: true, dist: func(conn memcache.Conn) error { return conn.Touch(key, exp) }})
+	return c.apply("touch", key, writeOp{everyCopy: true, dist: func(conn *memcache.Client) error { return conn.Touch(key, exp) }})
 }
 
 // FlushAll wipes every server in the tier (draining members included —
@@ -802,7 +802,7 @@ func (c *Client) FlushAll() error {
 		if sl.closed.Load() {
 			continue
 		}
-		if err := sl.do(func(conn memcache.Conn) error { return conn.FlushAll() }); err != nil {
+		if err := sl.do(func(conn *memcache.Client) error { return conn.FlushAll() }); err != nil {
 			return fmt.Errorf("rnb: flush_all on %s: %w", sl.addr, err)
 		}
 	}
@@ -834,7 +834,7 @@ func (c *Client) GetsDistinguished(keys []string) (map[string]*Item, error) {
 	out := make(map[string]*Item, len(keys))
 	for s, group := range byServer {
 		var items map[string]*Item
-		err := t.slots[s].do(func(conn memcache.Conn) (err error) {
+		err := t.slots[s].do(func(conn *memcache.Client) (err error) {
 			items, err = conn.GetsMulti(group)
 			return err
 		})
@@ -855,7 +855,7 @@ func (c *Client) GetsDistinguished(keys []string) (map[string]*Item, error) {
 // memcache.ErrCASConflict on a lost race and ErrCacheMiss if the key
 // is gone.
 func (c *Client) UpdateCAS(it *Item) error {
-	return c.apply("update-cas", it.Key, writeOp{dist: func(conn memcache.Conn) error { return conn.CompareAndSwap(it) }})
+	return c.apply("update-cas", it.Key, writeOp{dist: func(conn *memcache.Client) error { return conn.CompareAndSwap(it) }})
 }
 
 // Get fetches a single key from its distinguished server (single-item
@@ -876,7 +876,7 @@ func (c *Client) Get(key string) (*Item, error) {
 		}
 	}
 	var it *Item
-	err := t.slots[s].do(func(conn memcache.Conn) (err error) {
+	err := t.slots[s].do(func(conn *memcache.Client) (err error) {
 		it, err = conn.Get(key)
 		return err
 	})
@@ -992,86 +992,64 @@ func newTraceID() uint64 {
 	}
 }
 
-// fanout executes the planned transactions concurrently, merging found
-// items into out. A failing transaction quarantines its server (in
-// slot.do); the returned slice holds the failed transactions' servers
-// (one entry per failed transaction), which the caller feeds into the
-// re-plan exclusion set. What it issued, carried and lost is counted
-// into stats, and sp gets one round-trip stamp per transaction, in plan
-// order. A single transaction runs inline, without a goroutine.
-func (c *Client) fanout(t *tier, txns []core.Transaction, keyOf map[uint64]string, out map[string]*Item, sp *obs.Span, stats *Stats, phase string, round int) (failed []int) {
+// fanout is the one read path behind round 1, re-plan and round 2: it
+// sends every planned transaction as one multi-get, its keys cut from
+// one array, then collects the replies on the calling goroutine in plan
+// order and hands each to merge — no goroutine, no lock: whoever
+// collects first on a connection reads it (memcache.Pending). The
+// returned slice holds the failed transactions' servers, which the
+// caller feeds into the re-plan exclusion set. What it issued, carried
+// and lost is counted into stats, and sp gets one round-trip stamp per
+// transaction, in plan order. When sp is traced each multi-get carries
+// the trace context: the RTT span is the server span's parent. A stamp
+// ends when its reply is collected, after the ones collected before it.
+func (c *Client) fanout(t *tier, txns []core.Transaction, keyOf map[uint64]string, sp *obs.Span, stats *Stats, phase string, round int, merge func(txn *core.Transaction, items []Item)) (failed []int) {
 	stats.Transactions += len(txns)
+	n := 0
 	for i := range txns {
 		stats.Hitchhikers += len(txns[i].Hitchhikers)
+		n += len(txns[i].Primary) + len(txns[i].Hitchhikers)
 	}
 	stamps := len(sp.RTTs)
 	sp.RTTs = append(sp.RTTs, make([]obs.TxnRTT, len(txns))...)
-	if len(txns) == 1 {
-		items, err := c.roundTrip(t, &txns[0], keyOf, sp, &sp.RTTs[stamps], phase, round)
-		if err != nil {
-			stats.Failed++
-			return []int{txns[0].Server}
-		}
-		mergeItems(out, items)
-		return nil
+	rtts := sp.RTTs[stamps:]
+	var inline [8]memcache.Pending
+	sent := inline[:]
+	if len(txns) > len(inline) {
+		sent = make([]memcache.Pending, len(txns))
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	keys := make([]string, 0, n)
 	for i := range txns {
-		wg.Add(1)
-		go func(txn *core.Transaction, rtt *obs.TxnRTT) {
-			defer wg.Done()
-			items, err := c.roundTrip(t, txn, keyOf, sp, rtt, phase, round)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				failed = append(failed, txn.Server)
-				return
-			}
-			mergeItems(out, items)
-		}(&txns[i], &sp.RTTs[stamps+i])
+		txn, rtt, from := &txns[i], &rtts[i], len(keys)
+		for _, id := range txn.Primary {
+			keys = append(keys, keyOf[id])
+		}
+		for _, id := range txn.Hitchhikers {
+			keys = append(keys, keyOf[id])
+		}
+		rtt.Server, rtt.Addr, rtt.Keys, rtt.Phase, rtt.Round = txn.Server, t.slots[txn.Server].addr, len(keys)-from, phase, round
+		var tc obs.TraceContext
+		if sp.TraceID != 0 {
+			rtt.SpanID = c.recorder.NextID()
+			tc = obs.TraceContext{TraceID: sp.TraceID, Parent: rtt.SpanID}
+		}
+		rtt.OffsetNS = time.Since(sp.Start).Nanoseconds()
+		t.slots[txn.Server].send(tc, keys[from:], &sent[i])
 	}
-	wg.Wait()
+	for i := range txns {
+		rtt := &rtts[i]
+		items, queueNS, st, err := t.slots[txns[i].Server].collect(&sent[i])
+		rtt.QueueNS, rtt.ServerTimings = queueNS, st
+		rtt.DurNS = time.Since(sp.Start).Nanoseconds() - rtt.OffsetNS
+		if err != nil {
+			rtt.Err = fmt.Sprintf("rnb: multi-get on %s: %v", rtt.Addr, err)
+			failed = append(failed, txns[i].Server)
+			continue
+		}
+		merge(&txns[i], items)
+	}
 	stats.Failed += len(failed)
 	return failed
-}
-
-// roundTrip is the one read round trip behind fan-out, re-plan and
-// round 2: it issues one planned transaction as a single multi-get
-// (slot.do feeds the breaker) and fills in rtt, the caller's slot in
-// sp.RTTs, under the given phase label and re-plan round. When sp is
-// traced the multi-get carries the trace context — the RTT span is the
-// server span's parent — and the stamp holds the client queue wait and
-// the server's phase timings. The stamp is written in place because a
-// fan-out goroutine's stack is small: a TxnRTT held by value in this
-// frame, below which the whole transport runs, costs every goroutine a
-// stack growth (measured: +15 % on a four-transaction multi-get).
-func (c *Client) roundTrip(t *tier, txn *core.Transaction, keyOf map[uint64]string, sp *obs.Span, rtt *obs.TxnRTT, phase string, round int) (items []Item, err error) {
-	reqKeys := make([]string, 0, len(txn.Primary)+len(txn.Hitchhikers))
-	for _, id := range txn.Primary {
-		reqKeys = append(reqKeys, keyOf[id])
-	}
-	for _, id := range txn.Hitchhikers {
-		reqKeys = append(reqKeys, keyOf[id])
-	}
-	rtt.Server, rtt.Addr, rtt.Keys, rtt.Phase, rtt.Round = txn.Server, t.slots[txn.Server].addr, len(reqKeys), phase, round
-	var tc obs.TraceContext
-	if sp.TraceID != 0 {
-		rtt.SpanID = c.recorder.NextID()
-		tc = obs.TraceContext{TraceID: sp.TraceID, Parent: rtt.SpanID}
-	}
-	start := time.Now()
-	err = t.slots[txn.Server].do(func(conn memcache.Conn) (err error) {
-		items, rtt.QueueNS, rtt.ServerTimings, err = conn.TracedGetItems(tc, reqKeys)
-		return err
-	})
-	rtt.DurNS = int64(time.Since(start))
-	rtt.OffsetNS = start.Sub(sp.Start).Nanoseconds()
-	if err != nil {
-		items, err = nil, fmt.Errorf("rnb: multi-get on %s: %w", rtt.Addr, err)
-		rtt.Err = err.Error()
-	}
-	return items, err
 }
 
 // maxBackoff caps the re-plan backoff: past it, more waiting buys
@@ -1196,13 +1174,14 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 		return nil, stats, err
 	}
 
-	// Round 1: bundled multi-gets, hitchhikers aboard, dispatched to all
-	// chosen servers in parallel (each server has its own connection).
+	// Round 1: bundled multi-gets, hitchhikers aboard, all sent before
+	// any reply is read (each server has its own connection).
 	// Transaction failures quarantine the server and degrade to the
 	// re-plan/round-2 recovery below rather than failing the request.
 	out = make(map[string]*Item, len(keys))
+	merge := func(_ *core.Transaction, items []Item) { mergeItems(out, items) }
 	fanStart := time.Now()
-	failedSrvs := c.fanout(t, plan.Transactions, keyOf, out, sp, &stats, "fanout", 0)
+	failedSrvs := c.fanout(t, plan.Transactions, keyOf, sp, &stats, "fanout", 0, merge)
 	if budget > 0 {
 		sp.FanoutNS = int64(time.Since(fanStart))
 		return out, stats, nil
@@ -1248,7 +1227,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 		c.resilience.Replans.Add(1)
 		stats.Retries += len(replan.Transactions)
 		c.resilience.RetryTransactions.Add(uint64(len(replan.Transactions)))
-		failedSrvs = c.fanout(t, replan.Transactions, keyOf, out, sp, &stats, "replan", attempt+1)
+		failedSrvs = c.fanout(t, replan.Transactions, keyOf, sp, &stats, "replan", attempt+1, merge)
 	}
 	sp.FanoutNS = int64(time.Since(fanStart))
 	// Servers that failed during this request stay excluded for the
@@ -1293,19 +1272,17 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			missAssigned[id] = plan.ItemServer[i]
 		}
 	}
+	// Its transactions go to distinct servers and are sent at once; a
+	// failed one degrades: its items fall to the loader or come back
+	// absent.
 	round2Start := time.Now()
-	for _, txn := range core.SecondRound(missIDs, missReplicas) {
-		stats.Transactions++
-		stats.Round2++
-		sp.RTTs = append(sp.RTTs, obs.TxnRTT{})
-		items, err := c.roundTrip(t, &txn, keyOf, sp, &sp.RTTs[len(sp.RTTs)-1], "round2", 0)
-		if err != nil {
-			stats.Failed++
-			continue // degrade: these items fall to the loader or come back absent
-		}
+	round2 := core.SecondRound(missIDs, missReplicas)
+	stats.Round2 += len(round2)
+	c.fanout(t, round2, keyOf, sp, &stats, "round2", 0, func(txn *core.Transaction, items []Item) {
 		// The reply is in the transaction's key order, so write-backs
 		// (and the evictions they cause) happen in a seed-determined
-		// order. A key round 2 is not looking for is ignored.
+		// order, each server's after its own reply is collected. A key
+		// round 2 is not looking for is ignored.
 		for i := range items {
 			it := &items[i]
 			assigned, missing := missAssigned[keyID(it.Key)]
@@ -1324,12 +1301,12 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			// or refused add is a replica that stays virtual, and the item
 			// is served either way.
 			if s := assigned; s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
-				if t.slots[s].call(func(conn memcache.Conn) error { return conn.AddLater(it) }) == nil {
+				if t.slots[s].call(func(conn *memcache.Client) error { return conn.AddLater(it) }) == nil {
 					sp.WriteBacks++
 				}
 			}
 		}
-	}
+	})
 	sp.Round2NS = int64(time.Since(round2Start))
 
 	// Cache-aside: keys the cache tier could not serve go to the backing

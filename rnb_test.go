@@ -71,7 +71,7 @@ func (c *writeBackClock) advance(d time.Duration) {
 func holdWriteBackClock(cl *Client) *writeBackClock {
 	clk := &writeBackClock{t: time.Unix(1_700_000_000, 0)}
 	for _, s := range cl.cur.Load().slots {
-		s.conn.(*memcache.Client).SetClock(clk.now)
+		s.conn.SetClock(clk.now)
 	}
 	return clk
 }
