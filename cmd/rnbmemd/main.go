@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -27,7 +28,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:11211", "listen address (TCP; serves text and binary protocols)")
-		udpAddr   = flag.String("udp", "", "optional UDP listen address (e.g. 127.0.0.1:11211)")
 		memory    = flag.String("memory", "64MB", "memory budget (e.g. 512KB, 256MB, 2GB; 0 = unbounded)")
 		protocols = flag.String("protocols", "both", "wire formats to accept: text, binary, or both")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address (empty disables)")
@@ -56,25 +56,11 @@ func main() {
 		fmt.Printf("rnbmemd: debug endpoint on http://%s (/metrics, /debug/spans, /debug/pprof)\n", ln.Addr())
 	}
 
-	var udp *memcache.UDPServer
-	if *udpAddr != "" {
-		udp = memcache.NewUDPServer(srv, 0)
-		go func() {
-			if err := udp.ListenAndServe(*udpAddr); err != nil {
-				fmt.Fprintf(os.Stderr, "rnbmemd: udp: %v\n", err)
-			}
-		}()
-		fmt.Printf("rnbmemd: also serving UDP on %s\n", *udpAddr)
-	}
-
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigs
 		fmt.Fprintln(os.Stderr, "rnbmemd: shutting down")
-		if udp != nil {
-			udp.Close()
-		}
 		srv.Close()
 	}()
 
@@ -105,6 +91,9 @@ func parseSize(s string) (int64, error) {
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("negative size %d", v)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %d x %d bytes overflows int64", v, mult)
 	}
 	return v * mult, nil
 }

@@ -18,8 +18,13 @@ func TestParseSize(t *testing.T) {
 		{"10B", 10, false},
 		{"-5", 0, true},
 		{"abc", 0, true},
-		{"12TB", 0, true}, // unknown suffix leaves "12TB"... actually TB->T parse fails
+		{"12TB", 0, true}, // TB is no suffix: "B" is stripped and "12T" does not parse
 		{"", 0, true},
+		// v * 1 GiB past int64: would wrap to 1 GiB, and to a negative
+		// (unbounded) capacity.
+		{"17179869185GB", 0, true},
+		{"8589934592GB", 0, true},
+		{"8589934591GB", 8589934591 << 30, false}, // the largest GB count that fits
 	}
 	for _, c := range cases {
 		got, err := parseSize(c.in)

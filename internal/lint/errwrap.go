@@ -8,7 +8,7 @@ import (
 // ErrWrap requires fmt.Errorf to wrap error operands with %w rather
 // than flatten them with %v or %s. A %v stringifies the cause, so
 // errors.Is/As stop matching through the new error — which is exactly
-// how transport-level sentinels (memcache.ErrCacheMiss, ErrUDPLoss,
+// how transport-level sentinels (memcache.ErrCacheMiss, ErrTooLarge,
 // connection-fatal markers) get lost between layers. Non-error
 // operands are untouched; formats with explicit argument indexes
 // ("%[1]v") are skipped rather than mis-mapped.

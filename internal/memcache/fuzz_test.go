@@ -3,6 +3,7 @@ package memcache
 import (
 	"bytes"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +82,9 @@ func FuzzTextProtocol(f *testing.F) {
 			binReqFrame(binOpNoop, 1, nil, "", ""),
 			binReqFrame(binOpAddQ, 0, make([]byte, 8), "i", "cut short")[:30],
 		}, nil),
+		// A command line that fills the server's read buffer with no
+		// newline: the line is continued on the heap, up to maxLineLen.
+		[]byte("get " + strings.Repeat("k", 1<<16-4)),
 	}
 	for _, s := range seeds {
 		f.Add(s)

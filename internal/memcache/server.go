@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -371,24 +370,18 @@ type serverConn struct {
 	trace   connTrace
 }
 
-// newServerConn builds the serving state for one connection (or one
-// datagram) with buffers of bufSize bytes each way.
-func (s *Server) newServerConn(codec serverCodec, in io.Reader, out io.Writer, bufSize int) *serverConn {
-	// The fill reader stamps when bytes actually arrive, so traced
-	// commands can report how long they queued in the read buffer.
-	fr := &fillReader{c: in}
-	return &serverConn{
-		srv: s, codec: codec, fr: fr,
-		r: bufio.NewReaderSize(fr, bufSize),
-		w: bufio.NewWriterSize(out, bufSize),
-	}
-}
-
-// handleConn is the one loop that reads requests off a TCP connection.
+// handleConn is the one loop that reads requests off a connection.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	c := s.newServerConn(nil, conn, conn, 64<<10)
+	// The fill reader stamps when bytes actually arrive, so traced
+	// commands can report how long they queued in the read buffer.
+	fr := &fillReader{c: conn}
+	c := &serverConn{
+		srv: s, fr: fr,
+		r: bufio.NewReaderSize(fr, 64<<10),
+		w: bufio.NewWriterSize(conn, 64<<10),
+	}
 	// Protocol sniff, as memcached does on a shared port: binary
 	// requests always start with the 0x80 magic, which is not a
 	// printable text-command byte.
@@ -412,8 +405,8 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // serveOne moves one request through the server: read → arm a pending
 // trace → execute → write the reply → flush → trace record. It is the
-// whole per-transaction path for every transport (the UDP server calls
-// it once per datagram).
+// whole per-transaction path, whichever wire format the connection
+// speaks.
 func (c *serverConn) serveOne() (quit bool, err error) {
 	q, p := &c.q, &c.p
 	var began time.Time

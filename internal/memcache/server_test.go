@@ -282,6 +282,43 @@ func TestServerQuit(t *testing.T) {
 	}
 }
 
+func TestServerDropsOverlongLine(t *testing.T) {
+	// A peer that never sends '\n' is cut off at maxLineLen rather than
+	// buffered on the heap, and the next connection is served as usual.
+	addr := serveTest(t, NewServer(NewStore(0)), nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	line := []byte("get " + strings.Repeat("k", maxLineLen+1<<20))
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		conn.Write(line) // fails once the server hangs up
+	}()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after a %d-byte line: %v", len(line), err)
+	}
+	conn.Close()
+	<-wrote
+
+	next, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	next.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := next.Write([]byte("version\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(next).ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION") {
+		t.Fatalf("next connection: %q %v", line, err)
+	}
+}
+
 func TestServerCloseIdempotentAndRefusesServe(t *testing.T) {
 	srv := NewServer(NewStore(0))
 	serveTest(t, srv, nil)

@@ -43,6 +43,15 @@ var textOK = [...]string{
 
 const badFormat = clientError("bad command line format")
 
+// maxLineLen caps a command line, terminator included, as the binary
+// server caps a frame body: a peer that never sends '\n' is dropped
+// instead of growing the connection's heap without bound. A get line
+// carries a whole multi-get, which the binary wire spreads over frames,
+// so the cap admits 64Ki keys of the longest legal length.
+const maxLineLen = 16 * MaxValueLen
+
+var errLineTooLong = errors.New("memcache: text command line too long")
+
 // readLine reads one \r\n- (or \n-) terminated line without the
 // terminator. The slice is borrowed from the read buffer, valid until
 // the next read, unless the line outgrew the buffer (a multi-get of
@@ -50,10 +59,15 @@ const badFormat = clientError("bad command line format")
 func readLine(r *bufio.Reader) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		head := append([]byte(nil), line...)
-		var rest []byte
-		rest, err = r.ReadBytes('\n')
-		line = append(head, rest...)
+		line = append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull && len(line) <= maxLineLen {
+			var more []byte
+			more, err = r.ReadSlice('\n')
+			line = append(line, more...)
+		}
+		if len(line) > maxLineLen {
+			return nil, errLineTooLong
+		}
 	}
 	if err != nil {
 		return nil, err
