@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-topology bench-placement
+.PHONY: build vet lint lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-topology bench-placement
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,9 @@ vet:
 # Repo-specific static analysis (internal/lint via cmd/rnblint):
 # interprocedural lock-order cycles, publish-freeze enforcement,
 # blocked-forever goroutines, lock discipline, atomic-only fields,
-# seeded RNGs, %w wrapping, t.Helper(). Suppress
-# a finding with //rnblint:ignore <analyzer> <reason> — the reason is
-# mandatory, and a directive that stops matching anything is itself an
-# error. The whole-repo run carries a wall-clock budget: the suite is
+# seeded RNGs. Suppress a finding with //rnblint:ignore <analyzer>
+# <reason> — the reason is mandatory, and a directive that stops
+# matching anything is itself an error. The whole-repo run carries a wall-clock budget: the suite is
 # meant to run on every push, and an analysis that creeps past
 # $(LINT_BUDGET_SECS)s stops being one people run.
 LINT_BUDGET_SECS ?= 120
@@ -27,11 +26,6 @@ lint:
 		echo "rnblint: exceeded the $(LINT_BUDGET_SECS)s budget — profile the analyzers before adding more"; \
 		exit 1; \
 	fi
-
-# CI variant of lint: same run, but findings are re-emitted as GitHub
-# Actions ::error annotations so they land inline on the PR diff.
-lint-annotate:
-	./scripts/lint_annotate.sh
 
 # Regression lint: the distilled reproductions of bugs this repo
 # actually shipped (dial-slot cond misuse, SetBase published-snapshot

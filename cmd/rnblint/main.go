@@ -6,18 +6,18 @@
 //
 // Usage:
 //
-//	rnblint [-only analyzer[,analyzer...]] [-json] [-list] [packages...]
+//	rnblint [-only analyzer[,analyzer...]] [-list] [packages...]
 //
-// With no patterns it checks ./... . -json emits one JSON object per
-// finding (file, line, column, analyzer, message), one per line, for
-// tooling such as scripts/lint_annotate.sh. Suppress a finding with a
-// trailing or preceding comment naming the analyzer and a reason:
+// With no patterns it checks ./... . Each finding is one line,
+// file:line:col: analyzer: message — the format CI's problem matcher
+// (.github/rnblint-matcher.json) turns into inline annotations.
+// Suppress a finding with a trailing or preceding comment naming the
+// analyzer and a reason:
 //
 //	//rnblint:ignore blockleak the leak is the point — this test wants a parked goroutine
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,19 +26,9 @@ import (
 	"rnb/internal/lint"
 )
 
-// jsonDiag is the machine-readable finding record emitted by -json.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer subset to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as JSON objects, one per line")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rnblint [flags] [packages...]\n")
 		flag.PrintDefaults()
@@ -84,25 +74,8 @@ func main() {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		for _, d := range diags {
-			rec := jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			}
-			if err := enc.Encode(rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "rnblint: %d issue(s)\n", len(diags))

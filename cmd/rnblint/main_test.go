@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -43,24 +42,24 @@ func runRnblint(t *testing.T, bin string, args ...string) (string, string, int) 
 
 func TestRnblintFindsViolations(t *testing.T) {
 	bin := buildRnblint(t)
-	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/errwrap/bad")
+	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/seededrand/sim")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "errwrap: error operand formatted with %v") {
-		t.Errorf("stdout missing errwrap diagnostic:\n%s", stdout)
+	if !strings.Contains(stdout, "seededrand: global math/rand.Intn in a determinism-critical package") {
+		t.Errorf("stdout missing seededrand diagnostic:\n%s", stdout)
 	}
-	if !strings.Contains(stdout, "bad.go:13:") {
+	if !strings.Contains(stdout, "bad.go:12:9: ") {
 		t.Errorf("stdout missing positional prefix for the first finding:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, "rnblint: 4 issue(s)") {
+	if !strings.Contains(stderr, "rnblint: 3 issue(s)") {
 		t.Errorf("stderr missing issue count:\n%s", stderr)
 	}
 }
 
 func TestRnblintCleanPackageExitsZero(t *testing.T) {
 	bin := buildRnblint(t)
-	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/errwrap/good")
+	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/seededrand/sim/good")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -71,13 +70,13 @@ func TestRnblintCleanPackageExitsZero(t *testing.T) {
 
 func TestRnblintOnlySubset(t *testing.T) {
 	bin := buildRnblint(t)
-	// thelper has nothing to say about the errwrap fixture, so the
+	// frozen has nothing to say about the seededrand fixture, so the
 	// subset run must be clean even though the package has violations.
-	_, _, code := runRnblint(t, bin, "-only", "thelper", "./internal/lint/testdata/src/errwrap/bad")
+	_, _, code := runRnblint(t, bin, "-only", "frozen", "./internal/lint/testdata/src/seededrand/sim")
 	if code != 0 {
-		t.Fatalf("-only thelper exit code = %d, want 0", code)
+		t.Fatalf("-only frozen exit code = %d, want 0", code)
 	}
-	_, stderr, code := runRnblint(t, bin, "-only", "nosuch", "./internal/lint/testdata/src/errwrap/bad")
+	_, stderr, code := runRnblint(t, bin, "-only", "nosuch", "./internal/lint/testdata/src/seededrand/sim")
 	if code != 2 {
 		t.Fatalf("-only nosuch exit code = %d, want 2\nstderr:\n%s", code, stderr)
 	}
@@ -92,42 +91,13 @@ func TestRnblintList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit code = %d, want 0", code)
 	}
-	for _, name := range []string{
-		"atomiconly", "blockleak", "errwrap", "frozen", "lockheld",
-		"lockorder", "seededrand", "thelper",
-	} {
+	names := []string{"atomiconly", "blockleak", "frozen", "lockheld", "lockorder", "seededrand"}
+	for _, name := range names {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout)
 		}
 	}
-}
-
-func TestRnblintJSONOutput(t *testing.T) {
-	bin := buildRnblint(t)
-	stdout, _, code := runRnblint(t, bin, "-json", "./internal/lint/testdata/src/errwrap/bad")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout:\n%s", code, stdout)
-	}
-	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d JSON lines, want 4:\n%s", len(lines), stdout)
-	}
-	for _, line := range lines {
-		var rec struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad JSON line %q: %v", line, err)
-		}
-		if rec.File == "" || rec.Line == 0 || rec.Column == 0 {
-			t.Errorf("record missing position: %q", line)
-		}
-		if rec.Analyzer != "errwrap" || rec.Message == "" {
-			t.Errorf("record missing analyzer/message: %q", line)
-		}
+	if lines := strings.Count(stdout, "\n"); lines != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", lines, len(names), stdout)
 	}
 }

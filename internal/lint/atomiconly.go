@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // AtomicOnly enforces the sync/atomic access invariant: once any code
@@ -135,15 +134,7 @@ func fieldKey(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 		return "", false
 	}
 	if n := namedOf(s.Recv()); n != nil && n.Obj().Pkg() != nil {
-		return fmt.Sprintf("%s.%s.%s", trimModule(n.Obj().Pkg().Path()), n.Obj().Name(), field.Name()), true
+		return shortLockID(n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + field.Name()), true
 	}
 	return fmt.Sprintf("%v.%s", field.Pos(), field.Name()), true
-}
-
-// trimModule shortens diagnostic keys: "rnb/internal/obs" -> "obs".
-func trimModule(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

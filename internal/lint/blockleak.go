@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -233,20 +232,18 @@ func leakMessage(s blockSite, idx *escapeIndex) string {
 // caller's identities, so the callee's view is untrackable).
 type blCtx struct {
 	loaded map[string]bool
-	params map[*types.Var]bool
+	params map[types.Object]bool
 }
 
 func newBlCtx(pass *Pass) *blCtx {
-	ctx := &blCtx{loaded: make(map[string]bool), params: make(map[*types.Var]bool)}
+	ctx := &blCtx{loaded: make(map[string]bool), params: make(map[types.Object]bool)}
 	addFields := func(pkg *Package, fl *ast.FieldList) {
 		if fl == nil {
 			return
 		}
 		for _, f := range fl.List {
 			for _, name := range f.Names {
-				if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-					ctx.params[v] = true
-				}
+				ctx.params[pkg.Info.Defs[name]] = true
 			}
 		}
 	}
@@ -270,44 +267,22 @@ func newBlCtx(pass *Pass) *blCtx {
 	return ctx
 }
 
-// ident resolves an operand to a trackable identity; "" means
-// untrackable (skip the check — under-approximate, never cry wolf).
+// ident resolves an operand (or &operand) to its lockIdent identity;
+// "" means untrackable (skip the check — under-approximate, never cry
+// wolf).
 func (ctx *blCtx) ident(pkg *Package, e ast.Expr) string {
 	e = ast.Unparen(e)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		e = ast.Unparen(u.X)
 	}
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if n := namedOf(sel.Recv()); n != nil && n.Obj().Pkg() != nil && ctx.loaded[n.Obj().Pkg().Path()] {
-				return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + e.Sel.Name
-			}
-			return ""
-		}
-		if v, ok := pkg.Info.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil && pkgLevel(v) && ctx.loaded[v.Pkg().Path()] {
-			return v.Pkg().Path() + "." + v.Name()
-		}
-	case *ast.Ident:
-		v, ok := pkg.Info.Uses[e].(*types.Var)
-		if !ok {
-			v, ok = pkg.Info.Defs[e].(*types.Var)
-		}
-		if !ok {
-			return ""
-		}
-		if ctx.params[v] {
-			return ""
-		}
-		if pkgLevel(v) {
-			if v.Pkg() != nil && ctx.loaded[v.Pkg().Path()] {
-				return v.Pkg().Path() + "." + v.Name()
-			}
-			return ""
-		}
-		return fmt.Sprintf("local@%d.%s", v.Pos(), v.Name())
+	if id, ok := e.(*ast.Ident); ok && ctx.params[pkg.Info.ObjectOf(id)] {
+		return ""
 	}
-	return ""
+	id, owner := lockIdent(pkg, e)
+	if owner != nil && !ctx.loaded[owner.Path()] {
+		return ""
+	}
+	return id
 }
 
 // buildEscapeIndex scans every loaded file — all declarations, all
@@ -482,21 +457,7 @@ func isChanType(pkg *Package, e ast.Expr) bool {
 // collectBlockSites finds the blocking operations written directly in
 // body (literals excluded).
 func collectBlockSites(ctx *blCtx, pkg *Package, body *ast.BlockStmt) []blockSite {
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if l, ok := n.(*ast.FuncLit); ok {
-			lits = append(lits, l)
-		}
-		return true
-	})
-	inLit := func(n ast.Node) bool {
-		for _, l := range lits {
-			if l.Body.Pos() <= n.Pos() && n.End() <= l.Body.End() {
-				return true
-			}
-		}
-		return false
-	}
+	inLit := inLitOf(body)
 	// Comm statements of selects are part of the select site, not
 	// standalone ops.
 	inComm := make(map[ast.Node]bool)

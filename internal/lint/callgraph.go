@@ -1,9 +1,10 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/types"
-	"sort"
+	"slices"
 )
 
 // This file is the interprocedural half of the framework: a static
@@ -100,21 +101,36 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	for k := range g.Nodes {
 		g.keys = append(g.keys, k)
 	}
-	sort.Slice(g.keys, func(i, j int) bool { return g.keys[i] < g.keys[j] })
-	g.sccs = g.computeSCCs()
+	slices.Sort(g.keys)
+	// Successors are the callees that are themselves nodes, in source
+	// order, deduplicated. Tarjan's reverse topological order is exactly
+	// the callees-first order BottomUp promises.
+	succ := func(k FuncKey) []FuncKey {
+		var out []FuncKey
+		for _, cs := range g.Nodes[k].Calls {
+			if _, ok := g.Nodes[cs.Callee]; ok && !slices.Contains(out, cs.Callee) {
+				out = append(out, cs.Callee)
+			}
+		}
+		return out
+	}
+	for _, comp := range stronglyConnected(g.keys, succ) {
+		nodes := make([]*FuncNode, len(comp))
+		for i, k := range comp {
+			nodes[i] = g.Nodes[k]
+		}
+		g.sccs = append(g.sccs, nodes)
+	}
 	return g
 }
 
 // collectCalls resolves every call expression in the body, flagging
 // calls under func literals, defer, and go.
 func collectCalls(pkg *Package, fd *ast.FuncDecl) []CallSite {
-	var lits []*ast.FuncLit
 	deferred := make(map[*ast.CallExpr]bool)
 	gone := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			lits = append(lits, n)
 		case *ast.DeferStmt:
 			deferred[n.Call] = true
 		case *ast.GoStmt:
@@ -122,14 +138,7 @@ func collectCalls(pkg *Package, fd *ast.FuncDecl) []CallSite {
 		}
 		return true
 	})
-	inLit := func(n ast.Node) bool {
-		for _, l := range lits {
-			if l.Body.Pos() <= n.Pos() && n.End() <= l.Body.End() {
-				return true
-			}
-		}
-		return false
-	}
+	inLit := inLitOf(fd.Body)
 	var sites []CallSite
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -152,6 +161,26 @@ func collectCalls(pkg *Package, fd *ast.FuncDecl) []CallSite {
 	return sites
 }
 
+// inLitOf returns a predicate reporting whether a node lies inside one
+// of the function literals written in body.
+func inLitOf(body ast.Node) func(ast.Node) bool {
+	var lits []*ast.FuncLit
+	ast.Inspect(body, func(n ast.Node) bool {
+		if l, ok := n.(*ast.FuncLit); ok {
+			lits = append(lits, l)
+		}
+		return true
+	})
+	return func(n ast.Node) bool {
+		for _, l := range lits {
+			if l.Body.Pos() <= n.Pos() && n.End() <= l.Body.End() {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 // BottomUp returns the strongly connected components in callees-first
 // order: when SCC i is handed out, every function any of its members
 // calls outside the component has already appeared in an earlier SCC.
@@ -159,89 +188,66 @@ func collectCalls(pkg *Package, fd *ast.FuncDecl) []CallSite {
 // iterate such a component to a fixpoint (see Converge in facts.go).
 func (g *CallGraph) BottomUp() [][]*FuncNode { return g.sccs }
 
-// computeSCCs runs Tarjan's algorithm iteratively (function bodies can
-// nest calls arbitrarily deep, but the call DAG itself can also be
-// deep — no recursion on it). Tarjan emits components in reverse
-// topological order of the condensation, which is exactly the
-// callees-first order BottomUp promises.
-func (g *CallGraph) computeSCCs() [][]*FuncNode {
-	index := make(map[FuncKey]int, len(g.Nodes))
-	low := make(map[FuncKey]int, len(g.Nodes))
-	onStack := make(map[FuncKey]bool, len(g.Nodes))
-	var stack []FuncKey
-	var sccs [][]*FuncNode
-	next := 0
-
-	// succ returns the callee keys that are themselves nodes, in
-	// deterministic (source) order, deduplicated.
-	succ := func(k FuncKey) []FuncKey {
-		n := g.Nodes[k]
-		seen := make(map[FuncKey]bool)
-		var out []FuncKey
-		for _, cs := range n.Calls {
-			if _, ok := g.Nodes[cs.Callee]; !ok {
-				continue
-			}
-			if !seen[cs.Callee] {
-				seen[cs.Callee] = true
-				out = append(out, cs.Callee)
-			}
-		}
-		return out
-	}
-
+// stronglyConnected runs Tarjan's algorithm over the nodes reachable
+// from roots, iteratively (call chains and lock graphs can both be
+// deep). succ must return successors in a deterministic order.
+// Components come out in reverse topological order of the
+// condensation — every component a node reaches outside its own comes
+// first — and each component is sorted.
+func stronglyConnected[K cmp.Ordered](roots []K, succ func(K) []K) [][]K {
+	index := make(map[K]int)
+	low := make(map[K]int)
+	onStack := make(map[K]bool)
+	var stack []K
+	var sccs [][]K
 	type frame struct {
-		key   FuncKey
-		succs []FuncKey
+		key   K
+		succs []K
 		next  int
 	}
-	for _, root := range g.keys {
+	var frames []frame
+	push := func(k K) {
+		index[k], low[k] = len(index), len(index)
+		stack = append(stack, k)
+		onStack[k] = true
+		frames = append(frames, frame{key: k, succs: succ(k)})
+	}
+	for _, root := range roots {
 		if _, visited := index[root]; visited {
 			continue
 		}
-		frames := []frame{{key: root, succs: succ(root)}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+		push(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			if f.next < len(f.succs) {
 				w := f.succs[f.next]
 				f.next++
 				if _, visited := index[w]; !visited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{key: w, succs: succ(w)})
+					push(w)
 				} else if onStack[w] && index[w] < low[f.key] {
 					low[f.key] = index[w]
 				}
 				continue
 			}
-			// f exhausted: pop, propagate lowlink, maybe emit SCC.
-			done := *f
+			// f exhausted: pop, propagate lowlink, maybe emit an SCC.
+			k := f.key
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				if low[done.key] < low[frames[len(frames)-1].key] {
-					low[frames[len(frames)-1].key] = low[done.key]
-				}
+				parent := frames[len(frames)-1].key
+				low[parent] = min(low[parent], low[k])
 			}
-			if low[done.key] == index[done.key] {
-				var comp []*FuncNode
+			if low[k] == index[k] {
+				var comp []K
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp = append(comp, g.Nodes[w])
-					if w == done.key {
+					comp = append(comp, w)
+					if w == k {
 						break
 					}
 				}
-				sort.Slice(comp, func(i, j int) bool { return comp[i].Key < comp[j].Key })
+				slices.Sort(comp)
 				sccs = append(sccs, comp)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -141,21 +142,24 @@ type vstatus struct {
 	pubPos token.Pos // for vPublished: where it escaped
 }
 
-// frozenScan is the per-function dataflow. The same scan runs twice:
-// once during Converge with report=false to grow mutation facts, once
-// after with report=true to emit diagnostics against the converged
-// facts.
+// statuses is frozen's flow state: the status of each tracked local.
+type statuses map[*types.Var]vstatus
+
+// frozenScan is the per-function dataflow, a flow (walk.go) over
+// statuses. The same scan runs twice: once during Converge with
+// report=false to grow mutation facts, once after with report=true to
+// emit diagnostics against the converged facts.
 type frozenScan struct {
 	fz       *frozen
 	n        *FuncNode
-	statuses map[*types.Var]vstatus
+	statuses statuses // the state at the statement being judged
 	report   bool
 	changed  bool
 	reported map[token.Pos]bool
 }
 
 func (fz *frozen) newScan(n *FuncNode, report bool) *frozenScan {
-	return &frozenScan{fz: fz, n: n, statuses: make(map[*types.Var]vstatus), report: report, reported: make(map[token.Pos]bool)}
+	return &frozenScan{fz: fz, n: n, statuses: make(statuses), report: report, reported: make(map[token.Pos]bool)}
 }
 
 func (s *frozenScan) run() {
@@ -182,16 +186,42 @@ func (s *frozenScan) run() {
 			slot += len(f.Names)
 		}
 	}
-	s.stmts(s.n.Decl.Body.List)
+	walkBlock(s, s.n.Decl.Body.List, s.statuses)
 }
 
-func (s *frozenScan) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		s.stmt(st)
+func (s *frozenScan) fork(cur statuses) statuses { return maps.Clone(cur) }
+
+// join keeps any publish observed in any arm (conservative for code
+// after the branch) without letting one arm's publish contaminate a
+// sibling: each arm ran from its own fork.
+func (s *frozenScan) join(before statuses, arms []statuses, _ []bool) statuses {
+	merged := maps.Clone(before)
+	for _, arm := range arms {
+		for v, st := range arm {
+			if st.kind == vPublished {
+				merged[v] = st
+			}
+		}
 	}
+	return merged
 }
 
-func (s *frozenScan) stmt(st ast.Stmt) {
+// loop scans the body twice: a publish at the bottom of the body
+// reaches a write at the top on the next iteration.
+func (s *frozenScan) loop(body []ast.Stmt, post ast.Stmt, cur statuses) statuses {
+	return walkOpt(s, post, walkBlock(s, body, walkBlock(s, body, cur)))
+}
+
+func (s *frozenScan) expr(e ast.Expr, cur statuses) {
+	s.statuses = cur
+	s.exprEffects(e)
+}
+
+// comm is a select arm's send or receive, judged like any statement.
+func (s *frozenScan) comm(st ast.Stmt, cur statuses) statuses { return s.stmt(st, cur) }
+
+func (s *frozenScan) stmt(st ast.Stmt, cur statuses) statuses {
+	s.statuses = cur
 	switch st := st.(type) {
 	case *ast.AssignStmt:
 		// Violations and facts first, then status updates: the write is
@@ -265,103 +295,8 @@ func (s *frozenScan) stmt(st ast.Stmt) {
 		s.exprEffects(st.Call)
 	case *ast.DeferStmt:
 		s.exprEffects(st.Call)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		s.exprEffects(st.Cond)
-		s.branch(func() { s.stmts(st.Body.List) }, func() {
-			if st.Else != nil {
-				s.stmt(st.Else)
-			}
-		})
-	case *ast.BlockStmt:
-		s.stmts(st.List)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Cond != nil {
-			s.exprEffects(st.Cond)
-		}
-		// Twice: a publish at the bottom of the body reaches a write at
-		// the top on the next iteration.
-		s.stmts(st.Body.List)
-		s.stmts(st.Body.List)
-		if st.Post != nil {
-			s.stmt(st.Post)
-		}
-	case *ast.RangeStmt:
-		s.exprEffects(st.X)
-		s.stmts(st.Body.List)
-		s.stmts(st.Body.List)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Tag != nil {
-			s.exprEffects(st.Tag)
-		}
-		s.clauses(st.Body.List)
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		s.clauses(st.Body.List)
-	case *ast.SelectStmt:
-		s.clauses(st.Body.List)
-	case *ast.LabeledStmt:
-		s.stmt(st.Stmt)
 	}
-}
-
-// branch runs each arm against a clone of the statuses and merges by
-// keeping any publish observed in any arm (conservative for code after
-// the branch) without letting one arm's publish contaminate a sibling.
-func (s *frozenScan) branch(arms ...func()) {
-	before := s.statuses
-	merged := cloneStatuses(before)
-	for _, arm := range arms {
-		s.statuses = cloneStatuses(before)
-		arm()
-		for v, st := range s.statuses {
-			if st.kind == vPublished {
-				merged[v] = st
-			}
-		}
-	}
-	s.statuses = merged
-}
-
-func (s *frozenScan) clauses(list []ast.Stmt) {
-	arms := make([]func(), 0, len(list))
-	for _, c := range list {
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			body := cc.Body
-			for _, e := range cc.List {
-				s.exprEffects(e)
-			}
-			arms = append(arms, func() { s.stmts(body) })
-		case *ast.CommClause:
-			comm, body := cc.Comm, cc.Body
-			arms = append(arms, func() {
-				if comm != nil {
-					s.stmt(comm)
-				}
-				s.stmts(body)
-			})
-		}
-	}
-	s.branch(arms...)
-}
-
-func cloneStatuses(m map[*types.Var]vstatus) map[*types.Var]vstatus {
-	c := make(map[*types.Var]vstatus, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+	return s.statuses
 }
 
 // localVar resolves an identifier to its (function-scoped) variable.
@@ -507,7 +442,7 @@ func (s *frozenScan) exprEffects(e ast.Expr) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			sub := s.fz.newScan(s.n, s.report)
-			sub.stmts(n.Body.List)
+			walkBlock(sub, n.Body.List, sub.statuses)
 			s.changed = s.changed || sub.changed
 			return false
 		case *ast.CallExpr:

@@ -9,16 +9,17 @@
 // through //rnblint:ignore suppression directives.
 //
 // Two analyzer generations coexist. The first-generation checks
-// (lockheld, atomiconly, seededrand, errwrap, thelper) are
-// intraprocedural AST passes. The second generation (lockorder,
-// frozen, blockleak) is interprocedural: callgraph.go builds a static
-// call graph over every loaded unit and facts.go runs per-function
-// summary computations bottom-up over its strongly connected
-// components, the way go/analysis facts flow between packages — so a
-// lock acquired three calls deep, or a frozen-type mutation hidden in
-// a helper, is visible at the outermost call site. All analyzers are
-// best-effort by design: they encode the specific invariants this
-// codebase relies on, not general-purpose soundness.
+// (lockheld, atomiconly, seededrand) are intraprocedural AST passes.
+// The second generation (lockorder, frozen, blockleak) is
+// interprocedural: callgraph.go builds a static call graph over every
+// loaded unit and facts.go runs per-function summary computations
+// bottom-up over its strongly connected components, the way
+// go/analysis facts flow between packages — so a lock acquired three
+// calls deep, or a frozen-type mutation hidden in a helper, is visible
+// at the outermost call site. The flow-sensitive ones (lockheld,
+// lockorder, frozen) share one statement walker (walk.go). All
+// analyzers are best-effort by design: they encode the specific
+// invariants this codebase relies on, not general-purpose soundness.
 package lint
 
 import (
@@ -88,12 +89,10 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AtomicOnly,
 		BlockLeak,
-		ErrWrap,
 		Frozen,
 		LockHeld,
 		LockOrder,
 		SeededRand,
-		THelper,
 	}
 }
 

@@ -136,7 +136,7 @@ func claimWant(exps []*expectation, analyzer, message string) bool {
 // TestSuppressionDirectives loads the suppress fixture, whose
 // expectations cannot live in want comments (malformed-directive
 // diagnostics land on comment-only lines). It checks that well-formed
-// directives silence the errwrap findings they cover, and that each
+// directives silence the lockheld findings they cover, and that each
 // malformed form — bare, unknown analyzer, missing reason — is itself
 // reported and suppresses nothing.
 func TestSuppressionDirectives(t *testing.T) {
@@ -149,21 +149,21 @@ func TestSuppressionDirectives(t *testing.T) {
 		t.Logf("diagnostic: %s", d)
 	}
 
-	var rnblint, errwrap int
+	var rnblint, lockheld int
 	for _, d := range diags {
 		switch d.Analyzer {
 		case "rnblint":
 			rnblint++
-		case "errwrap":
-			errwrap++
+		case "lockheld":
+			lockheld++
 		default:
 			t.Errorf("unexpected analyzer %q: %s", d.Analyzer, d)
 		}
 	}
-	// Three well-formed suppressions silence three of the six errwrap
+	// Three well-formed suppressions silence three of the six lockheld
 	// findings; the three under malformed directives survive.
-	if errwrap != 3 {
-		t.Errorf("got %d errwrap diagnostics, want 3 (malformed directives must not suppress)", errwrap)
+	if lockheld != 3 {
+		t.Errorf("got %d lockheld diagnostics, want 3 (malformed directives must not suppress)", lockheld)
 	}
 	// One rnblint diagnostic per malformed directive, plus one for the
 	// well-formed directive that suppresses nothing.
@@ -194,11 +194,11 @@ func hasDiag(diags []Diagnostic, analyzer, substr string) bool {
 // TestByName covers analyzer selection, including the unknown-name
 // error path used by cmd/rnblint's -only flag.
 func TestByName(t *testing.T) {
-	got, err := ByName([]string{"errwrap", "lockheld"})
+	got, err := ByName([]string{"frozen", "lockheld"})
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
 	}
-	if len(got) != 2 || got[0].Name != "errwrap" || got[1].Name != "lockheld" {
+	if len(got) != 2 || got[0].Name != "frozen" || got[1].Name != "lockheld" {
 		t.Fatalf("ByName returned wrong analyzers: %v", got)
 	}
 	if _, err := ByName([]string{"nosuch"}); err == nil {

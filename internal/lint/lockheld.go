@@ -16,11 +16,11 @@ import (
 //
 // The analysis is intraprocedural (the interprocedural complement is
 // lockorder, which follows lock acquisitions through call chains) and
-// rides the shared lockWalker CFG engine: lock state flows through
-// straight-line code, branches (a path that unlocks and returns does
-// not poison the code after the branch), and loops. sync.Cond.Wait is
-// deliberately not a violation: it releases the mutex while waiting —
-// that is its contract.
+// rides lockFlow on the shared statement walker: lock state flows
+// through straight-line code, branches (a path that unlocks and
+// returns does not poison the code after the branch), and loops.
+// sync.Cond.Wait is deliberately not a violation: it releases the
+// mutex while waiting — that is its contract.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "no blocking call (I/O, channel op, sleep, transport round trip) while a sync mutex is held",
@@ -30,11 +30,11 @@ var LockHeld = &Analyzer{
 func runLockHeld(pass *Pass) {
 	for _, pkg := range pass.Pkgs {
 		lh := &lockHeld{pkg: pkg, report: pass.Report}
-		w := &lockWalker{pkg: pkg, hooks: lh}
+		w := &lockFlow{pkg: pkg, hooks: lh}
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-					w.walkFunc(fn.Body)
+					walkBlock(w, fn.Body.List, heldSet{})
 				}
 			}
 		}
@@ -78,7 +78,7 @@ var netBlockingMethods = map[string]bool{
 // may read replies owed on the connection first) or its collect half.
 var memcacheBlockingMethods = map[string]bool{
 	"Get": true, "GetMulti": true, "GetsMulti": true,
-	"TracedGetMulti": true, "TracedGetItems": true, "SendGet": true, "Collect": true,
+	"TracedGetMulti": true, "SendGet": true, "Collect": true,
 	"Set": true, "SetPinned": true, "Add": true, "Replace": true,
 	"CompareAndSwap": true, "Append": true, "Prepend": true,
 	"Incr": true, "Decr": true, "Delete": true, "Touch": true,

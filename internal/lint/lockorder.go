@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -15,7 +14,7 @@ import (
 // ("memcache.Client.mu", collapsing instances) or package-level var —
 // computes per-function summaries of the identities each function may
 // acquire (transitively, bottom-up over the call-graph SCCs), and
-// threads the lockWalker's held set through every body: each "lock B
+// threads lockFlow's held set through every body: each "lock B
 // acquired (directly or through any call chain) while A is held"
 // becomes an edge A→B in a global acquisition graph. A cycle in that
 // graph is an ordering deadlock waiting for the right interleaving,
@@ -80,8 +79,7 @@ func runLockOrder(pass *Pass) {
 				continue
 			}
 			if mutexAcquireKeys[cs.Callee] {
-				id, global := lockIdent(n.Pkg, mutexRecv(cs.Call))
-				if global {
+				if id, owner := lockIdent(n.Pkg, mutexRecv(cs.Call)); owner != nil {
 					if _, ok := sum[id]; !ok {
 						sum[id] = cs.Call.Pos()
 						changed = true
@@ -108,8 +106,8 @@ func runLockOrder(pass *Pass) {
 	for _, key := range g.Keys() {
 		n := g.Nodes[key]
 		h := &orderHooks{lo: lo, pkg: n.Pkg}
-		w := &lockWalker{pkg: n.Pkg, hooks: h}
-		w.walkFunc(n.Decl.Body)
+		w := &lockFlow{pkg: n.Pkg, hooks: h}
+		walkBlock(w, n.Decl.Body.List, heldSet{})
 	}
 	lo.reportCycles()
 }
@@ -123,7 +121,7 @@ type orderHooks struct {
 func (h *orderHooks) blocking(pos token.Pos, label string, held heldSet) {}
 
 func (h *orderHooks) acquire(recv ast.Expr, op string, call *ast.CallExpr, held heldSet) {
-	id, global := lockIdent(h.pkg, recv)
+	id, owner := lockIdent(h.pkg, recv)
 	if id == "" {
 		return
 	}
@@ -131,10 +129,10 @@ func (h *orderHooks) acquire(recv ast.Expr, op string, call *ast.CallExpr, held 
 	// self-deadlock when the new acquisition is a write lock (RLock
 	// after RLock merely risks writer starvation; stay quiet there).
 	if hl, ok := held[types.ExprString(recv)]; ok && op == "Lock" {
-		h.lo.pass.Report(h.pkg, call.Pos(), "Lock of %s while it is already held (locked at %s): guaranteed self-deadlock", shortLockID(id), h.shortPos(hl.pos))
+		h.lo.pass.Report(h.pkg, call.Pos(), "Lock of %s while it is already held (locked at %s): guaranteed self-deadlock", shortLockID(id), shortPosIn(h.pkg, hl.pos))
 		return
 	}
-	if !global {
+	if owner == nil {
 		return
 	}
 	h.addHeldEdges(held, id, call.Pos())
@@ -167,17 +165,10 @@ func (h *orderHooks) call(call *ast.CallExpr, held heldSet, inLoop bool) {
 // identified held lock.
 func (h *orderHooks) addHeldEdges(held heldSet, to string, pos token.Pos) {
 	for _, hl := range held {
-		from, global := lockIdent(h.pkg, hl.expr)
-		if !global {
-			continue
+		if from, owner := lockIdent(h.pkg, hl.expr); owner != nil {
+			h.lo.addEdge(from, to, h.pkg, pos)
 		}
-		h.lo.addEdge(from, to, h.pkg, pos)
 	}
-}
-
-func (h *orderHooks) shortPos(pos token.Pos) string {
-	p := h.pkg.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
 // checkCond enforces the Cond discipline at Wait/Signal/Broadcast
@@ -192,7 +183,7 @@ func (h *orderHooks) checkCond(call *ast.CallExpr, held heldSet, inLoop bool) {
 	default:
 		return
 	}
-	condID, _ := condIdent(h.pkg, mutexRecv(call))
+	condID, _ := lockIdent(h.pkg, mutexRecv(call))
 	guard := ""
 	if condID != "" {
 		guard = h.lo.condGuards[condID]
@@ -236,16 +227,18 @@ func (lo *lockOrder) addEdge(from, to string, pkg *Package, pos token.Pos) {
 // the cond destination to the lock named by a &<mutex> argument.
 func (lo *lockOrder) collectCondGuards() {
 	conflicted := make(map[string]bool)
-	record := func(pkg *Package, dst ast.Expr, arg ast.Expr) {
-		condID, _ := condIdent(pkg, dst)
-		if condID == "" {
+	// record maps the cond dst (or the struct field condID, when dst is
+	// nil) to the lock its sync.NewCond call names.
+	record := func(pkg *Package, dst ast.Expr, condID string, call *ast.CallExpr) {
+		if dst != nil {
+			condID, _ = lockIdent(pkg, dst)
+		}
+		if condID == "" || !isPkgFunc(pkg.Info, call, "sync", "NewCond") || len(call.Args) != 1 {
 			return
 		}
 		guard := ""
-		if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-			if id, _ := lockIdent(pkg, u.X); id != "" {
-				guard = id
-			}
+		if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			guard, _ = lockIdent(pkg, u.X)
 		}
 		if prev, ok := lo.condGuards[condID]; ok && prev != guard {
 			conflicted[condID] = true
@@ -258,14 +251,14 @@ func (lo *lockOrder) collectCondGuards() {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for i, rhs := range n.Rhs {
-						if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isPkgFunc(pkg.Info, call, "sync", "NewCond") && len(call.Args) == 1 && i < len(n.Lhs) {
-							record(pkg, n.Lhs[i], call.Args[0])
+						if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && i < len(n.Lhs) {
+							record(pkg, n.Lhs[i], "", call)
 						}
 					}
 				case *ast.ValueSpec:
 					for i, v := range n.Values {
-						if call, ok := ast.Unparen(v).(*ast.CallExpr); ok && isPkgFunc(pkg.Info, call, "sync", "NewCond") && len(call.Args) == 1 && i < len(n.Names) {
-							record(pkg, n.Names[i], call.Args[0])
+						if call, ok := ast.Unparen(v).(*ast.CallExpr); ok && i < len(n.Names) {
+							record(pkg, n.Names[i], "", call)
 						}
 					}
 				case *ast.CompositeLit:
@@ -286,18 +279,8 @@ func (lo *lockOrder) collectCondGuards() {
 						if !ok {
 							continue
 						}
-						if call, ok := ast.Unparen(kv.Value).(*ast.CallExpr); ok && isPkgFunc(pkg.Info, call, "sync", "NewCond") && len(call.Args) == 1 {
-							condID := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + key.Name
-							guard := ""
-							if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
-								if id, _ := lockIdent(pkg, u.X); id != "" {
-									guard = id
-								}
-							}
-							if prev, ok := lo.condGuards[condID]; ok && prev != guard {
-								conflicted[condID] = true
-							}
-							lo.condGuards[condID] = guard
+						if call, ok := ast.Unparen(kv.Value).(*ast.CallExpr); ok {
+							record(pkg, nil, named.Obj().Pkg().Path()+"."+named.Obj().Name()+"."+key.Name, call)
 						}
 					}
 				}
@@ -337,7 +320,7 @@ func (lo *lockOrder) reportCycles() {
 		sort.Strings(tos)
 		return tos
 	}
-	for _, comp := range tarjanIDs(nodes, succ) {
+	for _, comp := range stronglyConnected(nodes, succ) {
 		if len(comp) == 1 {
 			id := comp[0]
 			if _, self := lo.edges[id][id]; !self {
@@ -398,62 +381,11 @@ func (lo *lockOrder) reportCycle(comp []string) {
 		if anchor.pkg == nil || e.pos < anchor.pos {
 			anchor = e
 		}
-		p := e.pkg.Fset.Position(e.pos)
-		fmt.Fprintf(&b, " -> %s (%s:%d)", shortLockID(to), filepath.Base(p.Filename), p.Line)
+		fmt.Fprintf(&b, " -> %s (%s)", shortLockID(to), shortPosIn(e.pkg, e.pos))
 		prev = to
 	}
 	b.WriteString("; consistent acquisition order required")
 	lo.pass.Report(anchor.pkg, anchor.pos, "%s", b.String())
-}
-
-// tarjanIDs computes SCCs over string ids (recursive: lock graphs are
-// tiny). Components come out in reverse topological order; each is
-// sorted.
-func tarjanIDs(nodes []string, succ func(string) []string) [][]string {
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var sccs [][]string
-	next := 0
-	var strong func(v string)
-	strong = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range succ(v) {
-			if _, ok := index[w]; !ok {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(comp)
-			sccs = append(sccs, comp)
-		}
-	}
-	for _, v := range nodes {
-		if _, ok := index[v]; !ok {
-			strong(v)
-		}
-	}
-	return sccs
 }
 
 // lockIdent computes a stable identity for a mutex (or cond) holder
@@ -462,38 +394,30 @@ func tarjanIDs(nodes []string, succ func(string) []string) [][]string {
 // code paths touching a field, not of one instance. Package-level vars
 // are "pkgpath.name". Locals get a function-scoped identity usable for
 // guard matching but excluded (global=false) from the acquisition
-// graph, where cross-function identity would be meaningless.
-func lockIdent(pkg *Package, e ast.Expr) (id string, global bool) {
-	e = ast.Unparen(e)
-	switch e := e.(type) {
+// graph, where cross-function identity would be meaningless. owner is
+// the package a global identity belongs to, nil for locals. sync.Cond
+// and channel identities (blockleak) follow the same rules.
+func lockIdent(pkg *Package, e ast.Expr) (id string, owner *types.Package) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
 			if n := namedOf(sel.Recv()); n != nil && n.Obj().Pkg() != nil {
-				return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + e.Sel.Name, true
+				return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + e.Sel.Name, n.Obj().Pkg()
 			}
-			return "", false
+			return "", nil
 		}
-		if v, ok := pkg.Info.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil && pkgLevel(v) {
-			return v.Pkg().Path() + "." + v.Name(), true
+		if v, ok := pkg.Info.Uses[e.Sel].(*types.Var); ok && pkgLevel(v) {
+			return v.Pkg().Path() + "." + v.Name(), v.Pkg()
 		}
 	case *ast.Ident:
-		v, ok := pkg.Info.Uses[e].(*types.Var)
-		if !ok {
-			v, ok = pkg.Info.Defs[e].(*types.Var)
-		}
-		if ok {
-			if pkgLevel(v) && v.Pkg() != nil {
-				return v.Pkg().Path() + "." + v.Name(), true
+		if v, ok := pkg.Info.ObjectOf(e).(*types.Var); ok {
+			if pkgLevel(v) {
+				return v.Pkg().Path() + "." + v.Name(), v.Pkg()
 			}
-			return fmt.Sprintf("local@%d.%s", v.Pos(), v.Name()), false
+			return fmt.Sprintf("local@%d.%s", v.Pos(), v.Name()), nil
 		}
 	}
-	return "", false
-}
-
-// condIdent is lockIdent for sync.Cond expressions (identical rules).
-func condIdent(pkg *Package, e ast.Expr) (string, bool) {
-	return lockIdent(pkg, e)
+	return "", nil
 }
 
 // shortLockID trims the module prefix for readable diagnostics:

@@ -4,19 +4,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
-// lockWalker is the CFG engine shared by lockheld and lockorder: it
-// threads a held-mutex set through a function body — straight-line
-// code, branches (a path that unlocks and returns does not poison the
-// code after the branch), and loops — and fires hooks at mutex
-// acquisitions, blocking operations, and call sites. Function literals
-// start with a clean slate: they run at some other time, under some
-// other goroutine's locks.
-type lockWalker struct {
+// lockFlow is the flow (walk.go) shared by lockheld and lockorder: it
+// threads a held-mutex set through a function body — a path that
+// unlocks and returns does not poison the code after its branch — and
+// fires hooks at mutex acquisitions, blocking operations, and call
+// sites. Function literals start with a clean slate: they run at some
+// other time, under some other goroutine's locks.
+type lockFlow struct {
 	pkg   *Package
 	hooks lockHooks
-	loop  int // current for/range nesting depth, literals reset it
+	depth int // current for/range nesting depth, literals reset it
 }
 
 // lockHooks receives the walker's events. Every hook gets the held set
@@ -46,19 +46,7 @@ type heldLock struct {
 // acquisition record.
 type heldSet map[string]heldLock
 
-func newHeldSet() heldSet { return heldSet{} }
-
-func (h heldSet) clone() heldSet {
-	c := make(heldSet, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-// intersect keeps only mutexes held in both sets — the merge rule at
-// control-flow joins, chosen to under-approximate "held" so a branch
-// that unlocks cannot cause false positives downstream.
+// intersect keeps only mutexes held in both sets.
 func (h heldSet) intersect(o heldSet) heldSet {
 	c := make(heldSet)
 	for k, v := range h {
@@ -69,41 +57,43 @@ func (h heldSet) intersect(o heldSet) heldSet {
 	return c
 }
 
-// walkFunc runs the walker over one function body.
-func (l *lockWalker) walkFunc(body *ast.BlockStmt) {
-	l.block(body.List, newHeldSet())
-}
+func (l *lockFlow) fork(h heldSet) heldSet { return maps.Clone(h) }
 
-// block processes a statement list sequentially, threading lock state
-// through it, and returns the state at its end.
-func (l *lockWalker) block(stmts []ast.Stmt, held heldSet) heldSet {
-	for _, s := range stmts {
-		held = l.stmt(s, held)
-	}
-	return held
-}
-
-// terminates reports whether a statement list ends by leaving the
-// enclosing flow (return, branch, panic), so its lock state cannot
-// reach the code after the construct it belongs to.
-func terminates(stmts []ast.Stmt) bool {
-	if len(stmts) == 0 {
-		return false
-	}
-	switch s := stmts[len(stmts)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
+// join intersects the arms that reach the code after the branch — the
+// merge rule chosen to under-approximate "held", so a branch that
+// unlocks cannot cause false positives downstream. When every arm
+// leaves, the state before the branch stands.
+func (l *lockFlow) join(before heldSet, arms []heldSet, exits []bool) heldSet {
+	var out heldSet
+	for i, arm := range arms {
+		switch {
+		case exits[i]:
+		case out == nil:
+			out = arm
+		default:
+			out = out.intersect(arm)
 		}
 	}
-	return false
+	if out == nil {
+		return before
+	}
+	return out
 }
 
-func (l *lockWalker) stmt(s ast.Stmt, held heldSet) heldSet {
+// loop walks the body once, from a fork: the locks held after the loop
+// are those held both before it and after one pass.
+func (l *lockFlow) loop(body []ast.Stmt, post ast.Stmt, held heldSet) heldSet {
+	l.depth++
+	out := walkBlock(l, body, l.fork(held))
+	l.depth--
+	return held.intersect(walkOpt(l, post, out))
+}
+
+// comm skips a select arm's communication: the select itself is the
+// blocking operation.
+func (l *lockFlow) comm(s ast.Stmt, held heldSet) heldSet { return held }
+
+func (l *lockFlow) stmt(s ast.Stmt, held heldSet) heldSet {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
@@ -118,8 +108,7 @@ func (l *lockWalker) stmt(s ast.Stmt, held heldSet) heldSet {
 				return held
 			}
 		}
-		l.checkExpr(s.X, held)
-		return held
+		l.expr(s.X, held)
 	case *ast.DeferStmt:
 		// A deferred unlock keeps the mutex held to the end of the
 		// function (correct: later statements still run locked). The
@@ -127,168 +116,64 @@ func (l *lockWalker) stmt(s ast.Stmt, held heldSet) heldSet {
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			l.walkLit(lit)
 		}
-		return held
 	case *ast.GoStmt:
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			l.walkLit(lit)
 		}
-		l.checkArgs(s.Call, held)
-		return held
+		for _, a := range s.Call.Args {
+			l.expr(a, held)
+		}
 	case *ast.SendStmt:
 		l.hooks.blocking(s.Pos(), "channel send", held)
-		return held
 	case *ast.SelectStmt:
-		hasDefault := false
 		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+			if c.(*ast.CommClause).Comm == nil {
+				return held
 			}
 		}
-		if !hasDefault {
-			l.hooks.blocking(s.Pos(), "blocking select", held)
-		}
-		out := held.clone()
-		first := true
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			after := l.block(cc.Body, held.clone())
-			if terminates(cc.Body) {
-				continue
-			}
-			if first {
-				out, first = after, false
-			} else {
-				out = out.intersect(after)
-			}
-		}
-		return out
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			l.checkExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			l.checkExpr(e, held)
-		}
-		return held
-	case *ast.DeclStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				l.checkExpr(e, held)
-				return false
-			}
-			return true
-		})
-		return held
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			l.checkExpr(e, held)
-		}
-		return held
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held = l.stmt(s.Init, held)
-		}
-		l.checkExpr(s.Cond, held)
-		thenOut := l.block(s.Body.List, held.clone())
-		thenTerm := terminates(s.Body.List)
-		elseOut := held.clone()
-		elseTerm := false
-		if s.Else != nil {
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				elseOut = l.block(e.List, held.clone())
-				elseTerm = terminates(e.List)
-			default:
-				elseOut = l.stmt(s.Else, held.clone())
-			}
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return held
-		case thenTerm:
-			return elseOut
-		case elseTerm:
-			return thenOut
-		default:
-			return thenOut.intersect(elseOut)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held = l.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			l.checkExpr(s.Cond, held)
-		}
-		l.loop++
-		body := l.block(s.Body.List, held.clone())
-		l.loop--
-		if s.Post != nil {
-			l.stmt(s.Post, body)
-		}
-		return held.intersect(body)
+		l.hooks.blocking(s.Pos(), "blocking select", held)
 	case *ast.RangeStmt:
-		l.checkExpr(s.X, held)
 		if tv, ok := l.pkg.Info.Types[s.X]; ok {
 			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 				l.hooks.blocking(s.Pos(), "range over channel", held)
 			}
 		}
-		l.loop++
-		body := l.block(s.Body.List, held.clone())
-		l.loop--
-		return held.intersect(body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held = l.stmt(s.Init, held)
+	case *ast.AssignStmt:
+		for _, e := range s.Rhs {
+			l.expr(e, held)
 		}
-		if s.Tag != nil {
-			l.checkExpr(s.Tag, held)
+		for _, e := range s.Lhs {
+			l.expr(e, held)
 		}
-		return l.caseClauses(s.Body.List, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			held = l.stmt(s.Init, held)
+	case *ast.DeclStmt:
+		ast.Inspect(s, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok {
+				l.expr(e, held)
+				return false
+			}
+			return true
+		})
+	case *ast.ReturnStmt:
+		for _, e := range s.Results {
+			l.expr(e, held)
 		}
-		return l.caseClauses(s.Body.List, held)
-	case *ast.BlockStmt:
-		return l.block(s.List, held.clone()).intersect(held.clone())
-	case *ast.LabeledStmt:
-		return l.stmt(s.Stmt, held)
 	}
 	return held
-}
-
-func (l *lockWalker) caseClauses(clauses []ast.Stmt, held heldSet) heldSet {
-	out := held.clone() // no case may match (or empty switch)
-	for _, c := range clauses {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			l.checkExpr(e, held)
-		}
-		after := l.block(cc.Body, held.clone())
-		if !terminates(cc.Body) {
-			out = out.intersect(after)
-		}
-	}
-	return out
 }
 
 // walkLit analyzes a function literal's body with a clean slate: no
 // held locks and a loop depth of zero (the literal may run far from
 // the loop it is written in).
-func (l *lockWalker) walkLit(lit *ast.FuncLit) {
-	outer := l.loop
-	l.loop = 0
-	l.block(lit.Body.List, newHeldSet())
-	l.loop = outer
+func (l *lockFlow) walkLit(lit *ast.FuncLit) {
+	outer := l.depth
+	l.depth = 0
+	walkBlock(l, lit.Body.List, heldSet{})
+	l.depth = outer
 }
 
 // mutexOp reports whether call is Lock/RLock/Unlock/RUnlock on a
 // sync.Mutex or sync.RWMutex receiver.
-func (l *lockWalker) mutexOp(call *ast.CallExpr) (string, bool) {
+func (l *lockFlow) mutexOp(call *ast.CallExpr) (string, bool) {
 	recv, name, ok := callReceiver(l.pkg.Info, call)
 	if !ok {
 		return "", false
@@ -313,9 +198,9 @@ func mutexRecv(call *ast.CallExpr) ast.Expr {
 	return call.Fun
 }
 
-// checkExpr walks an expression firing receive/call hooks. Function
+// expr walks an expression firing receive/call hooks. Function
 // literals start with a clean slate.
-func (l *lockWalker) checkExpr(e ast.Expr, held heldSet) {
+func (l *lockFlow) expr(e ast.Expr, held heldSet) {
 	if e == nil {
 		return
 	}
@@ -329,14 +214,8 @@ func (l *lockWalker) checkExpr(e ast.Expr, held heldSet) {
 				l.hooks.blocking(n.Pos(), "channel receive", held)
 			}
 		case *ast.CallExpr:
-			l.hooks.call(n, held, l.loop > 0)
+			l.hooks.call(n, held, l.depth > 0)
 		}
 		return true
 	})
-}
-
-func (l *lockWalker) checkArgs(call *ast.CallExpr, held heldSet) {
-	for _, a := range call.Args {
-		l.checkExpr(a, held)
-	}
 }

@@ -4,17 +4,24 @@
 package extest_test
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"rnb/internal/lint/testdata/src/extest"
 )
 
-func mustDouble(t *testing.T, n, want int) { // want thelper "test helper mustDouble must call t.Helper()"
-	if got := extest.Double(n); got != want {
-		t.Fatalf("Double(%d) = %d, want %d", n, got, want)
-	}
+var mu sync.Mutex
+
+func settle() {
+	mu.Lock()
+	defer mu.Unlock()
+	time.Sleep(time.Millisecond) // want lockheld "time.Sleep while mu is held"
 }
 
 func TestDouble(t *testing.T) {
-	mustDouble(t, 2, 4)
+	settle()
+	if got := extest.Double(2); got != 4 {
+		t.Fatalf("Double(2) = %d, want 4", got)
+	}
 }

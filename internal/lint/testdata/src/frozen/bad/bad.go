@@ -56,3 +56,26 @@ func publishThenWrite(h *holder) {
 	h.cur.Store(s)
 	s.count = 2 // want frozen "write to field count of a published bad.snap value"
 }
+
+// publishInSelect hands the snapshot to a receiver from inside a
+// select arm; whichever arm ran, the write after the select may race
+// with that receiver.
+func publishInSelect(out chan *snap, quit chan struct{}) {
+	s := &snap{}
+	select {
+	case out <- s:
+	case <-quit:
+	}
+	s.count = 1 // want frozen "write to field count of a published bad.snap value"
+}
+
+// publishAtLoopBottom writes at the top of the body and publishes at
+// the bottom: from the second iteration on, the write lands on the
+// value the previous iteration published.
+func publishAtLoopBottom(h *holder, rounds int) {
+	s := &snap{}
+	for i := 0; i < rounds; i++ {
+		s.count = i // want frozen "write to field count of a published bad.snap value"
+		h.cur.Store(s)
+	}
+}

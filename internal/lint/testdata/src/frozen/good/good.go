@@ -61,3 +61,16 @@ func (k *keeper) rebuildLoop(rounds int) {
 		k.cur.Store(v)
 	}
 }
+
+// sendOrKeep publishes in one select arm and mutates in the other: the
+// arms are exclusive, so the write never touches the value sent.
+func sendOrKeep(out chan *view, quit chan struct{}) *view {
+	v := &view{}
+	select {
+	case out <- v:
+		return nil
+	case <-quit:
+		v.count = 1
+	}
+	return v
+}

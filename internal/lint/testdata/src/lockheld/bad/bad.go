@@ -25,7 +25,7 @@ type server struct {
 func (s *server) readUnderLock(keys []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mc.TracedGetItems(obs.TraceContext{}, keys) // want lockheld "memcache transport TracedGetItems while s.mu is held"
+	s.mc.TracedGetMulti(obs.TraceContext{}, keys) // want lockheld "memcache transport TracedGetMulti while s.mu is held"
 	var h memcache.Pending
 	s.mc.SendGet(obs.TraceContext{}, keys, &h) // want lockheld "memcache transport SendGet while s.mu is held"
 	h.Collect()                                // want lockheld "memcache transport Collect while s.mu is held"
@@ -98,6 +98,36 @@ func (s *server) relockThenBlock() {
 	s.mu.Unlock()
 	time.Sleep(time.Millisecond) // not held here
 	s.mu.Lock()
+	time.Sleep(time.Millisecond) // want lockheld "time.Sleep while s.mu is held"
+	s.mu.Unlock()
+}
+
+// switchUnlockReturn unlocks only in the case that returns: every path
+// that reaches the sleep still holds the lock.
+func (s *server) switchUnlockReturn(mode int) {
+	s.mu.Lock()
+	switch mode {
+	case 0:
+		s.mu.Unlock()
+		return
+	default:
+		s.ch = nil
+	}
+	time.Sleep(time.Millisecond) // want lockheld "time.Sleep while s.mu is held"
+	s.mu.Unlock()
+}
+
+// selectUnlockReturn is the same shape in a non-blocking select; the
+// receive in the arm's communication is the select's, not a separate
+// blocking operation.
+func (s *server) selectUnlockReturn() {
+	s.mu.Lock()
+	select {
+	case <-s.ch:
+		s.mu.Unlock()
+		return
+	default:
+	}
 	time.Sleep(time.Millisecond) // want lockheld "time.Sleep while s.mu is held"
 	s.mu.Unlock()
 }

@@ -57,6 +57,20 @@ func (s *server) earlyReturnBranch() {
 	time.Sleep(time.Millisecond)
 }
 
+// selectUnlockEveryArm releases the lock in every arm, returning from
+// one; the sleep after the select runs unlocked.
+func (s *server) selectUnlockEveryArm() {
+	s.mu.Lock()
+	select {
+	case <-s.ch:
+		s.mu.Unlock()
+		return
+	default:
+		s.mu.Unlock()
+	}
+	time.Sleep(time.Millisecond)
+}
+
 // goUnderLock launches a goroutine while holding the lock; the
 // goroutine's own blocking runs in a frame that holds nothing.
 func (s *server) goUnderLock() {

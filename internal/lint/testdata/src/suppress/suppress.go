@@ -6,38 +6,55 @@
 // rnblint diagnostics land on comment-only lines.
 package suppress
 
-import "fmt"
+import (
+	"sync"
+	"time"
+)
 
-func suppressedAbove(err error) error {
-	//rnblint:ignore errwrap fixture proves an own-line suppression covers the next line
-	return fmt.Errorf("op: %v", err)
+var mu sync.Mutex
+
+func suppressedAbove() {
+	mu.Lock()
+	defer mu.Unlock()
+	//rnblint:ignore lockheld fixture proves an own-line suppression covers the next line
+	time.Sleep(time.Millisecond)
 }
 
-func suppressedTrailing(err error) error {
-	return fmt.Errorf("op: %v", err) //rnblint:ignore errwrap fixture proves a trailing suppression covers its own line
+func suppressedTrailing() {
+	mu.Lock()
+	defer mu.Unlock()
+	time.Sleep(time.Millisecond) //rnblint:ignore lockheld fixture proves a trailing suppression covers its own line
 }
 
-func suppressedList(err error) error {
-	//rnblint:ignore errwrap,lockheld fixture proves a comma list names several analyzers
-	return fmt.Errorf("op: %v", err)
+func suppressedList() {
+	mu.Lock()
+	defer mu.Unlock()
+	//rnblint:ignore lockheld,lockorder fixture proves a comma list names several analyzers
+	time.Sleep(time.Millisecond)
 }
 
-func bareDirective(err error) error {
+func bareDirective() {
+	mu.Lock()
+	defer mu.Unlock()
 	//rnblint:ignore
-	return fmt.Errorf("op: %v", err)
+	time.Sleep(time.Millisecond)
 }
 
-func unknownAnalyzer(err error) error {
+func unknownAnalyzer() {
+	mu.Lock()
+	defer mu.Unlock()
 	//rnblint:ignore nosuchanalyzer the analyzer name is checked before the reason
-	return fmt.Errorf("op: %v", err)
+	time.Sleep(time.Millisecond)
 }
 
-func missingReason(err error) error {
-	//rnblint:ignore errwrap
-	return fmt.Errorf("op: %v", err)
+func missingReason() {
+	mu.Lock()
+	defer mu.Unlock()
+	//rnblint:ignore lockheld
+	time.Sleep(time.Millisecond)
 }
 
-func deadDirective(err error) error {
+func deadDirective() {
 	//rnblint:ignore lockheld well-formed but suppresses nothing: this line holds no lock
-	return fmt.Errorf("op: %w", err)
+	time.Sleep(time.Millisecond)
 }

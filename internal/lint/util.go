@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -85,27 +84,4 @@ func namedTypePkgPath(t types.Type) string {
 // pkgLevel reports whether v is declared at package scope.
 func pkgLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// stringLit returns the value of a compile-time string constant
-// (literals, literal concatenation, named constants), with ok=false
-// for anything runtime-computed.
-func stringLit(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
-}
-
-// errorType is the universe error interface.
-var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// implementsError reports whether t satisfies the error interface.
-func implementsError(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return types.Implements(t, errorType) ||
-		types.Implements(types.NewPointer(t), errorType)
 }

@@ -187,23 +187,11 @@ func (p *Client) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]
 	return items, rep.queueNS, rep.st, err
 }
 
-// TracedGetItems is TracedGetMulti without the map: the found items as
-// the reply was decoded, in the order the server sent them (request
-// order on a well-behaved server, which may still repeat or add keys).
-// The items share one backing array and one value arena, so a caller
-// that merges &items[i] into its own result builds nothing per
-// transaction. It is SendGet followed by Collect.
-func (p *Client) TracedGetItems(tc obs.TraceContext, keys []string) ([]Item, int64, *obs.ServerTimings, error) {
-	var h Pending
-	p.SendGet(tc, keys, &h)
-	return h.Collect()
-}
-
-// SendGet is the send half of TracedGetItems: it writes the multi-get
-// into h and returns without waiting for the reply, which h.Collect
-// returns. One goroutine may send to many servers before it collects
-// any reply: a reply is read by whichever caller collects on its
-// connection first, so no order of collects can deadlock (see pconn).
+// SendGet writes a multi-get of keys (carrying tc) into h and returns
+// without waiting for the reply, which h.Collect returns. One goroutine
+// may send to many servers before it collects any reply: a reply is read
+// by whichever caller collects on its connection first, so no order of
+// collects can deadlock (see pconn).
 func (p *Client) SendGet(tc obs.TraceContext, keys []string, h *Pending) {
 	*h = Pending{}
 	if len(keys) > 0 {
@@ -214,9 +202,14 @@ func (p *Client) SendGet(tc obs.TraceContext, keys []string, h *Pending) {
 	}
 }
 
-// Collect is the collect half of TracedGetItems: it waits for the reply
-// to the multi-get SendGet wrote into h and returns what TracedGetItems
-// does.
+// Collect waits for the reply to the multi-get SendGet wrote into h. It
+// returns the found items as the reply was decoded, in the order the
+// server sent them (request order on a well-behaved server, which may
+// still repeat or add keys), the client-side queue wait in nanoseconds,
+// and the server's phase timings — nil when the server did not negotiate
+// tracing. The items share one backing array and one value arena, so a
+// caller that merges &items[i] into its own result builds nothing per
+// transaction.
 func (h *Pending) Collect() ([]Item, int64, *obs.ServerTimings, error) {
 	if h.p == nil { // refused before the wire, or no keys
 		return nil, 0, nil, h.err

@@ -391,7 +391,9 @@ func TestSlabKeysSurviveCallerReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		items, _, _, err := cl.TracedGetItems(obs.TraceContext{}, keys)
+		var h Pending
+		cl.SendGet(obs.TraceContext{}, keys, &h)
+		items, _, _, err := h.Collect()
 		if err != nil || len(items) != 2 {
 			t.Fatalf("%d items, err %v", len(items), err)
 		}
