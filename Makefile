@@ -55,9 +55,11 @@ chaos:
 
 # Live-elasticity suite under the race detector: the seeded resize
 # storm (membership churn + crashes under load, zero failed idempotent
-# reads, leakcheck) plus the rest of the topology e2e scenarios.
+# reads, leakcheck), every other test in topology_e2e_test.go, and
+# elastic_test.go's drain regressions (boosts stay on live servers,
+# placement survives a drain and rejoin).
 chaos-resize:
-	$(GO) test -race -count=3 -run 'TestResize|TestRejoin|TestSetServers' .
+	$(GO) test -race -count=3 -run 'TestResize|TestRejoin|TestSetServers|TestAddServer|TestRemoveServer|TestTierSnapshot|TestDrain' .
 
 # Binary-transport stress under the race detector: 64 goroutines on a
 # binary-pooled client (quiet-get pipelining) plus the kill-mid-pipeline
@@ -106,10 +108,11 @@ bench-smoke:
 
 # Non-test line counts of the packages ROADMAP's "smaller client",
 # "one span model", "one metrics registry" and "two doors" items track,
-# so simplicity PRs quote the same numbers. The last line is the
+# plus the membership layer (internal/topology, internal/hashring), so
+# simplicity PRs quote the same numbers. The last line is the
 # diet item's tracked number: root plus internal/memcache.
 loc:
-	@for d in . internal/memcache internal/core internal/lint internal/obs internal/metrics internal/hotspot internal/proxy internal/sim cmd/rnbproxy cmd/rnbmemd cmd/rnbsim; do \
+	@for d in . internal/memcache internal/core internal/topology internal/hashring internal/lint internal/obs internal/metrics internal/hotspot internal/proxy internal/sim cmd/rnbproxy cmd/rnbmemd cmd/rnbsim; do \
 		printf '%-18s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 	@printf '%-18s %s\n' '. + memcache' $$(ls *.go internal/memcache/*.go | grep -v _test.go | xargs cat | wc -l)

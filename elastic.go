@@ -33,12 +33,14 @@ import (
 // distinguished copy. Writes fan out over the same union, so no
 // epoch's replica can serve stale data.
 //
-// Slots — the per-server connection, breaker, and in-flight counter —
-// are index-stable: a server keeps its slot index for its whole life,
-// and a server that leaves and later rejoins revives its old index
-// (mirroring hashring.Ring). Tiers share slot pointers; each tier owns
-// only the slice header, so a rejoin replacing a slot is invisible to
-// in-flight requests holding the old tier.
+// topology.Machine is the only allocator of server indices. Each epoch's
+// ring is built from the View it stands for, every joining and active
+// member at its member index, and the slot table — the per-server
+// connection, breaker, and in-flight counter — is indexed the same
+// way: a server keeps its index for its whole life, and a server that
+// leaves and later rejoins revives its old index. Tiers share slot
+// pointers; each tier owns only the slice header, so a rejoin replacing
+// a slot is invisible to in-flight requests holding the old tier.
 
 // errServerGone is returned by slot.do for a server whose drain has
 // completed. Plans stop naming such servers as soon as the tier swaps;
@@ -64,6 +66,10 @@ type slot struct {
 	// closed flips once, just before the connection is torn down. New
 	// operations are refused from then on.
 	closed atomic.Bool
+	// forceAt is the drain deadline, set under topoMu once a draining
+	// server has left every windowed epoch; past it the connection is
+	// closed even with requests still in flight.
+	forceAt time.Time
 }
 
 // newSlot wires a dialed server to the client-wide breaker hook and failure count.
@@ -176,33 +182,29 @@ func (t *tier) isDown(s int) bool {
 }
 
 // epochSnap is one membership epoch still inside its transition
-// window: a private ring clone and the placement over it.
+// window: the placement over its own ring.
 type epochSnap struct {
-	ring *hashring.Ring
-	plc  hashring.Placement
+	plc hashring.Placement
+	// servers are the indices of the epoch's joining and active members.
+	servers []int
 	// superseded is when a newer epoch replaced this one (zero while
 	// newest). The epoch retires transitionWindow after that.
 	superseded time.Time
 }
 
-func (e *epochSnap) has(addr string) bool {
-	for _, name := range e.ring.Servers() {
-		if name == addr {
-			return true
+// newEpoch builds the epoch v stands for: a ring holding its joining
+// and active members, each at its member index.
+func (c *Client) newEpoch(v topology.View) *epochSnap {
+	e := &epochSnap{}
+	names := make([]string, len(v.Members))
+	for _, m := range v.Members {
+		if m.State == topology.StateJoining || m.State == topology.StateActive {
+			names[m.Index] = m.Addr
+			e.servers = append(e.servers, m.Index)
 		}
 	}
-	return false
-}
-
-// drainEntry tracks one departing server until its connection can be
-// closed.
-type drainEntry struct {
-	slot *slot
-	addr string
-	// forceAt is the drain deadline, set once the server has left
-	// every windowed epoch; past it the connection is closed even with
-	// requests still in flight.
-	forceAt time.Time
+	e.plc = hashring.NewRCHPlacement(hashring.NewIndexed(hashring.DefaultVirtualNodes, names), c.cfg.replicas)
+	return e
 }
 
 // janitorInterval is how often the background janitor retires expired
@@ -310,22 +312,20 @@ func (c *Client) janitorTick(now time.Time) {
 		c.topo.EpochsRetired.Add(1)
 		changed = true
 	}
-	kept := c.draining[:0]
-	for _, d := range c.draining {
-		if c.anyEpochHasLocked(d.addr) {
-			kept = append(kept, d)
+	for _, m := range c.machine.View().Members {
+		if m.State != topology.StateDraining || c.anyEpochHasLocked(m.Index) {
 			continue
 		}
-		if d.forceAt.IsZero() {
-			d.forceAt = now.Add(c.cfg.drainTimeout)
+		s := c.slots[m.Index]
+		if s.forceAt.IsZero() {
+			s.forceAt = now.Add(c.cfg.drainTimeout)
 		}
-		inflight := d.slot.inflight.Load()
-		if inflight > 0 && now.Before(d.forceAt) {
-			kept = append(kept, d)
+		inflight := s.inflight.Load()
+		if inflight > 0 && now.Before(s.forceAt) {
 			continue
 		}
-		_ = c.closeSlotLocked(d.slot) // nobody left to report a drained connection's close error to
-		c.machine.Finish(d.addr)
+		_ = c.closeSlotLocked(s) // nobody left to report a drained connection's close error to
+		c.machine.Finish(m.Addr)
 		if inflight > 0 {
 			c.topo.DrainsForced.Add(1)
 		} else {
@@ -333,7 +333,6 @@ func (c *Client) janitorTick(now time.Time) {
 		}
 		changed = true
 	}
-	c.draining = kept
 	if changed {
 		c.rebuildLocked()
 	}
@@ -344,9 +343,9 @@ func (c *Client) janitorTick(now time.Time) {
 	}
 }
 
-func (c *Client) anyEpochHasLocked(addr string) bool {
+func (c *Client) anyEpochHasLocked(idx int) bool {
 	for _, e := range c.epochs {
-		if e.has(addr) {
+		if slices.Contains(e.servers, idx) {
 			return true
 		}
 	}
@@ -365,14 +364,11 @@ func (c *Client) closeSlotLocked(s *slot) error {
 }
 
 // pushEpochLocked opens a new membership epoch: the previous newest
-// epoch enters its transition window and a fresh ring clone becomes
-// the target layout. Caller holds topoMu.
+// epoch enters its transition window and the current View's epoch
+// becomes the target layout. Caller holds topoMu.
 func (c *Client) pushEpochLocked() {
-	if n := len(c.epochs); n > 0 {
-		c.epochs[n-1].superseded = time.Now()
-	}
-	clone := c.master.Clone()
-	c.epochs = append(c.epochs, &epochSnap{ring: clone, plc: hashring.NewRCHPlacement(clone, c.cfg.replicas)})
+	c.epochs[len(c.epochs)-1].superseded = time.Now()
+	c.epochs = append(c.epochs, c.newEpoch(c.machine.View()))
 	c.rebuildLocked()
 }
 
@@ -394,13 +390,15 @@ func (c *Client) rebuildLocked() {
 		base = union
 	}
 	placement := base
+	newest := c.epochs[len(c.epochs)-1]
 	var bound *hotspot.Bound
 	if c.adaptive != nil {
 		// Each tier binds the shared controller to its own baseline:
 		// heat flows through, but this snapshot's replica indices are
 		// fixed to its slot table forever (older snapshots must not see
-		// indices a later epoch allocated).
-		bound = c.adaptive.Bind(base)
+		// indices a later epoch allocated), and boosts go only to the
+		// newest epoch's members.
+		bound = c.adaptive.Bind(base, newest.servers)
 		placement = bound
 	}
 	t := &tier{
@@ -408,7 +406,7 @@ func (c *Client) rebuildLocked() {
 		view:      c.machine.View(),
 		placement: placement,
 		union:     union,
-		newest:    c.epochs[len(c.epochs)-1].plc,
+		newest:    newest.plc,
 		adaptive:  bound,
 		planner: core.NewPlanner(placement, core.Options{
 			Hitchhike:            c.cfg.hitchhike,
@@ -492,40 +490,22 @@ func (c *Client) AddServer(addr string) error {
 		c.topoMu.Unlock()
 		return fmt.Errorf("rnb: add %s: server is already %s", addr, mem.State)
 	}
-	// Dial before any bookkeeping: a refused connection — the common
-	// failure — must leave the machine and ring exactly as they were. A
-	// rollback that burned a fresh index in one allocator but not the
-	// other would desync machine indices from ring/slot indices for
-	// every later join.
+	// Dial before Join: a refused connection — the common failure —
+	// leaves the machine exactly as it was, and nothing after Join can
+	// fail.
 	conn, err := c.dial(addr)
 	if err != nil {
 		c.topoMu.Unlock()
 		return fmt.Errorf("rnb: add %s: %w", addr, err)
 	}
-	if _, err := c.machine.Join(addr); err != nil {
+	v, err := c.machine.Join(addr)
+	if err != nil {
 		conn.Close()
 		c.topoMu.Unlock()
 		return err
 	}
-	idx, err := c.master.AddServer(addr)
-	if err != nil {
-		conn.Close()
-		// Abort (not Drain+Finish) restores the machine exactly: a
-		// member this Join created is removed outright, so its index is
-		// not burned while the ring never grew.
-		c.machine.Abort(addr)
-		c.topoMu.Unlock()
-		return fmt.Errorf("rnb: add %s: %w", addr, err)
-	}
-	if mem, ok := c.machine.View().Find(addr); !ok || mem.Index != idx {
-		// Can't happen: both allocators append (and revive) in lockstep.
-		// Refuse to publish a tier whose slot table would be misindexed.
-		conn.Close()
-		c.master.RemoveServer(addr)
-		c.machine.Abort(addr)
-		c.topoMu.Unlock()
-		return fmt.Errorf("rnb: add %s: machine/ring index mismatch", addr)
-	}
+	mem, _ := v.Find(addr)
+	idx := mem.Index
 	s := c.newSlot(addr, conn)
 	if idx < len(c.slots) {
 		// Revived index: the old slot was closed when the drain
@@ -590,12 +570,7 @@ func (c *Client) RemoveServer(addr string) error {
 		c.topoMu.Unlock()
 		return err
 	}
-	if err := c.master.RemoveServer(addr); err != nil {
-		c.topoMu.Unlock()
-		return fmt.Errorf("rnb: remove %s: %w", addr, err)
-	}
 	c.topo.Drains.Add(1)
-	c.draining = append(c.draining, &drainEntry{slot: c.slots[mem.Index], addr: addr})
 	c.ensureJanitorLocked()
 	c.pushEpochLocked()
 	c.topoMu.Unlock()
@@ -660,7 +635,7 @@ func (c *Client) WaitSettled(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		c.topoMu.Lock()
-		settled := len(c.epochs) == 1 && len(c.draining) == 0
+		settled := len(c.epochs) == 1
 		if settled {
 			for _, m := range c.machine.View().Members {
 				if m.State == topology.StateJoining || m.State == topology.StateDraining {

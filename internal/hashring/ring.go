@@ -13,6 +13,7 @@ package hashring
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rnb/internal/xhash"
@@ -30,16 +31,14 @@ type point struct {
 
 // Ring is a consistent-hashing continuum over a set of named servers.
 // It is not safe for concurrent mutation; concurrent reads are safe.
-// Construction mutates (New, Clone-then-AddServer); once a ring is
-// handed to readers it must never change again.
+// Construction mutates (New then AddServer); once a ring is handed to
+// readers it must never change again.
 //
 //rnb:frozen-after-publish
 type Ring struct {
 	vnodes  int
 	points  []point
-	servers []string
-	index   map[string]int // name -> server index
-	live    []bool         // false after RemoveServer (indices stay stable)
+	servers []string // by index; "" where no server is (removed, or a gap)
 	nLive   int
 }
 
@@ -49,71 +48,59 @@ func New(vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	return &Ring{vnodes: vnodes, index: make(map[string]int)}
+	return &Ring{vnodes: vnodes}
 }
 
 // NewWithServers builds a ring containing n servers named "s0".."s{n-1}".
 func NewWithServers(n, vnodes int) *Ring {
-	r := New(vnodes)
-	for i := 0; i < n; i++ {
-		r.AddServer(fmt.Sprintf("s%d", i))
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
 	}
+	return NewIndexed(vnodes, names)
+}
+
+// NewIndexed builds a ring whose server i is names[i]; an empty name
+// leaves index i unoccupied. Callers that own a stable index space —
+// the dynamic topology layer, one ring per membership epoch — place
+// each server at its own index this way. A vnode's position depends
+// only on the server's name, so a server covers the same arcs in every
+// ring that holds it.
+func NewIndexed(vnodes int, names []string) *Ring {
+	r := New(vnodes)
+	r.servers = append([]string(nil), names...)
+	for i, name := range names {
+		if name == "" {
+			continue
+		}
+		r.nLive++
+		for v := 0; v < r.vnodes; v++ {
+			r.points = append(r.points, point{hash: xhash.StringUint64(name, uint64(v)), server: i})
+		}
+	}
+	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	return r
 }
 
-// AddServer inserts a server into the continuum and returns its stable
-// index. Adding a live name is an error; re-adding a previously
-// removed name revives it at its old index (a server that left the
-// tier and later rejoined keeps its slot, so index-keyed structures —
-// connections, breakers, metrics — stay valid).
+// AddServer inserts a server into the continuum at the next index and
+// returns that index. Adding a name already on the ring is an error.
 func (r *Ring) AddServer(name string) (int, error) {
-	idx, ok := r.index[name]
-	if ok && r.live[idx] {
-		return 0, fmt.Errorf("hashring: server %q already present", name)
+	if name == "" || slices.Contains(r.servers, name) {
+		return 0, fmt.Errorf("hashring: server %q is empty or already present", name)
 	}
-	if !ok {
-		idx = len(r.servers)
-		r.servers = append(r.servers, name)
-		r.live = append(r.live, false)
-		r.index[name] = idx
-	}
-	r.live[idx] = true
-	r.nLive++
-	for v := 0; v < r.vnodes; v++ {
-		h := xhash.StringUint64(name, uint64(v))
-		r.points = append(r.points, point{hash: h, server: idx})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return idx, nil
+	*r = *NewIndexed(r.vnodes, append(r.servers, name))
+	return len(r.servers) - 1, nil
 }
 
-// Clone returns an independent copy of the ring. The dynamic topology
-// layer snapshots the continuum per membership epoch: each epoch's
-// placement reads its own immutable clone, so in-flight plans built
-// against an old epoch never race a mutation for the next one.
-func (r *Ring) Clone() *Ring {
-	cp := &Ring{
-		vnodes:  r.vnodes,
-		points:  append([]point(nil), r.points...),
-		servers: append([]string(nil), r.servers...),
-		index:   make(map[string]int, len(r.index)),
-		live:    append([]bool(nil), r.live...),
-		nLive:   r.nLive,
-	}
-	for name, idx := range r.index {
-		cp.index[name] = idx
-	}
-	return cp
-}
-
-// RemoveServer removes a server's points from the continuum. The server
-// keeps its index so that data structures keyed by index stay valid.
+// RemoveServer removes a server's points from the continuum. The other
+// servers keep their indices, so data structures keyed by index stay
+// valid; the removed index stays unoccupied.
 func (r *Ring) RemoveServer(name string) error {
-	idx, ok := r.index[name]
-	if !ok || !r.live[idx] {
+	idx := slices.Index(r.servers, name)
+	if name == "" || idx < 0 {
 		return fmt.Errorf("hashring: server %q not present", name)
 	}
-	r.live[idx] = false
+	r.servers[idx] = ""
 	r.nLive--
 	kept := r.points[:0]
 	for _, p := range r.points {
@@ -128,14 +115,14 @@ func (r *Ring) RemoveServer(name string) error {
 // NumServers returns the number of live servers.
 func (r *Ring) NumServers() int { return r.nLive }
 
-// ServerName returns the name for a server index.
+// ServerName returns the name of the server at an index ("" if none).
 func (r *Ring) ServerName(idx int) string { return r.servers[idx] }
 
 // Servers returns the names of all live servers in index order.
 func (r *Ring) Servers() []string {
 	out := make([]string, 0, r.nLive)
-	for i, name := range r.servers {
-		if r.live[i] {
+	for _, name := range r.servers {
+		if name != "" {
 			out = append(out, name)
 		}
 	}

@@ -215,76 +215,36 @@ func TestQuickLocateNLenAndDistinct(t *testing.T) {
 	}
 }
 
-func TestAddServerRevivesRemoved(t *testing.T) {
-	r := New(16)
-	idxA, _ := r.AddServer("a")
-	r.AddServer("b")
-	if err := r.RemoveServer("a"); err != nil {
+// TestNewIndexedMatchesAddRemove pins the per-epoch ring the elastic
+// client builds: servers at the given indices, gaps unoccupied, and the
+// same continuum as a ring grown by AddServer and shrunk by
+// RemoveServer over the same names.
+func TestNewIndexedMatchesAddRemove(t *testing.T) {
+	grown := New(16)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		grown.AddServer(name)
+	}
+	if err := grown.RemoveServer("b"); err != nil {
 		t.Fatal(err)
 	}
-	// Re-adding a removed name revives it at its old index.
-	got, err := r.AddServer("a")
-	if err != nil {
-		t.Fatalf("re-add after remove: %v", err)
+	indexed := NewIndexed(16, []string{"a", "", "c", "d"})
+	if indexed.NumServers() != 3 || indexed.ServerName(2) != "c" || indexed.ServerName(1) != "" {
+		t.Fatalf("indexed ring: %d servers, %v", indexed.NumServers(), indexed.Servers())
 	}
-	if got != idxA {
-		t.Fatalf("revived index = %d, want %d", got, idxA)
-	}
-	if r.NumServers() != 2 {
-		t.Fatalf("NumServers = %d, want 2", r.NumServers())
-	}
-	// Revived server is placed exactly as before: same vnode hashes.
-	fresh := New(16)
-	fresh.AddServer("a")
-	fresh.AddServer("b")
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if r.Locate(key) != fresh.Locate(key) {
-			t.Fatalf("revived ring disagrees with fresh ring on %q", key)
+	for i := uint64(0); i < 2000; i++ {
+		got, want := indexed.LocateNID(i, 2, nil), grown.LocateNID(i, 2, nil)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("item %d: indexed ring %v, grown ring %v", i, got, want)
+		}
+		if got[0] == 1 || got[1] == 1 {
+			t.Fatalf("item %d placed on the unoccupied index: %v", i, got)
 		}
 	}
-	// Still an error while live.
-	if _, err := r.AddServer("a"); err == nil {
-		t.Fatal("duplicate AddServer of live server accepted")
+	if _, err := grown.AddServer("b"); err != nil {
+		t.Fatalf("re-adding a removed name: %v", err)
 	}
-}
-
-func TestClone(t *testing.T) {
-	r := New(16)
-	r.AddServer("a")
-	r.AddServer("b")
-	r.AddServer("c")
-	cp := r.Clone()
-
-	// Mutating the original leaves the clone untouched.
-	if err := r.RemoveServer("b"); err != nil {
-		t.Fatal(err)
-	}
-	r.AddServer("d")
-	if cp.NumServers() != 3 {
-		t.Fatalf("clone NumServers = %d, want 3", cp.NumServers())
-	}
-	fresh := New(16)
-	fresh.AddServer("a")
-	fresh.AddServer("b")
-	fresh.AddServer("c")
-	for i := 0; i < 200; i++ {
-		id := uint64(i) * 2654435761
-		got := cp.LocateNID(id, 2, nil)
-		want := fresh.LocateNID(id, 2, nil)
-		if len(got) != len(want) {
-			t.Fatalf("clone replicas %v != fresh %v", got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("clone replicas %v != fresh %v", got, want)
-			}
-		}
-	}
-	// And mutating the clone leaves the original's view stable.
-	cp.RemoveServer("a")
-	if r.NumServers() != 3 { // a, c, d
-		t.Fatalf("original NumServers = %d, want 3", r.NumServers())
+	if _, err := grown.AddServer(""); err == nil {
+		t.Fatal("empty name accepted")
 	}
 }
 

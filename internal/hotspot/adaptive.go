@@ -154,17 +154,21 @@ func (a *AdaptivePlacement) Base() hashring.Placement { return a.base }
 // confined to its own base's server space for its whole life, so a
 // tier snapshot really is immutable, while promotions and demotions
 // (which only add or shed boosted replicas inside that space) still
-// flow through from the shared heat table.
+// flow through from the shared heat table. Boosted replicas are drawn
+// only from the servers given at Bind time, so a boost never lands on
+// a server that has left the tier while its index is still allocated.
 //
 //rnb:frozen-after-publish
 type Bound struct {
-	a    *AdaptivePlacement
-	base hashring.Placement
+	a       *AdaptivePlacement
+	base    hashring.Placement
+	servers []int
 }
 
-// Bind returns a view of the controller over the given fixed base.
-func (a *AdaptivePlacement) Bind(base hashring.Placement) *Bound {
-	return &Bound{a: a, base: base}
+// Bind returns a view of the controller over the given fixed base,
+// boosting only onto the given server indices.
+func (a *AdaptivePlacement) Bind(base hashring.Placement, servers []int) *Bound {
+	return &Bound{a: a, base: base, servers: servers}
 }
 
 // Base returns the bound baseline placement.
@@ -179,12 +183,12 @@ func (b *Bound) NumReplicas() int { return b.base.NumReplicas() }
 // Replicas implements hashring.Placement over the bound base; see
 // AdaptivePlacement.Replicas.
 func (b *Bound) Replicas(item uint64, buf []int) []int {
-	return b.a.boostWalk(b.base, item, b.base.Replicas(item, buf), b.a.heat.Load().boost[item])
+	return b.a.boostWalk(b.servers, b.base, item, b.base.Replicas(item, buf), b.a.heat.Load().boost[item])
 }
 
 // MaxReplicas is AdaptivePlacement.MaxReplicas over the bound base.
 func (b *Bound) MaxReplicas(item uint64, buf []int) []int {
-	return b.a.boostWalk(b.base, item, b.base.Replicas(item, buf), b.a.cfg.MaxBoost)
+	return b.a.boostWalk(b.servers, b.base, item, b.base.Replicas(item, buf), b.a.cfg.MaxBoost)
 }
 
 var _ hashring.Placement = (*Bound)(nil)
@@ -211,27 +215,31 @@ func (a *AdaptivePlacement) HotKeyCount() int {
 }
 
 // boostWalk extends a baseline replica set with up to extra boosted
-// replicas drawn from base's server space: a deterministic
-// pseudo-random walk, skipping servers already in the set, bailing out
-// to a linear scan if the hash walk stalls (possible only when the
-// target is close to the server count).
-func (a *AdaptivePlacement) boostWalk(base hashring.Placement, item uint64, out []int, extra int) []int {
+// replicas drawn from servers (nil: base's dense [0, NumServers())): a
+// deterministic pseudo-random walk, skipping servers already in the
+// set, bailing out to a linear scan if the hash walk stalls (possible
+// only when the target is close to the server count).
+func (a *AdaptivePlacement) boostWalk(servers []int, base hashring.Placement, item uint64, out []int, extra int) []int {
 	if extra == 0 {
 		return out
 	}
 	n := base.NumServers()
+	at := func(i int) int { return i }
+	if servers != nil {
+		n, at = len(servers), func(i int) int { return servers[i] }
+	}
 	want := len(out) + extra
 	if want > n {
 		want = n
 	}
 	for i := uint64(0); len(out) < want && i < uint64(8*n+16); i++ {
-		s := int(xhash.Seeded(a.cfg.Seed+boostSalt+i, item) % uint64(n))
+		s := at(int(xhash.Seeded(a.cfg.Seed+boostSalt+i, item) % uint64(n)))
 		if !containsServer(out, s) {
 			out = append(out, s)
 		}
 	}
-	for s := 0; len(out) < want && s < n; s++ {
-		if !containsServer(out, s) {
+	for i := 0; len(out) < want && i < n; i++ {
+		if s := at(i); !containsServer(out, s) {
 			out = append(out, s)
 		}
 	}
@@ -243,7 +251,7 @@ func (a *AdaptivePlacement) boostWalk(base hashring.Placement, item uint64, out 
 // by the item's boosted replicas, all distinct, capped at the server
 // count.
 func (a *AdaptivePlacement) Replicas(item uint64, buf []int) []int {
-	return a.boostWalk(a.base, item, a.base.Replicas(item, buf), a.heat.Load().boost[item])
+	return a.boostWalk(nil, a.base, item, a.base.Replicas(item, buf), a.heat.Load().boost[item])
 }
 
 // MaxReplicas returns the item's replica set at maximum boost,
@@ -254,7 +262,7 @@ func (a *AdaptivePlacement) Replicas(item uint64, buf []int) []int {
 // so a demoted-then-repromoted key can never resurface old data from a
 // lingering boosted copy.
 func (a *AdaptivePlacement) MaxReplicas(item uint64, buf []int) []int {
-	return a.boostWalk(a.base, item, a.base.Replicas(item, buf), a.cfg.MaxBoost)
+	return a.boostWalk(nil, a.base, item, a.base.Replicas(item, buf), a.cfg.MaxBoost)
 }
 
 func containsServer(set []int, s int) bool {

@@ -25,7 +25,7 @@ import (
 // mutation summaries: a function that writes a frozen field through a
 // parameter or receiver carries that as a fact, so passing a published
 // value into it is flagged at the call site — which keeps the repo's
-// clone-then-mutate constructors (Ring.Clone().AddServer(...)) legal
+// build-then-mutate constructors (hashring.New(0).AddServer(...)) legal
 // and flags Load-then-mutate, the exact shape of the historical
 // adaptive-placement snapshot leak.
 var Frozen = &Analyzer{

@@ -8,15 +8,16 @@
 //	joining ──activate──► active ──drain──► draining ──finish──► gone
 //
 // A *joining* server is already dialed and appears in the newest
-// placement epoch, but the transition window that makes it safe to
-// rely on (old epochs still being consulted, write-back warming it) has
-// not elapsed. A *draining* server is the mirror image: it has left the
-// newest placement epoch but still serves reads for the epochs that
-// include it, until they retire and its in-flight requests finish.
-// Indices are stable for the lifetime of a Machine — a server that
-// leaves keeps its index (state gone), and the same address rejoining
-// revives that index — so data structures keyed by server index
-// (connections, breakers, metrics) never need re-indexing.
+// placement epoch, but its warm handoff (tracked hot keys copied onto
+// it) has not returned; the client activates it as soon as it does. A
+// *draining* server is the mirror image: it has left the newest
+// placement epoch but still serves reads for the epochs that include
+// it, until they retire and its in-flight requests finish.
+// The Machine is the one allocator of server indices, and they are
+// stable for its lifetime — a server that leaves keeps its index (state
+// gone), and the same address rejoining revives that index — so data
+// structures keyed by server index (rings, connections, breakers,
+// metrics) never need re-indexing.
 //
 // Every successful transition increments the epoch. Consumers that
 // cache a View can compare epochs to detect staleness cheaply.
@@ -31,9 +32,8 @@ import (
 type State uint8
 
 const (
-	// StateJoining: admitted to the newest placement epoch, but the
-	// transition window has not elapsed; the tier does not yet rely on
-	// it holding data.
+	// StateJoining: admitted to the newest placement epoch, its warm
+	// handoff still running.
 	StateJoining State = iota
 	// StateActive: a full member.
 	StateActive
@@ -120,11 +120,6 @@ type Machine struct {
 	epoch   uint64
 	members []Member
 	index   map[string]int
-	// fresh marks joining members whose index was allocated by their
-	// current Join (as opposed to revived from a previous life). Only
-	// such members may be popped by Abort — a revived member's index is
-	// already committed in the caller's other index-keyed structures.
-	fresh map[string]bool
 }
 
 // NewMachine builds a machine whose initial members are all active.
@@ -135,7 +130,7 @@ func NewMachine(addrs []string) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{epoch: 1, index: make(map[string]int, len(clean)), fresh: make(map[string]bool)}
+	m := &Machine{epoch: 1, index: make(map[string]int, len(clean))}
 	for i, addr := range clean {
 		m.members = append(m.members, Member{Addr: addr, Index: i, State: StateActive})
 		m.index[addr] = i
@@ -184,48 +179,12 @@ func (m *Machine) Join(addr string) (View, error) {
 	i := len(m.members)
 	m.members = append(m.members, Member{Addr: addr, Index: i, State: StateJoining})
 	m.index[addr] = i
-	m.fresh[addr] = true
 	m.epoch++
 	return m.viewLocked(), nil
 }
 
-// Abort rolls back a Join whose caller failed to allocate the rest of
-// the member's resources (connection, ring entry). The member must
-// still be joining. A member created by that Join is removed outright,
-// freeing its index for the next newcomer; a revived member is parked
-// back to gone, keeping its index (which is still committed in the
-// caller's index-keyed structures from its previous life). Unlike
-// Drain+Finish, Abort restores the machine exactly to its pre-Join
-// state, so an index allocator walking in lockstep with the machine —
-// the hash ring — cannot drift when a join fails partway.
-//
-// Callers must not interleave Join/Abort pairs for different
-// addresses: a fresh joining member is only popped while it is the
-// newest allocation (the client serializes membership changes, so it
-// always is).
-func (m *Machine) Abort(addr string) (View, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i, ok := m.index[addr]
-	if !ok {
-		return View{}, fmt.Errorf("topology: unknown server %q", addr)
-	}
-	if st := m.members[i].State; st != StateJoining {
-		return View{}, fmt.Errorf("topology: server %q is %s, cannot abort join", addr, st)
-	}
-	if m.fresh[addr] && i == len(m.members)-1 {
-		m.members = m.members[:i]
-		delete(m.index, addr)
-	} else {
-		m.members[i].State = StateGone
-	}
-	delete(m.fresh, addr)
-	m.epoch++
-	return m.viewLocked(), nil
-}
-
-// Activate promotes a joining member to active (the transition window
-// elapsed).
+// Activate promotes a joining member to active (its warm handoff
+// returned).
 func (m *Machine) Activate(addr string) (View, error) {
 	return m.transition(addr, StateActive, StateJoining)
 }
@@ -256,10 +215,6 @@ func (m *Machine) transition(addr string, to State, from ...State) (View, error)
 	for _, f := range from {
 		if cur == f {
 			m.members[i].State = to
-			// Any transition out of joining commits the member's index
-			// for good (the caller's ring and slot table now carry it);
-			// a later rejoin-and-abort must park it, never pop it.
-			delete(m.fresh, addr)
 			m.epoch++
 			return m.viewLocked(), nil
 		}

@@ -125,81 +125,6 @@ func TestMachineDrainAbortsJoin(t *testing.T) {
 	}
 }
 
-func TestMachineAbortFreshJoinFreesIndex(t *testing.T) {
-	m, err := NewMachine([]string{"a:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Join("b:1"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.Abort("b:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := v.Find("b:1"); ok {
-		t.Fatalf("aborted fresh member still present: %+v", v.Members)
-	}
-	// The freed index must go to the next newcomer, exactly as if the
-	// aborted join never happened — this is what keeps the machine in
-	// lockstep with the ring when a join fails after Join but before
-	// the ring insert.
-	v, err = m.Join("c:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, ok := v.Find("c:1")
-	if !ok || mem.Index != 1 {
-		t.Fatalf("index not reused after abort: %+v ok=%v", mem, ok)
-	}
-}
-
-func TestMachineAbortRevivedJoinParksIndex(t *testing.T) {
-	m, err := NewMachine([]string{"a:1", "b:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Drain("b:1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Finish("b:1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Join("b:1"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.Abort("b:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A revived member's index is already committed in the caller's
-	// index-keyed structures: abort parks it back to gone, never pops.
-	mem, ok := v.Find("b:1")
-	if !ok || mem.State != StateGone || mem.Index != 1 {
-		t.Fatalf("aborted revived member: %+v ok=%v", mem, ok)
-	}
-	v, err = m.Join("c:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem, _ := v.Find("c:1"); mem.Index != 2 {
-		t.Fatalf("parked index handed to a newcomer: %+v", mem)
-	}
-}
-
-func TestMachineAbortRejectsNonJoining(t *testing.T) {
-	m, err := NewMachine([]string{"a:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Abort("a:1"); err == nil {
-		t.Fatal("aborted an active member")
-	}
-	if _, err := m.Abort("nope:1"); err == nil {
-		t.Fatal("aborted an unknown member")
-	}
-}
-
 func TestParseServerList(t *testing.T) {
 	got, err := ParseServerList([]string{" a:1 ", "b:2", "\tc:3"})
 	if err != nil {

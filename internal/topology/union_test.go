@@ -8,20 +8,8 @@ import (
 	"rnb/internal/hashring"
 )
 
-func ringOver(t *testing.T, addrs []string) *hashring.Ring {
-	t.Helper()
-	r := hashring.New(32)
-	for _, a := range addrs {
-		if _, err := r.AddServer(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return r
-}
-
 func TestUnionSingleEpochTransparent(t *testing.T) {
-	ring := ringOver(t, []string{"a", "b", "c", "d"})
-	base := hashring.NewRCHPlacement(ring, 3)
+	base := hashring.NewRCHPlacement(hashring.NewIndexed(32, []string{"a", "b", "c", "d"}), 3)
 	u := NewUnion(4, base)
 	for item := uint64(0); item < 200; item++ {
 		got := u.Replicas(item, nil)
@@ -38,14 +26,9 @@ func TestUnionSingleEpochTransparent(t *testing.T) {
 }
 
 func TestUnionSupersetOnResize(t *testing.T) {
-	ring := ringOver(t, []string{"a", "b", "c", "d"})
-	old := hashring.NewRCHPlacement(ring.Clone(), 3)
+	old := hashring.NewRCHPlacement(hashring.NewIndexed(32, []string{"a", "b", "c", "d"}), 3)
 	// Epoch 2 adds "e": same stable index space, one more live server.
-	grown := ring.Clone()
-	if _, err := grown.AddServer("e"); err != nil {
-		t.Fatal(err)
-	}
-	next := hashring.NewRCHPlacement(grown, 3)
+	next := hashring.NewRCHPlacement(hashring.NewIndexed(32, []string{"a", "b", "c", "d", "e"}), 3)
 	u := NewUnion(5, old, next)
 
 	for item := uint64(0); item < 500; item++ {
@@ -80,7 +63,7 @@ func TestUnionSupersetOnResize(t *testing.T) {
 
 // TestTransitionCoverageProperty is the superset-invariant property
 // test: across randomized membership-change sequences (mirroring how
-// the client layers per-epoch ring clones), at every intermediate
+// the client layers per-epoch rings), at every intermediate
 // epoch, every key's replica coverage under the union of live epochs
 // stays at least min(NumReplicas, smallest epoch's live server count) —
 // there is never a window in which a key is under-replicated relative
@@ -89,47 +72,38 @@ func TestTransitionCoverageProperty(t *testing.T) {
 	const replicas = 3
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
-		// Start with 3..8 servers on one persistent ring; epochs are
-		// clones taken after each membership change, so server indices
-		// are stable across the whole sequence.
+		// Start with 3..8 servers. Every epoch builds its own ring from
+		// the stable index space, each server at its index and drained
+		// ones left as gaps, the way the client builds one per View.
 		n := 3 + rng.Intn(6)
-		ring := hashring.New(32)
-		var live []string
+		var names []string // by index; "" once drained
+		var live []int
 		for i := 0; i < n; i++ {
-			addr := fmt.Sprintf("s%d:11211", i)
-			if _, err := ring.AddServer(addr); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, addr)
+			names = append(names, fmt.Sprintf("s%d:11211", i))
+			live = append(live, i)
 		}
-		next := n  // next fresh server id
-		slots := n // size of the stable index space
-		window := []hashring.Placement{hashring.NewRCHPlacement(ring.Clone(), replicas)}
+		epoch := func() hashring.Placement {
+			return hashring.NewRCHPlacement(hashring.NewIndexed(32, names), replicas)
+		}
+		window := []hashring.Placement{epoch()}
 
 		for step := 0; step < 12; step++ {
 			if grow := rng.Float64() < 0.5 || len(live) <= 2; grow {
-				addr := fmt.Sprintf("s%d:11211", next)
-				next++
-				if idx, err := ring.AddServer(addr); err != nil {
-					t.Fatal(err)
-				} else if idx >= slots {
-					slots = idx + 1
-				}
-				live = append(live, addr)
+				live = append(live, len(names))
+				names = append(names, fmt.Sprintf("s%d:11211", len(names)))
 			} else {
 				victim := rng.Intn(len(live))
-				if err := ring.RemoveServer(live[victim]); err != nil {
-					t.Fatal(err)
-				}
+				names[live[victim]] = ""
 				live = append(live[:victim], live[victim+1:]...)
 			}
-			window = append(window, hashring.NewRCHPlacement(ring.Clone(), replicas))
+			window = append(window, epoch())
 			// Epochs retire oldest-first at random, as the transition
 			// windows of a real resize storm would.
 			for len(window) > 1 && rng.Float64() < 0.3 {
 				window = window[1:]
 			}
 
+			slots := len(names)
 			u := NewUnion(slots, window...)
 			wantCover := replicas
 			if m := minServers(window); m < wantCover {

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"rnb/internal/core"
-	"rnb/internal/hashring"
 	"rnb/internal/hotspot"
 	"rnb/internal/memcache"
 	"rnb/internal/obs"
@@ -246,12 +245,10 @@ type Client struct {
 
 	// Dynamic-topology state, serialized by topoMu (never touched by
 	// the request paths).
-	topoMu   sync.Mutex
-	machine  *topology.Machine
-	master   *hashring.Ring // the authoritative continuum; epochs are clones
-	epochs   []*epochSnap   // windowed epochs, oldest first (last = target)
-	slots    []*slot        // index-stable; shared with tiers by pointer
-	draining []*drainEntry
+	topoMu  sync.Mutex
+	machine *topology.Machine // the one allocator of server indices
+	epochs  []*epochSnap      // windowed epochs, oldest first (last = target)
+	slots   []*slot           // by member index; shared with tiers by pointer
 	// janitor lifecycle: started lazily on the first membership
 	// change, joined in Close.
 	janitorOn  bool
@@ -501,33 +498,22 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 	c := &Client{
 		cfg:        cfg,
 		machine:    machine,
-		master:     hashring.New(hashring.DefaultVirtualNodes),
 		poolGauges: &memcache.PoolGauges{},
 		recorder:   obs.NewRecorder(cfg.obs, cfg.trace),
 		stop:       make(chan struct{}),
 	}
 	// Each server's transport is dialed here, so a dead address fails
-	// construction immediately.
+	// construction immediately. The machine numbered the members in
+	// address order, so the slots are appended in member-index order.
 	for _, addr := range addrs {
-		idx, err := c.master.AddServer(addr)
-		if err != nil {
-			c.closeSlotsLocked()
-			return nil, err
-		}
 		conn, err := c.dial(addr)
 		if err != nil {
 			c.closeSlotsLocked()
 			return nil, fmt.Errorf("rnb: dial %s: %w", addr, err)
 		}
-		if idx != len(c.slots) {
-			conn.Close()
-			c.closeSlotsLocked()
-			return nil, fmt.Errorf("rnb: internal slot/ring index mismatch for %s", addr)
-		}
 		c.slots = append(c.slots, c.newSlot(addr, conn))
 	}
-	clone := c.master.Clone()
-	c.epochs = []*epochSnap{{ring: clone, plc: hashring.NewRCHPlacement(clone, cfg.replicas)}}
+	c.epochs = []*epochSnap{c.newEpoch(machine.View())}
 	if cfg.adaptive != nil {
 		// The controller's own base is only the construction-time
 		// default; every tier snapshot binds the controller to its own
@@ -576,7 +562,6 @@ func (c *Client) Close() error {
 	c.wg.Wait()
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
-	c.draining = nil
 	return c.closeSlotsLocked()
 }
 
