@@ -81,7 +81,8 @@ stress-binary:
 # encode+decode, the end-to-end multiget on one and four connections,
 # the server's own share
 # of a get / multiget / set on both wires (TestAllocBudgetServe, driven
-# over an in-memory connection), core's Plan build, and the root
+# over an in-memory connection), core's Plan build (fresh, and into a
+# reused Plan: zero), and the root
 # client's Get / GetMulti / Set and its round-2 recovery request with
 # ten write-backs. Run without -race — the race runtime's
 # shadow allocations distort the counts, so the gates are build-tagged

@@ -353,3 +353,61 @@ func TestChaosScrapeDuringBlackhole(t *testing.T) {
 		t.Fatal("parked Get never timed out")
 	}
 }
+
+// TestChaosFailedRequestRecordNotReused: a multi-get whose transaction
+// failed leaves its working record to the collector — the failed
+// transaction's connection slot may still hold its keys — while a clean
+// one gives it back for the next request. Every backend resets or
+// refuses connections per a seeded profile (breakers off, so the faulty
+// servers stay in plans); each request's span, which lives in its
+// record, is caught by the slow log, and no request may ever get a
+// record a failed request had. Every connection dies after two
+// responses, and a seeded half of the redials are refused, so a replay
+// often fails too.
+func TestChaosFailedRequestRecordNotReused(t *testing.T) {
+	leakcheck.Check(t)
+	var last *obs.Span // SlowLog runs on the requesting goroutine
+	profiles := map[int]chaos.Profile{}
+	for i := 0; i < 3; i++ {
+		profiles[i] = chaos.Profile{Seed: int64(11 + i), PRefuse: 0.5, PReset: 1, ResetAfterWrites: 2}
+	}
+	cl, _, injectors := newChaosClient(t, 3, profiles,
+		WithReplicas(3), WithTimeout(250*time.Millisecond),
+		WithFailureCooldown(0), WithRetry(1, time.Millisecond),
+		WithObservability(ObsConfig{SlowThreshold: time.Nanosecond, SlowLog: func(sp *obs.Span) { last = sp }}))
+	ks := keys(12)
+	seedKeys(t, cl, ks)
+	for _, in := range injectors {
+		unleash(in)
+	}
+
+	failed := map[*obs.Span]bool{} // records of failed requests, kept alive
+	seen := map[*obs.Span]bool{}
+	var failures, reuses int
+	for i := 0; i < 60; i++ {
+		items, stats, err := cl.GetMulti(ks)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		for k, it := range items {
+			if it.Key != k || string(it.Value) != "v" {
+				t.Fatalf("request %d: key %s came back as %+v", i, k, it)
+			}
+		}
+		if failed[last] {
+			t.Fatalf("request %d got the record of a request whose transaction failed", i)
+		}
+		if seen[last] {
+			reuses++
+		}
+		seen[last] = true
+		if stats.Failed > 0 {
+			failed[last] = true
+			failures++
+		}
+	}
+	t.Logf("%d of 60 requests failed a transaction; %d reused a record", failures, reuses)
+	if failures == 0 || reuses == 0 {
+		t.Fatal("the profile proves nothing")
+	}
+}

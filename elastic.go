@@ -171,9 +171,10 @@ type tier struct {
 }
 
 // replicas returns the key's replica servers under this tier, oldest
-// distinguished copy first.
+// distinguished copy first, in a buffer sized for r of them (a boosted
+// or multi-epoch set grows it once).
 func (t *tier) replicas(key string) []int {
-	return t.placement.Replicas(keyID(key), nil)
+	return t.placement.Replicas(keyID(key), make([]int, 0, t.placement.NumReplicas()))
 }
 
 // isDown reports whether reads should route around server s.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,69 @@ func TestCooldownExpiresAndServerReturns(t *testing.T) {
 	}
 	if cl.Resilience().ProbeSuccesses.Load() != 1 {
 		t.Fatalf("probe not recorded:%s", scalars(cl))
+	}
+}
+
+// roundOneServers returns the servers the client's latest multi-get
+// sent its round-1 transactions to, from its span.
+func roundOneServers(cl *Client) map[int]bool {
+	out := map[int]bool{}
+	for _, r := range cl.RecentRequests()[0].RTTs {
+		if r.Phase == "fanout" {
+			out[r.Server] = true
+		}
+	}
+	return out
+}
+
+// TestPlanAvoidsOpenBreakerUntilProbeCloses: while every breaker is
+// closed the read path skips the breaker filter altogether (no breaker
+// mutex per candidate server), so the guard must not outlive a trip.
+// Trip the breaker of a server the plan uses: the next plan must route
+// around it. Once its probe closes the breaker, the plan is the healthy
+// one again, the server in it.
+func TestPlanAvoidsOpenBreakerUntilProbeCloses(t *testing.T) {
+	cl, _ := newTestClient(t, 4, WithReplicas(2), WithFailureCooldown(50*time.Millisecond))
+	ks := keys(40)
+	seedKeys(t, cl, ks)
+	get := func(when string) map[int]bool {
+		t.Helper()
+		items, stats, err := cl.GetMulti(ks)
+		if err != nil || len(items) != len(ks) || stats.Failed != 0 {
+			t.Fatalf("%s: %d/%d items, %+v, err %v", when, len(items), len(ks), stats, err)
+		}
+		return roundOneServers(cl)
+	}
+	healthy := get("healthy")
+	victim := plannedServer(t, cl, ks)
+	if !healthy[victim] {
+		t.Fatalf("planned server %d not in the healthy fan-out %v", victim, healthy)
+	}
+
+	failOn(cl, victim)
+	if cl.unhealthy.Load() != 1 {
+		t.Fatalf("unhealthy = %d after one trip", cl.unhealthy.Load())
+	}
+	if got := get("breaker open"); got[victim] {
+		t.Fatalf("plan %v routes to server %d, whose breaker is open", got, victim)
+	}
+
+	// After the cooldown a request launches the probe; the server is
+	// alive, so the probe closes the breaker.
+	time.Sleep(80 * time.Millisecond)
+	deadline := time.Now().Add(2 * time.Second)
+	for cl.ServerStates()[victim].State != BreakerClosed {
+		if time.Now().After(deadline) {
+			t.Fatalf("probe never closed the breaker: %+v", cl.ServerStates()[victim])
+		}
+		get("half-open")
+		time.Sleep(5 * time.Millisecond)
+	}
+	if cl.unhealthy.Load() != 0 {
+		t.Fatalf("unhealthy = %d with every breaker closed", cl.unhealthy.Load())
+	}
+	if got := get("probe closed"); !maps.Equal(got, healthy) {
+		t.Fatalf("plan after the probe %v, want the healthy plan %v", got, healthy)
 	}
 }
 

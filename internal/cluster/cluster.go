@@ -339,7 +339,7 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 	// surviving replica, which may itself miss). Items without a single
 	// surviving replica, and LIMIT-unassigned items, are handled after.
 	var missingItems []uint64
-	var missingActing [][]int
+	var missingActing []int
 	for i := range plan.Items {
 		if obtained[i] || plan.ItemServer[i] == -1 {
 			continue
@@ -352,7 +352,7 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 			return res, fmt.Errorf("cluster: assigned item %d has no live replica", plan.Items[i])
 		}
 		missingItems = append(missingItems, plan.Items[i])
-		missingActing = append(missingActing, []int{acting})
+		missingActing = append(missingActing, acting)
 	}
 	for _, txn := range core.SecondRound(missingItems, missingActing) {
 		srv := c.servers[txn.Server]

@@ -33,14 +33,14 @@ import (
 	"rnb/internal/xhash"
 )
 
-// buildScratch holds the transient state of one buildFiltered call so
+// buildScratch holds the transient state of one BuildInto call so
 // steady-state plan building stays off the allocator: maps keyed by
 // server id become slices indexed by server id, candidate bitsets are
-// recycled through a freelist, and the dup-check map is cleared rather
-// than remade. Only memory that escapes into the returned Plan (the
-// plan itself, ItemServer, Replicas and their slabs, Transactions) is
-// freshly allocated. Scratches are pooled because planners are shared
-// by concurrent requests.
+// recycled through a freelist, the dup-check map is cleared rather
+// than remade, and the set cover runs on a setcover.Scratch. What a
+// plan keeps lives in the Plan, whose caller decides whether to reuse
+// it. Scratches are pooled because planners are shared by concurrent
+// requests.
 type buildScratch struct {
 	seen     map[uint64]struct{}
 	byServer []*bitset.Set // server id -> candidate item set (nil = untouched)
@@ -48,18 +48,20 @@ type buildScratch struct {
 	freelist []*bitset.Set // recycled candidate sets
 	servers  []int         // sorted touched ids, parallel to sets
 	sets     []*bitset.Set
-	universe *bitset.Set
+	universe bitset.Set
+	cover    setcover.Scratch
 	txnOf    []int // server id -> transaction index + 1 (0 = none)
 	cnt      []int // transaction index -> primary count
-	indexOf  map[uint64]int
+	// single[ti] is the item index of transaction ti's primary when the
+	// cover gave it exactly one; moved lists the items redirectSingles
+	// re-homed, in order, and isMoved marks them.
+	single  []int
+	moved   []int
+	isMoved bitset.Set
 }
 
 var scratchPool = sync.Pool{New: func() interface{} {
-	return &buildScratch{
-		seen:     make(map[uint64]struct{}),
-		universe: &bitset.Set{},
-		indexOf:  make(map[uint64]int),
-	}
+	return &buildScratch{seen: make(map[uint64]struct{})}
 }}
 
 // ensure grows the server-indexed tables to cover server id s.
@@ -89,17 +91,18 @@ func (sc *buildScratch) candidates(s int) *bitset.Set {
 	return set
 }
 
-// maxPooledItems bounds the request size whose scratch goes back to the
-// pool. A hub request (16 000 keys) grows the item-indexed maps and
-// bitsets to its own size, and clearing them is then what every later
-// small build pays until a GC empties the pool; such a scratch is left
-// to the collector instead.
-const maxPooledItems = 1024
+// MaxPooledItems bounds the request size whose working memory goes back
+// to a pool — the planner's scratch here, a client's per-request record
+// in package rnb. A hub request (16 000 keys) grows the item-indexed
+// maps and bitsets to its own size, and clearing them is then what
+// every later small request pays until a GC empties the pool; such
+// memory is left to the collector instead.
+const MaxPooledItems = 1024
 
 // release returns the scratch to the pool, recycling candidate sets and
 // zeroing the server-indexed tables for the next build.
 func (sc *buildScratch) release() {
-	if len(sc.seen) > maxPooledItems {
+	if len(sc.seen) > MaxPooledItems {
 		return
 	}
 	for _, s := range sc.touched {
@@ -107,12 +110,16 @@ func (sc *buildScratch) release() {
 		sc.byServer[s] = nil
 		sc.txnOf[s] = 0
 	}
+	for _, i := range sc.moved {
+		sc.isMoved.Clear(i)
+	}
 	sc.touched = sc.touched[:0]
 	sc.servers = sc.servers[:0]
 	sc.sets = sc.sets[:0]
 	sc.cnt = sc.cnt[:0]
+	sc.single = sc.single[:0]
+	sc.moved = sc.moved[:0]
 	clear(sc.seen)
-	clear(sc.indexOf)
 	scratchPool.Put(sc)
 }
 
@@ -192,6 +199,33 @@ type Plan struct {
 	Replicas [][]int
 	// Assigned counts items with an assigned server.
 	Assigned int
+
+	// The slabs the replica lists, primaries and hitchhikers are carved
+	// from, kept for the plan's next BuildInto.
+	replicaSlab []int
+	primarySlab []uint64
+	hitchSlab   []uint64
+}
+
+// reset empties the plan for a build of items, keeping every slice's
+// capacity: ItemServer and Replicas get one entry per item, to be
+// filled in.
+func (p *Plan) reset(items []uint64) {
+	m := len(items)
+	p.Items = items
+	p.ItemServer = resize(p.ItemServer, m)
+	p.Replicas = resize(p.Replicas, m)
+	p.Transactions = p.Transactions[:0]
+	p.Assigned = 0
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NumTransactions returns the number of planned round-1 transactions.
@@ -201,16 +235,11 @@ func (p *Plan) NumTransactions() int { return len(p.Transactions) }
 type Planner struct {
 	placement hashring.Placement
 	opts      Options
-	cover     CoverFunc
 }
 
 // NewPlanner builds a planner over the given placement.
 func NewPlanner(p hashring.Placement, opts Options) *Planner {
-	cover := opts.Cover
-	if cover == nil {
-		cover = setcover.GreedyPartial
-	}
-	return &Planner{placement: p, opts: opts, cover: cover}
+	return &Planner{placement: p, opts: opts}
 }
 
 // Placement returns the planner's placement.
@@ -223,7 +252,7 @@ func (p *Planner) Options() Options { return p.opts }
 // or >= len(items) means fetch everything). Duplicate items are
 // rejected: requests are sets.
 func (p *Planner) Build(items []uint64, target int) (*Plan, error) {
-	return p.buildFiltered(items, target, 0, nil)
+	return p.BuildInto(new(Plan), items, target, 0, nil)
 }
 
 // BuildAvoiding is Build with a server filter: candidate servers for
@@ -233,7 +262,7 @@ func (p *Planner) Build(items []uint64, target int) (*Plan, error) {
 // store for those. The distinguished-single redirect targets the first
 // non-avoided replica (the "acting distinguished").
 func (p *Planner) BuildAvoiding(items []uint64, target int, avoid func(server int) bool) (*Plan, error) {
-	return p.buildFiltered(items, target, 0, avoid)
+	return p.BuildInto(new(Plan), items, target, 0, avoid)
 }
 
 // BuildExcluding is BuildAvoiding with an additional explicit
@@ -251,7 +280,7 @@ func (p *Planner) BuildExcluding(items []uint64, target int, exclude map[int]boo
 			return exclude[s] || (avoid != nil && avoid(s))
 		}
 	}
-	return p.buildFiltered(items, target, 0, combined)
+	return p.BuildInto(new(Plan), items, target, 0, combined)
 }
 
 // BuildBudget plans a fetch that maximizes item coverage within at most
@@ -264,13 +293,24 @@ func (p *Planner) BuildBudget(items []uint64, maxTransactions int, avoid func(se
 	if maxTransactions <= 0 {
 		return &Plan{Items: items}, nil
 	}
-	return p.buildFiltered(items, len(items), maxTransactions, avoid)
+	return p.BuildInto(new(Plan), items, len(items), maxTransactions, avoid)
 }
 
-func (p *Planner) buildFiltered(items []uint64, target, budget int, avoid func(int) bool) (*Plan, error) {
+// BuildInto is the one planner code path behind Build, BuildAvoiding,
+// BuildExcluding and BuildBudget: it plans a fetch of items into plan,
+// overwriting whatever plan held and reusing the capacity of its
+// slices, and returns plan (nil with the error for a duplicate item).
+// target is the LIMIT target as in Build; budget > 0 caps the
+// transactions as in BuildBudget, budget 0 plans without a cap; avoid
+// filters servers as in BuildAvoiding. The plan aliases items, and a
+// caller that reuses it must be done with the previous plan: a build
+// into a plan that is kept allocates nothing in steady state, one into
+// new(Plan) only the plan's own slices.
+func (p *Planner) BuildInto(plan *Plan, items []uint64, target, budget int, avoid func(server int) bool) (*Plan, error) {
 	m := len(items)
 	if m == 0 {
-		return &Plan{}, nil
+		plan.reset(nil)
+		return plan, nil
 	}
 	if target <= 0 || target > m {
 		target = m
@@ -283,36 +323,18 @@ func (p *Planner) buildFiltered(items []uint64, target, budget int, avoid func(i
 		}
 		sc.seen[it] = struct{}{}
 	}
-
-	plan := &Plan{
-		Items:      items,
-		ItemServer: make([]int, m),
-		Replicas:   make([][]int, m),
-	}
+	plan.reset(items)
+	p.locate(plan)
 
 	if p.opts.Hint == HintBalanceLoad && budget == 0 && target == m {
 		sc.release()
-		return p.buildBalanced(plan, avoid), nil
+		p.buildBalanced(plan, avoid)
+		return plan, nil
 	}
 
-	// Locate all replicas and group request items by candidate server,
-	// excluding avoided (failed/draining) servers from candidacy. The
-	// replica lists escape into the Plan, so they are carved from one
-	// per-build slab instead of allocated per item (Placement.Replicas
-	// fills buf[:0] in place; a boosted item overflowing its carve simply
-	// reallocates).
-	rcap := p.placement.NumReplicas()
-	if n := p.placement.NumServers(); rcap > n {
-		rcap = n
-	}
-	if rcap < 1 {
-		rcap = 1
-	}
-	slab := make([]int, m*rcap)
-	for i, it := range items {
-		plan.ItemServer[i] = -1
-		off := i * rcap
-		plan.Replicas[i] = p.placement.Replicas(it, slab[off:off:off+rcap])
+	// Group request items by candidate server, excluding avoided
+	// (failed/draining) servers from candidacy.
+	for i := range items {
 		for _, s := range plan.Replicas[i] {
 			if avoid != nil && avoid(s) {
 				continue
@@ -347,24 +369,26 @@ func (p *Planner) buildFiltered(items []uint64, target, budget int, avoid func(i
 	}
 	sets := sc.sets
 
-	sc.universe.Reset()
-	universe := sc.universe
+	universe := &sc.universe
+	universe.Reset()
 	for i := 0; i < m; i++ {
 		universe.Set(i)
 	}
 	var res setcover.Result
-	if budget > 0 {
-		res = setcover.GreedyBudget(universe, sets, budget)
-	} else {
-		res = p.cover(universe, sets, target)
+	switch {
+	case budget > 0:
+		res = sc.cover.GreedyBudget(universe, sets, budget)
+	case p.opts.Cover != nil:
+		res = p.opts.Cover(universe, sets, target)
+	default:
+		res = sc.cover.GreedyPartial(universe, sets, target)
 	}
 
 	// Assign each item to the first picked server that holds it: one
-	// pass marks ItemServer and counts per-transaction primaries, then
-	// the Primary slices are carved from a single slab and filled in
-	// ascending item order (identical ordering to the historical
-	// append-per-pick construction).
-	plan.Transactions = make([]Transaction, 0, len(res.Picked))
+	// pass marks ItemServer and counts per-transaction primaries.
+	if cap(plan.Transactions) < len(res.Picked) {
+		plan.Transactions = make([]Transaction, 0, len(res.Picked))
+	}
 	for _, pick := range res.Picked {
 		s := servers[pick]
 		ti := len(plan.Transactions)
@@ -380,26 +404,13 @@ func (p *Planner) buildFiltered(items []uint64, target, budget int, avoid func(i
 			return true
 		})
 	}
-	primSlab := make([]uint64, plan.Assigned)
-	off := 0
-	for ti := range plan.Transactions {
-		c := sc.cnt[ti]
-		plan.Transactions[ti].Primary = primSlab[off : off : off+c]
-		off += c
-	}
-	for i := 0; i < m; i++ {
-		if s := plan.ItemServer[i]; s >= 0 {
-			t := &plan.Transactions[sc.txnOf[s]-1]
-			t.Primary = append(t.Primary, items[i])
-		}
-	}
-
 	if p.opts.DistinguishedSingles {
 		// Under a transaction budget, redirection may only merge into
 		// transactions that already exist — creating one would bust the
 		// budget.
 		p.redirectSingles(plan, sc, budget == 0, avoid)
 	}
+	layoutPrimaries(plan, sc)
 	if p.opts.Hitchhike {
 		p.addHitchhikers(plan)
 	}
@@ -407,18 +418,76 @@ func (p *Planner) buildFiltered(items []uint64, target, budget int, avoid func(i
 	return plan, nil
 }
 
+// locate fills every item's replica list, ItemServer -1 (unassigned).
+// The lists are carved from the plan's one replica slab instead of
+// allocated per item (Placement.Replicas fills buf[:0] in place; a
+// boosted item overflowing its carve simply reallocates).
+func (p *Planner) locate(plan *Plan) {
+	rcap := p.placement.NumReplicas()
+	if n := p.placement.NumServers(); rcap > n {
+		rcap = n
+	}
+	if rcap < 1 {
+		rcap = 1
+	}
+	slab := resize(plan.replicaSlab, len(plan.Items)*rcap)
+	plan.replicaSlab = slab
+	for i, it := range plan.Items {
+		plan.ItemServer[i] = -1
+		off := i * rcap
+		plan.Replicas[i] = p.placement.Replicas(it, slab[off:off:off+rcap])
+	}
+}
+
+// layoutPrimaries carves every transaction's Primary from the plan's
+// primary slab, sized by the per-transaction counts, and fills it: the
+// items the cover assigned in ascending item order, then those
+// redirectSingles moved in, in the order it moved them — the order the
+// historical append-per-pick construction produced. Transactions left
+// without a primary by redirection are dropped.
+func layoutPrimaries(plan *Plan, sc *buildScratch) {
+	slab := resize(plan.primarySlab, plan.Assigned)
+	plan.primarySlab = slab
+	off := 0
+	for ti := range plan.Transactions {
+		c := sc.cnt[ti]
+		plan.Transactions[ti].Primary = slab[off : off : off+c]
+		off += c
+	}
+	place := func(i int) {
+		t := &plan.Transactions[sc.txnOf[plan.ItemServer[i]]-1]
+		t.Primary = append(t.Primary, plan.Items[i])
+	}
+	for i, s := range plan.ItemServer {
+		if s >= 0 && !sc.isMoved.Test(i) {
+			place(i)
+		}
+	}
+	for _, i := range sc.moved {
+		place(i)
+	}
+	if len(sc.moved) > 0 {
+		kept := plan.Transactions[:0]
+		for _, t := range plan.Transactions {
+			if len(t.Primary) > 0 {
+				kept = append(kept, t)
+			}
+		}
+		plan.Transactions = kept
+	}
+}
+
 // buildBalanced is the HintBalanceLoad full-fetch path: item→server
 // assignment by min-max-load bipartite matching instead of greedy set
 // cover. Transactions are emitted in ascending server order (the
 // matching has no pick order), so equal requests still yield equal
 // plans. DistinguishedSingles is intentionally not applied (it would
-// re-concentrate load); Hitchhike composes as usual.
-func (p *Planner) buildBalanced(plan *Plan, avoid func(int) bool) *Plan {
+// re-concentrate load); Hitchhike composes as usual. The plan's replica
+// lists are located already.
+func (p *Planner) buildBalanced(plan *Plan, avoid func(int) bool) {
 	m := len(plan.Items)
 	cands := make([][]int, m)
-	for i, it := range plan.Items {
-		plan.ItemServer[i] = -1
-		plan.Replicas[i] = p.placement.Replicas(it, nil)
+	for i := range plan.Items {
 		for _, s := range plan.Replicas[i] {
 			if avoid != nil && avoid(s) {
 				continue
@@ -455,29 +524,33 @@ func (p *Planner) buildBalanced(plan *Plan, avoid func(int) bool) *Plan {
 	if p.opts.Hitchhike {
 		p.addHitchhikers(plan)
 	}
-	return plan
 }
 
 // redirectSingles moves every single-item transaction's item to its
 // distinguished server, merging with an existing transaction to that
-// server when possible. Transactions left empty are dropped. When
-// allowNew is false, redirects that would require a new transaction
-// are skipped. The scratch carries the server->transaction table
-// (sc.txnOf, +1-encoded) and a reusable item->index map.
+// server when possible. When allowNew is false, redirects that would
+// require a new transaction are skipped. It works on the scratch's
+// per-transaction primary counts (sc.cnt) and server->transaction table
+// (sc.txnOf, +1-encoded), before any Primary is laid out: a moved item
+// gets its new ItemServer and joins sc.moved, and layoutPrimaries
+// appends it to its new transaction and drops the transactions it left
+// empty.
 func (p *Planner) redirectSingles(plan *Plan, sc *buildScratch, allowNew bool, avoid func(int) bool) {
-	indexOf := sc.indexOf
-	for i, it := range plan.Items {
-		indexOf[it] = i
+	sc.single = resize(sc.single, len(plan.Transactions))
+	for i, s := range plan.ItemServer {
+		if s >= 0 {
+			if ti := sc.txnOf[s] - 1; sc.cnt[ti] == 1 {
+				sc.single[ti] = i
+			}
+		}
 	}
-	for ti := range plan.Transactions {
-		t := &plan.Transactions[ti]
-		if len(t.Primary) != 1 {
+	for ti, n := 0, len(plan.Transactions); ti < n; ti++ {
+		if sc.cnt[ti] != 1 {
 			continue
 		}
-		it := t.Primary[0]
-		i := indexOf[it]
+		i := sc.single[ti]
 		dist, ok := ActingDistinguished(plan.Replicas[i], avoid)
-		if !ok || dist == t.Server {
+		if !ok || dist == plan.Transactions[ti].Server {
 			continue // already fetching the distinguished copy
 		}
 		// The acting distinguished server holds a non-avoided replica, so
@@ -488,49 +561,59 @@ func (p *Planner) redirectSingles(plan *Plan, sc *buildScratch, allowNew bool, a
 		if dist >= len(sc.byServer) || sc.byServer[dist] == nil {
 			continue
 		}
-		if dj := sc.txnOf[dist]; dj > 0 {
-			t.Primary = t.Primary[:0]
-			plan.ItemServer[i] = dist
-			plan.Transactions[dj-1].Primary = append(plan.Transactions[dj-1].Primary, it)
-			continue
+		dj := sc.txnOf[dist]
+		if dj == 0 {
+			if !allowNew {
+				continue
+			}
+			plan.Transactions = append(plan.Transactions, Transaction{Server: dist})
+			sc.cnt = append(sc.cnt, 0)
+			dj = len(plan.Transactions)
+			sc.txnOf[dist] = dj
 		}
-		if !allowNew {
-			continue
-		}
-		t.Primary = t.Primary[:0]
+		// A transaction this loop has yet to reach stops being a single
+		// when an item joins it; one it emptied or appended is never
+		// looked at again, so single needs no update.
+		sc.cnt[ti] = 0
+		sc.cnt[dj-1]++
 		plan.ItemServer[i] = dist
-		sc.txnOf[dist] = len(plan.Transactions) + 1
-		plan.Transactions = append(plan.Transactions, Transaction{Server: dist, Primary: []uint64{it}})
+		sc.moved = append(sc.moved, i)
+		sc.isMoved.Set(i)
 	}
-	// Compact out transactions emptied by redirection. sc.txnOf is left
-	// stale after the compaction, which is safe: redirection is the last
-	// consumer of the table in a build.
-	kept := plan.Transactions[:0]
-	for _, t := range plan.Transactions {
-		if len(t.Primary) > 0 {
-			kept = append(kept, t)
-		}
-	}
-	plan.Transactions = kept
 }
 
-// addHitchhikers appends, to every planned transaction, the other
-// requested items that have a logical replica on that server.
+// addHitchhikers adds, to every planned transaction, the other
+// requested items that have a logical replica on that server. The
+// lists are carved from the plan's hitchhiker slab, sized for the most
+// an unboosted request can have.
 func (p *Planner) addHitchhikers(plan *Plan) {
+	bound := -plan.Assigned // an item never hitchhikes to its own server
+	for i := range plan.Replicas {
+		bound += len(plan.Replicas[i])
+	}
+	hh := plan.hitchSlab[:0]
+	if cap(hh) < bound {
+		hh = make([]uint64, 0, bound)
+	}
 	for ti := range plan.Transactions {
 		t := &plan.Transactions[ti]
+		from := len(hh)
 		for i, it := range plan.Items {
 			if plan.ItemServer[i] == t.Server {
 				continue // primary here already
 			}
 			for _, s := range plan.Replicas[i] {
 				if s == t.Server {
-					t.Hitchhikers = append(t.Hitchhikers, it)
+					hh = append(hh, it)
 					break
 				}
 			}
 		}
+		if len(hh) > from {
+			t.Hitchhikers = hh[from:len(hh):len(hh)]
+		}
 	}
+	plan.hitchSlab = hh
 }
 
 // ActingDistinguished returns the first replica server not excluded by
@@ -551,22 +634,53 @@ func ActingDistinguished(replicas []int, avoid func(int) bool) (server int, ok b
 // and never miss, so one bundled round always completes the request.
 // The caller passes the items that were not obtained in round 1 and
 // whose distinguished server was not already queried with the item
-// aboard; this function only groups them by distinguished server.
-// replicas must be parallel to items (replicas[i][0] is the
-// distinguished server of items[i]).
-func SecondRound(items []uint64, replicas [][]int) []Transaction {
-	byServer := make(map[int][]uint64)
-	var order []int
-	for i, it := range items {
-		dist := replicas[i][0]
-		if _, ok := byServer[dist]; !ok {
-			order = append(order, dist)
+// aboard; this function only groups them by server. dist must be
+// parallel to items: dist[i] is the server round 2 asks for items[i],
+// its distinguished copy's (or, that server being down, the acting
+// distinguished's). Transactions come in order of first appearance in
+// dist, each with its items in request order.
+func SecondRound(items []uint64, dist []int) []Transaction {
+	return new(Round2).Group(items, dist)
+}
+
+// Round2 is SecondRound's working memory, kept by a caller that groups
+// one round 2 per request so that steady-state grouping allocates
+// nothing. The transactions Group returns alias it: valid until its
+// next Group. A Round2 is not safe for concurrent use.
+type Round2 struct {
+	txns  []Transaction
+	slab  []uint64 // the transactions' item lists
+	cnt   []int    // transaction index -> item count
+	txnOf []int    // server id -> transaction index + 1, zero between Groups
+}
+
+// Group is SecondRound on r's memory.
+func (r *Round2) Group(items []uint64, dist []int) []Transaction {
+	txns, cnt := r.txns[:0], r.cnt[:0]
+	for _, s := range dist {
+		if s >= len(r.txnOf) {
+			r.txnOf = append(r.txnOf, make([]int, s+1-len(r.txnOf))...)
 		}
-		byServer[dist] = append(byServer[dist], it)
+		if r.txnOf[s] == 0 {
+			txns = append(txns, Transaction{Server: s})
+			cnt = append(cnt, 0)
+			r.txnOf[s] = len(txns)
+		}
+		cnt[r.txnOf[s]-1]++
 	}
-	out := make([]Transaction, 0, len(order))
-	for _, s := range order {
-		out = append(out, Transaction{Server: s, Primary: byServer[s]})
+	slab := resize(r.slab, len(items))
+	off := 0
+	for ti := range txns {
+		txns[ti].Primary = slab[off : off : off+cnt[ti]]
+		off += cnt[ti]
 	}
-	return out
+	for i, it := range items {
+		t := &txns[r.txnOf[dist[i]]-1]
+		t.Primary = append(t.Primary, it)
+	}
+	for _, t := range txns {
+		r.txnOf[t.Server] = 0
+	}
+	r.txns, r.slab, r.cnt = txns, slab, cnt
+	return txns
 }

@@ -518,8 +518,8 @@ func TestBuildBudgetWithDistinguishedSinglesKeepsBudget(t *testing.T) {
 
 func TestSecondRoundGroupsByDistinguished(t *testing.T) {
 	items := []uint64{1, 2, 3, 4}
-	replicas := [][]int{{0, 5}, {1, 6}, {0, 7}, {1, 8}}
-	txns := SecondRound(items, replicas)
+	dist := []int{0, 1, 0, 1}
+	txns := SecondRound(items, dist)
 	if len(txns) != 2 {
 		t.Fatalf("got %d transactions, want 2", len(txns))
 	}
@@ -689,7 +689,7 @@ func TestBuildExcluding(t *testing.T) {
 // TestScratchPoolDropsHubSizedBuilds checks that one hub request does
 // not leave its item-indexed tables in the pool for every later small
 // build to clear: after a 16 000-item build and a 16-item one, no
-// pooled scratch holds a bitset wider than maxPooledItems.
+// pooled scratch holds a bitset wider than MaxPooledItems.
 func TestScratchPoolDropsHubSizedBuilds(t *testing.T) {
 	p := NewPlanner(hashring.NewMultiHashPlacement(16, 3, 1), Options{})
 	for _, n := range []int{16000, 16} {
@@ -708,9 +708,9 @@ func TestScratchPoolDropsHubSizedBuilds(t *testing.T) {
 	// out fresh ones, which pass trivially.
 	for i := 0; i < 64; i++ {
 		sc := scratchPool.Get().(*buildScratch)
-		for _, set := range append(sc.freelist, sc.universe) {
-			if w := words(set); w > maxPooledItems/64 {
-				t.Fatalf("pooled scratch retains a %d-bit set (limit %d items)", w*64, maxPooledItems)
+		for _, set := range append(sc.freelist, &sc.universe) {
+			if w := words(set); w > MaxPooledItems/64 {
+				t.Fatalf("pooled scratch retains a %d-bit set (limit %d items)", w*64, MaxPooledItems)
 			}
 		}
 	}

@@ -29,7 +29,8 @@ type Config struct {
 	// handed to SlowLog and kept in the slow ring (0 disables).
 	SlowThreshold time.Duration
 	// SlowLog receives every slow span (default: the standard log
-	// package, one compact line per span).
+	// package, one compact line per span). As for
+	// TraceConfig.OnFinish, the span is valid only during the call.
 	SlowLog func(sp *Span)
 }
 
@@ -43,7 +44,9 @@ type TraceConfig struct {
 	// are not slow (default 32; < 0 disables the reservoir).
 	ReservoirCapacity int
 	// OnFinish, when set, observes every finished traced span before
-	// any retention decision (the bench's aggregation hook).
+	// any retention decision (the bench's aggregation hook). The span
+	// and its RTTs are valid only during the call — the caller reuses
+	// them for a later request — so a hook that keeps either copies it.
 	OnFinish func(sp *Span)
 }
 

@@ -20,6 +20,7 @@ package setcover
 
 import (
 	"container/heap"
+	"math"
 
 	"rnb/internal/bitset"
 )
@@ -30,6 +31,16 @@ type Result struct {
 	Picked []int
 	// Covered is the number of universe elements covered by Picked.
 	Covered int
+}
+
+// Scratch is the eager greedy heuristics' working memory — the set of
+// still-uncovered elements and the pick list — kept by a caller that
+// runs many covers, so that steady-state covering allocates nothing. A
+// Result it returns aliases its pick list: valid until the scratch's
+// next cover. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	remaining bitset.Set
+	picked    []int
 }
 
 // Greedy computes a cover of universe using the classical greedy
@@ -47,6 +58,11 @@ func Greedy(universe *bitset.Set, sets []*bitset.Set) Result {
 // items are covered. A target <= 0 returns an empty result; a target
 // larger than the universe is clamped.
 func GreedyPartial(universe *bitset.Set, sets []*bitset.Set, target int) Result {
+	return new(Scratch).GreedyPartial(universe, sets, target)
+}
+
+// GreedyPartial is the package-level GreedyPartial on sc's memory.
+func (sc *Scratch) GreedyPartial(universe *bitset.Set, sets []*bitset.Set, target int) Result {
 	total := universe.Count()
 	if target > total {
 		target = total
@@ -54,9 +70,17 @@ func GreedyPartial(universe *bitset.Set, sets []*bitset.Set, target int) Result 
 	if target <= 0 {
 		return Result{}
 	}
-	remaining := universe.Clone()
-	var res Result
-	for res.Covered < target {
+	return sc.greedy(universe, sets, target, math.MaxInt)
+}
+
+// greedy is the eager loop behind GreedyPartial and GreedyBudget: pick
+// the best set until target elements are covered, maxPicks sets are
+// picked, or nothing left adds coverage.
+func (sc *Scratch) greedy(universe *bitset.Set, sets []*bitset.Set, target, maxPicks int) Result {
+	remaining := &sc.remaining
+	remaining.CopyFrom(universe)
+	res := Result{Picked: sc.picked[:0]}
+	for res.Covered < target && len(res.Picked) < maxPicks {
 		best, bestGain := -1, 0
 		for i, s := range sets {
 			if g := remaining.IntersectionCount(s); g > bestGain {
@@ -70,6 +94,7 @@ func GreedyPartial(universe *bitset.Set, sets []*bitset.Set, target int) Result 
 		res.Covered += bestGain
 		remaining.DifferenceWith(sets[best])
 	}
+	sc.picked = res.Picked
 	return res
 }
 
@@ -152,26 +177,15 @@ func GreedyLazy(universe *bitset.Set, sets []*bitset.Set, target int) Result {
 // transactions rather than on items. maxPicks <= 0 returns an empty
 // result.
 func GreedyBudget(universe *bitset.Set, sets []*bitset.Set, maxPicks int) Result {
+	return new(Scratch).GreedyBudget(universe, sets, maxPicks)
+}
+
+// GreedyBudget is the package-level GreedyBudget on sc's memory.
+func (sc *Scratch) GreedyBudget(universe *bitset.Set, sets []*bitset.Set, maxPicks int) Result {
 	if maxPicks <= 0 {
 		return Result{}
 	}
-	remaining := universe.Clone()
-	var res Result
-	for len(res.Picked) < maxPicks {
-		best, bestGain := -1, 0
-		for i, s := range sets {
-			if g := remaining.IntersectionCount(s); g > bestGain {
-				best, bestGain = i, g
-			}
-		}
-		if best < 0 {
-			break
-		}
-		res.Picked = append(res.Picked, best)
-		res.Covered += bestGain
-		remaining.DifferenceWith(sets[best])
-	}
-	return res
+	return sc.greedy(universe, sets, math.MaxInt, maxPicks)
 }
 
 // Exact finds a minimum cover by branch and bound. It returns ok=false

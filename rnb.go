@@ -426,6 +426,16 @@ func (c *Client) ServerStates() []ServerState {
 	return out
 }
 
+// avoidFor returns the read paths' server filter for t: nil while every
+// breaker is closed — the common request then takes no breaker mutex —
+// else t.isDown, which routes around open and half-open servers.
+func (c *Client) avoidFor(t *tier) func(int) bool {
+	if c.cfg.cooldown <= 0 || c.unhealthy.Load() == 0 {
+		return nil
+	}
+	return t.isDown
+}
+
 // probeHalfOpen launches the single allowed probe against every
 // half-open server: a cheap version round-trip on the server's own
 // connection, asynchronously so requests never wait on a probe. A
@@ -855,10 +865,8 @@ func (c *Client) Get(key string) (*Item, error) {
 	}
 	replicas := t.replicas(key)
 	s := replicas[0]
-	if c.cfg.cooldown > 0 {
-		if acting, ok := core.ActingDistinguished(replicas, t.isDown); ok {
-			s = acting
-		}
+	if acting, ok := core.ActingDistinguished(replicas, c.avoidFor(t)); ok {
+		s = acting
 	}
 	var it *Item
 	err := t.slots[s].do(func(conn *memcache.Client) (err error) {
@@ -979,38 +987,39 @@ func newTraceID() uint64 {
 
 // fanout is the one read path behind round 1, re-plan and round 2: it
 // sends every planned transaction as one multi-get, its keys cut from
-// one array, then collects the replies on the calling goroutine in plan
-// order and hands each to merge — no goroutine, no lock: whoever
-// collects first on a connection reads it (memcache.Pending). The
-// returned slice holds the failed transactions' servers, which the
-// caller feeds into the re-plan exclusion set. What it issued, carried
-// and lost is counted into stats, and sp gets one round-trip stamp per
-// transaction, in plan order. When sp is traced each multi-get carries
-// the trace context: the RTT span is the server span's parent. A stamp
-// ends when its reply is collected, after the ones collected before it.
-func (c *Client) fanout(t *tier, txns []core.Transaction, keyOf map[uint64]string, sp *obs.Span, stats *Stats, phase string, round int, merge func(txn *core.Transaction, items []Item)) (failed []int) {
+// the request's one key array, then collects the replies on the calling
+// goroutine in plan order and hands each to merge — no goroutine, no
+// lock: whoever collects first on a connection reads it
+// (memcache.Pending). The returned slice holds the failed transactions'
+// servers, which the caller feeds into the re-plan exclusion set. What
+// it issued, carried and lost is counted into stats, and st's span gets
+// one round-trip stamp per transaction, in plan order. When the span is
+// traced each multi-get carries the trace context: the RTT span is the
+// server span's parent. A stamp ends when its reply is collected, after
+// the ones collected before it.
+func (c *Client) fanout(t *tier, st *multiGet, txns []core.Transaction, stats *Stats, phase string, round int, merge func(txn *core.Transaction, items []Item)) (failed []int) {
 	stats.Transactions += len(txns)
 	n := 0
 	for i := range txns {
 		stats.Hitchhikers += len(txns[i].Hitchhikers)
 		n += len(txns[i].Primary) + len(txns[i].Hitchhikers)
 	}
+	sp := &st.span
 	stamps := len(sp.RTTs)
 	sp.RTTs = append(sp.RTTs, make([]obs.TxnRTT, len(txns))...)
 	rtts := sp.RTTs[stamps:]
-	var inline [8]memcache.Pending
-	sent := inline[:]
-	if len(txns) > len(inline) {
-		sent = make([]memcache.Pending, len(txns))
+	sent := append(st.sent[:0], make([]memcache.Pending, len(txns))...)
+	keys := st.keys[:0]
+	if cap(keys) < n {
+		keys = make([]string, 0, n)
 	}
-	keys := make([]string, 0, n)
 	for i := range txns {
 		txn, rtt, from := &txns[i], &rtts[i], len(keys)
 		for _, id := range txn.Primary {
-			keys = append(keys, keyOf[id])
+			keys = append(keys, st.keyOf[id])
 		}
 		for _, id := range txn.Hitchhikers {
-			keys = append(keys, keyOf[id])
+			keys = append(keys, st.keyOf[id])
 		}
 		rtt.Server, rtt.Addr, rtt.Keys, rtt.Phase, rtt.Round = txn.Server, t.slots[txn.Server].addr, len(keys)-from, phase, round
 		var tc obs.TraceContext
@@ -1034,6 +1043,12 @@ func (c *Client) fanout(t *tier, txns []core.Transaction, keyOf map[uint64]strin
 		merge(&txns[i], items)
 	}
 	stats.Failed += len(failed)
+	st.sent, st.keys = sent, keys
+	if len(failed) > 0 {
+		// A failed transaction's connection slot may still hold its keys:
+		// a later round of this request cuts its keys from a new array.
+		st.keys = nil
+	}
 	return failed
 }
 
@@ -1072,19 +1087,66 @@ func mergeItems(dst map[string]*Item, src []Item) {
 	}
 }
 
-// keyIDs maps keys to planner item ids, rejecting duplicates.
-func (c *Client) keyIDs(keys []string) ([]uint64, map[uint64]string, error) {
-	ids := make([]uint64, len(keys))
-	keyOf := make(map[uint64]string, len(keys))
-	for i, k := range keys {
-		id := keyID(k)
-		if _, dup := keyOf[id]; dup {
-			return nil, nil, fmt.Errorf("rnb: duplicate key %q in request", k)
-		}
-		ids[i] = id
-		keyOf[id] = k
+// multiGet is one multi-get's working memory: everything getMulti builds
+// for a request and drops when it returns. Requests take one from
+// multiGetPool and give it back after finishSpan (see release), so a
+// steady stream of requests rebuilds none of it. Nothing the caller gets
+// back points into it: result items live in the replies' own arrays, and
+// key strings are the caller's.
+type multiGet struct {
+	// span is the request's lifecycle record; Recorder.Finish copies it,
+	// RTT array included.
+	span  obs.Span
+	ids   []uint64
+	keyOf map[uint64]string
+	plan  core.Plan
+	// keys and sent are fanout's: the keys of a round's transactions, cut
+	// from one array, and their in-flight handles.
+	keys []string
+	sent []memcache.Pending
+	// Round 2's tables: each still-missing planned key, the server round
+	// 2 asks for it, the server round 1 assigned it (the write-back
+	// target), and their grouping.
+	missIDs      []uint64
+	acting       []int
+	missAssigned map[uint64]int
+	round2       core.Round2
+}
+
+var multiGetPool = sync.Pool{New: func() any {
+	return &multiGet{keyOf: make(map[uint64]string), missAssigned: make(map[uint64]int)}
+}}
+
+// release gives st back to the pool unless the request was too big to
+// keep (a hub request's tables would be cleared by every small one
+// after it) or a transaction failed: a failed Pending's connection slot
+// may still hold a slice of the key array, so that record is left to
+// the collector.
+func (st *multiGet) release(keys int, stats *Stats) {
+	if keys > core.MaxPooledItems || stats.Failed > 0 {
+		return
 	}
-	return ids, keyOf, nil
+	clear(st.keyOf)
+	clear(st.missAssigned)
+	// A pooled record pins nothing of the caller's (key strings) or the
+	// transport's (the connections a Pending names).
+	clear(st.keys[:cap(st.keys)])
+	clear(st.sent[:cap(st.sent)])
+	multiGetPool.Put(st)
+}
+
+// keyIDs maps keys to planner item ids in st, rejecting duplicates.
+func (st *multiGet) keyIDs(keys []string) error {
+	st.ids = st.ids[:0]
+	for _, k := range keys {
+		id := keyID(k)
+		if _, dup := st.keyOf[id]; dup {
+			return fmt.Errorf("rnb: duplicate key %q in request", k)
+		}
+		st.ids = append(st.ids, id)
+		st.keyOf[id] = k
+	}
+	return nil
 }
 
 // armSpanTrace decides whether sp joins a distributed trace: an
@@ -1121,39 +1183,34 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	case target > 0:
 		op = "get_multi_limit"
 	}
-	sp := &obs.Span{ID: c.recorder.NextID(), Op: op, Start: time.Now(), Keys: len(keys)}
+	st := multiGetPool.Get().(*multiGet)
+	sp := &st.span
+	*sp = obs.Span{ID: c.recorder.NextID(), Op: op, Start: time.Now(), Keys: len(keys), RTTs: sp.RTTs[:0]}
 	c.armSpanTrace(sp, ext)
 	trips0 := c.resilience.BreakerOpened.Load()
 	defer func() {
 		sp.BreakerTrips = int(c.resilience.BreakerOpened.Load() - trips0)
 		c.finishSpan(sp, out, &stats, err)
+		st.release(len(keys), &stats)
 	}()
 	// One immutable routing snapshot for the whole request: placement,
 	// planner, and slots cannot change underneath it even if the tier
 	// resizes mid-flight (the superset invariant keeps any server this
 	// snapshot names reachable for the transition window).
 	t := c.cur.Load()
-	ids, keyOf, err := c.keyIDs(keys)
-	if err != nil {
+	if err := st.keyIDs(keys); err != nil {
 		return nil, stats, err
 	}
+	ids, keyOf := st.ids, st.keyOf
 	// Heat tracking sees every multi-get key; the epoch controller may
 	// rotate the heat table here, before this request is planned.
 	c.observeHeat(ids, keys)
 	// Give any half-open server its probe shot before planning.
 	c.probeHalfOpen(t)
 	// Plan around servers whose breaker is open or half-open.
-	var avoid func(int) bool
-	if c.cfg.cooldown > 0 {
-		avoid = t.isDown
-	}
+	avoid := c.avoidFor(t)
 	planStart := time.Now()
-	var plan *core.Plan
-	if budget > 0 {
-		plan, err = t.planner.BuildBudget(ids, budget, avoid)
-	} else {
-		plan, err = t.planner.BuildAvoiding(ids, target, avoid)
-	}
+	plan, err := t.planner.BuildInto(&st.plan, ids, target, budget, avoid)
 	sp.PlanNS = int64(time.Since(planStart))
 	if err != nil {
 		return nil, stats, err
@@ -1166,7 +1223,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	out = make(map[string]*Item, len(keys))
 	merge := func(_ *core.Transaction, items []Item) { mergeItems(out, items) }
 	fanStart := time.Now()
-	failedSrvs := c.fanout(t, plan.Transactions, keyOf, sp, &stats, "fanout", 0, merge)
+	failedSrvs := c.fanout(t, st, plan.Transactions, &stats, "fanout", 0, merge)
 	if budget > 0 {
 		sp.FanoutNS = int64(time.Since(fanStart))
 		return out, stats, nil
@@ -1186,6 +1243,8 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			excluded[s] = true
 		}
 	}
+	// A failure may have opened a breaker: recovery reads the live view.
+	avoid = c.avoidFor(t)
 	for attempt := 0; attempt < c.cfg.retryAttempts && len(failedSrvs) > 0; attempt++ {
 		exclude(failedSrvs)
 		var missIDs []uint64
@@ -1212,7 +1271,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 		c.resilience.Replans.Add(1)
 		stats.Retries += len(replan.Transactions)
 		c.resilience.RetryTransactions.Add(uint64(len(replan.Transactions)))
-		failedSrvs = c.fanout(t, replan.Transactions, keyOf, sp, &stats, "replan", attempt+1, merge)
+		failedSrvs = c.fanout(t, st, replan.Transactions, &stats, "replan", attempt+1, merge)
 	}
 	sp.FanoutNS = int64(time.Since(fanStart))
 	// Servers that failed during this request stay excluded for the
@@ -1227,13 +1286,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 
 	// Round 2: still-missing planned items, bundled by their acting
 	// distinguished server (the true one, unless it is quarantined).
-	// Nothing below is built for a request with nothing missing; the
-	// first miss sizes it all for the items still to be looked at, and
-	// the one-server replica lists SecondRound takes share one array.
-	var missIDs []uint64
-	var missReplicas [][]int
-	var acting []int
-	var missAssigned map[uint64]int
+	missIDs, acting, missAssigned := st.missIDs[:0], st.acting[:0], st.missAssigned
 	for i, id := range plan.Items {
 		if plan.ItemServer[i] == -1 {
 			continue // dropped by LIMIT or all replicas down: loader below
@@ -1243,27 +1296,19 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			if !ok {
 				continue // no live replica: loader below
 			}
-			if missAssigned == nil {
-				rest := len(plan.Items) - i
-				missIDs = make([]uint64, 0, rest)
-				missReplicas = make([][]int, 0, rest)
-				acting = make([]int, 0, rest)
-				missAssigned = make(map[uint64]int, rest)
-			}
-			n := len(acting)
-			acting = append(acting, a)
 			missIDs = append(missIDs, id)
-			missReplicas = append(missReplicas, acting[n:n+1:n+1])
+			acting = append(acting, a)
 			missAssigned[id] = plan.ItemServer[i]
 		}
 	}
+	st.missIDs, st.acting = missIDs, acting
 	// Its transactions go to distinct servers and are sent at once; a
 	// failed one degrades: its items fall to the loader or come back
 	// absent.
 	round2Start := time.Now()
-	round2 := core.SecondRound(missIDs, missReplicas)
+	round2 := st.round2.Group(missIDs, acting)
 	stats.Round2 += len(round2)
-	c.fanout(t, round2, keyOf, sp, &stats, "round2", 0, func(txn *core.Transaction, items []Item) {
+	c.fanout(t, st, round2, &stats, "round2", 0, func(txn *core.Transaction, items []Item) {
 		// The reply is in the transaction's key order, so write-backs
 		// (and the evictions they cause) happen in a seed-determined
 		// order, each server's after its own reply is collected. A key

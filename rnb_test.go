@@ -466,3 +466,75 @@ func TestHitchhikersReported(t *testing.T) {
 		t.Fatal("no hitchhikers with 3 replicas on 4 servers (premise: overlap is huge)")
 	}
 }
+
+// TestGetMultiResultsOutliveTheirRecord: a multi-get's working record
+// goes back to a pool when the call returns and the next request
+// overwrites it, so nothing the caller got may point into it. Eight
+// goroutines, each over its own keys and request sizes, keep every map
+// they get back and check each one again after later requests — theirs
+// and the others' — have reused the pool, and once more after all of
+// them are done.
+func TestGetMultiResultsOutliveTheirRecord(t *testing.T) {
+	cl, _ := newTestClient(t, 4, WithReplicas(3))
+	const goroutines, rounds = 8, 40
+	value := func(key string) string { return "value of " + key }
+	sets := make([][]string, goroutines)
+	for g := range sets {
+		for i := 0; i < 4+3*g; i++ {
+			k := fmt.Sprintf("g%d:key%02d", g, i)
+			sets[g] = append(sets[g], k)
+			if err := cl.Set(&Item{Key: k, Value: []byte(value(k))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(ks []string, items map[string]*Item) error {
+		if len(items) != len(ks) {
+			return fmt.Errorf("%d items for %d keys", len(items), len(ks))
+		}
+		for _, k := range ks {
+			if it := items[k]; it == nil || it.Key != k || string(it.Value) != value(k) {
+				return fmt.Errorf("key %s: got %+v", k, it)
+			}
+		}
+		return nil
+	}
+	kept := make([][]map[string]*Item, goroutines)
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ks := sets[g]
+			for r := 0; r < rounds; r++ {
+				// Vary which prefix is asked, so records change size.
+				ask := ks[:1+(r*7)%len(ks)]
+				items, _, err := cl.GetMulti(ask)
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d round %d: %w", g, r, err)
+					return
+				}
+				kept[g] = append(kept[g], items)
+				for i, prev := range kept[g] {
+					if err := check(ks[:1+(i*7)%len(ks)], prev); err != nil {
+						errs <- fmt.Errorf("goroutine %d: round %d's result after round %d: %w", g, i, r, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for g := range kept {
+		for i, items := range kept[g] {
+			if err := check(sets[g][:1+(i*7)%len(sets[g])], items); err != nil {
+				t.Fatalf("goroutine %d round %d, after every request: %v", g, i, err)
+			}
+		}
+	}
+}

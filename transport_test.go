@@ -160,9 +160,9 @@ func awaitGoroutines(t *testing.T, baseline int) {
 // hangs on the rings where the plan never touches it.
 func plannedServer(t *testing.T, cl *Client, ks []string) int {
 	t.Helper()
-	ids, _, err := cl.keyIDs(ks)
-	if err != nil {
-		t.Fatal(err)
+	ids := make([]uint64, len(ks))
+	for i, k := range ks {
+		ids[i] = keyID(k)
 	}
 	plan, err := cl.cur.Load().planner.BuildAvoiding(ids, 0, nil)
 	if err != nil || len(plan.Transactions) == 0 {
