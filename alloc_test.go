@@ -31,20 +31,21 @@ func allocGate(t *testing.T, name string, budget float64, fn func()) {
 // round-2 tables — comes from its pooled record (multiGet) and costs
 // nothing either. At r=3 over three servers every key lives everywhere,
 // so the plan is one transaction whatever ring the ephemeral ports
-// produce. It measures 7: the result map (2), the reply's item array,
-// value arena and one-key scratch (3), the server's copy of the request
-// line (1), and the recorder's copy of the span's RTT stamps (1). A
-// fan-out of two is pinned on a six-server tier by searching for a key
-// set that plans to exactly two transactions (hitchhiking off: a
-// hitchhiker's decoded duplicate would make the count depend on the
-// ring too): the second reply and request line add 4. Both are sent
-// before either reply is read, so the two servers work at once, and a
-// server goroutine that finds its sync.Pool scratch taken by the other
-// adds 2: the gate is 13, and the single-transaction gate is the exact
-// one for the read path itself. None of these grows with the number of
-// items a reply carries: the items of one transaction arrive as one
-// array and one value arena and are merged by reference. A Get costs 5
-// (its replica lookup fills a buffer sized for r), a Set 13.
+// produce. It measures 5: the result map (2), the reply's item array and
+// value arena (2), and the recorder's copy of the span's RTT stamps (1);
+// the server reads the keys as views of its connection's memory, and the
+// request lives in its connection's slot. A fan-out of two is pinned on
+// a six-server tier by searching for a key set that plans to exactly two
+// transactions (hitchhiking off: a hitchhiker's decoded duplicate would
+// make the count depend on the ring too): the second reply adds 2. Both
+// are sent before either reply is read, so the two servers work at once,
+// and a server goroutine that finds its sync.Pool scratch taken by the
+// other adds 2: the gate is 9, and the single-transaction gate is the
+// exact one for the read path itself. None of these grows with the
+// number of items a reply carries: the items of one transaction arrive
+// as one array and one value arena and are merged by reference. A Get
+// costs 2, its reply's item array and value (its replica lookup fills a
+// pooled record's buffer); a Set 13.
 func TestAllocBudgetClient(t *testing.T) {
 	value := bytes.Repeat([]byte("v"), 100)
 	cl, _ := newTestClient(t, 3, WithReplicas(3))
@@ -54,12 +55,12 @@ func TestAllocBudgetClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocGate(t, "Get", 5, func() {
+	allocGate(t, "Get", 2, func() {
 		if _, err := cl.Get(ks[0]); err != nil {
 			t.Fatal(err)
 		}
 	})
-	allocGate(t, "GetMulti 8 keys r=3, 1 transaction", 7, func() {
+	allocGate(t, "GetMulti 8 keys r=3, 1 transaction", 5, func() {
 		items, stats, err := cl.GetMulti(ks)
 		if err != nil || len(items) != len(ks) || stats.Transactions != 1 {
 			t.Fatalf("%d items, %+v, err %v", len(items), stats, err)
@@ -81,7 +82,7 @@ func TestAllocBudgetClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocGate(t, "traced GetMulti 8 keys r=3, 1 transaction", 10, func() {
+	allocGate(t, "traced GetMulti 8 keys r=3, 1 transaction", 8, func() {
 		items, stats, err := traced.GetMulti(ks)
 		if err != nil || len(items) != len(ks) || stats.Transactions != 1 {
 			t.Fatalf("%d items, %+v, err %v", len(items), stats, err)
@@ -93,11 +94,10 @@ func TestAllocBudgetClient(t *testing.T) {
 	// servers the plan is one transaction and round 2 visits the other
 	// two; how many of the 16 keys it recovers, and so writes back,
 	// depends on the ring, so a window with exactly ten is searched for.
-	// It measures 57: the three transactions' replies and request lines,
-	// the result map, the RTT copy, and per write-back the four the
-	// server spends parsing and refusing an add — queuing one costs the
-	// client nothing, and round 2's tables and grouping come from the
-	// request's record.
+	// It measures 51: the three transactions' replies, the result map,
+	// the RTT copy, and per write-back the four the server spends parsing
+	// and refusing an add — queuing one costs the client nothing, and
+	// round 2's tables and grouping come from the request's record.
 	virtual, vpool := newVirtualReplicaTier(t, 3, 64)
 	for i := 0; i+16 <= len(vpool); i++ {
 		vks := vpool[i : i+16]
@@ -107,7 +107,7 @@ func TestAllocBudgetClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.Transactions == 3 && stats.Round2 == 2 && virtual.poolGauges.WriteBackQueued.Load()-queued == 10 {
-			allocGate(t, "GetMulti 16 keys r=3, 1+2 transactions, 10 write-backs", 57, func() {
+			allocGate(t, "GetMulti 16 keys r=3, 1+2 transactions, 10 write-backs", 51, func() {
 				if items, _, err := virtual.GetMulti(vks); err != nil || len(items) != len(vks) {
 					t.Fatalf("%d items, err %v", len(items), err)
 				}
@@ -128,7 +128,7 @@ func TestAllocBudgetClient(t *testing.T) {
 		if _, stats, err := wide.GetMulti(ks); err != nil {
 			t.Fatal(err)
 		} else if stats.Transactions == 2 && stats.Round2 == 0 {
-			allocGate(t, "GetMulti 8 keys r=3, 2 transactions", 13, func() {
+			allocGate(t, "GetMulti 8 keys r=3, 2 transactions", 9, func() {
 				if items, _, err := wide.GetMulti(ks); err != nil || len(items) != len(ks) {
 					t.Fatalf("%d items, err %v", len(items), err)
 				}

@@ -166,16 +166,17 @@ func TestAllocBudgetRoundTrip(t *testing.T) {
 	}{
 		// Measured values, exact. A multiget of any size pays the reply's
 		// Item array, its value arena and the two allocations of the
-		// result map on the client, the request's one string on the
-		// server, and the GetMulti call's own. Routing among four
-		// connections adds nothing: the request lives in a slot its
-		// connection owns and the caller does its own round trip. The
-		// 1-key and the 8-key budgets are equal on purpose: anything paid
-		// per key, on either side of the wire, fails the 8-key gate.
-		{name: "single text", get1: 6, get8: 6, set: 4},
-		{name: "single binary", binary: true, get1: 6, get8: 6, set: 4},
-		{name: "pooled text", pooled: true, get1: 6, get8: 6, set: 4},
-		{name: "pooled binary", pooled: true, binary: true, get1: 6, get8: 6, set: 4},
+		// result map, all on the client. The server reads the keys as
+		// views of its connection's memory, and the request, one-key list
+		// included, lives in a slot its connection owns. Routing among
+		// four connections adds nothing: the caller does its own round
+		// trip. The 1-key and the 8-key budgets are equal on purpose:
+		// anything paid per key, on either side of the wire, fails the
+		// 8-key gate.
+		{name: "single text", get1: 4, get8: 4, set: 4},
+		{name: "single binary", binary: true, get1: 4, get8: 4, set: 4},
+		{name: "pooled text", pooled: true, get1: 4, get8: 4, set: 4},
+		{name: "pooled binary", pooled: true, binary: true, get1: 4, get8: 4, set: 4},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
 			srv := NewServer(NewStore(0))
@@ -253,11 +254,11 @@ func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net:
 // or socket allocates inside the measured window. The request path
 // reuses its request, key slice and reply scratch per connection, and
 // the store answers a get by position with no map in between; the
-// budgets are what it measures, 1/1/4 on both wires — a get of any size
-// costs the one string its keys are cut from (the text command line, the
-// binary run's collected key bytes) — so a per-verb handler that splits
-// a line into fresh strings, or a quiet-get run that makes a string per
-// frame, fails here.
+// budgets are what it measures, 0/0/4 on both wires. A get of any size
+// costs nothing: its keys are views of the connection's memory (the text
+// command line in the read buffer, the binary run's collected key
+// bytes), so a get handler that copies its line or its keys into a
+// string, or a quiet-get run that makes a string per frame, fails here.
 func TestAllocBudgetServe(t *testing.T) {
 	keys := make([]string, 8)
 	for i := range keys {
@@ -292,14 +293,14 @@ func TestAllocBudgetServe(t *testing.T) {
 			name: "text", get1: textGet(keys[:1]), get8: textGet(keys),
 			set:    encode(func(w *bufio.Writer) error { return writeStoreCmd(w, "set", it) }),
 			getEnd: func(int) []byte { return []byte("END\r\n") }, setEnd: []byte("STORED\r\n"),
-			bGet1: 1, bGet8: 1, bSet: 4,
+			bGet1: 0, bGet8: 0, bSet: 4,
 		},
 		{
 			name: "binary", get1: binGet(keys[:1]), get8: binGet(keys),
 			set:    encode(func(w *bufio.Writer) error { return writeBinStoreCmd(w, binOpSet, it, 0) }),
 			getEnd: func(n int) []byte { return binResFrame(binOpNoop, binStatusOK, uint32(n), 0, nil, "", "") },
 			setEnd: binResFrame(binOpSet, binStatusOK, 0, 0, nil, "", ""),
-			bGet1:  1, bGet8: 1, bSet: 4,
+			bGet1:  0, bGet8: 0, bSet: 4,
 		},
 	} {
 		t.Run(lane.name, func(t *testing.T) {

@@ -158,8 +158,8 @@ type binServer struct {
 	// keys and gets describe the get being served — key i was asked for
 	// by frame gets[i] — and are reused across requests. While a get is
 	// being read its key bytes collect in keyBuf; runKeys then cuts keys
-	// out of ONE string, so a run of n quiet gets costs the allocation a
-	// text get line does, not n.
+	// out of one view of it (keyView), so a run of n quiet gets costs no
+	// allocation, as a text get line costs none.
 	keys   []string
 	gets   []binGet
 	keyBuf []byte
@@ -184,9 +184,10 @@ func (c *binServer) addKey(h *binHeader, key []byte) {
 	c.gets = append(c.gets, binGet{h.opcode, h.opaque, len(c.keyBuf)})
 }
 
-// runKeys returns the key list of the get just read.
+// runKeys returns the key list of the get just read: views of keyBuf,
+// which the next read overwrites.
 func (c *binServer) runKeys() []string {
-	run := string(c.keyBuf)
+	run := keyView(c.keyBuf)
 	start := 0
 	for _, g := range c.gets {
 		c.keys = append(c.keys, run[start:g.keyEnd])

@@ -61,8 +61,7 @@ func (binCodec) encode(w *bufio.Writer, q *request) error {
 				return err
 			}
 		}
-		var one [1]string
-		return writeBinMultiGetCmd(w, q.keyList(&one))
+		return writeBinMultiGetCmd(w, q.keyList())
 	case cmdSet, cmdSetPinned, cmdAdd, cmdReplace:
 		return writeBinStoreCmd(w, opcode, q.item, 0)
 	case cmdCAS:
@@ -96,8 +95,7 @@ func (binCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
 	opcode := binOpcodes[q.cmd]
 	switch q.cmd {
 	case cmdGet, cmdGets:
-		var one [1]string
-		if p.items, err = readBinMultiGet(r, q.keyList(&one)); err != nil || !q.traced {
+		if p.items, err = readBinMultiGet(r, q.keyList()); err != nil || !q.traced {
 			return err
 		}
 		st := new(obs.ServerTimings)

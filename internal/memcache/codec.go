@@ -40,8 +40,7 @@ func (textCodec) encode(w *bufio.Writer, q *request) error {
 				return err
 			}
 		}
-		var one [1]string
-		return writeKeysCmd(w, commandNames[q.cmd], q.keyList(&one))
+		return writeKeysCmd(w, commandNames[q.cmd], q.keyList())
 	case cmdFlushAll, cmdVersion, cmdStats:
 		return writeKeysCmd(w, commandNames[q.cmd], nil)
 	case cmdIncr, cmdDecr:
@@ -56,8 +55,7 @@ func (textCodec) encode(w *bufio.Writer, q *request) error {
 func (textCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
 	switch q.cmd {
 	case cmdGet, cmdGets:
-		var one [1]string
-		if p.items, err = readValues(r, q.cmd == cmdGets, q.keyList(&one)); err != nil || !q.traced {
+		if p.items, err = readValues(r, q.cmd == cmdGets, q.keyList()); err != nil || !q.traced {
 			return err
 		}
 		st := new(obs.ServerTimings)

@@ -97,18 +97,21 @@ type request struct {
 	carried int
 
 	stats map[string]string // stats: entries are merged in
+
+	one [1]string // keyList's list for a single-key command; see pconn.send
 }
 
 // keyList returns the keys the command names as a slice. A single-key
-// command carries its key inline so that no one-element slice escapes
-// to the heap on the point-get path; one is the caller's stack scratch
-// for that case.
-func (q *request) keyList(one *[1]string) []string {
+// command carries its key inline, and its list is the request's own
+// array, which the exchanger fills when it copies the request into a
+// connection slot: the point-get path puts no one-element array on the
+// heap, and the codecs, which may encode and decode one slot at once,
+// only read it.
+func (q *request) keyList() []string {
 	if q.keys != nil {
 		return q.keys
 	}
-	one[0] = q.key
-	return one[:]
+	return q.one[:]
 }
 
 // reply holds what a command returns beyond its stats map and its

@@ -549,6 +549,7 @@ func (c *pconn) send(q *request, start time.Time, claim bool) *poolRequest {
 		c.free, s.next = s.next, nil
 	}
 	s.request = *q
+	s.one[0] = q.key // keyList's one-key list
 	carried := 0
 	if p.size == 1 {
 		carried = p.takeLater(&c.carry)

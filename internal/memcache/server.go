@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rnb/internal/obs"
 )
@@ -31,7 +32,8 @@ type ServerStats struct {
 // for an RnB proxy — a whole replicated cluster. GetMulti receives the
 // complete key list of a get/gets command so a proxy can bundle it. The
 // list is the connection's parse scratch: it is valid until the call
-// returns and must not be retained.
+// returns and must not be retained. The key strings are the Backend's
+// own (see ownKeys).
 type Backend interface {
 	GetMulti(keys []string) (map[string]*Item, error)
 	// GetsMulti is GetMulti with authoritative CAS tokens: an RnB proxy
@@ -564,9 +566,10 @@ func (s *Server) execute(q *serverRequest, p *serverReply, ct *connTrace) {
 
 // getMulti is the executor's read: it appends to hits the answer to
 // each of q.keys, nil for a miss. A backend that can answer by position
-// (the store) does, with no map in between; any other (the proxy) is
-// asked for its map — a plain get or gets, or for a traced get the
-// refinement that propagates the context downstream.
+// (the store) does, with no map in between and on the connection's key
+// views; any other (the proxy) is asked for its map, on copies of the
+// keys — a plain get or gets, or for a traced get the refinement that
+// propagates the context downstream.
 func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Item, error) {
 	if be, ok := s.backend.(hitsBackend); ok {
 		hits, wait := be.appendHits(hits, q.keys, ct != nil)
@@ -575,6 +578,7 @@ func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Ite
 		}
 		return hits, nil
 	}
+	ownKeys(q.keys)
 	var items map[string]*Item
 	var err error
 	be, traced := s.backend.(tracedBackend)
@@ -593,6 +597,38 @@ func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Ite
 		hits = append(hits, items[key])
 	}
 	return hits, nil
+}
+
+// keyView returns b as a string without copying it: a get's keys are
+// views of connection memory, so reading a get costs no string (DESIGN.md
+// "Request memory"). It is the package's one use of unsafe.
+//
+// Invariant: b is one connection's read memory — the text request line
+// inside its bufio.Reader (or readLine's copy of an over-long one), or
+// binServer.keyBuf — which nothing writes until that connection's next
+// read. A view is therefore immutable while its request executes and its
+// reply is written, and must not be used after that: only get and gets
+// hold views, only the store's read path (hitsBackend), which keeps no
+// key, is handed them, and every other Backend gets copies (ownKeys).
+func keyView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// ownKeys replaces each of keys, views of connection memory (keyView),
+// by a copy cut out of one fresh string, for a Backend that may keep the
+// keys it is handed.
+func ownKeys(keys []string) {
+	n := 0
+	for _, k := range keys {
+		n += len(k)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, k := range keys {
+		b.WriteString(k)
+	}
+	all := b.String()
+	for i, k := range keys {
+		keys[i], all = all[:len(k)], all[len(k):]
+	}
 }
 
 // appendStats appends the stats reply both wires serve: every unlabeled

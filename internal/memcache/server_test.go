@@ -4,13 +4,17 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rnb/internal/chaos"
+	"rnb/internal/obs"
 )
 
 // serveTest is the one way tests start a server: on a fresh loopback
@@ -495,22 +499,36 @@ func TestServerSurvivesGarbageStreams(t *testing.T) {
 		string([]byte{0, 1, 2, 255, '\n', 'g', 'e', 't', '\n'}),
 		"delete  \r\n",
 		"flush_all noreply\r\nversion\r\n",
+		// A get's keys are views of the read buffer: pipelined behind a
+		// get, a set of the same key must store a key of its own.
+		"get a b\r\nset a 0 0 1\r\nx\r\nget a\r\n",
 	}
+	// The one stream whose reply is checked, not just drained.
+	const pipelinedReply = "END\r\nSTORED\r\nVALUE a 0 1\r\nx\r\nEND\r\n"
 	for i, stream := range streams {
 		conn, err := net.Dial("tcp", cl.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The half-close ends the server's read, so it answers what it
+		// parsed and closes; the deadline only bounds a wedged server.
 		conn.SetDeadline(time.Now().Add(300 * time.Millisecond))
 		_, _ = conn.Write([]byte(stream))
+		conn.(*net.TCPConn).CloseWrite()
 		// Drain whatever comes back, then drop the connection.
+		var reply []byte
 		buf := make([]byte, 4096)
 		for {
-			if _, err := conn.Read(buf); err != nil {
+			n, err := conn.Read(buf)
+			reply = append(reply, buf[:n]...)
+			if err != nil {
 				break
 			}
 		}
 		conn.Close()
+		if i == len(streams)-1 && string(reply) != pipelinedReply {
+			t.Fatalf("pipelined get/set/get answered %q, want %q", reply, pipelinedReply)
+		}
 		// The server must still serve a well-behaved client.
 		key := fmt.Sprintf("after-%d", i)
 		if err := cl.Set(&Item{Key: key, Value: []byte("ok")}); err != nil {
@@ -537,4 +555,123 @@ func TestClientReconnectsAfterServerSideClose(t *testing.T) {
 	if err := cl.Set(&Item{Key: "k", Value: []byte("v")}); err != nil {
 		t.Fatalf("client did not reconnect: %v", err)
 	}
+}
+
+// keepingBackend keeps every key a get hands it, as a Backend that
+// caches or queues by key may.
+type keepingBackend struct {
+	Backend
+	mu   sync.Mutex
+	kept []string
+}
+
+func (b *keepingBackend) GetMulti(keys []string) (map[string]*Item, error) {
+	b.mu.Lock()
+	b.kept = append(b.kept, keys...)
+	b.mu.Unlock()
+	return b.Backend.GetMulti(keys)
+}
+
+// TestServerCopiesKeysForOtherBackends: a get's keys are views of the
+// connection's read memory, which the next read overwrites, so a Backend
+// other than the store must be handed copies. Bursts of pipelined gets
+// of distinct keys, all of one length, land at the same offsets of the
+// connection's buffers — the text line in the read buffer, the binary
+// quiet run's key bytes — and every key the backend kept must still
+// read as it was sent.
+func TestServerCopiesKeysForOtherBackends(t *testing.T) {
+	eachWire(t, func(t *testing.T, dial dialFunc) {
+		be := &keepingBackend{Backend: storeBackend{NewStore(0)}}
+		cl := dialTest(t, dial, serveTest(t, NewServerBackend(be), nil), 5*time.Second)
+		var sent []string
+		for burst := 0; burst < 8; burst++ {
+			var gets [4]Pending
+			for i := range gets {
+				keys := []string{fmt.Sprintf("b%d-g%d-x", burst, i), fmt.Sprintf("b%d-g%d-y", burst, i)}
+				sent = append(sent, keys...)
+				cl.SendGet(obs.TraceContext{}, keys, &gets[i])
+			}
+			for i := range gets {
+				if _, _, _, err := gets[i].Collect(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		be.mu.Lock()
+		defer be.mu.Unlock()
+		if !slices.Equal(be.kept, sent) {
+			t.Fatalf("kept keys changed after their request:\nkept %q\nsent %q", be.kept, sent)
+		}
+	})
+}
+
+// TestStoreNeverKeepsAliasedKey: the store's read path is handed views of
+// the connection's read memory, so it must keep none of them, and every
+// other verb must hand it keys of their own. One connection mixes gets
+// of expired keys (deleted on the read, by the key the read is handed),
+// gets of live keys, and set, touch and delete of other keys; afterwards
+// every entry is still found under its own Item.Key.
+func TestStoreNeverKeepsAliasedKey(t *testing.T) {
+	eachWire(t, func(t *testing.T, dial dialFunc) {
+		var now atomic.Int64
+		now.Store(1_000_000)
+		store := NewStore(0)
+		store.SetClock(now.Load)
+		cl := dialTest(t, dial, serveTest(t, NewServer(store), nil), 5*time.Second)
+		key := func(kind string, i int) string { return fmt.Sprintf("%s-%03d", kind, i) }
+		want := map[string]bool{}
+		for i := 0; i < 16; i++ {
+			if err := cl.Set(&Item{Key: key("old", i), Value: []byte("v"), Expiration: 10}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Set(&Item{Key: key("live", i), Value: []byte("v")}); err != nil {
+				t.Fatal(err)
+			}
+			want[key("live", i)] = true
+		}
+		now.Add(60) // every old key has expired
+		for i := 0; i < 16; i++ {
+			var gets [2]Pending
+			cl.SendGet(obs.TraceContext{}, []string{key("old", i), key("live", i)}, &gets[0])
+			cl.SendGet(obs.TraceContext{}, []string{key("live", 15-i), key("old", 15-i)}, &gets[1])
+			for j := range gets {
+				if _, _, _, err := gets[j].Collect(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cl.Set(&Item{Key: key("new", i), Value: []byte("v")}); err != nil {
+				t.Fatal(err)
+			}
+			want[key("new", i)] = true
+			if err := cl.Touch(key("live", i), 0); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				if err := cl.Delete(key("new", i)); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, key("new", i))
+			}
+		}
+		got := map[string]bool{}
+		for i := range store.shards {
+			sh := &store.shards[i]
+			sh.mu.Lock()
+			keys := sh.cache.Keys()
+			items := make([]*Item, len(keys))
+			for j, k := range keys {
+				items[j], _ = sh.cache.Peek(k)
+			}
+			sh.mu.Unlock()
+			for j, k := range keys {
+				if it, err := store.Get(items[j].Key); err != nil || it != items[j] || k != it.Key {
+					t.Errorf("entry %q (Item.Key %q) is not found under its own key: %v", k, items[j].Key, err)
+				}
+				got[k] = true
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("store holds %v, want %v", got, want)
+		}
+	})
 }

@@ -16,8 +16,9 @@ import (
 // line, and the one table turning an outcome into a reply line.
 type textServer struct {
 	// fields holds the current command line's words, reused across
-	// requests. A get's key list aliases it, so a command line costs one
-	// string and no slice.
+	// requests. A get's key list aliases it, and a get's words are views
+	// of the line in the read buffer (keyView), so a get line costs no
+	// string and no slice; any other line costs one string.
 	fields []string
 }
 
@@ -115,7 +116,7 @@ func (c *textServer) read(r *bufio.Reader, q *serverRequest) error {
 			return err
 		}
 	}
-	c.fields = appendFields(c.fields[:0], string(line))
+	c.fields = appendFields(c.fields[:0], keyView(line))
 	*q = serverRequest{}
 	q.cmd = cmdUnknown
 	if len(c.fields) > 0 {
@@ -123,9 +124,16 @@ func (c *textServer) read(r *bufio.Reader, q *serverRequest) error {
 			q.cmd = cmd
 		}
 	}
-	if q.cmd == cmdUnknown {
+	switch q.cmd {
+	case cmdUnknown:
 		q.bad = errUnknownCommand
 		return nil
+	case cmdGet, cmdGets:
+	default:
+		// Only a get's words may stay views of the read buffer: the store
+		// keeps the keys of the other verbs, and a storage command reads
+		// its data block over the line.
+		c.fields = appendFields(c.fields[:0], string(line))
 	}
 	args := c.fields[1:]
 	switch q.cmd {

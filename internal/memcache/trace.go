@@ -257,6 +257,11 @@ func (s *Server) finishTrace(ct *connTrace, dispatchEnd, flushEnd time.Time) obs
 // that can attribute the lock wait inside it when timed is set.
 // storeBackend implements it; backends that cannot (the proxy) answer
 // through Backend's maps and report wait 0.
+//
+// Its keys are views of the connection's read memory (keyView), valid
+// only until appendHits returns: an implementation must not keep one, not
+// even as a map key. The store only hashes and looks them up, and a miss
+// on an expired entry deletes by the key, which a map does not keep.
 type hitsBackend interface {
 	appendHits(hits []*Item, keys []string, timed bool) ([]*Item, int64)
 }

@@ -863,11 +863,15 @@ func (c *Client) Get(key string) (*Item, error) {
 	if c.adaptive != nil {
 		c.observeHeat([]uint64{keyID(key)}, []string{key})
 	}
-	replicas := t.replicas(key)
-	s := replicas[0]
-	if acting, ok := core.ActingDistinguished(replicas, c.avoidFor(t)); ok {
+	// The replica lookup fills a pooled record's round-2 server table,
+	// which holds only ints, so the record goes back at once.
+	st := multiGetPool.Get().(*multiGet)
+	st.acting = t.placement.Replicas(keyID(key), st.acting[:0])
+	s := st.acting[0]
+	if acting, ok := core.ActingDistinguished(st.acting, c.avoidFor(t)); ok {
 		s = acting
 	}
+	multiGetPool.Put(st)
 	var it *Item
 	err := t.slots[s].do(func(conn *memcache.Client) (err error) {
 		it, err = conn.Get(key)
