@@ -36,9 +36,10 @@ func allocGate(t *testing.T, name string, budget float64, fn func()) {
 // the server reads the keys as views of its connection's memory, and the
 // request lives in its connection's slot. A fan-out of two is pinned on
 // a six-server tier by searching for a key set that plans to exactly two
-// transactions (hitchhiking off: a hitchhiker's decoded duplicate would
-// make the count depend on the ring too): the second reply adds 2. Both
-// are sent before either reply is read, so the two servers work at once,
+// transactions (the hitchhikers aboard, whose number depends on the
+// ring, change nothing: a reply's items are one array and one arena):
+// the second reply adds 2. Both are sent before either reply is read,
+// so the two servers work at once,
 // and a server goroutine that finds its sync.Pool scratch taken by the
 // other adds 2: the gate is 9, and the single-transaction gate is the
 // exact one for the read path itself. None of these grows with the
@@ -116,7 +117,7 @@ func TestAllocBudgetClient(t *testing.T) {
 		}
 	}
 
-	wide, _ := newTestClient(t, 6, WithReplicas(3), WithHitchhiking(false))
+	wide, _ := newTestClient(t, 6, WithReplicas(3))
 	pool := keys(64)
 	for _, k := range pool {
 		if err := wide.Set(&Item{Key: k, Value: value}); err != nil {

@@ -59,16 +59,16 @@ type slot struct {
 	failures *atomic.Uint64
 	// inflight counts operations currently inside conn, a multi-get from
 	// its send to its collect. The janitor closes a draining slot's
-	// connection only once this reaches zero (or the drain timeout
-	// forces it), so pipelined requests already on the wire are never
-	// cut.
+	// connection only once this reaches zero, or at forceAt, so
+	// pipelined requests already on the wire are never cut early.
 	inflight atomic.Int64
 	// closed flips once, just before the connection is torn down. New
 	// operations are refused from then on.
 	closed atomic.Bool
 	// forceAt is the drain deadline, set under topoMu once a draining
-	// server has left every windowed epoch; past it the connection is
-	// closed even with requests still in flight.
+	// server has left every windowed epoch: one I/O timeout (WithTimeout)
+	// later, when any exchange still in flight would have failed anyway.
+	// Past it the connection is closed even with requests in flight.
 	forceAt time.Time
 }
 
@@ -267,15 +267,6 @@ func WithTransitionWindow(d time.Duration) Option {
 	return func(c *clientConfig) { c.transitionWindow = d }
 }
 
-// WithDrainTimeout bounds how long a departing server's connection may
-// wait for its in-flight requests after the server has left every
-// windowed epoch (default 5s). Past the timeout the connection is
-// closed anyway; the affected requests fail into the ordinary
-// breaker/re-plan recovery.
-func WithDrainTimeout(d time.Duration) Option {
-	return func(c *clientConfig) { c.drainTimeout = d }
-}
-
 // ensureJanitorLocked starts the background janitor on the first
 // membership change (static clients never pay the goroutine). Caller
 // holds topoMu.
@@ -319,7 +310,7 @@ func (c *Client) janitorTick(now time.Time) {
 		}
 		s := c.slots[m.Index]
 		if s.forceAt.IsZero() {
-			s.forceAt = now.Add(c.cfg.drainTimeout)
+			s.forceAt = now.Add(c.cfg.timeout)
 		}
 		inflight := s.inflight.Load()
 		if inflight > 0 && now.Before(s.forceAt) {
@@ -409,11 +400,8 @@ func (c *Client) rebuildLocked() {
 		union:     union,
 		newest:    newest.plc,
 		adaptive:  bound,
-		planner: core.NewPlanner(placement, core.Options{
-			Hitchhike:            c.cfg.hitchhike,
-			DistinguishedSingles: true,
-		}),
-		slots: append([]*slot(nil), c.slots...),
+		planner:   core.NewPlanner(placement, core.Options{Hitchhike: true, DistinguishedSingles: true}),
+		slots:     append([]*slot(nil), c.slots...),
 	}
 	c.cur.Store(t)
 	c.topo.Epoch.Store(t.epoch)
@@ -448,7 +436,7 @@ func (t *Topology) register(reg *obs.Registry) {
 	reg.Counter("rnb_topology_rejoins", "Joins that revived a previously drained slot.", t.Rejoins.Load)
 	reg.Counter("rnb_topology_drains", "Drains initiated.", t.Drains.Load)
 	reg.Counter("rnb_topology_drains_completed", "Drains whose connection closed with zero requests in flight.", t.DrainsCompleted.Load)
-	reg.Counter("rnb_topology_drains_forced", "Drains whose timeout expired with requests still in flight.", t.DrainsForced.Load)
+	reg.Counter("rnb_topology_drains_forced", "Drains whose I/O timeout expired with requests still in flight.", t.DrainsForced.Load)
 	reg.Counter("rnb_topology_epochs_retired", "Superseded epochs dropped from the placement union.", t.EpochsRetired.Load)
 	reg.Counter("rnb_topology_prewarm_keys", "Hot keys copied onto their new owners by the warm handoff.", t.PrewarmKeys.Load)
 	reg.Counter("rnb_topology_prewarm_errors", "Best-effort warm-handoff copies that failed.", t.PrewarmErrors.Load)
@@ -538,9 +526,10 @@ func (c *Client) AddServer(addr string) error {
 // server leaves the target layout immediately, but stays readable
 // through the union until the transition window closes; its tracked
 // hot keys are copied onto their new owners first (warm handoff, when
-// adaptive replication is on). The connection is closed by the
-// background janitor only after in-flight requests finish (bounded by
-// WithDrainTimeout). Removing the last live server is an error.
+// adaptive replication is on). Once the server has left every windowed
+// epoch, the background janitor closes its connection as soon as no
+// request is in flight on it, and at the latest one I/O timeout
+// (WithTimeout) later. Removing the last live server is an error.
 func (c *Client) RemoveServer(addr string) error {
 	list, err := topology.ParseServerList([]string{addr})
 	if err != nil {

@@ -61,6 +61,52 @@ func TestDrainKeepsBoostsOnLiveServers(t *testing.T) {
 	}
 }
 
+// TestDrainForcedAtIOTimeout pins the drain deadline to the client's I/O
+// timeout: once a draining server has left every windowed epoch, a
+// request still in flight on it holds the connection open for one
+// WithTimeout and no longer. The janitor is driven with synthetic times;
+// the hour-long window keeps the real one from retiring the epoch.
+func TestDrainForcedAtIOTimeout(t *testing.T) {
+	leakcheck.Check(t)
+	const timeout = 300 * time.Millisecond
+	addrs, _ := startServers(t, 3, 0)
+	cl, err := NewClient(addrs, WithTimeout(timeout), WithTransitionWindow(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	mem, _ := cl.View().Find(addrs[1])
+	s := cl.cur.Load().slots[mem.Index]
+	s.inflight.Add(1) // a request the drain must wait for
+	defer s.inflight.Add(-1)
+	if err := cl.RemoveServer(addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	tick := func(now time.Time) (forceAt time.Time) {
+		cl.janitorTick(now)
+		cl.topoMu.Lock()
+		defer cl.topoMu.Unlock()
+		return s.forceAt
+	}
+	retired := time.Now().Add(2 * time.Hour)
+	forceAt := tick(retired)
+	if want := retired.Add(timeout); !forceAt.Equal(want) {
+		t.Fatalf("drain deadline %v after the epoch retired, want the I/O timeout %v", forceAt.Sub(retired), timeout)
+	}
+	tick(forceAt.Add(-time.Nanosecond))
+	if s.closed.Load() {
+		t.Fatal("connection closed before the I/O timeout, with a request in flight")
+	}
+	tick(forceAt)
+	topo := cl.Topology()
+	if !s.closed.Load() || topo.DrainsForced.Load() != 1 || topo.DrainsCompleted.Load() != 0 {
+		t.Fatalf("at the deadline: closed %v, forced %d, completed %d; want a forced drain",
+			s.closed.Load(), topo.DrainsForced.Load(), topo.DrainsCompleted.Load())
+	}
+}
+
 // TestDrainRejoinKeepsPlacement pins the continuum across membership
 // round trips: a server's virtual nodes depend only on its name, so a
 // settled tier that drains a mid-index server and takes it back — or

@@ -69,25 +69,6 @@ func ExampleClient_GetMultiLimit() {
 	fmt.Printf("%d items in %d transactions\n", len(items), stats.Transactions)
 }
 
-func ExampleClient_NewBatcher() {
-	client, err := rnb.NewClient([]string{"10.0.0.1:11211"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-
-	// Merge concurrent requests arriving within 500µs (or 16 requests,
-	// whichever first) into single bundled fetches.
-	batcher := client.NewBatcher(16, 500*time.Microsecond)
-	defer batcher.Close()
-
-	items, _, err := batcher.GetMulti([]string{"a", "b"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	_ = items
-}
-
 func ExampleWithLoader() {
 	loadFromDB := func(keys []string) (map[string][]byte, error) {
 		out := make(map[string][]byte, len(keys))

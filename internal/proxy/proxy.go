@@ -61,25 +61,18 @@ func (p *Proxy) RegisterMetrics(reg *obs.Registry) {
 	p.client.RegisterMetrics(reg)
 }
 
-// GetMulti implements memcache.Backend with full RnB bundling.
+// GetMulti implements memcache.Backend with full RnB bundling: it is
+// GetMultiTraced with no trace context, which leaves the choice to the
+// client's head sampler as a plain rnb.Client.GetMulti does.
 func (p *Proxy) GetMulti(keys []string) (map[string]*memcache.Item, error) {
-	p.requests.Add(1)
-	items, stats, err := p.client.GetMulti(keys)
-	if err != nil {
-		return nil, err
-	}
-	p.backendTxns.Add(uint64(stats.Transactions))
-	p.round2.Add(uint64(stats.Round2))
-	p.hitchhikers.Add(uint64(stats.Hitchhikers))
-	p.loadedFromDB.Add(uint64(stats.Loaded))
-	return items, nil
+	return p.GetMultiTraced(obs.TraceContext{}, keys)
 }
 
 // GetMultiTraced implements the memcache server's tracedBackend
 // extension: a trace context that arrived on the proxy's front wire is
 // carried through the RnB client onto the backend wire, so one trace id
-// stitches app → proxy → server tier. Stats are accounted exactly like
-// GetMulti.
+// stitches app → proxy → server tier. It is the proxy's one read body,
+// the place every multi-get's stats are counted.
 func (p *Proxy) GetMultiTraced(tc obs.TraceContext, keys []string) (map[string]*memcache.Item, error) {
 	p.requests.Add(1)
 	items, stats, err := p.client.GetMultiTraced(tc, keys)

@@ -276,8 +276,7 @@ func TestProxyStatsNoGhostSeriesAfterDrain(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	client, err := rnb.NewClient(addrs, rnb.WithReplicas(3),
-		rnb.WithTransitionWindow(100*time.Millisecond),
-		rnb.WithDrainTimeout(2*time.Second))
+		rnb.WithTransitionWindow(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

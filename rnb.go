@@ -74,7 +74,6 @@ type Loader func(keys []string) (map[string][]byte, error)
 type clientConfig struct {
 	replicas         int
 	timeout          time.Duration
-	hitchhike        bool
 	pinDistinguished bool
 	loader           Loader
 	cooldown         time.Duration
@@ -87,7 +86,6 @@ type clientConfig struct {
 	obs              obs.Config
 	trace            *obs.TraceConfig
 	transitionWindow time.Duration
-	drainTimeout     time.Duration
 }
 
 // WithReplicas sets the logical replication level (default 2).
@@ -95,15 +93,11 @@ func WithReplicas(n int) Option {
 	return func(c *clientConfig) { c.replicas = n }
 }
 
-// WithTimeout sets the per-operation network timeout (default 5s).
+// WithTimeout sets the per-operation network timeout (default 5s). It
+// also bounds how long a draining server's connection waits for the
+// requests still in flight on it (see RemoveServer).
 func WithTimeout(d time.Duration) Option {
 	return func(c *clientConfig) { c.timeout = d }
-}
-
-// WithHitchhiking piggybacks redundant item requests onto planned
-// transactions to raise hit rates under memory pressure (default on).
-func WithHitchhiking(on bool) Option {
-	return func(c *clientConfig) { c.hitchhike = on }
 }
 
 // WithPinnedDistinguished controls whether the distinguished copy of
@@ -481,14 +475,12 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 	cfg := clientConfig{
 		replicas:         2,
 		timeout:          5 * time.Second,
-		hitchhike:        true,
 		pinDistinguished: true,
 		cooldown:         2 * time.Second,
 		breakerThreshold: 1,
 		retryAttempts:    1,
 		retryBackoff:     15 * time.Millisecond,
 		transitionWindow: 5 * time.Second,
-		drainTimeout:     5 * time.Second,
 	}
 	for _, o := range opts {
 		o(&cfg)

@@ -231,7 +231,7 @@ func TestGetMultiEmpty(t *testing.T) {
 }
 
 func TestGetMultiRecoversFromReplicaLoss(t *testing.T) {
-	cl, servers := newTestClient(t, 4, WithReplicas(2), WithHitchhiking(false))
+	cl, servers := newTestClient(t, 4, WithReplicas(2))
 	ks := keys(30)
 	for _, k := range ks {
 		if err := cl.Set(&Item{Key: k, Value: []byte("v")}); err != nil {
@@ -369,6 +369,146 @@ func TestGetMultiLimit(t *testing.T) {
 	}
 }
 
+func TestGetMultiBudget(t *testing.T) {
+	cl, _ := newTestClient(t, 8, WithReplicas(2))
+	ks := keys(40)
+	for _, k := range ks {
+		if err := cl.Set(&Item{Key: k, Value: []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, budget := range []int{1, 2, 3} {
+		items, stats, err := cl.GetMultiBudget(ks, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Transactions > budget {
+			t.Fatalf("budget %d exceeded: %d transactions", budget, stats.Transactions)
+		}
+		if len(items) == 0 {
+			t.Fatalf("budget %d fetched nothing", budget)
+		}
+	}
+	// Larger budgets fetch at least as much.
+	a, _, _ := cl.GetMultiBudget(ks, 1)
+	b, _, _ := cl.GetMultiBudget(ks, 4)
+	if len(b) < len(a) {
+		t.Fatalf("budget 4 fetched fewer items (%d) than budget 1 (%d)", len(b), len(a))
+	}
+	// Degenerate budgets.
+	empty, stats, err := cl.GetMultiBudget(ks, 0)
+	if err != nil || len(empty) != 0 || stats.Transactions != 0 {
+		t.Fatalf("zero budget: %v %+v %v", empty, stats, err)
+	}
+}
+
+// TestGetMultiBudgetAvoidsOpenBreaker is the regression test for the
+// budgeted path planning without the breaker view: it used to hand the
+// set-cover planner every server, so a dead one kept winning a slot of
+// the hard cap and the request came back short. The victim is the server
+// the budget-1 plan itself picks, which makes the outcome independent of
+// the port-derived ring.
+func TestGetMultiBudgetAvoidsOpenBreaker(t *testing.T) {
+	cl, servers := newTestClient(t, 6, WithReplicas(2), WithFailureCooldown(time.Minute))
+	ks := keys(60)
+	for _, k := range ks {
+		if err := cl.Set(&Item{Key: k, Value: []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := cl.GetMultiBudget(ks, 1); err != nil {
+		t.Fatal(err)
+	}
+	rtts := cl.RecentRequests()[0].RTTs // newest span first
+	if len(rtts) != 1 {
+		t.Fatalf("budget-1 request made %d round trips", len(rtts))
+	}
+	victim := rtts[0].Server
+	servers[victim].Close()
+	// One failed transaction opens the breaker (threshold 1).
+	if _, stats, _ := cl.GetMultiBudget(ks, 1); stats.Failed != 1 {
+		t.Fatalf("request against the killed server: %+v", stats)
+	}
+	if st := cl.ServerStates()[victim]; st.State != BreakerOpen {
+		t.Fatalf("victim breaker is %v, want open", st.State)
+	}
+	for budget := 1; budget <= 3; budget++ {
+		items, stats, err := cl.GetMultiBudget(ks, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Failed != 0 || stats.Transactions != budget {
+			t.Fatalf("budget %d: %+v, want %d transactions and none failed", budget, stats, budget)
+		}
+		if len(items) == 0 {
+			t.Fatalf("budget %d fetched nothing", budget)
+		}
+		for _, rtt := range cl.RecentRequests()[0].RTTs {
+			if rtt.Server == victim {
+				t.Fatalf("budget %d spent a transaction on the dead server", budget)
+			}
+		}
+	}
+}
+
+func TestLoaderFetchesTrueMisses(t *testing.T) {
+	var loaderCalls int
+	var loadedKeys []string
+	loader := func(keys []string) (map[string][]byte, error) {
+		loaderCalls++
+		loadedKeys = append(loadedKeys, keys...)
+		out := map[string][]byte{}
+		for _, k := range keys {
+			if k != "nonexistent" {
+				out[k] = []byte("db:" + k)
+			}
+		}
+		return out, nil
+	}
+	cl, _ := newTestClient(t, 4, WithReplicas(2), WithLoader(loader))
+	_ = cl.Set(&Item{Key: "cached", Value: []byte("mem")})
+
+	items, stats, err := cl.GetMulti([]string{"cached", "db-only", "nonexistent"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(items["cached"].Value) != "mem" {
+		t.Fatal("cached value wrong")
+	}
+	if string(items["db-only"].Value) != "db:db-only" {
+		t.Fatalf("loader value wrong: %v", items["db-only"])
+	}
+	if items["nonexistent"] != nil {
+		t.Fatal("nonexistent key materialized")
+	}
+	if loaderCalls != 1 {
+		t.Fatalf("loader called %d times, want 1", loaderCalls)
+	}
+	if stats.Loaded != 1 {
+		t.Fatalf("stats.Loaded = %d", stats.Loaded)
+	}
+
+	// The loaded key is now cached: a second fetch needs no loader.
+	loaderCalls = 0
+	items, stats, err = cl.GetMulti([]string{"db-only"})
+	if err != nil || loaderCalls != 0 || stats.Loaded != 0 {
+		t.Fatalf("loaded key not cached: calls=%d stats=%+v err=%v", loaderCalls, stats, err)
+	}
+	if string(items["db-only"].Value) != "db:db-only" {
+		t.Fatal("cached loaded value wrong")
+	}
+}
+
+func TestLoaderErrorPropagates(t *testing.T) {
+	boom := errors.New("db down")
+	cl, _ := newTestClient(t, 2, WithLoader(func([]string) (map[string][]byte, error) {
+		return nil, boom
+	}))
+	if _, _, err := cl.GetMulti([]string{"missing"}); !errors.Is(err, boom) {
+		t.Fatalf("loader error lost: %v", err)
+	}
+}
+
 func TestDelete(t *testing.T) {
 	cl, servers := newTestClient(t, 4, WithReplicas(3))
 	_ = cl.Set(&Item{Key: "k", Value: []byte("v")})
@@ -453,7 +593,7 @@ func TestAppendIncrementInvalidateReplicas(t *testing.T) {
 }
 
 func TestHitchhikersReported(t *testing.T) {
-	cl, _ := newTestClient(t, 4, WithReplicas(3), WithHitchhiking(true))
+	cl, _ := newTestClient(t, 4, WithReplicas(3))
 	ks := keys(50)
 	for _, k := range ks {
 		_ = cl.Set(&Item{Key: k, Value: []byte("v")})

@@ -38,7 +38,6 @@ func elasticOpts(extra ...Option) []Option {
 		WithTimeout(time.Second),
 		WithRetry(2, 5*time.Millisecond),
 		WithTransitionWindow(150 * time.Millisecond),
-		WithDrainTimeout(2 * time.Second),
 	}
 	return append(opts, extra...)
 }
