@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-topology bench-placement
+.PHONY: build vet lint lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke loc obs-smoke trace-smoke smoke-placement ci bench-skew bench-topology bench-placement bench-json-check
 
 build:
 	$(GO) build ./...
@@ -112,11 +112,12 @@ bench-smoke:
 
 # Non-test line counts of the packages ROADMAP's "smaller client",
 # "one span model", "one metrics registry" and "two doors" items track,
-# plus the membership layer (internal/topology, internal/hashring), so
-# simplicity PRs quote the same numbers. The last line is the
-# diet item's tracked number: root plus internal/memcache.
+# plus the membership layer (internal/topology, internal/hashring), the
+# set-cover heuristics and the tier simulator (internal/setcover,
+# internal/cluster), so simplicity PRs quote the same numbers. The last
+# line is the diet item's tracked number: root plus internal/memcache.
 loc:
-	@for d in . internal/memcache internal/core internal/topology internal/hashring internal/lint internal/obs internal/metrics internal/hotspot internal/proxy internal/sim cmd/rnbproxy cmd/rnbmemd cmd/rnbsim; do \
+	@for d in . internal/memcache internal/core internal/topology internal/hashring internal/lint internal/obs internal/metrics internal/hotspot internal/proxy internal/sim internal/setcover internal/cluster cmd/rnbproxy cmd/rnbmemd cmd/rnbsim; do \
 		printf '%-18s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 	@printf '%-18s %s\n' '. + memcache' $$(ls *.go internal/memcache/*.go | grep -v _test.go | xargs cat | wc -l)
@@ -142,7 +143,7 @@ smoke-placement:
 	$(GO) run ./cmd/rnbsim -requests 400 -warmup 400 -scale 40 placement
 	$(GO) test -run 'CBC|Balanced|Adversarial' ./internal/cbc ./internal/core ./internal/workload
 
-ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke obs-smoke trace-smoke smoke-placement
+ci: build vet lint fix-check race chaos chaos-resize stress-binary bench-alloc fuzz-smoke bench-smoke obs-smoke trace-smoke smoke-placement bench-json-check
 
 # Skewed-workload benchmark: fixed-r vs adaptive hot-key replication
 # (internal/hotspot) across a Zipf-exponent sweep, machine-readable
@@ -162,3 +163,16 @@ bench-placement:
 # skew — machine-readable output in BENCH_topology.json.
 bench-topology:
 	$(GO) run ./cmd/rnbsim -json BENCH_topology.json topology
+
+# The checked-in BENCH_*.json are deterministic outputs of rnbsim:
+# regenerate all three into a temporary directory and fail on any byte
+# that differs, so a change to what they measure cannot leave them stale.
+bench-json-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/rnbsim" ./cmd/rnbsim || exit 1; \
+	for e in hotspot:bench-skew placement:bench-placement topology:bench-topology; do \
+		exp=$${e%%:*}; \
+		"$$tmp/rnbsim" -json "$$tmp/BENCH_$$exp.json" $$exp >/dev/null || exit 1; \
+		cmp "$$tmp/BENCH_$$exp.json" BENCH_$$exp.json || { echo "BENCH_$$exp.json is stale: run make $${e#*:}"; exit 1; }; \
+	done; \
+	echo "bench-json-check: BENCH_hotspot.json, BENCH_placement.json, BENCH_topology.json are current"

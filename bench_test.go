@@ -57,18 +57,6 @@ func BenchmarkAblationCoverGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCoverLazy is the lazy-greedy variant on the same
-// instance.
-func BenchmarkAblationCoverLazy(b *testing.B) {
-	r := rand.New(rand.NewSource(11))
-	universe, ss := randomCoverInstance(r, 100, 16, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		setcover.GreedyLazy(universe, ss, 100)
-	}
-}
-
 // BenchmarkAblationCoverExact bounds the cost of optimal covers on a
 // small instance, and reports how much greedy overshoots optimal.
 func BenchmarkAblationCoverExact(b *testing.B) {

@@ -2,15 +2,23 @@ package rnb_test
 
 import (
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"rnb"
+	"rnb/internal/cluster"
+	"rnb/internal/core"
+	"rnb/internal/hotspot"
+	"rnb/internal/memcache"
 )
 
 // TestDocsNameWhatExists fails when README.md, DESIGN.md or
 // EXPERIMENTS.md point a reader at something the tree no longer has: a
 // `make <target>` the Makefile lacks, a BENCH_*.json that is not on
-// disk, or a cmd/<x> or internal/<x> directory that does not exist.
+// disk, a cmd/<x> or internal/<x> directory that does not exist, or a
+// config field (PoolConfig.X, core.Options.X, ...) its type lacks.
 // Deleting a harness turns every stale pointer to it into a failure
 // here instead of a surprise at the prompt.
 func TestDocsNameWhatExists(t *testing.T) {
@@ -34,6 +42,16 @@ func TestDocsNameWhatExists(t *testing.T) {
 	target := regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
 	benchFile := regexp.MustCompile(`BENCH_[a-z_]+\.json`)
 	dir := regexp.MustCompile(`\b(?:cmd|internal)/[a-z][a-z0-9]*`)
+	configs := map[string]reflect.Type{
+		"PoolConfig":     reflect.TypeOf(memcache.PoolConfig{}),
+		"ObsConfig":      reflect.TypeOf(rnb.ObsConfig{}),
+		"TraceConfig":    reflect.TypeOf(rnb.TraceConfig{}),
+		"AdaptiveConfig": reflect.TypeOf(rnb.AdaptiveConfig{}),
+		"hotspot.Config": reflect.TypeOf(hotspot.Config{}),
+		"core.Options":   reflect.TypeOf(core.Options{}),
+		"cluster.Config": reflect.TypeOf(cluster.Config{}),
+	}
+	field := regexp.MustCompile(`\b(PoolConfig|ObsConfig|TraceConfig|AdaptiveConfig|hotspot\.Config|core\.Options|cluster\.Config)\.(\w+)`)
 
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
@@ -60,6 +78,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, d := range dir.FindAll(text, -1) {
 			if fi, err := os.Stat(string(d)); err != nil || !fi.IsDir() {
 				t.Errorf("%s names %s, which is not a directory in the tree", doc, d)
+			}
+		}
+		for _, m := range field.FindAllSubmatch(text, -1) {
+			if f, ok := configs[string(m[1])].FieldByName(string(m[2])); !ok || !f.IsExported() {
+				t.Errorf("%s names %s, which is not a field of that type", doc, m[0])
 			}
 		}
 	}

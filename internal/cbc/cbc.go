@@ -289,9 +289,6 @@ func (p *Placement) NumReplicas() int { return p.replicas }
 // over.
 func (p *Placement) Classes() int { return p.classes }
 
-// Class returns the item's class index.
-func (p *Placement) Class(item uint64) int { return int(item % uint64(p.classes)) }
-
 // Multiplicity returns the maximum number of classes sharing one exact
 // replica subset (1 in the exact CBC range).
 func (p *Placement) Multiplicity() int { return p.mult }
@@ -299,9 +296,6 @@ func (p *Placement) Multiplicity() int { return p.mult }
 // Exact reports whether the construction is in the exact CBC range:
 // every class on a distinct server subset (multiplicity 1).
 func (p *Placement) Exact() bool { return p.mult == 1 }
-
-// Subsets returns the number of distinct server subsets in use.
-func (p *Placement) Subsets() int { return p.nsubsets }
 
 // Guarantee returns T(k): the provable upper bound on items read from
 // any one server when a request of k distinct classes is served by an

@@ -59,11 +59,11 @@ type Config struct {
 	// the request completes (§III-C-2 policy). Defaults to true via
 	// New; set SkipWriteBack to disable.
 	SkipWriteBack bool
-	// Prepopulate loads all logical replicas (LRU order: replica level
-	// round-robin) before the first request, instead of starting with
-	// distinguished copies only. Defaults to true via New; set
-	// SkipPrepopulate to disable.
-	SkipPrepopulate bool
+
+	// skipPrepopulate, set by a test, starts the tier with distinguished
+	// copies only; otherwise every logical replica is loaded (LRU order:
+	// replica level round-robin) before the first request.
+	skipPrepopulate bool
 }
 
 // HeatObserver is the key-stream hook an adaptive placement (package
@@ -154,7 +154,7 @@ func (c *Cluster) populate() {
 		buf = c.placement.Replicas(uint64(item), buf)
 		c.servers[buf[0]].Put(uint64(item), struct{}{}, 1, true)
 	}
-	if c.cfg.SkipPrepopulate {
+	if c.cfg.skipPrepopulate {
 		return
 	}
 	for level := 1; level < c.cfg.Replicas; level++ {

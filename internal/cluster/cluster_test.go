@@ -139,7 +139,7 @@ func TestLimitUsesFewerTransactions(t *testing.T) {
 func TestWriteBackRepopulatesAssignedServer(t *testing.T) {
 	c := mustNew(t, Config{
 		Servers: 4, Items: 400, Replicas: 2, MemoryFactor: 1.5,
-		SkipPrepopulate: true, // start with distinguished copies only
+		skipPrepopulate: true, // start with distinguished copies only
 	})
 	// First pass records misses; write-back should install replicas so a
 	// second identical pass misses strictly less.
@@ -162,7 +162,7 @@ func TestWriteBackRepopulatesAssignedServer(t *testing.T) {
 func TestSkipWriteBack(t *testing.T) {
 	c := mustNew(t, Config{
 		Servers: 4, Items: 400, Replicas: 2, MemoryFactor: 1.5,
-		SkipPrepopulate: true, SkipWriteBack: true,
+		skipPrepopulate: true, SkipWriteBack: true,
 	})
 	gen := workload.NewUniformGenerator(400, 15, 5)
 	if err := c.Run(gen, 100); err != nil {

@@ -29,7 +29,7 @@ func (b boostedPlacement) Replicas(item uint64, buf []int) []int {
 	}
 }
 
-// leastFirstCover is a deliberately anti-greedy Options.Cover: it keeps
+// leastFirstCover is a deliberately anti-greedy Options.cover: it keeps
 // picking the set that adds the fewest (but some) uncovered items. Greedy
 // cover never leaves a single whose distinguished server is picked as
 // well — that server would have had the larger gain — so this is what
@@ -112,8 +112,8 @@ func planCases(seed int64, n int) []planCase {
 		{DistinguishedSingles: true},
 		{Hitchhike: true, DistinguishedSingles: true},
 		{Hitchhike: true, DistinguishedSingles: true, BalanceTieBreak: true},
-		{DistinguishedSingles: true, Cover: leastFirstCover},
-		{Hitchhike: true, DistinguishedSingles: true, Cover: leastFirstCover},
+		{DistinguishedSingles: true, cover: leastFirstCover},
+		{Hitchhike: true, DistinguishedSingles: true, cover: leastFirstCover},
 		{Hint: HintBalanceLoad},
 		{Hint: HintBalanceLoad, Hitchhike: true},
 	}

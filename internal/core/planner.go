@@ -161,14 +161,13 @@ type Options struct {
 	// Leave it off for memory-constrained overbooked deployments; turn
 	// it on when memory is plentiful and latency matters.
 	BalanceTieBreak bool
-	// Cover selects the set-cover heuristic. Nil selects eager greedy.
-	Cover CoverFunc
 	// Hint selects the assignment strategy (default greedy set cover).
 	Hint PlanHint
-}
 
-// CoverFunc computes a (partial) set cover; see setcover.GreedyPartial.
-type CoverFunc func(universe *bitset.Set, sets []*bitset.Set, target int) setcover.Result
+	// cover, when set by a test, replaces eager greedy as the set-cover
+	// heuristic of a plan without a budget.
+	cover func(universe *bitset.Set, sets []*bitset.Set, target int) setcover.Result
+}
 
 // Transaction is one planned server round-trip.
 type Transaction struct {
@@ -378,8 +377,8 @@ func (p *Planner) BuildInto(plan *Plan, items []uint64, target, budget int, avoi
 	switch {
 	case budget > 0:
 		res = sc.cover.GreedyBudget(universe, sets, budget)
-	case p.opts.Cover != nil:
-		res = p.opts.Cover(universe, sets, target)
+	case p.opts.cover != nil:
+		res = p.opts.cover(universe, sets, target)
 	default:
 		res = sc.cover.GreedyPartial(universe, sets, target)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"rnb/internal/bitset"
 	"rnb/internal/hashring"
-	"rnb/internal/setcover"
 )
 
 // fixedPlacement is a test double mapping each item to a preset replica
@@ -535,34 +534,6 @@ func TestSecondRoundGroupsByDistinguished(t *testing.T) {
 func TestSecondRoundEmpty(t *testing.T) {
 	if got := SecondRound(nil, nil); len(got) != 0 {
 		t.Fatal("empty second round")
-	}
-}
-
-func TestCustomCoverFunc(t *testing.T) {
-	// Plug the lazy-greedy cover in and verify plans match eager greedy.
-	pEager := NewPlanner(hashring.NewMultiHashPlacement(16, 3, 1), Options{})
-	pLazy := NewPlanner(hashring.NewMultiHashPlacement(16, 3, 1), Options{
-		Cover: func(u *bitset.Set, sets []*bitset.Set, target int) setcover.Result {
-			return setcover.GreedyLazy(u, sets, target)
-		},
-	})
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
-		seen := map[uint64]bool{}
-		items := make([]uint64, 0, 15)
-		for len(items) < 15 {
-			it := uint64(rng.Intn(5000))
-			if !seen[it] {
-				seen[it] = true
-				items = append(items, it)
-			}
-		}
-		a, _ := pEager.Build(items, 0)
-		b, _ := pLazy.Build(items, 0)
-		if a.NumTransactions() != b.NumTransactions() {
-			t.Fatalf("trial %d: eager %d txns, lazy %d", trial,
-				a.NumTransactions(), b.NumTransactions())
-		}
 	}
 }
 

@@ -149,30 +149,6 @@ const (
 	EpinionsEdges = 508837
 )
 
-// SlashdotLike generates a synthetic stand-in for the SNAP
-// soc-Slashdot0902 graph with the published node and edge counts.
-func SlashdotLike(seed int64) *Graph {
-	g, err := Generate(GenConfig{
-		Name: "slashdot-like", Nodes: SlashdotNodes, Edges: SlashdotEdges, Seed: seed,
-	})
-	if err != nil {
-		panic(err) // static config; cannot fail
-	}
-	return g
-}
-
-// EpinionsLike generates a synthetic stand-in for the SNAP
-// soc-Epinions1 graph with the published node and edge counts.
-func EpinionsLike(seed int64) *Graph {
-	g, err := Generate(GenConfig{
-		Name: "epinions-like", Nodes: EpinionsNodes, Edges: EpinionsEdges, Seed: seed,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // ScaledSlashdotLike generates a Slashdot-shaped graph scaled down by
 // factor (>= 1), keeping the average degree. Used by tests and quick
 // simulations where the full 82k-node graph is unnecessarily slow.

@@ -13,6 +13,14 @@ import (
 // seeded family in the repo (placement seeds, sketch rows).
 const boostSalt = 0xb0057ed5a1f00d17
 
+// The tracker's size: shards, and each shard's sketch width and depth.
+// Per-key over-estimate is roughly total/(trackerShards*sketchWidth).
+const (
+	trackerShards = 8
+	sketchWidth   = 2048
+	sketchDepth   = 4
+)
+
 // Config tunes the adaptive replication controller. The zero value is
 // usable: WithDefaults picks settings sized for tens of thousands of
 // requests per epoch.
@@ -40,9 +48,6 @@ type Config struct {
 	// MaxHotKeys caps the heat table size; when more keys qualify, the
 	// hottest win (default 128).
 	MaxHotKeys int
-	// Shards, SketchWidth, SketchDepth size the tracker (defaults 8,
-	// 2048, 4). Per-key over-estimate is roughly total/(Shards*Width).
-	Shards, SketchWidth, SketchDepth int
 	// Seed varies the boosted-replica hash family and the sketch rows.
 	Seed uint64
 }
@@ -66,15 +71,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxHotKeys <= 0 {
 		c.MaxHotKeys = 128
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	if c.SketchWidth <= 0 {
-		c.SketchWidth = 2048
-	}
-	if c.SketchDepth <= 0 {
-		c.SketchDepth = 4
 	}
 	return c
 }
@@ -127,11 +123,11 @@ func NewAdaptive(base hashring.Placement, cfg Config, counters *Counters) *Adapt
 	if counters == nil {
 		counters = &Counters{}
 	}
-	perShardTopK := cfg.MaxHotKeys/cfg.Shards + 8
+	perShardTopK := cfg.MaxHotKeys/trackerShards + 8
 	a := &AdaptivePlacement{
 		base:     base,
 		cfg:      cfg,
-		tracker:  NewTracker(cfg.Shards, cfg.SketchWidth, cfg.SketchDepth, perShardTopK, cfg.Seed),
+		tracker:  NewTracker(trackerShards, sketchWidth, sketchDepth, perShardTopK, cfg.Seed),
 		counters: counters,
 		cold:     make(map[uint64]int),
 	}

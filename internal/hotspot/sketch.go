@@ -50,12 +50,6 @@ func NewSketch(width, depth int, seed uint64) *Sketch {
 	return s
 }
 
-// Width returns the per-row counter count.
-func (s *Sketch) Width() int { return int(s.width) }
-
-// Depth returns the number of hash rows.
-func (s *Sketch) Depth() int { return s.depth }
-
 func (s *Sketch) cell(row int, key uint64) *uint32 {
 	h := xhash.Seeded(s.seed+uint64(row)*0x9e3779b97f4a7c15, key)
 	return &s.rows[row][uint32(h)%s.width]

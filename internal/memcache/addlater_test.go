@@ -315,9 +315,8 @@ func (bs *byteServer) received(i int) []byte {
 // TestAddLaterDroppedWithItsConnection: queued adds belong to the
 // connection they were queued for. When it breaks under the command
 // carrying them, the idempotent read is replayed on a fresh connection
-// without them; when it is torn down before a command comes (reaped
-// idle), the command that redials goes alone; when the client is
-// closed, they are dropped with it and a closed client stays closed.
+// without them; when the client is closed, they are dropped with it and
+// a closed client stays closed.
 func TestAddLaterDroppedWithItsConnection(t *testing.T) {
 	miss := []byte("END\r\n")
 	add := []byte("add wb 0 0 1 noreply\r\nv\r\n")
@@ -345,32 +344,6 @@ func TestAddLaterDroppedWithItsConnection(t *testing.T) {
 		cl.Get("k")
 		if got := bs.received(1); bytes.Contains(got, []byte("add")) {
 			t.Fatalf("a later command resent the add: %q", got)
-		}
-	})
-	t.Run("reaped", func(t *testing.T) {
-		leakcheck.Check(t)
-		bs := newByteServer(t, miss, miss)
-		cl, err := NewPool(bs.addr, 5*time.Second, PoolConfig{Size: 1, IdleTimeout: 20 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		_, wb := freezeClock(cl)
-		if err := cl.AddLater(&Item{Key: "wb", Value: []byte("v")}); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "the idle connection to be reaped", func() bool { return cl.ConnsOpen() == 0 })
-		if _, err := cl.Get("k"); !errors.Is(err, ErrCacheMiss) {
-			t.Fatal(err)
-		}
-		if got := bs.received(1); !bytes.Equal(got, []byte("get k\r\n")) {
-			t.Fatalf("the redialed connection was sent %q, want the get alone", got)
-		}
-		if got := bs.received(0); len(got) != 0 {
-			t.Fatalf("the reaped connection was sent %q", got)
-		}
-		if wb.WriteBackDroppedConn.Load() != 1 {
-			t.Fatalf("dropped_conn %d, want 1", wb.WriteBackDroppedConn.Load())
 		}
 	})
 	t.Run("closed", func(t *testing.T) {

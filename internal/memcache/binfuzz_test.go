@@ -123,7 +123,7 @@ func FuzzBinaryDemux(f *testing.F) {
 				}(conn)
 			}
 		}()
-		p, err := NewPool(ln.Addr().String(), 150*time.Millisecond, PoolConfig{Size: 2, Depth: 8, Binary: true})
+		p, err := NewPool(ln.Addr().String(), 150*time.Millisecond, PoolConfig{Size: 2, Binary: true})
 		if err != nil {
 			t.Skip() // accept raced the dial; nothing to fuzz
 		}

@@ -131,7 +131,7 @@ func TestBinaryPoolBasicOps(t *testing.T) {
 // wire instead of taking turns.
 func TestBinaryPoolPipelines(t *testing.T) {
 	leakcheck.Check(t)
-	p := newBinPool(t, poolTestServer(t, nil), PoolConfig{Size: 1, Depth: 64})
+	p := newBinPool(t, poolTestServer(t, nil), PoolConfig{Size: 1})
 	if err := p.Set(&Item{Key: "k", Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
@@ -356,9 +356,9 @@ func TestTransportDifferential(t *testing.T) {
 		case 0:
 			cl = newSingleConn(t, addr, false)
 		case 1:
-			cl = newTestPool(t, addr, PoolConfig{Size: 4, Depth: 8})
+			cl = newTestPool(t, addr, PoolConfig{Size: 4})
 		case 2:
-			cl = newBinPool(t, addr, PoolConfig{Size: 4, Depth: 8})
+			cl = newBinPool(t, addr, PoolConfig{Size: 4})
 		case 3:
 			cl = newSingleConn(t, addr, true)
 		}
@@ -567,7 +567,7 @@ func TestBinaryPoolDifferentialLargeValues(t *testing.T) {
 	leakcheck.Check(t)
 	addr, _ := startLaneServer(t)
 	binLanes := []transportLane{
-		{name: "binary pool", conn: newBinPool(t, addr, PoolConfig{Size: 3, Depth: 8})},
+		{name: "binary pool", conn: newBinPool(t, addr, PoolConfig{Size: 3})},
 		{name: "binary single", conn: newSingleConn(t, addr, true)},
 	}
 	cl := newSingleConn(t, addr, false)

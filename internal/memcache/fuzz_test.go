@@ -152,7 +152,7 @@ func FuzzPoolDemux(f *testing.F) {
 				}(conn)
 			}
 		}()
-		p, err := NewPool(ln.Addr().String(), 150*time.Millisecond, PoolConfig{Size: 2, Depth: 8})
+		p, err := NewPool(ln.Addr().String(), 150*time.Millisecond, PoolConfig{Size: 2})
 		if err != nil {
 			t.Skip() // accept raced the dial; nothing to fuzz
 		}

@@ -16,7 +16,6 @@ import (
 type PoolGauges struct {
 	ConnsOpen   atomic.Int64
 	ConnsDialed atomic.Uint64
-	ConnsReaped atomic.Uint64
 	ConnsFailed atomic.Uint64
 
 	Queued   atomic.Int64
@@ -38,7 +37,6 @@ type PoolGauges struct {
 func (g *PoolGauges) Register(reg *obs.Registry) {
 	reg.Gauge("rnb_pool_conns_open", "Pooled connections currently established.", g.ConnsOpen.Load)
 	reg.Counter("rnb_pool_conns_dialed", "Pooled connection dials that succeeded.", g.ConnsDialed.Load)
-	reg.Counter("rnb_pool_conns_reaped", "Idle pooled connections closed by the reaper.", g.ConnsReaped.Load)
 	reg.Counter("rnb_pool_conns_failed", "Pooled connections torn down by an I/O error.", g.ConnsFailed.Load)
 	reg.Gauge("rnb_pool_queued", "Callers routed to a pooled connection and waiting their turn to write to it.", g.Queued.Load)
 	reg.Gauge("rnb_pool_in_flight", "Requests written to a pooled connection and awaiting their response.", g.InFlight.Load)

@@ -27,11 +27,11 @@ import (
 // round trip each for one socket:
 //
 //   - connection pooling: up to Size connections per server, dialed as
-//     soon as requests overlap and reaped when idle. A request goes to
-//     a connection whose pipe is empty before it shares one — the
-//     server runs one connection's requests one after the other, so
-//     two requests on two connections use two of its cores and two on
-//     one connection use one;
+//     soon as requests overlap and held until Close or a failure. A
+//     request goes to a connection whose pipe is empty before it shares
+//     one — the server runs one connection's requests one after the
+//     other, so two requests on two connections use two of its cores
+//     and two on one connection use one;
 //   - request pipelining: once Size connections are open, callers
 //     share them. Each encodes its request under the connection's
 //     write mutex, and the last of the writers queued there flushes
@@ -51,8 +51,6 @@ type Client struct {
 	addr    string
 	timeout time.Duration
 	size    int
-	depth   int
-	idle    time.Duration
 	gauges  *PoolGauges
 	rttObs  func(time.Duration)
 	codec   codec
@@ -69,7 +67,6 @@ type Client struct {
 	conns   []*pconn
 	dialing int
 	closed  bool
-	reaper  *time.Timer // runs reapIdle; nil when reaping is off
 
 	// The adds AddLater queued on a one-connection client, already
 	// encoded and oldest first, wait in later for the next writer on the
@@ -92,15 +89,6 @@ type PoolConfig struct {
 	// holds one, and opens another whenever a request finds every open
 	// connection busy with an earlier one, until Size are open.
 	Size int
-	// Depth bounds how many replies already buffered behind its own a
-	// reader decodes for other callers before it returns (default 32).
-	// Once Size connections are open a request joins the shortest pipe;
-	// it never waits for one to shorten.
-	Depth int
-	// IdleTimeout reaps connections that served no request for this
-	// long (default 30s; <= 0 disables reaping). A reaped-to-empty client
-	// redials on the next request.
-	IdleTimeout time.Duration
 	// Gauges, when non-nil, receives the client's instrumentation;
 	// several clients (one per server) may share one PoolGauges for a
 	// tier-wide view.
@@ -120,19 +108,15 @@ type PoolConfig struct {
 	Binary bool
 }
 
-// Client defaults.
-const (
-	DefaultPoolSize    = 4
-	DefaultPoolDepth   = 32
-	DefaultIdleTimeout = 30 * time.Second
-)
+// DefaultPoolSize is the Size a zero PoolConfig gets.
+const DefaultPoolSize = 4
 
-var (
-	// errPoolClosed fails requests submitted after Close; errReaped is
-	// the teardown cause of a connection the reaper closed.
-	errPoolClosed = errors.New("memcache: client closed")
-	errReaped     = errors.New("memcache: idle connection reaped")
-)
+// readAhead bounds how many replies already buffered behind its own a
+// reader decodes for other callers before it returns.
+const readAhead = 32
+
+// errPoolClosed fails requests submitted after Close.
+var errPoolClosed = errors.New("memcache: client closed")
 
 // Dial connects a one-connection text-protocol client to the server at
 // addr. timeout <= 0 means no I/O deadline.
@@ -156,12 +140,6 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Client, error
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultPoolSize
 	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = DefaultPoolDepth
-	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = DefaultIdleTimeout
-	}
 	if cfg.Gauges == nil {
 		cfg.Gauges = &PoolGauges{}
 	}
@@ -169,8 +147,6 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Client, error
 		addr:    addr,
 		timeout: timeout,
 		size:    cfg.Size,
-		depth:   cfg.Depth,
-		idle:    cfg.IdleTimeout,
 		gauges:  cfg.Gauges,
 		rttObs:  cfg.RTTObserver,
 		codec:   textCodec{},
@@ -186,9 +162,6 @@ func NewPool(addr string, timeout time.Duration, cfg PoolConfig) (*Client, error
 	}
 	p.mu.Lock()
 	p.conns = append(p.conns, c)
-	if p.idle > 0 {
-		p.reaper = time.AfterFunc(p.reapPeriod(), p.reapIdle)
-	}
 	p.mu.Unlock()
 	return p, nil
 }
@@ -212,9 +185,9 @@ func (p *Client) ConnsOpen() int {
 	return len(p.conns)
 }
 
-// Close stops the reaper, tears down every connection, fails every
-// pending request, drops the adds AddLater still holds, and waits for
-// every pipe to empty. Idempotent.
+// Close tears down every connection, fails every pending request, drops
+// the adds AddLater still holds, and waits for every pipe to empty.
+// Idempotent.
 func (p *Client) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -222,9 +195,6 @@ func (p *Client) Close() error {
 		return nil
 	}
 	p.closed = true
-	if p.reaper != nil {
-		p.reaper.Stop()
-	}
 	conns := append([]*pconn(nil), p.conns...)
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -236,41 +206,6 @@ func (p *Client) Close() error {
 	}
 	p.dropLater()
 	return nil
-}
-
-// reapPeriod is how often the reaper looks for idle connections.
-func (p *Client) reapPeriod() time.Duration {
-	return max(p.idle/4, 10*time.Millisecond)
-}
-
-// reapIdle closes connections idle past the idle timeout and re-arms
-// its timer; dial-on-demand brings them back, so a quiet tier holds no
-// sockets. A victim leaves the rotation under the lock that found its
-// pipe empty, so no request is ever routed to a connection about to be
-// reaped. It runs on a timer: the client owns no goroutine.
-func (p *Client) reapIdle() {
-	now := time.Now().UnixNano()
-	var victims []*pconn
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	live := p.conns[:0]
-	for _, c := range p.conns {
-		if c.load.Load() == 0 && now-c.lastDone.Load() > int64(p.idle) {
-			victims = append(victims, c)
-		} else {
-			live = append(live, c)
-		}
-	}
-	p.conns = live
-	p.reaper.Reset(p.reapPeriod())
-	p.mu.Unlock()
-	for _, c := range victims {
-		p.gauges.ConnsReaped.Add(1)
-		c.teardown(errReaped)
-	}
 }
 
 // dial establishes one connection. It starts no goroutine.
@@ -286,7 +221,6 @@ func (p *Client) dial() (*pconn, error) {
 		w:       bufio.NewWriterSize(conn, 64<<10),
 		drained: make(chan struct{}),
 	}
-	c.lastDone.Store(time.Now().UnixNano())
 	p.gauges.ConnsDialed.Add(1)
 	p.gauges.ConnsOpen.Add(1)
 	return c, nil
@@ -502,16 +436,12 @@ type pconn struct {
 	cause      error // why the connection was torn down
 	dead       atomic.Bool
 
-	load     atomic.Int32 // requests routed here and not yet released
-	lastDone atomic.Int64 // unixnano of the last release (or the dial)
-	drained  chan struct{}
+	load    atomic.Int32 // requests routed here and not yet released
+	drained chan struct{}
 }
 
 // release gives back the place route reserved on the connection.
-func (c *pconn) release() {
-	c.lastDone.Store(time.Now().UnixNano())
-	c.load.Add(-1)
-}
+func (c *pconn) release() { c.load.Add(-1) }
 
 // send encodes q into the write buffer and joins the FIFO, returning the
 // slot it took, or nil when the connection was found dead with nothing
@@ -649,12 +579,12 @@ func (c *pconn) collect(s *poolRequest, rep *reply, q *request) error {
 // read runs the reader role from f, the head of the FIFO: it decodes
 // each reply into its slot in order, waking a parked owner with it. It
 // goes on while own is unanswered, while a write that started behind
-// the reader relies on it, and — at most Depth replies, so a server that
-// answers faster than this loop decodes cannot keep one caller reading
-// for the others forever — while replies sit buffered. With own nil it
-// drains the FIFO, flushing on the way what other writers left in w (its
-// caller holds wmu, so nothing joins). Then it hands the role to the
-// first collector parked in the FIFO, which reads from the head, or
+// the reader relies on it, and — at most readAhead replies, so a server
+// that answers faster than this loop decodes cannot keep one caller
+// reading for the others forever — while replies sit buffered. With own
+// nil it drains the FIFO, flushing on the way what other writers left in
+// w (its caller holds wmu, so nothing joins). Then it hands the role to
+// the first collector parked in the FIFO, which reads from the head, or
 // frees it, and copies the outcome of own out (see give).
 func (c *pconn) read(own, f *poolRequest, armed bool, rep *reply, q *request) (err error) {
 	var wake *poolRequest
@@ -679,7 +609,7 @@ func (c *pconn) read(own, f *poolRequest, armed bool, rep *reply, q *request) (e
 		if f.parked {
 			f.parked, wake = false, f
 		}
-		if f = c.head; f == nil || own != nil && own.done && c.writing == 0 && (n >= c.pool.depth || c.r.Buffered() == 0) {
+		if f = c.head; f == nil || own != nil && own.done && c.writing == 0 && (n >= readAhead || c.r.Buffered() == 0) {
 			break
 		}
 		c.mu.Unlock()
@@ -779,7 +709,7 @@ func (c *pconn) teardown(cause error) error {
 	c.mu.Unlock()
 	c.conn.Close()
 	c.pool.dropLater()
-	if cause != errPoolClosed && cause != errReaped {
+	if cause != errPoolClosed {
 		c.pool.gauges.ConnsFailed.Add(1)
 	}
 	for wake != nil {

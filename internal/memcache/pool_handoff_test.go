@@ -47,27 +47,22 @@ func firstConn(t *testing.T, p *Client) *pconn {
 	return p.conns[0]
 }
 
-// TestPoolStartsNoGoroutines: a client owns no goroutine, reaping or
-// not — its reaper is a timer. Counting goroutines would also count
-// what earlier tests are still winding down, so the test reads the
-// stacks instead: after NewPool and 100 round trips, no live goroutine
-// was started from the client's code.
+// TestPoolStartsNoGoroutines: a client owns no goroutine. Counting
+// goroutines would also count what earlier tests are still winding
+// down, so the test reads the stacks instead: after NewPool and 100
+// round trips, no live goroutine was started from the client's code.
 func TestPoolStartsNoGoroutines(t *testing.T) {
 	leakcheck.Check(t)
-	addr := poolTestServer(t, nil)
-	for _, idle := range []time.Duration{-1, 0} {
-		p := newTestPool(t, addr, PoolConfig{IdleTimeout: idle})
-		for i := 0; i < 100; i++ {
-			if _, err := p.Get("k"); err != ErrCacheMiss {
-				t.Fatalf("Get: %v", err)
-			}
+	p := newTestPool(t, poolTestServer(t, nil), PoolConfig{})
+	for i := 0; i < 100; i++ {
+		if _, err := p.Get("k"); err != ErrCacheMiss {
+			t.Fatalf("Get: %v", err)
 		}
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		if got := poolGoStmt.FindAll(buf, -1); len(got) != 0 {
-			t.Errorf("idle timeout %v: after 100 Gets the client's go statements running are %q", idle, got)
-		}
-		p.Close()
+	}
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	if got := poolGoStmt.FindAll(buf, -1); len(got) != 0 {
+		t.Errorf("after 100 Gets the client's go statements running are %q", got)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestPoolBasicOps(t *testing.T) {
 // the wire instead of taking turns).
 func TestPoolPipelines(t *testing.T) {
 	leakcheck.Check(t)
-	p := newTestPool(t, poolTestServer(t, nil), PoolConfig{Size: 1, Depth: 64})
+	p := newTestPool(t, poolTestServer(t, nil), PoolConfig{Size: 1})
 	if err := p.Set(&Item{Key: "k", Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func TestPoolPipelines(t *testing.T) {
 	}
 }
 
-// TestPoolGrowsUnderLoad: with Depth 1 every in-flight request
-// saturates its connection, so concurrent callers force dial-on-demand
-// up to Size.
+// TestPoolGrowsUnderLoad: a request goes to an empty pipe before it
+// shares one, so concurrent callers that find every open connection busy
+// force dial-on-demand up to Size.
 func TestPoolGrowsUnderLoad(t *testing.T) {
 	leakcheck.Check(t)
-	p := newTestPool(t, poolTestServer(t, nil), PoolConfig{Size: 4, Depth: 1})
+	p := newTestPool(t, poolTestServer(t, nil), PoolConfig{Size: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -162,34 +162,6 @@ func TestPoolGrowsUnderLoad(t *testing.T) {
 	}
 	if open := p.ConnsOpen(); open > 4 {
 		t.Fatalf("pool exceeded Size: %d conns", open)
-	}
-}
-
-// TestPoolIdleReap: an idle pool sheds its connections, then revives
-// transparently via dial-on-demand.
-func TestPoolIdleReap(t *testing.T) {
-	leakcheck.Check(t)
-	p := newTestPool(t, poolTestServer(t, nil), PoolConfig{IdleTimeout: 50 * time.Millisecond})
-	if err := p.Set(&Item{Key: "k", Value: []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.ConnsOpen() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle connections never reaped: %d open", p.ConnsOpen())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if p.Gauges().ConnsReaped.Load() == 0 {
-		t.Fatal("reap gauge not bumped")
-	}
-	if failed := p.Gauges().ConnsFailed.Load(); failed != 0 {
-		t.Fatalf("a reap was also counted as %d I/O failures", failed)
-	}
-	// Dial-on-demand revival.
-	it, err := p.Get("k")
-	if err != nil || string(it.Value) != "v" {
-		t.Fatalf("post-reap Get: %v %v", it, err)
 	}
 }
 
@@ -292,7 +264,7 @@ func TestPoolCloseIdempotentAndFailsPending(t *testing.T) {
 func TestPoolDifferentialAgainstClient(t *testing.T) {
 	leakcheck.Check(t)
 	addr := poolTestServer(t, nil)
-	pool := newTestPool(t, addr, PoolConfig{Size: 3, Depth: 8})
+	pool := newTestPool(t, addr, PoolConfig{Size: 3})
 	cl, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +330,7 @@ func TestPoolDifferentialAgainstClient(t *testing.T) {
 func TestPoolDifferentialConcurrent(t *testing.T) {
 	leakcheck.Check(t)
 	addr := poolTestServer(t, nil)
-	pool := newTestPool(t, addr, PoolConfig{Size: 2, Depth: 16})
+	pool := newTestPool(t, addr, PoolConfig{Size: 2})
 	cl, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@
 // workloads of interest.
 //
 // The package also provides:
-//   - a lazy-greedy variant that avoids rescanning unchanged sets,
 //   - partial cover for "LIMIT"-style requests (§III-F): stop picking
 //     servers once a target fraction of the items is covered,
 //   - an exact branch-and-bound solver for small instances, used as a
@@ -19,7 +18,6 @@
 package setcover
 
 import (
-	"container/heap"
 	"math"
 
 	"rnb/internal/bitset"
@@ -95,78 +93,6 @@ func (sc *Scratch) greedy(universe *bitset.Set, sets []*bitset.Set, target, maxP
 		remaining.DifferenceWith(sets[best])
 	}
 	sc.picked = res.Picked
-	return res
-}
-
-// gainItem is a heap entry for the lazy-greedy variant.
-type gainItem struct {
-	set  int
-	gain int // gain as of the last evaluation (an upper bound)
-}
-
-type gainHeap []gainItem
-
-func (h gainHeap) Len() int { return len(h) }
-func (h gainHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
-	}
-	return h[i].set < h[j].set
-}
-func (h gainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x interface{}) { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// GreedyLazy computes the same cover as Greedy but uses lazy
-// evaluation: gains only shrink as elements get covered
-// (submodularity), so a stale heap entry whose re-evaluated gain still
-// beats the runner-up can be picked without rescanning every set.
-// On instances with many candidate sets this is substantially faster;
-// the picks are identical to Greedy's given identical tie-breaking.
-func GreedyLazy(universe *bitset.Set, sets []*bitset.Set, target int) Result {
-	total := universe.Count()
-	if target > total {
-		target = total
-	}
-	if target <= 0 || len(sets) == 0 {
-		return Result{}
-	}
-	remaining := universe.Clone()
-	h := make(gainHeap, 0, len(sets))
-	for i, s := range sets {
-		if g := remaining.IntersectionCount(s); g > 0 {
-			h = append(h, gainItem{set: i, gain: g})
-		}
-	}
-	heap.Init(&h)
-	var res Result
-	for res.Covered < target && h.Len() > 0 {
-		top := heap.Pop(&h).(gainItem)
-		fresh := remaining.IntersectionCount(sets[top.set])
-		if fresh == 0 {
-			continue
-		}
-		if h.Len() > 0 {
-			next := h[0]
-			// A stale gain is an upper bound; if the fresh value still wins
-			// against the best upper bound (with greedy's index tie-break),
-			// the pick is exactly what eager greedy would do.
-			if fresh < next.gain || (fresh == next.gain && next.set < top.set) {
-				top.gain = fresh
-				heap.Push(&h, top)
-				continue
-			}
-		}
-		res.Picked = append(res.Picked, top.set)
-		res.Covered += fresh
-		remaining.DifferenceWith(sets[top.set])
-	}
 	return res
 }
 

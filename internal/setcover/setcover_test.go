@@ -105,40 +105,6 @@ func TestGreedyPartialTargets(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesEagerRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		universeSize := 10 + r.Intn(60)
-		universe := bitset.New(universeSize)
-		for i := 0; i < universeSize; i++ {
-			universe.Set(i)
-		}
-		nSets := 3 + r.Intn(12)
-		ss := make([]*bitset.Set, nSets)
-		for i := range ss {
-			ss[i] = bitset.New(universeSize)
-			for j := 0; j < universeSize; j++ {
-				if r.Intn(3) == 0 {
-					ss[i].Set(j)
-				}
-			}
-		}
-		target := 1 + r.Intn(universeSize)
-		eager := GreedyPartial(universe, ss, target)
-		lazy := GreedyLazy(universe, ss, target)
-		if !reflect.DeepEqual(eager.Picked, lazy.Picked) || eager.Covered != lazy.Covered {
-			t.Fatalf("trial %d: eager %+v != lazy %+v", trial, eager, lazy)
-		}
-	}
-}
-
-func TestLazyEmptySets(t *testing.T) {
-	res := GreedyLazy(bitset.FromIndices(1), nil, 1)
-	if res.Covered != 0 {
-		t.Fatalf("no sets: %+v", res)
-	}
-}
-
 func TestGreedyBudget(t *testing.T) {
 	universe := bitset.FromIndices(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	ss := sets(
@@ -367,29 +333,11 @@ func BenchmarkGreedy100x16(b *testing.B) {
 	}
 }
 
-func BenchmarkGreedyLazy100x16(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	universe, ss := randomInstance(r, 100, 16, 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		GreedyLazy(universe, ss, 100)
-	}
-}
-
 func BenchmarkGreedy500x64(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	universe, ss := randomInstance(r, 500, 64, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Greedy(universe, ss)
-	}
-}
-
-func BenchmarkGreedyLazy500x64(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	universe, ss := randomInstance(r, 500, 64, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		GreedyLazy(universe, ss, 500)
 	}
 }

@@ -82,13 +82,4 @@ func (u *Union) NumReplicas() int { return u.replicas }
 // Epochs returns the number of layered epochs (1 = no transition).
 func (u *Union) Epochs() int { return len(u.epochs) }
 
-// Oldest returns the oldest layered epoch's placement — the one whose
-// distinguished copies are load-bearing.
-func (u *Union) Oldest() hashring.Placement { return u.epochs[0] }
-
-// Newest returns the newest epoch's placement — the tier's target
-// layout, whose distinguished copies must be warm before the
-// transition completes.
-func (u *Union) Newest() hashring.Placement { return u.epochs[len(u.epochs)-1] }
-
 var _ hashring.Placement = (*Union)(nil)

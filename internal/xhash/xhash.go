@@ -54,11 +54,6 @@ func Seeded(seed, v uint64) uint64 {
 	return Mix64(v ^ Mix64(seed^0xa0761d6478bd642f))
 }
 
-// SeededString hashes a string under the function identified by seed.
-func SeededString(seed uint64, s string) uint64 {
-	return Seeded(seed, String(s))
-}
-
 // Combine folds two hashes into one, order-dependently.
 func Combine(a, b uint64) uint64 {
 	return Mix64(a*0x9e3779b97f4a7c15 ^ b)

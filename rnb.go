@@ -165,11 +165,11 @@ func WithAdaptiveReplication(cfg AdaptiveConfig) Option {
 // open: max(n, 1), on either wire. One (the default) pipelines every
 // concurrent request to a server on one connection and lets round 2's
 // write-backs ride, unanswered, in front of the next command; with n > 1
-// connections are dialed on demand as requests overlap and reaped when
-// idle, and write-backs are acknowledged adds, because sibling
-// connections are not ordered against each other. High-fan-out callers
-// (many goroutines per Client) may want more than one; see PoolGauges
-// for the instrumentation. Error and replay semantics do not depend on
+// connections are dialed on demand as requests overlap and kept until
+// Close or a failure, and write-backs are acknowledged adds, because
+// sibling connections are not ordered against each other. High-fan-out
+// callers (many goroutines per Client) may want more than one; see
+// PoolGauges for the instrumentation. Error and replay semantics do not depend on
 // n: a network failure feeds the server's circuit breaker, and only
 // idempotent reads are replayed (once per request).
 func WithPoolSize(n int) Option {

@@ -135,7 +135,7 @@ func TestPooledClientStress(t *testing.T) {
 
 // awaitGoroutines polls until the goroutine count drops back to the
 // baseline (plus slack for runtime helpers) — the stdlib-only goleak
-// substitute for the pool's writer/reader/reaper goroutines.
+// substitute.
 func awaitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -252,8 +252,8 @@ func TestPooledClientChaosKillMidPipeline(t *testing.T) {
 		}
 	}
 
-	// No goroutine leaks: pool writers/readers/reapers and drains must
-	// all exit with the client.
+	// No goroutine leaks: everything the client started must exit with
+	// it.
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
