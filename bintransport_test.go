@@ -124,7 +124,6 @@ func TestBinaryPooledClientChaosKillMidPipeline(t *testing.T) {
 	cl, err := NewClient(addrs,
 		WithReplicas(2), WithPoolSize(4), WithBinaryProtocol(),
 		WithFailureCooldown(time.Minute), // stays open for the whole test
-		WithRetry(2, time.Millisecond),
 		WithTimeout(500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

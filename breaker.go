@@ -32,8 +32,8 @@ func (r *Resilience) register(reg *obs.Registry) {
 	reg.Counter("rnb_resilience_probes", "Half-open probes launched.", r.Probes.Load)
 	reg.Counter("rnb_resilience_probe_successes", "Half-open probes the server answered.", r.ProbeSuccesses.Load)
 	reg.Counter("rnb_resilience_probe_failures", "Half-open probes that failed and re-opened the breaker.", r.ProbeFailures.Load)
-	reg.Counter("rnb_resilience_replans", "Mid-request re-plan rounds after a transaction failed.", r.Replans.Load)
-	reg.Counter("rnb_resilience_retry_transactions", "Transactions issued by re-plan rounds.", r.RetryTransactions.Load)
+	reg.Counter("rnb_resilience_replans", "Requests re-planned, once, after a round-1 transaction failed.", r.Replans.Load)
+	reg.Counter("rnb_resilience_retry_transactions", "Transactions issued by re-plans.", r.RetryTransactions.Load)
 }
 
 // BreakerState is a per-server circuit-breaker state, exposed through
@@ -43,8 +43,8 @@ type BreakerState int32
 const (
 	// BreakerClosed: the server is healthy and participates in plans.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: the server tripped on consecutive failures; plans
-	// route around it until the cooldown elapses.
+	// BreakerOpen: the server tripped on a failure; plans route around
+	// it until the cooldown elapses.
 	BreakerOpen
 	// BreakerHalfOpen: the cooldown elapsed; the server is still
 	// excluded from plans, but a single probe request is allowed to
@@ -68,33 +68,24 @@ func (s BreakerState) String() string {
 
 // breaker is one server's circuit breaker:
 //
-//	closed --threshold consecutive failures--> open
+//	closed --a failure--> open
 //	open --cooldown elapses--> half-open
 //	half-open --probe succeeds--> closed
 //	half-open --probe fails--> open (cooldown restarts)
 //
 // A cooldown <= 0 disables tripping entirely (failures are still
-// counted). The zero threshold is treated as 1: the first failure
-// trips, matching the old WithFailureCooldown quarantine behaviour.
+// counted).
 type breaker struct {
-	mu        sync.Mutex
-	state     BreakerState
-	fails     int // consecutive failures observed while closed
-	threshold int
-	cooldown  time.Duration
-	openedAt  time.Time
-	probing   bool
+	mu       sync.Mutex
+	state    BreakerState
+	fails    int // consecutive failures, reported by snapshot
+	cooldown time.Duration
+	openedAt time.Time
+	probing  bool
 
 	// onTransition, when set, is called (with the lock held; keep it
 	// cheap) for every state change — the metrics hook.
 	onTransition func(from, to BreakerState)
-}
-
-func newBreaker(threshold int, cooldown time.Duration, onTransition func(from, to BreakerState)) *breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown, onTransition: onTransition}
 }
 
 // transitionLocked moves to state to, firing the hook.
@@ -126,8 +117,8 @@ func (b *breaker) available() bool {
 	return b.state == BreakerClosed
 }
 
-// onFailure records a failed operation, tripping the breaker at the
-// consecutive-failure threshold (no-op when cooldown <= 0).
+// onFailure records a failed operation and trips the breaker (no-op
+// when cooldown <= 0).
 func (b *breaker) onFailure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -137,7 +128,7 @@ func (b *breaker) onFailure() {
 	}
 	// Half-open re-opens at once: a regular operation (e.g. a write,
 	// which does not consult the breaker) failed ahead of the probe.
-	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.fails >= b.threshold) {
+	if b.state != BreakerOpen {
 		b.openedAt = time.Now()
 		b.transitionLocked(BreakerOpen)
 	}

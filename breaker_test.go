@@ -5,34 +5,22 @@ import (
 	"time"
 )
 
-func TestBreakerThreshold(t *testing.T) {
-	b := newBreaker(3, time.Hour, nil)
-	b.onFailure()
-	b.onFailure()
-	if !b.available() {
-		t.Fatal("breaker tripped below threshold")
-	}
-	b.onFailure()
-	if b.available() {
-		t.Fatal("breaker did not trip at threshold")
-	}
-	if st, fails := b.snapshot(); st != BreakerOpen || fails != 3 {
-		t.Fatalf("snapshot: %v %d", st, fails)
-	}
-}
-
 func TestBreakerSuccessResetsRun(t *testing.T) {
-	b := newBreaker(2, time.Hour, nil)
+	b := &breaker{cooldown: time.Hour}
 	b.onFailure()
+	b.onFailure()
+	if st, fails := b.snapshot(); st != BreakerOpen || fails != 2 {
+		t.Fatalf("after two failures: %v %d, want open 2", st, fails)
+	}
 	b.onSuccess()
 	b.onFailure()
-	if !b.available() {
-		t.Fatal("non-consecutive failures tripped the breaker")
+	if _, fails := b.snapshot(); fails != 1 {
+		t.Fatalf("success did not reset the failure run: %d", fails)
 	}
 }
 
 func TestBreakerDisabledByZeroCooldown(t *testing.T) {
-	b := newBreaker(1, 0, nil)
+	b := &breaker{}
 	for i := 0; i < 10; i++ {
 		b.onFailure()
 	}
@@ -45,7 +33,7 @@ func TestBreakerDisabledByZeroCooldown(t *testing.T) {
 }
 
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	b := newBreaker(1, 20*time.Millisecond, nil)
+	b := &breaker{cooldown: 20 * time.Millisecond}
 	b.onFailure()
 	if b.tryAcquireProbe() {
 		t.Fatal("probe granted while open")
@@ -70,7 +58,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 }
 
 func TestBreakerFailedProbeReopens(t *testing.T) {
-	b := newBreaker(1, 20*time.Millisecond, nil)
+	b := &breaker{cooldown: 20 * time.Millisecond}
 	b.onFailure()
 	time.Sleep(30 * time.Millisecond)
 	if !b.tryAcquireProbe() {
@@ -89,7 +77,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 }
 
 func TestBreakerFailureWhileHalfOpenReopens(t *testing.T) {
-	b := newBreaker(1, 20*time.Millisecond, nil)
+	b := &breaker{cooldown: 20 * time.Millisecond}
 	b.onFailure()
 	time.Sleep(30 * time.Millisecond)
 	if st, _ := b.snapshot(); st != BreakerHalfOpen {
@@ -103,9 +91,9 @@ func TestBreakerFailureWhileHalfOpenReopens(t *testing.T) {
 
 func TestBreakerTransitionHook(t *testing.T) {
 	var seq []BreakerState
-	b := newBreaker(1, 20*time.Millisecond, func(from, to BreakerState) {
+	b := &breaker{cooldown: 20 * time.Millisecond, onTransition: func(from, to BreakerState) {
 		seq = append(seq, to)
-	})
+	}}
 	b.onFailure()
 	b.snapshot() // no transition yet: still open
 	time.Sleep(30 * time.Millisecond)

@@ -89,7 +89,7 @@ func TestChaosScriptedFaultsFullRecovery(t *testing.T) {
 	}}
 	cl, _, injectors := newChaosClient(t, 4, map[int]chaos.Profile{0: prof},
 		WithReplicas(3), WithTimeout(250*time.Millisecond),
-		WithFailureCooldown(30*time.Second), WithRetry(2, 5*time.Millisecond))
+		WithFailureCooldown(30*time.Second))
 	ks := keys(40)
 	seedKeys(t, cl, ks)
 	unleash(injectors[0])
@@ -123,7 +123,7 @@ func TestChaosSeededFaultsFullRecovery(t *testing.T) {
 	prof := chaos.Profile{Seed: 42, PReset: 0.5, PBlackhole: 0.25, ResetAfterWrites: 1}
 	cl, _, injectors := newChaosClient(t, 4, map[int]chaos.Profile{0: prof},
 		WithReplicas(3), WithTimeout(250*time.Millisecond),
-		WithFailureCooldown(30*time.Second), WithRetry(2, 5*time.Millisecond))
+		WithFailureCooldown(30*time.Second))
 	ks := keys(40)
 	seedKeys(t, cl, ks)
 	unleash(injectors[0])
@@ -152,7 +152,7 @@ func TestChaosKillReviveBreakerLifecycle(t *testing.T) {
 	const victim = 1
 	cl, servers, injectors := newChaosClient(t, 4, map[int]chaos.Profile{victim: {}},
 		WithReplicas(3), WithTimeout(300*time.Millisecond),
-		WithFailureCooldown(150*time.Millisecond), WithRetry(2, 5*time.Millisecond))
+		WithFailureCooldown(150*time.Millisecond))
 	ks := keys(40)
 	seedKeys(t, cl, ks)
 
@@ -254,7 +254,7 @@ func TestChaosFlappingBackendFullRecovery(t *testing.T) {
 	prof := chaos.Profile{Seed: 9, FlapDown: 2, FlapUp: 4, PReset: 1, ResetAfterWrites: 2}
 	cl, _, injectors := newChaosClient(t, 4, map[int]chaos.Profile{victim: prof},
 		WithReplicas(3), WithTimeout(400*time.Millisecond),
-		WithFailureCooldown(40*time.Millisecond), WithRetry(2, 5*time.Millisecond))
+		WithFailureCooldown(40*time.Millisecond))
 	ks := keys(30)
 	seedKeys(t, cl, ks)
 
@@ -319,7 +319,7 @@ func TestChaosScrapeDuringBlackhole(t *testing.T) {
 	const timeout = 600 * time.Millisecond
 	prof := chaos.Profile{Script: []chaos.ConnPlan{{Blackhole: true}}}
 	cl, _, injectors := newChaosClient(t, 1, map[int]chaos.Profile{0: prof},
-		WithTimeout(timeout), WithRetry(0, 0))
+		WithTimeout(timeout))
 	seedKeys(t, cl, []string{"k"})
 	reg := obs.NewRegistry()
 	cl.RegisterMetrics(reg)
@@ -373,7 +373,7 @@ func TestChaosFailedRequestRecordNotReused(t *testing.T) {
 	}
 	cl, _, injectors := newChaosClient(t, 3, profiles,
 		WithReplicas(3), WithTimeout(250*time.Millisecond),
-		WithFailureCooldown(0), WithRetry(1, time.Millisecond),
+		WithFailureCooldown(0),
 		WithObservability(ObsConfig{SlowThreshold: time.Nanosecond, SlowLog: func(sp *obs.Span) { last = sp }}))
 	ks := keys(12)
 	seedKeys(t, cl, ks)

@@ -47,9 +47,6 @@ func main() {
 		noPin      = flag.Bool("no-pin", false, "backends are stock memcached (no setp pinning)")
 		timeout    = flag.Duration("timeout", 5*time.Second, "backend operation timeout")
 		cooldown   = flag.Duration("cooldown", 10*time.Second, "circuit-breaker cooldown before a failed backend is probed (0 disables breakers)")
-		threshold  = flag.Int("breaker-threshold", 1, "consecutive failures before a backend's breaker opens")
-		retries    = flag.Int("retries", 1, "re-plan rounds for keys lost to a failed backend (0 disables)")
-		backoff    = flag.Duration("retry-backoff", 15*time.Millisecond, "base jittered backoff between re-plan rounds")
 		statsEvery = flag.Duration("stats-every", 0, "log backend breaker states at this interval (0 disables)")
 		poolSize   = flag.Int("pool-size", 1, "pipelined connections per backend (1 = one connection, write-backs ride unanswered in front of the next command; more = write-backs are acknowledged adds)")
 		binary     = flag.Bool("binary", false, "speak the binary protocol to backends (quiet-get pipelining; -pool-size applies as on text)")
@@ -99,8 +96,6 @@ func main() {
 		rnb.WithReplicas(*replicas),
 		rnb.WithTimeout(*timeout),
 		rnb.WithFailureCooldown(*cooldown),
-		rnb.WithBreakerThreshold(*threshold),
-		rnb.WithRetry(*retries, *backoff),
 		rnb.WithPoolSize(*poolSize),
 		rnb.WithObservability(rnb.ObsConfig{
 			RingSize:      *ringSize,

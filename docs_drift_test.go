@@ -1,7 +1,11 @@
 package rnb_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -18,7 +22,9 @@ import (
 // EXPERIMENTS.md point a reader at something the tree no longer has: a
 // `make <target>` the Makefile lacks, a BENCH_*.json that is not on
 // disk, a cmd/<x> or internal/<x> directory that does not exist, or a
-// config field (PoolConfig.X, core.Options.X, ...) its type lacks.
+// config field (PoolConfig.X, core.Options.X, ...) its type lacks, a
+// With* option package rnb does not export, or a Planner.X method
+// *core.Planner lacks.
 // Deleting a harness turns every stale pointer to it into a failure
 // here instead of a surprise at the prompt.
 func TestDocsNameWhatExists(t *testing.T) {
@@ -53,6 +59,31 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	field := regexp.MustCompile(`\b(PoolConfig|ObsConfig|TraceConfig|AdaptiveConfig|hotspot\.Config|core\.Options|cluster\.Config)\.(\w+)`)
 
+	// The package's exported functions, read from its non-test sources.
+	sources, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, src := range sources {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, src, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+				funcs[fd.Name.Name] = true
+			}
+		}
+	}
+	option := regexp.MustCompile(`\bWith[A-Z]\w*`)
+	planner := reflect.TypeOf(&core.Planner{})
+	method := regexp.MustCompile(`\bPlanner\.(\w+)`)
+
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -83,6 +114,16 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, m := range field.FindAllSubmatch(text, -1) {
 			if f, ok := configs[string(m[1])].FieldByName(string(m[2])); !ok || !f.IsExported() {
 				t.Errorf("%s names %s, which is not a field of that type", doc, m[0])
+			}
+		}
+		for _, o := range option.FindAll(text, -1) {
+			if !funcs[string(o)] {
+				t.Errorf("%s names %s, which package rnb does not export", doc, o)
+			}
+		}
+		for _, m := range method.FindAllSubmatch(text, -1) {
+			if _, ok := planner.MethodByName(string(m[1])); !ok {
+				t.Errorf("%s names %s, which is not a method of *core.Planner", doc, m[0])
 			}
 		}
 	}

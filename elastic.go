@@ -77,7 +77,7 @@ func (c *Client) newSlot(addr string, conn *memcache.Client) *slot {
 	return &slot{
 		addr:     addr,
 		conn:     conn,
-		breaker:  newBreaker(c.cfg.breakerThreshold, c.cfg.cooldown, c.onBreaker),
+		breaker:  &breaker{cooldown: c.cfg.cooldown, onTransition: c.onBreaker},
 		failures: &c.failures,
 	}
 }

@@ -240,6 +240,27 @@ func TestFailureTrackingDisabled(t *testing.T) {
 	}
 }
 
+// TestRecoveryAvoidsFailedServerWithBreakersOff: with breakers off the
+// breaker view names no server, so only the request's own record of
+// what failed keeps its recovery off a server that died under round 1.
+// The one re-plan and round 2 must both route around it.
+func TestRecoveryAvoidsFailedServerWithBreakersOff(t *testing.T) {
+	cl, servers := newTestClient(t, 4, WithReplicas(3), WithFailureCooldown(0))
+	ks := keys(40)
+	seedKeys(t, cl, ks)
+	victim := plannedServer(t, cl, ks)
+	servers[victim].Close()
+	items, stats, err := cl.GetMulti(ks)
+	if err != nil || len(items) != len(ks) || stats.Replans != 1 {
+		t.Fatalf("%d/%d items, %+v, err %v; want every key after one re-plan", len(items), len(ks), stats, err)
+	}
+	for _, r := range cl.RecentRequests()[0].RTTs {
+		if r.Phase != "fanout" && r.Server == victim {
+			t.Fatalf("%s transaction sent to server %d, which failed in round 1", r.Phase, victim)
+		}
+	}
+}
+
 // TestWriteFailureSurfacesAndQuarantines: writes must report errors
 // (durability is the caller's concern) but also quarantine.
 func TestWriteFailureSurfacesAndQuarantines(t *testing.T) {

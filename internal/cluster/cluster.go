@@ -55,9 +55,9 @@ type Config struct {
 	Placement hashring.Placement
 	// Planner options (hitchhiking, distinguished-single redirection).
 	Planner core.Options
-	// WriteBackOnMiss writes a missed item to its assigned server after
-	// the request completes (§III-C-2 policy). Defaults to true via
-	// New; set SkipWriteBack to disable.
+	// SkipWriteBack turns off the write-back: by default an item that
+	// missed at its assigned server is written there once the request
+	// has obtained it (§III-C-2 policy).
 	SkipWriteBack bool
 
 	// skipPrepopulate, set by a test, starts the tier with distinguished
@@ -289,7 +289,7 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 		c.observer.Observe(req.Items)
 	}
 	avoid := c.avoidFn()
-	plan, err := c.planner.BuildAvoiding(req.Items, req.Target, avoid)
+	plan, err := c.planner.BuildInto(new(core.Plan), req.Items, req.Target, 0, avoid)
 	if err != nil {
 		return RequestResult{}, err
 	}
@@ -354,7 +354,7 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 		missingItems = append(missingItems, plan.Items[i])
 		missingActing = append(missingActing, acting)
 	}
-	for _, txn := range core.SecondRound(missingItems, missingActing) {
+	for _, txn := range new(core.Round2).Group(missingItems, missingActing) {
 		srv := c.servers[txn.Server]
 		for _, it := range txn.Primary {
 			i := index[it]

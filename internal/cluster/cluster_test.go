@@ -269,7 +269,7 @@ func TestFailureReplicatedAvoidsDB(t *testing.T) {
 	// implicitly: a transaction against server 2 would have found all
 	// its pinned distinguished copies there, but planner avoidance
 	// means its items were never assigned there. Spot-check via plan.
-	plan, err := c.Planner().BuildAvoiding([]uint64{1, 2, 3, 4, 5, 6, 7, 8}, 0,
+	plan, err := c.Planner().BuildInto(new(core.Plan), []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 0, 0,
 		func(s int) bool { return s == 2 })
 	if err != nil {
 		t.Fatal(err)

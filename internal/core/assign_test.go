@@ -198,7 +198,7 @@ func TestPlannerHintBalanceAvoids(t *testing.T) {
 		1: {0, 1}, 2: {0, 2}, 3: {0, 1},
 	}}
 	planner := NewPlanner(p, Options{Hint: HintBalanceLoad})
-	plan, err := planner.BuildAvoiding([]uint64{1, 2, 3}, 0, func(s int) bool { return s == 0 })
+	plan, err := planner.BuildInto(new(Plan), []uint64{1, 2, 3}, 0, 0, func(s int) bool { return s == 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

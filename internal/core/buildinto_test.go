@@ -55,15 +55,15 @@ func leastFirstCover(universe *bitset.Set, sets []*bitset.Set, target int) setco
 	return res
 }
 
-// planCase is one seeded planning request: the planner, the items, and
-// which entry point it takes with which arguments.
+// planCase is one seeded planning request: the planner, the items and
+// BuildInto's arguments.
 type planCase struct {
 	p       *Planner
 	items   []uint64
 	target  int
-	budget  int          // > 0: BuildBudget
+	budget  int          // > 0: a transaction budget
 	down    map[int]bool // non-nil: an avoid filter
-	exclude map[int]bool // non-nil: BuildExcluding
+	exclude map[int]bool // non-nil: more servers to avoid
 }
 
 func (c *planCase) avoid() func(int) bool {
@@ -71,19 +71,6 @@ func (c *planCase) avoid() func(int) bool {
 		return nil
 	}
 	return func(s int) bool { return c.down[s] }
-}
-
-// fresh plans c through the entry point its arguments name.
-func (c *planCase) fresh() (*Plan, error) {
-	switch {
-	case c.budget > 0:
-		return c.p.BuildBudget(c.items, c.budget, c.avoid())
-	case c.exclude != nil:
-		return c.p.BuildExcluding(c.items, c.target, c.exclude, c.avoid())
-	case c.down != nil:
-		return c.p.BuildAvoiding(c.items, c.target, c.avoid())
-	}
-	return c.p.Build(c.items, c.target)
 }
 
 // into plans c into plan.
@@ -236,7 +223,7 @@ func TestBuildIntoReusedPlanMatchesFresh(t *testing.T) {
 	h := fnv.New64a()
 	for k := range cases {
 		c := &cases[k]
-		want, err := c.fresh()
+		want, err := c.into(new(Plan))
 		if err != nil {
 			t.Fatalf("case %d: %v", k, err)
 		}

@@ -254,56 +254,19 @@ func (p *Planner) Build(items []uint64, target int) (*Plan, error) {
 	return p.BuildInto(new(Plan), items, target, 0, nil)
 }
 
-// BuildAvoiding is Build with a server filter: candidate servers for
-// which avoid returns true (failed, draining, overloaded) are excluded
-// from the plan. Items whose every replica is avoided end up
-// unassigned (ItemServer -1) — callers fall back to the authoritative
-// store for those. The distinguished-single redirect targets the first
-// non-avoided replica (the "acting distinguished").
-func (p *Planner) BuildAvoiding(items []uint64, target int, avoid func(server int) bool) (*Plan, error) {
-	return p.BuildInto(new(Plan), items, target, 0, avoid)
-}
-
-// BuildExcluding is BuildAvoiding with an additional explicit
-// exclusion set: servers in exclude are never candidates, on top of
-// whatever avoid rejects. This is the mid-request re-plan entry point —
-// when a round-1 transaction fails, the still-missing items are
-// re-covered over the surviving servers, and the server that just
-// failed must be excluded *immediately*, even if the shared failure
-// view (circuit breaker) has not opened yet (e.g. its trip threshold
-// is above one).
-func (p *Planner) BuildExcluding(items []uint64, target int, exclude map[int]bool, avoid func(server int) bool) (*Plan, error) {
-	combined := avoid
-	if len(exclude) > 0 {
-		combined = func(s int) bool {
-			return exclude[s] || (avoid != nil && avoid(s))
-		}
-	}
-	return p.BuildInto(new(Plan), items, target, 0, combined)
-}
-
-// BuildBudget plans a fetch that maximizes item coverage within at most
-// maxTransactions round-1 transactions — the "fetch as many items as
-// possible within a budget" request form (§III-F, thesis variant).
-// maxTransactions <= 0 yields an empty plan. avoid filters candidate
-// servers as in BuildAvoiding, so the budget is never spent on a server
-// known to be down.
-func (p *Planner) BuildBudget(items []uint64, maxTransactions int, avoid func(server int) bool) (*Plan, error) {
-	if maxTransactions <= 0 {
-		return &Plan{Items: items}, nil
-	}
-	return p.BuildInto(new(Plan), items, len(items), maxTransactions, avoid)
-}
-
-// BuildInto is the one planner code path behind Build, BuildAvoiding,
-// BuildExcluding and BuildBudget: it plans a fetch of items into plan,
-// overwriting whatever plan held and reusing the capacity of its
-// slices, and returns plan (nil with the error for a duplicate item).
-// target is the LIMIT target as in Build; budget > 0 caps the
-// transactions as in BuildBudget, budget 0 plans without a cap; avoid
-// filters servers as in BuildAvoiding. The plan aliases items, and a
-// caller that reuses it must be done with the previous plan: a build
-// into a plan that is kept allocates nothing in steady state, one into
+// BuildInto is the one planner code path: it plans a fetch of items
+// into plan, overwriting whatever plan held and reusing the capacity
+// of its slices, and returns plan (nil with the error for a duplicate
+// item). target is the LIMIT target as in Build. budget > 0 plans the
+// fetch that covers the most items within at most budget round-1
+// transactions (§III-F, thesis variant); budget 0 plans without a cap.
+// Candidate servers for which avoid returns true (failed, draining)
+// are left out: items whose every replica is avoided stay unassigned
+// (ItemServer -1) for the caller's fallback, and the
+// distinguished-single redirect targets the first replica not avoided
+// (the "acting distinguished"). The plan aliases items, and a caller
+// that reuses it must be done with the previous plan: a build into a
+// plan that is kept allocates nothing in steady state, one into
 // new(Plan) only the plan's own slices.
 func (p *Planner) BuildInto(plan *Plan, items []uint64, target, budget int, avoid func(server int) bool) (*Plan, error) {
 	m := len(items)
@@ -628,24 +591,11 @@ func ActingDistinguished(replicas []int, avoid func(int) bool) (server int, ok b
 	return 0, false
 }
 
-// SecondRound bundles the given missed items into transactions against
-// their distinguished servers (§III-D). Distinguished copies are pinned
-// and never miss, so one bundled round always completes the request.
-// The caller passes the items that were not obtained in round 1 and
-// whose distinguished server was not already queried with the item
-// aboard; this function only groups them by server. dist must be
-// parallel to items: dist[i] is the server round 2 asks for items[i],
-// its distinguished copy's (or, that server being down, the acting
-// distinguished's). Transactions come in order of first appearance in
-// dist, each with its items in request order.
-func SecondRound(items []uint64, dist []int) []Transaction {
-	return new(Round2).Group(items, dist)
-}
-
-// Round2 is SecondRound's working memory, kept by a caller that groups
-// one round 2 per request so that steady-state grouping allocates
-// nothing. The transactions Group returns alias it: valid until its
-// next Group. A Round2 is not safe for concurrent use.
+// Round2 groups round 2 (§III-D): the items round 1 did not obtain,
+// bundled into one transaction per server that round 2 asks. A caller
+// that keeps its Round2 across requests groups without allocating in
+// steady state. The transactions Group returns alias it: valid until
+// its next Group. A Round2 is not safe for concurrent use.
 type Round2 struct {
 	txns  []Transaction
 	slab  []uint64 // the transactions' item lists
@@ -653,7 +603,11 @@ type Round2 struct {
 	txnOf []int    // server id -> transaction index + 1, zero between Groups
 }
 
-// Group is SecondRound on r's memory.
+// Group bundles the missed items by server. dist must be parallel to
+// items: dist[i] is the server round 2 asks for items[i], its
+// distinguished copy's (pinned, so it never misses) or, that server
+// being down, the acting distinguished's. Transactions come in order of
+// first appearance in dist, each with its items in request order.
 func (r *Round2) Group(items []uint64, dist []int) []Transaction {
 	txns, cnt := r.txns[:0], r.cnt[:0]
 	for _, s := range dist {

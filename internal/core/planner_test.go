@@ -203,7 +203,7 @@ func TestDistinguishedSinglesAvoidFlipsMidBuild(t *testing.T) {
 		calls++
 		return calls <= 2 && s == victim // the candidate pass asks once per replica
 	}
-	plan, err := p.BuildAvoiding([]uint64{1}, 0, avoid)
+	plan, err := p.BuildInto(new(Plan), []uint64{1}, 0, 0, avoid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestBuildAvoiding(t *testing.T) {
 	p := NewPlanner(hashring.NewMultiHashPlacement(8, 2, 1), Options{})
 	items := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	avoid := func(s int) bool { return s == 0 || s == 1 }
-	plan, err := p.BuildAvoiding(items, 0, avoid)
+	plan, err := p.BuildInto(new(Plan), items, 0, 0, avoid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestBuildBudget(t *testing.T) {
 	}
 	prevAssigned := -1
 	for _, budget := range []int{1, 2, 4, 8} {
-		plan, err := p.BuildBudget(items, budget, nil)
+		plan, err := p.BuildInto(new(Plan), items, 0, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,11 +487,6 @@ func TestBuildBudget(t *testing.T) {
 			}
 		}
 	}
-	// Zero/negative budget yields an empty plan.
-	plan, err := p.BuildBudget(items, 0, nil)
-	if err != nil || plan.NumTransactions() != 0 {
-		t.Fatalf("zero budget: %+v %v", plan, err)
-	}
 }
 
 func TestBuildBudgetWithDistinguishedSinglesKeepsBudget(t *testing.T) {
@@ -505,7 +500,7 @@ func TestBuildBudgetWithDistinguishedSinglesKeepsBudget(t *testing.T) {
 		items[i] = uint64(i*977 + 13)
 	}
 	for _, budget := range []int{1, 2, 3} {
-		plan, err := p.BuildBudget(items, budget, nil)
+		plan, err := p.BuildInto(new(Plan), items, 0, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +513,7 @@ func TestBuildBudgetWithDistinguishedSinglesKeepsBudget(t *testing.T) {
 func TestSecondRoundGroupsByDistinguished(t *testing.T) {
 	items := []uint64{1, 2, 3, 4}
 	dist := []int{0, 1, 0, 1}
-	txns := SecondRound(items, dist)
+	txns := new(Round2).Group(items, dist)
 	if len(txns) != 2 {
 		t.Fatalf("got %d transactions, want 2", len(txns))
 	}
@@ -532,7 +527,7 @@ func TestSecondRoundGroupsByDistinguished(t *testing.T) {
 }
 
 func TestSecondRoundEmpty(t *testing.T) {
-	if got := SecondRound(nil, nil); len(got) != 0 {
+	if got := new(Round2).Group(nil, nil); len(got) != 0 {
 		t.Fatal("empty second round")
 	}
 }
@@ -615,45 +610,6 @@ func BenchmarkBuild100Items64Servers(b *testing.B) {
 		if _, err := p.Build(items, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestBuildExcluding(t *testing.T) {
-	p := NewPlanner(hashring.NewMultiHashPlacement(8, 3, 1), Options{})
-	items := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	avoid := func(s int) bool { return s == 0 }
-	exclude := map[int]bool{1: true, 2: true}
-	plan, err := p.BuildExcluding(items, 0, exclude, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, txn := range plan.Transactions {
-		if txn.Server <= 2 {
-			t.Fatalf("plan routed to excluded/avoided server %d", txn.Server)
-		}
-	}
-	// With a nil avoid the exclusion set must still hold.
-	plan, err = p.BuildExcluding(items, 0, exclude, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, txn := range plan.Transactions {
-		if exclude[txn.Server] {
-			t.Fatalf("plan routed to excluded server %d", txn.Server)
-		}
-	}
-	// Empty exclusion degrades to BuildAvoiding.
-	a, err := p.BuildExcluding(items, 0, nil, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.BuildAvoiding(items, 0, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Transactions) != len(b.Transactions) {
-		t.Fatalf("empty exclusion changed the plan: %d vs %d txns",
-			len(a.Transactions), len(b.Transactions))
 	}
 }
 

@@ -15,12 +15,9 @@ type TxnRTT struct {
 	// Keys is the number of keys requested (primaries + hitchhikers).
 	Keys int `json:"keys"`
 	// Phase labels which stage issued the trip: "fanout" (the planned
-	// round-1 multi-gets), "replan" (mid-request re-plan rounds), or
-	// "round2" (distinguished-copy recovery).
+	// round-1 multi-gets), "replan" (the one re-plan after a round-1
+	// failure), or "round2" (distinguished-copy recovery).
 	Phase string `json:"phase"`
-	// Round is the 1-based re-plan round for phase "replan", 0
-	// otherwise.
-	Round int `json:"round,omitempty"`
 	// DurNS is the round trip's wall time in nanoseconds.
 	DurNS int64 `json:"dur_ns"`
 	// Err is the failure, if the transaction hit one.
@@ -75,7 +72,7 @@ type Span struct {
 
 	// Phase durations, nanoseconds.
 	PlanNS   int64 `json:"plan_ns"`   // greedy set-cover planning
-	FanoutNS int64 `json:"fanout_ns"` // round-1 fan-out plus re-plan rounds
+	FanoutNS int64 `json:"fanout_ns"` // round-1 fan-out plus the re-plan
 	Round2NS int64 `json:"round2_ns"` // distinguished-copy recovery
 	LoaderNS int64 `json:"loader_ns"` // cache-aside backing-store fetch
 	TotalNS  int64 `json:"total_ns"`

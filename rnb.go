@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,9 +78,6 @@ type clientConfig struct {
 	pinDistinguished bool
 	loader           Loader
 	cooldown         time.Duration
-	breakerThreshold int
-	retryAttempts    int
-	retryBackoff     time.Duration
 	adaptive         *hotspot.Config
 	poolSize         int
 	binary           bool
@@ -112,38 +110,13 @@ func WithPinnedDistinguished(on bool) Option {
 // WithFailureCooldown sets the circuit-breaker cooldown: how long a
 // tripped (open) server stays fully quarantined before it becomes
 // half-open and a single probe request decides whether to re-admit it
-// (default 2s; <= 0 disables breakers entirely). While open or
-// half-open, reads plan around the server — surviving replicas and
-// acting distinguished copies serve in its stead (§III-C's replica
-// flexibility doubling as failover).
+// (default 2s; <= 0 disables breakers entirely). A server's first
+// network failure trips its breaker. While open or half-open, reads
+// plan around the server — surviving replicas and acting distinguished
+// copies serve in its stead (§III-C's replica flexibility doubling as
+// failover).
 func WithFailureCooldown(d time.Duration) Option {
 	return func(c *clientConfig) { c.cooldown = d }
-}
-
-// WithBreakerThreshold sets how many consecutive failures trip a
-// server's circuit breaker from closed to open (default 1: the first
-// network error quarantines, matching the original cooldown
-// behaviour). Higher thresholds tolerate isolated blips at the cost of
-// extra failed transactions before the tier routes around a dead
-// server.
-func WithBreakerThreshold(n int) Option {
-	return func(c *clientConfig) { c.breakerThreshold = n }
-}
-
-// WithRetry bounds the read path's mid-request recovery: after a
-// round-1 transaction fails, up to attempts re-plan rounds re-cover
-// the still-missing keys over the surviving servers (the failed
-// servers are excluded immediately, ahead of the breaker view).
-// Consecutive rounds are separated by jittered exponential backoff
-// starting at backoff. attempts 0 disables re-planning — failures punt
-// straight to each key's distinguished copy, as the paper's base
-// §III-D scheme does. Only idempotent reads retry; writes never do.
-// Default: 1 attempt, 15ms backoff.
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(c *clientConfig) {
-		c.retryAttempts = attempts
-		c.retryBackoff = backoff
-	}
 }
 
 // WithAdaptiveReplication turns on adaptive hot-key replication: the
@@ -364,7 +337,7 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterDurationHist("rnb_plan_duration_seconds",
 		"Greedy set-cover planning latency per request.", &c.recorder.Plan)
 	reg.RegisterDurationHist("rnb_fanout_duration_seconds",
-		"Round-1 fan-out latency per request (re-plan rounds included).", &c.recorder.Fanout)
+		"Round-1 fan-out latency per request (the re-plan included).", &c.recorder.Fanout)
 	reg.RegisterDurationHist("rnb_transport_rtt_seconds",
 		"Per-round-trip transport latency, all operations.", &c.recorder.RTT)
 }
@@ -477,9 +450,6 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 		timeout:          5 * time.Second,
 		pinDistinguished: true,
 		cooldown:         2 * time.Second,
-		breakerThreshold: 1,
-		retryAttempts:    1,
-		retryBackoff:     15 * time.Millisecond,
 		transitionWindow: 5 * time.Second,
 	}
 	for _, o := range opts {
@@ -888,12 +858,12 @@ type Stats struct {
 	// servers were quarantined and the items recovered through other
 	// replicas, the loader, or reported absent.
 	Failed int
-	// Replans counts mid-request re-plan rounds: after round-1
-	// failures, still-missing keys were re-covered over the surviving
-	// servers (see WithRetry).
+	// Replans is 1 when a round-1 transaction failed and the
+	// still-missing keys were re-covered, once, over the surviving
+	// servers; else 0.
 	Replans int
-	// Retries is the number of transactions those re-plan rounds
-	// issued (also included in Transactions).
+	// Retries is the number of transactions that re-plan issued (also
+	// included in Transactions).
 	Retries int
 }
 
@@ -987,13 +957,13 @@ func newTraceID() uint64 {
 // goroutine in plan order and hands each to merge — no goroutine, no
 // lock: whoever collects first on a connection reads it
 // (memcache.Pending). The returned slice holds the failed transactions'
-// servers, which the caller feeds into the re-plan exclusion set. What
+// servers, which the caller adds to the request's server filter. What
 // it issued, carried and lost is counted into stats, and st's span gets
 // one round-trip stamp per transaction, in plan order. When the span is
 // traced each multi-get carries the trace context: the RTT span is the
 // server span's parent. A stamp ends when its reply is collected, after
 // the ones collected before it.
-func (c *Client) fanout(t *tier, st *multiGet, txns []core.Transaction, stats *Stats, phase string, round int, merge func(txn *core.Transaction, items []Item)) (failed []int) {
+func (c *Client) fanout(t *tier, st *multiGet, txns []core.Transaction, stats *Stats, phase string, merge func(txn *core.Transaction, items []Item)) (failed []int) {
 	stats.Transactions += len(txns)
 	n := 0
 	for i := range txns {
@@ -1017,7 +987,7 @@ func (c *Client) fanout(t *tier, st *multiGet, txns []core.Transaction, stats *S
 		for _, id := range txn.Hitchhikers {
 			keys = append(keys, st.keyOf[id])
 		}
-		rtt.Server, rtt.Addr, rtt.Keys, rtt.Phase, rtt.Round = txn.Server, t.slots[txn.Server].addr, len(keys)-from, phase, round
+		rtt.Server, rtt.Addr, rtt.Keys, rtt.Phase = txn.Server, t.slots[txn.Server].addr, len(keys)-from, phase
 		var tc obs.TraceContext
 		if sp.TraceID != 0 {
 			rtt.SpanID = c.recorder.NextID()
@@ -1046,31 +1016,6 @@ func (c *Client) fanout(t *tier, st *multiGet, txns []core.Transaction, stats *S
 		st.keys = nil
 	}
 	return failed
-}
-
-// maxBackoff caps the re-plan backoff: past it, more waiting buys
-// nothing — the breaker cooldown owns long outages.
-const maxBackoff = 30 * time.Second
-
-// jitteredBackoff returns the sleep before re-plan round `round`
-// (0-based): base doubled per round up to maxBackoff, with ±50%
-// uniform jitter so synchronized clients do not retry in lockstep.
-// Doubling by shifting (base << round) would overflow int64 for large
-// rounds and hand rand.Int63n a non-positive bound, so the growth is
-// computed with an explicitly capped loop instead.
-func jitteredBackoff(base time.Duration, round int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	for i := 0; i < round && d < maxBackoff; i++ {
-		d <<= 1
-	}
-	if d <= 0 || d > maxBackoff {
-		d = maxBackoff
-	}
-	// Uniform in [d/2, 3d/2).
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
 // mergeItems adds one reply's items to dst, by reference into the
@@ -1219,66 +1164,40 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	out = make(map[string]*Item, len(keys))
 	merge := func(_ *core.Transaction, items []Item) { mergeItems(out, items) }
 	fanStart := time.Now()
-	failedSrvs := c.fanout(t, st, plan.Transactions, &stats, "fanout", 0, merge)
+	failed := c.fanout(t, st, plan.Transactions, &stats, "fanout", merge)
 	if budget > 0 {
 		sp.FanoutNS = int64(time.Since(fanStart))
 		return out, stats, nil
 	}
 
-	// Re-plan rounds: re-cover the still-missing planned keys over the
-	// surviving servers. The servers that failed *this request* are
-	// excluded immediately — ahead of the shared breaker view, which
-	// may not have tripped yet with a threshold above one. Bounded by
-	// WithRetry, with jittered exponential backoff between rounds.
-	var excluded map[int]bool // made by the first failed transaction
-	exclude := func(servers []int) {
-		if excluded == nil && len(servers) > 0 {
-			excluded = make(map[int]bool, len(servers))
-		}
-		for _, s := range servers {
-			excluded[s] = true
-		}
-	}
-	// A failure may have opened a breaker: recovery reads the live view.
+	// Recovery runs on one server filter: the servers this request saw
+	// fail, then the breaker view, which a failure may just have opened.
+	// After a failed transaction the still-missing planned keys are
+	// re-covered once over the rest; round 2 and the write-backs steer
+	// by the same filter, re-plan failures included.
 	avoid = c.avoidFor(t)
-	for attempt := 0; attempt < c.cfg.retryAttempts && len(failedSrvs) > 0; attempt++ {
-		exclude(failedSrvs)
+	if len(failed) > 0 {
+		breakers, down := avoid, failed
+		avoid = func(s int) bool { return slices.Contains(down, s) || (breakers != nil && breakers(s)) }
 		var missIDs []uint64
 		for i, id := range plan.Items {
-			if plan.ItemServer[i] == -1 {
-				continue
-			}
-			if _, have := out[keyOf[id]]; !have {
+			if _, have := out[keyOf[id]]; !have && plan.ItemServer[i] != -1 {
 				missIDs = append(missIDs, id)
 			}
 		}
-		if len(missIDs) == 0 {
-			failedSrvs = nil
-			break
+		if len(missIDs) > 0 {
+			replan, err := t.planner.BuildInto(new(core.Plan), missIDs, 0, 0, avoid)
+			if err != nil {
+				return nil, stats, err
+			}
+			stats.Replans = 1
+			c.resilience.Replans.Add(1)
+			stats.Retries = len(replan.Transactions)
+			c.resilience.RetryTransactions.Add(uint64(len(replan.Transactions)))
+			down = append(down, c.fanout(t, st, replan.Transactions, &stats, "replan", merge)...)
 		}
-		if attempt > 0 {
-			time.Sleep(jitteredBackoff(c.cfg.retryBackoff, attempt-1))
-		}
-		replan, err := t.planner.BuildExcluding(missIDs, 0, excluded, avoid)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Replans++
-		c.resilience.Replans.Add(1)
-		stats.Retries += len(replan.Transactions)
-		c.resilience.RetryTransactions.Add(uint64(len(replan.Transactions)))
-		failedSrvs = c.fanout(t, st, replan.Transactions, &stats, "replan", attempt+1, merge)
 	}
 	sp.FanoutNS = int64(time.Since(fanStart))
-	// Servers that failed during this request stay excluded for the
-	// rest of it, whatever the breaker threshold says.
-	exclude(failedSrvs)
-	avoidNow := avoid
-	if excluded != nil {
-		avoidNow = func(s int) bool {
-			return excluded[s] || (avoid != nil && avoid(s))
-		}
-	}
 
 	// Round 2: still-missing planned items, bundled by their acting
 	// distinguished server (the true one, unless it is quarantined).
@@ -1288,7 +1207,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			continue // dropped by LIMIT or all replicas down: loader below
 		}
 		if _, have := out[keyOf[id]]; !have {
-			a, ok := core.ActingDistinguished(plan.Replicas[i], avoidNow)
+			a, ok := core.ActingDistinguished(plan.Replicas[i], avoid)
 			if !ok {
 				continue // no live replica: loader below
 			}
@@ -1304,7 +1223,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	round2Start := time.Now()
 	round2 := st.round2.Group(missIDs, acting)
 	stats.Round2 += len(round2)
-	c.fanout(t, st, round2, &stats, "round2", 0, func(txn *core.Transaction, items []Item) {
+	c.fanout(t, st, round2, &stats, "round2", func(txn *core.Transaction, items []Item) {
 		// The reply is in the transaction's key order, so write-backs
 		// (and the evictions they cause) happen in a seed-determined
 		// order, each server's after its own reply is collected. A key
@@ -1326,7 +1245,7 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			// effort, and no verdict on the server (slot.call): a dropped
 			// or refused add is a replica that stays virtual, and the item
 			// is served either way.
-			if s := assigned; s != txn.Server && (avoidNow == nil || !avoidNow(s)) {
+			if s := assigned; s != txn.Server && (avoid == nil || !avoid(s)) {
 				if t.slots[s].call(func(conn *memcache.Client) error { return conn.AddLater(it) }) == nil {
 					sp.WriteBacks++
 				}

@@ -425,7 +425,7 @@ func TestGetMultiBudgetAvoidsOpenBreaker(t *testing.T) {
 	}
 	victim := rtts[0].Server
 	servers[victim].Close()
-	// One failed transaction opens the breaker (threshold 1).
+	// One failed transaction opens the breaker.
 	if _, stats, _ := cl.GetMultiBudget(ks, 1); stats.Failed != 1 {
 		t.Fatalf("request against the killed server: %+v", stats)
 	}

@@ -45,7 +45,7 @@ func TestStatsIsTheRegistry(t *testing.T) {
 		addrs = append(addrs, serve(backends[i]))
 	}
 	cl, err := rnb.NewClient(addrs[:4], rnb.WithReplicas(3),
-		rnb.WithFailureCooldown(time.Minute), rnb.WithRetry(2, time.Millisecond),
+		rnb.WithFailureCooldown(time.Minute),
 		rnb.WithTransitionWindow(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

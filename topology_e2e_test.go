@@ -36,7 +36,6 @@ func elasticOpts(extra ...Option) []Option {
 		WithReplicas(3),
 		WithLoader(dbLoader),
 		WithTimeout(time.Second),
-		WithRetry(2, 5*time.Millisecond),
 		WithTransitionWindow(150 * time.Millisecond),
 	}
 	return append(opts, extra...)

@@ -13,39 +13,6 @@ import (
 	"rnb/internal/chaos"
 )
 
-// TestJitteredBackoff pins the re-plan backoff's growth, jitter
-// bounds, and the overflow fix: base << round used to overflow int64
-// for large rounds, handing rand.Int63n a non-positive bound (panic).
-func TestJitteredBackoff(t *testing.T) {
-	cases := []struct {
-		name  string
-		base  time.Duration
-		round int
-		min   time.Duration // inclusive
-		max   time.Duration // exclusive
-	}{
-		{"round0", 10 * time.Millisecond, 0, 5 * time.Millisecond, 15 * time.Millisecond},
-		{"round3", 10 * time.Millisecond, 3, 40 * time.Millisecond, 120 * time.Millisecond},
-		{"capped", 10 * time.Millisecond, 20, maxBackoff / 2, maxBackoff/2 + maxBackoff},
-		{"shift-overflow", 10 * time.Millisecond, 62, maxBackoff / 2, maxBackoff/2 + maxBackoff},
-		{"huge-round", time.Second, 1000, maxBackoff / 2, maxBackoff/2 + maxBackoff},
-	}
-	for _, tc := range cases {
-		for i := 0; i < 50; i++ {
-			d := jitteredBackoff(tc.base, tc.round)
-			if d < tc.min || d >= tc.max {
-				t.Fatalf("%s: backoff %v outside [%v, %v)", tc.name, d, tc.min, tc.max)
-			}
-		}
-	}
-	if d := jitteredBackoff(0, 5); d != 0 {
-		t.Fatalf("zero base: %v", d)
-	}
-	if d := jitteredBackoff(-time.Second, 5); d != 0 {
-		t.Fatalf("negative base: %v", d)
-	}
-}
-
 // TestPooledClientStress is the concurrency battery's centerpiece: 64
 // goroutines hammering one pooled client with mixed multi-gets, sets,
 // and deletes. Run under -race (make race) it doubles as the data-race
@@ -164,7 +131,7 @@ func plannedServer(t *testing.T, cl *Client, ks []string) int {
 	for i, k := range ks {
 		ids[i] = keyID(k)
 	}
-	plan, err := cl.cur.Load().planner.BuildAvoiding(ids, 0, nil)
+	plan, err := cl.cur.Load().planner.Build(ids, 0)
 	if err != nil || len(plan.Transactions) == 0 {
 		t.Fatalf("no plan for %v: %v", ks, err)
 	}
@@ -185,7 +152,6 @@ func TestPooledClientChaosKillMidPipeline(t *testing.T) {
 	cl, err := NewClient(addrs,
 		WithReplicas(2), WithPoolSize(4),
 		WithFailureCooldown(time.Minute), // stays open for the whole test
-		WithRetry(2, time.Millisecond),
 		WithTimeout(500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
