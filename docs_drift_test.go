@@ -23,8 +23,9 @@ import (
 // `make <target>` the Makefile lacks, a BENCH_*.json that is not on
 // disk, a cmd/<x> or internal/<x> directory that does not exist, or a
 // config field (PoolConfig.X, core.Options.X, ...) its type lacks, a
-// With* option package rnb does not export, or a Planner.X method
-// *core.Planner lacks.
+// With* option package rnb does not export, a core.X that is not an
+// exported identifier of internal/core, or a Planner.X or Round2.X
+// method *core.Planner or *core.Round2 lacks.
 // Deleting a harness turns every stale pointer to it into a failure
 // here instead of a surprise at the prompt.
 func TestDocsNameWhatExists(t *testing.T) {
@@ -59,30 +60,61 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	field := regexp.MustCompile(`\b(PoolConfig|ObsConfig|TraceConfig|AdaptiveConfig|hotspot\.Config|core\.Options|cluster\.Config)\.(\w+)`)
 
-	// The package's exported functions, read from its non-test sources.
-	sources, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	funcs := map[string]bool{}
-	fset := token.NewFileSet()
-	for _, src := range sources {
-		if strings.HasSuffix(src, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, src, nil, parser.SkipObjectResolution)
+	// The exported names in a package's non-test sources: package rnb's
+	// functions (the With* options), and every one of internal/core's.
+	exported := func(glob string, funcsOnly bool) map[string]bool {
+		sources, err := filepath.Glob(glob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
-				funcs[fd.Name.Name] = true
+		names := map[string]bool{}
+		add := func(id *ast.Ident) {
+			if id.IsExported() {
+				names[id.Name] = true
 			}
 		}
+		fset := token.NewFileSet()
+		for _, src := range sources {
+			if strings.HasSuffix(src, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, src, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						add(d.Name)
+					}
+				case *ast.GenDecl:
+					if funcsOnly {
+						continue
+					}
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec.Name)
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								add(n)
+							}
+						}
+					}
+				}
+			}
+		}
+		return names
 	}
+	funcs, coreNames := exported("*.go", true), exported("internal/core/*.go", false)
 	option := regexp.MustCompile(`\bWith[A-Z]\w*`)
-	planner := reflect.TypeOf(&core.Planner{})
-	method := regexp.MustCompile(`\bPlanner\.(\w+)`)
+	coreName := regexp.MustCompile(`\bcore\.([A-Z]\w*)`)
+	methods := map[string]reflect.Type{
+		"Planner": reflect.TypeOf(&core.Planner{}),
+		"Round2":  reflect.TypeOf(&core.Round2{}),
+	}
+	method := regexp.MustCompile(`\b(Planner|Round2)\.(\w+)`)
 
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
@@ -121,9 +153,14 @@ func TestDocsNameWhatExists(t *testing.T) {
 				t.Errorf("%s names %s, which package rnb does not export", doc, o)
 			}
 		}
+		for _, m := range coreName.FindAllSubmatch(text, -1) {
+			if !coreNames[string(m[1])] {
+				t.Errorf("%s names %s, which internal/core does not export", doc, m[0])
+			}
+		}
 		for _, m := range method.FindAllSubmatch(text, -1) {
-			if _, ok := planner.MethodByName(string(m[1])); !ok {
-				t.Errorf("%s names %s, which is not a method of *core.Planner", doc, m[0])
+			if _, ok := methods[string(m[1])].MethodByName(string(m[2])); !ok {
+				t.Errorf("%s names %s, which is not a method of *core.%s", doc, m[0], m[1])
 			}
 		}
 	}

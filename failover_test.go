@@ -126,6 +126,42 @@ func TestReadFailoverWithLoaderCoversOrphans(t *testing.T) {
 	}
 }
 
+// TestLoaderStoresNothingOnActingSurvivor: a key its distinguished
+// server cannot serve and its surviving replica does not hold is the
+// loader's on every read of it. The loader's Set writes the down
+// distinguished copy first, fails there, and so stores nothing on the
+// survivor. The simulator rules the same way
+// (cluster.TestActingSurvivorMissOwedEveryTime).
+func TestLoaderStoresNothingOnActingSurvivor(t *testing.T) {
+	loader := func(missing []string) (map[string][]byte, error) {
+		out := map[string][]byte{}
+		for _, k := range missing {
+			out[k] = []byte("db:" + k)
+		}
+		return out, nil
+	}
+	cl, servers := newTestClient(t, 3, WithReplicas(2),
+		WithFailureCooldown(30*time.Second), WithLoader(loader))
+	key := keys(1)[0]
+	replicas := cl.cur.Load().placement.Replicas(keyID(key), nil)
+	servers[replicas[0]].Close()
+	for read := 1; read <= 2; read++ {
+		items, stats, err := cl.GetMulti([]string{key})
+		if err != nil {
+			t.Fatalf("read %d: %v", read, err)
+		}
+		if it := items[key]; it == nil || string(it.Value) != "db:"+key {
+			t.Fatalf("read %d: got %v, want the loader's value", read, it)
+		}
+		if stats.Loaded != 1 {
+			t.Fatalf("read %d: Loaded = %d, want 1 (%+v)", read, stats.Loaded, stats)
+		}
+		if _, err := servers[replicas[1]].Store().Get(key); err == nil {
+			t.Fatalf("read %d: the acting survivor holds the loaded key", read)
+		}
+	}
+}
+
 // TestCooldownExpiresAndServerReturns verifies the breaker lifecycle:
 // a tripped server turns half-open once the cooldown elapses — still
 // routed around — and is re-admitted by a successful probe.

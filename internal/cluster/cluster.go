@@ -16,12 +16,16 @@
 //  1. the planned transactions are sent; every requested key costs the
 //     server a lookup (hit or miss), and hitchhikers may turn misses
 //     into hits;
-//  2. items still missing are fetched, bundled, from their
+//  2. assigned items still missing are fetched, bundled, from their
 //     distinguished servers — these transactions always hit.
 //
-// Missed items are written back to the server the planner assigned them
-// to (the "first picked" replica), adapting the physical replica
-// layout to the workload.
+// Round-2 finds are written back to the server the planner assigned
+// them to (the "first picked" replica), adapting the physical replica
+// layout to the workload. What no live copy serves — an item with every
+// replica down, or one its acting survivor misses — is the
+// authoritative store's, and is stored nowhere. internal/core decides
+// this for the simulator and the live client alike (Round2, Owed); the
+// simulator learns of failures only before planning.
 package cluster
 
 import (
@@ -56,8 +60,8 @@ type Config struct {
 	// Planner options (hitchhiking, distinguished-single redirection).
 	Planner core.Options
 	// SkipWriteBack turns off the write-back: by default an item that
-	// missed at its assigned server is written there once the request
-	// has obtained it (§III-C-2 policy).
+	// missed at its assigned server and that round 2 found is written
+	// there (§III-C-2 policy).
 	SkipWriteBack bool
 
 	// skipPrepopulate, set by a test, starts the tier with distinguished
@@ -91,8 +95,10 @@ type Cluster struct {
 	down      []bool
 	nDown     int
 	tally     metrics.Tally
-	loads     []uint64 // per-server transactions served (round 1 + round 2)
-	itemLoads []uint64 // per-server items carried by those transactions
+	loads     []uint64    // per-server transactions served (round 1 + round 2)
+	itemLoads []uint64    // per-server items carried by those transactions
+	plan      core.Plan   // reused by every Do
+	round2    core.Round2 // reused by every Do
 }
 
 // New builds and populates a cluster.
@@ -289,7 +295,7 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 		c.observer.Observe(req.Items)
 	}
 	avoid := c.avoidFn()
-	plan, err := c.planner.BuildInto(new(core.Plan), req.Items, req.Target, 0, avoid)
+	plan, err := c.planner.BuildInto(&c.plan, req.Items, req.Target, 0, avoid)
 	if err != nil {
 		return RequestResult{}, err
 	}
@@ -301,15 +307,20 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 	obtained := make([]bool, m)
 	perSrv := make(map[int]int) // server -> keys asked of it, this request
 	var res RequestResult
+	sent := func(server, keys int) {
+		res.Transactions++
+		c.loads[server]++
+		c.itemLoads[server] += uint64(keys)
+		perSrv[server] += keys
+		c.tally.TxnSize.Add(keys)
+	}
 
 	// Round 1: planned transactions. Every key aboard costs the server a
 	// lookup; hits promote LRU recency (also for hitchhikers, per the
 	// paper's chosen policy).
 	for _, txn := range plan.Transactions {
 		srv := c.servers[txn.Server]
-		size := 0
 		for _, it := range txn.Primary {
-			size++
 			i := index[it]
 			if _, ok := srv.Get(it); ok {
 				obtained[i] = true
@@ -318,7 +329,6 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 			}
 		}
 		for _, it := range txn.Hitchhikers {
-			size++
 			if _, ok := srv.Get(it); ok {
 				if j := index[it]; !obtained[j] {
 					obtained[j] = true
@@ -326,99 +336,40 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 				}
 			}
 		}
-		res.Transactions++
-		c.loads[txn.Server]++
-		c.itemLoads[txn.Server] += uint64(size)
-		perSrv[txn.Server] += size
-		c.tally.TxnSize.Add(size)
+		sent(txn.Server, txn.Size())
 	}
 
-	// Round 2: bundle still-missing *assigned* items by their acting
-	// distinguished server (the distinguished copy itself when its
-	// server is up — pinned, so it always hits — else the first
-	// surviving replica, which may itself miss). Items without a single
-	// surviving replica, and LIMIT-unassigned items, are handled after.
-	var missingItems []uint64
-	var missingActing []int
-	for i := range plan.Items {
-		if obtained[i] || plan.ItemServer[i] == -1 {
-			continue
-		}
-		// Assigned items always have a live acting distinguished: their
-		// assigned server is live, and the acting server precedes or
-		// equals it in the replica walk.
-		acting, ok := core.ActingDistinguished(plan.Replicas[i], avoid)
-		if !ok {
-			return res, fmt.Errorf("cluster: assigned item %d has no live replica", plan.Items[i])
-		}
-		missingItems = append(missingItems, plan.Items[i])
-		missingActing = append(missingActing, acting)
-	}
-	for _, txn := range new(core.Round2).Group(missingItems, missingActing) {
+	// Round 2: the assigned items round 1 missed, bundled by their
+	// acting distinguished server. A true distinguished copy is pinned,
+	// so it always hits; an acting survivor may miss too, and then the
+	// item is the backing store's, with nothing stored on the survivor.
+	// Each find is written back to the server the plan assigned it.
+	have := func(i int) bool { return obtained[i] }
+	for _, txn := range c.round2.Missing(plan, have, avoid) {
 		srv := c.servers[txn.Server]
 		for _, it := range txn.Primary {
 			i := index[it]
 			if _, ok := srv.Get(it); ok {
 				obtained[i] = true
-				continue
-			}
-			if txn.Server == plan.Replicas[i][0] {
+				if s, _ := c.round2.WriteBack(it, txn.Server, avoid); s >= 0 && !c.cfg.SkipWriteBack {
+					c.servers[s].Put(it, struct{}{}, 1, false)
+				}
+			} else if txn.Server == plan.Replicas[i][0] {
 				// Invariant violation: true distinguished copies are pinned.
 				return res, fmt.Errorf("cluster: distinguished copy of item %d missing on server %d",
 					it, txn.Server)
 			}
-			// Acting distinguished (survivor) missed too: the store.
-			c.tally.DBFetches++
-			obtained[i] = true
-			srv.Put(it, struct{}{}, 1, false)
 		}
-		res.Transactions++
+		sent(txn.Server, len(txn.Primary))
 		res.Round2++
-		c.loads[txn.Server]++
-		c.itemLoads[txn.Server] += uint64(len(txn.Primary))
-		perSrv[txn.Server] += len(txn.Primary)
-		c.tally.TxnSize.Add(len(txn.Primary))
 	}
 
-	// Unassigned-but-needed items: the cache tier cannot serve them —
-	// under a full fetch an unassigned item means every replica server
-	// is down; under a LIMIT plan the planner may also have stopped
-	// short of the target because failures shrank the candidate sets.
-	// Either way the authoritative store makes up the difference.
-	target := req.Target
-	if target <= 0 || target > m {
-		target = m
-	}
-	obtainedCount := 0
-	for _, ok := range obtained {
-		if ok {
-			obtainedCount++
-		}
-	}
-	for i := range plan.Items {
-		if obtainedCount >= target {
-			break
-		}
-		if obtained[i] || plan.ItemServer[i] != -1 {
-			continue
-		}
+	// The backing store makes up what the tier could not serve: items
+	// without a surviving replica, acting survivors' misses and, under a
+	// LIMIT plan, the shortfall below the target.
+	for _, i := range core.Owed(plan, have, req.Target, nil) {
 		c.tally.DBFetches++
 		obtained[i] = true
-		obtainedCount++
-	}
-
-	// Write-back: repopulate the assigned replica of each item that
-	// missed there, so the physical layout adapts to the workload.
-	if !c.cfg.SkipWriteBack {
-		for i, it := range plan.Items {
-			if plan.ItemServer[i] == -1 || !obtained[i] {
-				continue
-			}
-			srv := c.servers[plan.ItemServer[i]]
-			if !srv.Contains(it) {
-				srv.Put(it, struct{}{}, 1, false)
-			}
-		}
 	}
 
 	for _, ok := range obtained {

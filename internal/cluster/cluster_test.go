@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"rnb/internal/cbc"
@@ -181,6 +182,56 @@ func TestSkipWriteBack(t *testing.T) {
 	}
 }
 
+// TestHitchhikerRescueNotWrittenBack: only round-2 finds are written
+// back, as in the live client. An item that misses at its assigned
+// server but rides as a hitchhiker to its distinguished server is
+// obtained in round 1, so its assigned server still lacks it after the
+// request.
+func TestHitchhikerRescueNotWrittenBack(t *testing.T) {
+	c := mustNew(t, Config{
+		Servers: 8, Items: 400, Replicas: 2, MemoryFactor: 2,
+		Planner:         core.Options{Hitchhike: true},
+		skipPrepopulate: true, // distinguished copies only: replicas miss
+	})
+	gen := workload.NewUniformGenerator(400, 12, 21)
+	for n := 0; n < 200; n++ {
+		req := gen.Next()
+		plan, err := c.Planner().BuildInto(new(core.Plan), req.Items, req.Target, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range plan.Items {
+			assigned, dist := plan.ItemServer[i], plan.Replicas[i][0]
+			if assigned == dist || c.servers[assigned].Contains(it) {
+				continue
+			}
+			for _, txn := range plan.Transactions {
+				if txn.Server != dist || !slices.Contains(txn.Hitchhikers, it) {
+					continue
+				}
+				rescued := c.Tally().HitchhikeHit
+				res, err := c.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Obtained != len(req.Items) || c.Tally().HitchhikeHit == rescued {
+					t.Fatalf("request %d: obtained %d/%d, hitchhike hits %d -> %d",
+						n, res.Obtained, len(req.Items), rescued, c.Tally().HitchhikeHit)
+				}
+				if c.servers[assigned].Contains(it) {
+					t.Fatalf("request %d: item %d, rescued by a hitchhiker on server %d, was written back to server %d",
+						n, it, dist, assigned)
+				}
+				return
+			}
+		}
+		if _, err := c.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("no request put a missing item aboard its distinguished server as a hitchhiker")
+}
+
 func TestHitchhikersReduceRound2(t *testing.T) {
 	run := func(hitchhike bool) uint64 {
 		c := mustNew(t, Config{
@@ -333,6 +384,39 @@ func TestAllServersDown(t *testing.T) {
 	}
 	if c.Tally().DBFetches != 3 {
 		t.Fatalf("DBFetches = %d, want 3", c.Tally().DBFetches)
+	}
+}
+
+// TestActingSurvivorMissOwedEveryTime: with an item's distinguished
+// server down and its surviving replica empty, round 2 asks the
+// survivor, which misses. The store owes the item on every request, and
+// nothing is stored on the survivor, as in the live client
+// (rnb.TestLoaderStoresNothingOnActingSurvivor).
+func TestActingSurvivorMissOwedEveryTime(t *testing.T) {
+	c := mustNew(t, Config{
+		Servers: 4, Items: 100, Replicas: 2,
+		Planner:         core.Options{Hitchhike: true, DistinguishedSingles: true},
+		skipPrepopulate: true,
+	})
+	const item = 7
+	replicas := c.placement.Replicas(item, nil)
+	if err := c.FailServer(replicas[0]); err != nil {
+		t.Fatal(err)
+	}
+	for n := uint64(1); n <= 2; n++ {
+		res, err := c.Do(workload.Request{Items: []uint64{item}, Target: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Obtained != 1 || res.Round2 != 1 {
+			t.Fatalf("request %d: obtained %d, round 2 %d; want 1, 1", n, res.Obtained, res.Round2)
+		}
+		if got := c.Tally().DBFetches; got != n {
+			t.Fatalf("after request %d: %d DB fetches, want %d", n, got, n)
+		}
+		if c.servers[replicas[1]].Contains(item) {
+			t.Fatalf("request %d stored the item on the acting survivor", n)
+		}
 	}
 }
 

@@ -591,16 +591,85 @@ func ActingDistinguished(replicas []int, avoid func(int) bool) (server int, ok b
 	return 0, false
 }
 
-// Round2 groups round 2 (§III-D): the items round 1 did not obtain,
-// bundled into one transaction per server that round 2 asks. A caller
-// that keeps its Round2 across requests groups without allocating in
-// steady state. The transactions Group returns alias it: valid until
-// its next Group. A Round2 is not safe for concurrent use.
+// Round2 decides round 2 (§III-D) for the simulator and the live client
+// alike: the items round 1 did not obtain, bundled into one transaction
+// per server that round 2 asks, and where each find is written back. A
+// caller that keeps its Round2 across requests decides without
+// allocating in steady state. The transactions it returns alias it:
+// valid until its next Missing or Group. It is not safe for concurrent
+// use.
 type Round2 struct {
 	txns  []Transaction
 	slab  []uint64 // the transactions' item lists
 	cnt   []int    // transaction index -> item count
 	txnOf []int    // server id -> transaction index + 1, zero between Groups
+	// Missing's picks: each item, the server round 2 asks for it, and
+	// the server the plan assigned it (the write-back target).
+	items    []uint64
+	dist     []int
+	assigned map[uint64]int
+}
+
+// Missing groups round 2 for plan: the assigned items have reports
+// absent (have takes an index into plan.Items), each asked of its
+// acting distinguished server under avoid. An item with every replica
+// avoided is not asked: the backing store owes it (Owed), as it owes
+// every item round 2 does not find.
+func (r *Round2) Missing(plan *Plan, have func(i int) bool, avoid func(int) bool) []Transaction {
+	if r.assigned == nil {
+		r.assigned = make(map[uint64]int)
+	}
+	clear(r.assigned)
+	items, dist := r.items[:0], r.dist[:0]
+	for i, it := range plan.Items {
+		if plan.ItemServer[i] == -1 || have(i) {
+			continue
+		}
+		if s, ok := ActingDistinguished(plan.Replicas[i], avoid); ok {
+			items = append(items, it)
+			dist = append(dist, s)
+			r.assigned[it] = plan.ItemServer[i]
+		}
+	}
+	r.items, r.dist = items, dist
+	return r.Group(items, dist)
+}
+
+// WriteBack says where item, found by round 2 at server from, is
+// written back: the server the plan assigned it, or -1 when that is
+// from itself or avoid excludes it. Only round-2 finds are written
+// back; an item a hitchhiker rescued in round 1 is not. asked is false
+// when the last Missing did not ask for item, which the caller then
+// ignores.
+func (r *Round2) WriteBack(item uint64, from int, avoid func(int) bool) (server int, asked bool) {
+	s, asked := r.assigned[item]
+	if !asked || s == from || (avoid != nil && avoid(s)) {
+		return -1, asked
+	}
+	return s, true
+}
+
+// Owed appends to dst the indices into plan.Items of what the backing
+// store owes once both rounds have run, in request order: every item
+// have reports absent, or under a LIMIT (0 < target < len(plan.Items))
+// only the first ones that make up the shortfall below the target.
+func Owed(plan *Plan, have func(i int) bool, target int, dst []int) []int {
+	short := len(plan.Items)
+	if target > 0 && target < short {
+		short = target
+		for i := range plan.Items {
+			if have(i) {
+				short--
+			}
+		}
+	}
+	for i := 0; i < len(plan.Items) && short > 0; i++ {
+		if !have(i) {
+			dst = append(dst, i)
+			short--
+		}
+	}
+	return dst
 }
 
 // Group bundles the missed items by server. dist must be parallel to

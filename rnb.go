@@ -191,8 +191,9 @@ func WithTracing(cfg TraceConfig) Option {
 
 // WithLoader installs a cache-aside backing store: keys that miss on
 // every replica AND on their distinguished server are fetched through
-// the loader (one call per GetMulti), stored back (distinguished copy
-// pinned, assigned replica plain), and returned with the rest. Without
+// the loader (one call per GetMulti), stored back with Set, and returned
+// with the rest. Set writes the distinguished copy first and stops at a
+// failed write, so while that server is down nothing is stored. Without
 // a loader such keys are simply absent from results.
 func WithLoader(l Loader) Option {
 	return func(c *clientConfig) { c.loader = l }
@@ -825,12 +826,12 @@ func (c *Client) Get(key string) (*Item, error) {
 	if c.adaptive != nil {
 		c.observeHeat([]uint64{keyID(key)}, []string{key})
 	}
-	// The replica lookup fills a pooled record's round-2 server table,
-	// which holds only ints, so the record goes back at once.
+	// The replica lookup fills a pooled record's buffer, which holds
+	// only ints, so the record goes back at once.
 	st := multiGetPool.Get().(*multiGet)
-	st.acting = t.placement.Replicas(keyID(key), st.acting[:0])
-	s := st.acting[0]
-	if acting, ok := core.ActingDistinguished(st.acting, c.avoidFor(t)); ok {
+	st.replicas = t.placement.Replicas(keyID(key), st.replicas[:0])
+	s := st.replicas[0]
+	if acting, ok := core.ActingDistinguished(st.replicas, c.avoidFor(t)); ok {
 		s = acting
 	}
 	multiGetPool.Put(st)
@@ -1045,17 +1046,14 @@ type multiGet struct {
 	// from one array, and their in-flight handles.
 	keys []string
 	sent []memcache.Pending
-	// Round 2's tables: each still-missing planned key, the server round
-	// 2 asks for it, the server round 1 assigned it (the write-back
-	// target), and their grouping.
-	missIDs      []uint64
-	acting       []int
-	missAssigned map[uint64]int
-	round2       core.Round2
+	// round2 decides round 2 and its write-backs; replicas is Get's
+	// replica lookup.
+	round2   core.Round2
+	replicas []int
 }
 
 var multiGetPool = sync.Pool{New: func() any {
-	return &multiGet{keyOf: make(map[uint64]string), missAssigned: make(map[uint64]int)}
+	return &multiGet{keyOf: make(map[uint64]string)}
 }}
 
 // release gives st back to the pool unless the request was too big to
@@ -1068,7 +1066,6 @@ func (st *multiGet) release(keys int, stats *Stats) {
 		return
 	}
 	clear(st.keyOf)
-	clear(st.missAssigned)
 	// A pooled record pins nothing of the caller's (key strings) or the
 	// transport's (the connections a Pending names).
 	clear(st.keys[:cap(st.keys)])
@@ -1176,12 +1173,13 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	// re-covered once over the rest; round 2 and the write-backs steer
 	// by the same filter, re-plan failures included.
 	avoid = c.avoidFor(t)
+	have := func(i int) bool { _, ok := out[keyOf[plan.Items[i]]]; return ok }
 	if len(failed) > 0 {
 		breakers, down := avoid, failed
 		avoid = func(s int) bool { return slices.Contains(down, s) || (breakers != nil && breakers(s)) }
 		var missIDs []uint64
 		for i, id := range plan.Items {
-			if _, have := out[keyOf[id]]; !have && plan.ItemServer[i] != -1 {
+			if !have(i) && plan.ItemServer[i] != -1 {
 				missIDs = append(missIDs, id)
 			}
 		}
@@ -1201,27 +1199,11 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 
 	// Round 2: still-missing planned items, bundled by their acting
 	// distinguished server (the true one, unless it is quarantined).
-	missIDs, acting, missAssigned := st.missIDs[:0], st.acting[:0], st.missAssigned
-	for i, id := range plan.Items {
-		if plan.ItemServer[i] == -1 {
-			continue // dropped by LIMIT or all replicas down: loader below
-		}
-		if _, have := out[keyOf[id]]; !have {
-			a, ok := core.ActingDistinguished(plan.Replicas[i], avoid)
-			if !ok {
-				continue // no live replica: loader below
-			}
-			missIDs = append(missIDs, id)
-			acting = append(acting, a)
-			missAssigned[id] = plan.ItemServer[i]
-		}
-	}
-	st.missIDs, st.acting = missIDs, acting
 	// Its transactions go to distinct servers and are sent at once; a
 	// failed one degrades: its items fall to the loader or come back
 	// absent.
 	round2Start := time.Now()
-	round2 := st.round2.Group(missIDs, acting)
+	round2 := st.round2.Missing(plan, have, avoid)
 	stats.Round2 += len(round2)
 	c.fanout(t, st, round2, &stats, "round2", func(txn *core.Transaction, items []Item) {
 		// The reply is in the transaction's key order, so write-backs
@@ -1230,8 +1212,8 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 		// round 2 is not looking for is ignored.
 		for i := range items {
 			it := &items[i]
-			assigned, missing := missAssigned[keyID(it.Key)]
-			if !missing {
+			s, asked := st.round2.WriteBack(keyID(it.Key), txn.Server, avoid)
+			if !asked {
 				continue
 			}
 			out[it.Key] = it
@@ -1245,10 +1227,8 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 			// effort, and no verdict on the server (slot.call): a dropped
 			// or refused add is a replica that stays virtual, and the item
 			// is served either way.
-			if s := assigned; s != txn.Server && (avoid == nil || !avoid(s)) {
-				if t.slots[s].call(func(conn *memcache.Client) error { return conn.AddLater(it) }) == nil {
-					sp.WriteBacks++
-				}
+			if s >= 0 && t.slots[s].call(func(conn *memcache.Client) error { return conn.AddLater(it) }) == nil {
+				sp.WriteBacks++
 			}
 		}
 	})
@@ -1261,19 +1241,9 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 	if c.cfg.loader != nil {
 		loaderStart := time.Now()
 		defer func() { sp.LoaderNS = int64(time.Since(loaderStart)) }()
-		full := target <= 0 || target >= len(ids)
-		want := len(ids)
-		if !full {
-			want = target
-		}
 		var dbKeys []string
-		for _, id := range ids {
-			if len(out)+len(dbKeys) >= want && !full {
-				break
-			}
-			if _, have := out[keyOf[id]]; !have {
-				dbKeys = append(dbKeys, keyOf[id])
-			}
+		for _, i := range core.Owed(plan, have, target, nil) {
+			dbKeys = append(dbKeys, keyOf[plan.Items[i]])
 		}
 		if len(dbKeys) > 0 {
 			loaded, err := c.cfg.loader(dbKeys)
