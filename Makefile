@@ -70,14 +70,14 @@ chaos-resize:
 # collects with requests and replies past the socket buffers, a write
 # behind a reader, a kill between send and collect, Close with a request
 # uncollected); then the write-back queue's, which writers take under
-# the write mutex they share with pipelined callers; then the two
-# key-lifetime tests, since a get's keys are views of the connection's
-# read memory that the next read overwrites.
+# the write mutex they share with pipelined callers; then the four
+# lifetime tests, since a request's keys and values are views of the
+# connection's read memory that the next read overwrites.
 stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
 	$(GO) test -race -count=2 -run 'TestPool|TestBinaryPool' ./internal/memcache
 	$(GO) test -race -count=2 -run 'TestWriteBack|TestAddLater' . ./internal/memcache
-	$(GO) test -race -count=2 -run 'TestServerCopiesKeysForOtherBackends|TestStoreNeverKeepsAliasedKey' ./internal/memcache
+	$(GO) test -race -count=2 -run 'TestServerCopiesKeysForOtherBackends|TestStoreNeverKeepsAliasedKey|TestServerCopiesItemsForOtherBackends|TestStoreNeverKeepsAliasedValue' ./internal/memcache
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
 # transport, server, planner and client hot paths: text/binary

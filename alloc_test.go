@@ -46,7 +46,10 @@ func allocGate(t *testing.T, name string, budget float64, fn func()) {
 // number of items a reply carries: the items of one transaction arrive
 // as one array and one value arena and are merged by reference. A Get
 // costs 2, its reply's item array and value (its replica lookup fills a
-// pooled record's buffer); a Set 13.
+// pooled record's buffer); a Set 7: on each of the three servers what
+// the store keeps, the Item and the one buffer holding its value and key
+// (the server parses the command into its connection's memory), and 1
+// on the client.
 func TestAllocBudgetClient(t *testing.T) {
 	value := bytes.Repeat([]byte("v"), 100)
 	cl, _ := newTestClient(t, 3, WithReplicas(3))
@@ -68,22 +71,22 @@ func TestAllocBudgetClient(t *testing.T) {
 		}
 	})
 	it := &Item{Key: ks[0], Value: value}
-	allocGate(t, "Set r=3", 13, func() {
+	allocGate(t, "Set r=3", 7, func() {
 		if err := cl.Set(it); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	// The same multi-get traced adds 3: the server reads the trace
-	// context's line (1) and keeps its phase timings (1), and the client
-	// decodes them into the round trip's ServerTimings (1).
+	// The same multi-get traced adds 2: the server keeps its phase
+	// timings (1), and the client decodes them into the round trip's
+	// ServerTimings (1). The trace context's line is parsed in place.
 	traced, _ := newTestClient(t, 3, WithReplicas(3), WithTracing(TraceConfig{SampleEvery: 1}))
 	for _, k := range ks {
 		if err := traced.Set(&Item{Key: k, Value: value}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocGate(t, "traced GetMulti 8 keys r=3, 1 transaction", 8, func() {
+	allocGate(t, "traced GetMulti 8 keys r=3, 1 transaction", 7, func() {
 		items, stats, err := traced.GetMulti(ks)
 		if err != nil || len(items) != len(ks) || stats.Transactions != 1 {
 			t.Fatalf("%d items, %+v, err %v", len(items), stats, err)
@@ -95,10 +98,12 @@ func TestAllocBudgetClient(t *testing.T) {
 	// servers the plan is one transaction and round 2 visits the other
 	// two; how many of the 16 keys it recovers, and so writes back,
 	// depends on the ring, so a window with exactly ten is searched for.
-	// It measures 51: the three transactions' replies, the result map,
-	// the RTT copy, and per write-back the four the server spends parsing
-	// and refusing an add — queuing one costs the client nothing, and
-	// round 2's tables and grouping come from the request's record.
+	// It measures 11: the three transactions' replies, the result map and
+	// the RTT copy. The write-backs cost nothing: queuing one costs the
+	// client nothing, round 2's tables and grouping come from the
+	// request's record, and the server parses each add into its
+	// connection's memory and, on this tier that keeps no replica, refuses
+	// it for capacity before copying anything.
 	virtual, vpool := newVirtualReplicaTier(t, 3, 64)
 	for i := 0; i+16 <= len(vpool); i++ {
 		vks := vpool[i : i+16]
@@ -108,7 +113,7 @@ func TestAllocBudgetClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.Transactions == 3 && stats.Round2 == 2 && virtual.poolGauges.WriteBackQueued.Load()-queued == 10 {
-			allocGate(t, "GetMulti 16 keys r=3, 1+2 transactions, 10 write-backs", 51, func() {
+			allocGate(t, "GetMulti 16 keys r=3, 1+2 transactions, 10 write-backs", 11, func() {
 				if items, _, err := virtual.GetMulti(vks); err != nil || len(items) != len(vks) {
 					t.Fatalf("%d items, err %v", len(items), err)
 				}

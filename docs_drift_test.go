@@ -18,8 +18,9 @@ import (
 	"rnb/internal/memcache"
 )
 
-// TestDocsNameWhatExists fails when README.md, DESIGN.md or
-// EXPERIMENTS.md point a reader at something the tree no longer has: a
+// TestDocsNameWhatExists fails when README.md, DESIGN.md,
+// EXPERIMENTS.md, PAPER.md or METRICS.md point a reader at something
+// the tree no longer has: a
 // `make <target>` the Makefile lacks, a BENCH_*.json that is not on
 // disk, a cmd/<x> or internal/<x> directory that does not exist, or a
 // config field (PoolConfig.X, core.Options.X, ...) its type lacks, a
@@ -116,7 +117,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	method := regexp.MustCompile(`\b(Planner|Round2)\.(\w+)`)
 
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "METRICS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -118,24 +118,43 @@ func (c *Cache[K, V]) touch(e *entry[K, V]) {
 	c.pushFront(e)
 }
 
+// Admits reports whether Put(k, v, cost, pinned) would store the entry,
+// without changing anything: a caller can rule on capacity before it
+// builds the value. A pinned insert, and any update of a pinned entry,
+// is always admitted; an unpinned one is admitted when it fits beside
+// the pinned entries (an entry being resized replaces its own cost, and
+// every other unpinned entry can be evicted to make room).
+func (c *Cache[K, V]) Admits(k K, cost int64, pinned bool) bool {
+	return c.admits(c.entries[k], cost, pinned)
+}
+
+// admits is Admits for k's entry e, nil when k is absent.
+func (c *Cache[K, V]) admits(e *entry[K, V], cost int64, pinned bool) bool {
+	return pinned || e != nil && e.pinned || c.pinnedCost+cost <= c.capacity
+}
+
 // Put inserts or updates k with the given cost. Pinned entries are
 // always accepted and never evicted. An unpinned insert evicts unpinned
 // LRU entries until it fits; if it cannot fit (cost exceeds the space
 // not held by pinned entries), the insert is rejected and false is
-// returned. Updating an existing key keeps its pinned status unless the
-// new insert is pinned (promotion to pinned is allowed; demotion is
-// not — use Delete first).
+// returned (Admits answers the same beforehand). Updating an existing
+// key keeps its pinned status unless the new insert is pinned
+// (promotion to pinned is allowed; demotion is not — use Delete first),
+// and re-keys the entry with k, so a key that is a view of its old
+// value's memory does not keep that memory alive.
 func (c *Cache[K, V]) Put(k K, v V, cost int64, pinned bool) bool {
 	if cost < 0 {
 		panic("lru: negative cost")
 	}
-	if e, ok := c.entries[k]; ok {
+	e := c.entries[k]
+	if !c.admits(e, cost, pinned) {
+		return false
+	}
+	if e != nil {
 		// Update in place.
 		delta := cost - e.cost
-		if !e.pinned && !pinned && c.cost+delta > c.capacity {
-			if !c.makeRoom(delta, e) {
-				return false
-			}
+		if !e.pinned && !pinned {
+			c.makeRoom(delta, e)
 		}
 		if pinned && !e.pinned {
 			c.unlink(e)
@@ -145,17 +164,17 @@ func (c *Cache[K, V]) Put(k K, v V, cost int64, pinned bool) bool {
 			c.pinnedCost += delta
 		}
 		c.cost += delta
-		e.value = v
-		e.cost = cost
+		e.key, e.value, e.cost = k, v, cost
+		c.entries[k] = e // re-keys: assigning to a present string key stores the new string
 		if !e.pinned {
 			c.touch(e)
 		}
 		return true
 	}
-	if !pinned && !c.makeRoom(cost, nil) {
-		return false
+	if !pinned {
+		c.makeRoom(cost, nil)
 	}
-	e := &entry[K, V]{key: k, value: v, cost: cost, pinned: pinned}
+	e = &entry[K, V]{key: k, value: v, cost: cost, pinned: pinned}
 	c.entries[k] = e
 	c.cost += cost
 	if pinned {
@@ -168,28 +187,16 @@ func (c *Cache[K, V]) Put(k K, v V, cost int64, pinned bool) bool {
 
 // makeRoom evicts unpinned LRU entries until `extra` more cost fits.
 // skip, if non-nil, is an entry being resized and must not be evicted.
-func (c *Cache[K, V]) makeRoom(extra int64, skip *entry[K, V]) bool {
-	// Feasibility: after evicting everything evictable, the resident
-	// floor is the pinned cost (plus the entry being resized, which
-	// cannot be evicted either); `extra` must fit above that floor.
-	floor := c.pinnedCost + extra
-	if skip != nil {
-		floor += skip.cost
-	}
-	if floor > c.capacity {
-		return false
-	}
+// Admits has established that evicting every other unpinned entry is
+// enough.
+func (c *Cache[K, V]) makeRoom(extra int64, skip *entry[K, V]) {
 	for c.cost+extra > c.capacity {
 		victim := c.tail
-		for victim != nil && victim == skip {
+		if victim == skip {
 			victim = victim.prev
-		}
-		if victim == nil {
-			return false
 		}
 		c.evict(victim)
 	}
-	return true
 }
 
 func (c *Cache[K, V]) evict(e *entry[K, V]) {

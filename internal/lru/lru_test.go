@@ -282,6 +282,74 @@ func TestQuickInvariants(t *testing.T) {
 	}
 }
 
+// TestAdmitsPredictsPut: on a seeded script of inserts, updates that
+// grow and shrink, pinned inserts and promotions, deletes and the
+// evictions they force, Admits answers at every step what the Put that
+// follows it returns, and changes nothing itself. Both must agree with
+// the rule read off the entries: a pinned put, or any put to a pinned
+// entry, is stored; an unpinned one is stored exactly when it fits
+// beside every other pinned entry, since everything else can be evicted.
+func TestAdmitsPredictsPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var updates, promotions, refusals int
+	var evictions uint64
+	for trial := 0; trial < 40; trial++ {
+		c := New[int, int](int64(8 + rng.Intn(40)))
+		for step := 0; step < 300; step++ {
+			k := rng.Intn(16)
+			if rng.Intn(8) == 0 {
+				c.Delete(k)
+				continue
+			}
+			cost := int64(rng.Intn(14))
+			pinned := rng.Intn(10) == 0
+			e, resident := c.entries[k]
+			switch {
+			case resident && pinned && !e.pinned:
+				promotions++
+			case resident:
+				updates++
+			}
+			fits := pinned || resident && e.pinned
+			if !fits {
+				floor := cost
+				for pk, pe := range c.entries {
+					if pe.pinned && pk != k {
+						floor += pe.cost
+					}
+				}
+				fits = floor <= c.Capacity()
+			}
+			n, total, order := c.Len(), c.Cost(), c.Keys()
+			want := c.Admits(k, cost, pinned)
+			if want != fits {
+				t.Fatalf("trial %d step %d: Admits(%d, cost %d, pinned %v) = %v, want %v", trial, step, k, cost, pinned, want, fits)
+			}
+			if c.Len() != n || c.Cost() != total || !reflect.DeepEqual(c.Keys(), order) {
+				t.Fatalf("trial %d step %d: Admits changed the cache", trial, step)
+			}
+			if got := c.Put(k, step, cost, pinned); got != want {
+				t.Fatalf("trial %d step %d: Admits(%d, cost %d, pinned %v) = %v, Put = %v (capacity %d, cost %d, pinned cost %d)",
+					trial, step, k, cost, pinned, want, got, c.Capacity(), total, c.PinnedCost())
+			}
+			if v, ok := c.Peek(k); want && (!ok || v != step) {
+				t.Fatalf("trial %d step %d: an admitted Put is not resident", trial, step)
+			}
+			if !want {
+				refusals++
+				if c.Len() != n || c.Cost() != total || !reflect.DeepEqual(c.Keys(), order) {
+					t.Fatalf("trial %d step %d: a refused Put changed the cache", trial, step)
+				}
+			}
+		}
+		evictions += c.Evictions()
+	}
+	if updates == 0 || promotions == 0 || refusals == 0 || evictions == 0 {
+		t.Fatalf("script too tame: %d updates, %d promotions, %d refusals, %d evictions", updates, promotions, refusals, evictions)
+	}
+	t.Logf("%d updates, %d promotions, %d refusals, %d evictions", updates, promotions, refusals, evictions)
+}
+
 func BenchmarkPutGet(b *testing.B) {
 	c := New[int, int](1024)
 	b.ReportAllocs()

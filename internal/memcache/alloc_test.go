@@ -172,11 +172,13 @@ func TestAllocBudgetRoundTrip(t *testing.T) {
 		// four connections adds nothing: the caller does its own round
 		// trip. The 1-key and the 8-key budgets are equal on purpose:
 		// anything paid per key, on either side of the wire, fails the
-		// 8-key gate.
-		{name: "single text", get1: 4, get8: 4, set: 4},
-		{name: "single binary", binary: true, get1: 4, get8: 4, set: 4},
-		{name: "pooled text", pooled: true, get1: 4, get8: 4, set: 4},
-		{name: "pooled binary", pooled: true, binary: true, get1: 4, get8: 4, set: 4},
+		// 8-key gate. A set of a resident key costs the two allocations
+		// the store keeps, the Item and the one buffer holding its value
+		// and key; the client and the server's parse cost nothing.
+		{name: "single text", get1: 4, get8: 4, set: 2},
+		{name: "single binary", binary: true, get1: 4, get8: 4, set: 2},
+		{name: "pooled text", pooled: true, get1: 4, get8: 4, set: 2},
+		{name: "pooled binary", pooled: true, binary: true, get1: 4, get8: 4, set: 2},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
 			srv := NewServer(NewStore(0))
@@ -253,12 +255,17 @@ func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net:
 // Server and the reply is read back raw, so no client codec, exchanger
 // or socket allocates inside the measured window. The request path
 // reuses its request, key slice and reply scratch per connection, and
-// the store answers a get by position with no map in between; the
-// budgets are what it measures, 0/0/4 on both wires. A get of any size
-// costs nothing: its keys are views of the connection's memory (the text
-// command line in the read buffer, the binary run's collected key
-// bytes), so a get handler that copies its line or its keys into a
+// the store answers a get by position with no map in between. A get of
+// any size costs nothing: its keys are views of the connection's memory
+// (the text command line in the read buffer, the binary run's collected
+// key bytes), so a get handler that copies its line or its keys into a
 // string, or a quiet-get run that makes a string per frame, fails here.
+// A storage command is parsed the same way, its key and value views of
+// the read buffer, and the store rules before it copies: a set of a
+// resident key costs what the store keeps, the Item and the one buffer
+// holding its value and key (2); an add of a new key adds its LRU entry
+// (3, the delete after it costs nothing); a refused add keeps nothing
+// and costs nothing. The budgets are what it measures, on both wires.
 func TestAllocBudgetServe(t *testing.T) {
 	keys := make([]string, 8)
 	for i := range keys {
@@ -281,26 +288,45 @@ func TestAllocBudgetServe(t *testing.T) {
 	binGet := func(ks []string) []byte {
 		return encode(func(w *bufio.Writer) error { return writeBinMultiGetCmd(w, ks) })
 	}
+	refused := &Item{Key: keys[0], Value: value} // resident: an add of it is refused
+	added := &Item{Key: "alloc:new", Value: value}
 	for _, lane := range []struct {
-		name            string
-		get1, get8, set []byte
-		getEnd          func(n int) []byte // the bytes that end an n-key get reply
-		setEnd          []byte
-		bGet1, bGet8    float64
-		bSet            float64
+		name                            string
+		get1, get8, set, refuse, addDel []byte
+		getEnd                          func(n int) []byte // the bytes that end an n-key get reply
+		setEnd, refuseEnd, addDelEnd    []byte
+		bGet1, bGet8                    float64
+		bSet, bRefuse, bAddDel          float64
 	}{
 		{
 			name: "text", get1: textGet(keys[:1]), get8: textGet(keys),
 			set:    encode(func(w *bufio.Writer) error { return writeStoreCmd(w, "set", it) }),
+			refuse: encode(func(w *bufio.Writer) error { return writeStoreCmd(w, "add", refused) }),
+			addDel: encode(func(w *bufio.Writer) error {
+				if err := writeStoreCmd(w, "add", added); err != nil {
+					return err
+				}
+				return writeKeysCmd(w, "delete", []string{added.Key})
+			}),
 			getEnd: func(int) []byte { return []byte("END\r\n") }, setEnd: []byte("STORED\r\n"),
-			bGet1: 0, bGet8: 0, bSet: 4,
+			refuseEnd: []byte("NOT_STORED\r\n"), addDelEnd: []byte("DELETED\r\n"),
+			bGet1: 0, bGet8: 0, bSet: 2, bRefuse: 0, bAddDel: 3,
 		},
 		{
 			name: "binary", get1: binGet(keys[:1]), get8: binGet(keys),
 			set:    encode(func(w *bufio.Writer) error { return writeBinStoreCmd(w, binOpSet, it, 0) }),
-			getEnd: func(n int) []byte { return binResFrame(binOpNoop, binStatusOK, uint32(n), 0, nil, "", "") },
-			setEnd: binResFrame(binOpSet, binStatusOK, 0, 0, nil, "", ""),
-			bGet1:  0, bGet8: 0, bSet: 4,
+			refuse: encode(func(w *bufio.Writer) error { return writeBinStoreCmd(w, binOpAdd, refused, 0) }),
+			addDel: encode(func(w *bufio.Writer) error {
+				if err := writeBinStoreCmd(w, binOpAdd, added, 0); err != nil {
+					return err
+				}
+				return writeBinFrame(w, binOpDelete, 0, 0, nil, added.Key, nil)
+			}),
+			getEnd:    func(n int) []byte { return binResFrame(binOpNoop, binStatusOK, uint32(n), 0, nil, "", "") },
+			setEnd:    binResFrame(binOpSet, binStatusOK, 0, 0, nil, "", ""),
+			refuseEnd: binResFrame(binOpAdd, binStatusNotStored, 0, 0, nil, "", ""),
+			addDelEnd: binResFrame(binOpDelete, binStatusOK, 0, 0, nil, "", ""),
+			bGet1:     0, bGet8: 0, bSet: 2, bRefuse: 0, bAddDel: 3,
 		},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
@@ -343,6 +369,8 @@ func TestAllocBudgetServe(t *testing.T) {
 			allocGate(t, lane.name+" serve 1-key get", lane.bGet1, exchange(lane.get1, lane.getEnd(1)))
 			allocGate(t, lane.name+" serve 8-key get", lane.bGet8, exchange(lane.get8, lane.getEnd(8)))
 			allocGate(t, lane.name+" serve set", lane.bSet, exchange(lane.set, lane.setEnd))
+			allocGate(t, lane.name+" serve refused add", lane.bRefuse, exchange(lane.refuse, lane.refuseEnd))
+			allocGate(t, lane.name+" serve add+delete of a new key", lane.bAddDel, exchange(lane.addDel, lane.addDelEnd))
 		})
 	}
 }

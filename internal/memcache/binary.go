@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"rnb/internal/obs"
@@ -265,25 +264,17 @@ func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
 		if _, err := r.Discard(binHeaderLen); err != nil {
 			return err
 		}
-		keyEnd := uint32(h.extraLen) + uint32(h.keyLen)
-		if quiet && h.bodyLen <= 4096 {
-			// Quiet gets — the pipelined hot path — parse their key
-			// straight out of the buffer; only the key bytes survive.
-			body, err := r.Peek(int(h.bodyLen))
-			if err != nil {
-				return err
-			}
-			c.addKey(&h, body[h.extraLen:keyEnd])
-			if _, err := r.Discard(int(h.bodyLen)); err != nil {
-				return err
-			}
-			continue
-		}
-		// Value-carrying commands copy the body onto the heap because the
-		// store retains it.
-		body := make([]byte, h.bodyLen)
-		if _, err := io.ReadFull(r, body); err != nil {
+		// The body is a view of the read buffer, valid until the next
+		// read, unless it outgrows the buffer: a get keeps only its key
+		// bytes (addKey), and the store copies what it keeps.
+		body, err := readBlock(r, int(h.bodyLen))
+		if err != nil {
 			return err
+		}
+		keyEnd := uint32(h.extraLen) + uint32(h.keyLen)
+		if quiet { // the pipelined hot path: the run goes on
+			c.addKey(&h, body[h.extraLen:keyEnd])
+			continue
 		}
 		extras := body[:h.extraLen]
 		value := body[keyEnd:]
@@ -295,33 +286,34 @@ func (c *binServer) read(r *bufio.Reader, q *serverRequest) error {
 		}
 		if q.cmd == cmdGet {
 			c.addKey(&h, body[h.extraLen:keyEnd])
-			if quiet { // an oversized quiet frame: it joins the run like the rest
-				continue
-			}
 			q.keys = c.runKeys()
 			return nil
 		}
-		key := string(body[h.extraLen:keyEnd])
-		q.key = key
+		key := keyView(body[h.extraLen:keyEnd])
+		if !q.cmd.stores() { // a storage command's key is its item's
+			q.key = key
+		}
 		if want, checked := binExtras[q.cmd]; checked && len(extras) != want {
 			q.bad = badFrame
 			return nil
 		}
 		switch q.cmd {
 		case cmdSet, cmdSetPinned, cmdAdd, cmdReplace:
-			q.item = &Item{
+			q.payload = Item{
 				Key:        key,
 				Value:      value,
 				Flags:      binary.BigEndian.Uint32(extras[0:4]),
 				Expiration: int32(binary.BigEndian.Uint32(extras[4:8])),
 			}
+			q.item = &q.payload
 			// A cas store rides a Set frame carrying the token.
 			if q.cmd == cmdSet && h.cas != 0 {
 				q.cmd = cmdCAS
 				q.item.CAS = h.cas
 			}
 		case cmdAppend, cmdPrepend:
-			q.item = &Item{Key: key, Value: value}
+			q.payload = Item{Key: key, Value: value}
+			q.item = &q.payload
 		case cmdIncr, cmdDecr:
 			// Extras: delta(8) initial(8) expiration(4). Matching the text
 			// grammar, deltas are capped at 63 bits (the store computes in

@@ -85,6 +85,23 @@ func FuzzTextProtocol(f *testing.F) {
 		// A command line that fills the server's read buffer with no
 		// newline: the line is continued on the heap, up to maxLineLen.
 		[]byte("get " + strings.Repeat("k", 1<<16-4)),
+		// Pipelined stores whose data blocks, read in place from the
+		// server's buffer, cross a refill wherever the stream's reads
+		// split it: the keys parsed before a block must survive the
+		// buffer sliding under them. One per wire, each under the 64 KiB
+		// cap below.
+		[]byte("set a 1 0 30000\r\n" + strings.Repeat("x", 30000) + "\r\nadd b 2 0 20000 noreply\r\n" +
+			strings.Repeat("y", 20000) + "\r\nappend a 0 0 9000\r\n" + strings.Repeat("z", 9000) +
+			"\r\ncas a 3 0 4000 1\r\n" + strings.Repeat("w", 4000) + "\r\nincr b 1\r\nget a b\r\n"),
+		bytes.Join([][]byte{
+			binReqFrame(binOpSet, 0, make([]byte, 8), "a", strings.Repeat("x", 30000)),
+			binReqFrame(binOpAddQ, 0, make([]byte, 8), "b", strings.Repeat("y", 20000)),
+			binReqFrame(binOpAppend, 0, nil, "a", strings.Repeat("z", 9000)),
+			binReqFrame(binOpPrepend, 0, nil, "b", strings.Repeat("w", 5000)),
+			binReqFrame(binOpGetKQ, 1, nil, "a", ""),
+			binReqFrame(binOpGetKQ, 2, nil, "b", ""),
+			binReqFrame(binOpNoop, 3, nil, "", ""),
+		}, nil),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -32,8 +33,10 @@ type ServerStats struct {
 // for an RnB proxy — a whole replicated cluster. GetMulti receives the
 // complete key list of a get/gets command so a proxy can bundle it. The
 // list is the connection's parse scratch: it is valid until the call
-// returns and must not be retained. The key strings are the Backend's
-// own (see ownKeys).
+// returns and must not be retained. Every key string, Item and value a
+// Backend other than the Store is handed is its own to keep (see
+// serverRequest.own); the Store is handed views of connection memory
+// and copies what it keeps.
 type Backend interface {
 	GetMulti(keys []string) (map[string]*Item, error)
 	// GetsMulti is GetMulti with authoritative CAS tokens: an RnB proxy
@@ -309,6 +312,9 @@ type serverRequest struct {
 	// command or a trace frame instead of a Noop: the next request shares
 	// this one's flush, and an armed trace settles there.
 	chained bool
+	// payload is a storage command's item; item points at it. Its key
+	// and value are views of connection memory, like a get's keys.
+	payload Item
 }
 
 // opName labels the request in a ServerSpan.
@@ -513,6 +519,9 @@ func (s *Server) execute(q *serverRequest, p *serverReply, ct *connTrace) {
 		}
 	}
 	be := s.backend
+	if _, store := be.(storeBackend); !store {
+		q.own()
+	}
 	switch q.cmd {
 	case cmdGet, cmdGets:
 		s.stats.CmdGet.Add(uint64(len(q.keys)))
@@ -567,9 +576,9 @@ func (s *Server) execute(q *serverRequest, p *serverReply, ct *connTrace) {
 // getMulti is the executor's read: it appends to hits the answer to
 // each of q.keys, nil for a miss. A backend that can answer by position
 // (the store) does, with no map in between and on the connection's key
-// views; any other (the proxy) is asked for its map, on copies of the
-// keys — a plain get or gets, or for a traced get the refinement that
-// propagates the context downstream.
+// views; any other (the proxy) is asked for its map — a plain get or
+// gets, or for a traced get the refinement that propagates the context
+// downstream.
 func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Item, error) {
 	if be, ok := s.backend.(hitsBackend); ok {
 		hits, wait := be.appendHits(hits, q.keys, ct != nil)
@@ -578,7 +587,6 @@ func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Ite
 		}
 		return hits, nil
 	}
-	ownKeys(q.keys)
 	var items map[string]*Item
 	var err error
 	be, traced := s.backend.(tracedBackend)
@@ -599,35 +607,50 @@ func (s *Server) getMulti(q *serverRequest, hits []*Item, ct *connTrace) ([]*Ite
 	return hits, nil
 }
 
-// keyView returns b as a string without copying it: a get's keys are
-// views of connection memory, so reading a get costs no string (DESIGN.md
-// "Request memory"). It is the package's one use of unsafe.
+// keyView returns b as a string without copying it: a request's keys
+// are views of connection memory, so parsing one costs no string
+// (DESIGN.md "Key lifetime on the server"). It is the package's one use
+// of unsafe.
 //
-// Invariant: b is one connection's read memory — the text request line
-// inside its bufio.Reader (or readLine's copy of an over-long one), or
-// binServer.keyBuf — which nothing writes until that connection's next
-// read. A view is therefore immutable while its request executes and its
-// reply is written, and must not be used after that: only get and gets
-// hold views, only the store's read path (hitsBackend), which keeps no
-// key, is handed them, and every other Backend gets copies (ownKeys).
+// Invariant: b is memory nothing writes while the view is in use, in
+// one of two cases.
+//   - One connection's read memory: the text request line inside its
+//     bufio.Reader (or readLine's copy of an over-long one),
+//     textServer.key, binServer.keyBuf, or a frame body or data block
+//     peeked in the reader. Nothing writes it until that connection's
+//     next read, so a view is immutable while its request executes and
+//     its reply is written, and must not be used after that. Only the
+//     Store is handed such views, and it keeps none of them (Store.keep
+//     copies); every other Backend gets copies (serverRequest.own).
+//   - A kept item's own buffer (Store.keep): its key is cut from the
+//     buffer behind its capacity-clipped value, and nothing writes the
+//     buffer after keep.
 func keyView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// ownKeys replaces each of keys, views of connection memory (keyView),
-// by a copy cut out of one fresh string, for a Backend that may keep the
-// keys it is handed.
-func ownKeys(keys []string) {
+// own replaces everything q names — its keys, key and item — by copies,
+// for a Backend other than the store, which may keep what it is handed:
+// they are views of connection memory (keyView), which the next read
+// overwrites. The keys are cut out of one fresh string; the item is a
+// fresh Item with a key and a value of its own.
+func (q *serverRequest) own() {
 	n := 0
-	for _, k := range keys {
+	for _, k := range q.keys {
 		n += len(k)
 	}
 	var b strings.Builder
 	b.Grow(n)
-	for _, k := range keys {
+	for _, k := range q.keys {
 		b.WriteString(k)
 	}
 	all := b.String()
-	for i, k := range keys {
-		keys[i], all = all[:len(k)], all[len(k):]
+	for i, k := range q.keys {
+		q.keys[i], all = all[:len(k)], all[len(k):]
+	}
+	q.key = strings.Clone(q.key)
+	if q.item != nil {
+		it := *q.item
+		it.Key, it.Value = strings.Clone(it.Key), bytes.Clone(it.Value)
+		q.item = &it
 	}
 }
 

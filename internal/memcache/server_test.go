@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -672,6 +673,211 @@ func TestStoreNeverKeepsAliasedKey(t *testing.T) {
 		}
 		if !maps.Equal(got, want) {
 			t.Fatalf("store holds %v, want %v", got, want)
+		}
+	})
+}
+
+// TestStoreNeverKeepsAliasedValue: a storage command's key and value are
+// views of the connection's read buffer (or, past its size, of a block
+// read onto the heap) that later traffic overwrites, so the store must
+// keep copies. Every storage verb stores blocks of 0 and 1 bytes, of the
+// reader's size minus 2 and minus 1, of its size and one byte over; on
+// the binary wire also the two sizes whose frame body is exactly the
+// reader's size and one byte over. A block that does not fit the buffer
+// behind its command line or frame header straddles a refill. After
+// later traffic on the same connection, every key and value reads back
+// byte-equal over a second connection and through Store.Get.
+func TestStoreNeverKeepsAliasedValue(t *testing.T) {
+	const size = 64 << 10 // the server's read buffer (handleConn)
+	eachWire(t, func(t *testing.T, dial dialFunc) {
+		store := NewStore(0)
+		addr := serveTest(t, NewServer(store), nil)
+		cl := dialTest(t, dial, addr, 5*time.Second)
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq := 0
+		value := func(n int) []byte {
+			seq++
+			v := make([]byte, n)
+			for i := range v {
+				v[i] = byte('a' + (i+seq)%26)
+			}
+			return v
+		}
+		want := map[string]Item{}
+		for _, verb := range []string{"set", "setp", "add", "replace", "cas", "append", "prepend"} {
+			sizes := []int{0, 1, size - 2, size - 1, size, size + 1}
+			if strings.HasSuffix(t.Name(), "binary") {
+				extras := 8
+				if verb == "append" || verb == "prepend" {
+					extras = 0
+				}
+				body := extras + len(fmt.Sprintf("%s-%d", verb, len(sizes)))
+				sizes = append(sizes, size-body, size-body+1)
+			}
+			for i, n := range sizes {
+				key := fmt.Sprintf("%s-%d", verb, i)
+				it := Item{Key: key, Value: value(n), Flags: uint32(seq)}
+				switch verb {
+				case "set":
+					must(cl.Set(&it))
+				case "setp":
+					must(cl.SetPinned(&it))
+				case "add":
+					must(cl.Add(&it))
+				case "replace":
+					must(cl.Set(&Item{Key: key, Value: []byte("old")}))
+					must(cl.Replace(&it))
+				case "cas":
+					must(cl.Set(&Item{Key: key, Value: []byte("old")}))
+					got, err := cl.GetsMulti([]string{key})
+					must(err)
+					it.CAS = got[key].CAS
+					must(cl.CompareAndSwap(&it))
+				case "append":
+					must(cl.Set(&Item{Key: key, Value: []byte("<>"), Flags: it.Flags}))
+					must(cl.Append(key, it.Value))
+					it.Value = append([]byte("<>"), it.Value...)
+				case "prepend":
+					must(cl.Set(&Item{Key: key, Value: []byte("<>"), Flags: it.Flags}))
+					must(cl.Prepend(key, it.Value))
+					it.Value = append(it.Value, "<>"...)
+				}
+				want[key] = it
+			}
+		}
+		for i := 0; i < 4; i++ {
+			key := fmt.Sprintf("incr-%d", i)
+			must(cl.Set(&Item{Key: key, Value: []byte("41"), Flags: 9}))
+			_, err := cl.Incr(key, uint64(i))
+			must(err)
+			want[key] = Item{Key: key, Value: []byte(fmt.Sprint(41 + i)), Flags: 9}
+		}
+		// Later traffic refills the connection's buffer from its start.
+		var keys []string
+		for key := range want {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		for i := 0; i < 8; i++ {
+			key := fmt.Sprintf("later-%d", i)
+			it := Item{Key: key, Value: value(size - 2 - 999*i)}
+			must(cl.Set(&it))
+			want[key] = it
+			_, err := cl.GetMulti(keys[i : i+4])
+			must(err)
+		}
+
+		for i := 0; i < 8; i++ {
+			keys = append(keys, fmt.Sprintf("later-%d", i))
+		}
+		got, err := dialTest(t, dial, addr, 5*time.Second).GetMulti(keys)
+		must(err)
+		for key, w := range want {
+			if g := got[key]; g == nil || !bytes.Equal(g.Value, w.Value) || g.Flags != w.Flags {
+				t.Errorf("%s reads back over a second connection as %.40q, want %.40q", key, g, w.Value)
+			}
+			if it, err := store.Get(key); err != nil || it.Key != key || !bytes.Equal(it.Value, w.Value) {
+				t.Errorf("Store.Get(%s) = %.40q, %v; want %.40q", key, it, err, w.Value)
+			}
+		}
+	})
+}
+
+// itemKeepingBackend keeps every key, Item and value a write hands it, as
+// a Backend that queues writes may, with a copy taken when it was handed.
+type itemKeepingBackend struct {
+	Backend
+	mu         sync.Mutex
+	kept, sent []*Item
+}
+
+func (b *itemKeepingBackend) keep(it *Item) {
+	b.mu.Lock()
+	b.kept = append(b.kept, it)
+	b.sent = append(b.sent, &Item{Key: strings.Clone(it.Key), Value: bytes.Clone(it.Value), Flags: it.Flags, CAS: it.CAS})
+	b.mu.Unlock()
+}
+
+func (b *itemKeepingBackend) Set(it *Item) error       { b.keep(it); return b.Backend.Set(it) }
+func (b *itemKeepingBackend) SetPinned(it *Item) error { b.keep(it); return b.Backend.SetPinned(it) }
+func (b *itemKeepingBackend) Add(it *Item) error       { b.keep(it); return b.Backend.Add(it) }
+func (b *itemKeepingBackend) Replace(it *Item) error   { b.keep(it); return b.Backend.Replace(it) }
+func (b *itemKeepingBackend) CompareAndSwap(it *Item) error {
+	b.keep(it)
+	return b.Backend.CompareAndSwap(it)
+}
+func (b *itemKeepingBackend) Append(key string, data []byte) error {
+	b.keep(&Item{Key: key, Value: data})
+	return b.Backend.Append(key, data)
+}
+func (b *itemKeepingBackend) Prepend(key string, data []byte) error {
+	b.keep(&Item{Key: key, Value: data})
+	return b.Backend.Prepend(key, data)
+}
+func (b *itemKeepingBackend) Increment(key string, delta int64) (uint64, error) {
+	b.keep(&Item{Key: key})
+	return b.Backend.Increment(key, delta)
+}
+func (b *itemKeepingBackend) Delete(key string) error {
+	b.keep(&Item{Key: key})
+	return b.Backend.Delete(key)
+}
+func (b *itemKeepingBackend) Touch(key string, exp int32) error {
+	b.keep(&Item{Key: key})
+	return b.Backend.Touch(key, exp)
+}
+
+// TestServerCopiesItemsForOtherBackends: a write's key and value are
+// views of the connection's read memory, and its Item is the
+// connection's request storage, all reused by the next read, so a
+// Backend other than the store must be handed copies. Bursts of every
+// write verb, with keys and values of one length, land at the same
+// offsets of the read buffer; every key, Item and value the backend
+// kept must still read as it was when handed.
+func TestServerCopiesItemsForOtherBackends(t *testing.T) {
+	eachWire(t, func(t *testing.T, dial dialFunc) {
+		be := &itemKeepingBackend{Backend: storeBackend{NewStore(0)}}
+		cl := dialTest(t, dial, serveTest(t, NewServerBackend(be), nil), 5*time.Second)
+		for burst := 0; burst < 8; burst++ {
+			key := func(verb string) string { return fmt.Sprintf("b%d-%s", burst, verb) }
+			v := bytes.Repeat([]byte{byte('a' + burst)}, 32)
+			for _, err := range []error{
+				cl.Set(&Item{Key: key("set"), Value: v, Flags: uint32(burst)}),
+				cl.SetPinned(&Item{Key: key("setp"), Value: v}),
+				cl.Add(&Item{Key: key("add"), Value: v}),
+				cl.Replace(&Item{Key: key("set"), Value: v}),
+				cl.Append(key("set"), v),
+				cl.Prepend(key("set"), v),
+				cl.Set(&Item{Key: key("num"), Value: []byte("7")}),
+				cl.Touch(key("add"), 0),
+				cl.Delete(key("setp")),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := cl.Incr(key("num"), 1); err != nil {
+				t.Fatal(err)
+			}
+			got, err := cl.GetsMulti([]string{key("add")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.CompareAndSwap(&Item{Key: key("add"), Value: v, CAS: got[key("add")].CAS}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		be.mu.Lock()
+		defer be.mu.Unlock()
+		for i, it := range be.kept {
+			if sent := be.sent[i]; it.Key != sent.Key || !bytes.Equal(it.Value, sent.Value) || it.Flags != sent.Flags || it.CAS != sent.CAS {
+				t.Errorf("write %d changed after its request: kept %q %q, handed %q %q", i, it.Key, it.Value, sent.Key, sent.Value)
+			}
 		}
 	})
 }

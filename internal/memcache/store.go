@@ -18,6 +18,11 @@ const defaultShards = 16
 // stored value size plus a fixed per-entry overhead, mirroring how
 // memcached accounts slab memory. Pinning support is exposed so an
 // RnB deployment can pin distinguished copies (§III-C-1).
+//
+// A write keeps none of the memory it is handed: it rules first
+// (presence, CAS token, capacity) and then copies what it stores, once
+// (keep). So a server connection hands the store views of its read
+// memory (keyView) for every verb, and a refused write costs nothing.
 type Store struct {
 	shards []storeShard
 	nowFn  func() int64  // unix seconds; replaceable for tests
@@ -86,10 +91,6 @@ func absExpiration(exp int32, now int64) int32 {
 	return exp
 }
 
-func itemCost(it *Item) int64 {
-	return int64(len(it.Key) + len(it.Value) + entryOverhead)
-}
-
 // Get returns the item for key, or ErrCacheMiss.
 func (s *Store) Get(key string) (*Item, error) {
 	it, _, err := s.get(key, s.nowFn(), false)
@@ -133,67 +134,41 @@ func (s *Store) Set(it *Item) error {
 
 // SetPinned stores the item, optionally pinning it against eviction.
 func (s *Store) SetPinned(it *Item, pinned bool) error {
-	if !validKey(it.Key) {
-		return ErrBadKey
-	}
-	if len(it.Value) > MaxValueLen {
-		return ErrTooLarge
-	}
-	stored := *it
-	stored.Expiration = absExpiration(it.Expiration, s.nowFn())
-	stored.CAS = s.nextCAS()
-	sh := s.shard(it.Key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.cache.Put(it.Key, &stored, itemCost(&stored), pinned) {
-		return ErrNotStored
-	}
-	return nil
+	return s.write(it, storeAlways, pinned)
 }
 
 // Add stores only if the key is absent (memcached "add").
 func (s *Store) Add(it *Item) error {
-	return s.setIf(it, false)
+	return s.write(it, storeIfAbsent, false)
 }
 
 // Replace stores only if the key is present (memcached "replace").
 func (s *Store) Replace(it *Item) error {
-	return s.setIf(it, true)
-}
-
-// setIf stores it only when the key's presence (an expired entry counts
-// as absent) is what the caller requires. The verdict and the store
-// happen under one hold of the shard lock, as in CompareAndSwap: a set
-// from another connection cannot land between them, so an add never
-// replaces a value newer than the absence it saw — the property round
-// 2's late write-backs rest on.
-func (s *Store) setIf(it *Item, present bool) error {
-	if !validKey(it.Key) {
-		return ErrBadKey
-	}
-	if len(it.Value) > MaxValueLen {
-		return ErrTooLarge
-	}
-	sh := s.shard(it.Key)
-	now := s.nowFn()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	existing, ok := sh.cache.Peek(it.Key)
-	if live := ok && !expired(existing, now); live != present {
-		return ErrNotStored
-	}
-	stored := *it
-	stored.Expiration = absExpiration(it.Expiration, now)
-	stored.CAS = s.nextCAS()
-	if !sh.cache.Put(it.Key, &stored, itemCost(&stored), false) {
-		return ErrNotStored
-	}
-	return nil
+	return s.write(it, storeIfPresent, false)
 }
 
 // CompareAndSwap stores only if the resident CAS token matches
 // (memcached "cas").
 func (s *Store) CompareAndSwap(it *Item) error {
+	return s.write(it, storeIfCAS, false)
+}
+
+// storeCond is what a whole-item write requires of the resident entry.
+type storeCond uint8
+
+const (
+	storeAlways    storeCond = iota // set, setp
+	storeIfAbsent                   // add
+	storeIfPresent                  // replace
+	storeIfCAS                      // cas: present, with it.CAS as its token
+)
+
+// write stores it when the resident entry meets cond (an expired entry
+// counts as absent). The verdict and the store happen under one hold of
+// the shard lock: a set from another connection cannot land between
+// them, so an add never replaces a value newer than the absence it saw —
+// the property round 2's late write-backs rest on.
+func (s *Store) write(it *Item, cond storeCond, pinned bool) error {
 	if !validKey(it.Key) {
 		return ErrBadKey
 	}
@@ -204,19 +179,39 @@ func (s *Store) CompareAndSwap(it *Item) error {
 	now := s.nowFn()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	existing, ok := sh.cache.Peek(it.Key)
-	if !ok || expired(existing, now) {
-		return ErrCacheMiss
+	if cond != storeAlways {
+		existing, ok := sh.cache.Peek(it.Key)
+		live := ok && !expired(existing, now)
+		switch {
+		case cond == storeIfCAS && !live:
+			return ErrCacheMiss
+		case cond == storeIfCAS && existing.CAS != it.CAS:
+			return ErrCASConflict
+		case cond != storeIfCAS && live != (cond == storeIfPresent):
+			return ErrNotStored
+		}
 	}
-	if existing.CAS != it.CAS {
-		return ErrCASConflict
-	}
-	stored := *it
-	stored.Expiration = absExpiration(it.Expiration, now)
-	stored.CAS = s.nextCAS()
-	if !sh.cache.Put(it.Key, &stored, itemCost(&stored), false) {
+	return s.keep(sh, it.Key, it.Value, nil, it.Flags, absExpiration(it.Expiration, now), pinned)
+}
+
+// keep is the last step of every write, under sh's lock once the write's
+// own verdict is in, and the store's one copy: the shard rules on
+// capacity first (Admits, what Put would answer), so a refused write
+// copies nothing, and an admitted one is copied into one buffer of its
+// own — the value, head then tail, capacity-clipped, then the key, a
+// view of the same buffer (keyView), which nothing writes again. The
+// caller's key and value may be views of connection memory.
+func (s *Store) keep(sh *storeShard, key string, head, tail []byte, flags uint32, exp int32, pinned bool) error {
+	n := len(head) + len(tail)
+	cost := int64(len(key) + n + entryOverhead)
+	if !sh.cache.Admits(key, cost, pinned) {
 		return ErrNotStored
 	}
+	buf := make([]byte, n+len(key))
+	copy(buf[copy(buf, head):], tail)
+	copy(buf[n:], key)
+	kept := &Item{Key: keyView(buf[n:]), Value: buf[:n:n], Flags: flags, Expiration: exp, CAS: s.nextCAS()}
+	sh.cache.Put(kept.Key, kept, cost, pinned)
 	return nil
 }
 
@@ -247,19 +242,11 @@ func (s *Store) concat(key string, data []byte, front bool) error {
 	if len(existing.Value)+len(data) > MaxValueLen {
 		return ErrTooLarge
 	}
-	merged := make([]byte, 0, len(existing.Value)+len(data))
+	head, tail := existing.Value, data
 	if front {
-		merged = append(append(merged, data...), existing.Value...)
-	} else {
-		merged = append(append(merged, existing.Value...), data...)
+		head, tail = data, existing.Value
 	}
-	updated := *existing
-	updated.Value = merged
-	updated.CAS = s.nextCAS()
-	if !sh.cache.Put(key, &updated, itemCost(&updated), false) {
-		return ErrNotStored
-	}
-	return nil
+	return s.keep(sh, key, head, tail, existing.Flags, existing.Expiration, false)
 }
 
 // errNonNumeric is Increment's refusal of a value that is not a decimal
@@ -297,11 +284,9 @@ func (s *Store) Increment(key string, delta int64) (uint64, error) {
 			next = cur - d
 		}
 	}
-	updated := *existing
-	updated.Value = []byte(strconv.FormatUint(next, 10))
-	updated.CAS = s.nextCAS()
-	if !sh.cache.Put(key, &updated, itemCost(&updated), false) {
-		return 0, ErrNotStored
+	var digits [20]byte
+	if err := s.keep(sh, key, strconv.AppendUint(digits[:0], next, 10), nil, existing.Flags, existing.Expiration, false); err != nil {
+		return 0, err
 	}
 	return next, nil
 }

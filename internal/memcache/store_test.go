@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func newTestStore() (*Store, *int64) {
@@ -421,4 +422,47 @@ func TestStoreAddNeverReplacesNewerSet(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestStoreUpdateReleasesOldValue: a kept item's key is a view of the
+// buffer its value lives in (Store.keep), and the LRU holds the key, so
+// an update must re-key the entry; otherwise every updated key would
+// hold its old value's buffer for as long as it stays resident.
+func TestStoreUpdateReleasesOldValue(t *testing.T) {
+	const number = "1000000000000000000" // numeric, and too long for the tiny allocator
+	for _, update := range []struct {
+		name string
+		fn   func(s *Store) error
+	}{
+		{"set", func(s *Store) error { return s.Set(&Item{Key: "k", Value: []byte(number)}) }},
+		{"append", func(s *Store) error { return s.Append("k", []byte("0")) }},
+		{"incr", func(s *Store) error { _, err := s.Increment("k", 1); return err }},
+	} {
+		t.Run(update.name, func(t *testing.T) {
+			s := NewStore(0)
+			if err := s.Set(&Item{Key: "k", Value: []byte(number)}); err != nil {
+				t.Fatal(err)
+			}
+			released := make(chan struct{})
+			old, err := s.Get("k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(&old.Value[0], func(*byte) { close(released) })
+			old = nil
+			if err := update.fn(s); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				runtime.GC()
+				select {
+				case <-released:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+				runtime.KeepAlive(s) // the store itself stays reachable
+			}
+			t.Fatal("the entry still holds its old value's buffer after an update")
+		})
+	}
 }

@@ -16,10 +16,13 @@ import (
 // line, and the one table turning an outcome into a reply line.
 type textServer struct {
 	// fields holds the current command line's words, reused across
-	// requests. A get's key list aliases it, and a get's words are views
-	// of the line in the read buffer (keyView), so a get line costs no
-	// string and no slice; any other line costs one string.
+	// requests. A get's key list aliases it. The words are views of the
+	// line in the read buffer (keyView), so a command line costs no
+	// string and no slice.
 	fields []string
+	// key holds a storage command's key while its data block is read:
+	// filling the read buffer can slide the line's bytes.
+	key []byte
 }
 
 // textCommands maps a verb to its command.
@@ -124,19 +127,10 @@ func (c *textServer) read(r *bufio.Reader, q *serverRequest) error {
 			q.cmd = cmd
 		}
 	}
+	args := c.fields[min(1, len(c.fields)):]
 	switch q.cmd {
 	case cmdUnknown:
 		q.bad = errUnknownCommand
-		return nil
-	case cmdGet, cmdGets:
-	default:
-		// Only a get's words may stay views of the read buffer: the store
-		// keeps the keys of the other verbs, and a storage command reads
-		// its data block over the line.
-		c.fields = appendFields(c.fields[:0], string(line))
-	}
-	args := c.fields[1:]
-	switch q.cmd {
 	case cmdGet, cmdGets:
 		q.keys = args
 		if len(args) == 0 {
@@ -205,50 +199,68 @@ func (c *textServer) readStore(r *bufio.Reader, q *serverRequest, args []string)
 			size = int(v)
 		}
 	}
-	q.item, q.bad = parseStoreLine(args, want, size)
-	if q.bad != nil {
+	if q.bad = parseStoreLine(args, want, size, &q.payload); q.bad != nil {
 		if size < 0 {
 			return nil
 		}
-		_, err := io.CopyN(io.Discard, r, int64(size)+2)
+		_, err := r.Discard(size + 2)
 		return err
 	}
-	data := make([]byte, size+2)
-	if _, err := io.ReadFull(r, data); err != nil {
+	c.key = append(c.key[:0], args[0]...)
+	data, err := readBlock(r, size+2)
+	if err != nil {
 		return err
 	}
 	if !bytes.HasSuffix(data, []byte("\r\n")) {
 		q.bad = clientError("bad data chunk")
 		return nil
 	}
-	q.item.Value = data[:size]
+	q.payload.Key, q.payload.Value = keyView(c.key), data[:size]
+	q.item = &q.payload
 	return nil
 }
 
-// parseStoreLine parses "<key> <flags> <exptime> <bytes> [cas]"; size
-// is the already-parsed byte count, negative when it did not parse.
-func parseStoreLine(args []string, want, size int) (*Item, error) {
+// readBlock reads the next n bytes off r. When they fit its buffer they
+// are a view of it, valid until the next read; only a larger block is
+// copied onto the heap.
+func readBlock(r *bufio.Reader, n int) ([]byte, error) {
+	if n > r.Size() {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	b, err := r.Peek(n)
+	if err != nil {
+		return nil, err
+	}
+	_, err = r.Discard(n)
+	return b, err
+}
+
+// parseStoreLine parses "<key> <flags> <exptime> <bytes> [cas]" into it;
+// size is the already-parsed byte count, negative when it did not parse.
+func parseStoreLine(args []string, want, size int, it *Item) error {
 	if len(args) != want {
-		return nil, badFormat
+		return badFormat
 	}
 	flags, err := parseUint(args[1], 32)
 	if err != nil {
-		return nil, clientError("bad flags")
+		return clientError("bad flags")
 	}
 	exp, err := parseInt32(args[2])
 	if err != nil {
-		return nil, clientError("bad exptime")
+		return clientError("bad exptime")
 	}
 	if size < 0 {
-		return nil, clientError("bad data chunk size")
+		return clientError("bad data chunk size")
 	}
-	it := &Item{Key: args[0], Flags: uint32(flags), Expiration: exp}
+	*it = Item{Flags: uint32(flags), Expiration: exp}
 	if want == 5 {
 		if it.CAS, err = parseUint(args[4], 64); err != nil {
-			return nil, clientError("bad cas id")
+			return clientError("bad cas id")
 		}
 	}
-	return it, nil
+	return nil
 }
 
 func (c *textServer) write(w *bufio.Writer, q *serverRequest, p *serverReply) error {
