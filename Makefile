@@ -8,10 +8,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis (internal/lint via cmd/rnblint):
-# interprocedural lock-order cycles, publish-freeze enforcement,
-# blocked-forever goroutines, lock discipline, atomic-only fields,
-# seeded RNGs. Suppress a finding with //rnblint:ignore <analyzer>
+# Repo-specific static analysis (internal/lint via cmd/rnblint): two
+# interprocedural analyzers, each kept for a bug this repo shipped —
+# lock-order cycles and sync.Cond misuse (lockorder), publish-freeze
+# enforcement (frozen). Suppress a finding with //rnblint:ignore <analyzer>
 # <reason> — the reason is mandatory, and a directive that stops
 # matching anything is itself an error. The whole-repo run carries a wall-clock budget: the suite is
 # meant to run on every push, and an analysis that creeps past

@@ -14,7 +14,7 @@
 // Suppress a finding with a trailing or preceding comment naming the
 // analyzer and a reason:
 //
-//	//rnblint:ignore blockleak the leak is the point — this test wants a parked goroutine
+//	//rnblint:ignore lockorder the self-deadlock is the point — this test wants a hung Lock
 package main
 
 import (

@@ -42,24 +42,24 @@ func runRnblint(t *testing.T, bin string, args ...string) (string, string, int) 
 
 func TestRnblintFindsViolations(t *testing.T) {
 	bin := buildRnblint(t)
-	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/seededrand/sim")
+	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/lockorder/bad")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "seededrand: global math/rand.Intn in a determinism-critical package") {
-		t.Errorf("stdout missing seededrand diagnostic:\n%s", stdout)
+	if !strings.Contains(stdout, "lockorder: lock ordering cycle: bad.left.mu -> bad.right.mu") {
+		t.Errorf("stdout missing lockorder diagnostic:\n%s", stdout)
 	}
-	if !strings.Contains(stdout, "bad.go:12:9: ") {
+	if !strings.Contains(stdout, "bad.go:27:2: ") {
 		t.Errorf("stdout missing positional prefix for the first finding:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, "rnblint: 3 issue(s)") {
+	if !strings.Contains(stderr, "rnblint: 6 issue(s)") {
 		t.Errorf("stderr missing issue count:\n%s", stderr)
 	}
 }
 
 func TestRnblintCleanPackageExitsZero(t *testing.T) {
 	bin := buildRnblint(t)
-	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/seededrand/sim/good")
+	stdout, stderr, code := runRnblint(t, bin, "./internal/lint/testdata/src/lockorder/good")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -70,13 +70,13 @@ func TestRnblintCleanPackageExitsZero(t *testing.T) {
 
 func TestRnblintOnlySubset(t *testing.T) {
 	bin := buildRnblint(t)
-	// frozen has nothing to say about the seededrand fixture, so the
+	// frozen has nothing to say about the lockorder fixture, so the
 	// subset run must be clean even though the package has violations.
-	_, _, code := runRnblint(t, bin, "-only", "frozen", "./internal/lint/testdata/src/seededrand/sim")
+	_, _, code := runRnblint(t, bin, "-only", "frozen", "./internal/lint/testdata/src/lockorder/bad")
 	if code != 0 {
 		t.Fatalf("-only frozen exit code = %d, want 0", code)
 	}
-	_, stderr, code := runRnblint(t, bin, "-only", "nosuch", "./internal/lint/testdata/src/seededrand/sim")
+	_, stderr, code := runRnblint(t, bin, "-only", "nosuch", "./internal/lint/testdata/src/lockorder/bad")
 	if code != 2 {
 		t.Fatalf("-only nosuch exit code = %d, want 2\nstderr:\n%s", code, stderr)
 	}
@@ -91,7 +91,7 @@ func TestRnblintList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit code = %d, want 0", code)
 	}
-	names := []string{"atomiconly", "blockleak", "frozen", "lockheld", "lockorder", "seededrand"}
+	names := []string{"frozen", "lockorder"}
 	for _, name := range names {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout)

@@ -15,6 +15,7 @@ import (
 	"rnb/internal/cluster"
 	"rnb/internal/core"
 	"rnb/internal/hotspot"
+	"rnb/internal/lint"
 	"rnb/internal/memcache"
 )
 
@@ -25,8 +26,9 @@ import (
 // disk, a cmd/<x> or internal/<x> directory that does not exist, or a
 // config field (PoolConfig.X, core.Options.X, ...) its type lacks, a
 // With* option package rnb does not export, a core.X that is not an
-// exported identifier of internal/core, or a Planner.X or Round2.X
-// method *core.Planner or *core.Round2 lacks.
+// exported identifier of internal/core, a Planner.X or Round2.X
+// method *core.Planner or *core.Round2 lacks, or (in README.md and
+// DESIGN.md) an rnblint analyzer lint.Analyzers does not return.
 // Deleting a harness turns every stale pointer to it into a failure
 // here instead of a surprise at the prompt.
 func TestDocsNameWhatExists(t *testing.T) {
@@ -116,6 +118,18 @@ func TestDocsNameWhatExists(t *testing.T) {
 		"Round2":  reflect.TypeOf(&core.Round2{}),
 	}
 	method := regexp.MustCompile(`\b(Planner|Round2)\.(\w+)`)
+	analyzers := map[string]bool{}
+	for _, a := range lint.Analyzers() {
+		analyzers[a.Name] = true
+	}
+	// An analyzer is named by a run of it (`rnblint -only X`), a
+	// suppression (`//rnblint:ignore X`) or its `* **X** —` bullet; the
+	// first two take comma lists.
+	analyzerRefs := []*regexp.Regexp{
+		regexp.MustCompile(`rnblint -only ([a-z,]+)`),
+		regexp.MustCompile(`//rnblint:ignore ([a-z,]+)`),
+		regexp.MustCompile(`(?m)^\* \*\*([a-z]+)\*\* —`),
+	}
 
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "METRICS.md"} {
 		text, err := os.ReadFile(doc)
@@ -162,6 +176,18 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, m := range method.FindAllSubmatch(text, -1) {
 			if _, ok := methods[string(m[1])].MethodByName(string(m[2])); !ok {
 				t.Errorf("%s names %s, which is not a method of *core.%s", doc, m[0], m[1])
+			}
+		}
+		if doc != "README.md" && doc != "DESIGN.md" {
+			continue
+		}
+		for _, re := range analyzerRefs {
+			for _, m := range re.FindAllSubmatch(text, -1) {
+				for _, name := range strings.Split(string(m[1]), ",") {
+					if !analyzers[name] {
+						t.Errorf("%s names rnblint analyzer %s (%q), which lint.Analyzers does not return", doc, name, m[0])
+					}
+				}
 			}
 		}
 	}

@@ -44,7 +44,6 @@ func TestLeakDetected(t *testing.T) {
 		leakcheck.Check(t)
 		hang := make(chan struct{})
 		go func() {
-			//rnblint:ignore blockleak the leak is the point — this goroutine must park forever so the subprocess run fails with a leakcheck report
 			<-hang // leaks: nothing ever closes hang
 		}()
 		return

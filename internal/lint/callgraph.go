@@ -47,7 +47,6 @@ type CallSite struct {
 // FuncNode is one declared function or method with a body.
 type FuncNode struct {
 	Key  FuncKey
-	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
 	// Calls lists the resolved call sites in source order.
@@ -89,7 +88,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				}
 				g.Nodes[key] = &FuncNode{
 					Key:   key,
-					Fn:    fn,
 					Decl:  fd,
 					Pkg:   pkg,
 					Calls: collectCalls(pkg, fd),

@@ -1,24 +1,21 @@
 // Package lint is a small, stdlib-only static-analysis framework plus
-// the suite of analyzers that machine-check this repository's
-// concurrency, determinism, and observability invariants (run by
-// cmd/rnblint, wired into `make ci`).
+// the analyzers that machine-check this repository's concurrency
+// invariants (run by cmd/rnblint, wired into `make ci`).
 //
 // The framework loads packages with go/parser, type-checks them with
 // go/types against compiler export data (load.go), runs each Analyzer
 // over every loaded compilation unit, and filters the diagnostics
 // through //rnblint:ignore suppression directives.
 //
-// Two analyzer generations coexist. The first-generation checks
-// (lockheld, atomiconly, seededrand) are intraprocedural AST passes.
-// The second generation (lockorder, frozen, blockleak) is
-// interprocedural: callgraph.go builds a static call graph over every
-// loaded unit and facts.go runs per-function summary computations
-// bottom-up over its strongly connected components, the way
-// go/analysis facts flow between packages — so a lock acquired three
-// calls deep, or a frozen-type mutation hidden in a helper, is visible
-// at the outermost call site. The flow-sensitive ones (lockheld,
-// lockorder, frozen) share one statement walker (walk.go). All
-// analyzers are best-effort by design: they encode the specific
+// Both analyzers, lockorder and frozen, are interprocedural and each
+// exists because it catches a bug this repo shipped (regress_test.go):
+// callgraph.go builds a static call graph over every loaded unit and
+// facts.go runs per-function summary computations bottom-up over its
+// strongly connected components, the way go/analysis facts flow
+// between packages — so a lock acquired three calls deep, or a
+// frozen-type mutation hidden in a helper, is visible at the outermost
+// call site. Both are flow-sensitive and share one statement walker
+// (walk.go). They are best-effort by design: they encode the specific
 // invariants this codebase relies on, not general-purpose soundness.
 package lint
 
@@ -43,10 +40,9 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one invariant checker. Run receives a Pass holding every
-// loaded compilation unit at once (some analyzers, like atomiconly,
-// need a whole-program collection pass before they can judge a single
-// use; the interprocedural ones share the Pass's call graph) and
-// reports findings through pass.Report.
+// loaded compilation unit at once (the analyzers judge whole-program
+// call chains through the Pass's shared call graph) and reports
+// findings through pass.Report.
 type Analyzer struct {
 	Name string
 	// Doc is a one-line description of the enforced invariant.
@@ -87,12 +83,8 @@ type ReportFunc func(pkg *Package, pos token.Pos, format string, args ...any)
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AtomicOnly,
-		BlockLeak,
 		Frozen,
-		LockHeld,
 		LockOrder,
-		SeededRand,
 	}
 }
 

@@ -89,7 +89,8 @@ func collectWants(t *testing.T, pkgs []*Package) map[string][]*expectation {
 // must be expected, and every expectation must fire. The good packages
 // carry no want comments, so any finding there fails the test.
 func TestAnalyzersGolden(t *testing.T) {
-	pkgs, err := Load(".", fixtureDirs(t, "suppress")...)
+	dirs := fixtureDirs(t, "suppress")
+	pkgs, err := Load(".", dirs...)
 	if err != nil {
 		t.Fatalf("load fixtures: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestAnalyzersGolden(t *testing.T) {
 	}
 
 	wants := collectWants(t, pkgs)
-	if len(pkgs) < 10 || len(wants) == 0 {
+	if len(pkgs) < len(dirs) || len(wants) == 0 {
 		t.Fatalf("fixture load looks wrong: %d packages, %d want lines", len(pkgs), len(wants))
 	}
 	for _, d := range Run(pkgs, Analyzers()) {
@@ -136,7 +137,7 @@ func claimWant(exps []*expectation, analyzer, message string) bool {
 // TestSuppressionDirectives loads the suppress fixture, whose
 // expectations cannot live in want comments (malformed-directive
 // diagnostics land on comment-only lines). It checks that well-formed
-// directives silence the lockheld findings they cover, and that each
+// directives silence the lockorder findings they cover, and that each
 // malformed form — bare, unknown analyzer, missing reason — is itself
 // reported and suppresses nothing.
 func TestSuppressionDirectives(t *testing.T) {
@@ -149,21 +150,21 @@ func TestSuppressionDirectives(t *testing.T) {
 		t.Logf("diagnostic: %s", d)
 	}
 
-	var rnblint, lockheld int
+	var rnblint, lockorder int
 	for _, d := range diags {
 		switch d.Analyzer {
 		case "rnblint":
 			rnblint++
-		case "lockheld":
-			lockheld++
+		case "lockorder":
+			lockorder++
 		default:
 			t.Errorf("unexpected analyzer %q: %s", d.Analyzer, d)
 		}
 	}
-	// Three well-formed suppressions silence three of the six lockheld
+	// Three well-formed suppressions silence three of the six lockorder
 	// findings; the three under malformed directives survive.
-	if lockheld != 3 {
-		t.Errorf("got %d lockheld diagnostics, want 3 (malformed directives must not suppress)", lockheld)
+	if lockorder != 3 {
+		t.Errorf("got %d lockorder diagnostics, want 3 (malformed directives must not suppress)", lockorder)
 	}
 	// One rnblint diagnostic per malformed directive, plus one for the
 	// well-formed directive that suppresses nothing.
@@ -194,11 +195,11 @@ func hasDiag(diags []Diagnostic, analyzer, substr string) bool {
 // TestByName covers analyzer selection, including the unknown-name
 // error path used by cmd/rnblint's -only flag.
 func TestByName(t *testing.T) {
-	got, err := ByName([]string{"frozen", "lockheld"})
+	got, err := ByName([]string{"lockorder", "frozen"})
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
 	}
-	if len(got) != 2 || got[0].Name != "frozen" || got[1].Name != "lockheld" {
+	if len(got) != 2 || got[0].Name != "lockorder" || got[1].Name != "frozen" {
 		t.Fatalf("ByName returned wrong analyzers: %v", got)
 	}
 	if _, err := ByName([]string{"nosuch"}); err == nil {

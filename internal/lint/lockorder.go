@@ -112,14 +112,15 @@ func runLockOrder(pass *Pass) {
 	lo.reportCycles()
 }
 
-// orderHooks implements lockHooks for the edge/Cond pass.
+// orderHooks receives lockFlow's events for the edge/Cond pass. Every
+// hook gets the held set at the event point.
 type orderHooks struct {
 	lo  *lockOrder
 	pkg *Package
 }
 
-func (h *orderHooks) blocking(pos token.Pos, label string, held heldSet) {}
-
+// acquire fires just before a sync.Mutex/RWMutex Lock or RLock takes
+// effect; held is the set already held at that point.
 func (h *orderHooks) acquire(recv ast.Expr, op string, call *ast.CallExpr, held heldSet) {
 	id, owner := lockIdent(h.pkg, recv)
 	if id == "" {
@@ -138,6 +139,10 @@ func (h *orderHooks) acquire(recv ast.Expr, op string, call *ast.CallExpr, held 
 	h.addHeldEdges(held, id, call.Pos())
 }
 
+// call fires at every synchronous call expression (mutex ops, `go`
+// calls, and deferred calls excluded). inLoop reports whether the call
+// sits inside a for/range body of the same function — the lexical
+// signal the Cond.Wait recheck rule keys on.
 func (h *orderHooks) call(call *ast.CallExpr, held heldSet, inLoop bool) {
 	h.checkCond(call, held, inLoop)
 	if len(held) == 0 {
@@ -396,7 +401,7 @@ func (lo *lockOrder) reportCycle(comp []string) {
 // guard matching but excluded (global=false) from the acquisition
 // graph, where cross-function identity would be meaningless. owner is
 // the package a global identity belongs to, nil for locals. sync.Cond
-// and channel identities (blockleak) follow the same rules.
+// identities follow the same rules.
 func lockIdent(pkg *Package, e ast.Expr) (id string, owner *types.Package) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:

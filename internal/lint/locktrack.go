@@ -7,32 +7,16 @@ import (
 	"maps"
 )
 
-// lockFlow is the flow (walk.go) shared by lockheld and lockorder: it
-// threads a held-mutex set through a function body — a path that
-// unlocks and returns does not poison the code after its branch — and
-// fires hooks at mutex acquisitions, blocking operations, and call
-// sites. Function literals start with a clean slate: they run at some
-// other time, under some other goroutine's locks.
+// lockFlow is lockorder's flow (walk.go): it threads a held-mutex set
+// through a function body — a path that unlocks and returns does not
+// poison the code after its branch — and fires hooks at mutex
+// acquisitions and call sites. Function literals start with a clean
+// slate: they run at some other time, under some other goroutine's
+// locks.
 type lockFlow struct {
 	pkg   *Package
-	hooks lockHooks
+	hooks *orderHooks
 	depth int // current for/range nesting depth, literals reset it
-}
-
-// lockHooks receives the walker's events. Every hook gets the held set
-// at the event point; hooks decide what held-state means.
-type lockHooks interface {
-	// acquire fires just before a sync.Mutex/RWMutex Lock or RLock
-	// takes effect; held is the set already held at that point.
-	acquire(recv ast.Expr, op string, call *ast.CallExpr, held heldSet)
-	// blocking fires at channel sends and receives, blocking selects,
-	// and ranges over channels.
-	blocking(pos token.Pos, label string, held heldSet)
-	// call fires at every synchronous call expression (mutex ops, `go`
-	// calls, and deferred calls excluded). inLoop reports whether the
-	// call sits inside a for/range body of the same function — the
-	// lexical signal lockorder's Cond.Wait recheck rule keys on.
-	call(call *ast.CallExpr, held heldSet, inLoop bool)
 }
 
 // heldLock records one held mutex: where it was locked and the
@@ -89,8 +73,8 @@ func (l *lockFlow) loop(body []ast.Stmt, post ast.Stmt, held heldSet) heldSet {
 	return held.intersect(walkOpt(l, post, out))
 }
 
-// comm skips a select arm's communication: the select itself is the
-// blocking operation.
+// comm skips a select arm's communication: a call made there is not
+// tracked.
 func (l *lockFlow) comm(s ast.Stmt, held heldSet) heldSet { return held }
 
 func (l *lockFlow) stmt(s ast.Stmt, held heldSet) heldSet {
@@ -122,21 +106,6 @@ func (l *lockFlow) stmt(s ast.Stmt, held heldSet) heldSet {
 		}
 		for _, a := range s.Call.Args {
 			l.expr(a, held)
-		}
-	case *ast.SendStmt:
-		l.hooks.blocking(s.Pos(), "channel send", held)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if c.(*ast.CommClause).Comm == nil {
-				return held
-			}
-		}
-		l.hooks.blocking(s.Pos(), "blocking select", held)
-	case *ast.RangeStmt:
-		if tv, ok := l.pkg.Info.Types[s.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				l.hooks.blocking(s.Pos(), "range over channel", held)
-			}
 		}
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
@@ -198,8 +167,8 @@ func mutexRecv(call *ast.CallExpr) ast.Expr {
 	return call.Fun
 }
 
-// expr walks an expression firing receive/call hooks. Function
-// literals start with a clean slate.
+// expr walks an expression firing call hooks. Function literals start
+// with a clean slate.
 func (l *lockFlow) expr(e ast.Expr, held heldSet) {
 	if e == nil {
 		return
@@ -209,10 +178,6 @@ func (l *lockFlow) expr(e ast.Expr, held heldSet) {
 		case *ast.FuncLit:
 			l.walkLit(n)
 			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				l.hooks.blocking(n.Pos(), "channel receive", held)
-			}
 		case *ast.CallExpr:
 			l.hooks.call(n, held, l.depth > 0)
 		}

@@ -9,8 +9,10 @@ import (
 // that actually shipped in this repo and asserts the suite still
 // catches each one. These fixtures are the analyzers' reason to exist:
 // if a refactor of the framework ever stops flagging them, that is a
-// regression no matter how green everything else is. CI runs this as
-// its own "regression lint" step (make lint-regress).
+// regression no matter how green everything else is. An analyzer
+// without a row here has never caught a shipped bug and fails the test:
+// it must earn a fixture or be deleted. CI runs this as its own
+// "regression lint" step (make lint-regress).
 func TestHistoricalRegressions(t *testing.T) {
 	cases := []struct {
 		name     string // historical bug, for the failure message
@@ -42,6 +44,15 @@ func TestHistoricalRegressions(t *testing.T) {
 				"write to field base of a published setbase.placement value",
 			},
 		},
+	}
+	covered := make(map[string]bool)
+	for _, tc := range cases {
+		covered[tc.analyzer] = true
+	}
+	for _, a := range Analyzers() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no historical-bug fixture: distill the shipped bug it caught, or delete it", a.Name)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {

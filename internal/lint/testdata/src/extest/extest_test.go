@@ -6,21 +6,19 @@ package extest_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"rnb/internal/lint/testdata/src/extest"
 )
 
 var mu sync.Mutex
 
-func settle() {
+func relock() {
 	mu.Lock()
 	defer mu.Unlock()
-	time.Sleep(time.Millisecond) // want lockheld "time.Sleep while mu is held"
+	mu.Lock() // want lockorder "guaranteed self-deadlock"
 }
 
 func TestDouble(t *testing.T) {
-	settle()
 	if got := extest.Double(2); got != 4 {
 		t.Fatalf("Double(2) = %d, want 4", got)
 	}

@@ -71,16 +71,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
-// namedTypePkgPath returns the declaring package path of t's named
-// type (behind pointers), or "".
-func namedTypePkgPath(t types.Type) string {
-	n := namedOf(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path()
-}
-
 // pkgLevel reports whether v is declared at package scope.
 func pkgLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()

@@ -6,9 +6,9 @@ import "go/ast"
 // state it threads through the body and what happens to that state at
 // simple statements and expressions. The walker owns the other half,
 // the shape of the code: sequencing, the arms of if/switch/select, and
-// handing each loop to the flow. lockheld and lockorder thread a
-// held-mutex set that joins by intersection (lockFlow, locktrack.go);
-// frozen threads variable statuses that join by union (frozen.go).
+// handing each loop to the flow. lockorder threads a held-mutex set
+// that joins by intersection (lockFlow, locktrack.go); frozen threads
+// variable statuses that join by union (frozen.go).
 type flow[S any] interface {
 	// fork copies a state for one arm of a branch.
 	fork(S) S
