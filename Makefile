@@ -72,12 +72,14 @@ chaos-resize:
 # uncollected); then the write-back queue's, which writers take under
 # the write mutex they share with pipelined callers; then the four
 # lifetime tests, since a request's keys and values are views of the
-# connection's read memory that the next read overwrites.
+# connection's read memory that the next read overwrites, and the two
+# reply-window tests, since a multi-get's transactions decode into
+# windows of one item array, possibly on another caller's goroutine.
 stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
 	$(GO) test -race -count=2 -run 'TestPool|TestBinaryPool' ./internal/memcache
 	$(GO) test -race -count=2 -run 'TestWriteBack|TestAddLater' . ./internal/memcache
-	$(GO) test -race -count=2 -run 'TestServerCopiesKeysForOtherBackends|TestStoreNeverKeepsAliasedKey|TestServerCopiesItemsForOtherBackends|TestStoreNeverKeepsAliasedValue' ./internal/memcache
+	$(GO) test -race -count=2 -run 'TestServerCopiesKeysForOtherBackends|TestStoreNeverKeepsAliasedKey|TestServerCopiesItemsForOtherBackends|TestStoreNeverKeepsAliasedValue|TestReplyWindowIsolation|TestReplyWindowReadAhead' ./internal/memcache
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
 # transport, server, planner and client hot paths: text/binary

@@ -121,12 +121,13 @@ func (s *slot) verdict(err error) {
 	}
 }
 
-// send starts a multi-get on the slot's server, in flight until collect
+// send starts a multi-get on the slot's server, its hits going into the
+// window into (see memcache.Client.SendGet), in flight until collect
 // takes the breaker verdict on it. On a slot already closed it fails,
 // its connection closed, and collect reports that.
-func (s *slot) send(tc obs.TraceContext, keys []string, h *memcache.Pending) {
+func (s *slot) send(tc obs.TraceContext, keys []string, into []Item, h *memcache.Pending) {
 	s.inflight.Add(1)
-	s.conn.SendGet(tc, keys, h)
+	s.conn.SendGet(tc, keys, into, h)
 }
 
 func (s *slot) collect(h *memcache.Pending) (items []Item, queueNS int64, st *obs.ServerTimings, err error) {

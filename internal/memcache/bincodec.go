@@ -95,7 +95,7 @@ func (binCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
 	opcode := binOpcodes[q.cmd]
 	switch q.cmd {
 	case cmdGet, cmdGets:
-		if p.items, err = readBinMultiGet(r, q.keyList()); err != nil || !q.traced {
+		if p.items, err = readBinMultiGet(r, q.keyList(), q.into...); err != nil || !q.traced {
 			return err
 		}
 		st := new(obs.ServerTimings)
@@ -230,15 +230,16 @@ func writeBinMultiGetCmd(w *bufio.Writer, keys []string) error {
 
 // readBinMultiGet consumes quiet-get responses until the terminating
 // Noop and returns the hits, in reply order, decoded into one replySlab
-// like the text codec's: quiet-get i carried opaque i, so a hit borrows
-// keys[opaque] as its key string when the server echoed that key.
+// (and into, when given) like the text codec's: quiet-get i carried
+// opaque i, so a hit borrows keys[opaque] as its key string when the
+// server echoed that key.
 // Misses are silent (that is the point of GetKQ); an errored quiet get
 // consumed a complete frame and counts as a miss. Frames violating the
 // expected shape — wrong opcode, opaque out of range or out of order,
 // corrupt lengths — are conn-fatal.
-func readBinMultiGet(r *bufio.Reader, keys []string) ([]Item, error) {
+func readBinMultiGet(r *bufio.Reader, keys []string, into ...Item) ([]Item, error) {
 	n := len(keys)
-	s := replySlab{keys: keys}
+	s := replySlab{keys: keys, items: into}
 	var h binHeader
 	last := -1
 	for {

@@ -55,7 +55,7 @@ func (textCodec) encode(w *bufio.Writer, q *request) error {
 func (textCodec) decode(r *bufio.Reader, q *request, p *reply) (err error) {
 	switch q.cmd {
 	case cmdGet, cmdGets:
-		if p.items, err = readValues(r, q.cmd == cmdGets, q.keyList()); err != nil || !q.traced {
+		if p.items, err = readValues(r, q.cmd == cmdGets, q.keyList(), q.into...); err != nil || !q.traced {
 			return err
 		}
 		st := new(obs.ServerTimings)
@@ -180,11 +180,13 @@ func writeKeysCmd(w *bufio.Writer, verb string, keys []string) error {
 // readValues consumes VALUE blocks until END and returns the hits, in
 // reply order, decoded into one replySlab: the items of one reply share
 // an array and a value arena. keys is the request's key list; a hit it
-// does not name still decodes, with a key string of its own. Any framing
+// does not name still decodes, with a key string of its own. The hits
+// are appended to into, the request's window (see SendGet), while they
+// fit; with none given they get an array of their own. Any framing
 // violation is conn-fatal: once a VALUE header fails to parse the stream
 // position is unknown.
-func readValues(r *bufio.Reader, withCAS bool, keys []string) ([]Item, error) {
-	s := replySlab{keys: keys}
+func readValues(r *bufio.Reader, withCAS bool, keys []string, into ...Item) ([]Item, error) {
+	s := replySlab{keys: keys, items: into}
 	for {
 		line, err := readClientLine(r)
 		if err != nil {

@@ -81,6 +81,7 @@ type request struct {
 	cmd   command
 	key   string   // single-key commands, Get included
 	keys  []string // multi-gets; nil for a single-key Get
+	into  []Item   // get, gets: where the hits go while they fit (see SendGet); nil for an array of their own
 	item  *Item    // storage commands
 	delta uint64   // incr, decr
 	exp   int32    // touch
@@ -195,11 +196,23 @@ func (p *Client) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]
 // may send to many servers before it collects any reply: a reply is read
 // by whichever caller collects on its connection first, so no order of
 // collects can deadlock (see pconn).
-func (p *Client) SendGet(tc obs.TraceContext, keys []string, h *Pending) {
+//
+// into, when not nil, is where the reply's items go: they are appended
+// to it while they fit (give it length 0 and a capacity of len(keys),
+// which holds any well-behaved reply), so a caller fanning out to many
+// servers can give every transaction a window of one array. The reader
+// may be another caller's goroutine, so windows of one array must not
+// overlap: a 3-index slice (items[from:from:to]) makes a reply that
+// outruns its request grow by reallocation instead of into its
+// neighbour. A replay after the connection died decodes into an array
+// of its own. With into nil the reply gets an array of its own, as
+// GetMulti's does.
+func (p *Client) SendGet(tc obs.TraceContext, keys []string, into []Item, h *Pending) {
 	*h = Pending{}
 	if len(keys) > 0 {
 		var q request
 		if q, h.err = p.getRequest(cmdGet, tc, keys); h.err == nil {
+			q.into = into
 			p.send(&q, h, false)
 		}
 	}
@@ -210,9 +223,10 @@ func (p *Client) SendGet(tc obs.TraceContext, keys []string, h *Pending) {
 // server sent them (request order on a well-behaved server, which may
 // still repeat or add keys), the client-side queue wait in nanoseconds,
 // and the server's phase timings — nil when the server did not negotiate
-// tracing. The items share one backing array and one value arena, so a
-// caller that merges &items[i] into its own result builds nothing per
-// transaction.
+// tracing. The items live in the window SendGet was given (or in an
+// array of their own, when it was nil or the reply outran it) and share
+// one value arena, so a caller that merges &items[i] into its own result
+// builds nothing per transaction.
 func (h *Pending) Collect() ([]Item, int64, *obs.ServerTimings, error) {
 	if h.p == nil { // refused before the wire, or no keys
 		return nil, 0, nil, h.err

@@ -647,8 +647,10 @@ func (c *pconn) give(s *poolRequest, rep *reply, q *request) error {
 	err := s.err
 	*rep = s.reply
 	if IsConnFatal(err) {
+		// The replay decodes into fresh memory: the dead slot's reader
+		// may have left part of a reply in the caller's window.
 		*q = s.request
-		q.carried = 0
+		q.carried, q.into = 0, nil
 	}
 	*s = poolRequest{next: c.free, wake: s.wake}
 	c.free = s

@@ -66,8 +66,8 @@ func TestPoolCrossedCollects(t *testing.T) {
 							first, second := servers[caller], servers[1-caller]
 							for r := 0; r < tc.rounds; r++ {
 								var h [2]Pending
-								first.SendGet(obs.TraceContext{}, keys, &h[0])
-								second.SendGet(obs.TraceContext{}, keys, &h[1])
+								first.SendGet(obs.TraceContext{}, keys, nil, &h[0])
+								second.SendGet(obs.TraceContext{}, keys, nil, &h[1])
 								for j := range h {
 									i := j
 									if caller == 1 {
@@ -160,14 +160,14 @@ func TestPoolWriteBehindReader(t *testing.T) {
 			c := firstConn(t, p)
 
 			var r, b, w Pending
-			p.SendGet(obs.TraceContext{}, []string{"own"}, &r)
+			p.SendGet(obs.TraceContext{}, []string{"own"}, nil, &r)
 			rdone := make(chan error, 1)
 			go func() { _, _, _, err := r.Collect(); rdone <- err }()
 			waitFor(t, "the reader to take the role", locked(c, func() bool { return c.reading }))
-			p.SendGet(obs.TraceContext{}, big, &b) // the busy owner's, written behind the reader
+			p.SendGet(obs.TraceContext{}, big, nil, &b) // the busy owner's, written behind the reader
 			wdone := make(chan error, 1)
 			go func() {
-				p.SendGet(obs.TraceContext{}, huge, &w)
+				p.SendGet(obs.TraceContext{}, huge, nil, &w)
 				_, _, _, err := w.Collect()
 				wdone <- err
 			}()
@@ -214,12 +214,12 @@ func TestPoolCollectorReadsForOthers(t *testing.T) {
 			p := newTestPool(t, addr, PoolConfig{Size: 1, Binary: binary})
 			c := firstConn(t, p)
 			var r, a, b Pending
-			p.SendGet(obs.TraceContext{}, []string{"r"}, &r)
+			p.SendGet(obs.TraceContext{}, []string{"r"}, nil, &r)
 			rdone := make(chan error, 1)
 			go func() { _, _, _, err := r.Collect(); rdone <- err }()
 			waitFor(t, "the reader to take the role", locked(c, func() bool { return c.reading }))
-			p.SendGet(obs.TraceContext{}, []string{"a"}, &a)
-			p.SendGet(obs.TraceContext{}, []string{"b"}, &b)
+			p.SendGet(obs.TraceContext{}, []string{"a"}, nil, &a)
+			p.SendGet(obs.TraceContext{}, []string{"b"}, nil, &b)
 			openGate(rGate)
 			if err := <-rdone; err != nil {
 				t.Fatal(err)
@@ -267,7 +267,7 @@ func TestPoolKilledBetweenSendAndCollect(t *testing.T) {
 					t.Fatal(err)
 				}
 				var h Pending
-				p.SendGet(obs.TraceContext{}, []string{"k"}, &h)
+				p.SendGet(obs.TraceContext{}, []string{"k"}, nil, &h)
 				waitFor(t, "the connection to reset", func() bool { return in.Stats().Resets == 1 })
 				appendErr := p.Append("log", []byte("a;"))
 				if items, _, _, err := h.Collect(); err != nil || len(items) != 1 || string(items[0].Value) != "v" {
@@ -301,7 +301,7 @@ func TestPoolCloseWithUncollected(t *testing.T) {
 				t.Fatal(err)
 			}
 			var h Pending
-			p.SendGet(obs.TraceContext{}, []string{"k"}, &h)
+			p.SendGet(obs.TraceContext{}, []string{"k"}, nil, &h)
 			closed := make(chan struct{})
 			go func() { p.Close(); close(closed) }()
 			select {

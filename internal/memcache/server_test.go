@@ -590,7 +590,7 @@ func TestServerCopiesKeysForOtherBackends(t *testing.T) {
 			for i := range gets {
 				keys := []string{fmt.Sprintf("b%d-g%d-x", burst, i), fmt.Sprintf("b%d-g%d-y", burst, i)}
 				sent = append(sent, keys...)
-				cl.SendGet(obs.TraceContext{}, keys, &gets[i])
+				cl.SendGet(obs.TraceContext{}, keys, nil, &gets[i])
 			}
 			for i := range gets {
 				if _, _, _, err := gets[i].Collect(); err != nil {
@@ -633,8 +633,8 @@ func TestStoreNeverKeepsAliasedKey(t *testing.T) {
 		now.Add(60) // every old key has expired
 		for i := 0; i < 16; i++ {
 			var gets [2]Pending
-			cl.SendGet(obs.TraceContext{}, []string{key("old", i), key("live", i)}, &gets[0])
-			cl.SendGet(obs.TraceContext{}, []string{key("live", 15-i), key("old", 15-i)}, &gets[1])
+			cl.SendGet(obs.TraceContext{}, []string{key("old", i), key("live", i)}, nil, &gets[0])
+			cl.SendGet(obs.TraceContext{}, []string{key("live", 15-i), key("old", 15-i)}, nil, &gets[1])
 			for j := range gets {
 				if _, _, _, err := gets[j].Collect(); err != nil {
 					t.Fatal(err)

@@ -4,14 +4,16 @@ import "bufio"
 
 // replySlab is the memory one get reply is decoded into, shared by both
 // codecs so that a k-item reply costs a constant number of allocations
-// instead of three per hit: one []Item sized by the request, key
-// strings borrowed from the request itself, and values carved out of
-// one arena. Nothing here reads a wire header: the caller has checked a
-// length against the protocol's caps before asking for memory, and the
-// arena is sized only by bytes that have already arrived.
+// instead of three per hit: one []Item sized by the request (or none,
+// when the caller handed the request a window of its own array — see
+// SendGet), key strings borrowed from the request itself, and values
+// carved out of one arena. Nothing here reads a wire header: the caller
+// has checked a length against the protocol's caps before asking for
+// memory, and the arena is sized only by bytes that have already
+// arrived.
 type replySlab struct {
 	keys  []string // the request's keys, in request order
-	items []Item   // the hits so far, in reply order
+	items []Item   // the hits so far, in reply order; starts as the request's window, if any
 	arena []byte   // the unused rest of the current value arena
 	cur   int      // text: the first request key not answered yet
 }
@@ -38,7 +40,7 @@ func (s *replySlab) add(guess int, key []byte) *Item {
 	if s.items == nil {
 		s.items = make([]Item, 0, len(s.keys))
 	}
-	s.items = append(s.items, Item{}) // grows only when the reply outruns the request
+	s.items = append(s.items, Item{}) // reallocates only when the reply outruns the request (never into a neighbouring window)
 	it := &s.items[len(s.items)-1]
 	if guess >= 0 && s.keys[guess] == string(key) {
 		it.Key = s.keys[guess]

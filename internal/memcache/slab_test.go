@@ -392,7 +392,7 @@ func TestSlabKeysSurviveCallerReuse(t *testing.T) {
 			}
 		}
 		var h Pending
-		cl.SendGet(obs.TraceContext{}, keys, &h)
+		cl.SendGet(obs.TraceContext{}, keys, nil, &h)
 		items, _, _, err := h.Collect()
 		if err != nil || len(items) != 2 {
 			t.Fatalf("%d items, err %v", len(items), err)

@@ -3,6 +3,7 @@ package obs
 import (
 	"log"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,9 +159,13 @@ func (r *Recorder) ShouldTrace() bool {
 }
 
 // Finish records a completed span: phase histograms, OnFinish (traced
-// spans only, before any copy), the slow rule, then one copy of the
-// span — RTT backing array included, so the caller may reuse its own —
-// stored under whichever retention rules want it.
+// spans only, before any copy), the slow rule, then a copy of the span
+// under each retention rule that wants it, RTT stamps included, so the
+// caller may reuse its own array. The recent ring copies the stamps into
+// the array its slot already owns (the evicted span's), so a steady
+// stream of spans costs it nothing; the slow ring and the reservoir keep
+// a copy of their own, made only when it is kept, which nothing writes
+// again. Readers get copies (Requests, Trace), never a slot's array.
 func (r *Recorder) Finish(sp *Span) {
 	r.Total.ObserveNS(sp.TotalNS)
 	r.Plan.ObserveNS(sp.PlanNS)
@@ -184,35 +189,50 @@ func (r *Recorder) Finish(sp *Span) {
 	if r.recentCap == 0 && !slow && !sample {
 		return
 	}
-	cp := *sp
-	cp.RTTs = append([]TxnRTT(nil), sp.RTTs...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recent.push(cp)
+	if slot := r.recent.next(); slot != nil {
+		rtts := append(slot.RTTs[:0], sp.RTTs...)
+		*slot = *sp
+		slot.RTTs = rtts
+	}
 	switch {
 	case slow:
-		r.slow.push(cp)
+		r.slow.push(owned(sp))
 	case sample:
 		r.resSeen++
 		if len(r.res) < r.resCap {
-			r.res = append(r.res, cp)
+			r.res = append(r.res, owned(sp))
 			r.keptRes.Add(1)
 		} else if j := r.rng.Int63n(int64(r.resSeen)); j < int64(r.resCap) {
-			r.res[j] = cp
+			r.res[j] = owned(sp)
 			r.keptRes.Add(1)
 		}
 	}
 }
 
-// Requests dumps the flight recorder, newest span first.
+// owned copies sp with an RTT array of its own.
+func owned(sp *Span) Span {
+	cp := *sp
+	cp.RTTs = slices.Clone(sp.RTTs)
+	return cp
+}
+
+// Requests dumps the flight recorder, newest span first, RTT stamps
+// copied out: the ring reuses a slot's array once it wraps.
 func (r *Recorder) Requests() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.recent.newestFirst()
+	out := r.recent.newestFirst()
+	for i := range out {
+		out[i].RTTs = slices.Clone(out[i].RTTs)
+	}
+	return out
 }
 
 // Traces dumps what the slow rule and the reservoir kept: the slow
-// ring newest first, then the reservoir.
+// ring newest first, then the reservoir. Their RTT arrays are their
+// own and never written again, so they are handed out as they are.
 func (r *Recorder) Traces() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -220,21 +240,29 @@ func (r *Recorder) Traces() []Span {
 }
 
 // Trace looks a trace id up in everything the recorder still holds,
-// whichever rule is holding it.
+// whichever rule is holding it — the slow ring newest first, the
+// reservoir, then the recent ring newest first — searching in place and
+// copying out only the match, RTT stamps included.
 func (r *Recorder) Trace(id uint64) (Span, bool) {
 	if id == 0 {
 		return Span{}, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, held := range [][]Span{r.slow.newestFirst(), r.res, r.recent.newestFirst()} {
-		for i := range held {
-			if held[i].TraceID == id {
-				return held[i], true
-			}
+	match := func(sp *Span) bool { return sp.TraceID == id }
+	held := r.slow.find(match)
+	for i := 0; held == nil && i < len(r.res); i++ {
+		if match(&r.res[i]) {
+			held = &r.res[i]
 		}
 	}
-	return Span{}, false
+	if held == nil {
+		held = r.recent.find(match)
+	}
+	if held == nil {
+		return Span{}, false
+	}
+	return owned(held), true
 }
 
 // SlowSeen counts finished spans at or over the slow threshold.

@@ -83,6 +83,33 @@ func TestRecorderRetention(t *testing.T) {
 			},
 		},
 		{
+			name: "what Requests and Trace return never aliases a slot",
+			check: func(t *testing.T, r *Recorder) {
+				for i := uint64(1); i <= 3; i++ {
+					r.Finish(testSpan(i, 100+i, time.Millisecond))
+				}
+				reqs := r.Requests()
+				tr, ok := r.Trace(102)
+				if len(reqs) != 3 || !ok || tr.ID != 2 {
+					t.Fatalf("Requests %d spans, Trace(102) ok=%v span=%d", len(reqs), ok, tr.ID)
+				}
+				// The ring wraps: every slot's RTT array is reused.
+				for i := uint64(0); i < DefaultRingSize+1; i++ {
+					sp := testSpan(1000+i, 0, time.Second)
+					sp.RTTs[0].Server, sp.RTTs[0].Keys = 9, 99
+					r.Finish(sp)
+				}
+				for _, sp := range append(reqs, tr) {
+					if len(sp.RTTs) != 1 || sp.RTTs[0] != (TxnRTT{Server: 0, Keys: 3, Phase: "fanout", DurNS: int64(time.Millisecond)}) {
+						t.Fatalf("span %d changed after the ring wrapped: %+v", sp.ID, sp.RTTs)
+					}
+				}
+				if _, ok := r.Trace(102); ok {
+					t.Fatal("evicted trace 102 still found")
+				}
+			},
+		},
+		{
 			name:  "head sampling takes every Nth request",
 			trace: &TraceConfig{SampleEvery: 3},
 			check: func(t *testing.T, r *Recorder) {

@@ -954,10 +954,15 @@ func newTraceID() uint64 {
 
 // fanout is the one read path behind round 1, re-plan and round 2: it
 // sends every planned transaction as one multi-get, its keys cut from
-// the request's one key array, then collects the replies on the calling
+// the request's one key array and its hits decoded into its window of
+// the round's one item array, then collects the replies on the calling
 // goroutine in plan order and hands each to merge — no goroutine, no
 // lock: whoever collects first on a connection reads it
-// (memcache.Pending). The returned slice holds the failed transactions'
+// (memcache.Pending). The windows are disjoint and capacity-clipped, so
+// a caller reading ahead on a shared connection decodes a reply only
+// into its own transaction's window, and a reply that outruns its
+// request reallocates instead of spilling into the next. The item array
+// is the caller's result memory, never pooled. The returned slice holds the failed transactions'
 // servers, which the caller adds to the request's server filter. What
 // it issued, carried and lost is counted into stats, and st's span gets
 // one round-trip stamp per transaction, in plan order. When the span is
@@ -980,6 +985,7 @@ func (c *Client) fanout(t *tier, st *multiGet, txns []core.Transaction, stats *S
 	if cap(keys) < n {
 		keys = make([]string, 0, n)
 	}
+	items := make([]Item, n)
 	for i := range txns {
 		txn, rtt, from := &txns[i], &rtts[i], len(keys)
 		for _, id := range txn.Primary {
@@ -995,7 +1001,7 @@ func (c *Client) fanout(t *tier, st *multiGet, txns []core.Transaction, stats *S
 			tc = obs.TraceContext{TraceID: sp.TraceID, Parent: rtt.SpanID}
 		}
 		rtt.OffsetNS = time.Since(sp.Start).Nanoseconds()
-		t.slots[txn.Server].send(tc, keys[from:], &sent[i])
+		t.slots[txn.Server].send(tc, keys[from:], items[from:from:len(keys)], &sent[i])
 	}
 	for i := range txns {
 		rtt := &rtts[i]
@@ -1033,11 +1039,12 @@ func mergeItems(dst map[string]*Item, src []Item) {
 // for a request and drops when it returns. Requests take one from
 // multiGetPool and give it back after finishSpan (see release), so a
 // steady stream of requests rebuilds none of it. Nothing the caller gets
-// back points into it: result items live in the replies' own arrays, and
-// key strings are the caller's.
+// back points into it: result items live in the one item array each
+// fan-out round makes for its replies (never pooled), values in the
+// replies' arenas, and key strings are the caller's.
 type multiGet struct {
 	// span is the request's lifecycle record; Recorder.Finish copies it,
-	// RTT array included.
+	// RTT stamps included, into memory the recorder owns.
 	span  obs.Span
 	ids   []uint64
 	keyOf map[uint64]string

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rnb/internal/memcache"
+	"rnb/internal/obs"
 )
 
 // startServers launches n in-process memcached servers and returns
@@ -676,5 +677,55 @@ func TestGetMultiResultsOutliveTheirRecord(t *testing.T) {
 				t.Fatalf("goroutine %d round %d, after every request: %v", g, i, err)
 			}
 		}
+	}
+}
+
+// TestGetMultiResultNeverChanges is the first executable row of the
+// oracle "no returned result changes after its request's pooled record
+// is reused", on the text lane and on the pooled binary lane: request
+// A's map is held while its keys are set to new values and more
+// multi-gets than the flight recorder has slots read them back, reusing
+// A's record, its span's RTT array in the recorder, its connections'
+// slots and their read buffers. A's keys and values must not move.
+func TestGetMultiResultNeverChanges(t *testing.T) {
+	for _, lane := range []struct {
+		name string
+		opts []Option
+	}{
+		{"text", nil},
+		{"pooled binary", []Option{WithPoolSize(4), WithBinaryProtocol()}},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
+			cl, _ := newTestClient(t, 4, append([]Option{WithReplicas(3)}, lane.opts...)...)
+			ks := keys(16)
+			for _, k := range ks {
+				if err := cl.Set(&Item{Key: k, Value: []byte("old value of " + k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, _, err := cl.GetMulti(ks)
+			if err != nil || len(a) != len(ks) {
+				t.Fatalf("request A: %d items, err %v", len(a), err)
+			}
+			for _, k := range ks {
+				if err := cl.Set(&Item{Key: k, Value: []byte("new value of " + k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < obs.DefaultRingSize+1; i++ {
+				items, _, err := cl.GetMulti(ks)
+				if err != nil || len(items) != len(ks) {
+					t.Fatalf("request %d after A: %d items, err %v", i, len(items), err)
+				}
+				if k := ks[i%len(ks)]; string(items[k].Value) != "new value of "+k {
+					t.Fatalf("request %d after A read %s = %q", i, k, items[k].Value)
+				}
+			}
+			for _, k := range ks {
+				if it := a[k]; it == nil || it.Key != k || string(it.Value) != "old value of "+k {
+					t.Errorf("A's %s changed: %+v", k, it)
+				}
+			}
+		})
 	}
 }
