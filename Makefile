@@ -55,9 +55,11 @@ chaos:
 
 # Live-elasticity suite under the race detector: the seeded resize
 # storm (membership churn + crashes under load, zero failed idempotent
-# reads, leakcheck), every other test in topology_e2e_test.go, and
-# elastic_test.go's drain regressions (boosts stay on live servers,
-# placement survives a drain and rejoin).
+# reads, leakcheck), every other test in topology_e2e_test.go (among
+# them TestResizeUnderConcurrentSets: no stale readable copy after an
+# add, a drain and a rejoin under concurrent Sets), and elastic_test.go's
+# drain regressions (the forced-drain deadline, placement survives a
+# drain and rejoin).
 chaos-resize:
 	$(GO) test -race -count=3 -run 'TestResize|TestRejoin|TestSetServers|TestAddServer|TestRemoveServer|TestTierSnapshot|TestDrain' .
 

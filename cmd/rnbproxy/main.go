@@ -15,7 +15,7 @@
 // With -topology the backend list comes from the config file (one or
 // more addresses per line; '#' comments). The file is polled (interval
 // set by -topology-poll) and every content change is applied as a live
-// resize: new servers join and warm up, removed servers drain
+// resize: new servers join empty, removed servers drain
 // gracefully, and reads never miss mid-transition. SIGHUP forces an
 // immediate re-read of the file.
 //
@@ -59,11 +59,6 @@ func main() {
 		trace       = flag.Bool("trace", false, "distributed tracing: propagate trace contexts to rnbmemd backends and keep a reservoir sample of the traces that are not slow")
 		traceSample = flag.Int("trace-sample", 1, "head-sampling rate: every Nth multi-get starts a trace (with -trace)")
 		traceDump   = flag.String("trace-dump", "", "write the slow and sampled spans as Chrome trace-event JSON to this file on shutdown (load in Perfetto)")
-
-		adaptive    = flag.Bool("adaptive", false, "adaptive hot-key replication: boost replication of keys that dominate recent traffic")
-		maxBoost    = flag.Int("adaptive-max-boost", 2, "extra replicas a hot key can earn (with -adaptive)")
-		promoteFrac = flag.Float64("adaptive-promote-frac", 0.002, "fraction of epoch traffic a key needs to be promoted (with -adaptive)")
-		epochOps    = flag.Int("adaptive-epoch-ops", 50000, "observed keys per heat epoch (with -adaptive)")
 	)
 	flag.Parse()
 	backends := flag.Args()
@@ -110,13 +105,6 @@ func main() {
 	}
 	if *noPin {
 		opts = append(opts, rnb.WithPinnedDistinguished(false))
-	}
-	if *adaptive {
-		opts = append(opts, rnb.WithAdaptiveReplication(rnb.AdaptiveConfig{
-			MaxBoost:    *maxBoost,
-			PromoteFrac: *promoteFrac,
-			EpochOps:    *epochOps,
-		}))
 	}
 	client, err := rnb.NewClient(backends, opts...)
 	if err != nil {

@@ -217,11 +217,10 @@ func startRecServers(t *testing.T, n int) ([]string, *opLog) {
 
 // TestWriteSetTable pins down the write path's contract — which server
 // an operation reaches, with what, and on which side of the
-// distinguished write — for every mutator over the three shapes a write
-// set takes: a static tier, an adaptive tier where a demoted key's
-// boosted copy may linger outside the current replica set, and an open
-// transition window where the newest epoch has its own distinguished
-// server. Roles come from the placement primitives, not from writeSet.
+// distinguished write — for every mutator over the two shapes a write
+// set takes: a static tier, and an open transition window where the
+// newest epoch has its own distinguished server. Roles come from the
+// placement primitives, not from writeSet.
 func TestWriteSetTable(t *testing.T) {
 	type shape struct {
 		name string
@@ -238,15 +237,6 @@ func TestWriteSetTable(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 	shapes = append(shapes, shape{"static", cl, log, "ws:static"})
-
-	addrs, log = startRecServers(t, 8)
-	cl, err = NewClient(addrs, WithReplicas(2),
-		WithAdaptiveReplication(AdaptiveConfig{MaxBoost: 2, PromoteFrac: 0.05, EpochOps: 1 << 30}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	shapes = append(shapes, shape{"adaptive-lingering", cl, log, "ws:adaptive"})
 
 	addrs, log = startRecServers(t, 5)
 	cl, err = NewClient(addrs[:4], WithReplicas(2), WithTransitionWindow(time.Hour))
@@ -274,64 +264,45 @@ func TestWriteSetTable(t *testing.T) {
 		name string
 		run  func(cl *Client, key string, cas uint64) error
 		// dist is the distinguished copy's op; newest the newest epoch's
-		// distinguished copy's ops; replica a current replica's; and
-		// lingering that of a copy outside the current replica set.
-		dist              string
-		newest            []string
-		replica, lingerer string
-		othersFirst       bool
+		// distinguished copy's ops; and replica every other copy's.
+		dist        string
+		newest      []string
+		replica     string
+		othersFirst bool
 	}{
 		{"Set", func(cl *Client, k string, _ uint64) error { return cl.Set(&Item{Key: k, Value: []byte("11")}) },
-			"setp", []string{"setp"}, "set", "delete", false},
+			"setp", []string{"setp"}, "set", false},
 		{"Update", func(cl *Client, k string, _ uint64) error { return cl.Update(&Item{Key: k, Value: []byte("12")}) },
-			"setp", []string{"delete", "setp"}, "delete", "delete", true},
+			"setp", []string{"delete", "setp"}, "delete", true},
 		{"UpdateCAS", func(cl *Client, k string, cas uint64) error {
 			return cl.UpdateCAS(&Item{Key: k, Value: []byte("13"), CAS: cas})
-		}, "cas", []string{"delete"}, "delete", "delete", false},
+		}, "cas", []string{"delete"}, "delete", false},
 		{"Append", func(cl *Client, k string, _ uint64) error { return cl.Append(k, []byte("0")) },
-			"append", []string{"delete"}, "delete", "delete", false},
+			"append", []string{"delete"}, "delete", false},
 		{"Prepend", func(cl *Client, k string, _ uint64) error { return cl.Prepend(k, []byte("1")) },
-			"prepend", []string{"delete"}, "delete", "delete", false},
+			"prepend", []string{"delete"}, "delete", false},
 		{"Increment", func(cl *Client, k string, _ uint64) error { _, err := cl.Increment(k, 5); return err },
-			"incr", []string{"delete"}, "delete", "delete", false},
+			"incr", []string{"delete"}, "delete", false},
 		{"Delete", func(cl *Client, k string, _ uint64) error { return cl.Delete(k) },
-			"delete", []string{"delete"}, "delete", "delete", false},
+			"delete", []string{"delete"}, "delete", false},
 		{"Touch", func(cl *Client, k string, _ uint64) error { return cl.Touch(k, 60) },
-			"touch", []string{"touch"}, "touch", "touch", false},
+			"touch", []string{"touch"}, "touch", false},
 	}
 
 	for _, sh := range shapes {
 		tr := sh.cl.cur.Load()
-		live := tr.replicas(sh.key)
-		all := live
-		if tr.adaptive != nil {
-			all = tr.adaptive.MaxReplicas(keyID(sh.key), nil)
-		}
+		all := tr.replicas(sh.key)
 		newest := -1
 		if tr.union != nil {
 			newest = tr.newest.Replicas(keyID(sh.key), nil)[0]
 		}
-		switch sh.name {
-		case "adaptive-lingering":
-			if len(all) <= len(live) {
-				t.Fatalf("%s: max-boost set %v does not extend the replica set %v", sh.name, all, live)
-			}
-		case "transition":
-			if newest < 0 || newest == live[0] || !slices.Contains(live, newest) {
-				t.Fatalf("%s: newest distinguished %d not a distinct member of the union %v", sh.name, newest, live)
-			}
+		if sh.name == "transition" && (newest < 0 || newest == all[0] || !slices.Contains(all, newest)) {
+			t.Fatalf("%s: newest distinguished %d not a distinct member of the union %v", sh.name, newest, all)
 		}
 		for _, op := range ops {
 			// Every copy present and the log empty before the operation.
 			if err := sh.cl.Set(&Item{Key: sh.key, Value: []byte("10")}); err != nil {
 				t.Fatalf("%s/%s: seeding: %v", sh.name, op.name, err)
-			}
-			for _, s := range all[len(live):] {
-				if err := sh.cl.cur.Load().slots[s].do(func(conn memcache.Conn) error {
-					return conn.Set(&Item{Key: sh.key, Value: []byte("10")})
-				}); err != nil {
-					t.Fatalf("%s/%s: planting lingering copy on %d: %v", sh.name, op.name, s, err)
-				}
 			}
 			items, err := sh.cl.GetsDistinguished([]string{sh.key})
 			if err != nil || items[sh.key] == nil {
@@ -352,10 +323,8 @@ func TestWriteSetTable(t *testing.T) {
 					want[s] = []string{op.dist}
 				case s == newest:
 					want[s] = op.newest
-				case i < len(live):
-					want[s] = []string{op.replica}
 				default:
-					want[s] = []string{op.lingerer}
+					want[s] = []string{op.replica}
 				}
 			}
 			sh.log.mu.Lock()
@@ -377,8 +346,8 @@ func TestWriteSetTable(t *testing.T) {
 				got[lo.server] = append(got[lo.server], lo.op)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: servers got %v, want %v (dist %d, live %v, all %v, newest %d)",
-					sh.name, op.name, got, want, all[0], live, all, newest)
+				t.Errorf("%s/%s: servers got %v, want %v (dist %d, all %v, newest %d)",
+					sh.name, op.name, got, want, all[0], all, newest)
 				continue
 			}
 			for _, s := range all[1:] {

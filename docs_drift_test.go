@@ -56,12 +56,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		"PoolConfig":     reflect.TypeOf(memcache.PoolConfig{}),
 		"ObsConfig":      reflect.TypeOf(rnb.ObsConfig{}),
 		"TraceConfig":    reflect.TypeOf(rnb.TraceConfig{}),
-		"AdaptiveConfig": reflect.TypeOf(rnb.AdaptiveConfig{}),
 		"hotspot.Config": reflect.TypeOf(hotspot.Config{}),
 		"core.Options":   reflect.TypeOf(core.Options{}),
 		"cluster.Config": reflect.TypeOf(cluster.Config{}),
 	}
-	field := regexp.MustCompile(`\b(PoolConfig|ObsConfig|TraceConfig|AdaptiveConfig|hotspot\.Config|core\.Options|cluster\.Config)\.(\w+)`)
+	field := regexp.MustCompile(`\b(PoolConfig|ObsConfig|TraceConfig|hotspot\.Config|core\.Options|cluster\.Config)\.(\w+)`)
 
 	// The exported names in a package's non-test sources: package rnb's
 	// functions (the With* options), and every one of internal/core's.

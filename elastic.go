@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rnb/internal/core"
 	"rnb/internal/hashring"
-	"rnb/internal/hotspot"
 	"rnb/internal/memcache"
 	"rnb/internal/obs"
 	"rnb/internal/topology"
@@ -34,13 +32,14 @@ import (
 // epoch's replica can serve stale data.
 //
 // topology.Machine is the only allocator of server indices. Each epoch's
-// ring is built from the View it stands for, every joining and active
-// member at its member index, and the slot table — the per-server
-// connection, breaker, and in-flight counter — is indexed the same
-// way: a server keeps its index for its whole life, and a server that
-// leaves and later rejoins revives its old index. Tiers share slot
-// pointers; each tier owns only the slice header, so a rejoin replacing
-// a slot is invisible to in-flight requests holding the old tier.
+// ring is built from the View it stands for, every active member at its
+// member index, and the slot table — the per-server connection,
+// breaker, and in-flight counter — is indexed the same way: a server
+// keeps its index for its whole life, and a server that leaves and
+// later rejoins revives its old index (empty: AddServer flushes it).
+// Tiers share slot pointers; each tier owns only the slice header, so a
+// rejoin replacing a slot is invisible to in-flight requests holding
+// the old tier.
 
 // errServerGone is returned by slot.do for a server whose drain has
 // completed. Plans stop naming such servers as soon as the tier swaps;
@@ -147,22 +146,15 @@ type tier struct {
 	// view is the membership roster at that epoch.
 	view topology.View
 	// placement is what the planner consults: the newest epoch's
-	// baseline, union-layered during a transition, adaptive-wrapped
-	// when hot-key replication is on.
+	// placement, union-layered during a transition.
 	placement hashring.Placement
-	// union is non-nil while a transition window is open (placement's
-	// baseline is then a multi-epoch union).
+	// union is non-nil while a transition window is open (placement is
+	// then a multi-epoch union).
 	union *topology.Union
-	// newest is the newest epoch's baseline placement — the tier's
-	// target layout. Writes pin its distinguished copies during a
-	// transition so the never-miss guarantee survives the cutover.
+	// newest is the newest epoch's placement — the tier's target
+	// layout. Writes pin its distinguished copies during a transition
+	// so the never-miss guarantee survives the cutover.
 	newest hashring.Placement
-	// adaptive is the snapshot's bound view of the hot-key controller
-	// (nil when adaptive replication is off). It shares the client-wide
-	// heat table but is fixed to this tier's baseline, so its replica
-	// indices never escape this tier's slot table even after newer
-	// epochs grow the server space.
-	adaptive *hotspot.Bound
 	// planner bundles multi-gets against placement.
 	planner *core.Planner
 	// slots is the index-stable slot table (shared pointers, private
@@ -172,8 +164,8 @@ type tier struct {
 }
 
 // replicas returns the key's replica servers under this tier, oldest
-// distinguished copy first, in a buffer sized for r of them (a boosted
-// or multi-epoch set grows it once).
+// distinguished copy first, in a buffer sized for r of them (a
+// multi-epoch set grows it once).
 func (t *tier) replicas(key string) []int {
 	return t.placement.Replicas(keyID(key), make([]int, 0, t.placement.NumReplicas()))
 }
@@ -187,20 +179,20 @@ func (t *tier) isDown(s int) bool {
 // window: the placement over its own ring.
 type epochSnap struct {
 	plc hashring.Placement
-	// servers are the indices of the epoch's joining and active members.
+	// servers are the indices of the epoch's active members.
 	servers []int
 	// superseded is when a newer epoch replaced this one (zero while
 	// newest). The epoch retires transitionWindow after that.
 	superseded time.Time
 }
 
-// newEpoch builds the epoch v stands for: a ring holding its joining
-// and active members, each at its member index.
+// newEpoch builds the epoch v stands for: a ring holding its active
+// members, each at its member index.
 func (c *Client) newEpoch(v topology.View) *epochSnap {
 	e := &epochSnap{}
 	names := make([]string, len(v.Members))
 	for _, m := range v.Members {
-		if m.State == topology.StateJoining || m.State == topology.StateActive {
+		if m.State == topology.StateActive {
 			names[m.Index] = m.Addr
 			e.servers = append(e.servers, m.Index)
 		}
@@ -212,50 +204,6 @@ func (c *Client) newEpoch(v topology.View) *epochSnap {
 // janitorInterval is how often the background janitor retires expired
 // epochs and completes drains.
 const janitorInterval = 50 * time.Millisecond
-
-// maxHotNames bounds the id -> key-name map kept for warm handoff.
-const maxHotNames = 1024
-
-// hotNames remembers the string names of currently boosted keys.
-// The hotspot tracker works in hashed ids; prewarming a new owner
-// needs the actual key to fetch and store, so the client records the
-// mapping as boosted keys flow through reads.
-type hotNames struct {
-	mu sync.Mutex
-	m  map[uint64]string
-}
-
-func (h *hotNames) record(id uint64, key string) {
-	h.mu.Lock()
-	if h.m == nil {
-		h.m = make(map[uint64]string)
-	}
-	if _, ok := h.m[id]; ok || len(h.m) < maxHotNames {
-		h.m[id] = key
-	}
-	h.mu.Unlock()
-}
-
-func (h *hotNames) snapshot() map[uint64]string {
-	h.mu.Lock()
-	out := make(map[uint64]string, len(h.m))
-	for id, key := range h.m {
-		out[id] = key
-	}
-	h.mu.Unlock()
-	return out
-}
-
-// prune drops entries whose keys are no longer boosted.
-func (h *hotNames) prune(stillHot func(uint64) bool) {
-	h.mu.Lock()
-	for id := range h.m {
-		if !stillHot(id) {
-			delete(h.m, id)
-		}
-	}
-	h.mu.Unlock()
-}
 
 // WithTransitionWindow sets how long a superseded membership epoch
 // stays layered into the read/write placement union (default 5s).
@@ -294,9 +242,8 @@ func (c *Client) janitor() {
 	}
 }
 
-// janitorTick retires epochs whose transition window has passed,
-// completes drains whose servers are out of every remaining epoch, and
-// prunes the hot-name map.
+// janitorTick retires epochs whose transition window has passed and
+// completes drains whose servers are out of every remaining epoch.
 func (c *Client) janitorTick(now time.Time) {
 	c.topoMu.Lock()
 	changed := false
@@ -330,10 +277,6 @@ func (c *Client) janitorTick(now time.Time) {
 		c.rebuildLocked()
 	}
 	c.topoMu.Unlock()
-
-	if c.adaptive != nil {
-		c.hot.prune(func(id uint64) bool { return c.adaptive.Boost(id) > 0 })
-	}
 }
 
 func (c *Client) anyEpochHasLocked(idx int) bool {
@@ -373,34 +316,21 @@ func (c *Client) rebuildLocked() {
 		eps[i] = e.plc
 	}
 	var (
-		base  hashring.Placement
-		union *topology.Union
+		placement hashring.Placement
+		union     *topology.Union
 	)
 	if len(eps) == 1 {
-		base = eps[0]
+		placement = eps[0]
 	} else {
 		union = topology.NewUnion(len(c.slots), eps...)
-		base = union
-	}
-	placement := base
-	newest := c.epochs[len(c.epochs)-1]
-	var bound *hotspot.Bound
-	if c.adaptive != nil {
-		// Each tier binds the shared controller to its own baseline:
-		// heat flows through, but this snapshot's replica indices are
-		// fixed to its slot table forever (older snapshots must not see
-		// indices a later epoch allocated), and boosts go only to the
-		// newest epoch's members.
-		bound = c.adaptive.Bind(base, newest.servers)
-		placement = bound
+		placement = union
 	}
 	t := &tier{
 		epoch:     c.machine.Epoch(),
 		view:      c.machine.View(),
 		placement: placement,
 		union:     union,
-		newest:    newest.plc,
-		adaptive:  bound,
+		newest:    eps[len(eps)-1],
 		planner:   core.NewPlanner(placement, core.Options{Hitchhike: true, DistinguishedSingles: true}),
 		slots:     append([]*slot(nil), c.slots...),
 	}
@@ -409,7 +339,7 @@ func (c *Client) rebuildLocked() {
 }
 
 // Topology tracks the dynamic-membership machinery: joins, drains,
-// epoch retirements, warm-handoff prewarm traffic and config reloads.
+// epoch retirements and config reloads.
 // All fields are atomics, bumped in place; the zero value is ready.
 type Topology struct {
 	Epoch atomic.Uint64
@@ -422,9 +352,6 @@ type Topology struct {
 	DrainsForced    atomic.Uint64
 
 	EpochsRetired atomic.Uint64
-
-	PrewarmKeys   atomic.Uint64
-	PrewarmErrors atomic.Uint64
 
 	Reloads      atomic.Uint64
 	ReloadErrors atomic.Uint64
@@ -439,8 +366,6 @@ func (t *Topology) register(reg *obs.Registry) {
 	reg.Counter("rnb_topology_drains_completed", "Drains whose connection closed with zero requests in flight.", t.DrainsCompleted.Load)
 	reg.Counter("rnb_topology_drains_forced", "Drains whose I/O timeout expired with requests still in flight.", t.DrainsForced.Load)
 	reg.Counter("rnb_topology_epochs_retired", "Superseded epochs dropped from the placement union.", t.EpochsRetired.Load)
-	reg.Counter("rnb_topology_prewarm_keys", "Hot keys copied onto their new owners by the warm handoff.", t.PrewarmKeys.Load)
-	reg.Counter("rnb_topology_prewarm_errors", "Best-effort warm-handoff copies that failed.", t.PrewarmErrors.Load)
 	reg.Counter("rnb_topology_reloads", "Membership lists applied through SetServers (file watch, SIGHUP).", t.Reloads.Load)
 	reg.Counter("rnb_topology_reload_errors", "Membership lists SetServers rejected.", t.ReloadErrors.Load)
 }
@@ -455,13 +380,14 @@ func (c *Client) Epoch() uint64 { return c.cur.Load().epoch }
 func (c *Client) View() topology.View { return c.cur.Load().view }
 
 // AddServer adds a server to the live tier with zero read downtime.
-// The server is dialed, joins the membership state machine, and enters
-// the placement in a new epoch; until the transition window closes,
-// reads consult the union of the old and new layouts, so nothing
-// misses because keys moved. With adaptive replication on, tracked hot
-// keys the new server will own are copied over before the server is
-// activated (warm handoff). Re-adding a server whose drain is still in
-// progress is an error until the drain completes.
+// The server is dialed, flushed, joins the membership state machine as
+// an active member, and enters the placement in a new epoch; until the
+// transition window closes, reads consult the union of the old and new
+// layouts, so nothing misses because keys moved. The flush makes a
+// rejoining server join empty, like a brand-new one: while it was out
+// of the tier, Sets skipped it, so every copy it kept may be stale.
+// Re-adding a server whose drain is still in progress is an error
+// until the drain completes.
 func (c *Client) AddServer(addr string) error {
 	list, err := topology.ParseServerList([]string{addr})
 	if err != nil {
@@ -480,10 +406,15 @@ func (c *Client) AddServer(addr string) error {
 		c.topoMu.Unlock()
 		return fmt.Errorf("rnb: add %s: server is already %s", addr, mem.State)
 	}
-	// Dial before Join: a refused connection — the common failure —
-	// leaves the machine exactly as it was, and nothing after Join can
-	// fail.
+	// Dial and flush before Join: a refused connection or a failed
+	// flush leaves the machine exactly as it was, and nothing after
+	// Join can fail.
 	conn, err := c.dial(addr)
+	if err == nil {
+		if err = conn.FlushAll(); err != nil {
+			conn.Close()
+		}
+	}
 	if err != nil {
 		c.topoMu.Unlock()
 		return fmt.Errorf("rnb: add %s: %w", addr, err)
@@ -510,27 +441,16 @@ func (c *Client) AddServer(addr string) error {
 	c.ensureJanitorLocked()
 	c.pushEpochLocked()
 	c.topoMu.Unlock()
-
-	// Warm handoff, outside the lock: requests already run against the
-	// union, so the copies land on a serving-but-cold member.
-	c.prewarmHotKeys(idx, true)
-
-	c.topoMu.Lock()
-	if _, err := c.machine.Activate(addr); err == nil {
-		c.rebuildLocked()
-	}
-	c.topoMu.Unlock()
 	return nil
 }
 
 // RemoveServer gracefully drains a server out of the live tier. The
 // server leaves the target layout immediately, but stays readable
-// through the union until the transition window closes; its tracked
-// hot keys are copied onto their new owners first (warm handoff, when
-// adaptive replication is on). Once the server has left every windowed
-// epoch, the background janitor closes its connection as soon as no
-// request is in flight on it, and at the latest one I/O timeout
-// (WithTimeout) later. Removing the last live server is an error.
+// through the union until the transition window closes. Once the
+// server has left every windowed epoch, the background janitor closes
+// its connection as soon as no request is in flight on it, and at the
+// latest one I/O timeout (WithTimeout) later. Removing the last live
+// server is an error.
 func (c *Client) RemoveServer(addr string) error {
 	list, err := topology.ParseServerList([]string{addr})
 	if err != nil {
@@ -545,7 +465,7 @@ func (c *Client) RemoveServer(addr string) error {
 	}
 	v := c.machine.View()
 	mem, ok := v.Find(addr)
-	if !ok || (mem.State != topology.StateActive && mem.State != topology.StateJoining) {
+	if !ok || mem.State != topology.StateActive {
 		c.topoMu.Unlock()
 		return fmt.Errorf("rnb: remove %s: not a live member", addr)
 	}
@@ -553,7 +473,7 @@ func (c *Client) RemoveServer(addr string) error {
 	// must not count toward "someone will still be here". Counting them
 	// would let a 2-server tier drain both members back to back and
 	// retire to an empty ring.
-	if v.Count(topology.StateActive)+v.Count(topology.StateJoining) <= 1 {
+	if v.Count(topology.StateActive) <= 1 {
 		c.topoMu.Unlock()
 		return fmt.Errorf("rnb: remove %s: cannot remove the last server", addr)
 	}
@@ -565,8 +485,6 @@ func (c *Client) RemoveServer(addr string) error {
 	c.ensureJanitorLocked()
 	c.pushEpochLocked()
 	c.topoMu.Unlock()
-
-	c.prewarmHotKeys(mem.Index, false)
 	return nil
 }
 
@@ -591,7 +509,7 @@ func (c *Client) SetServers(addrs []string) error {
 	c.topoMu.Lock()
 	have := make(map[string]bool)
 	for _, m := range c.machine.View().Members {
-		if m.State == topology.StateActive || m.State == topology.StateJoining {
+		if m.State == topology.StateActive {
 			have[m.Addr] = true
 		}
 	}
@@ -629,7 +547,7 @@ func (c *Client) WaitSettled(timeout time.Duration) bool {
 		settled := len(c.epochs) == 1
 		if settled {
 			for _, m := range c.machine.View().Members {
-				if m.State == topology.StateJoining || m.State == topology.StateDraining {
+				if m.State == topology.StateDraining {
 					settled = false
 					break
 				}
@@ -643,52 +561,5 @@ func (c *Client) WaitSettled(timeout time.Duration) bool {
 			return false
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// prewarmHotKeys is the warm-handoff pass: every tracked hot key that
-// slot idx is gaining (joining) or losing (draining) is fetched
-// through the normal read path and copied onto its owners under the
-// newest layout, so the hottest traffic never cold-starts after a
-// resize. Best effort: errors are counted, never fatal. A no-op
-// without adaptive replication (nothing tracks heat).
-func (c *Client) prewarmHotKeys(idx int, joining bool) {
-	if c.adaptive == nil {
-		return
-	}
-	t := c.cur.Load()
-	for id, key := range c.hot.snapshot() {
-		newSet := t.newest.Replicas(id, nil)
-		var targets []int
-		if joining {
-			if !slices.Contains(newSet, idx) {
-				continue
-			}
-			targets = []int{idx}
-		} else {
-			if !slices.Contains(t.placement.Replicas(id, nil), idx) {
-				continue
-			}
-			for _, s := range newSet {
-				if s != idx {
-					targets = append(targets, s)
-				}
-			}
-		}
-		it, err := c.Get(key)
-		if err != nil {
-			if !errors.Is(err, ErrCacheMiss) {
-				c.topo.PrewarmErrors.Add(1)
-			}
-			continue
-		}
-		for _, dst := range targets {
-			err := t.slots[dst].do(c.storeOp(it, dst == newSet[0]))
-			if err != nil && !errors.Is(err, memcache.ErrNotStored) {
-				c.topo.PrewarmErrors.Add(1)
-				continue
-			}
-			c.topo.PrewarmKeys.Add(1)
-		}
 	}
 }

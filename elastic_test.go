@@ -9,58 +9,6 @@ import (
 	"rnb/internal/leakcheck"
 )
 
-// TestDrainKeepsBoostsOnLiveServers: after a drain has fully retired,
-// the slot of the drained server is closed but its index stays
-// allocated. Boosted replicas must come only from the servers still in
-// the tier — a walk over the dense index space would name the closed
-// slot in write sets (every such Set fails with "server has left the
-// tier") and could never reach the highest live index.
-func TestDrainKeepsBoostsOnLiveServers(t *testing.T) {
-	leakcheck.Check(t)
-	addrs, _ := startServers(t, 5, 0)
-	cl, err := NewClient(addrs, elasticOpts(WithAdaptiveReplication(AdaptiveConfig{MaxBoost: 2}))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-
-	const drained = 1
-	if err := cl.RemoveServer(addrs[drained]); err != nil {
-		t.Fatal(err)
-	}
-	if !cl.WaitSettled(10 * time.Second) {
-		t.Fatalf("drain never settled; view %v", cl.View())
-	}
-
-	ks := make([]string, 50)
-	reachesLast := false
-	for i := range ks {
-		ks[i] = fmt.Sprintf("drained:%02d", i)
-		set, _, _ := cl.cur.Load().writeSet(ks[i])
-		if slices.Contains(set, drained) {
-			t.Errorf("write set of %q names the drained server %d: %v", ks[i], drained, set)
-		}
-		reachesLast = reachesLast || slices.Contains(set[cl.Replicas():], len(addrs)-1)
-	}
-	if !reachesLast {
-		t.Errorf("no boosted replica lands on the highest live index %d", len(addrs)-1)
-	}
-	failed := 0
-	for _, k := range ks {
-		if err := cl.Set(&Item{Key: k, Value: []byte("v")}); err != nil {
-			failed++
-			t.Log(err)
-		}
-	}
-	if failed > 0 {
-		t.Fatalf("%d of %d Sets failed after the drain", failed, len(ks))
-	}
-	items, _, err := cl.GetMulti(ks)
-	if err != nil || len(items) != len(ks) {
-		t.Fatalf("read after drain: %d/%d items, err %v", len(items), len(ks), err)
-	}
-}
-
 // TestDrainForcedAtIOTimeout pins the drain deadline to the client's I/O
 // timeout: once a draining server has left every windowed epoch, a
 // request still in flight on it holds the connection open for one

@@ -15,7 +15,9 @@
 // That invariant is what makes promotion and demotion safe online: the
 // distinguished copy never moves, and any replica a plan could have
 // used before a transition is still in the set after it, so reads
-// never miss because of a heat-table change.
+// never miss because of a heat-table change. It is a simulator
+// placement (rnbsim hotspot, rnbsim placement); the live client keeps
+// one fixed r per key.
 package hotspot
 
 import (

@@ -88,18 +88,13 @@ func (t *Tracker) Total() uint64 {
 	return n
 }
 
-// Harvest is one epoch's worth of controller input: the hottest keys
-// with their sketch cross-checks, and the decayed total they are
-// measured against.
+// Harvest is one epoch's worth of controller input: the hottest keys,
+// and the decayed total they are measured against.
 type Harvest struct {
 	// Entries are the top keys across all shards, descending by Count.
 	Entries []Entry
 	// Total is the decayed total number of touches (pre-decay).
 	Total uint64
-	// SketchGap accumulates, over the harvested entries, the gap
-	// between the sketch's upper-bound estimate and the SpaceSaving
-	// lower bound — a live measure of summary error.
-	SketchGap uint64
 }
 
 // HarvestAndDecay snapshots the top `per` keys of every shard plus the
@@ -110,14 +105,7 @@ func (t *Tracker) HarvestAndDecay(per int) Harvest {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.topk.Top(per) {
-			est := uint64(sh.sketch.Estimate(e.Key))
-			lower := e.Count - e.Err
-			if est > lower {
-				h.SketchGap += est - lower
-			}
-			h.Entries = append(h.Entries, e)
-		}
+		h.Entries = append(h.Entries, sh.topk.Top(per)...)
 		h.Total += sh.total
 		sh.total >>= 1
 		sh.sketch.Decay()

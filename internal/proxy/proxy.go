@@ -167,7 +167,7 @@ func (p *Proxy) FlushAll() error { return p.client.FlushAll() }
 // backend's keys disappear with it (ServerStates omits completed
 // drains), so resizes leave no ghost entries.
 func (p *Proxy) BackendStats() map[string]string {
-	out := map[string]string{"proxy_adaptive": strconv.FormatBool(p.client.AdaptiveEnabled())}
+	out := map[string]string{}
 	for _, st := range p.client.ServerStates() {
 		out[fmt.Sprintf("proxy_server_%d_addr", st.Index)] = st.Addr
 		out[fmt.Sprintf("proxy_server_%d_phase", st.Index)] = st.Phase

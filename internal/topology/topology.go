@@ -3,16 +3,14 @@
 // in, and an epoch counter that stamps every change.
 //
 // The paper assumes a fixed server set; a production tier does not.
-// Elasticity is modeled as a two-phase state machine per server:
+// Elasticity is modeled as a state machine per server:
 //
-//	joining ──activate──► active ──drain──► draining ──finish──► gone
+//	join ──► active ──drain──► draining ──finish──► gone
 //
-// A *joining* server is already dialed and appears in the newest
-// placement epoch, but its warm handoff (tracked hot keys copied onto
-// it) has not returned; the client activates it as soon as it does. A
-// *draining* server is the mirror image: it has left the newest
-// placement epoch but still serves reads for the epochs that include
-// it, until they retire and its in-flight requests finish.
+// Join admits a server straight to active: it appears in the newest
+// placement epoch. A *draining* server has left the newest placement
+// epoch but still serves reads for the epochs that include it, until
+// they retire and its in-flight requests finish.
 // The Machine is the one allocator of server indices, and they are
 // stable for its lifetime — a server that leaves keeps its index (state
 // gone), and the same address rejoining revives that index — so data
@@ -32,11 +30,8 @@ import (
 type State uint8
 
 const (
-	// StateJoining: admitted to the newest placement epoch, its warm
-	// handoff still running.
-	StateJoining State = iota
 	// StateActive: a full member.
-	StateActive
+	StateActive State = iota
 	// StateDraining: removed from the newest placement epoch; still
 	// serving reads for older epochs until they retire and its
 	// in-flight requests complete.
@@ -48,8 +43,6 @@ const (
 // String renders the state the way operators see it in stats output.
 func (s State) String() string {
 	switch s {
-	case StateJoining:
-		return "joining"
 	case StateActive:
 		return "active"
 	case StateDraining:
@@ -156,10 +149,10 @@ func (m *Machine) Epoch() uint64 {
 	return m.epoch
 }
 
-// Join admits addr as a joining member. A brand-new address is
+// Join admits addr as an active member. A brand-new address is
 // assigned the next free index; a gone address is revived at its old
-// index. Joining an address that is already joining, active, or
-// draining is an error.
+// index. Joining an address that is already active or draining is an
+// error.
 func (m *Machine) Join(addr string) (View, error) {
 	clean, err := ParseServerList([]string{addr})
 	if err != nil {
@@ -172,28 +165,21 @@ func (m *Machine) Join(addr string) (View, error) {
 		if m.members[i].State != StateGone {
 			return View{}, fmt.Errorf("topology: server %q is already %s", addr, m.members[i].State)
 		}
-		m.members[i].State = StateJoining
+		m.members[i].State = StateActive
 		m.epoch++
 		return m.viewLocked(), nil
 	}
 	i := len(m.members)
-	m.members = append(m.members, Member{Addr: addr, Index: i, State: StateJoining})
+	m.members = append(m.members, Member{Addr: addr, Index: i, State: StateActive})
 	m.index[addr] = i
 	m.epoch++
 	return m.viewLocked(), nil
 }
 
-// Activate promotes a joining member to active (its warm handoff
-// returned).
-func (m *Machine) Activate(addr string) (View, error) {
-	return m.transition(addr, StateActive, StateJoining)
-}
-
 // Drain starts a member's departure: it leaves the newest placement
-// epoch but keeps serving older epochs. Joining members may drain too
-// (an aborted join).
+// epoch but keeps serving older epochs.
 func (m *Machine) Drain(addr string) (View, error) {
-	return m.transition(addr, StateDraining, StateActive, StateJoining)
+	return m.transition(addr, StateDraining, StateActive)
 }
 
 // Finish completes a drain: the member is gone and its index parked
@@ -202,22 +188,18 @@ func (m *Machine) Finish(addr string) (View, error) {
 	return m.transition(addr, StateGone, StateDraining)
 }
 
-// transition moves addr to state to if its current state is one of
-// from, bumping the epoch.
-func (m *Machine) transition(addr string, to State, from ...State) (View, error) {
+// transition moves addr from state from to state to, bumping the epoch.
+func (m *Machine) transition(addr string, to, from State) (View, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	i, ok := m.index[addr]
 	if !ok {
 		return View{}, fmt.Errorf("topology: unknown server %q", addr)
 	}
-	cur := m.members[i].State
-	for _, f := range from {
-		if cur == f {
-			m.members[i].State = to
-			m.epoch++
-			return m.viewLocked(), nil
-		}
+	if cur := m.members[i].State; cur != from {
+		return View{}, fmt.Errorf("topology: server %q is %s, cannot become %s", addr, cur, to)
 	}
-	return View{}, fmt.Errorf("topology: server %q is %s, cannot become %s", addr, cur, to)
+	m.members[i].State = to
+	m.epoch++
+	return m.viewLocked(), nil
 }

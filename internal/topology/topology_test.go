@@ -28,15 +28,8 @@ func TestMachineLifecycle(t *testing.T) {
 		t.Fatalf("epoch after join = %d, want 2", v.Epoch)
 	}
 	mem, ok := v.Find("c:1")
-	if !ok || mem.State != StateJoining || mem.Index != 2 {
+	if !ok || mem.State != StateActive || mem.Index != 2 {
 		t.Fatalf("joined member: %+v ok=%v", mem, ok)
-	}
-
-	if v, err = m.Activate("c:1"); err != nil {
-		t.Fatal(err)
-	}
-	if mem, _ = v.Find("c:1"); mem.State != StateActive {
-		t.Fatalf("after activate: %+v", mem)
 	}
 
 	if v, err = m.Drain("a:1"); err != nil {
@@ -54,8 +47,8 @@ func TestMachineLifecycle(t *testing.T) {
 	if got := len(v.Live()); got != 2 {
 		t.Fatalf("live count = %d, want 2", got)
 	}
-	if v.Epoch != 5 {
-		t.Fatalf("epoch = %d, want 5", v.Epoch)
+	if v.Epoch != 4 {
+		t.Fatalf("epoch = %d, want 4", v.Epoch)
 	}
 }
 
@@ -75,7 +68,7 @@ func TestMachineRejoinRevivesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem, ok := v.Find("a:1")
-	if !ok || mem.Index != 0 || mem.State != StateJoining {
+	if !ok || mem.Index != 0 || mem.State != StateActive {
 		t.Fatalf("rejoined member: %+v ok=%v", mem, ok)
 	}
 	if len(v.Members) != 2 {
@@ -93,7 +86,7 @@ func TestMachineInvalidTransitions(t *testing.T) {
 		op   func() (View, error)
 	}{
 		{"join existing active", func() (View, error) { return m.Join("a:1") }},
-		{"activate active", func() (View, error) { return m.Activate("a:1") }},
+		{"finish unknown", func() (View, error) { return m.Finish("nope:1") }},
 		{"finish active", func() (View, error) { return m.Finish("a:1") }},
 		{"drain unknown", func() (View, error) { return m.Drain("nope:1") }},
 		{"join empty", func() (View, error) { return m.Join("  ") }},
@@ -116,7 +109,8 @@ func TestMachineDrainAbortsJoin(t *testing.T) {
 	if _, err := m.Join("b:1"); err != nil {
 		t.Fatal(err)
 	}
-	// A joining server may be drained directly (aborted join).
+	// A server that has just joined may be drained at once (an aborted
+	// join).
 	if _, err := m.Drain("b:1"); err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,8 @@ import "rnb/internal/hashring"
 // assign items to new servers, whose round-1 misses recover through
 // the usual round-2 distinguished fetch and warm up via write-back.
 // Writes invalidate the union, so no epoch's replica can serve stale
-// data. This mirrors the adaptive-replication promotion path
-// (hotspot.AdaptivePlacement), which established the invariant: a
-// placement change may only ever grow the consulted set mid-flight.
+// data: a placement change may only ever grow the consulted set
+// mid-flight.
 //
 // A Union over one epoch is transparent (no transition in progress).
 type Union struct {

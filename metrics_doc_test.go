@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite METRICS.md from the registry in
 
 // TestMetricsDoc keeps METRICS.md equal to what the daemons register:
 // an rnbmemd server's registry, and an rnbproxy front's registry after
-// the one call rnbproxy makes (the client pooled, adaptive and traced,
+// the one call rnbproxy makes (the client pooled and traced,
 // so no family hides behind an option), rendered name · kind · help in
 // name order. It is also where every family is enumerated, so the
 // naming rules the registry itself does not enforce are checked here:
@@ -38,7 +38,6 @@ func TestMetricsDoc(t *testing.T) {
 	defer srv.Close()
 	cl, err := rnb.NewClient([]string{ln.Addr().String()},
 		rnb.WithPoolSize(2),
-		rnb.WithAdaptiveReplication(rnb.AdaptiveConfig{}),
 		rnb.WithTracing(rnb.TraceConfig{}))
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		"rnb_transport_rtt_seconds_count",
 		"rnb_transactions",
 		"rnb_resilience_replans",
-		"rnb_hotspot_promotions",
 		`rnb_server_breaker_state{server="0",addr=`,
 	} {
 		if !strings.Contains(body, want) {

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"rnb/internal/core"
-	"rnb/internal/hotspot"
 	"rnb/internal/memcache"
 	"rnb/internal/obs"
 	"rnb/internal/topology"
@@ -47,10 +46,6 @@ import (
 // ObsConfig re-exports the observability configuration for
 // WithObservability callers.
 type ObsConfig = obs.Config
-
-// AdaptiveConfig re-exports the hotspot controller configuration for
-// WithAdaptiveReplication callers.
-type AdaptiveConfig = hotspot.Config
 
 // TraceConfig re-exports the distributed-tracing configuration for
 // WithTracing callers.
@@ -78,7 +73,6 @@ type clientConfig struct {
 	pinDistinguished bool
 	loader           Loader
 	cooldown         time.Duration
-	adaptive         *hotspot.Config
 	poolSize         int
 	binary           bool
 	obs              obs.Config
@@ -117,21 +111,6 @@ func WithPinnedDistinguished(on bool) Option {
 // failover).
 func WithFailureCooldown(d time.Duration) Option {
 	return func(c *clientConfig) { c.cooldown = d }
-}
-
-// WithAdaptiveReplication turns on adaptive hot-key replication: the
-// client tracks per-key request frequency with streaming sketches and
-// grants keys that dominate recent traffic extra replicas on top of
-// the baseline level (demoting them, with hysteresis, when they cool).
-// Adaptive replica sets are always a superset of the baseline
-// placement's with the distinguished copy unchanged, so reads never
-// miss because of a promotion or demotion: new replicas start cold and
-// fill in through the ordinary round-2/write-back path, and demoted
-// copies linger until the server LRUs evict them. The zero
-// AdaptiveConfig picks sensible defaults; see hotspot.Config for the
-// knobs.
-func WithAdaptiveReplication(cfg AdaptiveConfig) Option {
-	return func(c *clientConfig) { c.adaptive = &cfg }
 }
 
 // WithPoolSize sets how many connections each server's transport may
@@ -223,7 +202,6 @@ type Client struct {
 	stop       chan struct{}
 	wg         sync.WaitGroup
 	closedTxns atomic.Uint64 // transactions of already-closed slots
-	hot        hotNames      // boosted key id -> name, for warm handoff
 
 	// poolGauges is shared by every server's transport: connections,
 	// pipelining, and what became of the adds round 2 deferred.
@@ -234,15 +212,8 @@ type Client struct {
 	// the probe scan without touching a breaker mutex. A server that
 	// leaves the tier while quarantined keeps it above zero, which costs
 	// only the scan it would have saved.
-	unhealthy atomic.Int64
-	// adaptive is non-nil when WithAdaptiveReplication is on: the
-	// shared hot-key controller (tracker, heat table). Each tier
-	// snapshot binds it to that snapshot's own baseline placement
-	// (hotspot.Bound), so no tier's replica space mutates after
-	// publication.
-	adaptive   *hotspot.AdaptivePlacement
+	unhealthy  atomic.Int64
 	resilience Resilience
-	hotspot    hotspot.Counters
 	topo       Topology
 	// recorder is the always-on request recorder: request-phase latency
 	// histograms, the head sampler, and the one store of finished spans
@@ -274,10 +245,6 @@ func (c *Client) Failures() uint64 { return c.failures.Load() }
 // transitions, probe outcomes, and read re-plans.
 func (c *Client) Resilience() *Resilience { return &c.resilience }
 
-// Hotspot exposes the adaptive-replication counters (all zero unless
-// WithAdaptiveReplication is on).
-func (c *Client) Hotspot() *hotspot.Counters { return &c.hotspot }
-
 // PoolGauges exposes the transport's instrumentation, shared across
 // every server's connections. Never nil.
 func (c *Client) PoolGauges() *memcache.PoolGauges { return c.poolGauges }
@@ -296,13 +263,11 @@ func (c *Client) RecentRequests() []obs.Span { return c.recorder.Requests() }
 
 // RegisterMetrics exports every one of the client's metric families
 // into reg: each counter group's own table (rnb_resilience_*,
-// rnb_hotspot_*, rnb_topology_*, rnb_pool_* and rnb_writeback_*), the
-// client-wide totals, per-server breaker gauges,
-// and the latency histograms (exported in seconds, recorded in
-// nanoseconds).
+// rnb_topology_*, rnb_pool_* and rnb_writeback_*), the client-wide
+// totals, per-server breaker gauges, and the latency histograms
+// (exported in seconds, recorded in nanoseconds).
 func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	c.resilience.register(reg)
-	c.hotspot.Register(reg)
 	c.topo.register(reg)
 	c.poolGauges.Register(reg)
 	reg.Counter("rnb_server_errors", "Total network errors observed against backends.", c.Failures)
@@ -343,18 +308,6 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		"Per-round-trip transport latency, all operations.", &c.recorder.RTT)
 }
 
-// AdaptiveEnabled reports whether adaptive hot-key replication is on.
-func (c *Client) AdaptiveEnabled() bool { return c.adaptive != nil }
-
-// HotKeyCount returns the number of currently promoted keys (0 when
-// adaptive replication is off).
-func (c *Client) HotKeyCount() int {
-	if c.adaptive == nil {
-		return 0
-	}
-	return c.adaptive.HotKeyCount()
-}
-
 // ServerState describes one backend's health as seen by the client's
 // circuit breaker — the operator-facing view behind ServerStates.
 type ServerState struct {
@@ -363,8 +316,7 @@ type ServerState struct {
 	// Index is the server's stable slot index (kept across a leave
 	// and rejoin; per-server metric series are labeled with it).
 	Index int
-	// Phase is the membership lifecycle phase ("joining", "active",
-	// or "draining").
+	// Phase is the membership lifecycle phase ("active" or "draining").
 	Phase string
 	// State is the breaker state (closed / open / half-open).
 	State BreakerState
@@ -487,12 +439,6 @@ func NewClient(addrs []string, opts ...Option) (*Client, error) {
 		c.slots = append(c.slots, c.newSlot(addr, conn))
 	}
 	c.epochs = []*epochSnap{c.newEpoch(machine.View())}
-	if cfg.adaptive != nil {
-		// The controller's own base is only the construction-time
-		// default; every tier snapshot binds the controller to its own
-		// epoch placement (see rebuildLocked).
-		c.adaptive = hotspot.NewAdaptive(c.epochs[0].plc, *cfg.adaptive, &c.hotspot)
-	}
 	c.rebuildLocked()
 	return c, nil
 }
@@ -541,9 +487,9 @@ func (c *Client) Close() error {
 // Replicas reports the effective replication level.
 func (c *Client) Replicas() int { return c.cfg.replicas }
 
-// Servers reports the current live server addresses (joining and
-// active members, plus draining members still inside the transition
-// window) in index order.
+// Servers reports the current live server addresses (active members,
+// plus draining members still inside the transition window) in index
+// order.
 func (c *Client) Servers() []string {
 	t := c.cur.Load()
 	out := make([]string, 0, len(t.slots))
@@ -571,26 +517,18 @@ func (c *Client) Transactions() uint64 {
 func keyID(key string) uint64 { return xhash.String(key) }
 
 // writeSet returns every server a mutation of key must reach,
-// distinguished copy first: the key's replica set at maximum boost over
-// the union of every windowed epoch. Current heat does not narrow it: a
-// boosted copy can outlive its demotion in a server LRU, and the
-// deterministic boost walk hands the same server back when the key
-// re-heats, so a copy a mutation skipped would resurface stale.
-// servers[:live] is the key's current replica set. newest is the newest
-// epoch's distinguished server while a transition is open and it
-// differs from servers[0], else -1.
-func (t *tier) writeSet(key string) (servers []int, live, newest int) {
-	servers = t.replicas(key)
-	live, newest = len(servers), -1
-	if t.adaptive != nil {
-		servers = t.adaptive.MaxReplicas(keyID(key), nil)
-	}
+// distinguished copy first: the key's replica set over the union of
+// every windowed epoch. newest is the newest epoch's distinguished
+// server while a transition is open and it differs from servers[0],
+// else -1.
+func (t *tier) writeSet(key string) (servers []int, newest int) {
+	servers, newest = t.replicas(key), -1
 	if t.union != nil {
 		if nd := t.newest.Replicas(keyID(key), nil)[0]; nd != servers[0] {
 			newest = nd
 		}
 	}
-	return servers, live, newest
+	return servers, newest
 }
 
 // writeOp describes one mutation to apply: what each copy in the
@@ -600,9 +538,8 @@ type writeOp struct {
 	// refusal (CAS conflict, miss, not stored) included, fails the
 	// operation.
 	dist func(*memcache.Client) error
-	// replica is what the other current replicas get; nil drops them,
-	// to repopulate on demand via write-back (§IV). Copies beyond the
-	// current replica set are always dropped.
+	// replica is what the other replicas get; nil drops them, to
+	// repopulate on demand via write-back (§IV).
 	replica func(*memcache.Client) error
 	// alongside gives the newest epoch's distinguished copy dist too
 	// while a transition is open, so the never-miss guarantee holds on
@@ -658,7 +595,7 @@ func (t *tier) write(verb, key string, s int, fn func(*memcache.Client) error, v
 // be virtual.
 func (c *Client) apply(verb, key string, op writeOp) error {
 	t := c.cur.Load()
-	servers, live, newest := t.writeSet(key)
+	servers, newest := t.writeSet(key)
 	if !op.alongside {
 		newest = -1
 	}
@@ -673,7 +610,7 @@ func (c *Client) apply(verb, key string, op writeOp) error {
 		case i == 0 || op.everyCopy:
 		case s == newest && !op.clearFirst:
 			continue // written right behind the distinguished copy
-		case op.replica != nil && i < live:
+		case op.replica != nil:
 			fn = op.replica
 		default:
 			fn = dropCopy(key)
@@ -705,8 +642,7 @@ func (c *Client) apply(verb, key string, op writeOp) error {
 // distinguished copy, are errors.
 //
 // During a membership transition the newest layout's distinguished
-// copy is pinned alongside the old one; with adaptive replication on,
-// boosted copies lingering outside the current replica set are cleared.
+// copy is pinned alongside the old one.
 func (c *Client) Set(it *Item) error {
 	return c.apply("set", it.Key, writeOp{dist: c.storeOp(it, true), replica: c.storeOp(it, false), alongside: true})
 }
@@ -823,9 +759,6 @@ func (c *Client) UpdateCAS(it *Item) error {
 func (c *Client) Get(key string) (*Item, error) {
 	t := c.cur.Load()
 	c.probeHalfOpen(t)
-	if c.adaptive != nil {
-		c.observeHeat([]uint64{keyID(key)}, []string{key})
-	}
 	// The replica lookup fills a pooled record's buffer, which holds
 	// only ints, so the record goes back at once.
 	st := multiGetPool.Get().(*multiGet)
@@ -907,20 +840,6 @@ func (c *Client) GetMultiBudget(keys []string, maxTransactions int) (map[string]
 		return map[string]*Item{}, Stats{}, nil
 	}
 	return c.getMulti(keys, 0, maxTransactions, obs.TraceContext{})
-}
-
-// observeHeat feeds a request's keys to the hotspot tracker and
-// records the names of boosted keys for warm handoff on resize.
-func (c *Client) observeHeat(ids []uint64, keys []string) {
-	if c.adaptive == nil {
-		return
-	}
-	c.adaptive.Observe(ids)
-	for i, id := range ids {
-		if c.adaptive.Boost(id) > 0 {
-			c.hot.record(id, keys[i])
-		}
-	}
 }
 
 // finishSpan closes out a request span from the request's results and
@@ -1147,9 +1066,6 @@ func (c *Client) getMulti(keys []string, target, budget int, ext obs.TraceContex
 		return nil, stats, err
 	}
 	ids, keyOf := st.ids, st.keyOf
-	// Heat tracking sees every multi-get key; the epoch controller may
-	// rotate the heat table here, before this request is planned.
-	c.observeHeat(ids, keys)
 	// Give any half-open server its probe shot before planning.
 	c.probeHalfOpen(t)
 	// Plan around servers whose breaker is open or half-open.

@@ -76,7 +76,6 @@ for family in \
     rnb_transport_rtt_seconds_count \
     rnb_transactions \
     rnb_resilience_replans \
-    rnb_hotspot_promotions \
     rnb_pool_conns_open \
     rnb_server_breaker_state \
     proxy_requests \

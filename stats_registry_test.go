@@ -109,8 +109,8 @@ func TestStatsIsTheRegistry(t *testing.T) {
 			t.Errorf("the drive never moved %s (stats %q)", moved, st[moved])
 		}
 	}
-	if st["proxy_server_3_state"] != "open" || st["proxy_adaptive"] != "false" {
-		t.Errorf("non-metric lines: proxy_server_3_state %q, proxy_adaptive %q", st["proxy_server_3_state"], st["proxy_adaptive"])
+	if st["proxy_server_3_state"] != "open" {
+		t.Errorf("non-metric lines: proxy_server_3_state %q", st["proxy_server_3_state"])
 	}
 
 	// (b) An rnbmemd backend: today's ten memcached names, with the

@@ -1,7 +1,9 @@
 package rnb
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"rnb/internal/chaos"
 	"rnb/internal/leakcheck"
+	"rnb/internal/memcache"
 )
 
 // This file is the live-elasticity e2e suite: servers join and drain
@@ -156,6 +159,133 @@ func TestResizeUnderLoadZeroMissReads(t *testing.T) {
 	items, _, err := cl.GetMulti(ks)
 	if err != nil || len(items) != len(ks) {
 		t.Fatalf("post-resize read: %d/%d items, err %v", len(items), len(ks), err)
+	}
+}
+
+// TestResizeUnderConcurrentSets: a resize never leaves a readable copy
+// older than the last acknowledged Set. Writers on disjoint keys Set
+// continuously through an add, a drain, and a rejoin of the drained
+// server. Once a resize settles, every copy in the current replica set
+// is read from its server directly: it must hold the last value
+// acknowledged before the read or a newer one (a Set still in flight,
+// or one that failed part-way), or be missing.
+//
+// Continuous writers rewrite every key inside each transition window,
+// which would hide a stale copy, so a band of quiet keys is Set once
+// before the drain and once more before the rejoin, and left alone in
+// between. The drained server keeps running with the first value, the
+// second skips it, and rejoining it must not make the first readable
+// again. The band starts after the add: a key left unwritten across an
+// add and a later drain can still read a copy that the add's server
+// displaced and the drain re-admits (ROADMAP, "orphaned copies").
+func TestResizeUnderConcurrentSets(t *testing.T) {
+	leakcheck.Check(t)
+	addrs, _ := startServers(t, 6, 0)
+	cl, err := NewClient(addrs[:5], WithReplicas(3), WithTimeout(time.Second),
+		WithTransitionWindow(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	const writers, perWriter, quiet = 4, 25, 100
+	busy := writers * perWriter
+	acked := make([]atomic.Int64, busy+quiet)
+	key := func(i int) string { return fmt.Sprintf("rcs:%03d", i) }
+	set := func(i int, v int64) error {
+		err := cl.Set(&Item{Key: key(i), Value: strconv.AppendInt(nil, v, 10)})
+		if err == nil {
+			acked[i].Store(v)
+		}
+		return err
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := int64(1); ; v++ {
+				for i := w * perWriter; i < (w+1)*perWriter; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if set(i, v) != nil {
+						failed.Add(1) // a drained connection closing under the Set
+					}
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	check := func(step string) {
+		t.Helper()
+		if !cl.WaitSettled(10 * time.Second) {
+			t.Fatalf("%s never settled; view %v", step, cl.View())
+		}
+		want := make([]int64, len(acked))
+		for i := range acked {
+			want[i] = acked[i].Load()
+		}
+		tr := cl.cur.Load()
+		stale := 0
+		for i, w := range want {
+			for _, s := range tr.replicas(key(i)) {
+				var it *Item
+				err := tr.slots[s].do(func(conn *memcache.Client) (err error) {
+					it, err = conn.Get(key(i))
+					return err
+				})
+				if errors.Is(err, ErrCacheMiss) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: reading %s on server %d: %v", step, key(i), s, err)
+				}
+				if v, _ := strconv.ParseInt(string(it.Value), 10, 64); v < w {
+					if stale++; stale <= 5 {
+						t.Errorf("%s: %s on server %d holds %d, the last acknowledged Set wrote %d", step, key(i), s, v, w)
+					}
+				}
+			}
+		}
+		if stale > 0 {
+			t.Fatalf("%s: %d stale readable copies", step, stale)
+		}
+	}
+
+	steps := []struct {
+		name   string
+		resize func() error
+	}{
+		{"add", func() error { return cl.AddServer(addrs[5]) }},
+		{"drain", func() error { return cl.RemoveServer(addrs[2]) }},
+		{"rejoin", func() error { return cl.AddServer(addrs[2]) }},
+	}
+	for n, step := range steps {
+		for i := busy; n > 0 && i < busy+quiet; i++ {
+			if err := set(i, int64(n)); err != nil {
+				t.Fatalf("%s: quiet Set: %v", step.name, err)
+			}
+		}
+		if err := step.resize(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		check(step.name)
+	}
+	for i := 0; i < busy; i++ {
+		if acked[i].Load() < 2 {
+			t.Fatalf("writer key %s acknowledged only %d Sets (%d failed); the resizes ran without concurrent writes",
+				key(i), acked[i].Load(), failed.Load())
+		}
 	}
 }
 
@@ -352,18 +482,13 @@ func TestRemoveServerKeepsOneNonDraining(t *testing.T) {
 }
 
 // TestTierSnapshotFrozenAcrossResize pins down the snapshot-immutability
-// contract with adaptive replication on: a tier captured before a
-// resize must keep resolving replicas inside its own slot table even
-// after newer epochs grow the server space and the heat table promotes
-// keys. (A shared adaptive wrapper whose base was swapped in place used
-// to leak new-epoch indices into old snapshots, indexing past their
-// slot tables.)
+// contract: a tier captured before a resize must keep resolving
+// replicas inside its own slot table even after newer epochs grow the
+// server space.
 func TestTierSnapshotFrozenAcrossResize(t *testing.T) {
 	leakcheck.Check(t)
 	addrs, _ := startServers(t, 6, 0)
-	cl, err := NewClient(addrs[:3], elasticOpts(
-		WithAdaptiveReplication(AdaptiveConfig{MaxBoost: 2, PromoteFrac: 0.05, EpochOps: 100}),
-	)...)
+	cl, err := NewClient(addrs[:3], elasticOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,36 +497,19 @@ func TestTierSnapshotFrozenAcrossResize(t *testing.T) {
 	old := cl.cur.Load()
 	nSlots := len(old.slots)
 
-	// Grow the tier past the old snapshot's slot table...
+	// Grow the tier past the old snapshot's slot table.
 	for _, addr := range addrs[3:] {
 		if err := cl.AddServer(addr); err != nil {
 			t.Fatalf("AddServer(%s): %v", addr, err)
 		}
 	}
-	// ...and promote a hot key so the boosted-replica walk runs too.
-	hotID := keyID("celebrity:frozen:profile")
-	for i := 0; i < 1000; i++ {
-		cl.adaptive.ObserveOne(hotID)
-	}
-	cl.adaptive.ForceEpoch()
-	if cl.adaptive.Boost(hotID) == 0 {
-		t.Fatalf("hot key never promoted:%s", scalars(cl))
-	}
-
-	check := func(what string, set []int) {
-		t.Helper()
+	for i := 0; i < 2000; i++ {
+		set := old.placement.Replicas(keyID(fmt.Sprintf("frozen:%05d", i)), nil)
 		for _, s := range set {
 			if s < 0 || s >= nSlots {
-				t.Fatalf("%s produced index %d outside the snapshot's %d slots: %v",
-					what, s, nSlots, set)
+				t.Fatalf("placement produced index %d outside the snapshot's %d slots: %v", s, nSlots, set)
 			}
 		}
-	}
-	check("placement (hot key)", old.placement.Replicas(hotID, nil))
-	check("invalidation (hot key)", old.adaptive.MaxReplicas(hotID, nil))
-	for i := 0; i < 2000; i++ {
-		id := keyID(fmt.Sprintf("frozen:%05d", i))
-		check("placement", old.placement.Replicas(id, nil))
 	}
 }
 
