@@ -76,12 +76,15 @@ chaos-resize:
 # lifetime tests, since a request's keys and values are views of the
 # connection's read memory that the next read overwrites, and the two
 # reply-window tests, since a multi-get's transactions decode into
-# windows of one item array, possibly on another caller's goroutine.
+# windows of one item array, possibly on another caller's goroutine;
+# with them the store's races of verbs on one key (set and get, a
+# conditional set against touch, add against a newer set, a write refused
+# for capacity), since one mutex serialises every verb of a server.
 stress-binary:
 	$(GO) test -race -count=2 -run 'TestBinaryPooledClient' .
 	$(GO) test -race -count=2 -run 'TestPool|TestBinaryPool' ./internal/memcache
 	$(GO) test -race -count=2 -run 'TestWriteBack|TestAddLater' . ./internal/memcache
-	$(GO) test -race -count=2 -run 'TestServerCopiesKeysForOtherBackends|TestStoreNeverKeepsAliasedKey|TestServerCopiesItemsForOtherBackends|TestStoreNeverKeepsAliasedValue|TestReplyWindowIsolation|TestReplyWindowReadAhead' ./internal/memcache
+	$(GO) test -race -count=2 -run 'TestServerCopiesKeysForOtherBackends|TestStoreNeverKeepsAliasedKey|TestServerCopiesItemsForOtherBackends|TestStoreNeverKeepsAliasedValue|TestReplyWindowIsolation|TestReplyWindowReadAhead|TestStoreConcurrentAccess|TestStoreConditionalSetRacesTouch|TestStoreAddNeverReplacesNewerSet|TestStoreRefusedWriteDropsOldValue' ./internal/memcache
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
 # transport, server, planner and client hot paths: text/binary

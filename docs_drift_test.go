@@ -27,7 +27,8 @@ import (
 // config field (PoolConfig.X, core.Options.X, ...) its type lacks, a
 // With* option package rnb does not export, a core.X that is not an
 // exported identifier of internal/core, a Planner.X or Round2.X
-// method *core.Planner or *core.Round2 lacks, or (in README.md and
+// method *core.Planner or *core.Round2 lacks, a Store.X method
+// *memcache.Store lacks (unexported ones count), or (in README.md and
 // DESIGN.md) an rnblint analyzer lint.Analyzers does not return.
 // Deleting a harness turns every stale pointer to it into a failure
 // here instead of a surprise at the prompt.
@@ -62,19 +63,13 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	field := regexp.MustCompile(`\b(PoolConfig|ObsConfig|TraceConfig|hotspot\.Config|core\.Options|cluster\.Config)\.(\w+)`)
 
-	// The exported names in a package's non-test sources: package rnb's
-	// functions (the With* options), and every one of internal/core's.
-	exported := func(glob string, funcsOnly bool) map[string]bool {
+	// The parsed non-test sources of one package.
+	parse := func(glob string) []*ast.File {
 		sources, err := filepath.Glob(glob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := map[string]bool{}
-		add := func(id *ast.Ident) {
-			if id.IsExported() {
-				names[id.Name] = true
-			}
-		}
+		var files []*ast.File
 		fset := token.NewFileSet()
 		for _, src := range sources {
 			if strings.HasSuffix(src, "_test.go") {
@@ -84,6 +79,20 @@ func TestDocsNameWhatExists(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			files = append(files, f)
+		}
+		return files
+	}
+	// The exported names in a package: package rnb's functions (the
+	// With* options), and every one of internal/core's.
+	exported := func(glob string, funcsOnly bool) map[string]bool {
+		names := map[string]bool{}
+		add := func(id *ast.Ident) {
+			if id.IsExported() {
+				names[id.Name] = true
+			}
+		}
+		for _, f := range parse(glob) {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -109,6 +118,21 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		return names
 	}
+	// The methods of *memcache.Store, unexported ones (Store.keep)
+	// included: the docs name the store's internals too.
+	storeMethods := map[string]bool{}
+	for _, f := range parse("internal/memcache/*.go") {
+		for _, d := range f.Decls {
+			if d, ok := d.(*ast.FuncDecl); ok && d.Recv != nil {
+				if star, ok := d.Recv.List[0].Type.(*ast.StarExpr); ok {
+					if id, ok := star.X.(*ast.Ident); ok && id.Name == "Store" {
+						storeMethods[d.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	storeMethod := regexp.MustCompile(`\bStore\.(\w+)`)
 	funcs, coreNames := exported("*.go", true), exported("internal/core/*.go", false)
 	option := regexp.MustCompile(`\bWith[A-Z]\w*`)
 	coreName := regexp.MustCompile(`\bcore\.([A-Z]\w*)`)
@@ -175,6 +199,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, m := range method.FindAllSubmatch(text, -1) {
 			if _, ok := methods[string(m[1])].MethodByName(string(m[2])); !ok {
 				t.Errorf("%s names %s, which is not a method of *core.%s", doc, m[0], m[1])
+			}
+		}
+		for _, m := range storeMethod.FindAllSubmatch(text, -1) {
+			if !storeMethods[string(m[1])] {
+				t.Errorf("%s names %s, which is not a method of *memcache.Store", doc, m[0])
 			}
 		}
 		if doc != "README.md" && doc != "DESIGN.md" {

@@ -16,7 +16,8 @@
 package lru
 
 // Cache is an LRU cache with pinned entries. It is not safe for
-// concurrent use; callers shard or lock externally.
+// concurrent use; callers lock externally (memcache.Store keeps one
+// per server under one mutex).
 type Cache[K comparable, V any] struct {
 	capacity   int64
 	cost       int64 // total cost of resident entries (incl. pinned)

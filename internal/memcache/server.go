@@ -87,7 +87,7 @@ func (b storeBackend) GetsMulti(keys []string) (map[string]*Item, error) {
 
 // appendHits implements hitsBackend: the server's own read path, get and
 // gets alike (local tokens are always authoritative). With timed set it
-// also reports the shard-lock wait the batch accumulated.
+// also reports the store-lock wait the batch accumulated.
 func (b storeBackend) appendHits(hits []*Item, keys []string, timed bool) ([]*Item, int64) {
 	var wait int64
 	now := b.nowFn() // once per transaction, not per key

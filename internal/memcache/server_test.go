@@ -655,21 +655,18 @@ func TestStoreNeverKeepsAliasedKey(t *testing.T) {
 			}
 		}
 		got := map[string]bool{}
-		for i := range store.shards {
-			sh := &store.shards[i]
-			sh.mu.Lock()
-			keys := sh.cache.Keys()
-			items := make([]*Item, len(keys))
-			for j, k := range keys {
-				items[j], _ = sh.cache.Peek(k)
+		store.mu.Lock()
+		keys := store.cache.Keys()
+		items := make([]*Item, len(keys))
+		for j, k := range keys {
+			items[j], _ = store.cache.Peek(k)
+		}
+		store.mu.Unlock()
+		for j, k := range keys {
+			if it, err := store.Get(items[j].Key); err != nil || it != items[j] || k != it.Key {
+				t.Errorf("entry %q (Item.Key %q) is not found under its own key: %v", k, items[j].Key, err)
 			}
-			sh.mu.Unlock()
-			for j, k := range keys {
-				if it, err := store.Get(items[j].Key); err != nil || it != items[j] || k != it.Key {
-					t.Errorf("entry %q (Item.Key %q) is not found under its own key: %v", k, items[j].Key, err)
-				}
-				got[k] = true
-			}
+			got[k] = true
 		}
 		if !maps.Equal(got, want) {
 			t.Fatalf("store holds %v, want %v", got, want)

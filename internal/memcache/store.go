@@ -4,67 +4,47 @@ import (
 	"errors"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rnb/internal/lru"
-	"rnb/internal/xhash"
 )
 
-const defaultShards = 16
-
-// Store is the server-side storage engine: a sharded, byte-budgeted LRU
-// map. Each shard owns an lru.Cache keyed by string; entry cost is the
-// stored value size plus a fixed per-entry overhead, mirroring how
-// memcached accounts slab memory. Pinning support is exposed so an
-// RnB deployment can pin distinguished copies (§III-C-1).
+// Store is the server-side storage engine: one byte-budgeted LRU map
+// under one lock, as the paper's servers (§III-C-1) and the simulator
+// keep it. Entry cost is the stored value size plus a fixed per-entry
+// overhead, mirroring how memcached accounts slab memory. Pinning
+// support is exposed so an RnB deployment can pin distinguished copies;
+// a replica is then admitted against the whole server's room beside
+// them.
 //
 // A write keeps none of the memory it is handed: it rules first
 // (presence, CAS token, capacity) and then copies what it stores, once
 // (keep). So a server connection hands the store views of its read
 // memory (keyView) for every verb, and a refused write costs nothing.
 type Store struct {
-	shards []storeShard
-	nowFn  func() int64  // unix seconds; replaceable for tests
-	casSeq atomic.Uint64 // global CAS counter
-}
-
-type storeShard struct {
-	mu    sync.Mutex
+	mu    sync.Mutex // guards cache and cas, and every verb's verdict with its store
 	cache *lru.Cache[string, *Item]
+	cas   uint64       // the last CAS token issued
+	nowFn func() int64 // unix seconds; replaceable for tests
 }
 
 // entryOverhead approximates per-item metadata cost in bytes.
 const entryOverhead = 56
 
-// NewStore builds a store with the given total capacity in bytes,
-// split over shards. capacity <= 0 means effectively unbounded.
+// NewStore builds a store with the given total capacity in bytes.
+// capacity <= 0 means effectively unbounded.
 func NewStore(capacity int64) *Store {
 	if capacity <= 0 {
 		capacity = 1 << 62
 	}
-	s := &Store{
-		shards: make([]storeShard, defaultShards),
-		nowFn:  func() int64 { return time.Now().Unix() },
+	return &Store{
+		cache: lru.New[string, *Item](capacity),
+		nowFn: func() int64 { return time.Now().Unix() },
 	}
-	per := capacity / defaultShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range s.shards {
-		s.shards[i].cache = lru.New[string, *Item](per)
-	}
-	return s
 }
 
 // SetClock replaces the store's time source (tests).
 func (s *Store) SetClock(now func() int64) { s.nowFn = now }
-
-func (s *Store) shard(key string) *storeShard {
-	return &s.shards[xhash.String(key)%defaultShards]
-}
-
-func (s *Store) nextCAS() uint64 { return s.casSeq.Add(1) }
 
 // expired reports whether it has lapsed at unix second now.
 func expired(it *Item, now int64) bool {
@@ -100,28 +80,27 @@ func (s *Store) Get(key string) (*Item, error) {
 // get is the one lookup, judging expiry at unix second now: a
 // transaction of many keys reads the store's clock once and passes it
 // to each. With timed set it also returns the time spent waiting for
-// the shard lock, in nanoseconds — the store-contention share of a
+// the store lock, in nanoseconds — the store-contention share of a
 // traced command; untimed lookups never read the wall clock.
 func (s *Store) get(key string, now int64, timed bool) (*Item, int64, error) {
 	if !validKey(key) {
 		return nil, 0, ErrBadKey
 	}
-	sh := s.shard(key)
 	var wait int64
 	if timed {
 		lockStart := time.Now()
-		sh.mu.Lock()
+		s.mu.Lock()
 		wait = time.Since(lockStart).Nanoseconds()
 	} else {
-		sh.mu.Lock()
+		s.mu.Lock()
 	}
-	defer sh.mu.Unlock()
-	it, ok := sh.cache.Get(key)
+	defer s.mu.Unlock()
+	it, ok := s.cache.Get(key)
 	if !ok {
 		return nil, wait, ErrCacheMiss
 	}
 	if expired(it, now) {
-		sh.cache.Delete(key)
+		s.cache.Delete(key)
 		return nil, wait, ErrCacheMiss
 	}
 	return it, wait, nil
@@ -165,7 +144,7 @@ const (
 
 // write stores it when the resident entry meets cond (an expired entry
 // counts as absent). The verdict and the store happen under one hold of
-// the shard lock: a set from another connection cannot land between
+// the store lock: a set from another connection cannot land between
 // them, so an add never replaces a value newer than the absence it saw —
 // the property round 2's late write-backs rest on.
 func (s *Store) write(it *Item, cond storeCond, pinned bool) error {
@@ -175,12 +154,11 @@ func (s *Store) write(it *Item, cond storeCond, pinned bool) error {
 	if len(it.Value) > MaxValueLen {
 		return ErrTooLarge
 	}
-	sh := s.shard(it.Key)
 	now := s.nowFn()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if cond != storeAlways {
-		existing, ok := sh.cache.Peek(it.Key)
+		existing, ok := s.cache.Peek(it.Key)
 		live := ok && !expired(existing, now)
 		switch {
 		case cond == storeIfCAS && !live:
@@ -191,27 +169,35 @@ func (s *Store) write(it *Item, cond storeCond, pinned bool) error {
 			return ErrNotStored
 		}
 	}
-	return s.keep(sh, it.Key, it.Value, nil, it.Flags, absExpiration(it.Expiration, now), pinned)
+	return s.keep(it.Key, it.Value, nil, it.Flags, absExpiration(it.Expiration, now), pinned)
 }
 
-// keep is the last step of every write, under sh's lock once the write's
-// own verdict is in, and the store's one copy: the shard rules on
-// capacity first (Admits, what Put would answer), so a refused write
-// copies nothing, and an admitted one is copied into one buffer of its
-// own — the value, head then tail, capacity-clipped, then the key, a
-// view of the same buffer (keyView), which nothing writes again. The
-// caller's key and value may be views of connection memory.
-func (s *Store) keep(sh *storeShard, key string, head, tail []byte, flags uint32, exp int32, pinned bool) error {
+// keep is the last step of every write, under s.mu once the write's own
+// verdict is in, and the store's one copy: the cache rules on capacity
+// first (Admits, what Put would answer), so a refused write copies
+// nothing, and an admitted one is copied into one buffer of its own —
+// the value, head then tail, capacity-clipped, then the key, a view of
+// the same buffer (keyView), which nothing writes again. The caller's
+// key and value may be views of connection memory.
+//
+// A refused write also deletes the key's resident entry, as memcached
+// unlinks the old item of a set it cannot allocate: the write's caller
+// takes the refusal to mean the copy is gone (an RnB replica stays
+// virtual), so the older value must not stay readable. Pinned entries
+// are never refused, so a distinguished copy is not lost this way.
+func (s *Store) keep(key string, head, tail []byte, flags uint32, exp int32, pinned bool) error {
 	n := len(head) + len(tail)
 	cost := int64(len(key) + n + entryOverhead)
-	if !sh.cache.Admits(key, cost, pinned) {
+	if !s.cache.Admits(key, cost, pinned) {
+		s.cache.Delete(key)
 		return ErrNotStored
 	}
 	buf := make([]byte, n+len(key))
 	copy(buf[copy(buf, head):], tail)
 	copy(buf[n:], key)
-	kept := &Item{Key: keyView(buf[n:]), Value: buf[:n:n], Flags: flags, Expiration: exp, CAS: s.nextCAS()}
-	sh.cache.Put(kept.Key, kept, cost, pinned)
+	s.cas++
+	kept := &Item{Key: keyView(buf[n:]), Value: buf[:n:n], Flags: flags, Expiration: exp, CAS: s.cas}
+	s.cache.Put(kept.Key, kept, cost, pinned)
 	return nil
 }
 
@@ -231,11 +217,10 @@ func (s *Store) concat(key string, data []byte, front bool) error {
 	if !validKey(key) {
 		return ErrBadKey
 	}
-	sh := s.shard(key)
 	now := s.nowFn()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	existing, ok := sh.cache.Peek(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	existing, ok := s.cache.Peek(key)
 	if !ok || expired(existing, now) {
 		return ErrNotStored
 	}
@@ -246,7 +231,7 @@ func (s *Store) concat(key string, data []byte, front bool) error {
 	if front {
 		head, tail = data, existing.Value
 	}
-	return s.keep(sh, key, head, tail, existing.Flags, existing.Expiration, false)
+	return s.keep(key, head, tail, existing.Flags, existing.Expiration, false)
 }
 
 // errNonNumeric is Increment's refusal of a value that is not a decimal
@@ -261,11 +246,10 @@ func (s *Store) Increment(key string, delta int64) (uint64, error) {
 	if !validKey(key) {
 		return 0, ErrBadKey
 	}
-	sh := s.shard(key)
 	now := s.nowFn()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	existing, ok := sh.cache.Peek(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	existing, ok := s.cache.Peek(key)
 	if !ok || expired(existing, now) {
 		return 0, ErrCacheMiss
 	}
@@ -285,7 +269,7 @@ func (s *Store) Increment(key string, delta int64) (uint64, error) {
 		}
 	}
 	var digits [20]byte
-	if err := s.keep(sh, key, strconv.AppendUint(digits[:0], next, 10), nil, existing.Flags, existing.Expiration, false); err != nil {
+	if err := s.keep(key, strconv.AppendUint(digits[:0], next, 10), nil, existing.Flags, existing.Expiration, false); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -296,10 +280,9 @@ func (s *Store) Delete(key string) error {
 	if !validKey(key) {
 		return ErrBadKey
 	}
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.cache.Delete(key) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.cache.Delete(key) {
 		return ErrCacheMiss
 	}
 	return nil
@@ -310,11 +293,10 @@ func (s *Store) Touch(key string, exp int32) error {
 	if !validKey(key) {
 		return ErrBadKey
 	}
-	sh := s.shard(key)
 	now := s.nowFn()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, ok := sh.cache.Get(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	it, ok := s.cache.Get(key)
 	if !ok || expired(it, now) {
 		return ErrCacheMiss
 	}
@@ -324,48 +306,29 @@ func (s *Store) Touch(key string, exp int32) error {
 
 // FlushAll removes every item.
 func (s *Store) FlushAll() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		per := sh.cache.Capacity()
-		sh.cache = lru.New[string, *Item](per)
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.cache = lru.New[string, *Item](s.cache.Capacity())
+	s.mu.Unlock()
 }
 
 // Len returns the number of resident items (expired-but-unreaped
 // included).
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.cache.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.Len()
 }
 
 // Bytes returns total resident cost in bytes.
 func (s *Store) Bytes() int64 {
-	var n int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.cache.Cost()
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.Cost()
 }
 
-// Evictions returns the total capacity evictions across shards.
+// Evictions returns the total capacity evictions.
 func (s *Store) Evictions() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.cache.Evictions()
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.Evictions()
 }

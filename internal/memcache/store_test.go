@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rnb/internal/xhash"
 )
 
 func newTestStore() (*Store, *int64) {
@@ -333,6 +335,68 @@ func TestStorePinnedSurvivesPressure(t *testing.T) {
 	}
 }
 
+// TestStoreRefusedWriteDropsOldValue: a write refused for capacity must
+// not leave the key's older copy readable. An RnB client takes "not
+// stored" on a replica to mean the replica stays virtual, so a v1 still
+// served after a refused Set(v2) is a stale read.
+func TestStoreRefusedWriteDropsOldValue(t *testing.T) {
+	const capacity = 4 << 10
+	s := NewStore(capacity)
+	if err := s.Set(&Item{Key: "k", Value: []byte("v1")}); err != nil {
+		t.Fatal(err)
+	}
+	// Pinned entries are admitted past capacity and evict nothing, so
+	// "k" stays resident while they leave no room for any unpinned write.
+	val := make([]byte, 100)
+	for i := 0; i < 256; i++ {
+		if err := s.SetPinned(&Item{Key: fmt.Sprintf("pin-%03d", i), Value: val}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Set(&Item{Key: "k", Value: []byte("v2")}); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("Set(v2) on a store full of pinned data = %v, want ErrNotStored", err)
+	}
+	if it, err := s.Get("k"); err == nil {
+		t.Fatalf("after the refused Set(v2) the key still reads %q", it.Value)
+	}
+	if err := s.Set(&Item{Key: "pin-000", Value: []byte("p")}); err != nil {
+		t.Fatalf("a write over a pinned entry was refused: %v", err)
+	}
+}
+
+// TestStoreAdmitsAgainstWholeServer: a replica is admitted against the
+// server's whole room beside its pinned entries (§III-C-1), not against
+// a slice of it. The pinned keys and the replica's key are chosen to
+// share one bucket of a 16-way key-hash split, with pinned cost above a
+// sixteenth of the capacity and well under all of it, so a store that
+// split its bytes by key hash would refuse the replica.
+func TestStoreAdmitsAgainstWholeServer(t *testing.T) {
+	const capacity = 16 << 10
+	bucket := func(key string) uint64 { return xhash.String(key) % 16 }
+	var same []string
+	for i := 0; len(same) < 9; i++ {
+		if k := fmt.Sprintf("k-%04d", i); bucket(k) == bucket("k-0000") {
+			same = append(same, k)
+		}
+	}
+	s := NewStore(capacity)
+	val := make([]byte, 128)
+	for _, k := range same[:8] {
+		if err := s.SetPinned(&Item{Key: k, Value: val}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pinned := s.Bytes(); pinned <= capacity/16 || pinned >= capacity/2 {
+		t.Fatalf("pinned %d bytes; the test needs more than %d and under %d", pinned, capacity/16, capacity/2)
+	}
+	if err := s.Set(&Item{Key: same[8], Value: val}); err != nil {
+		t.Fatalf("replica refused with %d of %d bytes pinned: %v", s.Bytes(), capacity, err)
+	}
+	if _, err := s.Get(same[8]); err != nil {
+		t.Fatal("admitted replica not readable:", err)
+	}
+}
+
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := NewStore(1 << 22)
 	done := make(chan error, 8)
@@ -362,7 +426,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 
 // TestStoreConditionalSetRacesTouch runs add and replace against touch
 // on one key. Touch rewrites the resident item's expiration in place
-// under the shard lock, so the conditional stores must judge "present
+// under the store lock, so the conditional stores must judge "present
 // and unexpired" under that lock too; under -race this fails if they
 // read the expiration after releasing it.
 func TestStoreConditionalSetRacesTouch(t *testing.T) {
@@ -391,7 +455,7 @@ func TestStoreConditionalSetRacesTouch(t *testing.T) {
 }
 
 // TestStoreAddNeverReplacesNewerSet is the regression for add judged
-// and stored under two holds of the shard lock: an adder replays
+// and stored under two holds of the store lock: an adder replays
 // Add("old") while a writer alternates Set(vN) and Delete. Once a Set
 // is acknowledged the key is present, so every add until the Delete
 // must be refused and the writer must read back exactly what it set. A

@@ -28,7 +28,7 @@ func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
 // ServerTimings is a server's phase attribution for one traced
 // transaction, returned to the client on the same connection so the
 // client can split its observed RTT into queue/wire/server components.
-// WaitNS (store shard-lock wait) is a component *inside* ExecNS, not an
+// WaitNS (store lock wait) is a component *inside* ExecNS, not an
 // additional phase, so the server-side total is Queue+Parse+Exec+Flush.
 type ServerTimings struct {
 	// TraceID echoes the propagated trace id (framing check).
@@ -42,7 +42,7 @@ type ServerTimings struct {
 	QueueNS int64 `json:"queue_ns"`
 	// ParseNS covers command read+decode up to the backend call.
 	ParseNS int64 `json:"parse_ns"`
-	// WaitNS is store shard-lock acquisition wait, a slice of ExecNS.
+	// WaitNS is store lock acquisition wait, a slice of ExecNS.
 	WaitNS int64 `json:"wait_ns"`
 	// ExecNS is the backend (store) execution time.
 	ExecNS int64 `json:"exec_ns"`
@@ -133,7 +133,7 @@ func (r *ServerRecorder) RegisterMetrics(reg *Registry) {
 	reg.RegisterDurationHist("memd_parse_seconds",
 		"Traced transactions: command parse time.", &r.Parse)
 	reg.RegisterDurationHist("memd_store_wait_seconds",
-		"Traced transactions: store shard-lock wait (a subset of exec).", &r.Wait)
+		"Traced transactions: store lock wait (a subset of exec).", &r.Wait)
 	reg.RegisterDurationHist("memd_exec_seconds",
 		"Traced transactions: store execution, lock wait included.", &r.Exec)
 	reg.RegisterDurationHist("memd_flush_seconds",

@@ -549,6 +549,50 @@ func TestUpdateClearsReplicasAndUpdatesDistinguished(t *testing.T) {
 	}
 }
 
+// TestRefusedReplicaWriteLeavesNoStaleCopy: under overbooking a replica
+// server full of pinned data refuses a Set's plain copy, and the client
+// takes that to mean the replica stays virtual (§III-C-1). The server
+// must then drop the copy it held, so no read, direct or through the
+// client, returns the value the Set replaced.
+func TestRefusedReplicaWriteLeavesNoStaleCopy(t *testing.T) {
+	addrs, servers := startServers(t, 4, 4<<10)
+	cl, err := NewClient(addrs, WithReplicas(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	holdWriteBackClock(cl)
+	if err := cl.Set(&Item{Key: "k", Value: []byte("v1")}); err != nil {
+		t.Fatal(err)
+	}
+	reps := cl.cur.Load().replicas("k")
+	full := servers[reps[1]].Store()
+	val := make([]byte, 100)
+	for i := 0; i < 256; i++ {
+		if err := full.SetPinned(&memcache.Item{Key: fmt.Sprintf("pin-%03d", i), Value: val}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Set(&Item{Key: "k", Value: []byte("v2")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range reps {
+		if it, err := servers[s].Store().Get("k"); err == nil && string(it.Value) != "v2" {
+			t.Errorf("server %d still serves %q after Set(v2)", s, it.Value)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		it, err := cl.Get("k")
+		if err != nil || string(it.Value) != "v2" {
+			t.Fatalf("Get after Set(v2): %v, %v", it, err)
+		}
+		items, _, err := cl.GetMulti([]string{"k", "other"})
+		if err != nil || string(items["k"].Value) != "v2" {
+			t.Fatalf("GetMulti after Set(v2): %v, %v", items, err)
+		}
+	}
+}
+
 func TestTransactionsCounter(t *testing.T) {
 	cl, _ := newTestClient(t, 2)
 	base := cl.Transactions()
